@@ -26,7 +26,8 @@ from .core import Dataset, estimate_constants
 from .errors import ConfigError, FormatError, SsagError
 from .ingest import SyntheticSpec, gen_synthetic, read_idx, read_text, write_text
 from .objectives import Objective, make_objective
-from .optimizers import RunConfig, run, steps_for_passes
+from .optimizers import (OPTIMIZER_KEYS, OPTIMIZER_KINDS, SPECS, RunConfig,
+                         default_step_size, run, steps_for_passes)
 from .records import CSV_COLUMNS, Aggregate, RunRecord, aggregate
 from .theory import (CviInputs, check_envelope, cvi_envelope, cvi_lambda, cvi_rho,
                      reference_optimum, theorem2_bound, theorem2_inputs_for)
@@ -70,6 +71,12 @@ class ExperimentConfig:
             raise ConfigError("step budget must be >= 0")
         if self.dataset.get("kind") not in _DATASET_KINDS:
             raise ConfigError(f"dataset kind must be one of {_DATASET_KINDS}")
+        if self.optimizer.get("kind") not in OPTIMIZER_KINDS:
+            raise ConfigError(f"optimizer kind must be one of {OPTIMIZER_KINDS}")
+        unknown = set(self.optimizer) - OPTIMIZER_KEYS
+        if unknown:
+            raise ConfigError(f"unknown optimizer keys: {sorted(unknown)} "
+                              f"(allowed: {sorted(OPTIMIZER_KEYS)})")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -82,13 +89,20 @@ class ExperimentConfig:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
         return cls(**doc)
 
-    @classmethod
-    def load(cls, path) -> "ExperimentConfig":
+    @staticmethod
+    def read(path) -> dict:
+        """The JSON document of a config file; ConfigError if it is unreadable."""
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_dict(doc)
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config {path} must hold a JSON object")
+        return doc
+
+    @classmethod
+    def load(cls, path) -> "ExperimentConfig":
+        return cls.from_dict(cls.read(path))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -165,10 +179,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute one run per seed and aggregate; deterministic given the seeds."""
     train, test = build_dataset(config.dataset)
     obj = make_objective(config.objective, train)
-    opt = dict(config.optimizer)
-    kind = opt.get("kind")
-    if kind is None:
-        raise ConfigError("optimizer section needs a 'kind'")
+    opt = config.optimizer
+    kind = opt["kind"]
     constants = None
     if obj.kind in ("ridge", "logistic", "quadratic"):
         constants = estimate_constants(obj)
@@ -421,8 +433,7 @@ def _apply_overrides(doc: dict, extras: list[str]) -> dict:
 
 
 def _load_config(args, extras) -> ExperimentConfig:
-    doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    doc = _apply_overrides(doc, extras)
+    doc = _apply_overrides(ExperimentConfig.read(args.config), extras)
     if getattr(args, "seed", None) is not None:
         doc["seeds"] = [args.seed]
     if getattr(args, "seeds", None):
@@ -472,17 +483,13 @@ def _cmd_estimate_constants(args) -> int:
     ds = read_text(args.data, add_bias=args.add_bias)
     obj = make_objective({"kind": args.objective, "lam": args.lam}, ds)
     const = estimate_constants(obj)
-    C = ds.n_classes
     print(f"L = {const.L:.12g}")
     print(f"mu = {const.mu:.12g}")
     print(f"condition = {const.condition:.12g}")
     if not const.strongly_convex:
         print("warning: mu = 0, not strongly convex")
-    print(f"h_ssag = {1.0 / (2.0 * C * const.L):.12g}")
-    print(f"h_fgd = {1.0 / const.L:.12g}")
-    print(f"h_sag = {1.0 / (16.0 * const.L):.12g}")
-    print(f"h_svrg = {1.0 / (3.0 * const.L):.12g}")
-    print(f"h_saga = {1.0 / (3.0 * const.L):.12g}")
+    for kind in OPTIMIZER_KINDS:
+        print(f"h_{kind} = {default_step_size(kind, obj, const):.12g}")
     return 0
 
 
@@ -548,16 +555,17 @@ def _cmd_verify_bound(args, extras) -> int:
     if const is None:
         raise SsagError("bound verification needs certified convexity constants")
     opt = config.optimizer
-    kind = opt.get("kind")
+    kind = opt["kind"]
+    spec = SPECS[kind]
+    if spec.envelope != args.theorem:
+        raise SsagError(f"the theorem-{args.theorem} envelope does not apply to "
+                        f"the {kind} optimizer")
     h = _resolve_h(opt)
     if h is None:
-        from .optimizers import default_step_size
         h = default_step_size(kind, obj, const)
     N = obj.dataset.n_samples
     eps = np.finfo(float).eps
     if args.theorem == 2:
-        if kind != "ssag":
-            raise SsagError("the distance envelope applies to the ssag optimizer")
         w0 = obj.init_params(seed=sorted(config.seeds)[0])
         inp = theorem2_inputs_for(obj, n=int(opt.get("n", 1)), w0=w0,
                                   constants=const, w_star=result.w_star,
@@ -573,9 +581,8 @@ def _cmd_verify_bound(args, extras) -> int:
         print(f"rate = {inp.rate:.12g}, bracket = {inp.bracket:.6g}, "
               f"resolution floor = {floor:.3g}")
     else:
-        if kind not in ("fgd", "sgd", "minibatch"):
-            raise SsagError("the gap envelope applies to fgd, sgd, or minibatch")
-        n = N if kind == "fgd" else (int(opt.get("n", 1)) if kind == "minibatch" else 1)
+        # the uniform-batch kinds evaluate one gradient per batch sample
+        n = int(spec.evals_per_step(N, int(opt.get("n", 1)), None))
         f = n / N
         sigma_sq = 0.0
         if f < 1.0:

@@ -164,14 +164,6 @@ class GradientStats:
     n_samples: int = 0
     degenerate: bool = False
 
-    def sampling_ratio(self, n: int) -> float:
-        """Ratio f = n/N of a size-n sample to the population."""
-        return n / self.n_samples
-
-    def per_class_sampling_ratio(self, n: int) -> np.ndarray:
-        """Per-stratum ratios f_c = n/N_c for a size-n within-class sample."""
-        return n / self.class_counts.astype(np.float64)
-
 
 def squared_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Squared Euclidean distance between two parameter vectors."""

@@ -1,10 +1,10 @@
-"""State machines for the seven optimizers: FGD, SGD, mini-batch SGD, SAG,
-SVRG, SAGA, and SSAG.
-
-SSAG keeps one remembered gradient per class (C table entries); SAG and SAGA
-keep one per sample (N entries).  All table-based states maintain a running
-sum of their entries, recomputed exactly every ``sum_recompute_every`` steps
-to cap floating drift.
+"""The seven optimizers (FGD, SGD, mini-batch SGD, SAG, SVRG, SAGA, and SSAG):
+one registry of per-kind specs (`SPECS`) over four step kernels.  SSAG and
+SAG share the table-averaged step (SAG is SSAG over N singleton strata),
+SAGA steps on the same table state, FGD, SGD and mini-batch SGD share the
+uniform-batch step, and SVRG advances one inner step at a time.  Table
+states keep a running sum of their slots, recomputed exactly every
+``sum_recompute_every`` steps to cap floating drift.
 
 Note on stratified sampling: each SSAG step refreshes the drawn class's slot
 with the mean gradient of a fresh within-class batch and moves along the mean
@@ -18,10 +18,11 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .core import estimate_constants, gradient_population_stats, squared_distance
+from .core import Dataset, estimate_constants, gradient_population_stats, squared_distance
 from .errors import ConfigError, DivergenceError, UnsupportedObjectiveError
 from .objectives import Objective, accuracy
 from .records import RecordBuilder, RunRecord
@@ -30,43 +31,21 @@ from .sampling import RngStream, sample_class, sample_uniform, sample_within_cla
 #: A recorded loss above this value marks the run as diverged.
 DIVERGENCE_LOSS_LIMIT = 1e12
 
-OPTIMIZER_KINDS = ("fgd", "sgd", "minibatch", "sag", "svrg", "saga", "ssag")
-
 
 @dataclass
-class SsagState:
-    """SSAG state: C-entry gradient table plus its running sum."""
+class TableState:
+    """Gradient table with one slot per stratum, plus its running sum.
+
+    SSAG keeps one slot per class (C entries); SAG and SAGA keep one per
+    sample (N entries).
+    """
 
     W: np.ndarray
-    table: np.ndarray      # (C, p), zero-initialized
+    table: np.ndarray      # (slots, p), zero-initialized
     table_sum: np.ndarray  # (p,)
     h: float
-    n: int                 # within-class batch size
-    steps: int = 0
-    grad_evals: int = 0
-
-
-@dataclass
-class SagState:
-    """SAG state: N-entry gradient table plus its running sum."""
-
-    W: np.ndarray
-    table: np.ndarray      # (N, p), zero-initialized
-    table_sum: np.ndarray
-    h: float
-    steps: int = 0
-    grad_evals: int = 0
-
-
-@dataclass
-class SagaState:
-    """SAGA state: N-entry table, running sum, optional L1 prox."""
-
-    W: np.ndarray
-    table: np.ndarray
-    table_sum: np.ndarray
-    h: float
-    prox_l1: float | None = None
+    n: int = 1             # within-class batch size (SSAG)
+    prox_l1: float | None = None  # L1 prox weight (SAGA)
     steps: int = 0
     grad_evals: int = 0
 
@@ -79,7 +58,7 @@ class SvrgState:
     snapshot: np.ndarray
     snapshot_grad: np.ndarray
     h: float
-    m: int                 # inner-loop length
+    m: int                 # snapshot refresh period (inner-loop length)
     steps: int = 0
     grad_evals: int = 0
 
@@ -96,27 +75,38 @@ class SimpleState:
     grad_evals: int = 0
 
 
-def _guard_finite(prev_W: np.ndarray, state) -> None:
-    if not np.all(np.isfinite(state.W)):
+def _commit(state, W: np.ndarray, evals: int):
+    """Accept the next iterate and count it; DivergenceError if not finite."""
+    prev = state.W
+    state.W = W
+    state.steps += 1
+    state.grad_evals += evals
+    if not np.all(np.isfinite(W)):
         raise DivergenceError("optimizer produced a non-finite iterate",
-                              last_finite=prev_W, steps=state.steps)
-
-
-def _step_size(state: SimpleState) -> float:
-    if state.schedule == "inv_k":
-        return state.h / (state.steps + 1)
-    return state.h
+                              last_finite=prev, steps=state.steps)
+    return state
 
 
 def recompute_sum(state):
     """Replace the cached running sum with the exact table sum."""
-    if not isinstance(state, (SsagState, SagState, SagaState)):
+    if not isinstance(state, TableState):
         raise TypeError("only table-based states carry a running sum")
     state.table_sum = state.table.sum(axis=0)
     return state
 
 
-def ssag_step(state: SsagState, obj: Objective, rng: RngStream) -> SsagState:
+def _refresh_slot(state: TableState, j: int, phi: np.ndarray) -> None:
+    state.table_sum = state.table_sum - state.table[j] + phi
+    state.table[j] = phi
+
+
+def _table_average_step(state: TableState, j: int, phi: np.ndarray, evals: int) -> TableState:
+    """Write phi into slot j, then step W <- W - (h/slots) * sum of all slots."""
+    _refresh_slot(state, j, phi)
+    return _commit(state, state.W - (state.h / state.table.shape[0]) * state.table_sum, evals)
+
+
+def ssag_step(state: TableState, obj: Objective, rng: RngStream) -> TableState:
     """One SSAG update: refresh one class slot, move along the slot mean.
 
     Draws class j uniformly, draws n within-class samples without
@@ -126,30 +116,18 @@ def ssag_step(state: SsagState, obj: Objective, rng: RngStream) -> SsagState:
     ds = obj.dataset
     j = sample_class(rng, ds.n_classes)
     idx = sample_within_class(rng, ds, j, state.n)
-    phi = obj.grad_class_batch(state.W, j, idx)
-    prev = state.W
-    state.table_sum = state.table_sum - state.table[j] + phi
-    state.table[j] = phi
-    state.W = state.W - (state.h / ds.n_classes) * state.table_sum
-    state.steps += 1
-    state.grad_evals += idx.size
-    _guard_finite(prev, state)
-    return state
+    return _table_average_step(state, j, obj.grad_class_batch(state.W, j, idx), idx.size)
 
 
-def sag_step(state: SagState, obj: Objective, rng: RngStream) -> SagState:
-    """One SAG update: refresh one sample slot, move along the slot mean."""
-    ds = obj.dataset
-    i = int(sample_uniform(rng, ds.n_samples, 1)[0])
-    g = obj.grad_batch(state.W, np.array([i]))
-    prev = state.W
-    state.table_sum = state.table_sum - state.table[i] + g
-    state.table[i] = g
-    state.W = state.W - (state.h / ds.n_samples) * state.table_sum
-    state.steps += 1
-    state.grad_evals += 1
-    _guard_finite(prev, state)
-    return state
+def sag_step(state: TableState, obj: Objective, rng: RngStream) -> TableState:
+    """One SAG update: SSAG over the N singleton strata {i}.
+
+    The stratum draw picks sample i.  A draw from a one-element cell returns
+    that element without consuming generator state, so it is skipped, and
+    no cell arrays are built.
+    """
+    i = sample_class(rng, obj.dataset.n_samples)
+    return _table_average_step(state, i, obj.grad_batch(state.W, np.array([i])), 1)
 
 
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
@@ -157,68 +135,54 @@ def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
-def saga_step(state: SagaState, obj: Objective, rng: RngStream) -> SagaState:
+def saga_step(state: TableState, obj: Objective, rng: RngStream) -> TableState:
     """One SAGA update with optional L1 prox.
 
     The candidate uses the pre-update slot value and table mean:
     W - h * (G_i(W) - phi_i + sum/N); the slot is refreshed afterwards.
     """
-    ds = obj.dataset
-    N = ds.n_samples
-    i = int(sample_uniform(rng, N, 1)[0])
+    N = obj.dataset.n_samples
+    i = sample_class(rng, N)
     g = obj.grad_batch(state.W, np.array([i]))
-    prev = state.W
-    candidate = state.W - state.h * (g - state.table[i] + state.table_sum / N)
-    state.table_sum = state.table_sum - state.table[i] + g
-    state.table[i] = g
+    W = state.W - state.h * (g - state.table[i] + state.table_sum / N)
+    _refresh_slot(state, i, g)
     if state.prox_l1 is not None:
-        state.W = soft_threshold(candidate, state.h * state.prox_l1)
-    else:
-        state.W = candidate
-    state.steps += 1
-    state.grad_evals += 1
-    _guard_finite(prev, state)
-    return state
+        W = soft_threshold(W, state.h * state.prox_l1)
+    return _commit(state, W, 1)
 
 
 def svrg_outer(state: SvrgState, obj: Objective, rng: RngStream) -> SvrgState:
-    """One SVRG outer iteration: snapshot, full gradient, m inner steps."""
-    ds = obj.dataset
-    state.snapshot = state.W.copy()
-    state.snapshot_grad = obj.grad_full(state.snapshot)
-    state.grad_evals += ds.n_samples
-    for _ in range(state.m):
-        i = int(sample_uniform(rng, ds.n_samples, 1)[0])
-        idx = np.array([i])
-        gi = obj.grad_batch(state.W, idx)
-        gs = obj.grad_batch(state.snapshot, idx)
-        prev = state.W
-        state.W = state.W - state.h * (gi - gs + state.snapshot_grad)
-        state.steps += 1
-        state.grad_evals += 2
-        _guard_finite(prev, state)
-    return state
+    """One SVRG inner step W <- W - h * (G_i(W) - G_i(snapshot) + snapshot_grad).
+
+    At every multiple of m steps, starting at step 0, the snapshot first
+    moves to the current iterate and its full gradient is recomputed.
+    """
+    N = obj.dataset.n_samples
+    if state.steps % state.m == 0:
+        state.snapshot = state.W.copy()
+        state.snapshot_grad = obj.grad_full(state.snapshot)
+        state.grad_evals += N
+    idx = sample_uniform(rng, N, 1)
+    direction = (obj.grad_batch(state.W, idx) - obj.grad_batch(state.snapshot, idx)
+                 + state.snapshot_grad)
+    return _commit(state, state.W - state.h * direction, 2)
 
 
-def fgd_step(state: SimpleState, obj: Objective) -> SimpleState:
-    """One full-gradient step W <- W - h_k * grad_full(W)."""
-    prev = state.W
-    state.W = state.W - _step_size(state) * obj.grad_full(state.W)
-    state.steps += 1
-    state.grad_evals += obj.dataset.n_samples
-    _guard_finite(prev, state)
-    return state
-
-
-def _uniform_batch_step(state: SimpleState, obj: Objective, rng: RngStream, n: int) -> SimpleState:
+def _uniform_batch_step(state: SimpleState, obj: Objective, rng: RngStream,
+                        n: int) -> SimpleState:
+    """W <- W - h_k * mean gradient of n samples drawn uniformly without replacement."""
     idx = sample_uniform(rng, obj.dataset.n_samples, n)
-    g = obj.grad_batch(state.W, idx)
-    prev = state.W
-    state.W = state.W - _step_size(state) * g
-    state.steps += 1
-    state.grad_evals += idx.size
-    _guard_finite(prev, state)
-    return state
+    h = state.h / (state.steps + 1) if state.schedule == "inv_k" else state.h
+    return _commit(state, state.W - h * obj.grad_batch(state.W, idx), idx.size)
+
+
+def fgd_step(state: SimpleState, obj: Objective, rng: RngStream) -> SimpleState:
+    """One full-gradient step W <- W - h_k * grad_full(W).
+
+    This is the uniform-batch step with n = N; the exhaustive draw consumes
+    no generator state.
+    """
+    return _uniform_batch_step(state, obj, rng, obj.dataset.n_samples)
 
 
 def sgd_step(state: SimpleState, obj: Objective, rng: RngStream) -> SimpleState:
@@ -234,13 +198,96 @@ def minibatch_step(state: SimpleState, obj: Objective, rng: RngStream) -> Simple
     return _uniform_batch_step(state, obj, rng, state.n)
 
 
+def _class_table(config: RunConfig, W0: np.ndarray, h: float, ds: Dataset) -> TableState:
+    smallest = int(ds.class_counts.min())
+    if config.n > smallest:
+        raise ConfigError(f"within-class batch size {config.n} exceeds the smallest "
+                          f"class ({smallest} samples)")
+    return TableState(W=W0, table=np.zeros((ds.n_classes, W0.size)),
+                      table_sum=np.zeros(W0.size), h=h, n=config.n)
+
+
+def _sample_table(config: RunConfig, W0: np.ndarray, h: float, ds: Dataset) -> TableState:
+    return TableState(W=W0, table=np.zeros((ds.n_samples, W0.size)),
+                      table_sum=np.zeros(W0.size), h=h, prox_l1=config.prox_l1)
+
+
+def _inner_length(m: int | None, n_samples: int) -> int:
+    """SVRG's snapshot refresh period: m if set, else 2N."""
+    return m if m is not None else 2 * n_samples
+
+
+def _svrg_state(config: RunConfig, W0: np.ndarray, h: float, ds: Dataset) -> SvrgState:
+    return SvrgState(W=W0, snapshot=W0.copy(), snapshot_grad=np.zeros(W0.size), h=h,
+                     m=_inner_length(config.m, ds.n_samples))
+
+
+def _svrg_evals(N: int, n: int, m: int | None) -> float:
+    m = _inner_length(m, N)
+    return (N + 2.0 * m) / m
+
+
+def _simple_state(config: RunConfig, W0: np.ndarray, h: float, ds: Dataset) -> SimpleState:
+    return SimpleState(W=W0, h=h, n=config.n, schedule=config.schedule)
+
+
+@dataclass(frozen=True)
+class OptimizerSpec:
+    """Everything that differs between optimizer kinds.
+
+    ``step`` names the kind's step function in this module; `run` looks the
+    name up when it starts, so replacing the module attribute replaces the
+    step.  ``default_h(L, dataset)`` is the theoretical step size,
+    ``evals_per_step(N, n, m)`` the mean gradient evaluations per step, and
+    ``make_state(config, W0, h, dataset)`` builds the initial state.
+    ``envelope`` is the theorem whose envelope `ssag verify-bound` checks
+    for this kind (2 for the stratified method, 1 for the uniform-batch
+    kinds), or None.
+    """
+
+    step: str
+    default_h: Callable[[float, Dataset], float]
+    evals_per_step: Callable[[int, int, int | None], float]
+    make_state: Callable[[RunConfig, np.ndarray, float, Dataset], object]
+    envelope: int | None = None
+
+
+SPECS = {
+    "fgd": OptimizerSpec("fgd_step", lambda L, ds: 1.0 / L, lambda N, n, m: N,
+                         _simple_state, 1),
+    "sgd": OptimizerSpec("sgd_step", lambda L, ds: 1.0 / L, lambda N, n, m: 1,
+                         _simple_state, 1),
+    "minibatch": OptimizerSpec("minibatch_step", lambda L, ds: 1.0 / L, lambda N, n, m: n,
+                               _simple_state, 1),
+    "sag": OptimizerSpec("sag_step", lambda L, ds: 1.0 / (16.0 * L), lambda N, n, m: 1,
+                         _sample_table),
+    "svrg": OptimizerSpec("svrg_outer", lambda L, ds: 1.0 / (3.0 * L), _svrg_evals,
+                          _svrg_state),
+    "saga": OptimizerSpec("saga_step", lambda L, ds: 1.0 / (3.0 * L), lambda N, n, m: 1,
+                          _sample_table),
+    "ssag": OptimizerSpec("ssag_step", lambda L, ds: 1.0 / (2.0 * ds.n_classes * L),
+                          lambda N, n, m: n, _class_table, 2),
+}
+
+OPTIMIZER_KINDS = tuple(SPECS)
+
+#: Keys allowed in the optimizer section of an experiment config.
+OPTIMIZER_KEYS = frozenset({"kind", "h", "n", "m", "prox_l1", "schedule"})
+
+
+def _spec(kind: str) -> OptimizerSpec:
+    try:
+        return SPECS[kind]
+    except KeyError:
+        raise ConfigError(f"unknown optimizer kind {kind!r}") from None
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Configuration of a single optimizer run.
 
-    ``h = None`` resolves to the per-algorithm theoretical default step size
-    (ssag 1/(2CL), fgd 1/L, sag 1/(16L), svrg and saga 1/(3L), sgd and
-    minibatch 1/L), computed from certified convexity constants.
+    ``h = None`` resolves to the kind's theoretical default step size
+    (`default_step_size`), computed from certified convexity constants.
     """
 
     kind: str
@@ -256,16 +303,19 @@ class RunConfig:
     sum_recompute_every: int = 10_000
 
     def __post_init__(self):
-        if self.kind not in OPTIMIZER_KINDS:
-            raise ConfigError(f"unknown optimizer kind {self.kind!r}")
+        _spec(self.kind)
         if self.steps < 0:
             raise ConfigError("step budget must be >= 0")
         if self.cadence < 1:
             raise ConfigError("metric cadence must be >= 1")
         if self.n < 1:
             raise ConfigError("batch size must be >= 1")
+        if self.m is not None and self.m < 1:
+            raise ConfigError("SVRG inner-loop length m must be >= 1")
         if self.schedule not in ("constant", "inv_k"):
             raise ConfigError(f"unknown step-size schedule {self.schedule!r}")
+        if self.sum_recompute_every < 1:
+            raise ConfigError("running-sum recompute period must be >= 1")
 
     def fingerprint(self) -> str:
         payload = ";".join(f"{k}={getattr(self, k)!r}" for k in sorted(self.__dataclass_fields__))
@@ -275,15 +325,7 @@ class RunConfig:
 def default_step_size(kind: str, obj: Objective, constants=None) -> float:
     """Per-algorithm theoretical default step size from certified constants."""
     constants = constants if constants is not None else estimate_constants(obj)
-    L = constants.L
-    if kind == "ssag":
-        return 1.0 / (2.0 * obj.dataset.n_classes * L)
-    if kind == "sag":
-        return 1.0 / (16.0 * L)
-    if kind in ("svrg", "saga"):
-        return 1.0 / (3.0 * L)
-    # fgd, sgd, minibatch
-    return 1.0 / L
+    return _spec(kind).default_h(constants.L, obj.dataset)
 
 
 def make_state(config: RunConfig, obj: Objective, constants=None):
@@ -297,56 +339,15 @@ def make_state(config: RunConfig, obj: Objective, constants=None):
             raise ConfigError(
                 f"no automatic step size for objective kind {obj.kind!r}; "
                 "set h explicitly") from exc
-    p = obj.dim
-    W0 = obj.init_params(seed=config.seed)
-    ds = obj.dataset
-    if config.kind == "ssag":
-        return SsagState(W=W0, table=np.zeros((ds.n_classes, p)),
-                         table_sum=np.zeros(p), h=h, n=config.n)
-    if config.kind == "sag":
-        return SagState(W=W0, table=np.zeros((ds.n_samples, p)),
-                        table_sum=np.zeros(p), h=h)
-    if config.kind == "saga":
-        return SagaState(W=W0, table=np.zeros((ds.n_samples, p)),
-                         table_sum=np.zeros(p), h=h, prox_l1=config.prox_l1)
-    if config.kind == "svrg":
-        m = config.m if config.m is not None else 2 * ds.n_samples
-        return SvrgState(W=W0, snapshot=W0.copy(), snapshot_grad=np.zeros(p), h=h, m=m)
-    return SimpleState(W=W0, h=h, n=config.n, schedule=config.schedule)
+    return SPECS[config.kind].make_state(config, obj.init_params(seed=config.seed), h,
+                                         obj.dataset)
 
 
 def steps_for_passes(kind: str, passes: float, n_samples: int, n: int = 1,
                      m: int | None = None) -> int:
     """Step count whose gradient evaluations amount to the given data passes."""
-    evals = passes * n_samples
-    if kind == "fgd":
-        per_step = n_samples
-    elif kind in ("sgd", "sag", "saga"):
-        per_step = 1
-    elif kind in ("minibatch", "ssag"):
-        per_step = n
-    elif kind == "svrg":
-        m_eff = m if m is not None else 2 * n_samples
-        per_step = (n_samples + 2.0 * m_eff) / m_eff
-    else:
-        raise ConfigError(f"unknown optimizer kind {kind!r}")
-    return max(int(round(evals / per_step)), 0)
-
-
-def _advance(state, obj: Objective, rng: RngStream, kind: str):
-    if kind == "ssag":
-        return ssag_step(state, obj, rng)
-    if kind == "sag":
-        return sag_step(state, obj, rng)
-    if kind == "saga":
-        return saga_step(state, obj, rng)
-    if kind == "svrg":
-        return svrg_outer(state, obj, rng)
-    if kind == "fgd":
-        return fgd_step(state, obj)
-    if kind == "sgd":
-        return sgd_step(state, obj, rng)
-    return minibatch_step(state, obj, rng)
+    per_step = _spec(kind).evals_per_step(n_samples, n, m)
+    return max(int(round(passes * n_samples / per_step)), 0)
 
 
 def run(config: RunConfig, obj: Objective, *, constants=None,
@@ -360,6 +361,7 @@ def run(config: RunConfig, obj: Objective, *, constants=None,
     trajectory is fully deterministic given the seed.
     """
     rng = RngStream(config.seed)
+    step = globals()[SPECS[config.kind].step]
     state = make_state(config, obj, constants)
     builder = RecordBuilder(seed=config.seed,
                             config_hash=config_hash if config_hash is not None
@@ -384,13 +386,12 @@ def run(config: RunConfig, obj: Objective, *, constants=None,
     next_record = config.cadence
     while alive and state.steps < config.steps:
         try:
-            _advance(state, obj, rng, config.kind)
+            step(state, obj, rng)
         except DivergenceError as exc:
             state.W = exc.last_finite
             builder.diverged = True
             break
-        if (isinstance(state, (SsagState, SagState, SagaState))
-                and state.steps % config.sum_recompute_every == 0):
+        if isinstance(state, TableState) and state.steps % config.sum_recompute_every == 0:
             recompute_sum(state)
         if state.steps >= next_record or state.steps >= config.steps:
             alive = snapshot()

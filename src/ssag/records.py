@@ -74,10 +74,6 @@ class RecordBuilder:
                dist_sq: float, grad_evals: int, wall_ms: float, sigma_sq: float):
         self.rows.append((k, passes, loss, test_acc, dist_sq, grad_evals, wall_ms, sigma_sq))
 
-    @property
-    def last_k(self) -> int:
-        return self.rows[-1][0] if self.rows else -1
-
     def build(self) -> RunRecord:
         cols = list(zip(*self.rows)) if self.rows else [[] for _ in range(8)]
         return RunRecord(

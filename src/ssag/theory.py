@@ -129,7 +129,7 @@ class Theorem2Inputs:
     @property
     def rate(self) -> float:
         """Geometric rate factor 1 - mu/(8CL), in (0, 1)."""
-        return 1.0 - self.mu / (8.0 * self.C * self.L)
+        return ssag_rate(self.mu, self.L, self.C)
 
     @property
     def variance_term(self) -> float:
@@ -157,8 +157,9 @@ def ssag_rate(mu: float, L: float, C: int) -> float:
 
 
 def sag_rate(mu: float, L: float, N: int) -> float:
-    """Rate factor 1 - mu/(8NL) of the per-sample average-gradient method."""
-    return 1.0 - mu / (8.0 * N * L)
+    """Rate factor 1 - mu/(8NL) of the per-sample average-gradient method:
+    the stratified rate over N singleton strata."""
+    return ssag_rate(mu, L, N)
 
 
 def saga_rate(mu: float, L: float, N: int) -> float:

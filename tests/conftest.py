@@ -43,6 +43,50 @@ def enumeration_mean_and_variance(obj, W, n):
     return grand, float(np.sum(dev * dev) / means.shape[0])
 
 
+# Reference optimizers, written out directly from their update rules.  The
+# equivalence tests compare the package's step kernels against these, so a
+# kernel shared between optimizer kinds is never checked against itself.
+# Each draws from its own PCG64 generator seeded like ssag.RngStream, so a
+# shared seed gives the same index stream.
+
+
+def reference_sag(obj, h, seed, W0=None):
+    """Per-sample average gradient (SAG): N table slots; each step draws one
+    sample i uniformly, replaces slot i by G_i(W), and steps
+    W <- W - (h/N) * sum of the slots.  Yields the iterate after each step."""
+    N = obj.dataset.n_samples
+    gen = np.random.Generator(np.random.PCG64(seed))
+    W = obj.init_params() if W0 is None else W0
+    table = np.zeros((N, W.size))
+    total = np.zeros(W.size)
+    while True:
+        i = int(gen.integers(N))
+        g = obj.grad_batch(W, np.array([i]))
+        total = total - table[i] + g
+        table[i] = g
+        W = W - (h / N) * total
+        yield W
+
+
+def reference_fgd(obj, h, steps, W0=None):
+    """Full-gradient descent W <- W - h * grad_full(W), after `steps` steps."""
+    W = obj.init_params() if W0 is None else W0
+    for _ in range(steps):
+        W = W - h * obj.grad_full(W)
+    return W
+
+
+def reference_sgd(obj, h, steps, seed, W0=None):
+    """Plain SGD along one uniformly drawn sample gradient per step, after
+    `steps` steps."""
+    N = obj.dataset.n_samples
+    gen = np.random.Generator(np.random.PCG64(seed))
+    W = obj.init_params() if W0 is None else W0
+    for _ in range(steps):
+        W = W - h * obj.grad_batch(W, np.array([int(gen.integers(N))]))
+    return W
+
+
 @pytest.fixture
 def line_ridge():
     """Two points on the line y = x: unregularized optimum W* = (1)."""

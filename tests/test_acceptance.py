@@ -17,12 +17,12 @@ import pytest
 
 import ssag
 from ssag.bench import ExperimentConfig, emit_csv, run_experiment
-from ssag.optimizers import RunConfig, make_state, sag_step, ssag_step
+from ssag.optimizers import RunConfig, make_state, ssag_step
 from ssag.sampling import RngStream
 from ssag.theory import CviInputs
 
 from conftest import (central_diff_grad, enumeration_mean_and_variance,
-                      grad_rel_error, make_envelope_problem)
+                      grad_rel_error, make_envelope_problem, reference_sag)
 
 ENVELOPE_SEEDS = 40
 ENVELOPE_STEPS = 50_000
@@ -174,14 +174,12 @@ def test_criterion_5_ssag_sag_paired_oracle():
     ds = ssag.Dataset.from_class_labels(X, np.arange(50))  # C = N = 50
     obj = ssag.MeanQuadratic(ds)
     h = 0.5
-    s1 = make_state(RunConfig(kind="ssag", steps=0, h=h, n=1), obj)
-    s2 = make_state(RunConfig(kind="sag", steps=0, h=h), obj)
-    r1, r2 = RngStream(123), RngStream(123)
+    state = make_state(RunConfig(kind="ssag", steps=0, h=h, n=1), obj)
+    rng = RngStream(123)
     worst = 0.0
-    for _ in range(10_000):
-        ssag_step(s1, obj, r1)
-        sag_step(s2, obj, r2)
-        worst = max(worst, float(np.max(np.abs(s1.W - s2.W))))
+    for _, W_sag in zip(range(10_000), reference_sag(obj, h, seed=123)):
+        ssag_step(state, obj, rng)
+        worst = max(worst, float(np.max(np.abs(state.W - W_sag))))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 10.0
     _verdict("criterion-5 paired-trajectory oracle", ok,

@@ -47,6 +47,15 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(_config_doc(typo_key=1))
 
+    def test_rejects_unknown_optimizer_keys(self):
+        doc = _config_doc()
+        doc["optimizer"] = {"kind": "ssag", "hh": 0.3}
+        with pytest.raises(ConfigError, match="hh"):
+            ExperimentConfig.from_dict(doc)
+        doc["optimizer"] = {"kind": "nosuch"}
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(doc)
+
     def test_rejects_empty_seeds(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(_config_doc(seeds=[]))
@@ -252,6 +261,10 @@ class TestCli:
         assert "mu = 0.6" in out
         # ssag default h = 1/(2 C L) with C = 2
         assert f"h_ssag = {1.0 / (2 * 2 * 0.6):.12g}" in out
+        assert f"h_sag = {1.0 / (16 * 0.6):.12g}" in out
+        assert f"h_saga = {1.0 / (3 * 0.6):.12g}" in out
+        printed = [ln.split(" = ")[0] for ln in out.splitlines() if ln.startswith("h_")]
+        assert printed == [f"h_{kind}" for kind in ssag.optimizers.OPTIMIZER_KINDS]
 
     def test_gen_data_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "gen.txt"
@@ -348,5 +361,27 @@ class TestCli:
         assert summary[0].startswith("label,seeds,passes,loss_avg")
         assert len(summary) == 3  # header + one aggregate row per config
 
-    def test_missing_config_is_runtime_failure(self, tmp_path, capsys):
-        assert cli(["run", "--config", str(tmp_path / "nope.json")]) == 2
+    def test_missing_or_malformed_config_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
+        assert cli(["run", "--config", str(tmp_path / "nope.json")]) == 1
+        assert cli(["run", "--config", str(tmp_path / "bad.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("usage error: cannot read config") == 2
+        assert "Traceback" not in err
+
+    def test_verify_bound_missing_or_malformed_config_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "bad.json").write_text("[1, 2]", encoding="utf-8")
+        for name in ("nope.json", "bad.json"):
+            assert cli(["verify-bound", "--config", str(tmp_path / name),
+                        "--theorem", "2"]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_run_unknown_optimizer_key_usage_error(self, tmp_path, capsys):
+        doc = _config_doc(seeds=[1])
+        doc["optimizer"]["hh"] = 0.3
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli(["run", "--config", str(path)]) == 1
+        cfg = self._write_config(tmp_path, seeds=[1])
+        assert cli(["run", "--config", str(cfg), "--optimizer.hh", "0.3"]) == 1
+        assert not (tmp_path / "out").exists()

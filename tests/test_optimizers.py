@@ -5,11 +5,13 @@ import pytest
 
 import ssag
 from ssag.errors import ConfigError, DivergenceError
-from ssag.optimizers import (RunConfig, SimpleState, SsagState, fgd_step,
+from ssag.optimizers import (SPECS, RunConfig, SimpleState, TableState, fgd_step,
                              make_state, recompute_sum, sag_step, saga_step,
                              sgd_step, soft_threshold, ssag_step,
                              steps_for_passes, svrg_outer)
 from ssag.sampling import RngStream
+
+from conftest import reference_fgd, reference_sag, reference_sgd
 
 # final iterates after 12 steps of the fixed tiny logistic problem below
 # (h = 0.3, seed = 5); frozen from the first run
@@ -37,9 +39,9 @@ def _run_steps(kind, obj, steps, seed, **kwargs):
     cfg = RunConfig(kind=kind, steps=steps, seed=seed, cadence=max(steps, 1), **kwargs)
     state = make_state(cfg, obj)
     rng = RngStream(seed)
-    from ssag.optimizers import _advance
+    step = getattr(ssag.optimizers, SPECS[kind].step)
     while state.steps < steps:
-        _advance(state, obj, rng, kind)
+        step(state, obj, rng)
     return state
 
 
@@ -48,7 +50,7 @@ class TestSsagStep:
         # both classes carry gradient (2) at W=0, so any draw gives
         # sum = (2) and W1 = -(0.5/2) * 2 = -0.5
         obj = _constant_gradient_problem(2.0, n_classes=2)
-        state = SsagState(W=np.zeros(1), table=np.zeros((2, 1)),
+        state = TableState(W=np.zeros(1), table=np.zeros((2, 1)),
                           table_sum=np.zeros(1), h=0.5, n=1)
         ssag_step(state, obj, RngStream(0))
         assert state.W == pytest.approx([-0.5])
@@ -58,7 +60,7 @@ class TestSsagStep:
     def test_idempotent_table_write(self):
         # single class: the drawn slot already equals the fresh gradient
         obj = _constant_gradient_problem(2.0, n_classes=1)
-        state = SsagState(W=np.zeros(1), table=np.array([[2.0]]),
+        state = TableState(W=np.zeros(1), table=np.array([[2.0]]),
                           table_sum=np.array([2.0]), h=0.25, n=1)
         ssag_step(state, obj, RngStream(0))
         assert state.table.tolist() == [[2.0]]
@@ -103,10 +105,12 @@ class TestSsagSagEquivalence:
         s1 = make_state(RunConfig(kind="ssag", steps=0, h=h, n=1), obj)
         s2 = make_state(RunConfig(kind="sag", steps=0, h=h), obj)
         r1, r2 = RngStream(123), RngStream(123)
-        for _ in range(500):
+        for _, W_ref in zip(range(500), reference_sag(obj, h, seed=123)):
             ssag_step(s1, obj, r1)
             sag_step(s2, obj, r2)
-            assert np.max(np.abs(s1.W - s2.W)) <= 1e-12
+            assert np.max(np.abs(s1.W - W_ref)) <= 1e-12
+            assert np.max(np.abs(s2.W - W_ref)) <= 1e-12
+        assert r1.draws == r2.draws == 500
 
 
 class TestRecomputeSum:
@@ -117,7 +121,7 @@ class TestRecomputeSum:
         assert np.all(state.table_sum == 0.0)
 
     def test_single_entry_table(self):
-        state = SsagState(W=np.zeros(2), table=np.array([[1.5, -2.0]]),
+        state = TableState(W=np.zeros(2), table=np.array([[1.5, -2.0]]),
                           table_sum=np.zeros(2), h=0.1, n=1)
         recompute_sum(state)
         assert state.table_sum == pytest.approx([1.5, -2.0])
@@ -146,7 +150,7 @@ class TestFgd:
     def test_stationary_at_optimum(self, line_ridge):
         w_star = ssag.closed_form_optimum(line_ridge)
         state = SimpleState(W=w_star.copy(), h=0.3)
-        fgd_step(state, line_ridge)
+        fgd_step(state, line_ridge, RngStream(0))
         assert np.linalg.norm(state.W - w_star) <= 1e-10
 
     def test_one_step_quadratic(self):
@@ -154,7 +158,7 @@ class TestFgd:
         ds = ssag.Dataset.regression(np.zeros((1, 1)), np.zeros(1))
         obj = ssag.MeanQuadratic(ds)
         state = SimpleState(W=np.array([1.0]), h=1.0)
-        fgd_step(state, obj)
+        fgd_step(state, obj, RngStream(0))
         assert state.W == pytest.approx([0.0])
         assert state.grad_evals == 1
 
@@ -164,7 +168,7 @@ class TestFgd:
         state = SimpleState(W=np.ones(obj.dim), h=1.5 / const.L)
         prev = obj.loss_full(state.W)
         for _ in range(30):
-            fgd_step(state, obj)
+            fgd_step(state, obj, RngStream(0))
             cur = obj.loss_full(state.W)
             if np.linalg.norm(obj.grad_full(state.W)) <= 1e-12:
                 break
@@ -177,8 +181,7 @@ class TestSgd:
         ds = ssag.Dataset.regression(np.array([[2.0]]), np.array([1.0]))
         obj = ssag.RidgeRegression(ds)
         s_sgd = _run_steps("sgd", obj, 10, seed=3, h=0.05)
-        s_fgd = _run_steps("fgd", obj, 10, seed=3, h=0.05)
-        assert np.array_equal(s_sgd.W, s_fgd.W)
+        assert np.array_equal(s_sgd.W, reference_fgd(obj, 0.05, 10))
 
     def test_direction_unbiased_by_enumeration(self, two_class_logistic):
         obj = two_class_logistic
@@ -207,14 +210,12 @@ class TestMinibatch:
         obj = two_class_logistic
         N = obj.dataset.n_samples
         s_mb = _run_steps("minibatch", obj, 8, seed=2, h=0.2, n=N)
-        s_fgd = _run_steps("fgd", obj, 8, seed=2, h=0.2)
-        assert np.array_equal(s_mb.W, s_fgd.W)
+        assert np.array_equal(s_mb.W, reference_fgd(obj, 0.2, 8))
 
     def test_batch_one_equals_sgd(self, two_class_logistic):
         obj = two_class_logistic
         s_mb = _run_steps("minibatch", obj, 8, seed=2, h=0.2, n=1)
-        s_sgd = _run_steps("sgd", obj, 8, seed=2, h=0.2)
-        assert np.array_equal(s_mb.W, s_sgd.W)
+        assert np.array_equal(s_mb.W, reference_sgd(obj, 0.2, 8, seed=2))
 
     def test_exhaustive_subset_variance(self, random_problem):
         from conftest import enumeration_mean_and_variance
@@ -286,11 +287,19 @@ class TestSvrg:
         assert directions.mean(axis=0) == pytest.approx(obj.grad_full(W), rel=1e-12)
 
     def test_eval_counter(self, two_class_logistic):
+        # one call is one inner step; the snapshot's full gradient is paid at
+        # steps 0 and m
         obj = two_class_logistic
+        N = obj.dataset.n_samples
         state = make_state(RunConfig(kind="svrg", steps=0, h=0.1, m=3), obj)
-        svrg_outer(state, obj, RngStream(0))
-        assert state.grad_evals == obj.dataset.n_samples + 2 * 3
-        assert state.steps == 3
+        rng = RngStream(0)
+        svrg_outer(state, obj, rng)
+        assert (state.steps, state.grad_evals) == (1, N + 2)
+        svrg_outer(state, obj, rng)
+        svrg_outer(state, obj, rng)
+        assert (state.steps, state.grad_evals) == (3, N + 2 * 3)
+        svrg_outer(state, obj, rng)
+        assert (state.steps, state.grad_evals) == (4, 2 * N + 2 * 4)
 
     def test_golden_trajectory(self):
         state = _run_steps("svrg", _tiny_logistic(), 12, seed=5, h=0.3, m=4)
@@ -351,7 +360,7 @@ class TestDivergenceDetection:
         obj = ssag.RidgeRegression(ds)
         state = SimpleState(W=np.array([1e200]), h=1e10)
         with pytest.raises(DivergenceError) as info:
-            fgd_step(state, obj)
+            fgd_step(state, obj, RngStream(0))
         assert np.all(np.isfinite(info.value.last_finite))
 
 
@@ -424,6 +433,33 @@ class TestRunLoop:
         rec = ssag.run(RunConfig(kind="svrg", steps=8, h=0.05, m=4, cadence=4),
                        two_class_logistic)
         assert rec.k[-1] == 8
+
+    def test_svrg_honours_budget_and_cadence(self):
+        # the default m = 2N = 400 does not divide the 450-step budget
+        means = np.array([[2.0, 0.0], [-2.0, 0.0]])
+        obj = ssag.LogisticRegression(ssag.gen_synthetic(ssag.SyntheticSpec(
+            means=means, counts=(100, 100), stddev=0.5, seed=1)), lam=0.1)
+        N = obj.dataset.n_samples
+        rec = ssag.run(RunConfig(kind="svrg", steps=450, h=0.05, cadence=50), obj)
+        assert rec.k.tolist() == list(range(0, 451, 50))
+        assert rec.passes.tolist() == (rec.grad_evals / N).tolist()
+        # one full gradient per started period of m = 400 steps, two per step
+        assert rec.grad_evals[-1] == 2 * N + 2 * 450
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("setting", [{"sum_recompute_every": 0}, {"m": 0}])
+    def test_rejects_nonpositive_period(self, setting):
+        with pytest.raises(ConfigError):
+            RunConfig(kind="ssag", steps=10, **setting)
+
+    def test_rejects_batch_larger_than_smallest_class(self):
+        # classes of 4 and 2 samples: n = 3 cannot be drawn from class 1
+        obj = ssag.MeanQuadratic(ssag.Dataset.from_class_labels(
+            np.zeros((6, 1)), np.array([0, 0, 0, 0, 1, 1])))
+        with pytest.raises(ConfigError, match="smallest class"):
+            ssag.run(RunConfig(kind="ssag", steps=10, h=0.1, n=3), obj)
+        assert make_state(RunConfig(kind="ssag", steps=10, h=0.1, n=2), obj).n == 2
 
 
 class TestStepsForPasses:
