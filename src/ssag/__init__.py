@@ -16,10 +16,10 @@ from .optimizers import (RunConfig, default_step_size, fgd_step, make_state,
                          svrg_outer)
 from .records import Aggregate, RunRecord, aggregate
 from .sampling import RngStream, sample_class, sample_uniform, sample_within_class
-from .theory import (ComplexityEstimate, CviInputs, EnvelopeReport,
+from .theory import (ComplexityEstimate, CviInputs, Envelope, EnvelopeReport,
                      Theorem2Inputs, check_envelope, cvi_envelope, cvi_lambda,
                      cvi_rho, finite_population_variance, fit_decay_rate,
-                     reference_optimum, sag_rate, saga_rate, ssag_complexity,
-                     ssag_rate, theorem2_bound, theorem2_inputs_for)
+                     reference_optimum, sag_rate, saga_rate, ssag_complexity, ssag_rate,
+                     theorem1_envelope, theorem2_bound, theorem2_envelope, theorem2_inputs_for)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

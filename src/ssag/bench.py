@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,17 +25,23 @@ from ._version import __version__
 from .core import Dataset, estimate_constants
 from .errors import ConfigError, FormatError, SsagError
 from .ingest import SyntheticSpec, gen_synthetic, read_idx, read_text, write_text
-from .objectives import Objective, make_objective
+from .objectives import CERTIFIED_KINDS, OBJECTIVE_KEYS, Objective, make_objective
 from .optimizers import (OPTIMIZER_KEYS, OPTIMIZER_KINDS, SPECS, RunConfig,
-                         default_step_size, run, steps_for_passes)
+                         default_step_size, resolve_step_size, run, steps_for_passes)
 from .records import CSV_COLUMNS, Aggregate, RunRecord, aggregate
-from .theory import (CviInputs, check_envelope, cvi_envelope, cvi_lambda, cvi_rho,
-                     reference_optimum, theorem2_bound, theorem2_inputs_for)
+from .theory import reference_optimum, theorem1_envelope, theorem2_envelope
 
 #: Environment variable holding the default output directory.
 OUT_DIR_ENV = "SSAG_OUT_DIR"
 
-_DATASET_KINDS = ("synthetic", "text", "idx")
+#: Required and optional keys of the dataset section, per kind, besides
+#: ``kind``; these are the keys `build_dataset` reads.
+DATASET_KEYS = {
+    "synthetic": (("means", "counts"), ("stddev", "seed", "test_counts", "test_seed")),
+    "text": (("path",), ("test_path", "add_bias")),
+    "idx": (("images", "labels"),
+            ("test_images", "test_labels", "limit", "test_limit", "add_bias")),
+}
 
 
 @dataclass
@@ -44,6 +50,8 @@ class ExperimentConfig:
 
     Mirrors the JSON config document one to one; every leaf field can be
     overridden from the command line by a flag of the same (dotted) name.
+    ``run_config`` is the optimizer section parsed at construction: the
+    `RunConfig` of seed 0, with steps 0 under a pass budget.
     """
 
     dataset: dict
@@ -59,24 +67,41 @@ class ExperimentConfig:
     record_variance: bool = False
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ConfigError("seeds must be a nonempty list")
-        if self.cadence < 1:
-            raise ConfigError("cadence must be >= 1")
+        for name, table in (("dataset", DATASET_KEYS), ("objective", OBJECTIVE_KEYS),
+                            ("optimizer", OPTIMIZER_KEYS)):
+            section = getattr(self, name)
+            kind = section.get("kind") if isinstance(section, dict) else None
+            if kind not in table:
+                raise ConfigError(f"{name} kind must be one of {tuple(table)}")
+            required, optional = table[kind]
+            missing = set(required) - set(section)
+            unknown = set(section) - {"kind", *required, *optional}
+            if missing or unknown:
+                raise ConfigError(f"{name} kind {kind!r}: missing keys {sorted(missing)}, unknown "
+                                  f"keys {sorted(unknown)} (optional: {sorted(optional)})")
+        if not (isinstance(self.seeds, list) and self.seeds
+                and all(isinstance(s, int) for s in self.seeds)):
+            raise ConfigError("seeds must be a nonempty list of integers")
         if (self.passes is None) == (self.steps is None):
             raise ConfigError("exactly one of 'passes' or 'steps' must be set")
-        if self.passes is not None and self.passes <= 0:
-            raise ConfigError("pass budget must be > 0")
-        if self.steps is not None and self.steps < 0:
-            raise ConfigError("step budget must be >= 0")
-        if self.dataset.get("kind") not in _DATASET_KINDS:
-            raise ConfigError(f"dataset kind must be one of {_DATASET_KINDS}")
-        if self.optimizer.get("kind") not in OPTIMIZER_KINDS:
-            raise ConfigError(f"optimizer kind must be one of {OPTIMIZER_KINDS}")
-        unknown = set(self.optimizer) - OPTIMIZER_KEYS
-        if unknown:
-            raise ConfigError(f"unknown optimizer keys: {sorted(unknown)} "
-                              f"(allowed: {sorted(OPTIMIZER_KEYS)})")
+        opt = self.optimizer
+        try:
+            if self.passes is not None and self.passes <= 0:
+                raise ConfigError("pass budget must be > 0")
+            h, m = opt.get("h", "auto"), opt.get("m")
+            self.run_config = RunConfig(
+                kind=opt["kind"], steps=self.steps or 0,
+                h=None if h in ("auto", None) else float(h), n=int(opt.get("n", 1)),
+                m=None if m is None else int(m), prox_l1=opt.get("prox_l1"),
+                schedule=opt.get("schedule", "constant"), cadence=self.cadence,
+                record_variance=self.record_variance)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed config value: {exc}") from None
+        if self.objective["kind"] not in CERTIFIED_KINDS and (
+                self.record_dist or self.run_config.h is None):
+            raise ConfigError(f"objective kind {self.objective['kind']!r} has no certified "
+                              "constants: it needs an explicit optimizer h and supports "
+                              "neither record_dist nor verify-bound")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -121,8 +146,7 @@ class ExperimentConfig:
 
 def build_dataset(spec: dict) -> tuple[Dataset, Dataset | None]:
     """Construct (train, optional test) datasets from a config section."""
-    spec = dict(spec)
-    kind = spec.pop("kind")
+    kind, add_bias = spec["kind"], bool(spec.get("add_bias", False))
     if kind == "synthetic":
         synth = SyntheticSpec(means=np.asarray(spec["means"], dtype=np.float64),
                               counts=tuple(spec["counts"]),
@@ -131,25 +155,20 @@ def build_dataset(spec: dict) -> tuple[Dataset, Dataset | None]:
         train = gen_synthetic(synth)
         test = None
         if "test_seed" in spec or "test_counts" in spec:
-            test = gen_synthetic(SyntheticSpec(
-                means=synth.means,
-                counts=tuple(spec.get("test_counts", synth.counts)),
-                stddev=synth.stddev,
-                seed=int(spec.get("test_seed", synth.seed + 1))))
+            test = gen_synthetic(replace(synth,
+                                         counts=tuple(spec.get("test_counts", synth.counts)),
+                                         seed=int(spec.get("test_seed", synth.seed + 1))))
         return train, test
     if kind == "text":
-        train = read_text(spec["path"], add_bias=bool(spec.get("add_bias", False)))
-        test = (read_text(spec["test_path"], add_bias=bool(spec.get("add_bias", False)))
-                if spec.get("test_path") else None)
+        train = read_text(spec["path"], add_bias=add_bias)
+        test = read_text(spec["test_path"], add_bias=add_bias) if spec.get("test_path") else None
         return train, test
     if kind == "idx":
-        train = read_idx(spec["images"], spec["labels"],
-                         add_bias=bool(spec.get("add_bias", False)),
+        train = read_idx(spec["images"], spec["labels"], add_bias=add_bias,
                          limit=spec.get("limit"))
         test = None
         if spec.get("test_images"):
-            test = read_idx(spec["test_images"], spec["test_labels"],
-                            add_bias=bool(spec.get("add_bias", False)),
+            test = read_idx(spec["test_images"], spec["test_labels"], add_bias=add_bias,
                             limit=spec.get("test_limit"))
         return train, test
     raise ConfigError(f"unknown dataset kind {kind!r}")
@@ -168,43 +187,22 @@ class ExperimentResult:
     constants: object = None
 
 
-def _resolve_h(optimizer_spec: dict) -> float | None:
-    h = optimizer_spec.get("h", "auto")
-    if h in ("auto", None):
-        return None
-    return float(h)
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute one run per seed and aggregate; deterministic given the seeds."""
     train, test = build_dataset(config.dataset)
     obj = make_objective(config.objective, train)
-    opt = config.optimizer
-    kind = opt["kind"]
-    constants = None
-    if obj.kind in ("ridge", "logistic", "quadratic"):
-        constants = estimate_constants(obj)
-    w_star = None
-    if config.record_dist:
-        if obj.kind == "mlp":
-            raise ConfigError("record_dist requires an objective with a reference optimum")
-        w_star = reference_optimum(obj, constants=constants)
-    n = int(opt.get("n", 1))
-    m = opt.get("m")
+    template = config.run_config
+    constants = estimate_constants(obj) if obj.kind in CERTIFIED_KINDS else None
+    w_star = reference_optimum(obj, constants=constants) if config.record_dist else None
     steps = (config.steps if config.steps is not None
-             else steps_for_passes(kind, config.passes, train.n_samples, n=n, m=m))
+             else steps_for_passes(template.kind, config.passes, train.n_samples,
+                                   n=template.n, m=template.m))
     result = ExperimentResult(config=config, objective=obj, test_dataset=test,
-                              w_star=w_star)
-    result.constants = constants
+                              w_star=w_star, constants=constants)
     chash = config.config_hash()
     for seed in sorted(config.seeds):
-        rc = RunConfig(kind=kind, steps=steps, h=_resolve_h(opt), n=n,
-                       m=None if m is None else int(m),
-                       prox_l1=opt.get("prox_l1"),
-                       schedule=opt.get("schedule", "constant"),
-                       seed=int(seed), cadence=config.cadence,
-                       record_variance=config.record_variance)
-        result.records.append(run(rc, obj, constants=constants, w_star=w_star,
+        result.records.append(run(replace(template, seed=seed, steps=steps), obj,
+                                  constants=constants, w_star=w_star,
                                   test_dataset=test, config_hash=chash))
     result.agg = aggregate(result.records)
     return result
@@ -423,11 +421,8 @@ def _apply_overrides(doc: dict, extras: list[str]) -> dict:
             if section not in ("dataset", "objective", "optimizer"):
                 raise _UsageError(f"cannot override unknown section {section!r}")
             doc.setdefault(section, {})[key] = _parse_value(extras[i + 1])
-        else:
-            key = name.replace("-", "_")
-            if key not in ExperimentConfig.__dataclass_fields__:
-                raise _UsageError(f"unknown config field {name!r}")
-            doc[key] = _parse_value(extras[i + 1])
+        else:  # ExperimentConfig.from_dict rejects an unknown field
+            doc[name.replace("-", "_")] = _parse_value(extras[i + 1])
         i += 2
     return doc
 
@@ -437,7 +432,7 @@ def _load_config(args, extras) -> ExperimentConfig:
     if getattr(args, "seed", None) is not None:
         doc["seeds"] = [args.seed]
     if getattr(args, "seeds", None):
-        doc["seeds"] = [int(s) for s in args.seeds.split(",")]
+        doc["seeds"] = [_parse_value(s) for s in args.seeds.split(",")]
     if getattr(args, "passes", None) is not None:
         doc["passes"] = args.passes
         doc.pop("steps", None)
@@ -541,72 +536,32 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+#: Heading and parameter line that verify-bound prints for each theorem.
+_ENVELOPE_TEXT = {1: ("optimality-gap envelope (convergence-variance inequality)",
+                      "lambda = {lam:.6g}, rho = {rho:.12g}, sigma_sq = {sigma_sq:.6g}"),
+                  2: ("squared-distance envelope (stratified average gradient)",
+                      "rate = {rate:.12g}, bracket = {bracket:.6g}")}
+
+
 def _cmd_verify_bound(args, extras) -> int:
     config = _load_config(args, extras)
-    doc = config.to_dict()
-    doc["record_dist"] = True
-    if args.theorem == 1:
-        doc["record_variance"] = True
-    config = ExperimentConfig.from_dict(doc)
+    rc = config.run_config
+    theorem = SPECS[rc.kind].envelope
+    if theorem is None:
+        raise ConfigError(f"no bound envelope applies to the {rc.kind} optimizer")
+    config = replace(config, record_dist=True, record_variance=config.record_variance or theorem == 1)
     result = run_experiment(config)
-    agg = result.agg
-    obj = result.objective
-    const = result.constants
-    if const is None:
-        raise SsagError("bound verification needs certified convexity constants")
-    opt = config.optimizer
-    kind = opt["kind"]
-    spec = SPECS[kind]
-    if spec.envelope != args.theorem:
-        raise SsagError(f"the theorem-{args.theorem} envelope does not apply to "
-                        f"the {kind} optimizer")
-    h = _resolve_h(opt)
-    if h is None:
-        h = default_step_size(kind, obj, const)
-    N = obj.dataset.n_samples
-    eps = np.finfo(float).eps
-    if args.theorem == 2:
-        w0 = obj.init_params(seed=sorted(config.seeds)[0])
-        inp = theorem2_inputs_for(obj, n=int(opt.get("n", 1)), w0=w0,
-                                  constants=const, w_star=result.w_star,
-                                  per_class=args.per_class_f)
-        bounds = np.array([theorem2_bound(int(k), inp) for k in agg.k])
-        # squared distances cannot be measured below the float64 resolution
-        # of the iterate itself; clamp the envelope there
-        floor = 16.0 * obj.dim * (eps * (1.0 + float(np.linalg.norm(result.w_star)))) ** 2
-        report = check_envelope(agg.k, agg.mean["dist_sq"], np.maximum(bounds, floor),
-                                n_seeds=agg.n_seeds, slack=args.slack,
-                                min_seeds=args.min_seeds)
-        print("theorem: squared-distance envelope (stratified average gradient)")
-        print(f"rate = {inp.rate:.12g}, bracket = {inp.bracket:.6g}, "
-              f"resolution floor = {floor:.3g}")
+    obj, agg, const, w_star = result.objective, result.agg, result.constants, result.w_star
+    n = int(SPECS[rc.kind].evals_per_step(obj.dataset.n_samples, rc.n, rc.m))
+    if theorem == 2:
+        env = theorem2_envelope(obj, agg, const, w_star, n=n, per_class=args.per_class_f,
+                                w0=obj.init_params(seed=min(config.seeds)))
     else:
-        # the uniform-batch kinds evaluate one gradient per batch sample
-        n = int(spec.evals_per_step(N, int(opt.get("n", 1)), None))
-        f = n / N
-        sigma_sq = 0.0
-        if f < 1.0:
-            sigma_sq = float(agg.mean["sigma_sq"][-1])
-        inp = CviInputs(h=h, L=const.L, mu=const.mu, f=f, n=n, sigma_sq=sigma_sq)
-        lam = cvi_lambda(inp)
-        rho = cvi_rho(h, const.L, const.mu)
-        j_star = obj.loss_full(result.w_star)
-        gaps = agg.mean["loss"] - j_star
-        anchor = 1 if agg.k.size > 1 else 0
-        k0 = int(agg.k[anchor])
-        gap0 = float(gaps[anchor])
-        bounds = np.array([cvi_envelope(int(k) - k0, lam, rho, gap0)
-                           for k in agg.k[anchor:]])
-        # gaps are differences of O(|J*|) losses: clamp the envelope at the
-        # float64 resolution of that subtraction
-        floor = 8.0 * eps * max(1.0, abs(j_star))
-        report = check_envelope(agg.k[anchor:], gaps[anchor:],
-                                np.maximum(bounds, floor),
-                                n_seeds=agg.n_seeds, slack=args.slack,
-                                min_seeds=args.min_seeds)
-        print("theorem: optimality-gap envelope (convergence-variance inequality)")
-        print(f"lambda = {lam:.6g}, rho = {rho:.12g}, sigma_sq = {sigma_sq:.6g}, "
-              f"resolution floor = {floor:.3g}")
+        env = theorem1_envelope(obj, agg, const, w_star, n=n, h=resolve_step_size(rc, obj, const))
+    report = env.check(slack=args.slack, min_seeds=args.min_seeds)
+    heading, params = _ENVELOPE_TEXT[theorem]
+    print(f"theorem: {heading}")
+    print(params.format(**env.params) + f", resolution floor = {env.floor:.3g}")
     print(report.summary())
     if report.pass_fraction >= args.min_pass:
         print(f"PASS (pass fraction >= {args.min_pass})")
@@ -664,7 +619,6 @@ def _build_parser() -> _Parser:
         if name == "run":
             p.add_argument("--plot", help="also write a loss plot to this SVG path")
         else:
-            p.add_argument("--theorem", type=int, choices=(1, 2), required=True)
             p.add_argument("--slack", type=float, default=0.05)
             p.add_argument("--min-pass", type=float, default=0.99)
             p.add_argument("--min-seeds", type=int, default=20)

@@ -392,6 +392,14 @@ _KINDS = {
     "mlp": Mlp,
 }
 
+#: Required and optional keys of an objective config section, per kind,
+#: besides ``kind``: the keyword arguments of the kind's constructor.
+OBJECTIVE_KEYS = {"ridge": ((), ("lam",)), "logistic": ((), ("lam",)),
+                  "quadratic": ((), ("lam",)), "mlp": ((), ("hidden", "lam"))}
+
+#: Objective kinds with certified convexity constants and a reference optimum.
+CERTIFIED_KINDS = ("ridge", "logistic", "quadratic")
+
 
 def make_objective(spec: dict, dataset: Dataset) -> Objective:
     """Build an objective from a config mapping with at least a 'kind' key."""
@@ -400,8 +408,4 @@ def make_objective(spec: dict, dataset: Dataset) -> Objective:
     if kind not in _KINDS:
         raise UnsupportedObjectiveError(
             f"unknown objective kind {kind!r}; expected one of {sorted(_KINDS)}")
-    if kind == "mlp":
-        return Mlp(dataset, hidden=tuple(spec.pop("hidden", (120,))),
-                   lam=float(spec.pop("lam", 0.0)))
-    cls = _KINDS[kind]
-    return cls(dataset, lam=float(spec.pop("lam", 0.0)))
+    return _KINDS[kind](dataset, **spec)

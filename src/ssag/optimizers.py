@@ -271,8 +271,9 @@ SPECS = {
 
 OPTIMIZER_KINDS = tuple(SPECS)
 
-#: Keys allowed in the optimizer section of an experiment config.
-OPTIMIZER_KEYS = frozenset({"kind", "h", "n", "m", "prox_l1", "schedule"})
+#: Required and optional keys of the optimizer section of an experiment
+#: config, per kind, besides ``kind``.
+OPTIMIZER_KEYS = {kind: ((), ("h", "n", "m", "prox_l1", "schedule")) for kind in SPECS}
 
 
 def _spec(kind: str) -> OptimizerSpec:
@@ -328,18 +329,22 @@ def default_step_size(kind: str, obj: Objective, constants=None) -> float:
     return _spec(kind).default_h(constants.L, obj.dataset)
 
 
+def resolve_step_size(config: RunConfig, obj: Objective, constants=None) -> float:
+    """The run's step size: ``config.h``, else the kind's theoretical default."""
+    if config.h is not None:
+        return float(config.h)
+    try:
+        return default_step_size(config.kind, obj, constants)
+    except UnsupportedObjectiveError as exc:
+        raise ConfigError(
+            f"no automatic step size for objective kind {obj.kind!r}; "
+            "set h explicitly") from exc
+
+
 def make_state(config: RunConfig, obj: Objective, constants=None):
     """Initial optimizer state for a run (tables zeroed, W from the objective)."""
-    if config.h is not None:
-        h = float(config.h)
-    else:
-        try:
-            h = default_step_size(config.kind, obj, constants)
-        except UnsupportedObjectiveError as exc:
-            raise ConfigError(
-                f"no automatic step size for objective kind {obj.kind!r}; "
-                "set h explicitly") from exc
-    return SPECS[config.kind].make_state(config, obj.init_params(seed=config.seed), h,
+    return SPECS[config.kind].make_state(config, obj.init_params(seed=config.seed),
+                                         resolve_step_size(config, obj, constants),
                                          obj.dataset)
 
 

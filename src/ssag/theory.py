@@ -24,6 +24,7 @@ from .core import (ConvexityConstants, estimate_constants,
                    gradient_population_stats, squared_distance)
 from .errors import OutOfRegimeError, SsagError, UndefinedBoundError, UnsupportedObjectiveError
 from .objectives import Objective, closed_form_optimum
+from .records import Aggregate
 
 
 @dataclass(frozen=True)
@@ -314,6 +315,63 @@ def theorem2_inputs_for(obj: Objective, n: int, w0: np.ndarray, *,
     return Theorem2Inputs(mu=constants.mu, L=constants.L, C=ds.n_classes, f=f, n=n,
                           sigma_c_sq=stats.per_class_variance,
                           dist0_sq=squared_distance(w0, w_star))
+
+
+@dataclass(frozen=True, eq=False)
+class Envelope:
+    """A seed-mean metric and its envelope on the recorded steps ``k``; the
+    bounds are clamped at ``floor``, the metric's float64 resolution, and
+    ``params`` names the envelope constants."""
+
+    k: np.ndarray
+    values: np.ndarray
+    bounds: np.ndarray
+    floor: float
+    n_seeds: int
+    params: dict
+
+    def check(self, **kwargs) -> EnvelopeReport:
+        """`check_envelope` on this envelope; kwargs are its slack and min_seeds."""
+        return check_envelope(self.k, self.values, self.bounds, n_seeds=self.n_seeds, **kwargs)
+
+
+def theorem2_envelope(obj: Objective, agg: Aggregate, constants: ConvexityConstants,
+                      w_star: np.ndarray, *, n: int, w0: np.ndarray,
+                      per_class: bool = False) -> Envelope:
+    """Theorem 2 for the stratified method with batch size n started at w0:
+    the squared distance to W* against rate^k * bracket."""
+    inp = theorem2_inputs_for(obj, n=n, w0=w0, constants=constants, w_star=w_star,
+                              per_class=per_class)
+    bounds = np.array([theorem2_bound(int(k), inp) for k in agg.k])
+    # squared distances cannot be measured below the float64 resolution
+    # of the iterate itself; clamp the envelope there
+    floor = 16.0 * obj.dim * (np.finfo(float).eps * (1.0 + float(np.linalg.norm(w_star)))) ** 2
+    return Envelope(agg.k, agg.mean["dist_sq"], np.maximum(bounds, floor), floor, agg.n_seeds,
+                    {"inputs": inp, "rate": inp.rate, "bracket": inp.bracket})
+
+
+def theorem1_envelope(obj: Objective, agg: Aggregate, constants: ConvexityConstants,
+                      w_star: np.ndarray, *, h: float, n: int) -> Envelope:
+    """Theorem 1 for a uniform-batch method with step size h and n samples
+    per step: the optimality gap against lam + rho^(k - k0) (gap0 - lam),
+    anchored at the first recorded step after k = 0, with the variance floor
+    lam taken from the last recorded gradient variance."""
+    f = n / obj.dataset.n_samples
+    sigma_sq = float(agg.mean["sigma_sq"][-1]) if f < 1.0 else 0.0
+    lam = cvi_lambda(CviInputs(h=h, L=constants.L, mu=constants.mu, f=f, n=n,
+                               sigma_sq=sigma_sq))
+    rho = cvi_rho(h, constants.L, constants.mu)
+    j_star = obj.loss_full(w_star)
+    gaps = agg.mean["loss"] - j_star
+    anchor = 1 if agg.k.size > 1 else 0
+    bounds = np.array([cvi_envelope(int(k - agg.k[anchor]), lam, rho, float(gaps[anchor]))
+                       for k in agg.k[anchor:]])
+    # gaps are differences of O(|J*|) losses: clamp the envelope at the
+    # float64 resolution of that subtraction
+    floor = 8.0 * np.finfo(float).eps * max(1.0, abs(j_star))
+    return Envelope(agg.k[anchor:], gaps[anchor:], np.maximum(bounds, floor), floor,
+                    agg.n_seeds, {"f": f, "sigma_sq": sigma_sq, "lam": lam, "rho": rho,
+                                  "j_star": j_star, "anchor": anchor})
 
 
 def fit_decay_rate(k: np.ndarray, values: np.ndarray, *,

@@ -29,6 +29,10 @@ def _config_doc(**overrides):
     return doc
 
 
+def _never_run(config):
+    raise AssertionError("the config should have been rejected before any run")
+
+
 def _strip_wall(text: str) -> str:
     lines = text.splitlines()
     return "\n".join(",".join(ln.split(",")[:-1]) for ln in lines)
@@ -55,6 +59,32 @@ class TestExperimentConfig:
         doc["optimizer"] = {"kind": "nosuch"}
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("section, value, accepted", [
+        # the keys perfbench passes to build_dataset
+        ("dataset", {"kind": "synthetic", "means": [[1.0], [-1.0]], "counts": [5, 5],
+                     "stddev": 0.1, "seed": 3, "test_counts": [2, 2]}, True),
+        ("dataset", {"kind": "idx", "images": "a", "labels": "b",
+                     "test_images": "c", "test_labels": "d"}, True),
+        ("dataset", {"kind": "synthetic", "means": [[1.0], [-1.0]], "counts": [5, 5],
+                     "stdev": 0.1}, False),
+        ("dataset", {"kind": "synthetic", "counts": [5, 5]}, False),
+        ("dataset", {"kind": "csv", "path": "a"}, False),
+        ("dataset", "synthetic", False),
+        ("objective", {"kind": "logistic", "lamb": 0.1}, False),
+        ("objective", {"kind": "logistc"}, False),
+        ("objective", {"kind": "ridge", "hidden": [3]}, False),
+        # no certified constants: neither an automatic h nor record_dist
+        ("objective", {"kind": "mlp", "hidden": [3]}, False),
+    ])
+    def test_section_kinds_and_keys_checked_at_load(self, section, value, accepted):
+        doc = _config_doc()
+        doc[section] = value
+        if accepted:
+            assert ExperimentConfig.from_dict(doc).run_config.kind == "ssag"
+        else:
+            with pytest.raises(ConfigError):
+                ExperimentConfig.from_dict(doc)
 
     def test_rejects_empty_seeds(self):
         with pytest.raises(ConfigError):
@@ -305,7 +335,7 @@ class TestCli:
     def test_verify_bound_theorem2_passes(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, seeds=list(range(20)), steps=400,
                                  cadence=50)
-        code = cli(["verify-bound", "--config", str(cfg), "--theorem", "2"])
+        code = cli(["verify-bound", "--config", str(cfg)])
         out = capsys.readouterr().out
         assert code == 0
         assert "pass fraction 1.0000" in out
@@ -314,7 +344,7 @@ class TestCli:
     def test_verify_bound_theorem1_fgd(self, tmp_path, capsys):
         doc_overrides = dict(seeds=list(range(20)), steps=300, cadence=10)
         cfg = self._write_config(tmp_path, **doc_overrides)
-        code = cli(["verify-bound", "--config", str(cfg), "--theorem", "1",
+        code = cli(["verify-bound", "--config", str(cfg),
                     "--optimizer.kind", "fgd"])
         out = capsys.readouterr().out
         assert code == 0 and "PASS" in out
@@ -322,7 +352,7 @@ class TestCli:
     def test_verify_bound_theorem1_sgd(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, seeds=list(range(20)), steps=2000,
                                  cadence=100)
-        code = cli(["verify-bound", "--config", str(cfg), "--theorem", "1",
+        code = cli(["verify-bound", "--config", str(cfg),
                     "--optimizer.kind", "sgd", "--optimizer.h", "0.1"])
         out = capsys.readouterr().out
         assert code == 0 and "lambda" in out
@@ -330,8 +360,7 @@ class TestCli:
     def test_verify_bound_per_class_ratios(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, seeds=list(range(20)), steps=400,
                                  cadence=50)
-        code = cli(["verify-bound", "--config", str(cfg), "--theorem", "2",
-                    "--per-class-f"])
+        code = cli(["verify-bound", "--config", str(cfg), "--per-class-f"])
         out = capsys.readouterr().out
         assert code == 0 and "PASS" in out
 
@@ -372,16 +401,36 @@ class TestCli:
     def test_verify_bound_missing_or_malformed_config_is_usage_error(self, tmp_path, capsys):
         (tmp_path / "bad.json").write_text("[1, 2]", encoding="utf-8")
         for name in ("nope.json", "bad.json"):
-            assert cli(["verify-bound", "--config", str(tmp_path / name),
-                        "--theorem", "2"]) == 1
+            assert cli(["verify-bound", "--config", str(tmp_path / name)]) == 1
         assert "Traceback" not in capsys.readouterr().err
 
-    def test_run_unknown_optimizer_key_usage_error(self, tmp_path, capsys):
-        doc = _config_doc(seeds=[1])
-        doc["optimizer"]["hh"] = 0.3
+    def test_run_unknown_optimizer_key_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ssag.bench, "run_experiment", _never_run)  # all fail at load
         path = tmp_path / "typo.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        for key, value in (("hh", 0.3), ("h", "abc"), ("n", 0), ("schedule", "bogus")):
+            doc = _config_doc(seeds=[1])
+            doc["optimizer"][key] = value
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            assert cli(["run", "--config", str(path)]) == 1, key
+        path.write_text(json.dumps(_config_doc(seeds="ab")), encoding="utf-8")
         assert cli(["run", "--config", str(path)]) == 1
         cfg = self._write_config(tmp_path, seeds=[1])
         assert cli(["run", "--config", str(cfg), "--optimizer.hh", "0.3"]) == 1
         assert not (tmp_path / "out").exists()
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, value, reason", [
+        ("optimizer", {"kind": "sag"}, "no bound envelope applies to the sag optimizer"),
+        ("objective", {"kind": "mlp", "hidden": [3]}, "no certified constants"),
+    ])
+    def test_verify_bound_inapplicable_config_fails_before_running(
+            self, tmp_path, capsys, monkeypatch, section, value, reason):
+        monkeypatch.setattr(ssag.bench, "run_experiment", _never_run)
+        doc = _config_doc(seeds=list(range(20)), record_dist=False)
+        doc["optimizer"]["h"] = 0.1
+        doc[section] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli(["verify-bound", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert reason in err and "Traceback" not in err

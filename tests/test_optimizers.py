@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ssag
 from ssag.errors import ConfigError, DivergenceError
@@ -471,3 +472,21 @@ class TestStepsForPasses:
         assert steps_for_passes("minibatch", 3, 100, n=10) == 30
         # svrg: one inner step amortizes (N + 2m)/m evaluations
         assert steps_for_passes("svrg", 1, 100, m=100) == 33
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(kind=st.sampled_from(sorted(SPECS)), per_class=st.integers(2, 6),
+           n=st.integers(1, 2), m=st.none() | st.integers(1, 15),
+           passes=st.floats(0.1, 3.0), cadence=st.integers(1, 7))
+    def test_budget_accounting_property(self, kind, per_class, n, m, passes, cadence):
+        means = np.array([[1.0, 0.5], [-1.0, -0.5]])
+        obj = ssag.LogisticRegression(ssag.gen_synthetic(ssag.SyntheticSpec(
+            means=means, counts=(per_class, per_class), stddev=0.3, seed=per_class)), lam=0.1)
+        N = obj.dataset.n_samples
+        steps = steps_for_passes(kind, passes, N, n=n, m=m)
+        rec = ssag.run(RunConfig(kind=kind, steps=steps, n=n, m=m, cadence=cadence), obj)
+        assert not rec.diverged
+        assert rec.passes.tolist() == (rec.grad_evals / N).tolist()
+        # within one step's evaluations of the request, plus one snapshot's N for SVRG
+        slack = SPECS[kind].evals_per_step(N, n, m) + (N if kind == "svrg" else 0)
+        assert abs(rec.grad_evals[-1] - passes * N) <= slack
+        assert rec.k.tolist() == sorted({0, *range(cadence, steps + 1, cadence), steps})

@@ -287,6 +287,45 @@ class TestTheoremInputsMeasurement:
         assert inp.dist0_sq == pytest.approx(float(w_star @ w_star), rel=1e-12)
 
 
+class TestEnvelopeCalls:
+    def test_theorem2_bounds_follow_manual_chain_above_floor(self, two_class_logistic):
+        obj = two_class_logistic
+        const = ssag.estimate_constants(obj)
+        w_star = ssag.reference_optimum(obj, constants=const)
+        w0 = np.zeros(obj.dim)
+        k = np.array([0, 10, 1000, 10**6])
+        agg = ssag.Aggregate(k=k, passes=k / 6.0, n_seeds=20, n_diverged=0,
+                             mean={"dist_sq": np.full(4, 1e-3)})
+        env = ssag.theorem2_envelope(obj, agg, const, w_star, n=1, w0=w0)
+        inp = ssag.theorem2_inputs_for(obj, n=1, w0=w0, constants=const, w_star=w_star)
+        manual = np.array([ssag.theorem2_bound(int(j), inp) for j in k])
+        above = manual >= env.floor
+        assert above.tolist() == [True, True, True, False]  # the grid straddles the floor
+        assert np.array_equal(env.bounds[above], manual[above])
+        assert env.floor > 0.0 and env.bounds[-1] == env.floor
+        assert np.array_equal(env.k, k) and np.array_equal(env.values, agg.mean["dist_sq"])
+        assert env.params["rate"] == inp.rate and env.params["bracket"] == inp.bracket
+
+    def test_theorem1_matches_fgd_oracle_grid(self, line_ridge):
+        # the hand-built grid that test_fgd_deterministic_envelope checks against
+        obj = line_ridge
+        const = ssag.estimate_constants(obj)
+        h = 1.0 / const.L
+        w_star = ssag.reference_optimum(obj)
+        rec = ssag.run(ssag.RunConfig(kind="fgd", steps=60, h=h, cadence=1), obj, w_star=w_star)
+        gaps = rec.loss - obj.loss_full(w_star)
+        rho = ssag.cvi_rho(h, const.L, const.mu)
+        oracle = np.array([ssag.cvi_envelope(int(k) - 1, 0.0, rho, gaps[1])
+                           for k in rec.k[1:]])
+        env = ssag.theorem1_envelope(obj, ssag.aggregate([rec]), const, w_star, h=h,
+                                     n=obj.dataset.n_samples)
+        assert env.params["lam"] == 0.0 and env.params["f"] == 1.0
+        assert env.params["anchor"] == 1 and env.params["rho"] == rho
+        assert np.array_equal(env.k, rec.k[1:]) and np.array_equal(env.values, gaps[1:])
+        assert np.array_equal(env.bounds, np.maximum(oracle, env.floor))
+        assert env.check(min_seeds=1).pass_fraction == 1.0
+
+
 class TestFitDecayRate:
     def test_recovers_exact_geometric_rate(self):
         k = np.arange(0, 2000, 50)
