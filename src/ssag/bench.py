@@ -25,7 +25,8 @@ from ._version import __version__
 from .core import Dataset, estimate_constants
 from .errors import ConfigError, FormatError, SsagError
 from .ingest import SyntheticSpec, gen_synthetic, read_idx, read_text, write_text
-from .objectives import CERTIFIED_KINDS, OBJECTIVE_KEYS, Objective, make_objective
+from .objectives import (CERTIFIED_KINDS, OBJECTIVE_KEYS, Objective, make_objective,
+                         objective_arguments)
 from .optimizers import (OPTIMIZER_KEYS, OPTIMIZER_KINDS, SPECS, RunConfig,
                          default_step_size, resolve_step_size, run, steps_for_passes)
 from .records import CSV_COLUMNS, Aggregate, RunRecord, aggregate
@@ -86,6 +87,8 @@ class ExperimentConfig:
             raise ConfigError("exactly one of 'passes' or 'steps' must be set")
         opt = self.optimizer
         try:
+            _check_dataset_values(self.dataset)
+            objective_arguments(self.objective)
             if self.passes is not None and self.passes <= 0:
                 raise ConfigError("pass budget must be > 0")
             h, m = opt.get("h", "auto"), opt.get("m")
@@ -144,21 +147,47 @@ class ExperimentConfig:
         return Path(self.out_dir or os.environ.get(OUT_DIR_ENV, "results"))
 
 
+def _synthetic_specs(spec: dict) -> tuple[SyntheticSpec, SyntheticSpec | None]:
+    """The train and optional test blobs of a synthetic dataset section."""
+    synth = SyntheticSpec(means=np.asarray(spec["means"], dtype=np.float64),
+                          counts=tuple(spec["counts"]),
+                          stddev=float(spec.get("stddev", 1.0)),
+                          seed=int(spec.get("seed", 0)))
+    if "test_seed" not in spec and "test_counts" not in spec:
+        return synth, None
+    return synth, replace(synth, counts=tuple(spec.get("test_counts", synth.counts)),
+                          seed=int(spec.get("test_seed", synth.seed + 1)))
+
+
+def _check_dataset_values(spec: dict) -> None:
+    """ValueError or TypeError if a value of a dataset section is malformed.
+
+    Synthetic values must make valid blobs; file sections need string paths
+    (optional ones may be null), a boolean add_bias and positive limits.
+    """
+    if spec["kind"] == "synthetic":
+        _synthetic_specs(spec)
+        return
+    required, _ = DATASET_KEYS[spec["kind"]]
+    for key, value in spec.items():
+        if key == "kind" or (value is None and key not in required):
+            continue
+        if key == "add_bias":
+            ok = isinstance(value, bool)
+        elif key.endswith("limit"):
+            ok = isinstance(value, int) and not isinstance(value, bool) and value >= 1
+        else:
+            ok = isinstance(value, str)
+        if not ok:
+            raise ValueError(f"dataset {key!r} cannot be {value!r}")
+
+
 def build_dataset(spec: dict) -> tuple[Dataset, Dataset | None]:
     """Construct (train, optional test) datasets from a config section."""
     kind, add_bias = spec["kind"], bool(spec.get("add_bias", False))
     if kind == "synthetic":
-        synth = SyntheticSpec(means=np.asarray(spec["means"], dtype=np.float64),
-                              counts=tuple(spec["counts"]),
-                              stddev=float(spec.get("stddev", 1.0)),
-                              seed=int(spec.get("seed", 0)))
-        train = gen_synthetic(synth)
-        test = None
-        if "test_seed" in spec or "test_counts" in spec:
-            test = gen_synthetic(replace(synth,
-                                         counts=tuple(spec.get("test_counts", synth.counts)),
-                                         seed=int(spec.get("test_seed", synth.seed + 1))))
-        return train, test
+        synth, test = _synthetic_specs(spec)
+        return gen_synthetic(synth), None if test is None else gen_synthetic(test)
     if kind == "text":
         train = read_text(spec["path"], add_bias=add_bias)
         test = read_text(spec["test_path"], add_bias=add_bias) if spec.get("test_path") else None

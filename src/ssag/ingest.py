@@ -46,9 +46,10 @@ def read_idx(image_path, label_path, *, add_bias: bool = False,
     """Parse an IDX image/label file pair into a classification dataset.
 
     Pixels are scaled to [0, 1] by /255 and images flattened row-major.
-    Labels must be digits 0-9; the partition always has 10 cells.  ``limit``
-    keeps only the first ``limit`` samples.  ``add_bias`` appends a constant
-    1 feature column.
+    Labels must be digits 0-9 and every digit must occur among the samples
+    kept, so the partition always has 10 cells and a sample's label is its
+    class index.  ``limit`` keeps only the first ``limit`` samples.
+    ``add_bias`` appends a constant 1 feature column.
     """
     (n_img, rows, cols), pixels = _read_idx_payload(image_path, IDX_IMAGE_MAGIC, 3)
     (n_lab,), labels = _read_idx_payload(label_path, IDX_LABEL_MAGIC, 1)
@@ -63,10 +64,13 @@ def read_idx(image_path, label_path, *, add_bias: bool = False,
         labels = labels[:limit]
     if add_bias:
         features = np.hstack([features, np.ones((features.shape[0], 1))])
-    # one partition cell per digit actually present (all ten for real MNIST);
-    # absent digits cannot form drawable strata
-    cells = tuple(np.flatnonzero(labels == d) for d in np.unique(labels))
-    return Dataset(features, labels, cells)
+    # an absent digit can form no drawable stratum, and remapping the digits
+    # present would make a train and a test file disagree
+    absent = sorted(set(range(10)) - set(np.unique(labels).tolist()))
+    if absent:
+        raise FormatError(f"{label_path}: digits {absent} occur in none of the "
+                          f"{labels.size} samples read")
+    return Dataset(features, labels, partition_by_class(labels, num_classes=10))
 
 
 def write_idx(image_path, label_path, images: np.ndarray, labels: np.ndarray) -> None:
@@ -103,8 +107,10 @@ class SyntheticSpec:
             raise ValueError("need one sample count per class mean")
         if any(c < 1 for c in self.counts):
             raise ValueError("every class needs at least one sample")
-        if self.stddev < 0.0:
-            raise ValueError("stddev must be >= 0")
+        if not 0.0 <= self.stddev < np.inf:
+            raise ValueError("stddev must be finite and >= 0")
+        if not np.isfinite(means).all():
+            raise ValueError("means must be finite")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
 

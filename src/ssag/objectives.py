@@ -110,7 +110,7 @@ class Objective(ABC):
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size < 1:
             raise StratumViolationError("class batch must contain at least one index")
-        if not np.all(self.dataset.class_of[indices] == class_j):
+        if not (self.dataset.class_of[indices] == class_j).all():
             raise StratumViolationError(
                 f"indices {indices.tolist()} are not all members of class {class_j}")
         return self.grad_batch(W, indices)
@@ -120,17 +120,21 @@ class Objective(ABC):
         return np.zeros(self.dim)
 
 
+def _margins(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Margins of the feature rows X.
+
+    Elementwise product + per-row pairwise sum (the reduction ``np.sum``
+    runs): identical results for any batch size, unlike BLAS matvec kernels.
+    """
+    return np.add.reduce(X * W, axis=1)
+
+
 class _LinearObjective(Objective):
-    """Shared margin machinery for ridge and logistic objectives."""
+    """Shared dimension and regularizer of the ridge and logistic objectives."""
 
     @property
     def dim(self) -> int:
         return self.dataset.n_features
-
-    def _margins(self, W: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        # elementwise product + per-row pairwise sum: identical results for
-        # any batch size, unlike BLAS matvec kernels
-        return np.sum(self.dataset.features[indices] * W, axis=1)
 
     def _reg_term(self, W: np.ndarray) -> float:
         return 0.5 * self.lam * float(np.sum(W * W))
@@ -146,17 +150,17 @@ class RidgeRegression(_LinearObjective):
         self._targets = np.asarray(dataset.labels, dtype=np.float64)
 
     def loss_values(self, W, indices):
-        r = self._margins(W, indices) - self._targets[indices]
+        r = _margins(self.dataset.features[indices], W) - self._targets[indices]
         return 0.5 * r * r + self._reg_term(W)
 
     def grad_batch(self, W, indices):
         X = self.dataset.features[indices]
-        resid = self._margins(W, indices) - self._targets[indices]
+        resid = _margins(X, W) - self._targets[indices]
         return (X.T @ resid) / indices.size + self.lam * W
 
     def grad_samples(self, W, indices):
         X = self.dataset.features[indices]
-        resid = self._margins(W, indices) - self._targets[indices]
+        resid = _margins(X, W) - self._targets[indices]
         return resid[:, None] * X + self.lam * W
 
     def predict(self, W, x):
@@ -180,17 +184,17 @@ class LogisticRegression(_LinearObjective):
         self._targets = y.astype(np.float64)
 
     def loss_values(self, W, indices):
-        m = self._margins(W, indices)
+        m = _margins(self.dataset.features[indices], W)
         return np.logaddexp(0.0, m) - self._targets[indices] * m + self._reg_term(W)
 
     def grad_batch(self, W, indices):
         X = self.dataset.features[indices]
-        resid = expit(self._margins(W, indices)) - self._targets[indices]
+        resid = expit(_margins(X, W)) - self._targets[indices]
         return (X.T @ resid) / indices.size + self.lam * W
 
     def grad_samples(self, W, indices):
         X = self.dataset.features[indices]
-        resid = expit(self._margins(W, indices)) - self._targets[indices]
+        resid = expit(_margins(X, W)) - self._targets[indices]
         return resid[:, None] * X + self.lam * W
 
     def predict(self, W, x):
@@ -401,11 +405,28 @@ OBJECTIVE_KEYS = {"ridge": ((), ("lam",)), "logistic": ((), ("lam",)),
 CERTIFIED_KINDS = ("ridge", "logistic", "quadratic")
 
 
+def objective_arguments(spec: dict) -> dict:
+    """Constructor keyword arguments of an objective config section.
+
+    ValueError or TypeError if a value is malformed: ``lam`` must be a
+    finite number >= 0 and ``hidden`` a list of layer widths >= 1.
+    """
+    args = {key: value for key, value in spec.items() if key != "kind"}
+    if "lam" in args:
+        args["lam"] = float(args["lam"])
+        if not 0.0 <= args["lam"] < np.inf:
+            raise ValueError(f"regularizer weight must be finite and >= 0, got {args['lam']}")
+    if "hidden" in args:
+        args["hidden"] = tuple(int(h) for h in args["hidden"])
+        if not all(h >= 1 for h in args["hidden"]):
+            raise ValueError(f"hidden layer widths must be >= 1, got {args['hidden']}")
+    return args
+
+
 def make_objective(spec: dict, dataset: Dataset) -> Objective:
     """Build an objective from a config mapping with at least a 'kind' key."""
-    spec = dict(spec)
-    kind = spec.pop("kind", None)
+    kind = spec.get("kind")
     if kind not in _KINDS:
         raise UnsupportedObjectiveError(
             f"unknown objective kind {kind!r}; expected one of {sorted(_KINDS)}")
-    return _KINDS[kind](dataset, **spec)
+    return _KINDS[kind](dataset, **objective_arguments(spec))

@@ -81,7 +81,7 @@ def _commit(state, W: np.ndarray, evals: int):
     state.W = W
     state.steps += 1
     state.grad_evals += evals
-    if not np.all(np.isfinite(W)):
+    if not np.isfinite(W).all():
         raise DivergenceError("optimizer produced a non-finite iterate",
                               last_finite=prev, steps=state.steps)
     return state

@@ -74,6 +74,22 @@ class TestExperimentConfig:
         ("objective", {"kind": "logistic", "lamb": 0.1}, False),
         ("objective", {"kind": "logistc"}, False),
         ("objective", {"kind": "ridge", "hidden": [3]}, False),
+        # values are checked at load too
+        ("dataset", {"kind": "idx", "images": "a", "labels": "b", "limit": 10,
+                     "test_images": None, "add_bias": True}, True),
+        ("dataset", {"kind": "synthetic", "means": [[1.0], [-1.0]], "counts": [5, 5],
+                     "stddev": "abc"}, False),
+        ("dataset", {"kind": "synthetic", "means": [[1.0], [-1.0]], "counts": [5, 5],
+                     "stddev": -1.0}, False),
+        ("dataset", {"kind": "synthetic", "means": [[1.0], [-1.0]], "counts": [5, "a"]}, False),
+        ("dataset", {"kind": "synthetic", "means": "abc", "counts": [5, 5]}, False),
+        ("dataset", {"kind": "synthetic", "means": [[1.0], [-1.0]], "counts": [5, 5],
+                     "test_seed": "x"}, False),
+        ("dataset", {"kind": "idx", "images": "a", "labels": "b", "limit": 0}, False),
+        ("dataset", {"kind": "text", "path": 3}, False),
+        ("dataset", {"kind": "text", "path": "a", "add_bias": "yes"}, False),
+        ("objective", {"kind": "logistic", "lam": "abc"}, False),
+        ("objective", {"kind": "logistic", "lam": -0.1}, False),
         # no certified constants: neither an automatic h nor record_dist
         ("objective", {"kind": "mlp", "hidden": [3]}, False),
     ])
@@ -414,6 +430,11 @@ class TestCli:
             assert cli(["run", "--config", str(path)]) == 1, key
         path.write_text(json.dumps(_config_doc(seeds="ab")), encoding="utf-8")
         assert cli(["run", "--config", str(path)]) == 1
+        for section, key in (("dataset", "stddev"), ("objective", "lam")):
+            doc = _config_doc(seeds=[1])
+            doc[section][key] = "abc"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            assert cli(["run", "--config", str(path)]) == 1, key
         cfg = self._write_config(tmp_path, seeds=[1])
         assert cli(["run", "--config", str(cfg), "--optimizer.hh", "0.3"]) == 1
         assert not (tmp_path / "out").exists()

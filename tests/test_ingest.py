@@ -24,16 +24,35 @@ def _idx_fixture(tmp_path, n=30, rows=4, cols=4, seed=0, all_digits=True):
 
 class TestIdx:
     def test_known_bytes_roundtrip(self, tmp_path):
-        # crafted 2x2x2 file with known pixel bytes
-        images = np.array([[[0, 51], [102, 153]],
-                           [[204, 255], [10, 20]]], dtype=np.uint8)
-        labels = np.array([3, 7], dtype=np.uint8)
+        # crafted 2x2 images with known pixel bytes, followed by blank images
+        # that carry the digits the crafted ones do not
+        crafted = np.array([[[0, 51], [102, 153]],
+                            [[204, 255], [10, 20]]], dtype=np.uint8)
+        images = np.concatenate([crafted, np.zeros((8, 2, 2), dtype=np.uint8)])
+        labels = np.array([3, 7, 0, 1, 2, 4, 5, 6, 8, 9], dtype=np.uint8)
         img, lab = tmp_path / "im", tmp_path / "lb"
         write_idx(img, lab, images, labels)
         ds = read_idx(img, lab)
-        expected = images.reshape(2, 4).astype(np.float64) / 255.0
+        expected = images.reshape(10, 4).astype(np.float64) / 255.0
         assert np.array_equal(ds.features, expected)
-        assert ds.labels.tolist() == [3, 7]
+        assert ds.labels.tolist() == labels.tolist()
+
+    def test_absent_digit_rejected(self, tmp_path):
+        images = np.zeros((4, 2, 2), dtype=np.uint8)
+        img, lab = tmp_path / "im", tmp_path / "lb"
+        write_idx(img, lab, images, np.array([0, 2, 2, 0], dtype=np.uint8))
+        with pytest.raises(FormatError, match=r"digits \[1, 3, 4, 5, 6, 7, 8, 9\]"):
+            read_idx(img, lab)
+
+    def test_labels_are_class_indices_under_limit(self, tmp_path):
+        img, lab, _, labels = _idx_fixture(tmp_path, n=30)
+        ds = read_idx(img, lab, limit=10)
+        assert ds.n_classes == 10
+        assert np.array_equal(ds.class_of, ds.labels)
+        assert np.array_equal(ds.labels, labels[:10])
+        ssag.Mlp(ds, hidden=(3,))  # labels are valid class indices
+        with pytest.raises(FormatError, match=r"digits \[5, 6, 7, 8, 9\]"):
+            read_idx(img, lab, limit=5)
 
     def test_magic_bytes_exact(self, tmp_path):
         img, lab, _, _ = _idx_fixture(tmp_path)
@@ -116,6 +135,11 @@ class TestSynthetic:
             SyntheticSpec(means=np.zeros((2, 3)), counts=(1,), stddev=1.0)
         with pytest.raises(ValueError):
             SyntheticSpec(means=np.zeros((1, 3)), counts=(1,), stddev=-0.5)
+        for stddev in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                SyntheticSpec(means=np.zeros((1, 3)), counts=(1,), stddev=stddev)
+        with pytest.raises(ValueError):
+            SyntheticSpec(means=np.array([[0.0, np.nan]]), counts=(1,), stddev=1.0)
 
 
 class TestTextFormat:

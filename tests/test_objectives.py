@@ -271,3 +271,12 @@ class TestMakeObjective:
         assert ssag.make_objective({"kind": "mlp", "hidden": [3]}, ds).sizes == (2, 3, 2)
         with pytest.raises(UnsupportedObjectiveError):
             ssag.make_objective({"kind": "nope"}, ds)
+
+    @pytest.mark.parametrize("spec", [{"kind": "logistic", "lam": "abc"},
+                                      {"kind": "ridge", "lam": -1.0},
+                                      {"kind": "ridge", "lam": float("nan")},
+                                      {"kind": "mlp", "hidden": [3, 0]},
+                                      {"kind": "mlp", "hidden": 3}])
+    def test_malformed_values_rejected(self, two_class_logistic, spec):
+        with pytest.raises((TypeError, ValueError)):
+            ssag.make_objective(spec, two_class_logistic.dataset)

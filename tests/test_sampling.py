@@ -5,6 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
 import ssag
@@ -164,3 +165,63 @@ class TestUniformityChiSquare:
         counts = np.bincount(draws, minlength=12)[dataset.partition[0]]
         result = chisquare(counts)
         assert result.pvalue > 0.001
+
+
+# bounds of the block-sampler checks: 1 and 2^32 take no rejection path,
+# 3e9 rejects about 30 % of words, 2^33 + 1 is drawn by the generator itself
+BOUNDS = (1, 2, 200, 3 * 10**9, 2**32, 2**33 + 1)
+
+
+class TestBlockSampler:
+    """`RngStream.bounded` and `generator` against one scalar call per draw."""
+
+    _run = st.tuples(st.just("run"), st.lists(st.sampled_from(BOUNDS), min_size=1, max_size=3),
+                     st.integers(1, 1500))
+    _choice = st.tuples(st.just("choice"), st.integers(2, 50), st.integers(2, 50))
+    _uniform = st.tuples(st.just("uniform"), st.integers(4, 50), st.integers(2, 3))
+    _big = st.tuples(st.just("big"), st.sampled_from((2**33 + 1, 2**40)))
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**64 - 1),
+           ops=st.lists(st.one_of(_run, _choice, _uniform, _big), min_size=1, max_size=8))
+    def test_matches_scalar_generator(self, seed, ops):
+        rng = RngStream(seed)
+        ref = np.random.Generator(np.random.PCG64(seed))
+        draws = 0
+        for op in ops:
+            if op[0] == "run":
+                _, bounds, count = op
+                got = [sample_class(rng, bounds[i % len(bounds)]) for i in range(count)]
+                want = [int(ref.integers(bounds[i % len(bounds)])) for i in range(count)]
+                assert got == want
+                draws += count
+            elif op[0] == "choice":
+                size, n = op[1], min(op[1], op[2])
+                assert np.array_equal(rng.generator.choice(size, size=n, replace=False),
+                                      ref.choice(size, size=n, replace=False))
+            elif op[0] == "uniform":
+                _, population, n = op
+                assert np.array_equal(sample_uniform(rng, population, n),
+                                      ref.choice(population, size=n, replace=False))
+                draws += 1
+            else:
+                assert rng.bounded(op[1]) == int(ref.integers(op[1]))
+        assert rng.draws == draws
+        assert rng.generator.bit_generator.state == ref.bit_generator.state
+
+    def test_large_bound_while_block_is_live(self):
+        rng = RngStream(8)
+        ref = np.random.Generator(np.random.PCG64(8))
+        for k in [200] * 700 + [2**33 + 1] + [200] * 700 + [3 * 10**9] * 300:
+            assert rng.bounded(k) == int(ref.integers(k))
+        assert rng.generator.bit_generator.state == ref.bit_generator.state
+
+    def test_within_class_single_draw_matches_scalar_index(self, dataset):
+        rng = RngStream(6)
+        ref = np.random.Generator(np.random.PCG64(6))
+        for _ in range(3000):
+            j = sample_class(rng, 3)
+            idx = sample_within_class(rng, dataset, j, 1)
+            assert j == int(ref.integers(3))
+            cell = dataset.partition[j]
+            assert idx.tolist() == [int(cell[ref.integers(cell.size)])]
