@@ -74,6 +74,8 @@ class TestExperimentConfig:
         ("objective", {"kind": "logistic", "lamb": 0.1}, False),
         ("objective", {"kind": "logistc"}, False),
         ("objective", {"kind": "ridge", "hidden": [3]}, False),
+        # no certified constants: neither an automatic h nor record_dist
+        ("objective", {"kind": "mlp", "hidden": [3]}, False),
         # values are checked at load too
         ("dataset", {"kind": "idx", "images": "a", "labels": "b", "limit": 10,
                      "test_images": None, "add_bias": True}, True),
@@ -90,8 +92,6 @@ class TestExperimentConfig:
         ("dataset", {"kind": "text", "path": "a", "add_bias": "yes"}, False),
         ("objective", {"kind": "logistic", "lam": "abc"}, False),
         ("objective", {"kind": "logistic", "lam": -0.1}, False),
-        # no certified constants: neither an automatic h nor record_dist
-        ("objective", {"kind": "mlp", "hidden": [3]}, False),
     ])
     def test_section_kinds_and_keys_checked_at_load(self, section, value, accepted):
         doc = _config_doc()
