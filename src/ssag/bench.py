@@ -25,11 +25,12 @@ from ._version import __version__
 from .core import Dataset, estimate_constants
 from .errors import ConfigError, FormatError, SsagError
 from .ingest import SyntheticSpec, gen_synthetic, read_idx, read_text, write_text
-from .objectives import (CERTIFIED_KINDS, OBJECTIVE_KEYS, Objective, make_objective,
-                         objective_arguments)
+from .objectives import (CERTIFIED_KINDS, CLASSIFIER_KINDS, OBJECTIVE_KEYS, Objective,
+                         make_objective, objective_arguments)
 from .optimizers import (OPTIMIZER_KEYS, OPTIMIZER_KINDS, SPECS, RunConfig,
                          default_step_size, resolve_step_size, run, steps_for_passes)
-from .records import CSV_COLUMNS, Aggregate, RunRecord, aggregate
+from .records import (COLUMNS, CSV_COLUMNS, CSV_METRICS, SUMMARY_METRICS, Aggregate,
+                      RunRecord, aggregate)
 from .theory import reference_optimum, theorem1_envelope, theorem2_envelope
 
 #: Environment variable holding the default output directory.
@@ -87,7 +88,7 @@ class ExperimentConfig:
             raise ConfigError("exactly one of 'passes' or 'steps' must be set")
         opt = self.optimizer
         try:
-            _check_dataset_values(self.dataset)
+            test_split = _check_dataset_values(self.dataset)
             objective_arguments(self.objective)
             if self.passes is not None and self.passes <= 0:
                 raise ConfigError("pass budget must be > 0")
@@ -100,11 +101,14 @@ class ExperimentConfig:
                 record_variance=self.record_variance)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config value: {exc}") from None
-        if self.objective["kind"] not in CERTIFIED_KINDS and (
-                self.record_dist or self.run_config.h is None):
-            raise ConfigError(f"objective kind {self.objective['kind']!r} has no certified "
-                              "constants: it needs an explicit optimizer h and supports "
-                              "neither record_dist nor verify-bound")
+        kind = self.objective["kind"]
+        if kind not in CERTIFIED_KINDS and (self.record_dist or self.run_config.h is None):
+            raise ConfigError(f"objective kind {kind!r} has no certified constants: it needs "
+                              "an explicit optimizer h and supports neither record_dist nor "
+                              "verify-bound")
+        if test_split and kind not in CLASSIFIER_KINDS:
+            raise ConfigError(f"objective kind {kind!r} does not classify, so a test split "
+                              "has no accuracy to record")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -144,7 +148,12 @@ class ExperimentConfig:
         return self.label or str(self.optimizer.get("kind", "run"))
 
     def resolved_out_dir(self) -> Path:
-        return Path(self.out_dir or os.environ.get(OUT_DIR_ENV, "results"))
+        return _resolve_out_dir(self.out_dir)
+
+
+def _resolve_out_dir(out_dir: str | None) -> Path:
+    """``out_dir`` if set, else $SSAG_OUT_DIR, else ``results``."""
+    return Path(out_dir or os.environ.get(OUT_DIR_ENV, "results"))
 
 
 def _synthetic_specs(spec: dict) -> tuple[SyntheticSpec, SyntheticSpec | None]:
@@ -159,15 +168,15 @@ def _synthetic_specs(spec: dict) -> tuple[SyntheticSpec, SyntheticSpec | None]:
                           seed=int(spec.get("test_seed", synth.seed + 1)))
 
 
-def _check_dataset_values(spec: dict) -> None:
-    """ValueError or TypeError if a value of a dataset section is malformed.
+def _check_dataset_values(spec: dict) -> bool:
+    """Whether a dataset section configures a test split.
 
-    Synthetic values must make valid blobs; file sections need string paths
-    (optional ones may be null), a boolean add_bias and positive limits.
+    ValueError or TypeError if a value is malformed: synthetic values must
+    make valid blobs; file sections need string paths (optional ones may be
+    null), a boolean add_bias and positive limits.
     """
     if spec["kind"] == "synthetic":
-        _synthetic_specs(spec)
-        return
+        return _synthetic_specs(spec)[1] is not None
     required, _ = DATASET_KEYS[spec["kind"]]
     for key, value in spec.items():
         if key == "kind" or (value is None and key not in required):
@@ -180,6 +189,7 @@ def _check_dataset_values(spec: dict) -> None:
             ok = isinstance(value, str)
         if not ok:
             raise ValueError(f"dataset {key!r} cannot be {value!r}")
+    return bool(spec.get("test_path") or spec.get("test_images"))
 
 
 def build_dataset(spec: dict) -> tuple[Dataset, Dataset | None]:
@@ -242,66 +252,64 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
 
 
+def _write_csv(path: Path, header, rows) -> Path:
+    """Write a CSV file: UTF-8, LF line endings, full-precision numbers."""
+    lines = [",".join(header)] + [",".join(_fmt(value) for value in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    return path
+
+
 def emit_csv(records: list[RunRecord], out_dir, label: str = "run") -> list[Path]:
     """Write one CSV per run (`<label>_s<seed>.csv`) with the pinned schema.
 
-    UTF-8, LF line endings, full-precision floats; missing metrics are 'nan'.
+    Missing metrics are 'nan'.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for rec in records:
-        path = out_dir / f"{label}_s{rec.seed}.csv"
-        lines = [",".join(CSV_COLUMNS)]
-        for i in range(len(rec)):
-            lines.append(",".join(_fmt(rec.column(name)[i]) for name in CSV_COLUMNS))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-        paths.append(path)
-    return paths
+    return [_write_csv(out_dir / f"{label}_s{rec.seed}.csv", CSV_COLUMNS,
+                       zip(*(rec.column(name) for name in CSV_COLUMNS))) for rec in records]
 
 
 def emit_summary_csv(agg: Aggregate, out_dir, name: str = "summary.csv") -> Path:
     """Write per-config seed-mean/seed-std aggregates."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    metrics = ("loss", "test_acc", "dist_sq", "sigma_sq")
-    header = ["k", "passes"]
-    for mname in metrics:
-        header += [f"{mname}_mean", f"{mname}_std"]
-    lines = [",".join(header)]
-    for i in range(agg.k.size):
-        row = [_fmt(agg.k[i]), _fmt(agg.passes[i])]
-        for mname in metrics:
-            row += [_fmt(agg.mean[mname][i]), _fmt(agg.std[mname][i])]
-        lines.append(",".join(row))
-    path = out_dir / name
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    return path
+    stats = [(f"{m}_{stat}", table[m]) for m in SUMMARY_METRICS
+             for stat, table in (("mean", agg.mean), ("std", agg.std))]
+    return _write_csv(out_dir / name, ["k", "passes"] + [head for head, _ in stats],
+                      zip(agg.k, agg.passes, *(col for _, col in stats)))
 
 
 def read_csv(path) -> dict[str, np.ndarray]:
-    """Parse back a per-run CSV into column arrays."""
+    """Parse back a per-run CSV into column arrays.
+
+    FormatError naming ``path:line`` if the header is not the pinned schema,
+    or a row has the wrong number of cells or a cell that is not a number.
+    """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0].split(",") != list(CSV_COLUMNS):
         raise FormatError(f"{path}: missing or wrong CSV header "
                           f"(expected {','.join(CSV_COLUMNS)})")
-    cols = {name: [] for name in CSV_COLUMNS}
-    for ln in lines[1:]:
+    rows = []
+    for number, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
             continue
         cells = ln.split(",")
-        for name, cell in zip(CSV_COLUMNS, cells):
-            cols[name].append(float(cell))
-    out = {}
-    for name in CSV_COLUMNS:
-        dtype = np.int64 if name in ("k", "grad_evals") else np.float64
-        out[name] = np.asarray(cols[name], dtype=dtype)
-    return out
+        try:
+            if len(cells) != len(CSV_COLUMNS):
+                raise ValueError(f"{len(cells)} cells, expected {len(CSV_COLUMNS)}")
+            rows.append([float(cell) for cell in cells])
+        except ValueError as exc:
+            raise FormatError(f"{path}:{number}: malformed row: {exc}") from None
+    cols = zip(*rows) if rows else [()] * len(CSV_COLUMNS)
+    return {name: np.asarray(col, dtype=COLUMNS[name]) for name, col in zip(CSV_COLUMNS, cols)}
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +545,7 @@ def _cmd_run(args, extras) -> int:
 
 
 def _cmd_compare(args) -> int:
-    out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV, "results"))
+    out_dir = _resolve_out_dir(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     series = []
     summary_rows = []
@@ -550,13 +558,11 @@ def _cmd_compare(args) -> int:
         agg = result.agg
         series.append((label, agg.passes, agg.mean[args.metric]))
         summary_rows.append([label, str(agg.n_seeds), _fmt(agg.passes[-1])]
-                            + [_fmt(agg.mean[m][-1]) for m in ("loss", "test_acc", "dist_sq")]
-                            + [_fmt(agg.std[m][-1]) for m in ("loss", "test_acc", "dist_sq")])
-    header = ("label,seeds,passes,loss_avg,test_acc_avg,dist_sq_avg,"
-              "loss_std,test_acc_std,dist_sq_std")
-    (out_dir / "summary.csv").write_text(
-        "\n".join([header] + [",".join(r) for r in summary_rows]) + "\n",
-        encoding="utf-8", newline="\n")
+                            + [_fmt(agg.mean[m][-1]) for m in CSV_METRICS]
+                            + [_fmt(agg.std[m][-1]) for m in CSV_METRICS])
+    _write_csv(out_dir / "summary.csv", ["label", "seeds", "passes"]
+               + [f"{m}_avg" for m in CSV_METRICS] + [f"{m}_std" for m in CSV_METRICS],
+               summary_rows)
     plot_path = out_dir / "compare.svg"
     emit_plot(series, plot_path, metric_label=args.metric)
     for row in summary_rows:
@@ -630,7 +636,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("estimate-constants",
                        help="print L, mu, and default step sizes for a dataset")
     p.add_argument("--data", required=True, help="dataset in text format")
-    p.add_argument("--objective", default="ridge", choices=("ridge", "logistic", "quadratic"))
+    p.add_argument("--objective", default="ridge", choices=CERTIFIED_KINDS)
     p.add_argument("--lam", type=float, default=0.0)
     p.add_argument("--add-bias", action="store_true")
 
@@ -656,13 +662,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("compare", help="run several configs and plot them jointly")
     p.add_argument("configs", nargs="+")
-    p.add_argument("--metric", default="loss",
-                   choices=("loss", "test_acc", "dist_sq"))
+    p.add_argument("--metric", default="loss", choices=CSV_METRICS)
     p.add_argument("--out", help="output directory")
 
     p = sub.add_parser("plot", help="plot emitted CSV records")
     p.add_argument("csvs", nargs="+")
-    p.add_argument("--metric", default="loss", choices=("loss", "test_acc", "dist_sq"))
+    p.add_argument("--metric", default="loss", choices=CSV_METRICS)
     p.add_argument("--x", default="passes", choices=("passes", "k"))
     p.add_argument("--out", required=True)
     return parser

@@ -245,14 +245,13 @@ def gram_eigen_extremes(M: np.ndarray,
                         max_iter: int = POWER_ITERATION_MAX_ITER) -> tuple[float, float]:
     """Largest and smallest eigenvalue of a symmetric PSD matrix.
 
-    The smallest eigenvalue comes from a second power iteration on the
-    spectrum-flipped matrix lmax*I - M; results are clamped at 0 since the
-    input is positive semi-definite.
+    The largest comes from power iteration, the smallest from a dense
+    symmetric eigensolve (a power iteration on lmax*I - M converges from
+    above, so it can only overstate it).  Both are clamped at 0 since the
+    input is positive semi-definite, and the smallest at the largest.
     """
     lmax = max(_power_iteration(M, tol, max_iter), 0.0)
-    shifted = lmax * np.eye(M.shape[0]) - M
-    lmin = max(lmax - _power_iteration(shifted, tol, max_iter), 0.0)
-    return lmax, lmin
+    return lmax, min(max(float(np.linalg.eigvalsh(M)[0]), 0.0), lmax)
 
 
 def estimate_constants(objective) -> ConvexityConstants:
@@ -263,7 +262,8 @@ def estimate_constants(objective) -> ConvexityConstants:
               a conservative but always valid choice)
     quadratic: L = mu = 1 + lam exactly.
 
-    Eigenvalue extremes use power iteration (tol 1e-10, cap 10000 iterations).
+    lmax uses power iteration (tol 1e-10, cap 10000 iterations) and lmin a
+    symmetric eigensolve.
     Nonconvex objectives are rejected.
     """
     kind = getattr(objective, "kind", None)

@@ -38,8 +38,10 @@ class Objective(ABC):
     """A finite-sum objective bound to a dataset.
 
     Subclasses implement three kernels: per-sample losses over an index set,
-    the mean gradient over an index set, and per-sample gradient rows.  All
-    public operations are pure and safe to call concurrently.
+    the mean gradient over an index set, and per-sample gradient rows.
+    Classifiers also implement `scores_matrix`, from which `predict` and
+    `accuracy` take the class of highest score.  All public operations are
+    pure and safe to call concurrently.
     """
 
     kind: str = "abstract"
@@ -53,9 +55,9 @@ class Objective(ABC):
     # -- kernels ---------------------------------------------------------
 
     @property
-    @abstractmethod
     def dim(self) -> int:
-        """Dimension of the flat parameter vector."""
+        """Dimension of the flat parameter vector; one weight per feature."""
+        return self.dataset.n_features
 
     @abstractmethod
     def loss_values(self, W: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -69,17 +71,33 @@ class Objective(ABC):
     def grad_samples(self, W: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Per-sample gradient rows, shape (len(indices), dim)."""
 
-    @abstractmethod
-    def predict(self, W: np.ndarray, x: np.ndarray) -> Prediction:
-        """Prediction for a single input vector."""
+    def scores_matrix(self, W: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Class scores for a batch of inputs, shape (n, C); classifiers only."""
+        raise UnsupportedObjectiveError(f"objective kind {self.kind!r} does not classify")
 
     # -- derived surface -------------------------------------------------
+
+    def _reg_term(self, W: np.ndarray) -> float:
+        """The regularizer 0.5 * lam * ||W||^2 inside every per-sample loss."""
+        return 0.5 * self.lam * float(np.sum(W * W))
+
+    def _check_input(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.dataset.n_features,):
+            raise DimensionMismatchError(
+                f"expected input of dimension {self.dataset.n_features}")
+        return x
 
     def _check_index(self, i: int) -> int:
         i = int(i)
         if not 0 <= i < self.dataset.n_samples:
             raise IndexError(f"sample index {i} out of range [0, {self.dataset.n_samples})")
         return i
+
+    def predict(self, W: np.ndarray, x: np.ndarray) -> Prediction:
+        """The class of highest score for one input vector; ties go to the lowest."""
+        scores = self.scores_matrix(W, self._check_input(x)[None, :])[0]
+        return Prediction(label=int(np.argmax(scores)), scores=scores)
 
     def loss_sample(self, W: np.ndarray, i: int) -> float:
         """Loss of sample i, including the regularization term."""
@@ -130,44 +148,42 @@ def _margins(X: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 
 class _LinearObjective(Objective):
-    """Shared dimension and regularizer of the ridge and logistic objectives."""
+    """A loss of the margin m_i = x_i'W with gradient (link(m_i) - y_i) x_i + lam W.
 
-    @property
-    def dim(self) -> int:
-        return self.dataset.n_features
+    Ridge (identity ``_link``) and logistic regression (expit) share the
+    gradient kernels and define their own losses.
+    """
 
-    def _reg_term(self, W: np.ndarray) -> float:
-        return 0.5 * self.lam * float(np.sum(W * W))
+    def __init__(self, dataset: Dataset, lam: float = 0.0):
+        super().__init__(dataset, lam)
+        self._targets = np.asarray(dataset.labels, dtype=np.float64)
+
+    def _residuals(self, W: np.ndarray, indices: np.ndarray):
+        """The gathered feature rows and their residuals link(margin) - target."""
+        X = self.dataset.features[indices]
+        return X, self._link(_margins(X, W)) - self._targets[indices]
+
+    def grad_batch(self, W, indices):
+        X, resid = self._residuals(W, indices)
+        return (X.T @ resid) / indices.size + self.lam * W
+
+    def grad_samples(self, W, indices):
+        X, resid = self._residuals(W, indices)
+        return resid[:, None] * X + self.lam * W
 
 
 class RidgeRegression(_LinearObjective):
     """Squared-error loss with L2 regularization on real-valued targets."""
 
     kind = "ridge"
-
-    def __init__(self, dataset: Dataset, lam: float = 0.0):
-        super().__init__(dataset, lam)
-        self._targets = np.asarray(dataset.labels, dtype=np.float64)
+    _link = staticmethod(lambda m: m)
 
     def loss_values(self, W, indices):
-        r = _margins(self.dataset.features[indices], W) - self._targets[indices]
+        r = self._residuals(W, indices)[1]
         return 0.5 * r * r + self._reg_term(W)
 
-    def grad_batch(self, W, indices):
-        X = self.dataset.features[indices]
-        resid = _margins(X, W) - self._targets[indices]
-        return (X.T @ resid) / indices.size + self.lam * W
-
-    def grad_samples(self, W, indices):
-        X = self.dataset.features[indices]
-        resid = _margins(X, W) - self._targets[indices]
-        return resid[:, None] * X + self.lam * W
-
     def predict(self, W, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dim,):
-            raise DimensionMismatchError(f"expected input of dimension {self.dim}")
-        value = float(np.sum(x * W))
+        value = float(np.sum(self._check_input(x) * W))
         return Prediction(label=value, scores=np.array([value]))
 
 
@@ -175,35 +191,21 @@ class LogisticRegression(_LinearObjective):
     """Binary cross-entropy with L2 regularization; labels in {0, 1}."""
 
     kind = "logistic"
+    _link = expit
 
     def __init__(self, dataset: Dataset, lam: float = 0.0):
         super().__init__(dataset, lam)
-        y = np.asarray(dataset.labels)
-        if not np.all(np.isin(y, (0, 1))):
+        if not np.all(np.isin(np.asarray(dataset.labels), (0, 1))):
             raise ValueError("logistic regression requires labels in {0, 1}")
-        self._targets = y.astype(np.float64)
 
     def loss_values(self, W, indices):
         m = _margins(self.dataset.features[indices], W)
         return np.logaddexp(0.0, m) - self._targets[indices] * m + self._reg_term(W)
 
-    def grad_batch(self, W, indices):
-        X = self.dataset.features[indices]
-        resid = expit(_margins(X, W)) - self._targets[indices]
-        return (X.T @ resid) / indices.size + self.lam * W
-
-    def grad_samples(self, W, indices):
-        X = self.dataset.features[indices]
-        resid = expit(_margins(X, W)) - self._targets[indices]
-        return resid[:, None] * X + self.lam * W
-
-    def predict(self, W, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dim,):
-            raise DimensionMismatchError(f"expected input of dimension {self.dim}")
-        p1 = float(expit(np.sum(x * W)))
-        scores = np.array([1.0 - p1, p1])
-        return Prediction(label=int(np.argmax(scores)), scores=scores)
+    def scores_matrix(self, W, X):
+        """Class probabilities (1 - p, p), p = expit(x'W), shape (n, 2)."""
+        p1 = expit(_margins(np.asarray(X, dtype=np.float64), W))
+        return np.column_stack((1.0 - p1, p1))
 
 
 class MeanQuadratic(Objective):
@@ -214,22 +216,15 @@ class MeanQuadratic(Objective):
 
     kind = "quadratic"
 
-    @property
-    def dim(self) -> int:
-        return self.dataset.n_features
-
     def loss_values(self, W, indices):
         d = W - self.dataset.features[indices]
-        return 0.5 * np.sum(d * d, axis=1) + 0.5 * self.lam * float(np.sum(W * W))
+        return 0.5 * np.sum(d * d, axis=1) + self._reg_term(W)
 
     def grad_batch(self, W, indices):
         return W - self.dataset.features[indices].mean(axis=0) + self.lam * W
 
     def grad_samples(self, W, indices):
         return (W - self.dataset.features[indices]) + self.lam * W
-
-    def predict(self, W, x):
-        raise UnsupportedObjectiveError("quadratic objective does not define predictions")
 
 
 class Mlp(Objective):
@@ -307,7 +302,7 @@ class Mlp(Objective):
         _, logits = self._forward(W, X)
         log_p = self._log_softmax(logits)
         ce = -log_p[np.arange(indices.size), self._targets[indices]]
-        return ce + 0.5 * self.lam * float(np.sum(W * W))
+        return ce + self._reg_term(W)
 
     def grad_batch(self, W, indices):
         X = self.dataset.features[indices]
@@ -337,17 +332,10 @@ class Mlp(Objective):
             out[r] = self.grad_batch(W, np.array([i]))
         return out
 
-    def scores_matrix(self, W: np.ndarray, X: np.ndarray) -> np.ndarray:
+    def scores_matrix(self, W, X):
         """Softmax class scores for a batch of inputs, shape (n, C)."""
         _, logits = self._forward(W, np.asarray(X, dtype=np.float64))
         return np.exp(self._log_softmax(logits))
-
-    def predict(self, W, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.sizes[0],):
-            raise DimensionMismatchError(f"expected input of dimension {self.sizes[0]}")
-        scores = self.scores_matrix(W, x[None, :])[0]
-        return Prediction(label=int(np.argmax(scores)), scores=scores)
 
 
 def closed_form_optimum(objective: RidgeRegression) -> np.ndarray:
@@ -375,18 +363,9 @@ def closed_form_optimum(objective: RidgeRegression) -> np.ndarray:
 
 
 def accuracy(objective: Objective, W: np.ndarray, dataset: Dataset) -> float:
-    """Fraction of correctly classified samples in `dataset`."""
-    X = dataset.features
-    y = np.asarray(dataset.labels)
-    if isinstance(objective, Mlp):
-        pred = np.argmax(objective.scores_matrix(W, X), axis=1)
-    elif isinstance(objective, LogisticRegression):
-        p1 = expit(np.sum(X * W, axis=1))
-        pred = np.where(p1 > 0.5, 1, 0)
-    else:
-        raise UnsupportedObjectiveError(
-            f"accuracy is undefined for objective kind {objective.kind!r}")
-    return float(np.mean(pred == y))
+    """Fraction of `dataset` whose label is the class of highest score."""
+    pred = np.argmax(objective.scores_matrix(W, dataset.features), axis=1)
+    return float(np.mean(pred == np.asarray(dataset.labels)))
 
 
 _KINDS = {
@@ -403,6 +382,9 @@ OBJECTIVE_KEYS = {"ridge": ((), ("lam",)), "logistic": ((), ("lam",)),
 
 #: Objective kinds with certified convexity constants and a reference optimum.
 CERTIFIED_KINDS = ("ridge", "logistic", "quadratic")
+
+#: Objective kinds that classify: they define `scores_matrix` and `accuracy`.
+CLASSIFIER_KINDS = ("logistic", "mlp")
 
 
 def objective_arguments(spec: dict) -> dict:

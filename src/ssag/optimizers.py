@@ -288,7 +288,8 @@ class RunConfig:
     """Configuration of a single optimizer run.
 
     ``h = None`` resolves to the kind's theoretical default step size
-    (`default_step_size`), computed from certified convexity constants.
+    (`default_step_size`), computed from certified convexity constants; an
+    explicit h must be finite and >= 0 (h = 0 freezes the iterate).
     """
 
     kind: str
@@ -305,6 +306,8 @@ class RunConfig:
 
     def __post_init__(self):
         _spec(self.kind)
+        if self.h is not None and not 0.0 <= self.h < np.inf:
+            raise ConfigError(f"step size h must be finite and >= 0, got {self.h}")
         if self.steps < 0:
             raise ConfigError("step budget must be >= 0")
         if self.cadence < 1:

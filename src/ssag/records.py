@@ -10,10 +10,18 @@ import numpy as np
 
 from ._version import __version__
 
-#: Column order of emitted per-run CSV files.  The in-memory record also
-#: carries a sigma_sq column (population gradient variance) that is not part
-#: of the CSV schema.
-CSV_COLUMNS = ("k", "passes", "loss", "test_acc", "dist_sq", "grad_evals", "wall_ms")
+#: Every record column and its dtype, in `RecordBuilder.append` order.  The
+#: per-run CSV holds all but sigma_sq (population gradient variance), the
+#: content hash all but wall_ms, and `aggregate` averages all but the step grid.
+COLUMNS = {"k": np.int64, "passes": np.float64, "loss": np.float64, "test_acc": np.float64,
+           "dist_sq": np.float64, "grad_evals": np.int64, "wall_ms": np.float64,
+           "sigma_sq": np.float64}
+CSV_COLUMNS = tuple(name for name in COLUMNS if name != "sigma_sq")
+AGGREGATED = tuple(name for name in COLUMNS if name not in ("k", "passes", "grad_evals"))
+#: The deterministic aggregated metrics (a summary CSV's), and those of them
+#: a per-run CSV holds (the metrics compare and plot can draw).
+SUMMARY_METRICS = tuple(name for name in AGGREGATED if name != "wall_ms")
+CSV_METRICS = tuple(name for name in SUMMARY_METRICS if name in CSV_COLUMNS)
 
 
 @dataclass(eq=False)
@@ -46,7 +54,7 @@ class RunRecord:
         return self.k.size
 
     def column(self, name: str) -> np.ndarray:
-        if name not in CSV_COLUMNS and name != "sigma_sq":
+        if name not in COLUMNS:
             raise KeyError(name)
         return getattr(self, name)
 
@@ -54,10 +62,10 @@ class RunRecord:
         """Hash of everything deterministic: all columns except wall time."""
         h = hashlib.sha256()
         h.update(f"seed={self.seed};config={self.config_hash};diverged={self.diverged}".encode())
-        for name in ("k", "passes", "loss", "test_acc", "dist_sq", "grad_evals", "sigma_sq"):
-            col = getattr(self, name)
-            h.update(name.encode())
-            h.update(np.ascontiguousarray(col, dtype=np.float64).tobytes())
+        for name in COLUMNS:
+            if name != "wall_ms":
+                h.update(name.encode())
+                h.update(np.ascontiguousarray(getattr(self, name), dtype=np.float64).tobytes())
         return h.hexdigest()
 
 
@@ -70,25 +78,16 @@ class RecordBuilder:
         self.rows: list[tuple] = []
         self.diverged = False
 
-    def append(self, k: int, passes: float, loss: float, test_acc: float,
-               dist_sq: float, grad_evals: int, wall_ms: float, sigma_sq: float):
-        self.rows.append((k, passes, loss, test_acc, dist_sq, grad_evals, wall_ms, sigma_sq))
+    def append(self, *row) -> None:
+        """Add one row: a value per `COLUMNS` entry, in that order."""
+        self.rows.append(row)
 
     def build(self) -> RunRecord:
-        cols = list(zip(*self.rows)) if self.rows else [[] for _ in range(8)]
-        return RunRecord(
-            k=np.array(cols[0], dtype=np.int64),
-            passes=np.array(cols[1], dtype=np.float64),
-            loss=np.array(cols[2], dtype=np.float64),
-            test_acc=np.array(cols[3], dtype=np.float64),
-            dist_sq=np.array(cols[4], dtype=np.float64),
-            grad_evals=np.array(cols[5], dtype=np.int64),
-            wall_ms=np.array(cols[6], dtype=np.float64),
-            sigma_sq=np.array(cols[7], dtype=np.float64),
-            seed=self.seed,
-            config_hash=self.config_hash,
-            diverged=self.diverged,
-        )
+        cols = zip(*self.rows) if self.rows else [()] * len(COLUMNS)
+        return RunRecord(**{name: np.array(col, dtype=dtype)
+                            for (name, dtype), col in zip(COLUMNS.items(), cols)},
+                         seed=self.seed, config_hash=self.config_hash,
+                         diverged=self.diverged)
 
 
 def _nan_mean_std(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,7 +131,7 @@ def aggregate(records: list[RunRecord]) -> Aggregate:
             raise ValueError("records have mismatched step grids and cannot be aggregated")
     agg = Aggregate(k=base.copy(), passes=survivors[0].passes.copy(),
                     n_seeds=len(survivors), n_diverged=n_diverged)
-    for name in ("loss", "test_acc", "dist_sq", "sigma_sq", "wall_ms"):
+    for name in AGGREGATED:
         stack = np.vstack([getattr(r, name) for r in survivors])
         agg.mean[name], agg.std[name] = _nan_mean_std(stack)
     return agg

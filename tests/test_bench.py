@@ -9,7 +9,7 @@ import pytest
 import ssag
 from ssag.bench import (ExperimentConfig, build_dataset, cli, emit_csv,
                         emit_plot, emit_summary_csv, read_csv, run_experiment)
-from ssag.errors import ConfigError, SsagError
+from ssag.errors import ConfigError, FormatError, SsagError
 from ssag.ingest import write_idx
 
 
@@ -202,6 +202,19 @@ class TestCsv:
         assert np.array_equal(cols["loss"], rec.loss)
         assert np.array_equal(cols["dist_sq"], rec.dist_sq)
         assert np.all(np.isnan(cols["test_acc"]))  # no test split configured
+
+    @pytest.mark.parametrize("damage, line", [
+        (lambda rows: rows[:-1] + [rows[-1].rsplit(",", 2)[0]], 5),
+        (lambda rows: rows[:2] + [rows[2].replace(",", ",x", 1)] + rows[3:], 3),
+        (lambda rows: rows[:1] + [rows[1] + ",1.0"] + rows[2:], 2),
+    ], ids=["truncated", "not_a_number", "extra_cell"])
+    def test_malformed_rows_rejected(self, tmp_path, damage, line):
+        result = self._result(seeds=[1])
+        (path,) = emit_csv(result.records, tmp_path, "x")
+        rows = path.read_text().splitlines()
+        path.write_text("\n".join(damage(rows)) + "\n")
+        with pytest.raises(FormatError, match=f"x_s1.csv:{line}:"):
+            read_csv(path)
 
     def test_empty_record_header_only(self, tmp_path):
         from ssag.records import RecordBuilder
@@ -423,11 +436,12 @@ class TestCli:
     def test_run_unknown_optimizer_key_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(ssag.bench, "run_experiment", _never_run)  # all fail at load
         path = tmp_path / "typo.json"
-        for key, value in (("hh", 0.3), ("h", "abc"), ("n", 0), ("schedule", "bogus")):
+        for key, value in (("hh", 0.3), ("h", "abc"), ("n", 0), ("schedule", "bogus"),
+                           ("h", float("nan")), ("h", float("inf")), ("h", -1)):
             doc = _config_doc(seeds=[1])
             doc["optimizer"][key] = value
             path.write_text(json.dumps(doc), encoding="utf-8")
-            assert cli(["run", "--config", str(path)]) == 1, key
+            assert cli(["run", "--config", str(path)]) == 1, (key, value)
         path.write_text(json.dumps(_config_doc(seeds="ab")), encoding="utf-8")
         assert cli(["run", "--config", str(path)]) == 1
         for section, key in (("dataset", "stddev"), ("objective", "lam")):
@@ -439,6 +453,21 @@ class TestCli:
         assert cli(["run", "--config", str(cfg), "--optimizer.hh", "0.3"]) == 1
         assert not (tmp_path / "out").exists()
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["ridge", "quadratic"])
+    def test_test_split_without_classifier_fails_at_load(self, tmp_path, capsys,
+                                                         monkeypatch, kind):
+        monkeypatch.setattr(ssag.bench, "run_experiment", _never_run)
+        doc = _config_doc(seeds=[1])
+        doc["objective"] = {"kind": kind}
+        doc["dataset"]["test_counts"] = [3, 3]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "does not classify" in err and "Traceback" not in err
+        doc["objective"] = {"kind": "logistic"}
+        assert ExperimentConfig.from_dict(doc).run_config.kind == "ssag"
 
     @pytest.mark.parametrize("section, value, reason", [
         ("optimizer", {"kind": "sag"}, "no bound envelope applies to the sag optimizer"),

@@ -210,6 +210,22 @@ class TestEstimateConstants:
         assert lmin == pytest.approx(float(roots[0]), rel=1e-6, abs=1e-8)
 
 
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_ridge_mu_never_above_clustered_lambda_min(self, rotate):
+        # gram X'X/N = Q diag(1, 0.0100, ..., 0.0108) Q', built exactly
+        eigs = np.array([1.0] + [0.0100 + 0.0001 * i for i in range(9)])
+        p = eigs.size
+        Q = (np.linalg.qr(np.random.default_rng(5).normal(size=(p, p)))[0] if rotate
+             else np.eye(p))
+        X = np.sqrt(p) * np.diag(np.sqrt(eigs)) @ Q.T
+        lam = 0.05
+        const = ssag.estimate_constants(
+            ssag.RidgeRegression(ssag.Dataset.regression(X, np.zeros(p)), lam=lam))
+        assert const.mu <= (0.0100 + lam) * (1.0 + 1e-12)
+        assert const.mu == pytest.approx(0.0100 + lam, rel=1e-9)
+        assert const.L == pytest.approx(1.0 + lam, rel=1e-9)
+
+
 class TestFinitePopulationIdentities:
     def test_enumerated_variance_matches_formula(self, random_problem):
         # Var(g_bar) = (1-f)/n sigma^2 over every size-n subset, N <= 8

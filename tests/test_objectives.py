@@ -208,6 +208,35 @@ class TestPredict:
             ssag.MeanQuadratic(ds).predict(np.zeros(1), np.zeros(1))
 
 
+class TestScoresMatrix:
+    def test_logistic_probabilities(self, two_class_logistic):
+        W = np.array([0.7, -1.2])
+        X = two_class_logistic.dataset.features
+        scores = two_class_logistic.scores_matrix(W, X)
+        p1 = 1.0 / (1.0 + np.exp(-(X @ W)))
+        assert scores.shape == (6, 2)
+        assert scores[:, 1] == pytest.approx(p1, rel=1e-12)
+        assert scores.sum(axis=1) == pytest.approx(np.ones(6), rel=1e-12)
+
+    def test_predict_is_argmax_of_scores(self, random_problem):
+        for obj in (random_problem(kind="logistic", seed=2),
+                    random_problem(kind="mlp", C=3, seed=2)):
+            W = obj.init_params(seed=1) + np.random.default_rng(4).normal(size=obj.dim)
+            X = obj.dataset.features
+            scores = obj.scores_matrix(W, X)
+            for x, row in zip(X, scores):
+                pred = obj.predict(W, x)
+                assert pred.scores == pytest.approx(row, rel=1e-12)
+                assert pred.label == int(np.argmax(row))
+
+    @pytest.mark.parametrize("kind", ["ridge", "quadratic"])
+    def test_regression_objectives_have_no_scores(self, kind):
+        ds = ssag.Dataset.regression(np.ones((2, 1)), np.zeros(2))
+        obj = ssag.make_objective({"kind": kind}, ds)
+        with pytest.raises(UnsupportedObjectiveError):
+            obj.scores_matrix(np.zeros(1), ds.features)
+
+
 class TestMlp:
     def _toy(self):
         rng = np.random.default_rng(12)
@@ -262,6 +291,23 @@ class TestAccuracy:
     def test_ridge_unsupported(self, line_ridge):
         with pytest.raises(UnsupportedObjectiveError):
             ssag.accuracy(line_ridge, np.array([1.0]), line_ridge.dataset)
+
+    def test_logistic_matches_threshold_rule(self, random_problem):
+        # independent oracle: class 1 exactly when sigmoid(x'W) > 1/2
+        obj = random_problem(kind="logistic", N=40, p=3, seed=8, stddev=3.0)
+        ds = obj.dataset
+        for seed in range(5):
+            W = np.random.default_rng(seed).normal(size=3)
+            p1 = 1.0 / (1.0 + np.exp(-np.sum(ds.features * W, axis=1)))
+            expected = np.mean(np.where(p1 > 0.5, 1, 0) == ds.labels)
+            assert ssag.accuracy(obj, W, ds) == expected
+
+    def test_mlp_is_mean_of_predictions(self, random_problem):
+        obj = random_problem(kind="mlp", C=3, N=15, seed=3)
+        ds = obj.dataset
+        W = obj.init_params(seed=2)
+        labels = [obj.predict(W, x).label for x in ds.features]
+        assert ssag.accuracy(obj, W, ds) == np.mean(np.array(labels) == ds.labels)
 
 
 class TestMakeObjective:
