@@ -101,6 +101,13 @@ class ExperimentConfig:
                 record_variance=self.record_variance)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config value: {exc}") from None
+        reads = SPECS[opt["kind"]].settings
+        ignored = sorted(key for key in set(opt) - {"kind", "h", *reads}
+                         if getattr(self.run_config, key)
+                         != RunConfig.__dataclass_fields__[key].default)
+        if ignored:
+            raise ConfigError(f"optimizer kind {opt['kind']!r} ignores the settings {ignored}; "
+                              f"it reads {['h', *reads]}, others must keep their defaults")
         kind = self.objective["kind"]
         if kind not in CERTIFIED_KINDS and (self.record_dist or self.run_config.h is None):
             raise ConfigError(f"objective kind {kind!r} has no certified constants: it needs "
@@ -227,8 +234,17 @@ class ExperimentResult:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Execute one run per seed and aggregate; deterministic given the seeds."""
+    """Execute one run per seed and aggregate; deterministic given the seeds.
+
+    ConfigError, before any run, if a test split's feature or class count
+    differs from the training set's.
+    """
     train, test = build_dataset(config.dataset)
+    if test is not None and ((test.n_features, test.n_classes)
+                             != (train.n_features, train.n_classes)):
+        raise ConfigError(f"test split has {test.n_features} features and {test.n_classes} "
+                          f"classes, the training set {train.n_features} and "
+                          f"{train.n_classes}")
     obj = make_objective(config.objective, train)
     template = config.run_config
     constants = estimate_constants(obj) if obj.kind in CERTIFIED_KINDS else None

@@ -1,10 +1,11 @@
 """The seven optimizers (FGD, SGD, mini-batch SGD, SAG, SVRG, SAGA, and SSAG):
-one registry of per-kind specs (`SPECS`) over four step kernels.  SSAG and
-SAG share the table-averaged step (SAG is SSAG over N singleton strata),
-SAGA steps on the same table state, FGD, SGD and mini-batch SGD share the
-uniform-batch step, and SVRG advances one inner step at a time.  Table
-states keep a running sum of their slots, recomputed exactly every
-``sum_recompute_every`` steps to cap floating drift.
+one registry of per-kind specs (`SPECS`) over four step kernels and one
+`State`.  SSAG and SAG share the table-averaged step (SAG is SSAG over N
+singleton strata), SAGA steps on the same gradient table, FGD, SGD and
+mini-batch SGD share the uniform-batch step, and SVRG advances one inner step
+at a time.  A kind's spec decides how many table slots its state keeps; the
+running sum of the slots is recomputed exactly every ``sum_recompute_every``
+steps to cap floating drift.
 
 Note on stratified sampling: each SSAG step refreshes the drawn class's slot
 with the mean gradient of a fresh within-class batch and moves along the mean
@@ -33,49 +34,38 @@ DIVERGENCE_LOSS_LIMIT = 1e12
 
 
 @dataclass
-class TableState:
-    """Gradient table with one slot per stratum, plus its running sum.
+class State:
+    """The memory of one run, the same fields for every optimizer kind.
 
-    SSAG keeps one slot per class (C entries); SAG and SAGA keep one per
-    sample (N entries).
+    ``table`` holds one gradient slot per stratum: C rows for SSAG, N for SAG
+    and SAGA, none for the memoryless kinds (an empty table by default);
+    ``table_sum`` defaults to its exact sum.
+    ``snapshot`` and ``snapshot_grad`` are SVRG's; ``n``, ``m`` (SVRG's
+    resolved refresh period), ``prox_l1`` and ``schedule`` are the run's
+    settings, read only by the kinds that use them.
     """
 
     W: np.ndarray
-    table: np.ndarray      # (slots, p), zero-initialized
-    table_sum: np.ndarray  # (p,)
     h: float
-    n: int = 1             # within-class batch size (SSAG)
-    prox_l1: float | None = None  # L1 prox weight (SAGA)
-    steps: int = 0
-    grad_evals: int = 0
-
-
-@dataclass
-class SvrgState:
-    """SVRG state: current iterate plus snapshot and its full gradient."""
-
-    W: np.ndarray
-    snapshot: np.ndarray
-    snapshot_grad: np.ndarray
-    h: float
-    m: int                 # snapshot refresh period (inner-loop length)
-    steps: int = 0
-    grad_evals: int = 0
-
-
-@dataclass
-class SimpleState:
-    """Memoryless state shared by FGD, SGD, and mini-batch SGD."""
-
-    W: np.ndarray
-    h: float
+    table: np.ndarray | None = None      # (slots, p), zero-initialized
+    table_sum: np.ndarray | None = None  # (p,), running sum of the slots
+    snapshot: np.ndarray | None = None
+    snapshot_grad: np.ndarray | None = None
     n: int = 1
+    m: int | None = None
+    prox_l1: float | None = None
     schedule: str = "constant"  # "constant" or "inv_k"
     steps: int = 0
     grad_evals: int = 0
 
+    def __post_init__(self):
+        if self.table is None:
+            self.table = np.zeros((0, self.W.size))
+        if self.table_sum is None:
+            self.table_sum = self.table.sum(axis=0)
 
-def _commit(state, W: np.ndarray, evals: int):
+
+def _commit(state: State, W: np.ndarray, evals: int) -> State:
     """Accept the next iterate and count it; DivergenceError if not finite."""
     prev = state.W
     state.W = W
@@ -87,26 +77,24 @@ def _commit(state, W: np.ndarray, evals: int):
     return state
 
 
-def recompute_sum(state):
-    """Replace the cached running sum with the exact table sum."""
-    if not isinstance(state, TableState):
-        raise TypeError("only table-based states carry a running sum")
+def recompute_sum(state: State) -> State:
+    """Replace the cached running sum with the exact table sum (zeros if empty)."""
     state.table_sum = state.table.sum(axis=0)
     return state
 
 
-def _refresh_slot(state: TableState, j: int, phi: np.ndarray) -> None:
+def _refresh_slot(state: State, j: int, phi: np.ndarray) -> None:
     state.table_sum = state.table_sum - state.table[j] + phi
     state.table[j] = phi
 
 
-def _table_average_step(state: TableState, j: int, phi: np.ndarray, evals: int) -> TableState:
+def _table_average_step(state: State, j: int, phi: np.ndarray, evals: int) -> State:
     """Write phi into slot j, then step W <- W - (h/slots) * sum of all slots."""
     _refresh_slot(state, j, phi)
     return _commit(state, state.W - (state.h / state.table.shape[0]) * state.table_sum, evals)
 
 
-def ssag_step(state: TableState, obj: Objective, rng: RngStream) -> TableState:
+def ssag_step(state: State, obj: Objective, rng: RngStream) -> State:
     """One SSAG update: refresh one class slot, move along the slot mean.
 
     Draws class j uniformly, draws n within-class samples without
@@ -119,7 +107,7 @@ def ssag_step(state: TableState, obj: Objective, rng: RngStream) -> TableState:
     return _table_average_step(state, j, obj.grad_class_batch(state.W, j, idx), idx.size)
 
 
-def sag_step(state: TableState, obj: Objective, rng: RngStream) -> TableState:
+def sag_step(state: State, obj: Objective, rng: RngStream) -> State:
     """One SAG update: SSAG over the N singleton strata {i}.
 
     The stratum draw picks sample i.  A draw from a one-element cell returns
@@ -135,7 +123,7 @@ def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
-def saga_step(state: TableState, obj: Objective, rng: RngStream) -> TableState:
+def saga_step(state: State, obj: Objective, rng: RngStream) -> State:
     """One SAGA update with optional L1 prox.
 
     The candidate uses the pre-update slot value and table mean:
@@ -151,7 +139,7 @@ def saga_step(state: TableState, obj: Objective, rng: RngStream) -> TableState:
     return _commit(state, W, 1)
 
 
-def svrg_outer(state: SvrgState, obj: Objective, rng: RngStream) -> SvrgState:
+def svrg_outer(state: State, obj: Objective, rng: RngStream) -> State:
     """One SVRG inner step W <- W - h * (G_i(W) - G_i(snapshot) + snapshot_grad).
 
     At every multiple of m steps, starting at step 0, the snapshot first
@@ -168,15 +156,15 @@ def svrg_outer(state: SvrgState, obj: Objective, rng: RngStream) -> SvrgState:
     return _commit(state, state.W - state.h * direction, 2)
 
 
-def _uniform_batch_step(state: SimpleState, obj: Objective, rng: RngStream,
-                        n: int) -> SimpleState:
+def _uniform_batch_step(state: State, obj: Objective, rng: RngStream,
+                        n: int) -> State:
     """W <- W - h_k * mean gradient of n samples drawn uniformly without replacement."""
     idx = sample_uniform(rng, obj.dataset.n_samples, n)
     h = state.h / (state.steps + 1) if state.schedule == "inv_k" else state.h
     return _commit(state, state.W - h * obj.grad_batch(state.W, idx), idx.size)
 
 
-def fgd_step(state: SimpleState, obj: Objective, rng: RngStream) -> SimpleState:
+def fgd_step(state: State, obj: Objective, rng: RngStream) -> State:
     """One full-gradient step W <- W - h_k * grad_full(W).
 
     This is the uniform-batch step with n = N; the exhaustive draw consumes
@@ -185,12 +173,12 @@ def fgd_step(state: SimpleState, obj: Objective, rng: RngStream) -> SimpleState:
     return _uniform_batch_step(state, obj, rng, obj.dataset.n_samples)
 
 
-def sgd_step(state: SimpleState, obj: Objective, rng: RngStream) -> SimpleState:
+def sgd_step(state: State, obj: Objective, rng: RngStream) -> State:
     """One SGD update along a single uniformly drawn sample gradient."""
     return _uniform_batch_step(state, obj, rng, 1)
 
 
-def minibatch_step(state: SimpleState, obj: Objective, rng: RngStream) -> SimpleState:
+def minibatch_step(state: State, obj: Objective, rng: RngStream) -> State:
     """One mini-batch update along the mean gradient of n uniform samples.
 
     n = N reduces to fgd_step and n = 1 to sgd_step, step for step.
@@ -198,37 +186,14 @@ def minibatch_step(state: SimpleState, obj: Objective, rng: RngStream) -> Simple
     return _uniform_batch_step(state, obj, rng, state.n)
 
 
-def _class_table(config: RunConfig, W0: np.ndarray, h: float, ds: Dataset) -> TableState:
-    smallest = int(ds.class_counts.min())
-    if config.n > smallest:
-        raise ConfigError(f"within-class batch size {config.n} exceeds the smallest "
-                          f"class ({smallest} samples)")
-    return TableState(W=W0, table=np.zeros((ds.n_classes, W0.size)),
-                      table_sum=np.zeros(W0.size), h=h, n=config.n)
-
-
-def _sample_table(config: RunConfig, W0: np.ndarray, h: float, ds: Dataset) -> TableState:
-    return TableState(W=W0, table=np.zeros((ds.n_samples, W0.size)),
-                      table_sum=np.zeros(W0.size), h=h, prox_l1=config.prox_l1)
-
-
 def _inner_length(m: int | None, n_samples: int) -> int:
     """SVRG's snapshot refresh period: m if set, else 2N."""
     return m if m is not None else 2 * n_samples
 
 
-def _svrg_state(config: RunConfig, W0: np.ndarray, h: float, ds: Dataset) -> SvrgState:
-    return SvrgState(W=W0, snapshot=W0.copy(), snapshot_grad=np.zeros(W0.size), h=h,
-                     m=_inner_length(config.m, ds.n_samples))
-
-
 def _svrg_evals(N: int, n: int, m: int | None) -> float:
     m = _inner_length(m, N)
     return (N + 2.0 * m) / m
-
-
-def _simple_state(config: RunConfig, W0: np.ndarray, h: float, ds: Dataset) -> SimpleState:
-    return SimpleState(W=W0, h=h, n=config.n, schedule=config.schedule)
 
 
 @dataclass(frozen=True)
@@ -238,8 +203,11 @@ class OptimizerSpec:
     ``step`` names the kind's step function in this module; `run` looks the
     name up when it starts, so replacing the module attribute replaces the
     step.  ``default_h(L, dataset)`` is the theoretical step size,
-    ``evals_per_step(N, n, m)`` the mean gradient evaluations per step, and
-    ``make_state(config, W0, h, dataset)`` builds the initial state.
+    ``evals_per_step(N, n, m)`` the mean gradient evaluations per step,
+    ``slots(dataset)`` the row count of the state's gradient table, and
+    ``settings`` the `RunConfig` settings the step reads besides ``h``.
+    ``batch_limit(dataset)`` gives the largest batch ``n`` the kind can draw
+    and the name of what bounds it, or is None if the kind ignores ``n``.
     ``envelope`` is the theorem whose envelope `ssag verify-bound` checks
     for this kind (2 for the stratified method, 1 for the uniform-batch
     kinds), or None.
@@ -248,25 +216,29 @@ class OptimizerSpec:
     step: str
     default_h: Callable[[float, Dataset], float]
     evals_per_step: Callable[[int, int, int | None], float]
-    make_state: Callable[[RunConfig, np.ndarray, float, Dataset], object]
+    slots: Callable[[Dataset], int]
+    settings: tuple[str, ...]
+    batch_limit: Callable[[Dataset], tuple[int, str]] | None = None
     envelope: int | None = None
 
 
 SPECS = {
     "fgd": OptimizerSpec("fgd_step", lambda L, ds: 1.0 / L, lambda N, n, m: N,
-                         _simple_state, 1),
+                         lambda ds: 0, ("schedule",), envelope=1),
     "sgd": OptimizerSpec("sgd_step", lambda L, ds: 1.0 / L, lambda N, n, m: 1,
-                         _simple_state, 1),
+                         lambda ds: 0, ("schedule",), envelope=1),
     "minibatch": OptimizerSpec("minibatch_step", lambda L, ds: 1.0 / L, lambda N, n, m: n,
-                               _simple_state, 1),
+                               lambda ds: 0, ("n", "schedule"),
+                               lambda ds: (ds.n_samples, "the sample count"), 1),
     "sag": OptimizerSpec("sag_step", lambda L, ds: 1.0 / (16.0 * L), lambda N, n, m: 1,
-                         _sample_table),
+                         lambda ds: ds.n_samples, ()),
     "svrg": OptimizerSpec("svrg_outer", lambda L, ds: 1.0 / (3.0 * L), _svrg_evals,
-                          _svrg_state),
+                          lambda ds: 0, ("m",)),
     "saga": OptimizerSpec("saga_step", lambda L, ds: 1.0 / (3.0 * L), lambda N, n, m: 1,
-                          _sample_table),
+                          lambda ds: ds.n_samples, ("prox_l1",)),
     "ssag": OptimizerSpec("ssag_step", lambda L, ds: 1.0 / (2.0 * ds.n_classes * L),
-                          lambda N, n, m: n, _class_table, 2),
+                          lambda N, n, m: n, lambda ds: ds.n_classes, ("n",),
+                          lambda ds: (int(ds.class_counts.min()), "the smallest class"), 2),
 }
 
 OPTIMIZER_KINDS = tuple(SPECS)
@@ -344,11 +316,21 @@ def resolve_step_size(config: RunConfig, obj: Objective, constants=None) -> floa
             "set h explicitly") from exc
 
 
-def make_state(config: RunConfig, obj: Objective, constants=None):
-    """Initial optimizer state for a run (tables zeroed, W from the objective)."""
-    return SPECS[config.kind].make_state(config, obj.init_params(seed=config.seed),
-                                         resolve_step_size(config, obj, constants),
-                                         obj.dataset)
+def make_state(config: RunConfig, obj: Objective, constants=None) -> State:
+    """Initial optimizer state for a run (table zeroed, W from the objective).
+
+    ConfigError if ``config.n`` exceeds the kind's batch limit.
+    """
+    spec, ds = SPECS[config.kind], obj.dataset
+    if spec.batch_limit is not None:
+        limit, bound = spec.batch_limit(ds)
+        if config.n > limit:
+            raise ConfigError(f"batch size {config.n} exceeds {bound} ({limit} samples)")
+    W0 = obj.init_params(seed=config.seed)
+    return State(W=W0, h=resolve_step_size(config, obj, constants),
+                 table=np.zeros((spec.slots(ds), W0.size)), n=config.n,
+                 m=_inner_length(config.m, ds.n_samples), prox_l1=config.prox_l1,
+                 schedule=config.schedule)
 
 
 def steps_for_passes(kind: str, passes: float, n_samples: int, n: int = 1,
@@ -399,7 +381,7 @@ def run(config: RunConfig, obj: Objective, *, constants=None,
             state.W = exc.last_finite
             builder.diverged = True
             break
-        if isinstance(state, TableState) and state.steps % config.sum_recompute_every == 0:
+        if state.steps % config.sum_recompute_every == 0:
             recompute_sum(state)
         if state.steps >= next_record or state.steps >= config.steps:
             alive = snapshot()

@@ -95,16 +95,6 @@ class RngStream:
                                                size=_BLOCK_WORDS).tolist()
         self._used = 0
 
-    @classmethod
-    def for_run(cls, master_seed: int, run_id: int) -> "RngStream":
-        """Derive an independent stream for run `run_id` of an experiment.
-
-        Splitting rule: the child seed is the first 64-bit word of
-        SeedSequence(master_seed, spawn_key=(run_id,)).
-        """
-        ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(run_id),))
-        return cls(int(ss.generate_state(1, np.uint64)[0]))
-
     def __repr__(self):
         return f"RngStream(algorithm={self.algorithm!r}, seed={self.seed}, draws={self.draws})"
 

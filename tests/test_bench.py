@@ -449,10 +449,66 @@ class TestCli:
             doc[section][key] = "abc"
             path.write_text(json.dumps(doc), encoding="utf-8")
             assert cli(["run", "--config", str(path)]) == 1, key
+        # a setting the kind does not read must keep its RunConfig default
+        for optimizer in ({"kind": "sag", "prox_l1": 5.0, "schedule": "inv_k", "m": 3, "n": 4},
+                          {"kind": "sag", "prox_l1": 5.0}, {"kind": "fgd", "n": 4},
+                          {"kind": "sgd", "m": 3}, {"kind": "minibatch", "prox_l1": 0.0},
+                          {"kind": "saga", "schedule": "inv_k"}, {"kind": "svrg", "n": 2},
+                          {"kind": "ssag", "m": 3}, {"kind": "ssag", "schedule": "inv_k"}):
+            doc = _config_doc(seeds=[1])
+            doc["optimizer"] = optimizer
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            assert cli(["run", "--config", str(path)]) == 1, optimizer
         cfg = self._write_config(tmp_path, seeds=[1])
         assert cli(["run", "--config", str(cfg), "--optimizer.hh", "0.3"]) == 1
+        assert cli(["run", "--config", str(cfg), "--optimizer.kind", "sgd",
+                    "--optimizer.n", "2"]) == 1
         assert not (tmp_path / "out").exists()
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "ignores the settings ['m', 'n', 'prox_l1'" in err
+
+    def test_settings_at_their_defaults_pass_for_every_kind(self):
+        for kind in ssag.optimizers.SPECS:
+            doc = _config_doc()
+            doc["optimizer"] = {"kind": kind, "h": 0.1, "n": 1, "m": None, "prox_l1": None,
+                                "schedule": "constant"}
+            assert ExperimentConfig.from_dict(doc).run_config.kind == kind
+        doc = _config_doc()
+        doc["optimizer"] = {"kind": "minibatch", "n": 4, "schedule": "inv_k"}
+        assert ExperimentConfig.from_dict(doc).run_config.n == 4
+
+    def _text_config(self, tmp_path, train_args, test_args, optimizer):
+        for name, args in (("train", train_args), ("test", test_args)):
+            assert cli(["gen-data", "--out", str(tmp_path / f"{name}.txt"), *args]) == 0
+        doc = _config_doc(seeds=[1], steps=20, record_dist=False, optimizer=optimizer,
+                          out_dir=str(tmp_path / "out"))
+        doc["dataset"] = {"kind": "text", "path": str(tmp_path / "train.txt"),
+                          "test_path": str(tmp_path / "test.txt")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("test_args", [["--dim", "4", "--count", "5"],
+                                           ["--dim", "3", "--classes", "3", "--count", "5"]],
+                             ids=["features", "classes"])
+    def test_mismatched_test_split_is_usage_error(self, tmp_path, capsys, test_args):
+        path = self._text_config(tmp_path, ["--dim", "3", "--count", "10"], test_args,
+                                 {"kind": "ssag", "h": 0.1})
+        assert cli(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "test split has" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_minibatch_larger_than_sample_count_is_usage_error(self, tmp_path, capsys):
+        path = self._text_config(tmp_path, ["--dim", "3", "--count", "10"],
+                                 ["--dim", "3", "--count", "5"],
+                                 {"kind": "minibatch", "h": 0.1, "n": 500})
+        assert cli(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "batch size 500 exceeds the sample count (20 samples)" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+        assert cli(["run", "--config", str(path), "--optimizer.n", "20"]) == 0
 
     @pytest.mark.parametrize("kind", ["ridge", "quadratic"])
     def test_test_split_without_classifier_fails_at_load(self, tmp_path, capsys,

@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 import ssag
 from ssag.errors import ConfigError, DivergenceError
-from ssag.optimizers import (SPECS, RunConfig, SimpleState, TableState, fgd_step,
-                             make_state, recompute_sum, sag_step, saga_step,
-                             sgd_step, soft_threshold, ssag_step,
-                             steps_for_passes, svrg_outer)
+from ssag.optimizers import (SPECS, RunConfig, State, fgd_step, make_state,
+                             recompute_sum, sag_step, saga_step, sgd_step,
+                             soft_threshold, ssag_step, steps_for_passes, svrg_outer)
 from ssag.sampling import RngStream
 
 from conftest import reference_fgd, reference_sag, reference_sgd
@@ -51,8 +50,8 @@ class TestSsagStep:
         # both classes carry gradient (2) at W=0, so any draw gives
         # sum = (2) and W1 = -(0.5/2) * 2 = -0.5
         obj = _constant_gradient_problem(2.0, n_classes=2)
-        state = TableState(W=np.zeros(1), table=np.zeros((2, 1)),
-                          table_sum=np.zeros(1), h=0.5, n=1)
+        state = State(W=np.zeros(1), table=np.zeros((2, 1)),
+                      table_sum=np.zeros(1), h=0.5, n=1)
         ssag_step(state, obj, RngStream(0))
         assert state.W == pytest.approx([-0.5])
         assert state.table_sum == pytest.approx([2.0])
@@ -61,8 +60,8 @@ class TestSsagStep:
     def test_idempotent_table_write(self):
         # single class: the drawn slot already equals the fresh gradient
         obj = _constant_gradient_problem(2.0, n_classes=1)
-        state = TableState(W=np.zeros(1), table=np.array([[2.0]]),
-                          table_sum=np.array([2.0]), h=0.25, n=1)
+        state = State(W=np.zeros(1), table=np.array([[2.0]]),
+                      table_sum=np.array([2.0]), h=0.25, n=1)
         ssag_step(state, obj, RngStream(0))
         assert state.table.tolist() == [[2.0]]
         assert state.table_sum == pytest.approx([2.0])
@@ -85,6 +84,18 @@ class TestSsagStep:
         obj = _tiny_logistic()
         state = make_state(RunConfig(kind="ssag", steps=0, h=0.1), obj)
         assert state.table.shape == (obj.dataset.n_classes, obj.dim)
+
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    def test_every_kind_keeps_its_spec_slots(self, kind):
+        # C rows for ssag, N for sag and saga, none for the memoryless kinds
+        obj = _tiny_logistic()
+        state = make_state(RunConfig(kind=kind, steps=0, h=0.1), obj)
+        expected = {"ssag": obj.dataset.n_classes, "sag": obj.dataset.n_samples,
+                    "saga": obj.dataset.n_samples}.get(kind, 0)
+        assert SPECS[kind].slots(obj.dataset) == expected
+        assert state.table.shape == (expected, obj.dim)
+        recompute_sum(state)
+        assert state.table_sum.tolist() == [0.0] * obj.dim
 
     def test_gradient_evaluations_count_batch(self):
         obj = ssag.MeanQuadratic(ssag.Dataset.from_class_labels(
@@ -122,8 +133,8 @@ class TestRecomputeSum:
         assert np.all(state.table_sum == 0.0)
 
     def test_single_entry_table(self):
-        state = TableState(W=np.zeros(2), table=np.array([[1.5, -2.0]]),
-                          table_sum=np.zeros(2), h=0.1, n=1)
+        state = State(W=np.zeros(2), table=np.array([[1.5, -2.0]]),
+                      table_sum=np.zeros(2), h=0.1, n=1)
         recompute_sum(state)
         assert state.table_sum == pytest.approx([1.5, -2.0])
 
@@ -141,16 +152,11 @@ class TestRecomputeSum:
         rel = np.linalg.norm(cached - exact) / max(1.0, np.linalg.norm(exact))
         assert rel <= 1e-9
 
-    def test_rejects_memoryless_states(self):
-        state = SimpleState(W=np.zeros(1), h=0.1)
-        with pytest.raises(TypeError):
-            recompute_sum(state)
-
 
 class TestFgd:
     def test_stationary_at_optimum(self, line_ridge):
         w_star = ssag.closed_form_optimum(line_ridge)
-        state = SimpleState(W=w_star.copy(), h=0.3)
+        state = State(W=w_star.copy(), h=0.3)
         fgd_step(state, line_ridge, RngStream(0))
         assert np.linalg.norm(state.W - w_star) <= 1e-10
 
@@ -158,7 +164,7 @@ class TestFgd:
         # J = 0.5 w^2 via a single sample at the origin; h = 1 jumps to 0
         ds = ssag.Dataset.regression(np.zeros((1, 1)), np.zeros(1))
         obj = ssag.MeanQuadratic(ds)
-        state = SimpleState(W=np.array([1.0]), h=1.0)
+        state = State(W=np.array([1.0]), h=1.0)
         fgd_step(state, obj, RngStream(0))
         assert state.W == pytest.approx([0.0])
         assert state.grad_evals == 1
@@ -166,7 +172,7 @@ class TestFgd:
     def test_descent_every_step(self, random_problem):
         obj = random_problem(kind="ridge", N=9, p=3, lam=0.3, seed=4)
         const = ssag.estimate_constants(obj)
-        state = SimpleState(W=np.ones(obj.dim), h=1.5 / const.L)
+        state = State(W=np.ones(obj.dim), h=1.5 / const.L)
         prev = obj.loss_full(state.W)
         for _ in range(30):
             fgd_step(state, obj, RngStream(0))
@@ -199,7 +205,7 @@ class TestSgd:
         # J = 0.5 w^2, so the gradient is w itself and steps are explicit
         ds = ssag.Dataset.regression(np.zeros((1, 1)), np.zeros(1))
         obj = ssag.MeanQuadratic(ds)
-        state = SimpleState(W=np.array([1.0]), h=0.5, schedule="inv_k")
+        state = State(W=np.array([1.0]), h=0.5, schedule="inv_k")
         sgd_step(state, obj, RngStream(0))     # h_1 = 0.5/1
         assert state.W == pytest.approx([0.5])
         sgd_step(state, obj, RngStream(0))     # h_2 = 0.5/2
@@ -359,7 +365,7 @@ class TestDivergenceDetection:
     def test_divergence_error_carries_last_finite(self):
         ds = ssag.Dataset.regression(np.array([[1e200]]), np.array([0.0]))
         obj = ssag.RidgeRegression(ds)
-        state = SimpleState(W=np.array([1e200]), h=1e10)
+        state = State(W=np.array([1e200]), h=1e10)
         with pytest.raises(DivergenceError) as info:
             fgd_step(state, obj, RngStream(0))
         assert np.all(np.isfinite(info.value.last_finite))
@@ -461,6 +467,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="smallest class"):
             ssag.run(RunConfig(kind="ssag", steps=10, h=0.1, n=3), obj)
         assert make_state(RunConfig(kind="ssag", steps=10, h=0.1, n=2), obj).n == 2
+
+    def test_rejects_minibatch_larger_than_sample_count(self):
+        obj = _tiny_logistic()  # N = 6
+        with pytest.raises(ConfigError, match="sample count"):
+            ssag.run(RunConfig(kind="minibatch", steps=10, h=0.1, n=7), obj)
+        assert make_state(RunConfig(kind="minibatch", steps=10, h=0.1, n=6), obj).n == 6
 
 
 class TestStepsForPasses:

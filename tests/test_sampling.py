@@ -139,15 +139,6 @@ class TestReproducibility:
         assert trace(77) == trace(77)
         assert trace(77) != trace(78)
 
-    def test_run_derived_streams(self):
-        a = RngStream.for_run(99, 0)
-        b = RngStream.for_run(99, 1)
-        c = RngStream.for_run(99, 0)
-        assert a.seed == c.seed
-        assert a.seed != b.seed
-        assert [sample_class(a, 100) for _ in range(50)] == \
-               [sample_class(c, 100) for _ in range(50)]
-
 
 class TestUniformityChiSquare:
     def test_class_draws(self):
