@@ -92,11 +92,11 @@ class ExperimentConfig:
             objective_arguments(self.objective)
             if self.passes is not None and self.passes <= 0:
                 raise ConfigError("pass budget must be > 0")
-            h, m = opt.get("h", "auto"), opt.get("m")
+            h, m, l1 = opt.get("h", "auto"), opt.get("m"), opt.get("prox_l1")
             self.run_config = RunConfig(
                 kind=opt["kind"], steps=self.steps or 0,
                 h=None if h in ("auto", None) else float(h), n=int(opt.get("n", 1)),
-                m=None if m is None else int(m), prox_l1=opt.get("prox_l1"),
+                m=None if m is None else int(m), prox_l1=None if l1 is None else float(l1),
                 schedule=opt.get("schedule", "constant"), cadence=self.cadence,
                 record_variance=self.record_variance)
         except (TypeError, ValueError) as exc:

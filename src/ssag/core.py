@@ -58,6 +58,8 @@ class Dataset:
     ``labels`` holds class indices for classification data or real targets
     for regression.  ``partition`` maps each class j to the ascending row
     indices belonging to it; cells are disjoint and cover all rows.
+    ``rows`` is arange(N); the objectives recognise it by identity and read
+    the C-ordered ``features`` in place instead of gathering all N rows.
     """
 
     features: np.ndarray
@@ -65,9 +67,10 @@ class Dataset:
     partition: tuple[np.ndarray, ...]
     #: row index -> class index, derived from the partition at construction
     class_of: np.ndarray = field(init=False, repr=False, compare=False)
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        X = np.array(self.features, dtype=np.float64, copy=True)
+        X = np.array(self.features, dtype=np.float64, order="C", copy=True)
         if X.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
         y = np.array(self.labels, copy=True)
@@ -85,15 +88,14 @@ class Dataset:
         class_of = np.empty(X.shape[0], dtype=np.int64)
         for j, c in enumerate(cells):
             class_of[c] = j
-        X.setflags(write=False)
-        y.setflags(write=False)
-        class_of.setflags(write=False)
-        for c in cells:
-            c.setflags(write=False)
+        rows = np.arange(X.shape[0])
+        for a in (X, y, class_of, rows, *cells):
+            a.setflags(write=False)
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "partition", cells)
         object.__setattr__(self, "class_of", class_of)
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_class_labels(cls, features: np.ndarray, labels: np.ndarray,
@@ -197,19 +199,17 @@ def gradient_population_stats(objective, W: np.ndarray) -> GradientStats:
     ds = objective.dataset
     W = as_params(W, objective.dim)
     N = ds.n_samples
-    G = objective.grad_samples(W, np.arange(N))
+    G = objective.grad_samples(W, ds.rows)
     mean = G.mean(axis=0)
-    dev = G - mean
-    if N > 1:
-        pop_var = float(np.sum(dev * dev) / (N - 1))
-    else:
-        pop_var = 0.0
     per_class = np.zeros(ds.n_classes)
     for j, cell in enumerate(ds.partition):
         if cell.size > 1:
             Gc = G[cell]
-            devc = Gc - Gc.mean(axis=0)
-            per_class[j] = float(np.sum(devc * devc) / (cell.size - 1))
+            np.subtract(Gc, Gc.mean(axis=0), out=Gc)
+            per_class[j] = float(np.sum(np.multiply(Gc, Gc, out=Gc)) / (cell.size - 1))
+    # squared deviations overwrite G once the per-class copies are taken
+    np.subtract(G, mean, out=G)
+    pop_var = float(np.sum(np.multiply(G, G, out=G)) / (N - 1)) if N > 1 else 0.0
     return GradientStats(
         population_mean=mean,
         population_variance=pop_var,

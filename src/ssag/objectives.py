@@ -5,7 +5,9 @@ batch-mean, and full gradients plus per-sample losses.  The per-sample loss
 kernel of the linear models computes margins with a batch-size-invariant
 reduction, so ``loss_full`` equals the pairwise sum of ``loss_sample`` values
 bit for bit; gradient paths use BLAS and agree across code paths to 1e-12
-relative error.
+relative error.  Full-data calls pass ``dataset.rows``, which the kernels
+recognise: they read the feature matrix and targets in place instead of
+gathering N rows, and give the same bits as a call with a fresh arange(N).
 """
 
 from __future__ import annotations
@@ -81,6 +83,10 @@ class Objective(ABC):
         """The regularizer 0.5 * lam * ||W||^2 inside every per-sample loss."""
         return 0.5 * self.lam * float(np.sum(W * W))
 
+    def _take(self, values: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        """``values[indices]``, or ``values`` itself for the full-data ``dataset.rows``."""
+        return values if indices is self.dataset.rows else values[indices]
+
     def _check_input(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.dataset.n_features,):
@@ -108,8 +114,7 @@ class Objective(ABC):
     def loss_full(self, W: np.ndarray) -> float:
         """Mean per-sample loss; reduction is numpy pairwise summation."""
         W = as_params(W, self.dim)
-        N = self.dataset.n_samples
-        return float(np.sum(self.loss_values(W, np.arange(N))) / N)
+        return float(np.sum(self.loss_values(W, self.dataset.rows)) / self.dataset.n_samples)
 
     def grad_sample(self, W: np.ndarray, i: int) -> np.ndarray:
         """Exact analytic gradient of loss_sample."""
@@ -121,7 +126,7 @@ class Objective(ABC):
         """Mean gradient over the whole dataset."""
         if W.shape[0] != self.dim:
             raise DimensionMismatchError(f"expected dimension {self.dim}, got {W.shape[0]}")
-        return self.grad_batch(W, np.arange(self.dataset.n_samples))
+        return self.grad_batch(W, self.dataset.rows)
 
     def grad_class_batch(self, W: np.ndarray, class_j: int, indices: np.ndarray) -> np.ndarray:
         """Mean gradient over a batch drawn from class j's partition cell."""
@@ -159,9 +164,9 @@ class _LinearObjective(Objective):
         self._targets = np.asarray(dataset.labels, dtype=np.float64)
 
     def _residuals(self, W: np.ndarray, indices: np.ndarray):
-        """The gathered feature rows and their residuals link(margin) - target."""
-        X = self.dataset.features[indices]
-        return X, self._link(_margins(X, W)) - self._targets[indices]
+        """The feature rows and their residuals link(margin) - target."""
+        X = self._take(self.dataset.features, indices)
+        return X, self._link(_margins(X, W)) - self._take(self._targets, indices)
 
     def grad_batch(self, W, indices):
         X, resid = self._residuals(W, indices)
@@ -169,7 +174,9 @@ class _LinearObjective(Objective):
 
     def grad_samples(self, W, indices):
         X, resid = self._residuals(W, indices)
-        return resid[:, None] * X + self.lam * W
+        G = resid[:, None] * X
+        G += self.lam * W
+        return G
 
 
 class RidgeRegression(_LinearObjective):
@@ -199,8 +206,8 @@ class LogisticRegression(_LinearObjective):
             raise ValueError("logistic regression requires labels in {0, 1}")
 
     def loss_values(self, W, indices):
-        m = _margins(self.dataset.features[indices], W)
-        return np.logaddexp(0.0, m) - self._targets[indices] * m + self._reg_term(W)
+        m = _margins(self._take(self.dataset.features, indices), W)
+        return np.logaddexp(0.0, m) - self._take(self._targets, indices) * m + self._reg_term(W)
 
     def scores_matrix(self, W, X):
         """Class probabilities (1 - p, p), p = expit(x'W), shape (n, 2)."""
@@ -217,14 +224,14 @@ class MeanQuadratic(Objective):
     kind = "quadratic"
 
     def loss_values(self, W, indices):
-        d = W - self.dataset.features[indices]
+        d = W - self._take(self.dataset.features, indices)
         return 0.5 * np.sum(d * d, axis=1) + self._reg_term(W)
 
     def grad_batch(self, W, indices):
-        return W - self.dataset.features[indices].mean(axis=0) + self.lam * W
+        return W - self._take(self.dataset.features, indices).mean(axis=0) + self.lam * W
 
     def grad_samples(self, W, indices):
-        return (W - self.dataset.features[indices]) + self.lam * W
+        return (W - self._take(self.dataset.features, indices)) + self.lam * W
 
 
 class Mlp(Objective):
@@ -298,16 +305,14 @@ class Mlp(Objective):
         return logits - m - np.log(np.sum(np.exp(logits - m), axis=1, keepdims=True))
 
     def loss_values(self, W, indices):
-        X = self.dataset.features[indices]
-        _, logits = self._forward(W, X)
+        _, logits = self._forward(W, self._take(self.dataset.features, indices))
         log_p = self._log_softmax(logits)
         ce = -log_p[np.arange(indices.size), self._targets[indices]]
         return ce + self._reg_term(W)
 
     def grad_batch(self, W, indices):
-        X = self.dataset.features[indices]
         n = indices.size
-        acts, logits = self._forward(W, X)
+        acts, logits = self._forward(W, self._take(self.dataset.features, indices))
         probs = np.exp(self._log_softmax(logits))
         delta = probs
         delta[np.arange(n), self._targets[indices]] -= 1.0

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -280,6 +281,10 @@ class RunConfig:
         _spec(self.kind)
         if self.h is not None and not 0.0 <= self.h < np.inf:
             raise ConfigError(f"step size h must be finite and >= 0, got {self.h}")
+        l1 = self.prox_l1
+        if l1 is not None and (isinstance(l1, bool) or not isinstance(l1, Real)
+                               or not 0 <= l1 < np.inf):
+            raise ConfigError(f"l1 weight prox_l1 must be a finite number >= 0, got {l1!r}")
         if self.steps < 0:
             raise ConfigError("step budget must be >= 0")
         if self.cadence < 1:

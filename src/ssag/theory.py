@@ -285,7 +285,7 @@ def reference_optimum(obj: Objective, *, constants: ConvexityConstants | None = 
     W = np.zeros(obj.dim)
     for _ in range(max_iter):
         g = obj.grad_full(W)
-        if float(np.linalg.norm(g)) <= grad_tol:
+        if math.sqrt(g @ g) <= grad_tol:
             return W
         W = W - h * g
     raise SsagError(f"optimum polish did not reach gradient norm {grad_tol} "

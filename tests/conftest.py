@@ -87,6 +87,27 @@ def reference_sgd(obj, h, steps, seed, W0=None):
     return W
 
 
+OBJECTIVE_KINDS = ("ridge", "logistic", "quadratic", "mlp")
+
+
+def any_kind_problem(kind, N, p, C, seed, lam=0.1, fortran=False):
+    """A random small objective of any kind on N rows and p columns.
+
+    Ridge gets real targets, logistic two classes, the MLP one hidden layer
+    of 3; rows are dealt round-robin into min(C, N) classes and shuffled.
+    Columns have scales in [0.1, 3]; ``fortran`` hands the features over in
+    column-major order.
+    """
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(N, p)) * rng.uniform(0.1, 3.0, size=p)
+    labels = rng.permutation(np.arange(N) % min(2 if kind == "logistic" else C, N))
+    targets = rng.normal(size=N) if kind == "ridge" else labels
+    ds = ssag.Dataset(np.asfortranarray(X) if fortran else X, targets,
+                      ssag.partition_by_class(labels))
+    spec = {"kind": kind, "lam": lam, **({"hidden": [3]} if kind == "mlp" else {})}
+    return ssag.make_objective(spec, ds)
+
+
 @pytest.fixture
 def line_ridge():
     """Two points on the line y = x: unregularized optimum W* = (1)."""

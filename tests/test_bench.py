@@ -442,6 +442,13 @@ class TestCli:
             doc["optimizer"][key] = value
             path.write_text(json.dumps(doc), encoding="utf-8")
             assert cli(["run", "--config", str(path)]) == 1, (key, value)
+        for value in ("abc", -1.0, float("nan")):  # saga is the kind that reads prox_l1
+            doc = _config_doc(seeds=[1], optimizer={"kind": "saga", "h": 0.1, "prox_l1": value})
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            assert cli(["run", "--config", str(path)]) == 1, value
+            err = capsys.readouterr().err
+            assert "Traceback" not in err and ("malformed config value" in err
+                                               or "prox_l1 must be" in err), (value, err)
         path.write_text(json.dumps(_config_doc(seeds="ab")), encoding="utf-8")
         assert cli(["run", "--config", str(path)]) == 1
         for section, key in (("dataset", "stddev"), ("objective", "lam")):

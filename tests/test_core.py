@@ -46,6 +46,11 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.labels[0] = 3
 
+    def test_rows_and_row_major_features(self):
+        ds = ssag.Dataset.from_class_labels(np.asfortranarray(np.eye(3)), np.array([0, 1, 0]))
+        assert ds.rows.tolist() == [0, 1, 2] and not ds.rows.flags.writeable
+        assert ds.features.flags.c_contiguous
+
     def test_class_of_map(self):
         ds = ssag.Dataset.from_class_labels(np.eye(4), np.array([0, 1, 0, 1]))
         assert ds.class_of.tolist() == [0, 1, 0, 1]

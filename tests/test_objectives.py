@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ssag
 from ssag.errors import (DimensionMismatchError, SingularSystemError,
                          StratumViolationError, UnsupportedObjectiveError)
 
-from conftest import central_diff_grad, grad_rel_error
+from conftest import OBJECTIVE_KINDS, any_kind_problem, central_diff_grad, grad_rel_error
 
 
 def _logistic_point(x, y, lam=0.0):
@@ -135,6 +136,36 @@ class TestGradFull:
         class_means = [obj.grad_class_batch(W, j, ds.partition[j]) for j in range(2)]
         full = obj.grad_full(W)
         assert np.mean(class_means, axis=0) == pytest.approx(full, rel=1e-12)
+
+
+class TestFullDataInPlace:
+    """Full-data calls pass ``dataset.rows`` and read the features in place;
+    each must give the bits of the same kernel on a fresh arange(N), which
+    gathers its rows."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(kind=st.sampled_from(OBJECTIVE_KINDS), N=st.integers(2, 14), p=st.integers(1, 11),
+           C=st.integers(1, 3), seed=st.integers(0, 2**16), lam=st.sampled_from([0.0, 0.3]),
+           fortran=st.booleans())
+    def test_matches_gathered_kernels(self, kind, N, p, C, seed, lam, fortran):
+        obj = any_kind_problem(kind, N, p, C, seed, lam=lam, fortran=fortran)
+        W = np.random.default_rng(seed + 1).normal(size=obj.dim)
+        fresh = np.arange(N)
+        assert np.array_equal(obj.grad_full(W), obj.grad_batch(W, fresh))
+        assert obj.loss_full(W) == float(np.sum(obj.loss_values(W, fresh)) / N)
+        G = obj.grad_samples(W, fresh)
+        assert np.array_equal(obj.grad_samples(W, obj.dataset.rows), G)
+        # gradient_population_stats against its formulas on fresh arrays
+        stats = ssag.gradient_population_stats(obj, W)
+        dev = G - G.mean(axis=0)
+        assert np.array_equal(stats.population_mean, G.mean(axis=0))
+        assert stats.population_variance == float(np.sum(dev * dev) / (N - 1))
+        expected = []
+        for cell in obj.dataset.partition:
+            devc = G[cell] - G[cell].mean(axis=0)
+            expected.append(float(np.sum(devc * devc) / (cell.size - 1)) if cell.size > 1
+                            else 0.0)
+        assert stats.per_class_variance.tolist() == expected
 
 
 class TestClosedFormOptimum:

@@ -11,7 +11,8 @@ from ssag.optimizers import (SPECS, RunConfig, State, fgd_step, make_state,
                              soft_threshold, ssag_step, steps_for_passes, svrg_outer)
 from ssag.sampling import RngStream
 
-from conftest import reference_fgd, reference_sag, reference_sgd
+from conftest import (OBJECTIVE_KINDS, any_kind_problem, reference_fgd, reference_sag,
+                      reference_sgd)
 
 # final iterates after 12 steps of the fixed tiny logistic problem below
 # (h = 0.3, seed = 5); frozen from the first run
@@ -223,6 +224,18 @@ class TestMinibatch:
         obj = two_class_logistic
         s_mb = _run_steps("minibatch", obj, 8, seed=2, h=0.2, n=1)
         assert np.array_equal(s_mb.W, reference_sgd(obj, 0.2, 8, seed=2))
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(kind=st.sampled_from(OBJECTIVE_KINDS), N=st.integers(2, 10), p=st.integers(1, 9),
+           C=st.integers(1, 3), seed=st.integers(0, 2**16), steps=st.integers(1, 6))
+    def test_full_batch_and_batch_one_property(self, kind, N, p, C, seed, steps):
+        # n = N gathers a fresh arange(N); FGD's grad_full reads in place
+        obj = any_kind_problem(kind, N, p, C, seed)
+        W0 = obj.init_params(seed=seed)
+        s_full = _run_steps("minibatch", obj, steps, seed=seed, h=0.05, n=N)
+        assert np.array_equal(s_full.W, reference_fgd(obj, 0.05, steps, W0=W0))
+        s_one = _run_steps("minibatch", obj, steps, seed=seed, h=0.05, n=1)
+        assert np.array_equal(s_one.W, reference_sgd(obj, 0.05, steps, seed=seed, W0=W0))
 
     def test_exhaustive_subset_variance(self, random_problem):
         from conftest import enumeration_mean_and_variance
@@ -459,6 +472,15 @@ class TestRunConfig:
     def test_rejects_nonpositive_period(self, setting):
         with pytest.raises(ConfigError):
             RunConfig(kind="ssag", steps=10, **setting)
+
+    @pytest.mark.parametrize("prox_l1", ["abc", -1.0, float("nan"), float("inf"), True])
+    def test_rejects_bad_prox_l1(self, prox_l1):
+        with pytest.raises(ConfigError, match="prox_l1"):
+            RunConfig(kind="saga", steps=1, prox_l1=prox_l1)
+
+    @pytest.mark.parametrize("prox_l1", [0.0, None])
+    def test_accepts_zero_and_no_prox_l1(self, prox_l1):
+        assert RunConfig(kind="saga", steps=1, prox_l1=prox_l1).prox_l1 == prox_l1
 
     def test_rejects_batch_larger_than_smallest_class(self):
         # classes of 4 and 2 samples: n = 3 cannot be drawn from class 1

@@ -2,12 +2,15 @@
 
 perfbench/spans.py wraps functions and methods by name; renaming or
 deleting one of them breaks only the benchmark run, which the tier-1 suite
-does not execute.  These checks import the tracer and install it once.
+does not execute.  These checks import the tracer and install it.
 """
 
 import sys
 from pathlib import Path
 
+import numpy as np
+
+import ssag
 from ssag.optimizers import SPECS
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -26,3 +29,22 @@ def test_tracer_installs_and_restores():
 
 def test_step_functions_match_the_registry():
     assert spans.STEP_FUNCTIONS == {kind: spec.step for kind, spec in SPECS.items()}
+
+
+def test_full_data_calls_count_every_row(random_problem):
+    # the full-data kernels read the matrix in place, yet still count N rows
+    obj = random_problem(kind="logistic", N=12, p=3)
+    N, p = obj.dataset.n_samples, obj.dataset.n_features
+    W = np.zeros(p)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        obj.grad_full(W)
+        assert tracer.counters == {"objectives.grad_batch.rows": N,
+                                   "objectives.bytes_read": N * p * 8}
+        obj.loss_full(W)
+        assert tracer.counters == {"objectives.grad_batch.rows": N,
+                                   "objectives.bytes_read": 2 * N * p * 8}
+        ssag.gradient_population_stats(obj, W)
+        assert tracer.counters == {"objectives.grad_batch.rows": N,
+                                   "objectives.bytes_read": 3 * N * p * 8}
+    assert tracer.totals("core.gradient_population_stats")[0] == 1
