@@ -614,6 +614,10 @@ def _cmd_verify_bound(args, extras) -> int:
     print(f"theorem: {heading}")
     print(params.format(**env.params) + f", resolution floor = {env.floor:.3g}")
     print(report.summary())
+    first = report.first_failure
+    print(f"first failing k = {'none' if first is None else first}")
+    print(f"seed mean at the last recorded k = {int(env.k[-1])}: {env.values[-1]:.6g} "
+          f"against bound {env.bounds[-1]:.6g}")
     if report.pass_fraction >= args.min_pass:
         print(f"PASS (pass fraction >= {args.min_pass})")
         return 0

@@ -209,6 +209,19 @@ class LogisticRegression(_LinearObjective):
         m = _margins(self._take(self.dataset.features, indices), W)
         return np.logaddexp(0.0, m) - self._take(self._targets, indices) * m + self._reg_term(W)
 
+    def hessian_full(self, W: np.ndarray) -> np.ndarray:
+        """Full-data Hessian X'diag(s(1 - s))X / N + lam I, s = expit(X W).
+
+        Reads the feature matrix in place; the weighted rows are the one
+        N x p temporary.
+        """
+        X = self.dataset.features
+        s = expit(X @ W)
+        H = X.T @ (X * (s * (1.0 - s))[:, None])
+        H /= self.dataset.n_samples
+        H.flat[::self.dim + 1] += self.lam
+        return H
+
     def scores_matrix(self, W, X):
         """Class probabilities (1 - p, p), p = expit(x'W), shape (n, 2)."""
         p1 = expit(_margins(np.asarray(X, dtype=np.float64), W))

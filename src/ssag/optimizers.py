@@ -159,8 +159,13 @@ def svrg_outer(state: State, obj: Objective, rng: RngStream) -> State:
 
 def _uniform_batch_step(state: State, obj: Objective, rng: RngStream,
                         n: int) -> State:
-    """W <- W - h_k * mean gradient of n samples drawn uniformly without replacement."""
-    idx = sample_uniform(rng, obj.dataset.n_samples, n)
+    """W <- W - h_k * mean gradient of n samples drawn uniformly without replacement.
+
+    n = N takes ``dataset.rows`` without a draw, as `sample_uniform` would,
+    so the kernel reads the rows in place.
+    """
+    ds = obj.dataset
+    idx = ds.rows if n == ds.n_samples else sample_uniform(rng, ds.n_samples, n)
     h = state.h / (state.steps + 1) if state.schedule == "inv_k" else state.h
     return _commit(state, state.W - h * obj.grad_batch(state.W, idx), idx.size)
 

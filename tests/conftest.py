@@ -68,11 +68,15 @@ def reference_sag(obj, h, seed, W0=None):
         yield W
 
 
-def reference_fgd(obj, h, steps, W0=None):
-    """Full-gradient descent W <- W - h * grad_full(W), after `steps` steps."""
+def reference_fgd(obj, h, steps, W0=None, grad_tol=None):
+    """Full-gradient descent W <- W - h * grad_full(W), after `steps` steps,
+    or at the first iterate whose gradient norm is <= grad_tol if given."""
     W = obj.init_params() if W0 is None else W0
     for _ in range(steps):
-        W = W - h * obj.grad_full(W)
+        g = obj.grad_full(W)
+        if grad_tol is not None and np.linalg.norm(g) <= grad_tol:
+            break
+        W = W - h * g
     return W
 
 

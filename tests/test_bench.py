@@ -1,6 +1,7 @@
 """Orchestration, CSV/SVG artifacts, and the command-line interface."""
 
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -368,7 +369,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "pass fraction 1.0000" in out
+        assert "first failing k = none" in out
         assert "PASS" in out
+
+    def test_verify_bound_reports_where_it_fails(self, tmp_path, capsys):
+        # a wide within-class spread leaves SSAG on a resampling noise floor
+        # that the geometric envelope falls through
+        doc = _config_doc(seeds=list(range(20)), steps=2000, cadence=100)
+        doc["dataset"]["stddev"] = 1.0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**doc, "out_dir": str(tmp_path / "out")}), encoding="utf-8")
+        code = cli(["verify-bound", "--config", str(cfg)])
+        out = capsys.readouterr().out
+        assert code == 2 and "FAIL" in out
+        passed, recorded = map(int, re.search(r"(\d+)/(\d+) recorded", out).groups())
+        first = int(re.search(r"^first failing k = (\d+)$", out, re.M).group(1))
+        assert recorded == 21 and first % 100 == 0 and 0 < first <= 2000
+        assert passed >= first // 100  # every point before the first failure passed
+        value, bound = map(float, re.search(
+            r"^seed mean at the last recorded k = 2000: (\S+) against bound (\S+)$",
+            out, re.M).groups())
+        assert value > 1.05 * bound
 
     def test_verify_bound_theorem1_fgd(self, tmp_path, capsys):
         doc_overrides = dict(seeds=list(range(20)), steps=300, cadence=10)

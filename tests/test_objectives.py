@@ -138,6 +138,18 @@ class TestGradFull:
         assert np.mean(class_means, axis=0) == pytest.approx(full, rel=1e-12)
 
 
+class TestHessianFull:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_central_differences_of_grad_full(self, seed):
+        rng = np.random.default_rng(seed)
+        N, p = int(rng.integers(2, 30)), int(rng.integers(1, 7))
+        obj = any_kind_problem("logistic", N, p, 2, seed, lam=float(rng.uniform(0.0, 1.0)))
+        W = rng.normal(scale=0.5, size=p)
+        numeric = np.array([central_diff_grad(lambda v, i=i: obj.grad_full(v)[i], W)
+                            for i in range(p)])
+        assert grad_rel_error(obj.hessian_full(W), numeric) <= 1e-6
+
+
 class TestFullDataInPlace:
     """Full-data calls pass ``dataset.rows`` and read the features in place;
     each must give the bits of the same kernel on a fresh arange(N), which

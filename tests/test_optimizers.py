@@ -125,6 +125,28 @@ class TestSsagSagEquivalence:
             assert np.max(np.abs(s2.W - W_ref)) <= 1e-12
         assert r1.draws == r2.draws == 500
 
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(kind=st.sampled_from(OBJECTIVE_KINDS), N=st.integers(1, 12), p=st.integers(1, 5),
+           seed=st.integers(0, 2**16), steps=st.integers(1, 200))
+    def test_property_on_singleton_strata(self, kind, N, p, seed, steps):
+        # SSAG over N one-sample classes is SAG, bit for bit, and both follow
+        # the reference SAG written out from its update rule
+        base = any_kind_problem(kind, N, p, 2, seed).dataset
+        ds = ssag.Dataset(base.features, base.labels,
+                          tuple(np.array([i]) for i in range(N)))
+        spec = {"kind": kind, "lam": 0.1, **({"hidden": [3]} if kind == "mlp" else {})}
+        obj = ssag.make_objective(spec, ds)
+        W0 = obj.init_params(seed=seed)
+        s1 = State(W=W0, h=0.05, table=np.zeros((N, W0.size)))
+        s2 = State(W=W0, h=0.05, table=np.zeros((N, W0.size)))
+        r1, r2 = RngStream(seed), RngStream(seed)
+        for _, W_ref in zip(range(steps), reference_sag(obj, 0.05, seed=seed, W0=W0)):
+            ssag_step(s1, obj, r1)
+            sag_step(s2, obj, r2)
+            assert np.array_equal(s1.W, s2.W)
+            assert np.max(np.abs(s1.W - W_ref)) <= 1e-12 * max(1.0, np.max(np.abs(W_ref)))
+        assert r1.draws == r2.draws == steps
+
 
 class TestRecomputeSum:
     def test_fresh_state_stays_zero(self):
@@ -169,6 +191,17 @@ class TestFgd:
         fgd_step(state, obj, RngStream(0))
         assert state.W == pytest.approx([0.0])
         assert state.grad_evals == 1
+
+    def test_reads_rows_in_place(self, random_problem):
+        # n = N hands the kernel dataset.rows itself, so it gathers no copy
+        obj = random_problem(kind="logistic", N=10, p=3, seed=6)
+        seen = []
+        grad_batch = obj.grad_batch
+        obj.grad_batch = lambda W, indices: seen.append(indices) or grad_batch(W, indices)
+        rng = RngStream(0)
+        fgd_step(State(W=np.zeros(obj.dim), h=0.1), obj, rng)
+        assert len(seen) == 1 and seen[0] is obj.dataset.rows
+        assert rng.draws == 0
 
     def test_descent_every_step(self, random_problem):
         obj = random_problem(kind="ridge", N=9, p=3, lam=0.3, seed=4)
@@ -229,7 +262,7 @@ class TestMinibatch:
     @given(kind=st.sampled_from(OBJECTIVE_KINDS), N=st.integers(2, 10), p=st.integers(1, 9),
            C=st.integers(1, 3), seed=st.integers(0, 2**16), steps=st.integers(1, 6))
     def test_full_batch_and_batch_one_property(self, kind, N, p, C, seed, steps):
-        # n = N gathers a fresh arange(N); FGD's grad_full reads in place
+        # n = N reads the rows in place, as FGD's grad_full does
         obj = any_kind_problem(kind, N, p, C, seed)
         W0 = obj.init_params(seed=seed)
         s_full = _run_steps("minibatch", obj, steps, seed=seed, h=0.05, n=N)

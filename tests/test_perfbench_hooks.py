@@ -48,3 +48,13 @@ def test_full_data_calls_count_every_row(random_problem):
         assert tracer.counters == {"objectives.grad_batch.rows": N,
                                    "objectives.bytes_read": 3 * N * p * 8}
     assert tracer.totals("core.gradient_population_stats")[0] == 1
+
+
+def test_reference_optimum_makes_few_full_gradient_calls(envelope_problem):
+    # the gradient-descent polish took 15 903 grad_full calls on this problem
+    obj, const, _ = envelope_problem
+    tracer = spans.Tracer()
+    with tracer.installed():
+        ssag.reference_optimum(obj, constants=const)
+    assert tracer.totals("theory.reference_optimum")[0] == 1
+    assert 1 <= tracer.totals("objectives.grad_full", "theory.reference_optimum")[0] <= 30

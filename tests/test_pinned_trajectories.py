@@ -15,25 +15,25 @@ from ssag.optimizers import SPECS, RunConfig, run
 # (objective kind, run options) -> content hash; frozen from the first run
 PINNED = {
     ("logistic", "fgd"):
-        "3b06cef3db263c0f989ed086dba25ee8c96af0b7dbd5832c4cd64c86d5363b06",
+        "02dc15bbfed7cc12623e4014e55672378cd5a42a38e7122438e9c7702e49851f",
     ("logistic", "sgd"):
-        "47d187808c25b2f8dfb1e5ebc9596048647e384c014e172a09b0e5442a2a2523",
+        "4b9240a07e4f7fc6e65648c5e3ce3a143019bb80335c5bbadee9a60f3710c348",
     ("logistic", "minibatch"):
-        "c3722f4f663a501bf3663ce14f13cc5a7c0ad293ca80cf16fb8aa08b831b2529",
+        "4f678ea5c56b3b70178eb6f30fce5ee96a3233d47aa9f690a9f9e974acd48a3b",
     ("logistic", "sag"):
-        "dde06d548f8520605b28f86429460eda2123a1f6bc20985e7d08b2a5accdf0df",
+        "244971080d92421c2bdeea6cccf1dfeebe8821f36623adb8dfa9157f567f7014",
     ("logistic", "svrg"):
-        "e871b0fd4de79f9a2db1a4587b7e6ed1902398afee8ee17d555c9c0bb24a41ea",
+        "656623894a93767dd29f74b4d55fd06b31e273c667b6327c885811db86e6a359",
     ("logistic", "saga"):
-        "6d466ad54aaf4e6c54adcde3a64f6228fd891326b8807e4852b327c84bb3e91e",
+        "d5b1e84b7fca7d180fbb081500ec15a58f9f39aa682a77f1104992ece9615d45",
     ("logistic", "ssag"):
-        "d6f48f104b91ec5de7cff4a0927ce9af0e1871f705bf1219c95a449a825707e7",
+        "5669bcbf10c6752eb42909cbebd599a10ab3f716f82cc5a713508dfbbe81f528",
     ("logistic", "ssag n=2"):
-        "c52d00fdae6f4f8cf0a0352464ed19f156eef38d105f7d6f7313e18e5427133d",
+        "3d602eeffbd77c9fd89201de88acd20fc0387153c8217237d72d21c6a8604ac7",
     ("logistic", "saga prox_l1"):
-        "2becf9affa6a1513bb36db686344630dfa6a2df33a0b514a5c3680fd42efefba",
+        "dd83c0e5ae2ea3b725955c37974039410a15b7f9ca90142ffd55cbc2e30e7cd7",
     ("logistic", "minibatch n=3"):
-        "3d2391bbaa542a8bc0dd6ec35e6929a47f6c67f7b07e98abc5f4836f4052817c",
+        "7ce0b0284a559a2f30cad59121970c59d1be76a978cdb020582a469f40d7bd96",
     ("ridge", "ssag"):
         "5918233ba6c109303cf7d656c4f43ebdcf5166268a074b6492fc1d14e452c433",
     ("ridge", "sgd h=0.05"):

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ssag
 from ssag.errors import OutOfRegimeError, SsagError, UndefinedBoundError
 from ssag.theory import CviInputs, Theorem2Inputs
 
-from conftest import enumeration_mean_and_variance, subset_mean_gradients
+from conftest import (any_kind_problem, enumeration_mean_and_variance, reference_fgd,
+                      subset_mean_gradients)
 
 
 def _cvi(h=0.1, L=1.0, mu=0.5, f=0.1, n=10, sigma_sq=2.0):
@@ -225,6 +227,13 @@ class TestCheckEnvelope:
         assert not rep.all_passed
         assert rep.passed[:1].all() and not rep.passed[-1]
 
+    def test_first_failure_is_a_recorded_k(self):
+        k = 10 * np.arange(6)
+        values = np.array([0.5, 0.5, 0.1, 0.5, 0.01, 0.5])
+        bounds = np.array([1.0, 0.5, 0.2, 0.2, 0.2, 0.2])
+        assert ssag.check_envelope(k, values, bounds, n_seeds=20).first_failure == 30
+        assert ssag.check_envelope(k, values, 2 * values, n_seeds=20).first_failure is None
+
     def test_seed_floor_enforced(self):
         with pytest.raises(SsagError):
             ssag.check_envelope(np.arange(3), np.zeros(3), np.ones(3), n_seeds=5)
@@ -268,6 +277,46 @@ class TestReferenceOptimum:
     def test_logistic_polish_reaches_tolerance(self, two_class_logistic):
         w = ssag.reference_optimum(two_class_logistic)
         assert np.linalg.norm(two_class_logistic.grad_full(w)) <= 1e-10
+
+    @staticmethod
+    def _check_against_descent(obj, const, w, tol=1e-10):
+        # both points have gradient norm <= tol, so mu-strong convexity puts
+        # each within tol/mu of the optimum and within 2 tol/mu of each other
+        assert np.linalg.norm(obj.grad_full(w)) <= tol
+        w_fgd = reference_fgd(obj, 1.0 / const.L, 10**6, W0=np.zeros(obj.dim), grad_tol=tol)
+        assert np.linalg.norm(obj.grad_full(w_fgd)) <= tol
+        assert np.linalg.norm(w - w_fgd) <= 2.0 * tol / const.mu
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(N=st.integers(2, 30), p=st.integers(1, 6), seed=st.integers(0, 2**16),
+           lam=st.floats(0.05, 1.0))
+    def test_newton_matches_gradient_descent(self, N, p, seed, lam):
+        obj = any_kind_problem("logistic", N, p, 2, seed, lam=lam)
+        const = ssag.estimate_constants(obj)
+        self._check_against_descent(obj, const, ssag.reference_optimum(obj, constants=const))
+
+    def test_newton_matches_gradient_descent_on_envelope_problem(self, envelope_problem):
+        self._check_against_descent(*envelope_problem)
+
+    @pytest.mark.parametrize("X,y,lam", [
+        # one full Newton step on the way would raise the loss by 4e-5
+        ([[7.530978954291749, 36.508789211333195], [20.534368221613448, 30.773469043416952],
+          [-19.455239317221434, -26.044784431097412],
+          [-4.289714998983498, -0.40386951770805224]], [0, 1, 0, 0], 0.00040104889851083994),
+        # the rounding of the loss hides the decrease of the last Newton step
+        ([[-22.314095055366202, -7.456439227978823], [4.126488375566421, -4.290447104350441]],
+         [1, 0], 0.005115667842551607),
+    ])
+    def test_newton_iterates_descend_to_tolerance(self, X, y, lam):
+        obj = ssag.LogisticRegression(
+            ssag.Dataset.from_class_labels(np.array(X), np.array(y)), lam=lam)
+        iterates = []
+        hessian = obj.hessian_full
+        obj.hessian_full = lambda W: iterates.append(W) or hessian(W)
+        w = ssag.reference_optimum(obj)
+        assert np.linalg.norm(obj.grad_full(w)) <= 1e-10
+        losses = [obj.loss_full(W) for W in [*iterates, w]]
+        assert np.all(np.diff(losses) <= 1e-14)  # non-increasing up to the loss's rounding
 
 
 class TestTheoremInputsMeasurement:
