@@ -224,11 +224,9 @@ def build_dataset(spec: dict) -> tuple[Dataset, Dataset | None]:
 class ExperimentResult:
     """Per-seed records plus their seed-mean aggregate and problem handles."""
 
-    config: ExperimentConfig
     objective: Objective
     records: list[RunRecord] = field(default_factory=list)
     agg: Aggregate | None = None
-    test_dataset: Dataset | None = None
     w_star: np.ndarray | None = None
     constants: object = None
 
@@ -252,8 +250,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     steps = (config.steps if config.steps is not None
              else steps_for_passes(template.kind, config.passes, train.n_samples,
                                    n=template.n, m=template.m))
-    result = ExperimentResult(config=config, objective=obj, test_dataset=test,
-                              w_star=w_star, constants=constants)
+    result = ExperimentResult(objective=obj, w_star=w_star, constants=constants)
     chash = config.config_hash()
     for seed in sorted(config.seeds):
         result.records.append(run(replace(template, seed=seed, steps=steps), obj,
@@ -335,16 +332,8 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e",
             "#9467bd", "#8c564b", "#17becf", "#7f7f7f")
 
 
-def _ticks_linear(lo: float, hi: float, count: int = 6) -> list[float]:
-    if hi <= lo:
-        return [lo]
-    raw = np.linspace(lo, hi, count)
-    return [float(v) for v in raw]
-
-
 def emit_plot(series: list[tuple[str, np.ndarray, np.ndarray]], path, *,
-              metric_label: str = "loss", title: str | None = None,
-              x_label: str = "effective passes") -> Path:
+              metric_label: str = "loss", x_label: str = "effective passes") -> Path:
     """Write an SVG 1.1 line chart: log-scale y against a linear x axis.
 
     ``series`` is a list of (label, x, y) triples; one polyline per series
@@ -386,9 +375,6 @@ def emit_plot(series: list[tuple[str, np.ndarray, np.ndarray]], path, *,
              f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
              f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
              f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>']
-    if title:
-        parts.append(f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="15">{_esc(title)}</text>')
     # axes frame
     parts.append(f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" '
                  'fill="none" stroke="#333333" stroke-width="1"/>')
@@ -402,7 +388,7 @@ def emit_plot(series: list[tuple[str, np.ndarray, np.ndarray]], path, *,
         parts.append(f'<text x="{ml - 8}" y="{yy + 4:.2f}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="11">1e{int(d)}</text>')
     # x ticks
-    for v in _ticks_linear(x_lo, x_hi):
+    for v in np.linspace(x_lo, x_hi, 6):
         xx = sx(v)
         parts.append(f'<line x1="{xx:.2f}" y1="{mt + ph}" x2="{xx:.2f}" '
                      f'y2="{mt + ph + 5}" stroke="#333333" stroke-width="1"/>')
@@ -561,14 +547,18 @@ def _cmd_run(args, extras) -> int:
 
 
 def _cmd_compare(args) -> int:
+    configs = [ExperimentConfig.load(path) for path in args.configs]
+    labels = [config.resolved_label() for config in configs]
+    shared = sorted({label for label in labels if labels.count(label) > 1})
+    if shared:
+        raise ConfigError(f"configs share the labels {shared}, so their CSVs would "
+                          "overwrite each other; give each config a distinct 'label'")
     out_dir = _resolve_out_dir(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     series = []
     summary_rows = []
-    for path in args.configs:
-        config = ExperimentConfig.load(path)
+    for config, label in zip(configs, labels):
         result = run_experiment(config)
-        label = config.resolved_label()
         emit_csv(result.records, out_dir, label)
         emit_summary_csv(result.agg, out_dir, f"{label}_summary.csv")
         agg = result.agg
@@ -661,8 +651,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--add-bias", action="store_true")
 
     for name, help_text in (("run", "execute a config and emit CSV records"),
-                            ("verify-bound", "run a config and check a bound envelope")):
-        p = sub.add_parser(name, help=help_text)
+                            ("verify-bound", "run a config and check a bound envelope; the "
+                             "theorem-2 check is meaningful only for balanced classes with "
+                             "small within-class spread")):
+        p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--config", "-c", required=True)
         p.add_argument("--seed", type=int)
         p.add_argument("--seeds", help="comma-separated seed list")

@@ -12,10 +12,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, UnsupportedObjectiveError
 
-#: Tolerance and iteration cap for the power-iteration eigenvalue extremes.
-POWER_ITERATION_TOL = 1e-10
-POWER_ITERATION_MAX_ITER = 10_000
-
 
 def partition_by_class(labels: np.ndarray, num_classes: int | None = None) -> tuple[np.ndarray, ...]:
     """Group sample indices by integer class label.
@@ -42,13 +38,6 @@ def partition_by_class(labels: np.ndarray, num_classes: int | None = None) -> tu
             raise ValueError(f"class {j} is empty; every class needs at least one sample")
         cells.append(idx)
     return tuple(cells)
-
-
-def single_cell_partition(n_samples: int) -> tuple[np.ndarray, ...]:
-    """Partition with one cell holding all indices (regression datasets)."""
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    return (np.arange(n_samples),)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +68,7 @@ class Dataset:
         cells = tuple(np.array(c, dtype=np.int64, copy=True) for c in self.partition)
         if len(cells) < 1:
             raise ValueError("partition needs at least one class")
-        seen = np.concatenate(cells) if cells else np.empty(0, dtype=np.int64)
+        seen = np.concatenate(cells)
         if seen.size != X.shape[0] or not np.array_equal(np.sort(seen), np.arange(X.shape[0])):
             raise ValueError("partition cells must be disjoint and cover all sample indices")
         for j, c in enumerate(cells):
@@ -107,7 +96,7 @@ class Dataset:
     def regression(cls, features: np.ndarray, targets: np.ndarray) -> "Dataset":
         """Build a regression dataset with a single partition cell."""
         features = np.asarray(features)
-        return cls(features, targets, single_cell_partition(features.shape[0]))
+        return cls(features, targets, (np.arange(features.shape[0]),))
 
     @property
     def n_samples(self) -> int:
@@ -128,21 +117,22 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ConvexityConstants:
-    """Smoothness constant L and strong-convexity modulus mu of an objective.
-
-    ``strongly_convex`` is False when mu degenerated to 0 (unregularized
-    rank-deficient data); bound formulas requiring mu > 0 reject such inputs.
-    """
+    """Smoothness constant L and strong-convexity modulus mu of an objective."""
 
     L: float
     mu: float
-    strongly_convex: bool = True
 
     def __post_init__(self):
         if not (self.L > 0.0 and np.isfinite(self.L)):
             raise ValueError("L must be positive and finite")
         if self.mu < 0.0 or self.mu > self.L * (1.0 + 1e-12):
             raise ValueError("mu must satisfy 0 <= mu <= L")
+
+    @property
+    def strongly_convex(self) -> bool:
+        """False when mu degenerated to 0 (unregularized rank-deficient data);
+        bound formulas requiring mu > 0 reject such inputs."""
+        return self.mu > 0.0
 
     @property
     def condition(self) -> float:
@@ -162,9 +152,6 @@ class GradientStats:
     population_mean: np.ndarray
     population_variance: float
     per_class_variance: np.ndarray
-    class_counts: np.ndarray = field(repr=False)
-    n_samples: int = 0
-    degenerate: bool = False
 
 
 def squared_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -194,7 +181,7 @@ def gradient_population_stats(objective, W: np.ndarray) -> GradientStats:
 
     The mean equals the full gradient up to reduction order; the variance
     uses the 1/(N-1) finite-population convention.  A single-sample dataset
-    yields variance 0 with the degenerate flag set.
+    yields variance 0.
     """
     ds = objective.dataset
     W = as_params(W, objective.dim)
@@ -210,39 +197,32 @@ def gradient_population_stats(objective, W: np.ndarray) -> GradientStats:
     # squared deviations overwrite G once the per-class copies are taken
     np.subtract(G, mean, out=G)
     pop_var = float(np.sum(np.multiply(G, G, out=G)) / (N - 1)) if N > 1 else 0.0
-    return GradientStats(
-        population_mean=mean,
-        population_variance=pop_var,
-        per_class_variance=per_class,
-        class_counts=ds.class_counts,
-        n_samples=N,
-        degenerate=(N == 1),
-    )
+    return GradientStats(population_mean=mean, population_variance=pop_var,
+                         per_class_variance=per_class)
 
 
-def _power_iteration(M: np.ndarray, tol: float, max_iter: int) -> float:
-    """Dominant eigenvalue of a symmetric PSD matrix by power iteration."""
+def _power_iteration(M: np.ndarray) -> float:
+    """Dominant eigenvalue of a symmetric PSD matrix by power iteration, to
+    relative tolerance 1e-10 within 10 000 iterations."""
     p = M.shape[0]
     rng = np.random.Generator(np.random.PCG64(0x5EED))
     v = rng.standard_normal(p)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(10_000):
         w = M @ v
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
         new_lam = float(v @ w)
         v = w / norm
-        if abs(new_lam - lam) <= tol * max(1.0, abs(new_lam)):
+        if abs(new_lam - lam) <= 1e-10 * max(1.0, abs(new_lam)):
             return new_lam
         lam = new_lam
     return lam
 
 
-def gram_eigen_extremes(M: np.ndarray,
-                        tol: float = POWER_ITERATION_TOL,
-                        max_iter: int = POWER_ITERATION_MAX_ITER) -> tuple[float, float]:
+def gram_eigen_extremes(M: np.ndarray) -> tuple[float, float]:
     """Largest and smallest eigenvalue of a symmetric PSD matrix.
 
     The largest comes from power iteration, the smallest from a dense
@@ -250,7 +230,7 @@ def gram_eigen_extremes(M: np.ndarray,
     above, so it can only overstate it).  Both are clamped at 0 since the
     input is positive semi-definite, and the smallest at the largest.
     """
-    lmax = max(_power_iteration(M, tol, max_iter), 0.0)
+    lmax = max(_power_iteration(M), 0.0)
     return lmax, min(max(float(np.linalg.eigvalsh(M)[0]), 0.0), lmax)
 
 
@@ -269,7 +249,7 @@ def estimate_constants(objective) -> ConvexityConstants:
     kind = getattr(objective, "kind", None)
     if kind == "quadratic":
         lam = objective.lam
-        return ConvexityConstants(L=1.0 + lam, mu=1.0 + lam, strongly_convex=True)
+        return ConvexityConstants(L=1.0 + lam, mu=1.0 + lam)
     if kind not in ("ridge", "logistic"):
         raise UnsupportedObjectiveError(
             f"cannot certify convexity constants for objective kind {kind!r}")
@@ -284,4 +264,4 @@ def estimate_constants(objective) -> ConvexityConstants:
         L, mu = 0.25 * lmax + lam, lam
     if L <= 0.0:
         L = max(L, np.finfo(float).tiny)
-    return ConvexityConstants(L=L, mu=mu, strongly_convex=(mu > 0.0))
+    return ConvexityConstants(L=L, mu=mu)

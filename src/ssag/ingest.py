@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, partition_by_class, single_cell_partition
+from .core import Dataset, partition_by_class
 from .errors import FormatError
 
 IDX_IMAGE_MAGIC = 2051
@@ -169,5 +169,4 @@ def read_text(path, *, add_bias: bool = False) -> Dataset:
     if label_kind == "int":
         lab = np.asarray(labels, dtype=np.int64)
         return Dataset(features, lab, partition_by_class(lab, num_classes=C))
-    return Dataset(features, np.asarray(labels, dtype=np.float64),
-                   single_cell_partition(features.shape[0]))
+    return Dataset.regression(features, np.asarray(labels, dtype=np.float64))

@@ -267,38 +267,27 @@ class Mlp(Objective):
         self.sizes = (dataset.n_features, *(int(h) for h in hidden), dataset.n_classes)
         if any(s < 1 for s in self.sizes):
             raise ValueError("all layer widths must be >= 1")
-        shapes = []
-        offset = 0
+        #: start offset of each layer's (weight, bias) block, then the dimension
+        self._starts = [0]
         for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
-            shapes.append((offset, (fan_out, fan_in)))
-            offset += fan_out * fan_in
-            shapes.append((offset, (fan_out,)))
-            offset += fan_out
-        self._shapes = shapes
-        self._dim = offset
+            self._starts.append(self._starts[-1] + fan_out * (fan_in + 1))
 
     @property
     def dim(self) -> int:
-        return self._dim
+        return self._starts[-1]
 
     def init_params(self, seed: int = 0) -> np.ndarray:
         rng = np.random.Generator(np.random.PCG64(seed))
-        W = np.zeros(self._dim)
-        for (off, shape) in self._shapes:
-            if len(shape) == 2:
-                fan_out, fan_in = shape
-                r = np.sqrt(6.0 / (fan_in + fan_out))
-                W[off:off + fan_out * fan_in] = rng.uniform(-r, r, size=fan_out * fan_in)
+        W = np.zeros(self.dim)
+        for weight, _ in self._layers(W):
+            r = np.sqrt(6.0 / sum(weight.shape))  # fan_out + fan_in
+            weight[...] = rng.uniform(-r, r, size=weight.shape)
         return W
 
-    def _layers(self, W: np.ndarray):
-        out = []
-        for k in range(0, len(self._shapes), 2):
-            off_w, shape_w = self._shapes[k]
-            off_b, shape_b = self._shapes[k + 1]
-            out.append((W[off_w:off_w + shape_w[0] * shape_w[1]].reshape(shape_w),
-                        W[off_b:off_b + shape_b[0]]))
-        return out
+    def _layers(self, W: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(weight, bias) views into W per layer, writeable when W is."""
+        return [(W[s:s + o * i].reshape(o, i), W[s + o * i:s + o * (i + 1)])
+                for s, i, o in zip(self._starts, self.sizes[:-1], self.sizes[1:])]
 
     def _forward(self, W: np.ndarray, X: np.ndarray):
         """Returns layer activations (inputs first) and the output logits."""
@@ -331,21 +320,18 @@ class Mlp(Objective):
         delta[np.arange(n), self._targets[indices]] -= 1.0
         delta /= n
         layers = self._layers(W)
-        grad = np.empty(self._dim)
-        for k in range(len(layers) - 1, -1, -1):
-            Wl, _ = layers[k]
-            off_w, shape_w = self._shapes[2 * k]
-            off_b, _ = self._shapes[2 * k + 1]
-            grad[off_w:off_w + Wl.size] = (delta.T @ acts[k]).ravel()
-            grad[off_b:off_b + Wl.shape[0]] = delta.sum(axis=0)
+        grad = np.empty(self.dim)
+        for k, (g_weight, g_bias) in reversed(list(enumerate(self._layers(grad)))):
+            g_weight[...] = delta.T @ acts[k]
+            g_bias[...] = delta.sum(axis=0)
             if k > 0:
                 a = acts[k]
-                delta = (delta @ Wl) * a * (1.0 - a)
+                delta = (delta @ layers[k][0]) * a * (1.0 - a)
         return grad + self.lam * W
 
     def grad_samples(self, W, indices):
         indices = np.asarray(indices, dtype=np.int64)
-        out = np.empty((indices.size, self._dim))
+        out = np.empty((indices.size, self.dim))
         for r, i in enumerate(indices):
             out[r] = self.grad_batch(W, np.array([i]))
         return out

@@ -27,7 +27,7 @@ import numpy as np
 from .core import Dataset, estimate_constants, gradient_population_stats, squared_distance
 from .errors import ConfigError, DivergenceError, UnsupportedObjectiveError
 from .objectives import Objective, accuracy
-from .records import RecordBuilder, RunRecord
+from .records import RunRecord
 from .sampling import RngStream, sample_class, sample_uniform, sample_within_class
 
 #: A recorded loss above this value marks the run as diverged.
@@ -363,9 +363,7 @@ def run(config: RunConfig, obj: Objective, *, constants=None,
     rng = RngStream(config.seed)
     step = globals()[SPECS[config.kind].step]
     state = make_state(config, obj, constants)
-    builder = RecordBuilder(seed=config.seed,
-                            config_hash=config_hash if config_hash is not None
-                            else config.fingerprint())
+    rows = []
     t0 = time.perf_counter()
 
     def snapshot() -> bool:
@@ -374,26 +372,23 @@ def run(config: RunConfig, obj: Objective, *, constants=None,
         acc = accuracy(obj, state.W, test_dataset) if test_dataset is not None else float("nan")
         sigma_sq = (gradient_population_stats(obj, state.W).population_variance
                     if config.record_variance else float("nan"))
-        builder.append(state.steps, state.grad_evals / obj.dataset.n_samples, loss,
-                       acc, dist, state.grad_evals,
-                       (time.perf_counter() - t0) * 1e3, sigma_sq)
-        if not np.isfinite(loss) or loss > DIVERGENCE_LOSS_LIMIT:
-            builder.diverged = True
-            return False
-        return True
+        rows.append((state.steps, state.grad_evals / obj.dataset.n_samples, loss,
+                     acc, dist, state.grad_evals, (time.perf_counter() - t0) * 1e3, sigma_sq))
+        return bool(np.isfinite(loss)) and loss <= DIVERGENCE_LOSS_LIMIT
 
     alive = snapshot()
     next_record = config.cadence
     while alive and state.steps < config.steps:
         try:
             step(state, obj, rng)
-        except DivergenceError as exc:
-            state.W = exc.last_finite
-            builder.diverged = True
+        except DivergenceError:
+            alive = False
             break
         if state.steps % config.sum_recompute_every == 0:
             recompute_sum(state)
         if state.steps >= next_record or state.steps >= config.steps:
             alive = snapshot()
             next_record = (state.steps // config.cadence + 1) * config.cadence
-    return builder.build()
+    return RunRecord.from_rows(rows, seed=config.seed, diverged=not alive,
+                               config_hash=config_hash if config_hash is not None
+                               else config.fingerprint())

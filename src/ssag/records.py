@@ -8,9 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._version import __version__
-
-#: Every record column and its dtype, in `RecordBuilder.append` order.  The
+#: Every record column and its dtype, in `RunRecord.from_rows` row order.  The
 #: per-run CSV holds all but sigma_sq (population gradient variance), the
 #: content hash all but wall_ms, and `aggregate` averages all but the step grid.
 COLUMNS = {"k": np.int64, "passes": np.float64, "loss": np.float64, "test_acc": np.float64,
@@ -43,12 +41,19 @@ class RunRecord:
     sigma_sq: np.ndarray
     seed: int
     config_hash: str
-    version: str = __version__
     diverged: bool = False
 
     def __post_init__(self):
         if np.any(np.diff(self.k) <= 0):
             raise ValueError("recorded step indices must be strictly increasing")
+
+    @classmethod
+    def from_rows(cls, rows: list[tuple], **fields) -> "RunRecord":
+        """A record from rows holding a value per `COLUMNS` entry, in that order;
+        ``fields`` are the remaining fields (seed, config_hash, diverged)."""
+        cols = zip(*rows) if rows else [()] * len(COLUMNS)
+        return cls(**{name: np.array(col, dtype=dtype)
+                      for (name, dtype), col in zip(COLUMNS.items(), cols)}, **fields)
 
     def __len__(self) -> int:
         return self.k.size
@@ -67,27 +72,6 @@ class RunRecord:
                 h.update(name.encode())
                 h.update(np.ascontiguousarray(getattr(self, name), dtype=np.float64).tobytes())
         return h.hexdigest()
-
-
-class RecordBuilder:
-    """Accumulates trajectory rows and freezes them into a RunRecord."""
-
-    def __init__(self, seed: int, config_hash: str):
-        self.seed = seed
-        self.config_hash = config_hash
-        self.rows: list[tuple] = []
-        self.diverged = False
-
-    def append(self, *row) -> None:
-        """Add one row: a value per `COLUMNS` entry, in that order."""
-        self.rows.append(row)
-
-    def build(self) -> RunRecord:
-        cols = zip(*self.rows) if self.rows else [()] * len(COLUMNS)
-        return RunRecord(**{name: np.array(col, dtype=dtype)
-                            for (name, dtype), col in zip(COLUMNS.items(), cols)},
-                         seed=self.seed, config_hash=self.config_hash,
-                         diverged=self.diverged)
 
 
 def _nan_mean_std(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

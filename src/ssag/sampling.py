@@ -100,10 +100,11 @@ class RngStream:
 
 
 def sample_class(rng: RngStream, num_classes: int) -> int:
-    """Uniform class index from {0..C-1}; consumes one draw."""
+    """Uniform class index from {0..C-1}; one draw, none when C = 1."""
     if num_classes < 1:
         raise SamplingError("need at least one class to sample from")
-    rng.draws += 1
+    if num_classes > 1:
+        rng.draws += 1
     return rng.bounded(num_classes)
 
 

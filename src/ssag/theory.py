@@ -28,6 +28,10 @@ from .errors import OutOfRegimeError, SsagError, UndefinedBoundError, Unsupporte
 from .objectives import Objective, closed_form_optimum
 from .records import Aggregate
 
+#: Gradient-norm target and iteration cap of the logistic `reference_optimum`.
+OPTIMUM_GRAD_TOL = 1e-10
+OPTIMUM_MAX_ITER = 100
+
 
 @dataclass(frozen=True)
 class CviInputs:
@@ -182,7 +186,10 @@ class ComplexityEstimate:
 
     iterations: int
     literal_iterations: int | None
-    already_converged: bool = False
+
+    @property
+    def already_converged(self) -> bool:
+        return self.iterations == 0
 
 
 def ssag_complexity(epsilon: float, inp: Theorem2Inputs) -> ComplexityEstimate:
@@ -197,15 +204,8 @@ def ssag_complexity(epsilon: float, inp: Theorem2Inputs) -> ComplexityEstimate:
         return math.ceil(math.log(epsilon / bracket) / log_rate)
 
     var_term = inp.variance_term
-    full = inp.bracket
-    if full == 0.0:
-        return ComplexityEstimate(iterations=0, literal_iterations=None,
-                                  already_converged=True)
-    return ComplexityEstimate(
-        iterations=count(full),
-        literal_iterations=count(var_term) if var_term > 0.0 else None,
-        already_converged=(epsilon >= full),
-    )
+    return ComplexityEstimate(iterations=count(inp.bracket),
+                              literal_iterations=count(var_term) if var_term > 0.0 else None)
 
 
 def finite_population_variance(sigma_sq: float, f: float, n: int) -> float:
@@ -272,15 +272,15 @@ def check_envelope(k: np.ndarray, mean_values: np.ndarray, bounds: np.ndarray, *
                           slack=slack, n_seeds=n_seeds)
 
 
-def reference_optimum(obj: Objective, *, constants: ConvexityConstants | None = None,
-                      grad_tol: float = 1e-10, max_iter: int = 100) -> np.ndarray:
+def reference_optimum(obj: Objective, *,
+                      constants: ConvexityConstants | None = None) -> np.ndarray:
     """High-precision minimizer used as the distance oracle W*.
 
     Closed form for ridge and the quadratic objective; for logistic
     regression, Newton with line search from zero to gradient norm
-    <= grad_tol.  Each iteration solves H d = g by Cholesky and halves the
-    step from 1 until the loss falls by at least a quarter of the predicted
-    decrease t g'd, or the gradient norm is within grad_tol: near W* the
+    <= OPTIMUM_GRAD_TOL.  Each iteration solves H d = g by Cholesky and halves
+    the step from 1 until the loss falls by at least a quarter of the predicted
+    decrease t g'd, or the gradient norm is within the tolerance: near W* the
     rounding of the loss exceeds the decrease it should show.
     """
     if obj.kind == "ridge":
@@ -295,20 +295,21 @@ def reference_optimum(obj: Objective, *, constants: ConvexityConstants | None = 
         raise SsagError("cannot polish an optimum without strong convexity (mu = 0)")
     W = np.zeros(obj.dim)
     loss, g = obj.loss_full(W), obj.grad_full(W)
-    for _ in range(max_iter):
-        if math.sqrt(g @ g) <= grad_tol:
+    for _ in range(OPTIMUM_MAX_ITER):
+        if math.sqrt(g @ g) <= OPTIMUM_GRAD_TOL:
             return W
         d = cho_solve(cho_factor(obj.hessian_full(W)), g)
         t, slope = 1.0, float(g @ d)
         while True:
             trial = W - t * d
             trial_loss, trial_g = obj.loss_full(trial), obj.grad_full(trial)
-            if trial_loss <= loss - 0.25 * t * slope or math.sqrt(trial_g @ trial_g) <= grad_tol:
+            if (trial_loss <= loss - 0.25 * t * slope
+                    or math.sqrt(trial_g @ trial_g) <= OPTIMUM_GRAD_TOL):
                 break
             t *= 0.5
         W, loss, g = trial, trial_loss, trial_g
-    raise SsagError(f"optimum polish did not reach gradient norm {grad_tol} "
-                    f"within {max_iter} iterations")
+    raise SsagError(f"optimum polish did not reach gradient norm {OPTIMUM_GRAD_TOL} "
+                    f"within {OPTIMUM_MAX_ITER} iterations")
 
 
 def theorem2_inputs_for(obj: Objective, n: int, w0: np.ndarray, *,

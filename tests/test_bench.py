@@ -218,8 +218,7 @@ class TestCsv:
             read_csv(path)
 
     def test_empty_record_header_only(self, tmp_path):
-        from ssag.records import RecordBuilder
-        rec = RecordBuilder(seed=0, config_hash="x").build()
+        rec = ssag.RunRecord.from_rows([], seed=0, config_hash="x")
         (path,) = emit_csv([rec], tmp_path, "empty")
         assert path.read_text() == "k,passes,loss,test_acc,dist_sq,grad_evals,wall_ms\n"
 
@@ -250,7 +249,7 @@ class TestPlot:
 
     def test_well_formed_and_version(self, tmp_path):
         path = emit_plot([("a", np.arange(4.0), np.array([1.0, 0.1, 0.01, 0.001]))],
-                         tmp_path / "p.svg", title="t")
+                         tmp_path / "p.svg")
         root = ET.parse(path).getroot()  # parse failure would raise
         assert root.attrib.get("version") == "1.1"
 
@@ -439,6 +438,29 @@ class TestCli:
         summary = (tmp_path / "cmp" / "summary.csv").read_text().splitlines()
         assert summary[0].startswith("label,seeds,passes,loss_avg")
         assert len(summary) == 3  # header + one aggregate row per config
+
+    def _compare_configs(self, tmp_path, *docs):
+        paths = []
+        for i, doc in enumerate(docs):
+            path = tmp_path / f"c{i}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            paths.append(str(path))
+        return cli(["compare", *paths, "--out", str(tmp_path / "cmp")])
+
+    def test_compare_rejects_a_shared_label(self, tmp_path, capsys):
+        # two unlabelled ssag configs would write the same ssag_s1.csv
+        doc = _config_doc(seeds=[1], steps=20, cadence=10)
+        assert self._compare_configs(tmp_path, doc, dict(doc, seeds=[1, 2])) == 1
+        assert "share the labels ['ssag']" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_compare_loads_every_config_before_running(self, tmp_path, capsys):
+        good = _config_doc(seeds=[1], steps=20, cadence=10, label="good")
+        bad = _config_doc(seeds=[1], steps=20, cadence=10, label="bad")
+        bad["optimizer"]["n"] = 0
+        assert self._compare_configs(tmp_path, good, bad) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
 
     def test_missing_or_malformed_config_is_usage_error(self, tmp_path, capsys):
         (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")

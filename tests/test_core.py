@@ -112,7 +112,6 @@ class TestGradientPopulationStats:
         obj = _quadratic_on([[1.0, 2.0]])
         stats = ssag.gradient_population_stats(obj, np.zeros(2))
         assert stats.population_variance == 0.0
-        assert stats.degenerate
 
     def test_mean_matches_full_gradient(self, random_problem):
         for kind in ("ridge", "logistic", "quadratic"):
@@ -136,7 +135,7 @@ class TestGradientPopulationStats:
             X = rng.normal(size=(N, 3))
             obj = ssag.MeanQuadratic(ssag.Dataset.from_class_labels(X, labels))
             stats = ssag.gradient_population_stats(obj, rng.normal(size=3))
-            within = np.sum((stats.class_counts - 1) * stats.per_class_variance)
+            within = np.sum((obj.dataset.class_counts - 1) * stats.per_class_variance)
             assert stats.population_variance >= within / (N - 1) - 1e-12
 
     def test_subset_identity_second_moment(self, random_problem):
@@ -175,6 +174,11 @@ class TestEstimateConstants:
         assert const.mu == 0.0
         assert not const.strongly_convex
         assert const.condition == float("inf")
+
+    def test_strong_convexity_follows_mu(self):
+        # a zero modulus is never strongly convex, however the constants are built
+        assert not ssag.ConvexityConstants(L=1.0, mu=0.0).strongly_convex
+        assert ssag.ConvexityConstants(L=1.0, mu=1e-300).strongly_convex
 
     def test_quadratic_exact(self):
         ds = ssag.Dataset.regression(np.ones((3, 2)), np.zeros(3))

@@ -1,10 +1,15 @@
-"""The names the benchmark's span tracer patches still exist in ssag.
+"""The names the benchmark's span tracer patches and its workloads call
+still exist in ssag.
 
-perfbench/spans.py wraps functions and methods by name; renaming or
-deleting one of them breaks only the benchmark run, which the tier-1 suite
-does not execute.  These checks import the tracer and install it.
+perfbench/spans.py wraps functions and methods by name, and
+perfbench/workloads.py calls the package by name; renaming or deleting one
+of them breaks only the benchmark run, which the tier-1 suite does not
+execute.  These checks install the tracer and resolve every workload call
+site.
 """
 
+import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -13,8 +18,47 @@ import numpy as np
 import ssag
 from ssag.optimizers import SPECS
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 import spans  # noqa: E402  (perfbench/spans.py)
+
+
+def _dotted(node):
+    """The dotted name of an attribute chain on a bare name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def _resolves(dotted):
+    """Whether a dotted name rooted at ssag names a module or an attribute."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=2):
+        if not hasattr(obj, part):
+            try:  # a submodule that nothing has imported yet
+                importlib.import_module(".".join(parts[:i]))
+            except ImportError:
+                return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_workload_call_sites_resolve():
+    # every ssag.<...> chain and every `from ssag... import` in the workloads
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names if alias.name.split(".")[0] == "ssag")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ssag":
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Attribute) and (_dotted(node) or "").split(".")[0] == "ssag":
+            names.add(_dotted(node))
+    assert {"ssag.run", "ssag.bench.emit_csv", "ssag.optimizers.RunConfig"} <= names
+    assert [name for name in sorted(names) if not _resolves(name)] == []
 
 
 def test_tracer_installs_and_restores():

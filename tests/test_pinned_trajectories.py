@@ -40,6 +40,13 @@ PINNED = {
         "16f3f202cb7a80e2e53a7d65e191f22a49868fd42dde125a19c219a9657dc9c6",
 }
 
+# optimizer kind -> content hash of a one-hidden-layer MLP run; frozen from
+# the first run
+PINNED_MLP = {
+    "ssag": "53f7b8e74a097f71244e9c61e8394ba6ecc424c0e09040927ed430900fba8872",
+    "sgd": "692051ae9294033e71aba4c01ee2d451c14b4956dcb0782bc5fec404c16ec042",
+}
+
 OPTIONS = {
     "ssag n=2": {"kind": "ssag", "n": 2},
     "saga prox_l1": {"kind": "saga", "prox_l1": 0.05},
@@ -48,14 +55,14 @@ OPTIONS = {
 }
 
 
-def _problem(kind):
+def _problem(kind, **spec):
     """Three unequal Gaussian classes, N = 31, p = 4."""
     means = np.array([[1.5, -0.5, 0.2, 0.0], [-1.0, 1.0, 0.0, 0.5], [0.0, -1.5, 1.0, -0.5]])
     ds = ssag.gen_synthetic(ssag.SyntheticSpec(means=means, counts=(12, 10, 9),
                                                stddev=0.8, seed=3))
     if kind == "logistic":
         ds = ssag.Dataset(ds.features, (ds.labels == 0).astype(np.int64), ds.partition)
-    return ssag.make_objective({"kind": kind, "lam": 0.1}, ds)
+    return ssag.make_objective({"kind": kind, "lam": 0.1, **spec}, ds)
 
 
 def test_every_kind_is_pinned():
@@ -73,3 +80,14 @@ def test_trajectory_hash_is_pinned(obj_kind, label):
                  test_dataset=obj.dataset if obj_kind == "logistic" else None)
     assert not record.diverged
     assert record.content_hash() == PINNED[(obj_kind, label)]
+
+
+@pytest.mark.parametrize("label", list(PINNED_MLP))
+def test_mlp_trajectory_hash_is_pinned(label):
+    # the MLP has no certified constants: an explicit h, no W*, and its
+    # parameter layout and initial draws enter every recorded column
+    obj = _problem("mlp", hidden=[5])
+    config = RunConfig(kind=label, h=0.1, steps=600, seed=17, cadence=50, record_variance=True)
+    record = run(config, obj, test_dataset=obj.dataset)
+    assert not record.diverged
+    assert record.content_hash() == PINNED_MLP[label]

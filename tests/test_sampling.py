@@ -50,6 +50,14 @@ class TestSampleClass:
             sample_class(rng, 3)
         assert rng.draws == 5
 
+    def test_single_class_counts_no_draw(self):
+        # one class needs no draw: neither the counter nor the generator moves
+        rng = RngStream(0)
+        before = np.random.Generator(np.random.PCG64(0)).bit_generator.state
+        assert sample_class(rng, 1) == 0
+        assert rng.draws == 0
+        assert rng.generator.bit_generator.state == before
+
 
 class TestSampleWithinClass:
     def test_whole_class_exhaustive(self, dataset):
@@ -185,7 +193,7 @@ class TestBlockSampler:
                 got = [sample_class(rng, bounds[i % len(bounds)]) for i in range(count)]
                 want = [int(ref.integers(bounds[i % len(bounds)])) for i in range(count)]
                 assert got == want
-                draws += count
+                draws += sum(bounds[i % len(bounds)] > 1 for i in range(count))
             elif op[0] == "choice":
                 size, n = op[1], min(op[1], op[2])
                 assert np.array_equal(rng.generator.choice(size, size=n, replace=False),

@@ -278,6 +278,11 @@ class TestReferenceOptimum:
         w = ssag.reference_optimum(two_class_logistic)
         assert np.linalg.norm(two_class_logistic.grad_full(w)) <= 1e-10
 
+    def test_logistic_needs_strong_convexity(self, two_class_logistic):
+        with pytest.raises(SsagError, match="mu = 0"):
+            ssag.reference_optimum(two_class_logistic,
+                                   constants=ssag.ConvexityConstants(L=1.0, mu=0.0))
+
     @staticmethod
     def _check_against_descent(obj, const, w, tol=1e-10):
         # both points have gradient norm <= tol, so mu-strong convexity puts
