@@ -10,10 +10,9 @@ from .ingest import SyntheticSpec, gen_synthetic, read_idx, read_text, write_tex
 from .objectives import (LogisticRegression, MeanQuadratic, Mlp, Objective,
                          Prediction, RidgeRegression, accuracy,
                          closed_form_optimum, make_objective)
-from .optimizers import (RunConfig, default_step_size, fgd_step, make_state,
-                         minibatch_step, recompute_sum, run, sag_step,
-                         saga_step, sgd_step, ssag_step, steps_for_passes,
-                         svrg_outer)
+from .optimizers import (RunConfig, fgd_step, make_state, minibatch_step,
+                         recompute_sum, run, sag_step, saga_step, sgd_step,
+                         ssag_step, steps_for_passes, svrg_outer)
 from .records import Aggregate, RunRecord, aggregate
 from .sampling import RngStream, sample_class, sample_uniform, sample_within_class
 from .theory import (ComplexityEstimate, CviInputs, Envelope, EnvelopeReport,

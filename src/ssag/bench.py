@@ -27,8 +27,8 @@ from .errors import ConfigError, FormatError, SsagError
 from .ingest import SyntheticSpec, gen_synthetic, read_idx, read_text, write_text
 from .objectives import (CERTIFIED_KINDS, CLASSIFIER_KINDS, OBJECTIVE_KEYS, Objective,
                          make_objective, objective_arguments)
-from .optimizers import (OPTIMIZER_KEYS, OPTIMIZER_KINDS, SPECS, RunConfig,
-                         default_step_size, resolve_step_size, run, steps_for_passes)
+from .optimizers import (OPTIMIZER_KEYS, SPECS, RunConfig, resolve_step_size, run,
+                         steps_for_passes)
 from .records import (COLUMNS, CSV_COLUMNS, CSV_METRICS, SUMMARY_METRICS, Aggregate,
                       RunRecord, aggregate)
 from .theory import reference_optimum, theorem1_envelope, theorem2_envelope
@@ -522,8 +522,8 @@ def _cmd_estimate_constants(args) -> int:
     print(f"condition = {const.condition:.12g}")
     if not const.strongly_convex:
         print("warning: mu = 0, not strongly convex")
-    for kind in OPTIMIZER_KINDS:
-        print(f"h_{kind} = {default_step_size(kind, obj, const):.12g}")
+    for kind, spec in SPECS.items():
+        print(f"h_{kind} = {spec.default_h(const.L, obj.dataset):.12g}")
     return 0
 
 
@@ -553,15 +553,19 @@ def _cmd_compare(args) -> int:
     if shared:
         raise ConfigError(f"configs share the labels {shared}, so their CSVs would "
                           "overwrite each other; give each config a distinct 'label'")
+    # every config runs before anything is written, so a later config's
+    # failure leaves no partial output; only records and aggregates are kept
+    results = []
+    for config, label in zip(configs, labels):
+        result = run_experiment(config)
+        results.append((label, result.records, result.agg))
     out_dir = _resolve_out_dir(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     series = []
     summary_rows = []
-    for config, label in zip(configs, labels):
-        result = run_experiment(config)
-        emit_csv(result.records, out_dir, label)
-        emit_summary_csv(result.agg, out_dir, f"{label}_summary.csv")
-        agg = result.agg
+    for label, records, agg in results:
+        emit_csv(records, out_dir, label)
+        emit_summary_csv(agg, out_dir, f"{label}_summary.csv")
         series.append((label, agg.passes, agg.mean[args.metric]))
         summary_rows.append([label, str(agg.n_seeds), _fmt(agg.passes[-1])]
                             + [_fmt(agg.mean[m][-1]) for m in CSV_METRICS]

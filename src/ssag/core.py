@@ -201,37 +201,14 @@ def gradient_population_stats(objective, W: np.ndarray) -> GradientStats:
                          per_class_variance=per_class)
 
 
-def _power_iteration(M: np.ndarray) -> float:
-    """Dominant eigenvalue of a symmetric PSD matrix by power iteration, to
-    relative tolerance 1e-10 within 10 000 iterations."""
-    p = M.shape[0]
-    rng = np.random.Generator(np.random.PCG64(0x5EED))
-    v = rng.standard_normal(p)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(10_000):
-        w = M @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        new_lam = float(v @ w)
-        v = w / norm
-        if abs(new_lam - lam) <= 1e-10 * max(1.0, abs(new_lam)):
-            return new_lam
-        lam = new_lam
-    return lam
-
-
 def gram_eigen_extremes(M: np.ndarray) -> tuple[float, float]:
     """Largest and smallest eigenvalue of a symmetric PSD matrix.
 
-    The largest comes from power iteration, the smallest from a dense
-    symmetric eigensolve (a power iteration on lmax*I - M converges from
-    above, so it can only overstate it).  Both are clamped at 0 since the
-    input is positive semi-definite, and the smallest at the largest.
+    Both come from one dense symmetric eigensolve and are clamped at 0,
+    since the input is positive semi-definite.
     """
-    lmax = max(_power_iteration(M), 0.0)
-    return lmax, min(max(float(np.linalg.eigvalsh(M)[0]), 0.0), lmax)
+    eigs = np.linalg.eigvalsh(M)
+    return max(float(eigs[-1]), 0.0), max(float(eigs[0]), 0.0)
 
 
 def estimate_constants(objective) -> ConvexityConstants:
@@ -242,8 +219,7 @@ def estimate_constants(objective) -> ConvexityConstants:
               a conservative but always valid choice)
     quadratic: L = mu = 1 + lam exactly.
 
-    lmax uses power iteration (tol 1e-10, cap 10000 iterations) and lmin a
-    symmetric eigensolve.
+    lmax and lmin come from one symmetric eigensolve of X'X/N.
     Nonconvex objectives are rejected.
     """
     kind = getattr(objective, "kind", None)
@@ -262,6 +238,5 @@ def estimate_constants(objective) -> ConvexityConstants:
         L, mu = lmax + lam, lmin + lam
     else:
         L, mu = 0.25 * lmax + lam, lam
-    if L <= 0.0:
-        L = max(L, np.finfo(float).tiny)
+    L = max(L, np.finfo(float).tiny)
     return ConvexityConstants(L=L, mu=mu)

@@ -153,6 +153,8 @@ def read_text(path, *, add_bias: bool = False) -> Dataset:
         label_kind = header.get("labels", "int")
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: malformed header {lines[0]!r}") from exc
+    if label_kind not in ("int", "real"):
+        raise FormatError(f"{path}: unknown label kind {label_kind!r} (expected int or real)")
     rows = []
     labels = []
     for ln_no, ln in enumerate(lines[1:], start=2):
@@ -161,6 +163,8 @@ def read_text(path, *, add_bias: bool = False) -> Dataset:
             raise FormatError(f"{path}:{ln_no}: expected {p + 1} columns, got {len(cells)}")
         rows.append([float(v) for v in cells[:p]])
         labels.append(float(cells[p]))
+        if label_kind == "int" and labels[-1] not in range(C):
+            raise FormatError(f"{path}:{ln_no}: label {cells[p]} is not a class in [0, {C})")
     features = np.asarray(rows, dtype=np.float64)
     if features.size == 0:
         raise FormatError(f"{path}: no samples")

@@ -266,7 +266,7 @@ class RunConfig:
     """Configuration of a single optimizer run.
 
     ``h = None`` resolves to the kind's theoretical default step size
-    (`default_step_size`), computed from certified convexity constants; an
+    (`resolve_step_size`), computed from certified convexity constants; an
     explicit h must be finite and >= 0 (h = 0 freezes the iterate).
     """
 
@@ -308,22 +308,18 @@ class RunConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def default_step_size(kind: str, obj: Objective, constants=None) -> float:
-    """Per-algorithm theoretical default step size from certified constants."""
-    constants = constants if constants is not None else estimate_constants(obj)
-    return _spec(kind).default_h(constants.L, obj.dataset)
-
-
 def resolve_step_size(config: RunConfig, obj: Objective, constants=None) -> float:
-    """The run's step size: ``config.h``, else the kind's theoretical default."""
+    """The run's step size: ``config.h``, else the kind's theoretical default
+    from certified constants (estimated when not passed)."""
     if config.h is not None:
         return float(config.h)
     try:
-        return default_step_size(config.kind, obj, constants)
+        constants = constants if constants is not None else estimate_constants(obj)
     except UnsupportedObjectiveError as exc:
         raise ConfigError(
             f"no automatic step size for objective kind {obj.kind!r}; "
             "set h explicitly") from exc
+    return SPECS[config.kind].default_h(constants.L, obj.dataset)
 
 
 def make_state(config: RunConfig, obj: Objective, constants=None) -> State:

@@ -462,6 +462,24 @@ class TestCli:
         assert "Traceback" not in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
 
+    def test_compare_writes_nothing_when_a_later_test_split_mismatches(self, tmp_path, capsys):
+        good = _config_doc(seeds=[1], steps=20, cadence=10, label="good")
+        bad = self._text_config(tmp_path, ["--dim", "3", "--count", "10"],
+                                ["--dim", "2", "--count", "5"], {"kind": "ssag", "h": 0.1})
+        assert self._compare_configs(tmp_path, good, json.loads(bad.read_text())) == 1
+        err = capsys.readouterr().err
+        assert "test split has 2 features" in err and "Traceback" not in err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_compare_writes_nothing_when_a_later_batch_exceeds_a_class(self, tmp_path, capsys):
+        good = _config_doc(seeds=[1], steps=20, cadence=10, label="good")
+        bad = _config_doc(seeds=[1], steps=20, cadence=10, label="bad")
+        bad["optimizer"]["n"] = 11  # both classes hold 10 samples
+        assert self._compare_configs(tmp_path, good, bad) == 1
+        err = capsys.readouterr().err
+        assert "exceeds the smallest class" in err and "Traceback" not in err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_missing_or_malformed_config_is_usage_error(self, tmp_path, capsys):
         (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
         assert cli(["run", "--config", str(tmp_path / "nope.json")]) == 1

@@ -207,7 +207,7 @@ class TestEstimateConstants:
             assert obj.loss_full(W1) >= lower - 1e-9 * max(1.0, abs(lower))
 
     def test_power_iteration_matches_reference(self):
-        # power-iteration extremes vs a brute-force Rayleigh sweep
+        # gram extremes vs an independent oracle
         rng = np.random.default_rng(3)
         A = rng.normal(size=(6, 6))
         M = A.T @ A / 6.0
@@ -233,6 +233,29 @@ class TestEstimateConstants:
         assert const.mu <= (0.0100 + lam) * (1.0 + 1e-12)
         assert const.mu == pytest.approx(0.0100 + lam, rel=1e-9)
         assert const.L == pytest.approx(1.0 + lam, rel=1e-9)
+
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_L_bounds_the_gradient_at_a_narrow_gap(self, rotate):
+        # gram X'X/N = Q diag(1, 0.9999, 0.0100, ..., 0.0107) Q': the top two
+        # eigenvalues are 1e-4 apart, where an iterative top-eigenvalue
+        # estimate stops short of lmax
+        eigs = np.array([1.0, 0.9999] + [0.0100 + 0.0001 * i for i in range(8)])
+        p = eigs.size
+        Q = (np.linalg.qr(np.random.default_rng(5).normal(size=(p, p)))[0] if rotate
+             else np.eye(p))
+        X = np.sqrt(p) * np.diag(np.sqrt(eigs)) @ Q.T
+        lam = 0.05
+        obj = ssag.RidgeRegression(ssag.Dataset.regression(X, np.zeros(p)), lam=lam)
+        const = ssag.estimate_constants(obj)
+        # independent oracle: the top singular value of X
+        assert const.L >= (np.linalg.norm(X, 2) ** 2 / p + lam) * (1 - 1e-12)
+        # the ridge gradient moves by (X'X/N + lam) * delta along the top
+        # right singular vector, the steepest direction
+        v = np.linalg.svd(X)[2][0]
+        W = np.random.default_rng(9).normal(size=p)
+        delta = 0.5 * v
+        lhs = np.linalg.norm(obj.grad_full(W + delta) - obj.grad_full(W))
+        assert lhs <= const.L * np.linalg.norm(delta) * (1 + 1e-12)
 
 
 class TestFinitePopulationIdentities:

@@ -196,3 +196,18 @@ class TestTextFormat:
         path.write_text("", encoding="utf-8")
         with pytest.raises(FormatError):
             read_text(path)
+
+    def test_unknown_label_kind_names_the_file(self, tmp_path):
+        # an unknown kind must not fall back to one-cell regression data
+        path = tmp_path / "kind.txt"
+        path.write_text("p=1,C=2,labels=integer\n0.5,0\n1.5,1\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"kind\.txt: unknown label kind 'integer'"):
+            read_text(path)
+
+    @pytest.mark.parametrize("label", ["2", "-1", "0.5"])
+    def test_integer_label_outside_class_range_names_the_line(self, tmp_path, label):
+        # 0.5 would otherwise be truncated to class 0
+        path = tmp_path / "range.txt"
+        path.write_text(f"p=1,C=2,labels=int\n0.5,0\n1.5,1\n2.5,{label}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=rf"range\.txt:4: label {label} is not a class"):
+            read_text(path)

@@ -15,27 +15,27 @@ from ssag.optimizers import SPECS, RunConfig, run
 # (objective kind, run options) -> content hash; frozen from the first run
 PINNED = {
     ("logistic", "fgd"):
-        "02dc15bbfed7cc12623e4014e55672378cd5a42a38e7122438e9c7702e49851f",
+        "a47bc9bb3a9b74792b99eab4a73107944a6ec4340147b1f2bbb1847f927ac77d",
     ("logistic", "sgd"):
-        "4b9240a07e4f7fc6e65648c5e3ce3a143019bb80335c5bbadee9a60f3710c348",
+        "daa269e59ffc1e6bee8a9056df57eb5911338452cbafd223bdcec5ba3f56632d",
     ("logistic", "minibatch"):
-        "4f678ea5c56b3b70178eb6f30fce5ee96a3233d47aa9f690a9f9e974acd48a3b",
+        "9fcd106265731d42ef8048d95e1f0e1aad37b9a6127583172477f85e434764de",
     ("logistic", "sag"):
-        "244971080d92421c2bdeea6cccf1dfeebe8821f36623adb8dfa9157f567f7014",
+        "10281eecc23120e194addb4f667319344d989db139f64dd895b9aae039c9ba1f",
     ("logistic", "svrg"):
-        "656623894a93767dd29f74b4d55fd06b31e273c667b6327c885811db86e6a359",
+        "1bb6e0cd197ffe98f5f22750dbb674ee03d0b8b6a0acb77d3d61ece1ce79f04e",
     ("logistic", "saga"):
-        "d5b1e84b7fca7d180fbb081500ec15a58f9f39aa682a77f1104992ece9615d45",
+        "6a715ae184864dce9ab2a980bc838f74da85529fd27fda3edd75428d4e9b7799",
     ("logistic", "ssag"):
-        "5669bcbf10c6752eb42909cbebd599a10ab3f716f82cc5a713508dfbbe81f528",
+        "45adec4d788c711241162e1d13721f67f11e2a2ec052163c744eec307ca22720",
     ("logistic", "ssag n=2"):
-        "3d602eeffbd77c9fd89201de88acd20fc0387153c8217237d72d21c6a8604ac7",
+        "d36ee2d82a95f1ab9d8a1427eebfec08e0ead57b96d351a0f24cc2f2472b65c4",
     ("logistic", "saga prox_l1"):
-        "dd83c0e5ae2ea3b725955c37974039410a15b7f9ca90142ffd55cbc2e30e7cd7",
+        "ff251b6085db3a15fc517bb1f6fdd9be3833756116550becd913a20656abb116",
     ("logistic", "minibatch n=3"):
-        "7ce0b0284a559a2f30cad59121970c59d1be76a978cdb020582a469f40d7bd96",
+        "919277ca30549628d8659bf5a3cff0419e8dfaf487901c016b6ddff471237452",
     ("ridge", "ssag"):
-        "5918233ba6c109303cf7d656c4f43ebdcf5166268a074b6492fc1d14e452c433",
+        "e5c3e7e7a227c4a2abf971c780b96aa08552deb72206efc7b076e27a4a78acaf",
     ("ridge", "sgd h=0.05"):
         "16f3f202cb7a80e2e53a7d65e191f22a49868fd42dde125a19c219a9657dc9c6",
 }
