@@ -46,6 +46,25 @@ DATASET_KEYS = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: What each top-level field of an experiment config, the sections aside, must be.
+_FIELD_CHECKS = {
+    "seeds": (lambda v: isinstance(v, list) and v and all(map(_is_int, v)),
+              "a nonempty list of integers"),
+    "cadence": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "steps": (lambda v: v is None or _is_int(v) and v >= 0, "null or an integer >= 0"),
+    "passes": (lambda v: v is None or isinstance(v, (int, float)) and not isinstance(v, bool)
+               and 0 < v < np.inf, "null or a finite number > 0"),
+    **{name: (lambda v: v is None or isinstance(v, str), "null or a string")
+       for name in ("out_dir", "label")},
+    **{name: (lambda v: isinstance(v, bool), "true or false")
+       for name in ("record_dist", "record_variance")},
+}
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of a multi-seed experiment.
@@ -69,6 +88,9 @@ class ExperimentConfig:
     record_variance: bool = False
 
     def __post_init__(self):
+        for name, (ok, need) in _FIELD_CHECKS.items():
+            if not ok(getattr(self, name)):
+                raise ConfigError(f"{name} must be {need}, got {getattr(self, name)!r}")
         for name, table in (("dataset", DATASET_KEYS), ("objective", OBJECTIVE_KEYS),
                             ("optimizer", OPTIMIZER_KEYS)):
             section = getattr(self, name)
@@ -81,22 +103,19 @@ class ExperimentConfig:
             if missing or unknown:
                 raise ConfigError(f"{name} kind {kind!r}: missing keys {sorted(missing)}, unknown "
                                   f"keys {sorted(unknown)} (optional: {sorted(optional)})")
-        if not (isinstance(self.seeds, list) and self.seeds
-                and all(isinstance(s, int) for s in self.seeds)):
-            raise ConfigError("seeds must be a nonempty list of integers")
         if (self.passes is None) == (self.steps is None):
             raise ConfigError("exactly one of 'passes' or 'steps' must be set")
         opt = self.optimizer
         try:
             test_split = _check_dataset_values(self.dataset)
             objective_arguments(self.objective)
-            if self.passes is not None and self.passes <= 0:
-                raise ConfigError("pass budget must be > 0")
-            h, m, l1 = opt.get("h", "auto"), opt.get("m"), opt.get("prox_l1")
+            h, n, m, l1 = opt.get("h", "auto"), opt.get("n", 1), opt.get("m"), opt.get("prox_l1")
+            if not (_is_int(n) and (m is None or _is_int(m))):
+                raise ConfigError(f"optimizer n and m must be integers, got n={n!r}, m={m!r}")
             self.run_config = RunConfig(
                 kind=opt["kind"], steps=self.steps or 0,
-                h=None if h in ("auto", None) else float(h), n=int(opt.get("n", 1)),
-                m=None if m is None else int(m), prox_l1=None if l1 is None else float(l1),
+                h=None if h in ("auto", None) else float(h), n=n, m=m,
+                prox_l1=None if l1 is None else float(l1),
                 schedule=opt.get("schedule", "constant"), cadence=self.cadence,
                 record_variance=self.record_variance)
         except (TypeError, ValueError) as exc:
@@ -425,13 +444,9 @@ def _esc(text: str) -> str:
 # CLI
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ConfigError(message)
 
 
 def _parse_value(text: str):
@@ -441,50 +456,45 @@ def _parse_value(text: str):
         return text
 
 
+#: The config override grammar, as the help of `run` and `verify-bound` states it.
+_OVERRIDE_HELP = ("any config field can follow: --section.key value, --key value, "
+                  "--seeds a,b,c, --out DIR for out_dir; --passes or --steps replaces the other")
+
+
 def _apply_overrides(doc: dict, extras: list[str]) -> dict:
-    """Apply config overrides from leftover flags.
+    """Apply config overrides from leftover flags, ``--name value`` or ``--name=value``.
 
     `--section.key value` sets a field inside the dataset/objective/optimizer
-    sections; `--key value` sets a top-level config field of that name.
+    sections; `--key value` sets a top-level config field of that name, with
+    dashes read as underscores.  Values are JSON where they parse, else
+    strings; `--seeds` takes a comma-separated list, `--label` and `--out`
+    (the name of ``out_dir``) take the text as it is, and setting one of
+    `passes` and `steps` drops the other.
     """
-    i = 0
-    while i < len(extras):
-        token = extras[i]
+    tokens = iter(extras)
+    for token in tokens:
         if not token.startswith("--"):
-            raise _UsageError(f"unrecognized argument: {token}")
-        if i + 1 >= len(extras):
-            raise _UsageError(f"flag {token} needs a value")
-        name = token[2:]
+            raise ConfigError(f"unrecognized argument: {token}")
+        name, eq, text = token[2:].partition("=")
+        if not eq and (text := next(tokens, None)) is None:
+            raise ConfigError(f"flag {token} needs a value")
         if "." in name:
             section, key = name.split(".", 1)
             if section not in ("dataset", "objective", "optimizer"):
-                raise _UsageError(f"cannot override unknown section {section!r}")
-            doc.setdefault(section, {})[key] = _parse_value(extras[i + 1])
-        else:  # ExperimentConfig.from_dict rejects an unknown field
-            doc[name.replace("-", "_")] = _parse_value(extras[i + 1])
-        i += 2
+                raise ConfigError(f"cannot override unknown section {section!r}")
+            doc.setdefault(section, {})[key] = _parse_value(text)
+            continue
+        key = {"out": "out_dir"}.get(name, name.replace("-", "_"))
+        doc.pop({"passes": "steps", "steps": "passes"}.get(key), None)
+        parse = str if key in ("label", "out_dir") else _parse_value
+        # ExperimentConfig.from_dict rejects an unknown field
+        doc[key] = [parse(seed) for seed in text.split(",")] if key == "seeds" else parse(text)
     return doc
 
 
-def _load_config(args, extras) -> ExperimentConfig:
-    doc = _apply_overrides(ExperimentConfig.read(args.config), extras)
-    if getattr(args, "seed", None) is not None:
-        doc["seeds"] = [args.seed]
-    if getattr(args, "seeds", None):
-        doc["seeds"] = [_parse_value(s) for s in args.seeds.split(",")]
-    if getattr(args, "passes", None) is not None:
-        doc["passes"] = args.passes
-        doc.pop("steps", None)
-    if getattr(args, "steps", None) is not None:
-        doc["steps"] = args.steps
-        doc.pop("passes", None)
-    for name in ("cadence", "label"):
-        value = getattr(args, name, None)
-        if value is not None:
-            doc[name] = value
-    if getattr(args, "out", None):
-        doc["out_dir"] = args.out
-    return ExperimentConfig.from_dict(doc)
+def _load_config(args) -> ExperimentConfig:
+    doc = ExperimentConfig.read(args.config)
+    return ExperimentConfig.from_dict(_apply_overrides(doc, args.overrides))
 
 
 def _auto_means(classes: int, dim: int, separation: float) -> np.ndarray:
@@ -527,19 +537,19 @@ def _cmd_estimate_constants(args) -> int:
     return 0
 
 
-def _cmd_run(args, extras) -> int:
-    config = _load_config(args, extras)
+def _cmd_run(args) -> int:
+    config = _load_config(args)
+    label, out_dir = config.resolved_label(), config.resolved_out_dir()
     result = run_experiment(config)
-    out_dir = config.resolved_out_dir()
-    paths = emit_csv(result.records, out_dir, config.resolved_label())
-    emit_summary_csv(result.agg, out_dir)
+    paths = emit_csv(result.records, out_dir, label)
+    emit_summary_csv(result.agg, out_dir, f"{label}_summary.csv")
     final_loss = result.agg.mean["loss"][-1]
-    print(f"{config.resolved_label()}: {len(result.records)} runs, "
+    print(f"{label}: {len(result.records)} runs, "
           f"{result.agg.passes[-1]:.3g} passes, final mean loss {final_loss:.6g}")
     if result.agg.n_diverged:
         print(f"warning: {result.agg.n_diverged} runs diverged")
     if args.plot:
-        emit_plot([(config.resolved_label(), result.agg.passes, result.agg.mean["loss"])],
+        emit_plot([(label, result.agg.passes, result.agg.mean["loss"])],
                   args.plot, metric_label="training loss")
         print(f"plot written to {args.plot}")
     print(f"csv written to {paths[0].parent}")
@@ -588,8 +598,8 @@ _ENVELOPE_TEXT = {1: ("optimality-gap envelope (convergence-variance inequality)
                       "rate = {rate:.12g}, bracket = {bracket:.6g}")}
 
 
-def _cmd_verify_bound(args, extras) -> int:
-    config = _load_config(args, extras)
+def _cmd_verify_bound(args) -> int:
+    config = _load_config(args)
     rc = config.run_config
     theorem = SPECS[rc.kind].envelope
     if theorem is None:
@@ -637,6 +647,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset text file")
+    p.set_defaults(handler=_cmd_gen_data)
     p.add_argument("--out", required=True)
     p.add_argument("--classes", type=int, default=2)
     p.add_argument("--dim", type=int, default=5)
@@ -649,6 +660,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("estimate-constants",
                        help="print L, mu, and default step sizes for a dataset")
+    p.set_defaults(handler=_cmd_estimate_constants)
     p.add_argument("--data", required=True, help="dataset in text format")
     p.add_argument("--objective", default="ridge", choices=CERTIFIED_KINDS)
     p.add_argument("--lam", type=float, default=0.0)
@@ -658,15 +670,10 @@ def _build_parser() -> _Parser:
                             ("verify-bound", "run a config and check a bound envelope; the "
                              "theorem-2 check is meaningful only for balanced classes with "
                              "small within-class spread")):
-        p = sub.add_parser(name, help=help_text, description=help_text)
+        p = sub.add_parser(name, help=help_text, description=help_text,
+                           epilog=_OVERRIDE_HELP, allow_abbrev=False)
+        p.set_defaults(handler=_cmd_run if name == "run" else _cmd_verify_bound)
         p.add_argument("--config", "-c", required=True)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--seeds", help="comma-separated seed list")
-        p.add_argument("--cadence", type=int)
-        p.add_argument("--passes", type=float)
-        p.add_argument("--steps", type=int)
-        p.add_argument("--label")
-        p.add_argument("--out", help="output directory")
         if name == "run":
             p.add_argument("--plot", help="also write a loss plot to this SVG path")
         else:
@@ -677,11 +684,13 @@ def _build_parser() -> _Parser:
                            help="use per-stratum sampling ratios in the bound")
 
     p = sub.add_parser("compare", help="run several configs and plot them jointly")
+    p.set_defaults(handler=_cmd_compare)
     p.add_argument("configs", nargs="+")
     p.add_argument("--metric", default="loss", choices=CSV_METRICS)
     p.add_argument("--out", help="output directory")
 
     p = sub.add_parser("plot", help="plot emitted CSV records")
+    p.set_defaults(handler=_cmd_plot)
     p.add_argument("csvs", nargs="+")
     p.add_argument("--metric", default="loss", choices=CSV_METRICS)
     p.add_argument("--x", default="passes", choices=("passes", "k"))
@@ -690,30 +699,16 @@ def _build_parser() -> _Parser:
 
 
 def cli(argv: list[str] | None = None) -> int:
-    """Entry point; returns 0 on success, 1 on usage error, 2 on failure."""
+    """Entry point; returns 0 on success, 1 on a usage or data-file error, 2 on failure."""
     parser = _build_parser()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        if argv and argv[0] in ("run", "verify-bound"):
-            args, extras = parser.parse_known_args(argv)
-        else:
-            args, extras = parser.parse_args(argv), []
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        if args.command == "gen-data":
-            return _cmd_gen_data(args)
-        if args.command == "estimate-constants":
-            return _cmd_estimate_constants(args)
-        if args.command == "run":
-            return _cmd_run(args, extras)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "verify-bound":
-            return _cmd_verify_bound(args, extras)
-        return _cmd_plot(args)
-    except (_UsageError, ConfigError) as exc:
+        args, extras = parser.parse_known_args(argv)
+        if extras and args.command not in ("run", "verify-bound"):
+            raise ConfigError(f"unrecognized arguments: {' '.join(extras)}")
+        args.overrides = extras  # the config overrides of run and verify-bound
+        return args.handler(args)
+    except (ConfigError, FormatError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure -> exit 2

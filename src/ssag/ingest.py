@@ -143,26 +143,29 @@ def write_text(dataset: Dataset, path) -> None:
 def read_text(path, *, add_bias: bool = False) -> Dataset:
     """Load a dataset from the delimited text format."""
     text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(number, ln) for number, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise FormatError(f"{path}: empty file")
     try:
-        header = dict(part.split("=", 1) for part in lines[0].split(","))
+        header = dict(part.split("=", 1) for part in lines[0][1].split(","))
         p = int(header["p"])
         C = int(header["C"])
         label_kind = header.get("labels", "int")
     except (KeyError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed header {lines[0]!r}") from exc
+        raise FormatError(f"{path}: malformed header {lines[0][1]!r}") from exc
     if label_kind not in ("int", "real"):
         raise FormatError(f"{path}: unknown label kind {label_kind!r} (expected int or real)")
     rows = []
     labels = []
-    for ln_no, ln in enumerate(lines[1:], start=2):
+    for ln_no, ln in lines[1:]:
         cells = ln.split(",")
         if len(cells) != p + 1:
             raise FormatError(f"{path}:{ln_no}: expected {p + 1} columns, got {len(cells)}")
-        rows.append([float(v) for v in cells[:p]])
-        labels.append(float(cells[p]))
+        try:
+            rows.append([float(v) for v in cells[:p]])
+            labels.append(float(cells[p]))
+        except ValueError as exc:
+            raise FormatError(f"{path}:{ln_no}: malformed cell: {exc}") from None
         if label_kind == "int" and labels[-1] not in range(C):
             raise FormatError(f"{path}:{ln_no}: label {cells[p]} is not a class in [0, {C})")
     features = np.asarray(rows, dtype=np.float64)

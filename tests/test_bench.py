@@ -348,6 +348,82 @@ class TestCli:
         cols = read_csv(tmp_path / "out" / "ov_s1.csv")
         assert cols["k"][-1] == 40
 
+    def test_run_writes_the_label_summary(self, tmp_path, capsys):
+        # summary.csv is the name of compare's joint table, a different schema
+        cfg = self._write_config(tmp_path, seeds=[1, 2], steps=20, cadence=10)
+        assert cli(["run", "--config", str(cfg), "--label", "ov"]) == 0
+        names = sorted(path.name for path in (tmp_path / "out").iterdir())
+        assert names == ["ov_s1.csv", "ov_s2.csv", "ov_summary.csv"]
+        header = (tmp_path / "out" / "ov_summary.csv").read_text().splitlines()[0]
+        assert header.startswith("k,passes,loss_mean,loss_std")
+
+    @pytest.mark.parametrize("argv, changes", [
+        (["run", "--seeds", "1,2,3", "--steps", "40", "--cadence", "10", "--label", "ov",
+          "--out", "d"], dict(seeds=[1, 2, 3], steps=40, cadence=10, label="ov", out_dir="d")),
+        (["verify-bound", "--passes", "2.5", "--optimizer.kind", "fgd"],
+         dict(passes=2.5, steps=None, optimizer={"kind": "fgd", "h": "auto", "n": 1})),
+        (["run", "--seeds=3", "--passes", "2", "--label", "7", "--out", "3"],
+         dict(seeds=[3], passes=2, steps=None, label="7", out_dir="3")),
+        (["run", "--passes", "2", "--steps", "30", "--record-dist", "false"],
+         dict(steps=30, record_dist=False)),
+    ], ids=["run", "verify-bound", "strings-and-int-passes", "last-budget-wins"])
+    def test_overrides_load_as_the_retired_flags_did(self, tmp_path, monkeypatch, argv, changes):
+        # the first two expected configs are the ones that dedicated --seeds,
+        # --steps, --passes, --cadence, --label and --out options produced
+        loaded, real_load = [], ssag.bench._load_config
+
+        def load(args):
+            loaded.append(real_load(args))
+            return loaded[-1]
+
+        monkeypatch.setattr(ssag.bench, "_load_config", load)
+        monkeypatch.setattr(ssag.bench, "run_experiment", _never_run)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(_config_doc()), encoding="utf-8")
+        assert cli([argv[0], "--config", str(path), *argv[1:]]) == 2
+        expected = {**_config_doc(), "passes": None, "out_dir": None, "label": None,
+                    "record_variance": False, **changes}
+        assert loaded[0].to_dict() == expected
+        assert type(loaded[0].passes) is type(expected["passes"])
+        file_doc = {key: value for key, value in expected.items() if value is not None}
+        assert loaded[0].config_hash() == ExperimentConfig.from_dict(file_doc).config_hash()
+
+    @pytest.mark.parametrize("flags", [["--seed", "3"], ["--steps", "2.5"], ["--cadence", "2.5"],
+                                       ["--cadence", "0"], ["--passes", "0"], ["--seeds", "1,x"],
+                                       ["--out"], ["--nosuch", "1"], ["stray"]])
+    def test_bad_override_is_usage_error(self, tmp_path, capsys, monkeypatch, flags):
+        # --seed is retired: --seeds 3 sets the one-seed list
+        monkeypatch.setattr(ssag.bench, "run_experiment", _never_run)
+        cfg = self._write_config(tmp_path)
+        for command in ("run", "verify-bound"):
+            assert cli([command, "--config", str(cfg), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.count("usage error") == 2 and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("out_dir", 5), ("label", ["a"]), ("record_dist", "no"), ("record_variance", "no"),
+        ("seeds", [True]), ("seeds", [1.0]), ("steps", 20.7), ("steps", -1), ("steps", True),
+        ("cadence", 2.5), ("cadence", 0), ("passes", float("inf")), ("passes", True),
+        ("optimizer", {"kind": "ssag", "n": 2.5}), ("optimizer", {"kind": "ssag", "n": True}),
+        ("optimizer", {"kind": "svrg", "h": 0.1, "m": 2.5}),
+        ("optimizer", {"kind": "minibatch", "h": 0.1, "n": "2"}),
+    ])
+    def test_malformed_field_fails_at_load_and_writes_nothing(self, tmp_path, capsys,
+                                                              monkeypatch, key, value):
+        monkeypatch.setattr(ssag.bench, "run_experiment", _never_run)
+        doc = _config_doc(**{"seeds": [1], key: value})
+        if key == "passes":
+            del doc["steps"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert cli(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(doc)
+
     def test_run_bad_override_section(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
         assert cli(["run", "--config", str(cfg), "--nosuch.h", "1"]) == 1

@@ -211,3 +211,18 @@ class TestTextFormat:
         path.write_text(f"p=1,C=2,labels=int\n0.5,0\n1.5,1\n2.5,{label}\n", encoding="utf-8")
         with pytest.raises(FormatError, match=rf"range\.txt:4: label {label} is not a class"):
             read_text(path)
+
+    @pytest.mark.parametrize("row", ["abc,1", "0.5,one"], ids=["feature", "label"])
+    def test_non_numeric_cell_names_the_line(self, tmp_path, row):
+        # the blank line 3 still counts, so the bad row is line 4 of the file
+        path = tmp_path / "cells.txt"
+        path.write_text(f"p=1,C=2,labels=int\n0.5,0\n\n{row}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"cells\.txt:4: malformed cell"):
+            read_text(path)
+
+    def test_non_numeric_cell_is_a_usage_error_in_the_cli(self, tmp_path, capsys):
+        path = tmp_path / "cells.txt"
+        path.write_text("p=1,C=2,labels=int\n0.5,0\nabc,1\n", encoding="utf-8")
+        assert ssag.bench.cli(["estimate-constants", "--data", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "cells.txt:3: malformed cell" in err and "Traceback" not in err

@@ -1,12 +1,14 @@
 """Optimizer step semantics, special-case collapses, and the run loop."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ssag
 from ssag.errors import ConfigError, DivergenceError
-from ssag.optimizers import (SPECS, RunConfig, State, fgd_step, make_state,
+from ssag.optimizers import (SPECS, RunConfig, State, _refresh_slot, fgd_step, make_state,
                              recompute_sum, sag_step, saga_step, sgd_step,
                              soft_threshold, ssag_step, steps_for_passes, svrg_outer)
 from ssag.sampling import RngStream
@@ -162,19 +164,37 @@ class TestRecomputeSum:
         recompute_sum(state)
         assert state.table_sum == pytest.approx([1.5, -2.0])
 
-    def test_drift_after_many_updates(self):
-        # a million incremental sum updates, then compare to the exact sum
-        rng = np.random.default_rng(0)
-        table = rng.normal(size=(5, 3))
-        cached = table.sum(axis=0)
-        for _ in range(1_000_000):
-            i = int(rng.integers(5))
-            g = rng.normal(size=3)
-            cached = cached - table[i] + g
-            table[i] = g
-        exact = table.sum(axis=0)
-        rel = np.linalg.norm(cached - exact) / max(1.0, np.linalg.norm(exact))
-        assert rel <= 1e-9
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(1, 6), p=st.integers(1, 3), updates=st.integers(0, 300),
+           scale=st.sampled_from([1e-3, 1.0, 1e8]), seed=st.integers(0, 2**16))
+    @example(rows=5, p=3, updates=1_000_000, scale=1.0, seed=0)
+    def test_drift_after_many_updates(self, rows, p, updates, scale, seed):
+        # _refresh_slot computes a = fl(s - t_j), then s' = fl(a + g). In
+        # round-to-nearest binary64, fl(x op y) = (x op y) / (1 + d) with
+        # |d| <= u = 2^-53, so each operation errs by at most u |result|, and
+        # any order of R - 1 additions errs by at most gamma_{R-1} sum_i |t_i|,
+        # gamma_n = n u / (1 - n u).  The state starts from such a sum.  So,
+        # per coordinate, the cached sum is within
+        #   gamma_{R-1} sum_i |t0_i| + u sum_k (|a_k| + |s'_k|)
+        # of the exact table sum, and recompute_sum's result within
+        # gamma_{R-1} sum_i |t_i|.  math.fsum rounds the exact sum once, which
+        # adds u |fsum| to each side.  In the million-update example the drift
+        # bound is about 4e-10.
+        u = 2.0 ** -53
+        gamma = (rows - 1) * u / (1 - (rows - 1) * u)
+        rng = np.random.default_rng(seed)
+        table = scale * rng.normal(size=(rows, p))
+        state = State(W=np.zeros(p), table=table.copy(), h=0.1)
+        drift = gamma * np.abs(table).sum(axis=0)
+        for j, g in zip(rng.integers(rows, size=updates), scale * rng.normal(size=(updates, p))):
+            a = state.table_sum - state.table[j]
+            _refresh_slot(state, j, g)
+            drift += u * (np.abs(a) + np.abs(state.table_sum))
+        exact = np.array([math.fsum(col) for col in state.table.T])
+        assert np.all(np.abs(state.table_sum - exact) <= drift + u * np.abs(exact))
+        recompute_sum(state)
+        rounding = gamma * np.abs(state.table).sum(axis=0) + u * np.abs(exact)
+        assert np.all(np.abs(state.table_sum - exact) <= rounding)
 
 
 class TestFgd:
