@@ -17,6 +17,7 @@ import os
 import sys
 import traceback
 from dataclasses import asdict, dataclass, field, replace
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -50,14 +51,25 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _real(name: str, value) -> float:
+    """A config number as a float; TypeError for a bool, a string or any non-number."""
+    if not _is_real(value):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 #: What each top-level field of an experiment config, the sections aside, must be.
 _FIELD_CHECKS = {
     "seeds": (lambda v: isinstance(v, list) and v and all(map(_is_int, v)),
               "a nonempty list of integers"),
     "cadence": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     "steps": (lambda v: v is None or _is_int(v) and v >= 0, "null or an integer >= 0"),
-    "passes": (lambda v: v is None or isinstance(v, (int, float)) and not isinstance(v, bool)
-               and 0 < v < np.inf, "null or a finite number > 0"),
+    "passes": (lambda v: v is None or _is_real(v) and 0 < v < np.inf,
+               "null or a finite number > 0"),
     **{name: (lambda v: v is None or isinstance(v, str), "null or a string")
        for name in ("out_dir", "label")},
     **{name: (lambda v: isinstance(v, bool), "true or false")
@@ -114,8 +126,8 @@ class ExperimentConfig:
                 raise ConfigError(f"optimizer n and m must be integers, got n={n!r}, m={m!r}")
             self.run_config = RunConfig(
                 kind=opt["kind"], steps=self.steps or 0,
-                h=None if h in ("auto", None) else float(h), n=n, m=m,
-                prox_l1=None if l1 is None else float(l1),
+                h=None if h in ("auto", None) else _real("optimizer h", h), n=n, m=m,
+                prox_l1=None if l1 is None else _real("optimizer prox_l1", l1),
                 schedule=opt.get("schedule", "constant"), cadence=self.cadence,
                 record_variance=self.record_variance)
         except (TypeError, ValueError) as exc:
@@ -186,7 +198,7 @@ def _synthetic_specs(spec: dict) -> tuple[SyntheticSpec, SyntheticSpec | None]:
     """The train and optional test blobs of a synthetic dataset section."""
     synth = SyntheticSpec(means=np.asarray(spec["means"], dtype=np.float64),
                           counts=tuple(spec["counts"]),
-                          stddev=float(spec.get("stddev", 1.0)),
+                          stddev=_real("dataset stddev", spec.get("stddev", 1.0)),
                           seed=int(spec.get("seed", 0)))
     if "test_seed" not in spec and "test_counts" not in spec:
         return synth, None

@@ -176,6 +176,17 @@ def as_params(values, dim: int | None = None) -> np.ndarray:
     return w
 
 
+def _mean_and_variance(G: np.ndarray) -> tuple[np.ndarray, float]:
+    """Mean of the rows of G and sum_i ||G_i - mean||^2 / (n-1), 0 for one row.
+
+    Overwrites G with the squared deviations.
+    """
+    mean = G.mean(axis=0)
+    np.subtract(G, mean, out=G)
+    n = G.shape[0]
+    return mean, float(np.sum(np.multiply(G, G, out=G)) / (n - 1)) if n > 1 else 0.0
+
+
 def gradient_population_stats(objective, W: np.ndarray) -> GradientStats:
     """Mean and variance of the per-sample gradients over the whole dataset.
 
@@ -184,19 +195,10 @@ def gradient_population_stats(objective, W: np.ndarray) -> GradientStats:
     yields variance 0.
     """
     ds = objective.dataset
-    W = as_params(W, objective.dim)
-    N = ds.n_samples
-    G = objective.grad_samples(W, ds.rows)
-    mean = G.mean(axis=0)
-    per_class = np.zeros(ds.n_classes)
-    for j, cell in enumerate(ds.partition):
-        if cell.size > 1:
-            Gc = G[cell]
-            np.subtract(Gc, Gc.mean(axis=0), out=Gc)
-            per_class[j] = float(np.sum(np.multiply(Gc, Gc, out=Gc)) / (cell.size - 1))
-    # squared deviations overwrite G once the per-class copies are taken
-    np.subtract(G, mean, out=G)
-    pop_var = float(np.sum(np.multiply(G, G, out=G)) / (N - 1)) if N > 1 else 0.0
+    G = objective.grad_samples(as_params(W, objective.dim), ds.rows)
+    # G[cell] is a copy, so G is intact until its own pass
+    per_class = np.array([_mean_and_variance(G[cell])[1] for cell in ds.partition])
+    mean, pop_var = _mean_and_variance(G)
     return GradientStats(population_mean=mean, population_variance=pop_var,
                          per_class_variance=per_class)
 

@@ -4,16 +4,20 @@ Each objective is bound to a dataset at construction and exposes per-sample,
 batch-mean, and full gradients plus per-sample losses.  The per-sample loss
 kernel of the linear models computes margins with a batch-size-invariant
 reduction, so ``loss_full`` equals the pairwise sum of ``loss_sample`` values
-bit for bit; gradient paths use BLAS and agree across code paths to 1e-12
-relative error.  Full-data calls pass ``dataset.rows``, which the kernels
-recognise: they read the feature matrix and targets in place instead of
-gathering N rows, and give the same bits as a call with a fresh arange(N).
+bit for bit.  A one-row gradient of a linear model reads its row in place and
+needs no BLAS call; it equals the batch kernel's result for that row bit for
+bit, signed zeros included.  Batch gradients of more rows use BLAS and agree
+across code paths to 1e-12 relative error.  Full-data calls pass
+``dataset.rows``, which the kernels recognise: they read the feature matrix
+and targets in place instead of gathering N rows, and give the same bits as a
+call with a fresh arange(N).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
@@ -133,7 +137,9 @@ class Objective(ABC):
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size < 1:
             raise StratumViolationError("class batch must contain at least one index")
-        if not (self.dataset.class_of[indices] == class_j).all():
+        class_of = self.dataset.class_of
+        if not (class_of[indices[0]] == class_j if indices.size == 1
+                else (class_of[indices] == class_j).all()):
             raise StratumViolationError(
                 f"indices {indices.tolist()} are not all members of class {class_j}")
         return self.grad_batch(W, indices)
@@ -169,6 +175,13 @@ class _LinearObjective(Objective):
         return X, self._link(_margins(X, W)) - self._take(self._targets, indices)
 
     def grad_batch(self, W, indices):
+        if indices.size == 1 and indices is not self.dataset.rows:
+            # one row, read in place: r * x is the matmul's one product, and
+            # + 0.0 turns a -0.0 product into the +0.0 its accumulation gives
+            i = indices[0]
+            x = self.dataset.features[i]
+            r = self._link(np.add.reduce(x * W)) - self._targets[i]
+            return (r * x + 0.0) + self.lam * W
         X, resid = self._residuals(W, indices)
         return (X.T @ resid) / indices.size + self.lam * W
 
@@ -399,6 +412,8 @@ def objective_arguments(spec: dict) -> dict:
     """
     args = {key: value for key, value in spec.items() if key != "kind"}
     if "lam" in args:
+        if isinstance(args["lam"], bool) or not isinstance(args["lam"], Real):
+            raise TypeError(f"regularizer weight lam must be a number, got {args['lam']!r}")
         args["lam"] = float(args["lam"])
         if not 0.0 <= args["lam"] < np.inf:
             raise ValueError(f"regularizer weight must be finite and >= 0, got {args['lam']}")

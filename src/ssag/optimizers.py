@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Dataset, estimate_constants, gradient_population_stats, squared_distance
+from .core import Dataset, _mean_and_variance, estimate_constants, squared_distance
 from .errors import ConfigError, DivergenceError, UnsupportedObjectiveError
 from .objectives import Objective, accuracy
 from .records import RunRecord
@@ -40,7 +40,8 @@ class State:
 
     ``table`` holds one gradient slot per stratum: C rows for SSAG, N for SAG
     and SAGA, none for the memoryless kinds (an empty table by default);
-    ``table_sum`` defaults to its exact sum.
+    ``table_sum`` defaults to its exact sum.  The state owns ``table_sum``:
+    each slot refresh updates it in place.
     ``snapshot`` and ``snapshot_grad`` are SVRG's; ``n``, ``m`` (SVRG's
     resolved refresh period), ``prox_l1`` and ``schedule`` are the run's
     settings, read only by the kinds that use them.
@@ -85,14 +86,21 @@ def recompute_sum(state: State) -> State:
 
 
 def _refresh_slot(state: State, j: int, phi: np.ndarray) -> None:
-    state.table_sum = state.table_sum - state.table[j] + phi
+    """Write phi into slot j and update the running sum in place, rounded as
+    ``table_sum - table[j] + phi``."""
+    np.subtract(state.table_sum, state.table[j], out=state.table_sum)
+    np.add(state.table_sum, phi, out=state.table_sum)
     state.table[j] = phi
 
 
 def _table_average_step(state: State, j: int, phi: np.ndarray, evals: int) -> State:
-    """Write phi into slot j, then step W <- W - (h/slots) * sum of all slots."""
+    """Write phi into slot j, then step W <- W - (h/slots) * sum of all slots.
+
+    The next W is a fresh array: `_commit` keeps the previous one.
+    """
     _refresh_slot(state, j, phi)
-    return _commit(state, state.W - (state.h / state.table.shape[0]) * state.table_sum, evals)
+    W = np.multiply(state.table_sum, state.h / state.table.shape[0])
+    return _commit(state, np.subtract(state.W, W, out=W), evals)
 
 
 def ssag_step(state: State, obj: Objective, rng: RngStream) -> State:
@@ -366,7 +374,8 @@ def run(config: RunConfig, obj: Objective, *, constants=None,
         loss = obj.loss_full(state.W)
         dist = squared_distance(state.W, w_star) if w_star is not None else float("nan")
         acc = accuracy(obj, state.W, test_dataset) if test_dataset is not None else float("nan")
-        sigma_sq = (gradient_population_stats(obj, state.W).population_variance
+        # gradient_population_stats' population variance, without its per-class passes
+        sigma_sq = (_mean_and_variance(obj.grad_samples(state.W, obj.dataset.rows))[1]
                     if config.record_variance else float("nan"))
         rows.append((state.steps, state.grad_evals / obj.dataset.n_samples, loss,
                      acc, dist, state.grad_evals, (time.perf_counter() - t0) * 1e3, sigma_sq))

@@ -93,6 +93,22 @@ class TestExperimentConfig:
         ("dataset", {"kind": "text", "path": "a", "add_bias": "yes"}, False),
         ("objective", {"kind": "logistic", "lam": "abc"}, False),
         ("objective", {"kind": "logistic", "lam": -0.1}, False),
+        # a number is a real, not a bool and not a numeric string
+        ("objective", {"kind": "logistic", "lam": True}, False),
+        ("objective", {"kind": "logistic", "lam": "0.1"}, False),
+        ("objective", {"kind": "logistic", "lam": 0}, True),
+        ("dataset", {"kind": "synthetic", "means": [[1.0], [-1.0]], "counts": [5, 5],
+                     "stddev": True}, False),
+        ("dataset", {"kind": "synthetic", "means": [[1.0], [-1.0]], "counts": [5, 5],
+                     "stddev": "0.5"}, False),
+        ("dataset", {"kind": "synthetic", "means": [[1.0], [-1.0]], "counts": [5, 5],
+                     "stddev": 1}, True),
+        ("optimizer", {"kind": "ssag", "h": True}, False),
+        ("optimizer", {"kind": "ssag", "h": "0.5"}, False),
+        ("optimizer", {"kind": "ssag", "h": 1}, True),
+        ("optimizer", {"kind": "ssag", "h": None}, True),
+        ("optimizer", {"kind": "saga", "prox_l1": True}, False),
+        ("optimizer", {"kind": "saga", "prox_l1": "0.5"}, False),
     ])
     def test_section_kinds_and_keys_checked_at_load(self, section, value, accepted):
         doc = _config_doc()
@@ -407,6 +423,12 @@ class TestCli:
         ("optimizer", {"kind": "ssag", "n": 2.5}), ("optimizer", {"kind": "ssag", "n": True}),
         ("optimizer", {"kind": "svrg", "h": 0.1, "m": 2.5}),
         ("optimizer", {"kind": "minibatch", "h": 0.1, "n": "2"}),
+        ("optimizer", {"kind": "ssag", "h": True}), ("optimizer", {"kind": "ssag", "h": "0.5"}),
+        ("optimizer", {"kind": "saga", "h": 0.1, "prox_l1": True}),
+        ("objective", {"kind": "logistic", "lam": True}),
+        ("objective", {"kind": "logistic", "lam": "0.1"}),
+        ("dataset", {"kind": "synthetic", "means": [[2.0, 0.0], [-2.0, 0.0]],
+                     "counts": [10, 10], "stddev": True}),
     ])
     def test_malformed_field_fails_at_load_and_writes_nothing(self, tmp_path, capsys,
                                                               monkeypatch, key, value):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import expit
 
 import ssag
 from ssag.errors import (DimensionMismatchError, SingularSystemError,
@@ -108,11 +109,50 @@ class TestGradClassBatch:
 
     def test_stratum_violation(self, two_class_logistic):
         obj = two_class_logistic
-        wrong = obj.dataset.partition[1][:1]
+        first, second = obj.dataset.partition
+        wrong = second[:1]
         with pytest.raises(StratumViolationError):
             obj.grad_class_batch(np.zeros(2), 0, wrong)
         with pytest.raises(StratumViolationError):
             obj.grad_class_batch(np.zeros(2), 0, np.array([], dtype=np.int64))
+        # a one-index foreign batch built fresh, and batches that mix classes
+        with pytest.raises(StratumViolationError):
+            obj.grad_class_batch(np.zeros(2), 0, np.array([second[0]], dtype=np.int64))
+        for j in (0, 1):
+            with pytest.raises(StratumViolationError):
+                obj.grad_class_batch(np.zeros(2), j, np.array([first[0], second[0]]))
+            with pytest.raises(StratumViolationError):
+                obj.grad_class_batch(np.zeros(2), j, np.array([second[-1], first[-1]]))
+        assert obj.grad_class_batch(np.zeros(2), 0, np.array([first[0]])).shape == (2,)
+
+
+class TestOneRowKernel:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(kind=st.sampled_from(["ridge", "logistic"]), N=st.integers(1, 5),
+           p=st.integers(1, 30), lam=st.sampled_from([0.0, 0.1, 3.0]),
+           w_mode=st.sampled_from(["normal", "+0", "-0", "signed zeros"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_the_batch_formula(self, kind, N, p, lam, w_mode, seed):
+        # the batch formula for one row, written out: margins by a row
+        # reduction, residual link(m) - y, then X'r / 1 + lam W through BLAS;
+        # bits compared as integers, so a -0.0 against a +0.0 fails
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(N, p)) * 10.0 ** rng.integers(-3, 4, size=p)
+        column = rng.integers(0, 4, size=p)  # 0, 1: as drawn; 2: +0.0; 3: -0.0
+        X[:, column == 2] = 0.0
+        X[:, column == 3] = -0.0
+        y = rng.normal(size=N) if kind == "ridge" else rng.integers(0, 2, size=N)
+        ds = ssag.Dataset(X, y, (np.arange(N),))
+        obj = (ssag.RidgeRegression if kind == "ridge" else ssag.LogisticRegression)(ds, lam)
+        W = {"normal": rng.normal(size=p), "+0": np.zeros(p), "-0": np.full(p, -0.0),
+             "signed zeros": np.where(rng.integers(0, 2, size=p) == 1, -0.0, 0.0)}[w_mode]
+        link = (lambda m: m) if kind == "ridge" else expit
+        for i in range(N):
+            Xi = ds.features[[i]]
+            resid = link(np.add.reduce(Xi * W, axis=1)) - np.asarray(y, dtype=float)[[i]]
+            want = (Xi.T @ resid) / 1 + lam * W
+            got = obj.grad_batch(W, np.array([i]))
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestGradFull:

@@ -21,6 +21,7 @@ from ssag.optimizers import SPECS
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 import spans  # noqa: E402  (perfbench/spans.py)
+from run import SSAG_STEP_EDGES  # noqa: E402  (perfbench/run.py)
 
 
 def _dotted(node):
@@ -73,6 +74,18 @@ def test_tracer_installs_and_restores():
 
 def test_step_functions_match_the_registry():
     assert spans.STEP_FUNCTIONS == {kind: spec.step for kind, spec in SPECS.items()}
+
+
+def test_every_ssag_step_edge_is_called_once_per_step(random_problem):
+    # the benchmark's step accounting sums the self times of these edges; a
+    # step that bypasses one of them would leave its time unaccounted
+    obj = random_problem(kind="logistic", N=12, p=3)
+    config = ssag.RunConfig(kind="ssag", steps=25, h=0.1, cadence=10)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        ssag.run(config, obj)
+    edges = [edge for part in SSAG_STEP_EDGES.values() for edge in part]
+    assert [tracer.totals(*edge)[0] for edge in edges] == [config.steps] * len(edges)
 
 
 def test_full_data_calls_count_every_row(random_problem):
