@@ -5,7 +5,8 @@ budget; `run_experiment` executes one deterministic run per seed and
 aggregates seed means; `emit_csv` / `emit_plot` write the artifacts; the CLI
 wires the pieces into subcommands (gen-data, estimate-constants, run,
 compare, verify-bound, plot).  Identical configs yield byte-identical CSVs
-apart from the wall-time column.
+apart from the wall-time column.  `SECTION_RULES` is the one place where
+config section keys and value rules live; loading and the CLI check them there.
 """
 
 from __future__ import annotations
@@ -26,25 +27,14 @@ from ._version import __version__
 from .core import Dataset, estimate_constants
 from .errors import ConfigError, FormatError, SsagError
 from .ingest import SyntheticSpec, gen_synthetic, read_idx, read_text, write_text
-from .objectives import (CERTIFIED_KINDS, CLASSIFIER_KINDS, OBJECTIVE_KEYS, Objective,
-                         make_objective, objective_arguments)
-from .optimizers import (OPTIMIZER_KEYS, SPECS, RunConfig, resolve_step_size, run,
-                         steps_for_passes)
+from .objectives import CERTIFIED_KINDS, CLASSIFIER_KINDS, Objective, make_objective
+from .optimizers import SPECS, RunConfig, resolve_step_size, run, steps_for_passes
 from .records import (COLUMNS, CSV_COLUMNS, CSV_METRICS, SUMMARY_METRICS, Aggregate,
                       RunRecord, aggregate)
 from .theory import reference_optimum, theorem1_envelope, theorem2_envelope
 
 #: Environment variable holding the default output directory.
 OUT_DIR_ENV = "SSAG_OUT_DIR"
-
-#: Required and optional keys of the dataset section, per kind, besides
-#: ``kind``; these are the keys `build_dataset` reads.
-DATASET_KEYS = {
-    "synthetic": (("means", "counts"), ("stddev", "seed", "test_counts", "test_seed")),
-    "text": (("path",), ("test_path", "add_bias")),
-    "idx": (("images", "labels"),
-            ("test_images", "test_labels", "limit", "test_limit", "add_bias")),
-}
 
 
 def _is_int(value) -> bool:
@@ -55,23 +45,67 @@ def _is_real(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
-def _real(name: str, value) -> float:
-    """A config number as a float; TypeError for a bool, a string or any non-number."""
-    if not _is_real(value):
-        raise TypeError(f"{name} must be a number, got {value!r}")
-    return float(value)
+_INT, _STR = (_is_int, "an integer"), (lambda v: isinstance(v, str), "a string")
+_INTS = (lambda v: isinstance(v, list) and v and all(map(_is_int, v)),
+         "a nonempty list of integers")
+_NULL_OR_STR = (lambda v: v is None or isinstance(v, str), "null or a string")
+_NULL_OR_BOOL = (lambda v: v is None or isinstance(v, bool), "null, true or false")
+_LIMIT = (lambda v: v is None or _is_int(v) and v >= 1, "null or an integer >= 1")
+_LAM = {"lam": (lambda v: _is_real(v) and 0 <= v < np.inf, "a finite number >= 0")}
+
+#: The one place where config section keys and value rules live: section -> kind ->
+#: (required keys, {key: (check, what the value must be)}).  A check tests the JSON type,
+#: and a range only where `SyntheticSpec` or `RunConfig` does not check it at load.
+SECTION_RULES = {
+    "dataset": {
+        "synthetic": (("means", "counts"), {
+            "means": (lambda v: isinstance(v, list), "a list of class mean vectors"),
+            "counts": _INTS, "stddev": (_is_real, "a number"), "seed": _INT,
+            "test_counts": _INTS, "test_seed": _INT}),
+        "text": (("path",), {"path": _STR, "test_path": _NULL_OR_STR, "add_bias": _NULL_OR_BOOL}),
+        "idx": (("images", "labels"), {
+            "images": _STR, "labels": _STR, "test_images": _NULL_OR_STR,
+            "test_labels": _NULL_OR_STR, "limit": _LIMIT, "test_limit": _LIMIT,
+            "add_bias": _NULL_OR_BOOL}),
+    },
+    "objective": {
+        **dict.fromkeys(("ridge", "logistic", "quadratic"), ((), _LAM)),
+        "mlp": ((), {"hidden": (lambda v: isinstance(v, list) and all(
+            _is_int(h) and h >= 1 for h in v), "a list of integers >= 1"), **_LAM}),
+    },
+    "optimizer": dict.fromkeys(SPECS, ((), {
+        "h": (lambda v: v is None or v == "auto" or _is_real(v), 'a number, "auto" or null'),
+        "n": _INT, "m": (lambda v: v is None or _is_int(v), "null or an integer"),
+        "prox_l1": (lambda v: v is None or _is_real(v), "null or a number"), "schedule": _STR})),
+}
+
+
+def _check_section(name: str, section) -> None:
+    """ConfigError unless ``section`` is a ``name`` section of a known kind with its
+    required keys, no other key, and values as `SECTION_RULES` says."""
+    kinds = SECTION_RULES[name]
+    kind = section.get("kind") if isinstance(section, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{name} kind must be one of {tuple(kinds)}")
+    required, rules = kinds[kind]
+    missing = set(required) - set(section)
+    unknown = set(section) - {"kind", *rules}
+    if missing or unknown:
+        raise ConfigError(f"{name} kind {kind!r}: missing keys {sorted(missing)}, unknown keys "
+                          f"{sorted(unknown)} (optional: {sorted(set(rules) - set(required))})")
+    for key, value in section.items():
+        if key != "kind" and not rules[key][0](value):
+            raise ConfigError(f"{name} {key} must be {rules[key][1]}, got {value!r}")
 
 
 #: What each top-level field of an experiment config, the sections aside, must be.
 _FIELD_CHECKS = {
-    "seeds": (lambda v: isinstance(v, list) and v and all(map(_is_int, v)),
-              "a nonempty list of integers"),
+    "seeds": _INTS,
     "cadence": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     "steps": (lambda v: v is None or _is_int(v) and v >= 0, "null or an integer >= 0"),
     "passes": (lambda v: v is None or _is_real(v) and 0 < v < np.inf,
                "null or a finite number > 0"),
-    **{name: (lambda v: v is None or isinstance(v, str), "null or a string")
-       for name in ("out_dir", "label")},
+    **dict.fromkeys(("out_dir", "label"), _NULL_OR_STR),
     **{name: (lambda v: isinstance(v, bool), "true or false")
        for name in ("record_dist", "record_variance")},
 }
@@ -83,6 +117,8 @@ class ExperimentConfig:
 
     Mirrors the JSON config document one to one; every leaf field can be
     overridden from the command line by a flag of the same (dotted) name.
+    Construction checks the top-level fields against `_FIELD_CHECKS` and the
+    sections against `SECTION_RULES`, the one place where section keys and value rules live.
     ``run_config`` is the optimizer section parsed at construction: the
     `RunConfig` of seed 0, with steps 0 under a pass budget.
     """
@@ -103,35 +139,24 @@ class ExperimentConfig:
         for name, (ok, need) in _FIELD_CHECKS.items():
             if not ok(getattr(self, name)):
                 raise ConfigError(f"{name} must be {need}, got {getattr(self, name)!r}")
-        for name, table in (("dataset", DATASET_KEYS), ("objective", OBJECTIVE_KEYS),
-                            ("optimizer", OPTIMIZER_KEYS)):
-            section = getattr(self, name)
-            kind = section.get("kind") if isinstance(section, dict) else None
-            if kind not in table:
-                raise ConfigError(f"{name} kind must be one of {tuple(table)}")
-            required, optional = table[kind]
-            missing = set(required) - set(section)
-            unknown = set(section) - {"kind", *required, *optional}
-            if missing or unknown:
-                raise ConfigError(f"{name} kind {kind!r}: missing keys {sorted(missing)}, unknown "
-                                  f"keys {sorted(unknown)} (optional: {sorted(optional)})")
+        for name in SECTION_RULES:
+            _check_section(name, getattr(self, name))
         if (self.passes is None) == (self.steps is None):
             raise ConfigError("exactly one of 'passes' or 'steps' must be set")
+        data = self.dataset
+        test_split = data.get("test_path") or data.get("test_images")
+        if data["kind"] == "synthetic":
+            try:
+                test_split = _synthetic_specs(data)[1]
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"malformed config value: {exc}") from None
         opt = self.optimizer
-        try:
-            test_split = _check_dataset_values(self.dataset)
-            objective_arguments(self.objective)
-            h, n, m, l1 = opt.get("h", "auto"), opt.get("n", 1), opt.get("m"), opt.get("prox_l1")
-            if not (_is_int(n) and (m is None or _is_int(m))):
-                raise ConfigError(f"optimizer n and m must be integers, got n={n!r}, m={m!r}")
-            self.run_config = RunConfig(
-                kind=opt["kind"], steps=self.steps or 0,
-                h=None if h in ("auto", None) else _real("optimizer h", h), n=n, m=m,
-                prox_l1=None if l1 is None else _real("optimizer prox_l1", l1),
-                schedule=opt.get("schedule", "constant"), cadence=self.cadence,
-                record_variance=self.record_variance)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed config value: {exc}") from None
+        h, l1 = opt.get("h", "auto"), opt.get("prox_l1")
+        self.run_config = RunConfig(
+            kind=opt["kind"], steps=self.steps or 0, h=None if h in ("auto", None) else float(h),
+            n=opt.get("n", 1), m=opt.get("m"), prox_l1=None if l1 is None else float(l1),
+            schedule=opt.get("schedule", "constant"), cadence=self.cadence,
+            record_variance=self.record_variance)
         reads = SPECS[opt["kind"]].settings
         ignored = sorted(key for key in set(opt) - {"kind", "h", *reads}
                          if getattr(self.run_config, key)
@@ -150,8 +175,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
+        unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         missing = {"dataset", "objective", "optimizer", "seeds"} - set(doc)
@@ -197,37 +221,12 @@ def _resolve_out_dir(out_dir: str | None) -> Path:
 def _synthetic_specs(spec: dict) -> tuple[SyntheticSpec, SyntheticSpec | None]:
     """The train and optional test blobs of a synthetic dataset section."""
     synth = SyntheticSpec(means=np.asarray(spec["means"], dtype=np.float64),
-                          counts=tuple(spec["counts"]),
-                          stddev=_real("dataset stddev", spec.get("stddev", 1.0)),
+                          counts=tuple(spec["counts"]), stddev=float(spec.get("stddev", 1.0)),
                           seed=int(spec.get("seed", 0)))
     if "test_seed" not in spec and "test_counts" not in spec:
         return synth, None
     return synth, replace(synth, counts=tuple(spec.get("test_counts", synth.counts)),
                           seed=int(spec.get("test_seed", synth.seed + 1)))
-
-
-def _check_dataset_values(spec: dict) -> bool:
-    """Whether a dataset section configures a test split.
-
-    ValueError or TypeError if a value is malformed: synthetic values must
-    make valid blobs; file sections need string paths (optional ones may be
-    null), a boolean add_bias and positive limits.
-    """
-    if spec["kind"] == "synthetic":
-        return _synthetic_specs(spec)[1] is not None
-    required, _ = DATASET_KEYS[spec["kind"]]
-    for key, value in spec.items():
-        if key == "kind" or (value is None and key not in required):
-            continue
-        if key == "add_bias":
-            ok = isinstance(value, bool)
-        elif key.endswith("limit"):
-            ok = isinstance(value, int) and not isinstance(value, bool) and value >= 1
-        else:
-            ok = isinstance(value, str)
-        if not ok:
-            raise ValueError(f"dataset {key!r} cannot be {value!r}")
-    return bool(spec.get("test_path") or spec.get("test_images"))
 
 
 def build_dataset(spec: dict) -> tuple[Dataset, Dataset | None]:
@@ -513,22 +512,22 @@ def _auto_means(classes: int, dim: int, separation: float) -> np.ndarray:
     """Deterministic well-separated class means: +-separation/2 on axes."""
     means = np.zeros((classes, dim))
     for j in range(classes):
-        coord = (j // 2) % dim
-        means[j, coord] = separation / 2.0 * (1.0 if j % 2 == 0 else -1.0)
+        means[j, (j // 2) % dim] = separation / 2.0 * (1.0 if j % 2 == 0 else -1.0)
     return means
 
 
 def _cmd_gen_data(args) -> int:
-    if args.means:
-        means = np.asarray([[float(v) for v in row.split(",")]
-                            for row in args.means.split(";")])
-    else:
-        means = _auto_means(args.classes, args.dim, args.separation)
-    counts = ([int(c) for c in args.counts.split(",")] if args.counts
-              else [args.count] * means.shape[0])
-    spec = SyntheticSpec(means=means, counts=tuple(counts),
-                         stddev=args.stddev, seed=args.seed)
-    ds = gen_synthetic(spec)
+    try:
+        means = ([[float(v) for v in row.split(",")] for row in args.means.split(";")]
+                 if args.means else _auto_means(args.classes, args.dim, args.separation).tolist())
+        counts = ([int(c) for c in args.counts.split(",")] if args.counts
+                  else [args.count] * len(means))
+        spec = {"kind": "synthetic", "means": means, "counts": counts, "stddev": args.stddev,
+                "seed": args.seed}
+        _check_section("dataset", spec)
+        ds, _ = build_dataset(spec)
+    except (ValueError, ZeroDivisionError) as exc:  # --dim 0 divides by zero in _auto_means
+        raise ConfigError(f"malformed gen-data flag: {exc}") from None
     write_text(ds, args.out)
     print(f"wrote {ds.n_samples} samples, {ds.n_classes} classes, "
           f"{ds.n_features} features to {args.out}")
@@ -536,8 +535,9 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_estimate_constants(args) -> int:
-    ds = read_text(args.data, add_bias=args.add_bias)
-    obj = make_objective({"kind": args.objective, "lam": args.lam}, ds)
+    spec = {"kind": args.objective, "lam": args.lam}
+    _check_section("objective", spec)
+    obj = make_objective(spec, read_text(args.data, add_bias=args.add_bias))
     const = estimate_constants(obj)
     print(f"L = {const.L:.12g}")
     print(f"mu = {const.mu:.12g}")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
@@ -53,8 +52,8 @@ class Objective(ABC):
     kind: str = "abstract"
 
     def __init__(self, dataset: Dataset, lam: float = 0.0):
-        if lam < 0.0:
-            raise ValueError("regularizer weight must be >= 0")
+        if not 0.0 <= lam < np.inf:
+            raise ValueError(f"regularizer weight must be finite and >= 0, got {lam}")
         self.dataset = dataset
         self.lam = float(lam)
 
@@ -392,11 +391,6 @@ _KINDS = {
     "mlp": Mlp,
 }
 
-#: Required and optional keys of an objective config section, per kind,
-#: besides ``kind``: the keyword arguments of the kind's constructor.
-OBJECTIVE_KEYS = {"ridge": ((), ("lam",)), "logistic": ((), ("lam",)),
-                  "quadratic": ((), ("lam",)), "mlp": ((), ("hidden", "lam"))}
-
 #: Objective kinds with certified convexity constants and a reference optimum.
 CERTIFIED_KINDS = ("ridge", "logistic", "quadratic")
 
@@ -404,30 +398,10 @@ CERTIFIED_KINDS = ("ridge", "logistic", "quadratic")
 CLASSIFIER_KINDS = ("logistic", "mlp")
 
 
-def objective_arguments(spec: dict) -> dict:
-    """Constructor keyword arguments of an objective config section.
-
-    ValueError or TypeError if a value is malformed: ``lam`` must be a
-    finite number >= 0 and ``hidden`` a list of layer widths >= 1.
-    """
-    args = {key: value for key, value in spec.items() if key != "kind"}
-    if "lam" in args:
-        if isinstance(args["lam"], bool) or not isinstance(args["lam"], Real):
-            raise TypeError(f"regularizer weight lam must be a number, got {args['lam']!r}")
-        args["lam"] = float(args["lam"])
-        if not 0.0 <= args["lam"] < np.inf:
-            raise ValueError(f"regularizer weight must be finite and >= 0, got {args['lam']}")
-    if "hidden" in args:
-        args["hidden"] = tuple(int(h) for h in args["hidden"])
-        if not all(h >= 1 for h in args["hidden"]):
-            raise ValueError(f"hidden layer widths must be >= 1, got {args['hidden']}")
-    return args
-
-
 def make_objective(spec: dict, dataset: Dataset) -> Objective:
-    """Build an objective from a config mapping with at least a 'kind' key."""
+    """Build an objective from a mapping of 'kind' and that kind's constructor keywords."""
     kind = spec.get("kind")
     if kind not in _KINDS:
         raise UnsupportedObjectiveError(
             f"unknown objective kind {kind!r}; expected one of {sorted(_KINDS)}")
-    return _KINDS[kind](dataset, **objective_arguments(spec))
+    return _KINDS[kind](dataset, **{key: value for key, value in spec.items() if key != "kind"})

@@ -257,10 +257,6 @@ SPECS = {
 
 OPTIMIZER_KINDS = tuple(SPECS)
 
-#: Required and optional keys of the optimizer section of an experiment
-#: config, per kind, besides ``kind``.
-OPTIMIZER_KEYS = {kind: ((), ("h", "n", "m", "prox_l1", "schedule")) for kind in SPECS}
-
 
 def _spec(kind: str) -> OptimizerSpec:
     try:

@@ -1,5 +1,6 @@
 """Orchestration, CSV/SVG artifacts, and the command-line interface."""
 
+import inspect
 import json
 import re
 import xml.etree.ElementTree as ET
@@ -8,10 +9,11 @@ import numpy as np
 import pytest
 
 import ssag
-from ssag.bench import (ExperimentConfig, build_dataset, cli, emit_csv,
+from ssag.bench import (SECTION_RULES, ExperimentConfig, build_dataset, cli, emit_csv,
                         emit_plot, emit_summary_csv, read_csv, run_experiment)
 from ssag.errors import ConfigError, FormatError, SsagError
 from ssag.ingest import write_idx
+from ssag.optimizers import RunConfig
 
 
 def _config_doc(**overrides):
@@ -109,6 +111,22 @@ class TestExperimentConfig:
         ("optimizer", {"kind": "ssag", "h": None}, True),
         ("optimizer", {"kind": "saga", "prox_l1": True}, False),
         ("optimizer", {"kind": "saga", "prox_l1": "0.5"}, False),
+        # a synthetic seed or count is an integer, not a bool, a float or a string
+        ("dataset", {"kind": "synthetic", "means": [[1.0], [-1.0]], "counts": [5, 5],
+                     "seed": True}, False),
+        ("dataset", {"kind": "synthetic", "means": [[1.0], [-1.0]], "counts": [5, 5],
+                     "seed": 2.7}, False),
+        ("dataset", {"kind": "synthetic", "means": [[1.0], [-1.0]], "counts": [5, 5],
+                     "seed": "3"}, False),
+        ("dataset", {"kind": "synthetic", "means": [[1.0], [-1.0]], "counts": [5, 5],
+                     "test_seed": 1.5}, False),
+        ("dataset", {"kind": "synthetic", "means": [[1.0], [-1.0]], "counts": [10, True]}, False),
+        ("dataset", {"kind": "synthetic", "means": [[1.0], [-1.0]], "counts": [5.5, 5]}, False),
+        # an automatic h rejects any mlp here; test_hidden_widths_checked_at_load
+        # checks these widths with an explicit h
+        ("objective", {"kind": "mlp", "hidden": [True]}, False),
+        ("objective", {"kind": "mlp", "hidden": [2.7]}, False),
+        ("objective", {"kind": "mlp", "hidden": ["3"]}, False),
     ])
     def test_section_kinds_and_keys_checked_at_load(self, section, value, accepted):
         doc = _config_doc()
@@ -118,6 +136,37 @@ class TestExperimentConfig:
         else:
             with pytest.raises(ConfigError):
                 ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("hidden, accepted", [([3], True), ([], True), ([4, 2], True),
+                                                  ([True], False), ([2.7], False),
+                                                  (["3"], False), ([3, 0], False),
+                                                  ("3", False), (3, False)])
+    def test_hidden_widths_checked_at_load(self, hidden, accepted):
+        doc = _config_doc(record_dist=False, optimizer={"kind": "ssag", "h": 0.1},
+                          objective={"kind": "mlp", "hidden": hidden})
+        if accepted:
+            assert ExperimentConfig.from_dict(doc).objective["hidden"] == hidden
+        else:
+            with pytest.raises(ConfigError, match="hidden"):
+                ExperimentConfig.from_dict(doc)
+
+    def test_section_rules_match_the_code(self):
+        # the table sits in bench.py, away from the constructors it describes
+        rules = SECTION_RULES
+        assert set(rules["optimizer"]) == set(ssag.optimizers.SPECS)
+        for kind, (required, keys) in rules["optimizer"].items():
+            assert required == () and set(keys) <= set(RunConfig.__dataclass_fields__), kind
+        assert set(rules["objective"]) == set(ssag.objectives._KINDS)
+        for kind, (required, keys) in rules["objective"].items():
+            params = inspect.signature(ssag.objectives._KINDS[kind]).parameters
+            assert required == () and set(keys) == set(params) - {"dataset"}, kind
+        spec = {"kind": "synthetic", "means": [[1.0, 0.0], [-1.0, 0.5]], "counts": [4, 3],
+                "stddev": 0.2, "seed": 5, "test_counts": [2, 2], "test_seed": 8}
+        assert set(spec) - {"kind"} == set(rules["dataset"]["synthetic"][1])
+        doc = _config_doc(dataset=spec)
+        train, test = build_dataset(ExperimentConfig.from_dict(doc).dataset)
+        assert train.class_counts.tolist() == [4, 3] and test.class_counts.tolist() == [2, 2]
+        assert train.n_features == test.n_features == 2
 
     def test_rejects_empty_seeds(self):
         with pytest.raises(ConfigError):
@@ -348,6 +397,22 @@ class TestCli:
         assert code == 0
         ds = ssag.read_text(out)
         assert ds.n_samples == 12 and ds.n_classes == 2 and ds.n_features == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-data", "--count", "0"], ["gen-data", "--stddev", "-1"],
+        ["gen-data", "--stddev", "nan"], ["gen-data", "--means", "1,a"],
+        ["gen-data", "--counts", "5,x"], ["gen-data", "--classes", "0"],
+        ["estimate-constants", "--lam", "-1"], ["estimate-constants", "--lam", "nan"],
+        ["estimate-constants", "--lam", "inf"], ["gen-data", "--dim", "0"]])
+    def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, argv):
+        data = tmp_path / "data.txt"
+        ssag.write_text(ssag.Dataset.from_class_labels(np.eye(2), np.array([0, 1])), data)
+        out = tmp_path / "gen.txt"
+        where = ["--out", str(out)] if argv[0] == "gen-data" else ["--data", str(data)]
+        assert cli([argv[0], *where, *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "Traceback" not in err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["data.txt"]
 
     def test_run_zero_step_budget(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, steps=0, seeds=[1])

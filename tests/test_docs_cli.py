@@ -3,7 +3,8 @@
 Every `ssag ...` line of the README's CLI block goes through the parser,
 and the config overrides of `run` and `verify-bound` are applied to the
 README's example config and loaded, so the docs cannot name a flag or a
-field the CLI no longer takes.
+field the CLI no longer takes.  The README's table of section keys is
+compared with `SECTION_RULES`.
 """
 
 import json
@@ -13,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from ssag.bench import ExperimentConfig, _apply_overrides, _build_parser
+from ssag.bench import SECTION_RULES, ExperimentConfig, _apply_overrides, _build_parser
+from ssag.optimizers import SPECS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TEXT = README.read_text(encoding="utf-8")
@@ -36,3 +38,22 @@ def test_readme_command_line_parses(line):
     example = re.search(r"mirroring `ExperimentConfig`:\n+```json\n(.*?)```", TEXT, re.DOTALL)
     # a retired flag or an unknown field raises ConfigError here
     ExperimentConfig.from_dict(_apply_overrides(json.loads(example.group(1)), extras))
+
+
+def test_readme_section_table_matches_section_rules():
+    rows = re.findall(r"^  \| `(\w+)` \| (`[^|]*`) \| ([^|]*) \|$", TEXT, re.MULTILINE)
+    seen = set()
+    for section, kinds, keys in rows:
+        keys = re.sub(r"\([^)]*\)", "", keys)  # drop the notes on allowed values
+        listed = re.findall(r"`(\w+)`", keys)
+        bold = re.findall(r"\*\*`(\w+)`\*\*", keys)
+        for kind in re.findall(r"`(\w+)`", kinds):
+            required, rules = SECTION_RULES[section][kind]
+            if section == "optimizer":  # the settings the kind reads, besides h
+                assert listed == ["h", *SPECS[kind].settings], kind
+            else:
+                assert listed == list(rules), kind
+            assert bold == list(required), kind
+            seen.add((section, kind))
+    assert seen == {(section, kind) for section, kinds in SECTION_RULES.items()
+                    for kind in kinds}

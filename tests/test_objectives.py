@@ -405,7 +405,8 @@ class TestMakeObjective:
                                       {"kind": "ridge", "lam": -1.0},
                                       {"kind": "ridge", "lam": float("nan")},
                                       {"kind": "mlp", "hidden": [3, 0]},
-                                      {"kind": "mlp", "hidden": 3}])
+                                      {"kind": "mlp", "hidden": 3},
+                                      {"kind": "logistic", "lam": float("inf")}])
     def test_malformed_values_rejected(self, two_class_logistic, spec):
         with pytest.raises((TypeError, ValueError)):
             ssag.make_objective(spec, two_class_logistic.dataset)
