@@ -15,9 +15,9 @@ from .optimizers import (RunConfig, fgd_step, make_state, minibatch_step,
                          ssag_step, steps_for_passes, svrg_outer)
 from .records import Aggregate, RunRecord, aggregate
 from .sampling import RngStream, sample_class, sample_uniform, sample_within_class
-from .theory import (ComplexityEstimate, CviInputs, Envelope, EnvelopeReport,
-                     Theorem2Inputs, check_envelope, cvi_envelope, cvi_lambda,
-                     cvi_rho, finite_population_variance, fit_decay_rate,
+from .theory import (ComplexityEstimate, CviInputs, Envelope, Theorem2Inputs,
+                     check_envelope, cvi_envelope, cvi_lambda, cvi_rho,
+                     finite_population_variance, fit_decay_rate,
                      reference_optimum, sag_rate, saga_rate, ssag_complexity, ssag_rate,
                      theorem1_envelope, theorem2_bound, theorem2_envelope, theorem2_inputs_for)
 

@@ -31,7 +31,8 @@ from .objectives import CERTIFIED_KINDS, CLASSIFIER_KINDS, Objective, make_objec
 from .optimizers import SPECS, RunConfig, resolve_step_size, run, steps_for_passes
 from .records import (COLUMNS, CSV_COLUMNS, CSV_METRICS, SUMMARY_METRICS, Aggregate,
                       RunRecord, aggregate)
-from .theory import reference_optimum, theorem1_envelope, theorem2_envelope
+from .theory import (MIN_PASS_FRACTION, MIN_SEEDS, reference_optimum, theorem1_envelope,
+                     theorem2_envelope)
 
 #: Environment variable holding the default output directory.
 OUT_DIR_ENV = "SSAG_OUT_DIR"
@@ -59,7 +60,8 @@ _LAM = {"lam": (lambda v: _is_real(v) and 0 <= v < np.inf, "a finite number >= 0
 SECTION_RULES = {
     "dataset": {
         "synthetic": (("means", "counts"), {
-            "means": (lambda v: isinstance(v, list), "a list of class mean vectors"),
+            "means": (lambda v: isinstance(v, list) and all(isinstance(row, list) and all(
+                map(_is_real, row)) for row in v), "a list of lists of numbers"),
             "counts": _INTS, "stddev": (_is_real, "a number"), "seed": _INT,
             "test_counts": _INTS, "test_seed": _INT}),
         "text": (("path",), {"path": _STR, "test_path": _NULL_OR_STR, "add_bias": _NULL_OR_BOOL}),
@@ -100,7 +102,8 @@ def _check_section(name: str, section) -> None:
 
 #: What each top-level field of an experiment config, the sections aside, must be.
 _FIELD_CHECKS = {
-    "seeds": _INTS,
+    "seeds": (lambda v: _INTS[0](v) and len(set(v)) == len(v),
+              "a nonempty list of distinct integers"),
     "cadence": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     "steps": (lambda v: v is None or _is_int(v) and v >= 0, "null or an integer >= 0"),
     "passes": (lambda v: v is None or _is_real(v) and 0 < v < np.inf,
@@ -616,28 +619,30 @@ def _cmd_verify_bound(args) -> int:
     theorem = SPECS[rc.kind].envelope
     if theorem is None:
         raise ConfigError(f"no bound envelope applies to the {rc.kind} optimizer")
+    if len(config.seeds) < MIN_SEEDS:
+        raise ConfigError(f"verify-bound needs at least {MIN_SEEDS} seeds, got {len(config.seeds)}")
     config = replace(config, record_dist=True, record_variance=config.record_variance or theorem == 1)
     result = run_experiment(config)
     obj, agg, const, w_star = result.objective, result.agg, result.constants, result.w_star
     n = int(SPECS[rc.kind].evals_per_step(obj.dataset.n_samples, rc.n, rc.m))
     if theorem == 2:
-        env = theorem2_envelope(obj, agg, const, w_star, n=n, per_class=args.per_class_f,
+        env = theorem2_envelope(obj, agg, const, w_star, n=n,
                                 w0=obj.init_params(seed=min(config.seeds)))
     else:
         env = theorem1_envelope(obj, agg, const, w_star, n=n, h=resolve_step_size(rc, obj, const))
-    report = env.check(slack=args.slack, min_seeds=args.min_seeds)
+    env.check()
     heading, params = _ENVELOPE_TEXT[theorem]
     print(f"theorem: {heading}")
     print(params.format(**env.params) + f", resolution floor = {env.floor:.3g}")
-    print(report.summary())
-    first = report.first_failure
+    print(env.summary())
+    first = env.first_failure
     print(f"first failing k = {'none' if first is None else first}")
     print(f"seed mean at the last recorded k = {int(env.k[-1])}: {env.values[-1]:.6g} "
           f"against bound {env.bounds[-1]:.6g}")
-    if report.pass_fraction >= args.min_pass:
-        print(f"PASS (pass fraction >= {args.min_pass})")
+    if env.pass_fraction >= MIN_PASS_FRACTION:
+        print(f"PASS (pass fraction >= {MIN_PASS_FRACTION})")
         return 0
-    print(f"FAIL (pass fraction < {args.min_pass})")
+    print(f"FAIL (pass fraction < {MIN_PASS_FRACTION})")
     return 2
 
 
@@ -688,12 +693,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", "-c", required=True)
         if name == "run":
             p.add_argument("--plot", help="also write a loss plot to this SVG path")
-        else:
-            p.add_argument("--slack", type=float, default=0.05)
-            p.add_argument("--min-pass", type=float, default=0.99)
-            p.add_argument("--min-seeds", type=int, default=20)
-            p.add_argument("--per-class-f", action="store_true",
-                           help="use per-stratum sampling ratios in the bound")
 
     p = sub.add_parser("compare", help="run several configs and plot them jointly")
     p.set_defaults(handler=_cmd_compare)

@@ -17,7 +17,7 @@ meant to express.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -98,7 +98,8 @@ class Theorem2Inputs:
 
     ``f`` and ``n`` may be scalars (the single shared sampling ratio and
     batch size, as the bound is written) or length-C arrays f_c = n/N_c,
-    n_c for the per-stratum variant; broadcasting handles both.
+    n_c, the per-stratum ratios that `theorem2_inputs_for` measures;
+    broadcasting handles both.
 
     The envelope decays geometrically to zero, while the stratified iterate
     retains a resampling noise floor proportional to the within-class
@@ -219,20 +220,35 @@ def finite_population_variance(sigma_sq: float, f: float, n: int) -> float:
     return (1.0 - f) / n * sigma_sq
 
 
+#: A point passes when value <= bound * (1 + ENVELOPE_SLACK), a slack for the Monte-Carlo error
+#: of a mean over >= MIN_SEEDS seeds; a check passes when MIN_PASS_FRACTION of its points do.
+ENVELOPE_SLACK = 0.05
+MIN_SEEDS = 20
+MIN_PASS_FRACTION = 0.99
+
+
 @dataclass(frozen=True, eq=False)
-class EnvelopeReport:
-    """Per-iteration outcome of checking a seed-mean metric against a bound."""
+class Envelope:
+    """A seed-mean metric over ``n_seeds`` seeds and its envelope on the
+    recorded steps ``k``; the envelope calls clamp the bounds at ``floor``, the
+    metric's float64 resolution, and ``params`` names the envelope constants."""
 
     k: np.ndarray
     values: np.ndarray
     bounds: np.ndarray
-    passed: np.ndarray
-    slack: float
     n_seeds: int
+    slack: float = ENVELOPE_SLACK
+    floor: float = 0.0
+    params: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> np.ndarray:
+        """Per recorded step: value <= bound * (1 + slack)."""
+        return self.values <= self.bounds * (1.0 + self.slack)
 
     @property
     def pass_fraction(self) -> float:
-        return float(np.mean(self.passed)) if self.passed.size else 1.0
+        return float(np.mean(self.passed)) if self.k.size else 1.0
 
     @property
     def all_passed(self) -> bool:
@@ -245,31 +261,33 @@ class EnvelopeReport:
         return int(self.k[failing[0]]) if failing.size else None
 
     def summary(self) -> str:
-        return (f"{int(np.sum(self.passed))}/{self.passed.size} recorded iterations "
+        passed = self.passed
+        return (f"{int(np.sum(passed))}/{passed.size} recorded iterations "
                 f"within bound * (1 + {self.slack}) over {self.n_seeds} seeds "
                 f"(pass fraction {self.pass_fraction:.4f})")
 
+    def check(self, min_seeds: int = MIN_SEEDS) -> Envelope:
+        """This envelope; SsagError unless it averages over at least ``min_seeds``
+        seeds and no value is missing (NaN)."""
+        if self.n_seeds < min_seeds:
+            raise SsagError(f"need seed-averaged metrics over >= {min_seeds} seeds, "
+                            f"got {self.n_seeds}")
+        if np.any(np.isnan(self.values)):
+            raise SsagError("record lacks the required metric (NaN entries present)")
+        return self
+
 
 def check_envelope(k: np.ndarray, mean_values: np.ndarray, bounds: np.ndarray, *,
-                   n_seeds: int, slack: float = 0.05, min_seeds: int = 20) -> EnvelopeReport:
-    """Check a seed-averaged metric against per-iteration bound values.
-
-    A point passes when value <= bound * (1 + slack); the slack absorbs
-    Monte-Carlo error in the seed mean, which is why at least ``min_seeds``
-    seeds are required.
-    """
+                   n_seeds: int, slack: float = ENVELOPE_SLACK,
+                   min_seeds: int = MIN_SEEDS) -> Envelope:
+    """The `Envelope` of a seed-averaged metric against per-iteration bound
+    values, checked for ``min_seeds`` seeds and no missing value."""
     k = np.asarray(k)
     mean_values = np.asarray(mean_values, dtype=np.float64)
     bounds = np.asarray(bounds, dtype=np.float64)
     if not (k.shape == mean_values.shape == bounds.shape):
         raise ValueError("k, values, and bounds must have matching shapes")
-    if n_seeds < min_seeds:
-        raise SsagError(f"need seed-averaged metrics over >= {min_seeds} seeds, got {n_seeds}")
-    if np.any(np.isnan(mean_values)):
-        raise SsagError("record lacks the required metric (NaN entries present)")
-    passed = mean_values <= bounds * (1.0 + slack)
-    return EnvelopeReport(k=k, values=mean_values, bounds=bounds, passed=passed,
-                          slack=slack, n_seeds=n_seeds)
+    return Envelope(k, mean_values, bounds, n_seeds, slack).check(min_seeds)
 
 
 def reference_optimum(obj: Objective, *,
@@ -314,60 +332,35 @@ def reference_optimum(obj: Objective, *,
 
 def theorem2_inputs_for(obj: Objective, n: int, w0: np.ndarray, *,
                         constants: ConvexityConstants | None = None,
-                        w_star: np.ndarray | None = None,
-                        per_class: bool = False) -> Theorem2Inputs:
+                        w_star: np.ndarray | None = None) -> Theorem2Inputs:
     """Measure the envelope inputs on a concrete problem.
 
-    Per-class gradient variances are taken at the reference optimum.  The
-    shared sampling ratio defaults to f = nC/N (n over the mean class size,
-    which equals n/N_c exactly for balanced classes); ``per_class=True``
-    switches to exact per-stratum ratios f_c = n/N_c.
+    Per-class gradient variances are taken at the reference optimum, and the
+    sampling ratios are the exact per-stratum f_c = n/N_c; on balanced classes
+    each equals the shared ratio nC/N bit for bit, both being the correctly
+    rounded quotient of the same rational number.
     """
     ds = obj.dataset
     constants = constants if constants is not None else estimate_constants(obj)
     if w_star is None:
         w_star = reference_optimum(obj, constants=constants)
     stats = gradient_population_stats(obj, w_star)
-    if per_class:
-        f = n / ds.class_counts.astype(np.float64)
-    else:
-        f = n * ds.n_classes / ds.n_samples
-    return Theorem2Inputs(mu=constants.mu, L=constants.L, C=ds.n_classes, f=f, n=n,
-                          sigma_c_sq=stats.per_class_variance,
+    return Theorem2Inputs(mu=constants.mu, L=constants.L, C=ds.n_classes,
+                          f=n / ds.class_counts, n=n, sigma_c_sq=stats.per_class_variance,
                           dist0_sq=squared_distance(w0, w_star))
 
 
-@dataclass(frozen=True, eq=False)
-class Envelope:
-    """A seed-mean metric and its envelope on the recorded steps ``k``; the
-    bounds are clamped at ``floor``, the metric's float64 resolution, and
-    ``params`` names the envelope constants."""
-
-    k: np.ndarray
-    values: np.ndarray
-    bounds: np.ndarray
-    floor: float
-    n_seeds: int
-    params: dict
-
-    def check(self, **kwargs) -> EnvelopeReport:
-        """`check_envelope` on this envelope; kwargs are its slack and min_seeds."""
-        return check_envelope(self.k, self.values, self.bounds, n_seeds=self.n_seeds, **kwargs)
-
-
 def theorem2_envelope(obj: Objective, agg: Aggregate, constants: ConvexityConstants,
-                      w_star: np.ndarray, *, n: int, w0: np.ndarray,
-                      per_class: bool = False) -> Envelope:
+                      w_star: np.ndarray, *, n: int, w0: np.ndarray) -> Envelope:
     """Theorem 2 for the stratified method with batch size n started at w0:
     the squared distance to W* against rate^k * bracket."""
-    inp = theorem2_inputs_for(obj, n=n, w0=w0, constants=constants, w_star=w_star,
-                              per_class=per_class)
+    inp = theorem2_inputs_for(obj, n=n, w0=w0, constants=constants, w_star=w_star)
     bounds = np.array([theorem2_bound(int(k), inp) for k in agg.k])
     # squared distances cannot be measured below the float64 resolution
     # of the iterate itself; clamp the envelope there
     floor = 16.0 * obj.dim * (np.finfo(float).eps * (1.0 + float(np.linalg.norm(w_star)))) ** 2
-    return Envelope(agg.k, agg.mean["dist_sq"], np.maximum(bounds, floor), floor, agg.n_seeds,
-                    {"inputs": inp, "rate": inp.rate, "bracket": inp.bracket})
+    return Envelope(agg.k, agg.mean["dist_sq"], np.maximum(bounds, floor), agg.n_seeds,
+                    floor=floor, params={"inputs": inp, "rate": inp.rate, "bracket": inp.bracket})
 
 
 def theorem1_envelope(obj: Objective, agg: Aggregate, constants: ConvexityConstants,
@@ -389,9 +382,9 @@ def theorem1_envelope(obj: Objective, agg: Aggregate, constants: ConvexityConsta
     # gaps are differences of O(|J*|) losses: clamp the envelope at the
     # float64 resolution of that subtraction
     floor = 8.0 * np.finfo(float).eps * max(1.0, abs(j_star))
-    return Envelope(agg.k[anchor:], gaps[anchor:], np.maximum(bounds, floor), floor,
-                    agg.n_seeds, {"f": f, "sigma_sq": sigma_sq, "lam": lam, "rho": rho,
-                                  "j_star": j_star, "anchor": anchor})
+    return Envelope(agg.k[anchor:], gaps[anchor:], np.maximum(bounds, floor), agg.n_seeds,
+                    floor=floor, params={"f": f, "sigma_sq": sigma_sq, "lam": lam, "rho": rho,
+                                         "j_star": j_star, "anchor": anchor})
 
 
 def fit_decay_rate(k: np.ndarray, values: np.ndarray, *,

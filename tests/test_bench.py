@@ -127,6 +127,9 @@ class TestExperimentConfig:
         ("objective", {"kind": "mlp", "hidden": [True]}, False),
         ("objective", {"kind": "mlp", "hidden": [2.7]}, False),
         ("objective", {"kind": "mlp", "hidden": ["3"]}, False),
+        # class means are numbers, not numeric strings or bools
+        ("dataset", {"kind": "synthetic", "means": [["1"], [True]], "counts": [5, 5]}, False),
+        ("dataset", {"kind": "synthetic", "means": [[1, 0], ["0", 1]], "counts": [5, 5]}, False),
     ])
     def test_section_kinds_and_keys_checked_at_load(self, section, value, accepted):
         doc = _config_doc()
@@ -182,12 +185,14 @@ class TestExperimentConfig:
 
 class TestRunExperiment:
     def test_deterministic_and_duplicate_seeds(self):
-        cfg = ExperimentConfig.from_dict(_config_doc(seeds=[5, 5]))
+        cfg = ExperimentConfig.from_dict(_config_doc(seeds=[5, 6]))
         result = run_experiment(cfg)
-        assert result.records[0].content_hash() == result.records[1].content_hash()
         again = run_experiment(cfg)
         assert [r.content_hash() for r in again.records] == \
                [r.content_hash() for r in result.records]
+        # a repeated seed would count one run twice, so it fails at load
+        with pytest.raises(ConfigError, match="distinct"):
+            ExperimentConfig.from_dict(_config_doc(seeds=[5, 5]))
 
     def test_single_seed_aggregate_equals_record(self):
         cfg = ExperimentConfig.from_dict(_config_doc(seeds=[7]))
@@ -441,8 +446,10 @@ class TestCli:
     @pytest.mark.parametrize("argv, changes", [
         (["run", "--seeds", "1,2,3", "--steps", "40", "--cadence", "10", "--label", "ov",
           "--out", "d"], dict(seeds=[1, 2, 3], steps=40, cadence=10, label="ov", out_dir="d")),
-        (["verify-bound", "--passes", "2.5", "--optimizer.kind", "fgd"],
-         dict(passes=2.5, steps=None, optimizer={"kind": "fgd", "h": "auto", "n": 1})),
+        (["verify-bound", "--passes", "2.5", "--optimizer.kind", "fgd",
+          "--seeds", ",".join(map(str, range(20)))],
+         dict(passes=2.5, steps=None, optimizer={"kind": "fgd", "h": "auto", "n": 1},
+              seeds=list(range(20)))),
         (["run", "--seeds=3", "--passes", "2", "--label", "7", "--out", "3"],
          dict(seeds=[3], passes=2, steps=None, label="7", out_dir="3")),
         (["run", "--passes", "2", "--steps", "30", "--record-dist", "false"],
@@ -494,6 +501,7 @@ class TestCli:
         ("objective", {"kind": "logistic", "lam": "0.1"}),
         ("dataset", {"kind": "synthetic", "means": [[2.0, 0.0], [-2.0, 0.0]],
                      "counts": [10, 10], "stddev": True}),
+        ("seeds", [5, 5]),
     ])
     def test_malformed_field_fails_at_load_and_writes_nothing(self, tmp_path, capsys,
                                                               monkeypatch, key, value):
@@ -569,12 +577,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0 and "lambda" in out
 
-    def test_verify_bound_per_class_ratios(self, tmp_path, capsys):
-        cfg = self._write_config(tmp_path, seeds=list(range(20)), steps=400,
-                                 cadence=50)
-        code = cli(["verify-bound", "--config", str(cfg), "--per-class-f"])
-        out = capsys.readouterr().out
-        assert code == 0 and "PASS" in out
+    @pytest.mark.parametrize("flags", [["--slack", "0.1"], ["--min-pass", "0.5"],
+                                       ["--min-seeds", "2"], ["--per-class-f"]],
+                             ids=["slack", "min-pass", "min-seeds", "per-class-f"])
+    def test_verify_bound_retired_flags_are_usage_errors(self, tmp_path, capsys, monkeypatch,
+                                                         flags):
+        # the slack, pass fraction and seed minimum are fixed, the ratios per stratum
+        monkeypatch.setattr(ssag.bench, "run_experiment", _never_run)
+        cfg = self._write_config(tmp_path, seeds=list(range(20)))
+        assert cli(["verify-bound", "--config", str(cfg), *flags]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "Traceback" not in err
 
     def test_plot_from_csv(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, seeds=[1])
@@ -759,6 +772,7 @@ class TestCli:
     @pytest.mark.parametrize("section, value, reason", [
         ("optimizer", {"kind": "sag"}, "no bound envelope applies to the sag optimizer"),
         ("objective", {"kind": "mlp", "hidden": [3]}, "no certified constants"),
+        ("seeds", list(range(19)), "verify-bound needs at least 20 seeds, got 19"),
     ])
     def test_verify_bound_inapplicable_config_fails_before_running(
             self, tmp_path, capsys, monkeypatch, section, value, reason):

@@ -3,10 +3,12 @@
 Every `ssag ...` line of the README's CLI block goes through the parser,
 and the config overrides of `run` and `verify-bound` are applied to the
 README's example config and loaded, so the docs cannot name a flag or a
-field the CLI no longer takes.  The README's table of section keys is
-compared with `SECTION_RULES`.
+field the CLI no longer takes.  The flags the README names as `run`'s and
+`verify-bound`'s own are the ones their parsers declare, and the README's
+table of section keys is compared with `SECTION_RULES`.
 """
 
+import argparse
 import json
 import re
 import shlex
@@ -38,6 +40,16 @@ def test_readme_command_line_parses(line):
     example = re.search(r"mirroring `ExperimentConfig`:\n+```json\n(.*?)```", TEXT, re.DOTALL)
     # a retired flag or an unknown field raises ConfigError here
     ExperimentConfig.from_dict(_apply_overrides(json.loads(example.group(1)), extras))
+
+
+@pytest.mark.parametrize("command", ["run", "verify-bound"])
+def test_readme_names_each_declared_flag(command):
+    subparsers = next(action for action in _build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    declared = {flag for action in subparsers.choices[command]._actions
+                for flag in action.option_strings} - {"-h", "--help"}
+    sentence = re.search(rf"`{command}` declares (.*?)\.", " ".join(TEXT.split()))
+    assert set(re.findall(r"`(-[-\w]+)`", sentence.group(1))) == declared
 
 
 def test_readme_section_table_matches_section_rules():

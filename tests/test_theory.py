@@ -243,6 +243,13 @@ class TestCheckEnvelope:
         with pytest.raises(SsagError):
             ssag.check_envelope(np.arange(2), values, np.ones(2), n_seeds=20)
 
+    def test_returns_the_envelope_that_check_guards(self):
+        env = ssag.check_envelope(np.arange(3), np.zeros(3), np.ones(3), n_seeds=19,
+                                  min_seeds=1)
+        assert isinstance(env, ssag.Envelope) and env.slack == 0.05 and env.all_passed
+        with pytest.raises(SsagError, match="over >= 20 seeds, got 19"):
+            env.check()
+
     def test_fgd_deterministic_envelope(self, line_ridge):
         # deterministic full-gradient run against its zero-floor envelope
         obj = line_ridge
@@ -325,12 +332,27 @@ class TestReferenceOptimum:
 
 
 class TestTheoremInputsMeasurement:
-    def test_balanced_shared_equals_per_class(self, random_problem):
-        obj = random_problem(kind="logistic", N=12, p=3, C=2, seed=3)
-        shared = ssag.theorem2_inputs_for(obj, n=2, w0=np.zeros(obj.dim))
-        per_class = ssag.theorem2_inputs_for(obj, n=2, w0=np.zeros(obj.dim),
-                                             per_class=True)
-        assert shared.bracket == pytest.approx(per_class.bracket, rel=1e-12)
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(C=st.integers(2, 11), per_class=st.integers(1, 393), n=st.integers(1, 10),
+           seed=st.integers(0, 99))
+    def test_balanced_shared_equals_per_class(self, C, per_class, n, seed):
+        # each measured f_c = n/N_c is the shared nC/N bit for bit
+        n = min(n, per_class)
+        ds = ssag.gen_synthetic(ssag.SyntheticSpec(
+            means=np.random.default_rng(seed).normal(size=(C, 3)), counts=(per_class,) * C,
+            stddev=0.5, seed=seed))
+        obj = ssag.make_objective({"kind": "ridge", "lam": 0.1}, ds)
+        inp = ssag.theorem2_inputs_for(obj, n=n, w0=np.zeros(obj.dim))
+        shared = Theorem2Inputs(mu=inp.mu, L=inp.L, C=C, f=n * C / ds.n_samples, n=n,
+                                sigma_c_sq=inp.sigma_c_sq, dist0_sq=inp.dist0_sq)
+        assert inp.bracket == shared.bracket
+
+    def test_imbalanced_ratios_are_per_stratum(self):
+        ds = ssag.gen_synthetic(ssag.SyntheticSpec(means=np.eye(3), counts=(7, 3, 5),
+                                                   stddev=0.5, seed=1))
+        obj = ssag.make_objective({"kind": "ridge", "lam": 0.1}, ds)
+        inp = ssag.theorem2_inputs_for(obj, n=2, w0=np.zeros(obj.dim))
+        assert inp.f.tolist() == [2 / 7, 2 / 3, 2 / 5]
 
     def test_variances_measured_at_optimum(self, random_problem):
         obj = random_problem(kind="logistic", N=12, p=3, C=2, seed=3)
