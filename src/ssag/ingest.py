@@ -111,6 +111,8 @@ class SyntheticSpec:
             raise ValueError("stddev must be finite and >= 0")
         if not np.isfinite(means).all():
             raise ValueError("means must be finite")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
 

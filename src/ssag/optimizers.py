@@ -4,7 +4,7 @@ one registry of per-kind specs (`SPECS`) over four step kernels and one
 singleton strata), SAGA steps on the same gradient table, FGD, SGD and
 mini-batch SGD share the uniform-batch step, and SVRG advances one inner step
 at a time.  A kind's spec decides how many table slots its state keeps; the
-running sum of the slots is recomputed exactly every ``sum_recompute_every``
+running sum of the slots is recomputed exactly every `SUM_RECOMPUTE_EVERY`
 steps to cap floating drift.
 
 Note on stratified sampling: each SSAG step refreshes the drawn class's slot
@@ -16,7 +16,6 @@ implemented literally as specified.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass
 from numbers import Real
@@ -32,6 +31,8 @@ from .sampling import RngStream, sample_class, sample_uniform, sample_within_cla
 
 #: A recorded loss above this value marks the run as diverged.
 DIVERGENCE_LOSS_LIMIT = 1e12
+#: The running sum of the gradient table is recomputed exactly every this many steps.
+SUM_RECOMPUTE_EVERY = 10_000
 
 
 @dataclass
@@ -271,7 +272,8 @@ class RunConfig:
 
     ``h = None`` resolves to the kind's theoretical default step size
     (`resolve_step_size`), computed from certified convexity constants; an
-    explicit h must be finite and >= 0 (h = 0 freezes the iterate).
+    explicit h must be finite and >= 0 (h = 0 freezes the iterate).  Settings
+    the kind does not read (`OptimizerSpec.settings`) keep their defaults.
     """
 
     kind: str
@@ -284,10 +286,9 @@ class RunConfig:
     seed: int = 0
     cadence: int = 1
     record_variance: bool = False
-    sum_recompute_every: int = 10_000
 
     def __post_init__(self):
-        _spec(self.kind)
+        reads = _spec(self.kind).settings
         if self.h is not None and not 0.0 <= self.h < np.inf:
             raise ConfigError(f"step size h must be finite and >= 0, got {self.h}")
         l1 = self.prox_l1
@@ -296,6 +297,8 @@ class RunConfig:
             raise ConfigError(f"l1 weight prox_l1 must be a finite number >= 0, got {l1!r}")
         if self.steps < 0:
             raise ConfigError("step budget must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.cadence < 1:
             raise ConfigError("metric cadence must be >= 1")
         if self.n < 1:
@@ -304,12 +307,11 @@ class RunConfig:
             raise ConfigError("SVRG inner-loop length m must be >= 1")
         if self.schedule not in ("constant", "inv_k"):
             raise ConfigError(f"unknown step-size schedule {self.schedule!r}")
-        if self.sum_recompute_every < 1:
-            raise ConfigError("running-sum recompute period must be >= 1")
-
-    def fingerprint(self) -> str:
-        payload = ";".join(f"{k}={getattr(self, k)!r}" for k in sorted(self.__dataclass_fields__))
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        ignored = sorted({key for spec in SPECS.values() for key in spec.settings
+                          if key not in reads and getattr(self, key) != getattr(RunConfig, key)})
+        if ignored:
+            raise ConfigError(f"optimizer kind {self.kind!r} ignores the settings {ignored}; "
+                              f"it reads {['h', *reads]}, others must keep their defaults")
 
 
 def resolve_step_size(config: RunConfig, obj: Objective, constants=None) -> float:
@@ -351,8 +353,7 @@ def steps_for_passes(kind: str, passes: float, n_samples: int, n: int = 1,
 
 
 def run(config: RunConfig, obj: Objective, *, constants=None,
-        w_star: np.ndarray | None = None, test_dataset=None,
-        config_hash: str | None = None) -> RunRecord:
+        w_star: np.ndarray | None = None, test_dataset=None) -> RunRecord:
     """Execute one seeded run and record metrics at the configured cadence.
 
     Records a row at step 0, whenever the step counter crosses a cadence
@@ -385,11 +386,9 @@ def run(config: RunConfig, obj: Objective, *, constants=None,
         except DivergenceError:
             alive = False
             break
-        if state.steps % config.sum_recompute_every == 0:
+        if state.steps % SUM_RECOMPUTE_EVERY == 0:
             recompute_sum(state)
         if state.steps >= next_record or state.steps >= config.steps:
             alive = snapshot()
             next_record = (state.steps // config.cadence + 1) * config.cadence
-    return RunRecord.from_rows(rows, seed=config.seed, diverged=not alive,
-                               config_hash=config_hash if config_hash is not None
-                               else config.fingerprint())
+    return RunRecord.from_rows(rows, seed=config.seed, diverged=not alive)

@@ -40,7 +40,6 @@ class RunRecord:
     wall_ms: np.ndarray
     sigma_sq: np.ndarray
     seed: int
-    config_hash: str
     diverged: bool = False
 
     def __post_init__(self):
@@ -50,7 +49,7 @@ class RunRecord:
     @classmethod
     def from_rows(cls, rows: list[tuple], **fields) -> "RunRecord":
         """A record from rows holding a value per `COLUMNS` entry, in that order;
-        ``fields`` are the remaining fields (seed, config_hash, diverged)."""
+        ``fields`` are the remaining fields (seed, diverged)."""
         cols = zip(*rows) if rows else [()] * len(COLUMNS)
         return cls(**{name: np.array(col, dtype=dtype)
                       for (name, dtype), col in zip(COLUMNS.items(), cols)}, **fields)
@@ -58,15 +57,11 @@ class RunRecord:
     def __len__(self) -> int:
         return self.k.size
 
-    def column(self, name: str) -> np.ndarray:
-        if name not in COLUMNS:
-            raise KeyError(name)
-        return getattr(self, name)
-
     def content_hash(self) -> str:
-        """Hash of everything deterministic: all columns except wall time."""
+        """Hash of the seed, the divergence flag and every column but wall time:
+        no config identity, so runs that record the same bits hash equal."""
         h = hashlib.sha256()
-        h.update(f"seed={self.seed};config={self.config_hash};diverged={self.diverged}".encode())
+        h.update(f"seed={self.seed};diverged={self.diverged}".encode())
         for name in COLUMNS:
             if name != "wall_ms":
                 h.update(name.encode())

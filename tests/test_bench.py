@@ -4,6 +4,7 @@ import inspect
 import json
 import re
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from ssag.bench import (SECTION_RULES, ExperimentConfig, build_dataset, cli, emi
                         emit_plot, emit_summary_csv, read_csv, run_experiment)
 from ssag.errors import ConfigError, FormatError, SsagError
 from ssag.ingest import write_idx
-from ssag.optimizers import RunConfig
+from ssag.optimizers import RunConfig, resolve_step_size
+from ssag.records import COLUMNS
 
 
 def _config_doc(**overrides):
@@ -130,6 +132,11 @@ class TestExperimentConfig:
         # class means are numbers, not numeric strings or bools
         ("dataset", {"kind": "synthetic", "means": [["1"], [True]], "counts": [5, 5]}, False),
         ("dataset", {"kind": "synthetic", "means": [[1, 0], ["0", 1]], "counts": [5, 5]}, False),
+        # PCG64 seeds are integers >= 0
+        ("dataset", {"kind": "synthetic", "means": [[1.0], [-1.0]], "counts": [5, 5],
+                     "seed": -3}, False),
+        ("dataset", {"kind": "synthetic", "means": [[1.0], [-1.0]], "counts": [5, 5],
+                     "test_seed": -1}, False),
     ])
     def test_section_kinds_and_keys_checked_at_load(self, section, value, accepted):
         doc = _config_doc()
@@ -174,13 +181,6 @@ class TestExperimentConfig:
     def test_rejects_empty_seeds(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(_config_doc(seeds=[]))
-
-    def test_hash_stability(self):
-        a = ExperimentConfig.from_dict(_config_doc())
-        b = ExperimentConfig.from_dict(_config_doc())
-        assert a.config_hash() == b.config_hash()
-        c = ExperimentConfig.from_dict(_config_doc(cadence=10))
-        assert a.config_hash() != c.config_hash()
 
 
 class TestRunExperiment:
@@ -254,6 +254,32 @@ class TestRunExperiment:
         assert cfg.resolved_out_dir() == tmp_path / "envout"
 
 
+class TestContentHash:
+    """A record's hash covers its seed, its divergence flag and every column
+    but wall_ms, and no config identity."""
+
+    def test_auto_and_explicit_h_hash_equal(self, two_class_logistic):
+        obj = two_class_logistic
+        auto = RunConfig(kind="ssag", steps=200, seed=4, cadence=50)
+        explicit = replace(auto, h=resolve_step_size(auto, obj))
+        assert (ssag.run(auto, obj).content_hash()
+                == ssag.run(explicit, obj).content_hash())
+
+    def test_every_column_but_wall_time_enters_the_hash(self, two_class_logistic):
+        obj = two_class_logistic
+        config = RunConfig(kind="ssag", steps=200, h=0.1, seed=4, cadence=50,
+                           record_variance=True)
+        rec = ssag.run(config, obj, w_star=np.zeros(obj.dim), test_dataset=obj.dataset)
+        base = rec.content_hash()
+        for name in COLUMNS:
+            column = getattr(rec, name).copy()
+            assert np.isfinite(column).all(), name
+            column[-1] += 1
+            assert (replace(rec, **{name: column}).content_hash() == base) == (name == "wall_ms")
+        assert replace(rec, seed=5).content_hash() != base
+        assert replace(rec, diverged=True).content_hash() != base
+
+
 class TestCsv:
     def _result(self, **overrides):
         return run_experiment(ExperimentConfig.from_dict(_config_doc(**overrides)))
@@ -288,7 +314,7 @@ class TestCsv:
             read_csv(path)
 
     def test_empty_record_header_only(self, tmp_path):
-        rec = ssag.RunRecord.from_rows([], seed=0, config_hash="x")
+        rec = ssag.RunRecord.from_rows([], seed=0)
         (path,) = emit_csv([rec], tmp_path, "empty")
         assert path.read_text() == "k,passes,loss,test_acc,dist_sq,grad_evals,wall_ms\n"
 
@@ -408,7 +434,8 @@ class TestCli:
         ["gen-data", "--stddev", "nan"], ["gen-data", "--means", "1,a"],
         ["gen-data", "--counts", "5,x"], ["gen-data", "--classes", "0"],
         ["estimate-constants", "--lam", "-1"], ["estimate-constants", "--lam", "nan"],
-        ["estimate-constants", "--lam", "inf"], ["gen-data", "--dim", "0"]])
+        ["estimate-constants", "--lam", "inf"], ["gen-data", "--dim", "0"],
+        ["gen-data", "--seed", "-1"]])
     def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, argv):
         data = tmp_path / "data.txt"
         ssag.write_text(ssag.Dataset.from_class_labels(np.eye(2), np.array([0, 1])), data)
@@ -474,7 +501,8 @@ class TestCli:
         assert loaded[0].to_dict() == expected
         assert type(loaded[0].passes) is type(expected["passes"])
         file_doc = {key: value for key, value in expected.items() if value is not None}
-        assert loaded[0].config_hash() == ExperimentConfig.from_dict(file_doc).config_hash()
+        assert (json.dumps(loaded[0].to_dict(), sort_keys=True)
+                == json.dumps(ExperimentConfig.from_dict(file_doc).to_dict(), sort_keys=True))
 
     @pytest.mark.parametrize("flags", [["--seed", "3"], ["--steps", "2.5"], ["--cadence", "2.5"],
                                        ["--cadence", "0"], ["--passes", "0"], ["--seeds", "1,x"],
@@ -502,6 +530,7 @@ class TestCli:
         ("dataset", {"kind": "synthetic", "means": [[2.0, 0.0], [-2.0, 0.0]],
                      "counts": [10, 10], "stddev": True}),
         ("seeds", [5, 5]),
+        ("seeds", [-1]),
     ])
     def test_malformed_field_fails_at_load_and_writes_nothing(self, tmp_path, capsys,
                                                               monkeypatch, key, value):

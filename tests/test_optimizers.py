@@ -522,10 +522,20 @@ class TestRunLoop:
 
 
 class TestRunConfig:
-    @pytest.mark.parametrize("setting", [{"sum_recompute_every": 0}, {"m": 0}])
+    @pytest.mark.parametrize("setting", [{"m": 0}, {"m": -1}])
     def test_rejects_nonpositive_period(self, setting):
         with pytest.raises(ConfigError):
             RunConfig(kind="ssag", steps=10, **setting)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed"):
+            RunConfig(kind="sgd", steps=1, seed=-1)
+
+    @pytest.mark.parametrize("kind, setting", [("sgd", {"prox_l1": 5.0}), ("sag", {"n": 4})])
+    def test_rejects_a_setting_the_kind_ignores(self, kind, setting):
+        (name,) = setting
+        with pytest.raises(ConfigError, match=rf"ignores the settings \['{name}'\]"):
+            RunConfig(kind=kind, steps=1, **setting)
 
     @pytest.mark.parametrize("prox_l1", ["abc", -1.0, float("nan"), float("inf"), True])
     def test_rejects_bad_prox_l1(self, prox_l1):
@@ -570,8 +580,10 @@ class TestStepsForPasses:
         obj = ssag.LogisticRegression(ssag.gen_synthetic(ssag.SyntheticSpec(
             means=means, counts=(per_class, per_class), stddev=0.3, seed=per_class)), lam=0.1)
         N = obj.dataset.n_samples
-        steps = steps_for_passes(kind, passes, N, n=n, m=m)
-        rec = ssag.run(RunConfig(kind=kind, steps=steps, n=n, m=m, cadence=cadence), obj)
+        # only the settings the kind reads: the others must keep their defaults
+        reads = {key: value for key, value in (("n", n), ("m", m)) if key in SPECS[kind].settings}
+        steps = steps_for_passes(kind, passes, N, **reads)
+        rec = ssag.run(RunConfig(kind=kind, steps=steps, cadence=cadence, **reads), obj)
         assert not rec.diverged
         assert rec.passes.tolist() == (rec.grad_evals / N).tolist()
         # within one step's evaluations of the request, plus one snapshot's N for SVRG

@@ -1,9 +1,12 @@
 """Pinned trajectories: a speed change never changes a trajectory.
 
 Each case runs a short seeded run on a small fixed problem and compares
-`RunRecord.content_hash()` (every recorded column except wall time) with a
-hash frozen from the first run.  A kernel or sampler rewrite that changes a
-single bit of any recorded loss, distance, accuracy or variance fails here.
+`RunRecord.content_hash()` with a hash frozen from the first run.  The hash
+covers exactly the seed, the divergence flag and every recorded column except
+wall time, and no config identity: two cases that record the same bits (SGD
+and mini-batch SGD at n = 1) share a pin.  A kernel or sampler rewrite that
+changes a single bit of any recorded loss, distance, accuracy or variance
+fails here.
 """
 
 import numpy as np
@@ -15,36 +18,36 @@ from ssag.optimizers import SPECS, RunConfig, run
 # (objective kind, run options) -> content hash; frozen from the first run
 PINNED = {
     ("logistic", "fgd"):
-        "a47bc9bb3a9b74792b99eab4a73107944a6ec4340147b1f2bbb1847f927ac77d",
+        "633460c5be84f8988618daf8ff3c1628a5e193d35f98a5fcfa7823bdc3d277e5",
     ("logistic", "sgd"):
-        "daa269e59ffc1e6bee8a9056df57eb5911338452cbafd223bdcec5ba3f56632d",
+        "1d16b5b0e3784a471dcd80cdcfddd09e53bcc6c385786a6f09cdaf6f05b6c5f0",
     ("logistic", "minibatch"):
-        "9fcd106265731d42ef8048d95e1f0e1aad37b9a6127583172477f85e434764de",
+        "1d16b5b0e3784a471dcd80cdcfddd09e53bcc6c385786a6f09cdaf6f05b6c5f0",
     ("logistic", "sag"):
-        "10281eecc23120e194addb4f667319344d989db139f64dd895b9aae039c9ba1f",
+        "0451f6eea0149d4dfeed3f66cd923a7c7d0e1a8cdeb6db4ddf30762030729d2a",
     ("logistic", "svrg"):
-        "1bb6e0cd197ffe98f5f22750dbb674ee03d0b8b6a0acb77d3d61ece1ce79f04e",
+        "cceddcbb4e7da58b398c5f4dec3ea9d263e80dbc7cc1d44d9ac049a0e211f178",
     ("logistic", "saga"):
-        "6a715ae184864dce9ab2a980bc838f74da85529fd27fda3edd75428d4e9b7799",
+        "1fccd32ba6bd4121eaaeceadd6f1126abb3b2965b6f31a074317c7b2bfa58655",
     ("logistic", "ssag"):
-        "45adec4d788c711241162e1d13721f67f11e2a2ec052163c744eec307ca22720",
+        "8576e1426b13d1fa8574985ae04dbb74ee06a59e95a815fcaf7e90a9eed64a78",
     ("logistic", "ssag n=2"):
-        "d36ee2d82a95f1ab9d8a1427eebfec08e0ead57b96d351a0f24cc2f2472b65c4",
+        "5e5f472f8a4dde5ff1c25a28d8123e207402b0b62950e001dce8e206d12df3b6",
     ("logistic", "saga prox_l1"):
-        "ff251b6085db3a15fc517bb1f6fdd9be3833756116550becd913a20656abb116",
+        "01a477053837ad7ed6e7d222f5d0a30893ebaa677307e4f85af54ccc2dae0b6b",
     ("logistic", "minibatch n=3"):
-        "919277ca30549628d8659bf5a3cff0419e8dfaf487901c016b6ddff471237452",
+        "1f7ef2f1a030dccd9dbedc48d7457863cef28a1b897e73646076be61aaff3768",
     ("ridge", "ssag"):
-        "e5c3e7e7a227c4a2abf971c780b96aa08552deb72206efc7b076e27a4a78acaf",
+        "5ae107167feb937892cce325e8a7c1b71bbf9536bbf08d7af7ce2ddc9e0f4d7d",
     ("ridge", "sgd h=0.05"):
-        "16f3f202cb7a80e2e53a7d65e191f22a49868fd42dde125a19c219a9657dc9c6",
+        "2eb0edd47927b33ccde3e363a64f45902621676e08c973c23c547df84f579d23",
 }
 
 # optimizer kind -> content hash of a one-hidden-layer MLP run; frozen from
 # the first run
 PINNED_MLP = {
-    "ssag": "53f7b8e74a097f71244e9c61e8394ba6ecc424c0e09040927ed430900fba8872",
-    "sgd": "692051ae9294033e71aba4c01ee2d451c14b4956dcb0782bc5fec404c16ec042",
+    "ssag": "0fc60c94a98f9d411dbd11b6c0b4c3a7e9cd05cfbf80f5796155ce3786ff24ab",
+    "sgd": "64af08cfd0e9a151512975e0e7a44c195e919d4c6fa010acd0bffdbbf584466b",
 }
 
 OPTIONS = {
