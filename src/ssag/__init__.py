@@ -11,7 +11,7 @@ from .objectives import (LogisticRegression, MeanQuadratic, Mlp, Objective,
                          Prediction, RidgeRegression, accuracy,
                          closed_form_optimum, make_objective)
 from .optimizers import (RunConfig, fgd_step, make_state, minibatch_step,
-                         recompute_sum, run, sag_step, saga_step, sgd_step,
+                         recompute_sum, run, run_seeds, sag_step, saga_step, sgd_step,
                          ssag_step, steps_for_passes, svrg_outer)
 from .records import Aggregate, RunRecord, aggregate
 from .sampling import RngStream, sample_class, sample_uniform, sample_within_class

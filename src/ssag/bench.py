@@ -27,7 +27,7 @@ from .core import Dataset, estimate_constants
 from .errors import ConfigError, FormatError, SsagError
 from .ingest import SyntheticSpec, gen_synthetic, read_idx, read_text, write_text
 from .objectives import CERTIFIED_KINDS, CLASSIFIER_KINDS, Objective, make_objective
-from .optimizers import SPECS, RunConfig, resolve_step_size, run, steps_for_passes
+from .optimizers import SPECS, RunConfig, resolve_step_size, run_seeds, steps_for_passes
 from .records import (COLUMNS, CSV_COLUMNS, CSV_METRICS, SUMMARY_METRICS, Aggregate,
                       RunRecord, aggregate)
 from .theory import (MIN_PASS_FRACTION, MIN_SEEDS, reference_optimum, theorem1_envelope,
@@ -270,12 +270,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     steps = (config.steps if config.steps is not None
              else steps_for_passes(template.kind, config.passes, train.n_samples,
                                    n=template.n, m=template.m))
-    result = ExperimentResult(objective=obj, w_star=w_star, constants=constants)
-    for seed in sorted(config.seeds):
-        result.records.append(run(replace(template, seed=seed, steps=steps), obj,
-                                  constants=constants, w_star=w_star, test_dataset=test))
-    result.agg = aggregate(result.records)
-    return result
+    records = run_seeds(replace(template, steps=steps), obj, sorted(config.seeds),
+                        constants=constants, w_star=w_star, test_dataset=test)
+    return ExperimentResult(objective=obj, records=records, agg=aggregate(records),
+                            w_star=w_star, constants=constants)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ implemented literally as specified.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from numbers import Real
+from dataclasses import dataclass, replace
+from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
@@ -27,7 +27,7 @@ from .core import Dataset, _mean_and_variance, estimate_constants, squared_dista
 from .errors import ConfigError, DivergenceError, UnsupportedObjectiveError
 from .objectives import Objective, accuracy
 from .records import RunRecord
-from .sampling import RngStream, sample_class, sample_uniform, sample_within_class
+from .sampling import RngStream
 
 #: A recorded loss above this value marks the run as diverged.
 DIVERGENCE_LOSS_LIMIT = 1e12
@@ -74,7 +74,7 @@ def _commit(state: State, W: np.ndarray, evals: int) -> State:
     state.W = W
     state.steps += 1
     state.grad_evals += evals
-    if not np.isfinite(W).all():
+    if np.count_nonzero(np.isfinite(W)) != W.size:
         raise DivergenceError("optimizer produced a non-finite iterate",
                               last_finite=prev, steps=state.steps)
     return state
@@ -111,21 +111,18 @@ def ssag_step(state: State, obj: Objective, rng: RngStream) -> State:
     replacement, writes their mean gradient into slot j, and steps
     W <- W - (h/C) * sum of all slots.
     """
-    ds = obj.dataset
-    j = sample_class(rng, ds.n_classes)
-    idx = sample_within_class(rng, ds, j, state.n)
+    j, idx = rng.class_batch(obj.dataset, state.n)
     return _table_average_step(state, j, obj.grad_class_batch(state.W, j, idx), idx.size)
 
 
 def sag_step(state: State, obj: Objective, rng: RngStream) -> State:
     """One SAG update: SSAG over the N singleton strata {i}.
 
-    The stratum draw picks sample i.  A draw from a one-element cell returns
-    that element without consuming generator state, so it is skipped, and
-    no cell arrays are built.
+    The stratum draw picks sample i.  The draw inside a one-element cell
+    consumes no generator state, so a step draws one sample uniformly.
     """
-    i = sample_class(rng, obj.dataset.n_samples)
-    return _table_average_step(state, i, obj.grad_batch(state.W, np.array([i])), 1)
+    idx = rng.uniform_batch(obj.dataset.n_samples, 1)
+    return _table_average_step(state, idx[0], obj.grad_batch(state.W, idx), 1)
 
 
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
@@ -140,8 +137,9 @@ def saga_step(state: State, obj: Objective, rng: RngStream) -> State:
     W - h * (G_i(W) - phi_i + sum/N); the slot is refreshed afterwards.
     """
     N = obj.dataset.n_samples
-    i = sample_class(rng, N)
-    g = obj.grad_batch(state.W, np.array([i]))
+    idx = rng.uniform_batch(N, 1)
+    i = idx[0]
+    g = obj.grad_batch(state.W, idx)
     W = state.W - state.h * (g - state.table[i] + state.table_sum / N)
     _refresh_slot(state, i, g)
     if state.prox_l1 is not None:
@@ -160,7 +158,7 @@ def svrg_outer(state: State, obj: Objective, rng: RngStream) -> State:
         state.snapshot = state.W.copy()
         state.snapshot_grad = obj.grad_full(state.snapshot)
         state.grad_evals += N
-    idx = sample_uniform(rng, N, 1)
+    idx = rng.uniform_batch(N, 1)
     direction = (obj.grad_batch(state.W, idx) - obj.grad_batch(state.snapshot, idx)
                  + state.snapshot_grad)
     return _commit(state, state.W - state.h * direction, 2)
@@ -174,7 +172,7 @@ def _uniform_batch_step(state: State, obj: Objective, rng: RngStream,
     so the kernel reads the rows in place.
     """
     ds = obj.dataset
-    idx = ds.rows if n == ds.n_samples else sample_uniform(rng, ds.n_samples, n)
+    idx = ds.rows if n == ds.n_samples else rng.uniform_batch(ds.n_samples, n)
     h = state.h / (state.steps + 1) if state.schedule == "inv_k" else state.h
     return _commit(state, state.W - h * obj.grad_batch(state.W, idx), idx.size)
 
@@ -289,6 +287,12 @@ class RunConfig:
 
     def __post_init__(self):
         reads = _spec(self.kind).settings
+        for key in ("steps", "seed", "cadence", "n", "m"):
+            value = getattr(self, key)
+            if key == "m" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         if self.h is not None and not 0.0 <= self.h < np.inf:
             raise ConfigError(f"step size h must be finite and >= 0, got {self.h}")
         l1 = self.prox_l1
@@ -392,3 +396,9 @@ def run(config: RunConfig, obj: Objective, *, constants=None,
             alive = snapshot()
             next_record = (state.steps // config.cadence + 1) * config.cadence
     return RunRecord.from_rows(rows, seed=config.seed, diverged=not alive)
+
+
+def run_seeds(config: RunConfig, obj: Objective, seeds, **run_kwargs) -> list[RunRecord]:
+    """One `run` per seed, in the given order, with the rest of ``config``
+    and the keyword arguments of `run` shared."""
+    return [run(replace(config, seed=seed), obj, **run_kwargs) for seed in seeds]

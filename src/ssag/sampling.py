@@ -1,9 +1,18 @@
 """Seeded index generation: uniform sampling and two-stage stratified draws.
 
-Every stream wraps a PCG64 generator, so identical seeds give bit-identical
-draw sequences on every platform.  Exhaustive draws (requesting a whole class
-or the whole population) return ascending indices without consuming generator
-state; this makes paired-trajectory oracles possible by seed sharing alone.
+Every stream is a cursor over the 32-bit words of one PCG64 generator: the
+low, then the high half of each raw 64-bit output, the order in which numpy
+draws bounded integers.  Identical seeds give bit-identical draws on every
+platform.  A draw is numpy's: an index in [0, k) is Lemire's multiply-shift
+of one word with rejection, and n > 1 indices without replacement are
+Floyd's algorithm followed by a Fisher-Yates shuffle, exactly what
+`Generator.integers` and `Generator.choice(..., replace=False)` return.
+`draw_schedule` computes the draws of many steps at once as arrays; the
+`sample_*` functions draw one step through the generator.
+
+Exhaustive draws (requesting a whole class or the whole population) return
+ascending indices without consuming generator state; this makes
+paired-trajectory oracles possible by seed sharing alone.
 """
 
 from __future__ import annotations
@@ -13,87 +22,273 @@ import numpy as np
 from .core import Dataset
 from .errors import SamplingError
 
+_WORD = 1 << 32
+_LOW = np.uint64(_WORD - 1)
+#: `Generator.choice` shuffles the tail of arange(pop) instead of running
+#: Floyd's algorithm when pop > _TAIL_POPULATION and n > pop // _TAIL_CUTOFF.
+_TAIL_POPULATION = 10_000
+_TAIL_CUTOFF = 50
+#: Larger batches are drawn by `Generator.choice`, which costs less per
+#: index than the vectorised draw beyond about this size.
+_MAX_VECTOR_BATCH = 64
+#: Steps in a stream's first chunk; each later chunk is at most twice as
+#: long as the steps its predecessor served.
+_FIRST_CHUNK = 16
+#: Indices a chunk holds at most.
+_CHUNK_INDICES = 1 << 16
 
-#: Words per block of the block sampler: about 40 KB of live Python ints.
-_BLOCK_WORDS = 1024
-#: Consecutive bounded draws after which a stream switches to blocks.
-_BLOCK_STREAK = 128
-_WORD_RANGE = 1 << 32
-_WORD_MASK = _WORD_RANGE - 1
+
+def _lemire(words: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
+    """Each 32-bit word mapped into [0, k), and whether numpy keeps it.
+
+    numpy rejects a word whose low product half lies below (2^32 - k) % k
+    and draws again from the next word.
+    """
+    m = words * k
+    return (m >> 32).astype(np.int64), (m & _LOW) >= (_WORD - k) % k
+
+
+def _within_words(sizes: np.ndarray, n: int) -> np.ndarray:
+    """Words each stratum's within draw takes: 0 for the whole stratum, 1 for
+    one index, Floyd's n plus the shuffle's n - 1 otherwise.  -1 marks a draw
+    left to the generator: a batch above _MAX_VECTOR_BATCH, numpy's tail
+    shuffle, or a batch the stratum cannot hold."""
+    words = np.full(sizes.shape, 1 if n == 1 else 2 * n - 1)
+    words[(n > _MAX_VECTOR_BATCH) | (sizes > _TAIL_POPULATION) & (n > sizes // _TAIL_CUTOFF)] = -1
+    words[sizes == n] = 0
+    words[(sizes < n) | (n < 1)] = -1
+    return words
+
+
+def _first_false(ok: np.ndarray) -> int:
+    bad = np.flatnonzero(~ok)
+    return int(bad[0]) if bad.size else ok.size
+
+
+def draw_schedule(words: np.ndarray, sizes, n: int,
+                  steps: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The draws of the longest run of like steps at the head of ``words``.
+
+    ``words`` holds 32-bit words in PCG64 order (a uint64 array) and
+    ``sizes`` the stratum sizes.  A step takes one word for its stratum when
+    there is more than one, then the words of its within-stratum draw of n
+    positions, as `sample_class` and `sample_within_class` would draw them.
+    The run ends after ``steps`` steps, before the first step that would
+    reject a word, and before the first step whose word count differs from
+    the first step's.
+
+    Returns ``(strata, positions, width)``: the strata (S,), the positions
+    inside them (S, n) in draw order, and the words per step.  S is 0 when
+    the first step itself is such a step: draw it with the generator.
+    """
+    sizes = np.asarray(sizes, dtype=np.uint64)
+    within = _within_words(sizes, n)
+    head = int(sizes.size > 1)
+    empty = np.zeros(0, dtype=np.int64), np.zeros((0, max(n, 0)), dtype=np.int64), 0
+    if head:
+        if not words.size:
+            return empty
+        j, ok = _lemire(words[:1], sizes.size)
+        if not ok[0]:
+            return empty
+        j = int(j[0])
+    else:
+        j = 0
+    if within[j] < 0:
+        return empty
+    width = head + int(within[j])
+    S = min(steps, words.size // width) if width else steps
+    block = words[:S * width].reshape(S, width)
+    if head:
+        strata, ok = _lemire(block[:, 0], sizes.size)
+        S = _first_false(ok & (within[strata] == within[j]))
+        strata, block = strata[:S], block[:S]
+    else:
+        strata = np.zeros(S, dtype=np.int64)
+    pop = sizes[strata]
+    if within[j] == 0:
+        return strata, np.broadcast_to(np.arange(n), (S, n)).copy(), width
+    if n == 1:
+        positions, ok = _lemire(block[:, head:], pop[:, None])
+        S = _first_false(ok[:, 0])
+        return strata[:S], positions[:S], width
+    # Floyd's round t draws v in [0, pop - n + t] and keeps it unless it was
+    # already taken, else takes pop - n + t itself
+    tops = pop[:, None] - np.uint64(n) + np.arange(n, dtype=np.uint64)
+    v, ok = _lemire(block[:, head:head + n], tops + np.uint64(1))
+    # the shuffle swaps position i with one drawn from [0, i], i = n-1 .. 1
+    swaps, ok_swaps = _lemire(block[:, head + n:], np.arange(n, 1, -1, dtype=np.uint64))
+    S = _first_false(ok.all(axis=1) & ok_swaps.all(axis=1))
+    v, tops, swaps = v[:S], tops[:S].astype(np.int64), swaps[:S]
+    # round t takes its top iff v is already taken: v repeats an earlier
+    # round's v, or v is the top of an earlier round u that took its top
+    # (a round that drew its own top is a repeat for any later round)
+    order = np.argsort(v, axis=1, kind="stable")
+    ranked = np.take_along_axis(v, order, axis=1)
+    took_top = np.zeros(v.shape, dtype=bool)
+    np.put_along_axis(took_top, order[:, 1:], ranked[:, 1:] == ranked[:, :-1], axis=1)
+    u = v - tops[:, :1]
+    rows, t = np.nonzero((u >= 0) & (u < np.arange(n)))
+    u = u[rows, t]
+    while True:  # follow the links t -> u until nothing changes
+        took = took_top[rows, t] | took_top[rows, u]
+        if np.array_equal(took, took_top[rows, t]):
+            break
+        took_top[rows, t] = took
+    positions = np.where(took_top, tops, v)
+    # the shuffle, one swap per column for all steps at once
+    rows = np.arange(S)
+    for col, i in enumerate(range(n - 1, 0, -1)):
+        s = swaps[:, col]
+        picked = positions[rows, s]
+        positions[rows, s] = positions[:, i]
+        positions[:, i] = picked
+    return strata[:S], positions, width
 
 
 class RngStream:
-    """Single-owner random stream with a logical draw counter.
+    """Single-owner random stream: a cursor over one PCG64 generator's words.
 
     ``draws`` counts sampling calls that consumed generator state, not raw
     generator words (bounded-integer rejection may consume a variable number
     of words internally; the sequence is still seed-deterministic).
 
-    ``bounded(k)`` returns exactly what ``int(generator.integers(k))`` would.
-    After a run of consecutive bounded draws it stops calling the generator
-    once per draw: it draws blocks of 32-bit words and applies numpy's
-    bounded-integer map (Lemire's multiply-shift with rejection) to them in
-    Python.  ``generator`` is the only access to the underlying
-    `numpy.random.Generator`.  Reading it first re-synchronises a live
-    block: the generator state saved before the block is restored and the
-    words used so far are drawn again, so the caller sees the generator in
-    the state that one scalar call per draw would have left.  Any draw made
-    through it (``choice``, say) therefore continues the same stream, and
-    the stream falls back to scalar draws until the next run of bounded
-    draws.  Blocks change no draw and no ``draws`` count.
+    A run's steps take their draws from `class_batch` (a class, then a batch
+    inside it) and `uniform_batch` (a batch of the population).  These serve
+    each step from a chunk of steps that `draw_schedule` built ahead from the
+    generator's raw output.  Chunks grow geometrically from 16 steps, so a
+    short run draws few words, and hold at most 2^16 indices, so a large
+    batch costs little memory.  A step the schedule leaves out (a rejected
+    word, numpy's tail shuffle) is drawn through the generator by the
+    `sample_*` functions.
+
+    Every other access (`bounded`, `generator`, or a draw of another shape)
+    first moves the generator back to the first step not yet served:
+    `PCG64.advance` and the pending half-word restore the exact state that
+    one generator call per draw would have left.  So `sample_*`,
+    `Generator.choice` and any other use of the generator continue the same
+    stream, and chunks change no draw and no ``draws`` count.
     """
 
     algorithm = "pcg64"
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._generator = np.random.Generator(np.random.PCG64(self.seed))
+        self._bitgen = np.random.PCG64(self.seed)
+        self._generator = np.random.Generator(self._bitgen)
         self.draws = 0
-        self._streak = 0       # bounded draws since the last generator access
-        self._words = None     # live block of 32-bit words, or None
-        self._used = 0         # words of the live block consumed so far
-        self._saved = None     # bit-generator state before the live block
+        # the live chunk: the shape it serves, its draws, the next step to
+        # serve, and the raw outputs it was built from (None once synced)
+        self._dataset = self._population = self._n = None
+        self._strata = self._indices = None
+        self._next = self._size = self._width = self._step_draws = 0
+        self._raws = None
+        self._start = (0, 0)  # has_uint32 and uinteger when the chunk began
+        self._cells = (None, None, None)  # dataset, its cells joined, cell starts
+        # the last shape asked for, its stratum sizes, and whether
+        # `draw_schedule` covers any of its steps
+        self._shape = (None, None, False)
 
     @property
     def generator(self) -> np.random.Generator:
-        """The underlying generator, in the state scalar draws would leave."""
-        if self._words is not None:
-            self._generator.bit_generator.state = self._saved
-            if self._used:
-                self._generator.integers(0, _WORD_RANGE, dtype=np.uint64, size=self._used)
-            self._words = None
-        self._streak = 0
+        """The underlying generator, at the first draw not yet served."""
+        self._sync()
         return self._generator
 
     def bounded(self, k: int) -> int:
-        """Uniform integer in [0, k): exactly ``int(generator.integers(k))``.
+        """Uniform integer in [0, k): exactly ``int(generator.integers(k))``."""
+        return int(self.generator.integers(k))
 
-        k = 1 consumes no generator state, as in numpy; k > 2^32 is drawn
-        by the generator itself.
-        """
-        k = int(k)
-        if k == 1:
-            return 0
-        if not 1 < k <= _WORD_RANGE:
-            return int(self.generator.integers(k))
-        if self._words is None:
-            self._streak += 1
-            if self._streak < _BLOCK_STREAK:
-                return int(self._generator.integers(k))
-            self._fill()
-        while True:
-            if self._used == _BLOCK_WORDS:
-                self._fill()
-            m = self._words[self._used] * k
-            self._used += 1
-            if (m & _WORD_MASK) >= (_WORD_RANGE - k) % k:
-                return m >> 32
+    def class_batch(self, dataset: Dataset, n: int) -> tuple[int, np.ndarray]:
+        """One stratified step's draw: `sample_class`, then `sample_within_class`."""
+        s = self._next
+        if s == self._size or self._dataset is not dataset or self._n != n:
+            return self._restart(dataset, None, n)
+        self._next = s + 1
+        self.draws += self._step_draws
+        return self._strata[s], self._indices[s]
 
-    def _fill(self) -> None:
-        self._saved = self._generator.bit_generator.state
-        self._words = self._generator.integers(0, _WORD_RANGE, dtype=np.uint64,
-                                               size=_BLOCK_WORDS).tolist()
-        self._used = 0
+    def uniform_batch(self, n_population: int, n: int) -> np.ndarray:
+        """One uniform step's draw: `sample_uniform`."""
+        s = self._next
+        if (s == self._size or self._dataset is not None
+                or self._population != n_population or self._n != n):
+            return self._restart(None, n_population, n)[1]
+        self._next = s + 1
+        self.draws += self._step_draws
+        return self._indices[s]
+
+    def _restart(self, dataset, n_population, n):
+        """Serve the first step of a new chunk for this shape, or draw the
+        step through the generator where the schedule leaves it out."""
+        steps = min(max(_FIRST_CHUNK, 2 * self._next), max(1, _CHUNK_INDICES // max(n, 1)))
+        self._sync()
+        cells = dataset.partition if dataset is not None else None
+        shape = (dataset, n_population, n)
+        if self._shape[0] != shape:
+            sizes = np.array([c.size for c in cells] if cells is not None else [n_population])
+            self._shape = (shape, sizes, (_within_words(sizes, n) >= 0).any())
+        _, sizes, scheduled = self._shape
+        strata = ()
+        if scheduled:
+            strata, positions = self._build(sizes, n, steps)
+        if not len(strata):
+            if cells is None:
+                return None, sample_uniform(self, n_population, n)
+            j = sample_class(self, sizes.size)
+            return j, sample_within_class(self, dataset, j, n)
+        self._dataset, self._population, self._n = dataset, n_population, n
+        self._step_draws = int(sizes.size > 1) + (self._width > (sizes.size > 1))
+        if cells is None:
+            indices = positions
+        else:
+            if self._cells[0] is not dataset:
+                self._cells = (dataset, np.concatenate(cells),
+                               np.cumsum([0] + [c.size for c in cells[:-1]]))
+            _, joined, starts = self._cells
+            indices = joined[starts[strata][:, None] + positions]
+            self._strata = strata.tolist()
+        indices.setflags(write=False)
+        self._indices = indices
+        if cells is None:
+            return None, self.uniform_batch(n_population, n)
+        return self.class_batch(dataset, n)
+
+    def _build(self, sizes, n, steps):
+        """Draw words for up to ``steps`` steps and schedule them as a chunk."""
+        state = self._bitgen.state
+        pending = state["has_uint32"]
+        per_step = int(sizes.size > 1) + max(2 * n - 1, 1)
+        raws = self._bitgen.random_raw((steps * per_step - pending + 1) // 2)
+        words = np.empty(pending + 2 * raws.size, dtype=np.uint64)
+        words[pending::2] = raws & _LOW
+        words[pending + 1::2] = raws >> np.uint64(32)
+        if pending:
+            words[0] = state["uinteger"]
+        strata, positions, self._width = draw_schedule(words, sizes, n, steps)
+        self._raws, self._start = raws, (pending, state["uinteger"])
+        self._next, self._size = 0, strata.size
+        if not strata.size:
+            self._sync()
+        return strata, positions
+
+    def _sync(self) -> None:
+        """Move the generator to the first word of the first unserved step."""
+        raws = self._raws
+        if raws is None:
+            return
+        pending, start_u = self._start
+        used = self._next * self._width - pending  # raw half-words served
+        self._bitgen.advance((used + 1) // 2 - raws.size)
+        state = self._bitgen.state
+        if used > 0:
+            state["has_uint32"] = used & 1
+            state["uinteger"] = int(raws[(used - 1) // 2] >> np.uint64(32))
+        else:
+            state["has_uint32"], state["uinteger"] = -used, start_u
+        self._bitgen.state = state
+        self._raws = None
+        self._next = self._size = 0
 
     def __repr__(self):
         return f"RngStream(algorithm={self.algorithm!r}, seed={self.seed}, draws={self.draws})"

@@ -91,6 +91,32 @@ def reference_sgd(obj, h, steps, seed, W0=None):
     return W
 
 
+def reference_class_batch(gen, dataset, n):
+    """One stratified step's draw from a plain np.random.Generator, one call
+    per draw: the class j from `integers` (none for one class), then the
+    batch from class j's cell with `integers` for one index or `choice`
+    without replacement for more (none for the whole cell)."""
+    C = dataset.n_classes
+    j = int(gen.integers(C)) if C > 1 else 0
+    cell = dataset.partition[j]
+    if n == cell.size:
+        return j, cell.copy()
+    if n == 1:
+        return j, cell[[int(gen.integers(cell.size))]]
+    return j, gen.choice(cell, size=n, replace=False)
+
+
+def reference_uniform_batch(gen, n_population, n):
+    """One uniform step's draw of n of N indices from a plain
+    np.random.Generator: `integers` for one, `choice` without replacement
+    for more, no draw for all N."""
+    if n == n_population:
+        return np.arange(n_population)
+    if n == 1:
+        return np.array([int(gen.integers(n_population))])
+    return gen.choice(n_population, size=n, replace=False)
+
+
 OBJECTIVE_KINDS = ("ridge", "logistic", "quadratic", "mlp")
 
 

@@ -113,11 +113,9 @@ def test_criterion_2_sampling_identities():
 def test_criterion_3_theorem2_envelope(envelope):
     obj, const, w_star = envelope
     t0 = time.perf_counter()
-    records = []
-    for seed in range(ENVELOPE_SEEDS):
-        cfg = RunConfig(kind="ssag", steps=ENVELOPE_STEPS, seed=seed,
-                        cadence=ENVELOPE_CADENCE, n=1)  # h defaults to 1/(2CL)
-        records.append(ssag.run(cfg, obj, constants=const, w_star=w_star))
+    cfg = RunConfig(kind="ssag", steps=ENVELOPE_STEPS, cadence=ENVELOPE_CADENCE,
+                    n=1)  # h defaults to 1/(2CL)
+    records = ssag.run_seeds(cfg, obj, range(ENVELOPE_SEEDS), constants=const, w_star=w_star)
     agg = ssag.aggregate(records)
     inp = ssag.theorem2_inputs_for(obj, n=1, w0=np.zeros(obj.dim),
                                    constants=const, w_star=w_star)
@@ -138,11 +136,9 @@ def test_criterion_4_theorem1_behavior(envelope):
     j_star = obj.loss_full(w_star)
     N = obj.dataset.n_samples
     h_sgd = 1.0 / (2.0 * const.L)
-    records = []
-    for seed in range(ENVELOPE_SEEDS):
-        cfg = RunConfig(kind="sgd", steps=ENVELOPE_STEPS, seed=seed, h=h_sgd,
-                        cadence=ENVELOPE_CADENCE, record_variance=True)
-        records.append(ssag.run(cfg, obj, constants=const, w_star=w_star))
+    cfg = RunConfig(kind="sgd", steps=ENVELOPE_STEPS, h=h_sgd, cadence=ENVELOPE_CADENCE,
+                    record_variance=True)
+    records = ssag.run_seeds(cfg, obj, range(ENVELOPE_SEEDS), constants=const, w_star=w_star)
     agg = ssag.aggregate(records)
     gaps = agg.mean["loss"] - j_star
     tail = slice(int(0.9 * agg.k.size), None)
@@ -192,11 +188,8 @@ def test_criterion_6_batch_size_independence(envelope):
     t0 = time.perf_counter()
     slopes = {}
     for n in (1, 10):
-        records = []
-        for seed in range(20):
-            cfg = RunConfig(kind="ssag", steps=20_000, seed=1000 + seed,
-                            cadence=200, n=n)  # h defaults to 1/(2CL)
-            records.append(ssag.run(cfg, obj, constants=const, w_star=w_star))
+        cfg = RunConfig(kind="ssag", steps=20_000, cadence=200, n=n)  # h defaults to 1/(2CL)
+        records = ssag.run_seeds(cfg, obj, range(1000, 1020), constants=const, w_star=w_star)
         agg = ssag.aggregate(records)
         slopes[n] = ssag.fit_decay_rate(agg.k, agg.mean["dist_sq"],
                                         k_min=200, k_max=6000)

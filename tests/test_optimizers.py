@@ -1,15 +1,17 @@
 """Optimizer step semantics, special-case collapses, and the run loop."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import ssag
 from ssag.errors import ConfigError, DivergenceError
-from ssag.optimizers import (SPECS, RunConfig, State, _refresh_slot, fgd_step, make_state,
-                             recompute_sum, sag_step, saga_step, sgd_step,
+from ssag.optimizers import (SPECS, RunConfig, State, _commit, _refresh_slot, fgd_step,
+                             make_state, recompute_sum, sag_step, saga_step, sgd_step,
                              soft_threshold, ssag_step, steps_for_passes, svrg_outer)
 from ssag.sampling import RngStream
 
@@ -438,6 +440,47 @@ class TestDivergenceDetection:
         assert np.all(np.isfinite(info.value.last_finite))
 
 
+# values the finite guard must judge like np.isfinite: +-inf, NaN, +-0,
+# subnormals and +-max
+SPECIAL_FLOATS = (np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                  np.finfo(np.float64).max, -np.finfo(np.float64).max)
+MLP_SIZE = 784 * 120 + 120 + 120 * 10 + 10  # parameters of the 784-120-10 MLP
+
+
+def _guard_verdict(W):
+    """Whether `_commit` accepts W (True) or raises DivergenceError (False)."""
+    state = State(W=np.zeros(W.size), h=0.1)
+    try:
+        _commit(state, W, 1)
+    except DivergenceError:
+        return False
+    return True
+
+
+class TestFiniteGuard:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(W=hnp.arrays(np.float64, st.integers(1, 40),
+                        elements=st.sampled_from(SPECIAL_FLOATS) | st.floats()))
+    def test_verdict_matches_isfinite(self, W):
+        assert _guard_verdict(W) == bool(np.isfinite(W).all())
+
+    @pytest.mark.parametrize("special", SPECIAL_FLOATS)
+    def test_verdict_at_mlp_size(self, special):
+        W = np.random.default_rng(0).normal(size=MLP_SIZE)
+        W[MLP_SIZE // 3] = special
+        assert _guard_verdict(W) == bool(np.isfinite(special))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_raises_without_warnings(self, bad):
+        state = State(W=np.zeros(3), h=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as info:
+                _commit(state, np.array([1.0, bad, 0.0]), 1)
+        assert info.value.steps == state.steps == 1
+        assert np.array_equal(info.value.last_finite, np.zeros(3))
+
+
 class TestRunLoop:
     def test_zero_iterations(self, line_ridge):
         rec = ssag.run(RunConfig(kind="fgd", steps=0), line_ridge)
@@ -526,6 +569,19 @@ class TestRunConfig:
     def test_rejects_nonpositive_period(self, setting):
         with pytest.raises(ConfigError):
             RunConfig(kind="ssag", steps=10, **setting)
+
+    @pytest.mark.parametrize("kind, setting", [
+        ("sgd", {"steps": 2.5}), ("sgd", {"cadence": 1.5}), ("sgd", {"seed": 2.5}),
+        ("sgd", {"seed": True}), ("ssag", {"n": True}), ("svrg", {"m": 2.5}),
+        ("sgd", {"steps": np.float64(3.0)})])
+    def test_rejects_non_integer_settings(self, kind, setting):
+        (name,) = setting
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            RunConfig(kind=kind, **{"steps": 3, **setting})
+
+    def test_accepts_numpy_integers(self):
+        config = RunConfig(kind="ssag", steps=np.int64(3), seed=np.int64(2), n=np.int32(1))
+        assert (config.steps, config.seed, config.n) == (3, 2, 1)
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ConfigError, match="seed"):

@@ -76,16 +76,21 @@ def test_step_functions_match_the_registry():
     assert spans.STEP_FUNCTIONS == {kind: spec.step for kind, spec in SPECS.items()}
 
 
-def test_every_ssag_step_edge_is_called_once_per_step(random_problem):
+def test_ssag_step_edges_gradient_and_update_once_per_step_draws_never(random_problem):
     # the benchmark's step accounting sums the self times of these edges; a
-    # step that bypasses one of them would leave its time unaccounted
+    # step that bypasses the gradient or the update edge would leave its time
+    # unaccounted.  A step takes its draws from the stream's chunk of step
+    # draws, so the two draw edges see no call.
     obj = random_problem(kind="logistic", N=12, p=3)
     config = ssag.RunConfig(kind="ssag", steps=25, h=0.1, cadence=10)
     tracer = spans.Tracer()
     with tracer.installed():
         ssag.run(config, obj)
-    edges = [edge for part in SSAG_STEP_EDGES.values() for edge in part]
-    assert [tracer.totals(*edge)[0] for edge in edges] == [config.steps] * len(edges)
+    calls = {part: [tracer.totals(*edge)[0] for edge in edges]
+             for part, edges in SSAG_STEP_EDGES.items()}
+    assert calls == {"class draw": [0], "within-class draw": [0],
+                     "class-batch gradient": [config.steps] * 2,
+                     "update and guard": [config.steps]}
 
 
 def test_full_data_calls_count_every_row(random_problem):

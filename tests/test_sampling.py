@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
 import ssag
+from conftest import reference_class_batch, reference_uniform_batch
 from ssag.errors import SamplingError
-from ssag.sampling import (RngStream, sample_class, sample_uniform,
+from ssag.optimizers import SPECS
+from ssag.sampling import (RngStream, draw_schedule, sample_class, sample_uniform,
                            sample_within_class)
 
 # first 20 class draws for seed 42, C = 10; frozen from the first run
@@ -166,24 +168,47 @@ class TestUniformityChiSquare:
         assert result.pvalue > 0.001
 
 
-# bounds of the block-sampler checks: 1 and 2^32 take no rejection path,
-# 3e9 rejects about 30 % of words, 2^33 + 1 is drawn by the generator itself
+# bounds of the word-cursor checks: 1 and 2^32 take no rejection path,
+# 3e9 rejects about 30 % of words, 2^33 + 1 is drawn from 64-bit words
 BOUNDS = (1, 2, 200, 3 * 10**9, 2**32, 2**33 + 1)
 
 
-class TestBlockSampler:
-    """`RngStream.bounded` and `generator` against one scalar call per draw."""
+def _labelled(counts):
+    labels = np.repeat(np.arange(len(counts)), counts)
+    return ssag.Dataset.from_class_labels(np.zeros((labels.size, 1)), labels)
+
+
+def _step(rng, ref, kind, ds, n):
+    """One step's draw of an optimizer kind from the stream and from the
+    oracle; returns the oracle's draw count for it."""
+    if kind == "ssag":
+        (j, idx), (j_ref, idx_ref) = rng.class_batch(ds, n), reference_class_batch(ref, ds, n)
+        assert j == j_ref
+        assert np.array_equal(idx, idx_ref)
+        assert np.isin(idx, ds.partition[j]).all()
+        return (ds.n_classes > 1) + (n < ds.partition[j].size)
+    N = ds.n_samples
+    assert np.array_equal(rng.uniform_batch(N, n), reference_uniform_batch(ref, N, n))
+    return int(n < N)
+
+
+class TestWordCursor:
+    """`RngStream` step draws, `bounded` and `generator` against one scalar
+    `np.random.Generator` call per draw."""
 
     _run = st.tuples(st.just("run"), st.lists(st.sampled_from(BOUNDS), min_size=1, max_size=3),
                      st.integers(1, 1500))
     _choice = st.tuples(st.just("choice"), st.integers(2, 50), st.integers(2, 50))
     _uniform = st.tuples(st.just("uniform"), st.integers(4, 50), st.integers(2, 3))
     _big = st.tuples(st.just("big"), st.sampled_from((2**33 + 1, 2**40)))
+    _steps = st.tuples(st.just("steps"), st.sampled_from(("ssag", "minibatch", "sgd")),
+                       st.integers(1, 64), st.integers(1, 300))
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(seed=st.integers(0, 2**64 - 1),
-           ops=st.lists(st.one_of(_run, _choice, _uniform, _big), min_size=1, max_size=8))
+           ops=st.lists(st.one_of(_run, _choice, _uniform, _big, _steps), min_size=1, max_size=8))
     def test_matches_scalar_generator(self, seed, ops):
+        ds = _labelled([7, 3, 12])
         rng = RngStream(seed)
         ref = np.random.Generator(np.random.PCG64(seed))
         draws = 0
@@ -203,24 +228,101 @@ class TestBlockSampler:
                 assert np.array_equal(sample_uniform(rng, population, n),
                                       ref.choice(population, size=n, replace=False))
                 draws += 1
+            elif op[0] == "steps":
+                _, kind, n, count = op
+                n = min(n, 3) if kind == "ssag" else 1 if kind == "sgd" else min(n, 22)
+                draws += sum(_step(rng, ref, kind, ds, n) for _ in range(count))
             else:
                 assert rng.bounded(op[1]) == int(ref.integers(op[1]))
         assert rng.draws == draws
         assert rng.generator.bit_generator.state == ref.bit_generator.state
 
-    def test_large_bound_while_block_is_live(self):
+    def test_large_bound_while_chunk_is_live(self):
+        ds = _labelled([5, 9])
         rng = RngStream(8)
         ref = np.random.Generator(np.random.PCG64(8))
-        for k in [200] * 700 + [2**33 + 1] + [200] * 700 + [3 * 10**9] * 300:
-            assert rng.bounded(k) == int(ref.integers(k))
+        for k in [None] * 700 + [2**33 + 1] + [None] * 700 + [3 * 10**9] * 300 + [None] * 5:
+            if k is None:
+                _step(rng, ref, "ssag", ds, 1)
+            else:
+                assert rng.bounded(k) == int(ref.integers(k))
         assert rng.generator.bit_generator.state == ref.bit_generator.state
 
     def test_within_class_single_draw_matches_scalar_index(self, dataset):
         rng = RngStream(6)
         ref = np.random.Generator(np.random.PCG64(6))
-        for _ in range(3000):
-            j = sample_class(rng, 3)
-            idx = sample_within_class(rng, dataset, j, 1)
+        for step in range(3000):
+            if step % 2:
+                j, idx = rng.class_batch(dataset, 1)
+            else:
+                j = sample_class(rng, 3)
+                idx = sample_within_class(rng, dataset, j, 1)
             assert j == int(ref.integers(3))
             cell = dataset.partition[j]
             assert idx.tolist() == [int(cell[ref.integers(cell.size)])]
+        assert rng.draws == 6000
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**64 - 1),
+           counts=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+           big=st.sampled_from((0, 10_000, 10_001, 12_000)), data=st.data())
+    def test_step_draws_match_the_oracle(self, seed, counts, big, data):
+        # every kind's draw, n up to the class size or population, classes of
+        # any balance (N_c = n and C = 1 included), populations on both sides
+        # of numpy's tail-shuffle cutoff; after each run of steps a mixed
+        # generator call must find the generator where the oracle's is
+        ds = _labelled(counts + [big] * bool(big))
+        rng = RngStream(seed)
+        ref = np.random.Generator(np.random.PCG64(seed))
+        draws = 0
+        for _ in range(data.draw(st.integers(1, 3))):
+            kind = data.draw(st.sampled_from(list(SPECS)))
+            if kind == "fgd":  # draws nothing: a full pass reads dataset.rows
+                continue
+            limit = {"ssag": min(ds.class_counts), "minibatch": ds.n_samples}.get(kind, 1)
+            n = data.draw(st.integers(1, limit))
+            draws += sum(_step(rng, ref, kind, ds, n) for _ in range(data.draw(st.integers(1, 200))))
+            mixed = data.draw(st.sampled_from(BOUNDS + ("choice",)))
+            if mixed == "choice":
+                assert np.array_equal(rng.generator.choice(9, size=4, replace=False),
+                                      ref.choice(9, size=4, replace=False))
+            else:
+                assert rng.bounded(mixed) == int(ref.integers(mixed))
+            assert rng.generator.bit_generator.state == ref.bit_generator.state
+        assert rng.draws == draws
+
+    @pytest.mark.parametrize("counts, n", [
+        ([10_000], 300), ([10_001], 200), ([10_001], 201), ([12_000], 64), ([12_000], 65),
+        ([12_000, 80], 64), ([10_001, 12_000], 201), ([12_000, 12_000], 241)])
+    def test_populations_around_the_tail_shuffle(self, counts, n):
+        # numpy's choice shuffles the tail of arange(pop) when pop > 10 000
+        # and n > pop // 50, and runs Floyd's algorithm otherwise
+        ds = _labelled(counts)
+        rng = RngStream(21)
+        ref = np.random.Generator(np.random.PCG64(21))
+        for step in range(40):
+            _step(rng, ref, "ssag" if step % 3 else "minibatch", ds, n)
+        assert rng.generator.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_forced_rejections(self, n):
+        # a population of 3e9 rejects about 30 % of words, so most chunks
+        # end at a rejected word and its step is drawn by the generator
+        N = 3 * 10**9
+        rng = RngStream(4)
+        ref = np.random.Generator(np.random.PCG64(4))
+        for _ in range(3000 // n):
+            assert np.array_equal(rng.uniform_batch(N, n), reference_uniform_batch(ref, N, n))
+        assert rng.generator.bit_generator.state == ref.bit_generator.state
+        assert rng.draws == 3000 // n
+
+    def test_schedule_stops_before_the_first_rejected_word(self):
+        k = 3 * 10**9
+        words = np.random.Generator(np.random.PCG64(9)).integers(0, 2**32, size=64,
+                                                                 dtype=np.uint64)
+        kept = [(int(w) * k) % 2**32 >= (2**32 - k) % k for w in words]
+        first = kept.index(False)
+        strata, positions, width = draw_schedule(words, [k], 1, 64)
+        assert width == 1 and strata.tolist() == [0] * first
+        assert positions[:, 0].tolist() == [int(w) * k >> 32 for w in words[:first]]
+        assert draw_schedule(words[first:], [k], 1, 64)[0].size == 0
