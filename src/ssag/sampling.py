@@ -159,8 +159,8 @@ class RngStream:
     generator's raw output.  Chunks grow geometrically from 16 steps, so a
     short run draws few words, and hold at most 2^16 indices, so a large
     batch costs little memory.  A step the schedule leaves out (a rejected
-    word, numpy's tail shuffle) is drawn through the generator by the
-    `sample_*` functions.
+    word, a batch above 64, numpy's tail shuffle) is drawn through the
+    generator by the `sample_*` functions.
 
     Every other access (`bounded`, `generator`, or a draw of another shape)
     first moves the generator back to the first step not yet served:
@@ -184,10 +184,10 @@ class RngStream:
         self._next = self._size = self._width = self._step_draws = 0
         self._raws = None
         self._start = (0, 0)  # has_uint32 and uinteger when the chunk began
-        self._cells = (None, None, None)  # dataset, its cells joined, cell starts
-        # the last shape asked for, its stratum sizes, and whether
-        # `draw_schedule` covers any of its steps
-        self._shape = (None, None, False)
+        # the last shape asked for, its stratum sizes, whether
+        # `draw_schedule` covers any of its steps, its cells joined and
+        # where each cell starts in them
+        self._shape = (None, None, False, None, None)
 
     @property
     def generator(self) -> np.random.Generator:
@@ -227,8 +227,10 @@ class RngStream:
         shape = (dataset, n_population, n)
         if self._shape[0] != shape:
             sizes = np.array([c.size for c in cells] if cells is not None else [n_population])
-            self._shape = (shape, sizes, (_within_words(sizes, n) >= 0).any())
-        _, sizes, scheduled = self._shape
+            joined = np.concatenate(cells) if cells is not None else None
+            self._shape = (shape, sizes, (_within_words(sizes, n) >= 0).any(), joined,
+                           np.cumsum(sizes) - sizes)
+        _, sizes, scheduled, joined, starts = self._shape
         strata = ()
         if scheduled:
             strata, positions = self._build(sizes, n, steps)
@@ -242,10 +244,6 @@ class RngStream:
         if cells is None:
             indices = positions
         else:
-            if self._cells[0] is not dataset:
-                self._cells = (dataset, np.concatenate(cells),
-                               np.cumsum([0] + [c.size for c in cells[:-1]]))
-            _, joined, starts = self._cells
             indices = joined[starts[strata][:, None] + positions]
             self._strata = strata.tolist()
         indices.setflags(write=False)

@@ -279,8 +279,11 @@ class TestWordCursor:
             kind = data.draw(st.sampled_from(list(SPECS)))
             if kind == "fgd":  # draws nothing: a full pass reads dataset.rows
                 continue
-            limit = {"ssag": min(ds.class_counts), "minibatch": ds.n_samples}.get(kind, 1)
-            n = data.draw(st.integers(1, limit))
+            limit = int({"ssag": min(ds.class_counts), "minibatch": ds.n_samples}.get(kind, 1))
+            # edges: the whole class or population, numpy's tail-shuffle
+            # cutoff and the largest batch the schedule draws
+            edges = sorted({limit, min(limit, limit // 50 + 1), min(limit, 64), min(limit, 65)})
+            n = data.draw(st.integers(1, limit) | st.sampled_from(edges))
             draws += sum(_step(rng, ref, kind, ds, n) for _ in range(data.draw(st.integers(1, 200))))
             mixed = data.draw(st.sampled_from(BOUNDS + ("choice",)))
             if mixed == "choice":
@@ -292,11 +295,13 @@ class TestWordCursor:
         assert rng.draws == draws
 
     @pytest.mark.parametrize("counts, n", [
+        ([7], 1), ([7], 3), ([7], 7), ([1, 5], 1), ([3, 9, 3], 3),
         ([10_000], 300), ([10_001], 200), ([10_001], 201), ([12_000], 64), ([12_000], 65),
         ([12_000, 80], 64), ([10_001, 12_000], 201), ([12_000, 12_000], 241)])
-    def test_populations_around_the_tail_shuffle(self, counts, n):
-        # numpy's choice shuffles the tail of arange(pop) when pop > 10 000
-        # and n > pop // 50, and runs Floyd's algorithm otherwise
+    def test_edge_shapes_match_the_oracle(self, counts, n):
+        # one class, classes with N_c = n, and populations around numpy's
+        # tail shuffle: choice shuffles the tail of arange(pop) when
+        # pop > 10 000 and n > pop // 50, and runs Floyd's algorithm otherwise
         ds = _labelled(counts)
         rng = RngStream(21)
         ref = np.random.Generator(np.random.PCG64(21))
