@@ -77,7 +77,7 @@ SECTION_RULES = {
     "optimizer": dict.fromkeys(SPECS, ((), {
         "h": (lambda v: v is None or v == "auto" or _is_real(v), 'a number, "auto" or null'),
         "n": _INT, "m": (lambda v: v is None or _is_int(v), "null or an integer"),
-        "prox_l1": (lambda v: v is None or _is_real(v), "null or a number"), "schedule": _STR})),
+        "prox_l1": (lambda v: v is None or _is_real(v), "null or a number")})),
 }
 
 
@@ -157,8 +157,7 @@ class ExperimentConfig:
         self.run_config = RunConfig(
             kind=opt["kind"], steps=self.steps or 0, h=None if h in ("auto", None) else float(h),
             n=opt.get("n", 1), m=opt.get("m"), prox_l1=None if l1 is None else float(l1),
-            schedule=opt.get("schedule", "constant"), cadence=self.cadence,
-            record_variance=self.record_variance)
+            cadence=self.cadence, record_variance=self.record_variance)
         kind = self.objective["kind"]
         if kind not in CERTIFIED_KINDS and (self.record_dist or self.run_config.h is None):
             raise ConfigError(f"objective kind {kind!r} has no certified constants: it needs "
@@ -255,7 +254,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute one run per seed and aggregate; deterministic given the seeds.
 
     ConfigError, before any run, if a test split's feature or class count
-    differs from the training set's.
+    differs from the training set's, or if a pass budget gives 0 steps.
     """
     train, test = build_dataset(config.dataset)
     if test is not None and ((test.n_features, test.n_classes)
@@ -270,6 +269,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     steps = (config.steps if config.steps is not None
              else steps_for_passes(template.kind, config.passes, train.n_samples,
                                    n=template.n, m=template.m))
+    if config.passes is not None and steps == 0:
+        raise ConfigError(f"{config.passes} passes give {template.kind} {steps} steps on "
+                          f"{train.n_samples} samples; ask for more passes")
     records = run_seeds(replace(template, steps=steps), obj, sorted(config.seeds),
                         constants=constants, w_star=w_star, test_dataset=test)
     return ExperimentResult(objective=obj, records=records, agg=aggregate(records),

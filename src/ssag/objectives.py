@@ -16,7 +16,6 @@ call with a fresh arange(N).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
@@ -31,22 +30,14 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class Prediction:
-    """Model output for one input: class index or real value, plus scores."""
-
-    label: int | float
-    scores: np.ndarray
-
-
 class Objective(ABC):
     """A finite-sum objective bound to a dataset.
 
     Subclasses implement three kernels: per-sample losses over an index set,
     the mean gradient over an index set, and per-sample gradient rows.
-    Classifiers also implement `scores_matrix`, from which `predict` and
-    `accuracy` take the class of highest score.  All public operations are
-    pure and safe to call concurrently.
+    Classifiers also implement `scores_matrix`, from which `accuracy` takes
+    the class of highest score.  All public operations are pure and safe to
+    call concurrently.
     """
 
     kind: str = "abstract"
@@ -90,23 +81,11 @@ class Objective(ABC):
         """``values[indices]``, or ``values`` itself for the full-data ``dataset.rows``."""
         return values if indices is self.dataset.rows else values[indices]
 
-    def _check_input(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dataset.n_features,):
-            raise DimensionMismatchError(
-                f"expected input of dimension {self.dataset.n_features}")
-        return x
-
     def _check_index(self, i: int) -> int:
         i = int(i)
         if not 0 <= i < self.dataset.n_samples:
             raise IndexError(f"sample index {i} out of range [0, {self.dataset.n_samples})")
         return i
-
-    def predict(self, W: np.ndarray, x: np.ndarray) -> Prediction:
-        """The class of highest score for one input vector; ties go to the lowest."""
-        scores = self.scores_matrix(W, self._check_input(x)[None, :])[0]
-        return Prediction(label=int(np.argmax(scores)), scores=scores)
 
     def loss_sample(self, W: np.ndarray, i: int) -> float:
         """Loss of sample i, including the regularization term."""
@@ -200,10 +179,6 @@ class RidgeRegression(_LinearObjective):
     def loss_values(self, W, indices):
         r = self._residuals(W, indices)[1]
         return 0.5 * r * r + self._reg_term(W)
-
-    def predict(self, W, x):
-        value = float(np.sum(self._check_input(x) * W))
-        return Prediction(label=value, scores=np.array([value]))
 
 
 class LogisticRegression(_LinearObjective):

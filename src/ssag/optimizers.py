@@ -44,8 +44,8 @@ class State:
     ``table_sum`` defaults to its exact sum.  The state owns ``table_sum``:
     each slot refresh updates it in place.
     ``snapshot`` and ``snapshot_grad`` are SVRG's; ``n``, ``m`` (SVRG's
-    resolved refresh period), ``prox_l1`` and ``schedule`` are the run's
-    settings, read only by the kinds that use them.
+    resolved refresh period) and ``prox_l1`` are the run's settings, read
+    only by the kinds that use them.
     """
 
     W: np.ndarray
@@ -57,7 +57,6 @@ class State:
     n: int = 1
     m: int | None = None
     prox_l1: float | None = None
-    schedule: str = "constant"  # "constant" or "inv_k"
     steps: int = 0
     grad_evals: int = 0
 
@@ -166,19 +165,18 @@ def svrg_outer(state: State, obj: Objective, rng: RngStream) -> State:
 
 def _uniform_batch_step(state: State, obj: Objective, rng: RngStream,
                         n: int) -> State:
-    """W <- W - h_k * mean gradient of n samples drawn uniformly without replacement.
+    """W <- W - h * mean gradient of n samples drawn uniformly without replacement.
 
     n = N takes ``dataset.rows`` without a draw, as `sample_uniform` would,
     so the kernel reads the rows in place.
     """
     ds = obj.dataset
     idx = ds.rows if n == ds.n_samples else rng.uniform_batch(ds.n_samples, n)
-    h = state.h / (state.steps + 1) if state.schedule == "inv_k" else state.h
-    return _commit(state, state.W - h * obj.grad_batch(state.W, idx), idx.size)
+    return _commit(state, state.W - state.h * obj.grad_batch(state.W, idx), idx.size)
 
 
 def fgd_step(state: State, obj: Objective, rng: RngStream) -> State:
-    """One full-gradient step W <- W - h_k * grad_full(W).
+    """One full-gradient step W <- W - h * grad_full(W).
 
     This is the uniform-batch step with n = N; the exhaustive draw consumes
     no generator state.
@@ -237,11 +235,11 @@ class OptimizerSpec:
 
 SPECS = {
     "fgd": OptimizerSpec("fgd_step", lambda L, ds: 1.0 / L, lambda N, n, m: N,
-                         lambda ds: 0, ("schedule",), envelope=1),
+                         lambda ds: 0, (), envelope=1),
     "sgd": OptimizerSpec("sgd_step", lambda L, ds: 1.0 / L, lambda N, n, m: 1,
-                         lambda ds: 0, ("schedule",), envelope=1),
+                         lambda ds: 0, (), envelope=1),
     "minibatch": OptimizerSpec("minibatch_step", lambda L, ds: 1.0 / L, lambda N, n, m: n,
-                               lambda ds: 0, ("n", "schedule"),
+                               lambda ds: 0, ("n",),
                                lambda ds: (ds.n_samples, "the sample count"), 1),
     "sag": OptimizerSpec("sag_step", lambda L, ds: 1.0 / (16.0 * L), lambda N, n, m: 1,
                          lambda ds: ds.n_samples, ()),
@@ -280,7 +278,6 @@ class RunConfig:
     n: int = 1
     m: int | None = None
     prox_l1: float | None = None
-    schedule: str = "constant"
     seed: int = 0
     cadence: int = 1
     record_variance: bool = False
@@ -309,8 +306,6 @@ class RunConfig:
             raise ConfigError("batch size must be >= 1")
         if self.m is not None and self.m < 1:
             raise ConfigError("SVRG inner-loop length m must be >= 1")
-        if self.schedule not in ("constant", "inv_k"):
-            raise ConfigError(f"unknown step-size schedule {self.schedule!r}")
         ignored = sorted({key for spec in SPECS.values() for key in spec.settings
                           if key not in reads and getattr(self, key) != getattr(RunConfig, key)})
         if ignored:
@@ -345,8 +340,7 @@ def make_state(config: RunConfig, obj: Objective, constants=None) -> State:
     W0 = obj.init_params(seed=config.seed)
     return State(W=W0, h=resolve_step_size(config, obj, constants),
                  table=np.zeros((spec.slots(ds), W0.size)), n=config.n,
-                 m=_inner_length(config.m, ds.n_samples), prox_l1=config.prox_l1,
-                 schedule=config.schedule)
+                 m=_inner_length(config.m, ds.n_samples), prox_l1=config.prox_l1)
 
 
 def steps_for_passes(kind: str, passes: float, n_samples: int, n: int = 1,

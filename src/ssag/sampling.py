@@ -120,22 +120,11 @@ def draw_schedule(words: np.ndarray, sizes, n: int,
     swaps, ok_swaps = _lemire(block[:, head + n:], np.arange(n, 1, -1, dtype=np.uint64))
     S = _first_false(ok.all(axis=1) & ok_swaps.all(axis=1))
     v, tops, swaps = v[:S], tops[:S].astype(np.int64), swaps[:S]
-    # round t takes its top iff v is already taken: v repeats an earlier
-    # round's v, or v is the top of an earlier round u that took its top
-    # (a round that drew its own top is a repeat for any later round)
-    order = np.argsort(v, axis=1, kind="stable")
-    ranked = np.take_along_axis(v, order, axis=1)
-    took_top = np.zeros(v.shape, dtype=bool)
-    np.put_along_axis(took_top, order[:, 1:], ranked[:, 1:] == ranked[:, :-1], axis=1)
-    u = v - tops[:, :1]
-    rows, t = np.nonzero((u >= 0) & (u < np.arange(n)))
-    u = u[rows, t]
-    while True:  # follow the links t -> u until nothing changes
-        took = took_top[rows, t] | took_top[rows, u]
-        if np.array_equal(took, took_top[rows, t]):
-            break
-        took_top[rows, t] = took
-    positions = np.where(took_top, tops, v)
+    # Floyd's algorithm, one round per column for all steps at once
+    positions = np.empty((S, n), dtype=np.int64)
+    for t in range(n):
+        taken = (positions[:, :t] == v[:, t:t + 1]).any(axis=1)
+        positions[:, t] = np.where(taken, tops[:, t], v[:, t])
     # the shuffle, one swap per column for all steps at once
     rows = np.arange(S)
     for col, i in enumerate(range(n - 1, 0, -1)):
@@ -149,10 +138,6 @@ def draw_schedule(words: np.ndarray, sizes, n: int,
 class RngStream:
     """Single-owner random stream: a cursor over one PCG64 generator's words.
 
-    ``draws`` counts sampling calls that consumed generator state, not raw
-    generator words (bounded-integer rejection may consume a variable number
-    of words internally; the sequence is still seed-deterministic).
-
     A run's steps take their draws from `class_batch` (a class, then a batch
     inside it) and `uniform_batch` (a batch of the population).  These serve
     each step from a chunk of steps that `draw_schedule` built ahead from the
@@ -162,26 +147,22 @@ class RngStream:
     word, a batch above 64, numpy's tail shuffle) is drawn through the
     generator by the `sample_*` functions.
 
-    Every other access (`bounded`, `generator`, or a draw of another shape)
-    first moves the generator back to the first step not yet served:
-    `PCG64.advance` and the pending half-word restore the exact state that
-    one generator call per draw would have left.  So `sample_*`,
-    `Generator.choice` and any other use of the generator continue the same
-    stream, and chunks change no draw and no ``draws`` count.
+    Every other access (`generator`, or a draw of another shape) first moves
+    the generator back to the first step not yet served: `PCG64.advance` and
+    the pending half-word restore the exact state that one generator call per
+    draw would have left.  So `sample_*`, `Generator.choice` and any other use
+    of the generator continue the same stream, and chunks change no draw.
     """
-
-    algorithm = "pcg64"
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._bitgen = np.random.PCG64(self.seed)
         self._generator = np.random.Generator(self._bitgen)
-        self.draws = 0
         # the live chunk: the shape it serves, its draws, the next step to
         # serve, and the raw outputs it was built from (None once synced)
         self._dataset = self._population = self._n = None
         self._strata = self._indices = None
-        self._next = self._size = self._width = self._step_draws = 0
+        self._next = self._size = self._width = 0
         self._raws = None
         self._start = (0, 0)  # has_uint32 and uinteger when the chunk began
         # the last shape asked for, its stratum sizes, whether
@@ -195,17 +176,12 @@ class RngStream:
         self._sync()
         return self._generator
 
-    def bounded(self, k: int) -> int:
-        """Uniform integer in [0, k): exactly ``int(generator.integers(k))``."""
-        return int(self.generator.integers(k))
-
     def class_batch(self, dataset: Dataset, n: int) -> tuple[int, np.ndarray]:
         """One stratified step's draw: `sample_class`, then `sample_within_class`."""
         s = self._next
         if s == self._size or self._dataset is not dataset or self._n != n:
             return self._restart(dataset, None, n)
         self._next = s + 1
-        self.draws += self._step_draws
         return self._strata[s], self._indices[s]
 
     def uniform_batch(self, n_population: int, n: int) -> np.ndarray:
@@ -215,7 +191,6 @@ class RngStream:
                 or self._population != n_population or self._n != n):
             return self._restart(None, n_population, n)[1]
         self._next = s + 1
-        self.draws += self._step_draws
         return self._indices[s]
 
     def _restart(self, dataset, n_population, n):
@@ -240,7 +215,6 @@ class RngStream:
             j = sample_class(self, sizes.size)
             return j, sample_within_class(self, dataset, j, n)
         self._dataset, self._population, self._n = dataset, n_population, n
-        self._step_draws = int(sizes.size > 1) + (self._width > (sizes.size > 1))
         if cells is None:
             indices = positions
         else:
@@ -289,16 +263,14 @@ class RngStream:
         self._next = self._size = 0
 
     def __repr__(self):
-        return f"RngStream(algorithm={self.algorithm!r}, seed={self.seed}, draws={self.draws})"
+        return f"RngStream(seed={self.seed})"
 
 
 def sample_class(rng: RngStream, num_classes: int) -> int:
     """Uniform class index from {0..C-1}; one draw, none when C = 1."""
     if num_classes < 1:
         raise SamplingError("need at least one class to sample from")
-    if num_classes > 1:
-        rng.draws += 1
-    return rng.bounded(num_classes)
+    return int(rng.generator.integers(num_classes))
 
 
 def sample_within_class(rng: RngStream, dataset: Dataset, class_j: int, n: int) -> np.ndarray:
@@ -316,9 +288,8 @@ def sample_within_class(rng: RngStream, dataset: Dataset, class_j: int, n: int) 
             f"batch size {n} exceeds class {class_j} size {cell.size}")
     if n == cell.size:
         return cell.copy()
-    rng.draws += 1
     if n == 1:
-        i = rng.bounded(cell.size)
+        i = int(rng.generator.integers(cell.size))
         return cell[i:i + 1]
     return rng.generator.choice(cell, size=n, replace=False)
 
@@ -335,7 +306,6 @@ def sample_uniform(rng: RngStream, n_population: int, n: int) -> np.ndarray:
         raise SamplingError(f"sample size {n} exceeds population {n_population}")
     if n == n_population:
         return np.arange(n_population)
-    rng.draws += 1
     if n == 1:
-        return np.array([rng.bounded(n_population)])
+        return np.array([int(rng.generator.integers(n_population))])
     return rng.generator.choice(n_population, size=n, replace=False)

@@ -702,7 +702,7 @@ class TestCli:
     def test_run_unknown_optimizer_key_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(ssag.bench, "run_experiment", _never_run)  # all fail at load
         path = tmp_path / "typo.json"
-        for key, value in (("hh", 0.3), ("h", "abc"), ("n", 0), ("schedule", "bogus"),
+        for key, value in (("hh", 0.3), ("h", "abc"), ("n", 0), ("schedule", "constant"),
                            ("h", float("nan")), ("h", float("inf")), ("h", -1)):
             doc = _config_doc(seeds=[1])
             doc["optimizer"][key] = value
@@ -723,11 +723,10 @@ class TestCli:
             path.write_text(json.dumps(doc), encoding="utf-8")
             assert cli(["run", "--config", str(path)]) == 1, key
         # a setting the kind does not read must keep its RunConfig default
-        for optimizer in ({"kind": "sag", "prox_l1": 5.0, "schedule": "inv_k", "m": 3, "n": 4},
+        for optimizer in ({"kind": "sag", "prox_l1": 5.0, "m": 3, "n": 4},
                           {"kind": "sag", "prox_l1": 5.0}, {"kind": "fgd", "n": 4},
                           {"kind": "sgd", "m": 3}, {"kind": "minibatch", "prox_l1": 0.0},
-                          {"kind": "saga", "schedule": "inv_k"}, {"kind": "svrg", "n": 2},
-                          {"kind": "ssag", "m": 3}, {"kind": "ssag", "schedule": "inv_k"}):
+                          {"kind": "svrg", "n": 2}, {"kind": "ssag", "m": 3}):
             doc = _config_doc(seeds=[1])
             doc["optimizer"] = optimizer
             path.write_text(json.dumps(doc), encoding="utf-8")
@@ -743,12 +742,20 @@ class TestCli:
     def test_settings_at_their_defaults_pass_for_every_kind(self):
         for kind in ssag.optimizers.SPECS:
             doc = _config_doc()
-            doc["optimizer"] = {"kind": kind, "h": 0.1, "n": 1, "m": None, "prox_l1": None,
-                                "schedule": "constant"}
+            doc["optimizer"] = {"kind": kind, "h": 0.1, "n": 1, "m": None, "prox_l1": None}
             assert ExperimentConfig.from_dict(doc).run_config.kind == kind
         doc = _config_doc()
-        doc["optimizer"] = {"kind": "minibatch", "n": 4, "schedule": "inv_k"}
+        doc["optimizer"] = {"kind": "minibatch", "n": 4}
         assert ExperimentConfig.from_dict(doc).run_config.n == 4
+
+    def test_pass_budget_of_zero_steps_is_usage_error(self, tmp_path, capsys):
+        # half a pass of full-gradient steps rounds to 0 steps
+        cfg = self._write_config(tmp_path, seeds=[1], steps=None, passes=0.5,
+                                 optimizer={"kind": "fgd", "h": 0.1})
+        assert cli(["run", "--config", str(cfg)]) == 1
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "0.5 passes give fgd 0 steps" in err
 
     def _text_config(self, tmp_path, train_args, test_args, optimizer):
         for name, args in (("train", train_args), ("test", test_args)):

@@ -1,4 +1,4 @@
-"""Objective losses, gradients, predictions, and the ridge closed form."""
+"""Objective losses, gradients, class scores, accuracy, and the ridge closed form."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 import ssag
-from ssag.errors import (DimensionMismatchError, SingularSystemError,
-                         StratumViolationError, UnsupportedObjectiveError)
+from ssag.errors import (SingularSystemError, StratumViolationError,
+                         UnsupportedObjectiveError)
 
 from conftest import OBJECTIVE_KINDS, any_kind_problem, central_diff_grad, grad_rel_error
 
@@ -260,37 +260,6 @@ class TestDescentProperty:
             W = W_next
 
 
-class TestPredict:
-    def test_logistic_tie_break(self):
-        obj = _logistic_point([[1.0], [1.0]], [0, 1])
-        pred = obj.predict(np.zeros(1), np.array([1.0]))
-        assert pred.scores == pytest.approx([0.5, 0.5])
-        assert pred.label == 0
-
-    def test_mlp_uniform_tie_break(self):
-        ds = ssag.Dataset.from_class_labels(np.eye(3), np.array([0, 1, 2]))
-        obj = ssag.Mlp(ds, hidden=(2,))
-        W = np.zeros(obj.dim)  # zero output layer -> uniform softmax
-        pred = obj.predict(W, np.ones(3))
-        assert pred.scores == pytest.approx([1 / 3] * 3)
-        assert pred.label == 0
-
-    def test_ridge_dot_product(self):
-        ds = ssag.Dataset.regression(np.array([[1.0]]), np.array([0.0]))
-        obj = ssag.RidgeRegression(ds)
-        pred = obj.predict(np.array([1.0]), np.array([2.5]))
-        assert pred.label == 2.5
-
-    def test_dimension_mismatch(self, two_class_logistic):
-        with pytest.raises(DimensionMismatchError):
-            two_class_logistic.predict(np.zeros(2), np.zeros(3))
-
-    def test_quadratic_unsupported(self):
-        ds = ssag.Dataset.regression(np.ones((2, 1)), np.zeros(2))
-        with pytest.raises(UnsupportedObjectiveError):
-            ssag.MeanQuadratic(ds).predict(np.zeros(1), np.zeros(1))
-
-
 class TestScoresMatrix:
     def test_logistic_probabilities(self, two_class_logistic):
         W = np.array([0.7, -1.2])
@@ -300,17 +269,6 @@ class TestScoresMatrix:
         assert scores.shape == (6, 2)
         assert scores[:, 1] == pytest.approx(p1, rel=1e-12)
         assert scores.sum(axis=1) == pytest.approx(np.ones(6), rel=1e-12)
-
-    def test_predict_is_argmax_of_scores(self, random_problem):
-        for obj in (random_problem(kind="logistic", seed=2),
-                    random_problem(kind="mlp", C=3, seed=2)):
-            W = obj.init_params(seed=1) + np.random.default_rng(4).normal(size=obj.dim)
-            X = obj.dataset.features
-            scores = obj.scores_matrix(W, X)
-            for x, row in zip(X, scores):
-                pred = obj.predict(W, x)
-                assert pred.scores == pytest.approx(row, rel=1e-12)
-                assert pred.label == int(np.argmax(row))
 
     @pytest.mark.parametrize("kind", ["ridge", "quadratic"])
     def test_regression_objectives_have_no_scores(self, kind):
@@ -389,8 +347,23 @@ class TestAccuracy:
         obj = random_problem(kind="mlp", C=3, N=15, seed=3)
         ds = obj.dataset
         W = obj.init_params(seed=2)
-        labels = [obj.predict(W, x).label for x in ds.features]
+        labels = [int(np.argmax(obj.scores_matrix(W, x[None, :])[0])) for x in ds.features]
         assert ssag.accuracy(obj, W, ds) == np.mean(np.array(labels) == ds.labels)
+
+    def test_logistic_tie_counts_as_class_0(self):
+        obj = _logistic_point([[1.0], [1.0]], [0, 1])
+        W = np.zeros(1)
+        assert obj.scores_matrix(W, np.ones((1, 1)))[0] == pytest.approx([0.5, 0.5])
+        ds = ssag.Dataset.from_class_labels(np.ones((1, 1)), np.array([0]))
+        assert ssag.accuracy(obj, W, ds) == 1.0
+
+    def test_mlp_uniform_tie_counts_as_class_0(self):
+        ds = ssag.Dataset.from_class_labels(np.eye(3), np.array([0, 1, 2]))
+        obj = ssag.Mlp(ds, hidden=(2,))
+        W = np.zeros(obj.dim)  # zero output layer -> uniform softmax
+        assert obj.scores_matrix(W, np.ones((1, 3)))[0] == pytest.approx([1 / 3] * 3)
+        ones = ssag.Dataset.from_class_labels(np.ones((1, 3)), np.array([0]))
+        assert ssag.accuracy(obj, W, ones) == 1.0
 
 
 class TestMakeObjective:

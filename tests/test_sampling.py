@@ -47,18 +47,19 @@ class TestSampleClass:
             sample_class(RngStream(0), 0)
 
     def test_draw_counter(self):
+        # each class draw is one generator call
         rng = RngStream(0)
+        ref = np.random.Generator(np.random.PCG64(0))
         for _ in range(5):
             sample_class(rng, 3)
-        assert rng.draws == 5
+            ref.integers(3)
+        assert rng.generator.bit_generator.state == ref.bit_generator.state
 
     def test_single_class_counts_no_draw(self):
-        # one class needs no draw: neither the counter nor the generator moves
+        # one class needs no draw: the generator does not move
         rng = RngStream(0)
-        before = np.random.Generator(np.random.PCG64(0)).bit_generator.state
         assert sample_class(rng, 1) == 0
-        assert rng.draws == 0
-        assert rng.generator.bit_generator.state == before
+        assert rng.generator.bit_generator.state == np.random.PCG64(0).state
 
 
 class TestSampleWithinClass:
@@ -66,7 +67,8 @@ class TestSampleWithinClass:
         rng = RngStream(1)
         got = sample_within_class(rng, dataset, 2, 4)
         assert got.tolist() == dataset.partition[2].tolist()
-        assert rng.draws == 0  # exhaustive draws consume no generator state
+        # exhaustive draws consume no generator state
+        assert rng.generator.bit_generator.state == np.random.PCG64(1).state
 
     def test_stratum_containment(self, dataset):
         rng = RngStream(5)
@@ -106,7 +108,7 @@ class TestSampleUniform:
         rng = RngStream(3)
         got = sample_uniform(rng, 6, 6)
         assert got.tolist() == list(range(6))
-        assert rng.draws == 0
+        assert rng.generator.bit_generator.state == np.random.PCG64(3).state
 
     def test_single_draw_frequency(self):
         rng = RngStream(11)
@@ -179,21 +181,19 @@ def _labelled(counts):
 
 
 def _step(rng, ref, kind, ds, n):
-    """One step's draw of an optimizer kind from the stream and from the
-    oracle; returns the oracle's draw count for it."""
+    """One step's draw of an optimizer kind from the stream and from the oracle."""
     if kind == "ssag":
         (j, idx), (j_ref, idx_ref) = rng.class_batch(ds, n), reference_class_batch(ref, ds, n)
         assert j == j_ref
         assert np.array_equal(idx, idx_ref)
         assert np.isin(idx, ds.partition[j]).all()
-        return (ds.n_classes > 1) + (n < ds.partition[j].size)
-    N = ds.n_samples
-    assert np.array_equal(rng.uniform_batch(N, n), reference_uniform_batch(ref, N, n))
-    return int(n < N)
+    else:
+        N = ds.n_samples
+        assert np.array_equal(rng.uniform_batch(N, n), reference_uniform_batch(ref, N, n))
 
 
 class TestWordCursor:
-    """`RngStream` step draws, `bounded` and `generator` against one scalar
+    """`RngStream` step draws and `generator` against one scalar
     `np.random.Generator` call per draw."""
 
     _run = st.tuples(st.just("run"), st.lists(st.sampled_from(BOUNDS), min_size=1, max_size=3),
@@ -211,14 +211,12 @@ class TestWordCursor:
         ds = _labelled([7, 3, 12])
         rng = RngStream(seed)
         ref = np.random.Generator(np.random.PCG64(seed))
-        draws = 0
         for op in ops:
             if op[0] == "run":
                 _, bounds, count = op
                 got = [sample_class(rng, bounds[i % len(bounds)]) for i in range(count)]
                 want = [int(ref.integers(bounds[i % len(bounds)])) for i in range(count)]
                 assert got == want
-                draws += sum(bounds[i % len(bounds)] > 1 for i in range(count))
             elif op[0] == "choice":
                 size, n = op[1], min(op[1], op[2])
                 assert np.array_equal(rng.generator.choice(size, size=n, replace=False),
@@ -227,14 +225,13 @@ class TestWordCursor:
                 _, population, n = op
                 assert np.array_equal(sample_uniform(rng, population, n),
                                       ref.choice(population, size=n, replace=False))
-                draws += 1
             elif op[0] == "steps":
                 _, kind, n, count = op
                 n = min(n, 3) if kind == "ssag" else 1 if kind == "sgd" else min(n, 22)
-                draws += sum(_step(rng, ref, kind, ds, n) for _ in range(count))
+                for _ in range(count):
+                    _step(rng, ref, kind, ds, n)
             else:
-                assert rng.bounded(op[1]) == int(ref.integers(op[1]))
-        assert rng.draws == draws
+                assert int(rng.generator.integers(op[1])) == int(ref.integers(op[1]))
         assert rng.generator.bit_generator.state == ref.bit_generator.state
 
     def test_large_bound_while_chunk_is_live(self):
@@ -245,7 +242,7 @@ class TestWordCursor:
             if k is None:
                 _step(rng, ref, "ssag", ds, 1)
             else:
-                assert rng.bounded(k) == int(ref.integers(k))
+                assert int(rng.generator.integers(k)) == int(ref.integers(k))
         assert rng.generator.bit_generator.state == ref.bit_generator.state
 
     def test_within_class_single_draw_matches_scalar_index(self, dataset):
@@ -260,7 +257,7 @@ class TestWordCursor:
             assert j == int(ref.integers(3))
             cell = dataset.partition[j]
             assert idx.tolist() == [int(cell[ref.integers(cell.size)])]
-        assert rng.draws == 6000
+        assert rng.generator.bit_generator.state == ref.bit_generator.state
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(seed=st.integers(0, 2**64 - 1),
@@ -274,7 +271,6 @@ class TestWordCursor:
         ds = _labelled(counts + [big] * bool(big))
         rng = RngStream(seed)
         ref = np.random.Generator(np.random.PCG64(seed))
-        draws = 0
         for _ in range(data.draw(st.integers(1, 3))):
             kind = data.draw(st.sampled_from(list(SPECS)))
             if kind == "fgd":  # draws nothing: a full pass reads dataset.rows
@@ -284,15 +280,15 @@ class TestWordCursor:
             # cutoff and the largest batch the schedule draws
             edges = sorted({limit, min(limit, limit // 50 + 1), min(limit, 64), min(limit, 65)})
             n = data.draw(st.integers(1, limit) | st.sampled_from(edges))
-            draws += sum(_step(rng, ref, kind, ds, n) for _ in range(data.draw(st.integers(1, 200))))
+            for _ in range(data.draw(st.integers(1, 200))):
+                _step(rng, ref, kind, ds, n)
             mixed = data.draw(st.sampled_from(BOUNDS + ("choice",)))
             if mixed == "choice":
                 assert np.array_equal(rng.generator.choice(9, size=4, replace=False),
                                       ref.choice(9, size=4, replace=False))
             else:
-                assert rng.bounded(mixed) == int(ref.integers(mixed))
+                assert int(rng.generator.integers(mixed)) == int(ref.integers(mixed))
             assert rng.generator.bit_generator.state == ref.bit_generator.state
-        assert rng.draws == draws
 
     @pytest.mark.parametrize("counts, n", [
         ([7], 1), ([7], 3), ([7], 7), ([1, 5], 1), ([3, 9, 3], 3),
@@ -309,6 +305,18 @@ class TestWordCursor:
             _step(rng, ref, "ssag" if step % 3 else "minibatch", ds, n)
         assert rng.generator.bit_generator.state == ref.bit_generator.state
 
+    @pytest.mark.parametrize("n", [2, 10, 33, 64])
+    @pytest.mark.parametrize("kind", ["ssag", "minibatch"])
+    def test_long_runs_match_the_oracle(self, kind, n):
+        # 3000 steps are served from chunks of up to 2048 steps, so Floyd's
+        # rounds and the shuffle are checked far past the first chunks
+        ds = _labelled([100, 120] if kind == "ssag" else [20_000])
+        rng = RngStream(17)
+        ref = np.random.Generator(np.random.PCG64(17))
+        for _ in range(3000):
+            _step(rng, ref, kind, ds, n)
+        assert rng.generator.bit_generator.state == ref.bit_generator.state
+
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_forced_rejections(self, n):
         # a population of 3e9 rejects about 30 % of words, so most chunks
@@ -319,7 +327,6 @@ class TestWordCursor:
         for _ in range(3000 // n):
             assert np.array_equal(rng.uniform_batch(N, n), reference_uniform_batch(ref, N, n))
         assert rng.generator.bit_generator.state == ref.bit_generator.state
-        assert rng.draws == 3000 // n
 
     def test_schedule_stops_before_the_first_rejected_word(self):
         k = 3 * 10**9
