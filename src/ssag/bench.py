@@ -609,7 +609,7 @@ def _cmd_verify_bound(args) -> int:
     config = replace(config, record_dist=True, record_variance=config.record_variance or theorem == 1)
     result = run_experiment(config)
     obj, agg, const, w_star = result.objective, result.agg, result.constants, result.w_star
-    n = int(SPECS[rc.kind].evals_per_step(obj.dataset.n_samples, rc.n, rc.m))
+    n = SPECS[rc.kind].evals(obj.dataset.n_samples, rc.n, rc.m, 1)
     if theorem == 2:
         env = theorem2_envelope(obj, agg, const, w_star, n=n,
                                 w0=obj.init_params(seed=min(config.seeds)))

@@ -10,7 +10,9 @@ bit, signed zeros included.  Batch gradients of more rows use BLAS and agree
 across code paths to 1e-12 relative error.  Full-data calls pass
 ``dataset.rows``, which the kernels recognise: they read the feature matrix
 and targets in place instead of gathering N rows, and give the same bits as a
-call with a fresh arange(N).
+call with a fresh arange(N).  A linear model keeps the margins of its last
+full-data W, so the loss, the gradient and the per-sample gradients at one W
+share one pass over the feature matrix.
 """
 
 from __future__ import annotations
@@ -36,8 +38,10 @@ class Objective(ABC):
     Subclasses implement three kernels: per-sample losses over an index set,
     the mean gradient over an index set, and per-sample gradient rows.
     Classifiers also implement `scores_matrix`, from which `accuracy` takes
-    the class of highest score.  All public operations are pure and safe to
-    call concurrently.
+    the class of highest score.  No result depends on the calls made before
+    it, and the operations may be called concurrently: the one state, kept by
+    a linear model, is the margins of its last full-data W, held as one
+    immutable (key, margins) pair.
     """
 
     kind: str = "abstract"
@@ -146,11 +150,32 @@ class _LinearObjective(Objective):
     def __init__(self, dataset: Dataset, lam: float = 0.0):
         super().__init__(dataset, lam)
         self._targets = np.asarray(dataset.labels, dtype=np.float64)
+        #: (key of the last full-data W, its read-only margins); replaced whole
+        self._full_margins = (None, None)
+
+    def _margins_of(self, W: np.ndarray, indices: np.ndarray):
+        """The feature rows and their margins.
+
+        The full-data ``dataset.rows`` reuses the margins of the last
+        full-data W when W has its dtype, shape and bytes; one assignment
+        swaps the (key, margins) pair, so a concurrent reader sees a whole
+        pair, old or new.
+        """
+        X = self._take(self.dataset.features, indices)
+        if indices is not self.dataset.rows:
+            return X, _margins(X, W)
+        key = (W.dtype, W.shape, W.tobytes())
+        memo = self._full_margins
+        if memo[0] != key:
+            margins = _margins(X, W)
+            margins.flags.writeable = False
+            memo = self._full_margins = (key, margins)
+        return X, memo[1]
 
     def _residuals(self, W: np.ndarray, indices: np.ndarray):
         """The feature rows and their residuals link(margin) - target."""
-        X = self._take(self.dataset.features, indices)
-        return X, self._link(_margins(X, W)) - self._take(self._targets, indices)
+        X, margins = self._margins_of(W, indices)
+        return X, self._link(margins) - self._take(self._targets, indices)
 
     def grad_batch(self, W, indices):
         if indices.size == 1 and indices is not self.dataset.rows:
@@ -193,7 +218,7 @@ class LogisticRegression(_LinearObjective):
             raise ValueError("logistic regression requires labels in {0, 1}")
 
     def loss_values(self, W, indices):
-        m = _margins(self._take(self.dataset.features, indices), W)
+        m = self._margins_of(W, indices)[1]
         return np.logaddexp(0.0, m) - self._take(self._targets, indices) * m + self._reg_term(W)
 
     def hessian_full(self, W: np.ndarray) -> np.ndarray:

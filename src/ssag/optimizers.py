@@ -16,6 +16,7 @@ implemented literally as specified.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from numbers import Integral, Real
@@ -202,9 +203,9 @@ def _inner_length(m: int | None, n_samples: int) -> int:
     return m if m is not None else 2 * n_samples
 
 
-def _svrg_evals(N: int, n: int, m: int | None) -> float:
-    m = _inner_length(m, N)
-    return (N + 2.0 * m) / m
+def _svrg_evals(N: int, n: int, m: int | None, k: int) -> int:
+    """A snapshot's N at steps 0, m, 2m, ... below k, and two per step."""
+    return N * -(-k // _inner_length(m, N)) + 2 * k
 
 
 @dataclass(frozen=True)
@@ -214,7 +215,7 @@ class OptimizerSpec:
     ``step`` names the kind's step function in this module; `run` looks the
     name up when it starts, so replacing the module attribute replaces the
     step.  ``default_h(L, dataset)`` is the theoretical step size,
-    ``evals_per_step(N, n, m)`` the mean gradient evaluations per step,
+    ``evals(N, n, m, k)`` the exact gradient evaluations of the first k steps,
     ``slots(dataset)`` the row count of the state's gradient table, and
     ``settings`` the `RunConfig` settings the step reads besides ``h``.
     ``batch_limit(dataset)`` gives the largest batch ``n`` the kind can draw
@@ -226,7 +227,7 @@ class OptimizerSpec:
 
     step: str
     default_h: Callable[[float, Dataset], float]
-    evals_per_step: Callable[[int, int, int | None], float]
+    evals: Callable[[int, int, int | None, int], int]
     slots: Callable[[Dataset], int]
     settings: tuple[str, ...]
     batch_limit: Callable[[Dataset], tuple[int, str]] | None = None
@@ -234,21 +235,21 @@ class OptimizerSpec:
 
 
 SPECS = {
-    "fgd": OptimizerSpec("fgd_step", lambda L, ds: 1.0 / L, lambda N, n, m: N,
+    "fgd": OptimizerSpec("fgd_step", lambda L, ds: 1.0 / L, lambda N, n, m, k: k * N,
                          lambda ds: 0, (), envelope=1),
-    "sgd": OptimizerSpec("sgd_step", lambda L, ds: 1.0 / L, lambda N, n, m: 1,
+    "sgd": OptimizerSpec("sgd_step", lambda L, ds: 1.0 / L, lambda N, n, m, k: k,
                          lambda ds: 0, (), envelope=1),
-    "minibatch": OptimizerSpec("minibatch_step", lambda L, ds: 1.0 / L, lambda N, n, m: n,
-                               lambda ds: 0, ("n",),
+    "minibatch": OptimizerSpec("minibatch_step", lambda L, ds: 1.0 / L,
+                               lambda N, n, m, k: k * n, lambda ds: 0, ("n",),
                                lambda ds: (ds.n_samples, "the sample count"), 1),
-    "sag": OptimizerSpec("sag_step", lambda L, ds: 1.0 / (16.0 * L), lambda N, n, m: 1,
+    "sag": OptimizerSpec("sag_step", lambda L, ds: 1.0 / (16.0 * L), lambda N, n, m, k: k,
                          lambda ds: ds.n_samples, ()),
     "svrg": OptimizerSpec("svrg_outer", lambda L, ds: 1.0 / (3.0 * L), _svrg_evals,
                           lambda ds: 0, ("m",)),
-    "saga": OptimizerSpec("saga_step", lambda L, ds: 1.0 / (3.0 * L), lambda N, n, m: 1,
+    "saga": OptimizerSpec("saga_step", lambda L, ds: 1.0 / (3.0 * L), lambda N, n, m, k: k,
                           lambda ds: ds.n_samples, ("prox_l1",)),
     "ssag": OptimizerSpec("ssag_step", lambda L, ds: 1.0 / (2.0 * ds.n_classes * L),
-                          lambda N, n, m: n, lambda ds: ds.n_classes, ("n",),
+                          lambda N, n, m, k: k * n, lambda ds: ds.n_classes, ("n",),
                           lambda ds: (int(ds.class_counts.min()), "the smallest class"), 2),
 }
 
@@ -345,9 +346,27 @@ def make_state(config: RunConfig, obj: Objective, constants=None) -> State:
 
 def steps_for_passes(kind: str, passes: float, n_samples: int, n: int = 1,
                      m: int | None = None) -> int:
-    """Step count whose gradient evaluations amount to the given data passes."""
-    per_step = _spec(kind).evals_per_step(n_samples, n, m)
-    return max(int(round(passes * n_samples / per_step)), 0)
+    """Step count whose exact gradient evaluations are nearest the given data
+    passes; a tie goes to the even count, as `round` rounds."""
+    def evals(k):
+        return _spec(kind).evals(n_samples, n, m, k)
+
+    # twice the request, so that comparing it with the sum of two integer
+    # counts (twice their midpoint) is exact
+    target = 2 * passes * n_samples
+    # bisect for the first k whose count reaches the request; every step
+    # costs at least one evaluation, so k <= ceil(passes * N)
+    k, hi = 0, max(math.ceil(passes * n_samples), 0)
+    while k < hi:
+        mid = (k + hi) // 2
+        if 2 * evals(mid) < target:
+            k = mid + 1
+        else:
+            hi = mid
+    if k == 0:
+        return 0
+    midpoint = evals(k - 1) + evals(k)
+    return k - 1 if target < midpoint or (target == midpoint and k % 2) else k
 
 
 def run(config: RunConfig, obj: Objective, *, constants=None,

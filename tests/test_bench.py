@@ -34,6 +34,11 @@ def _config_doc(**overrides):
     return doc
 
 
+#: The acceptance suite's envelope problem: N = 200, p = 5, two classes.
+_ENVELOPE_DATASET = {"kind": "synthetic", "counts": [100, 100], "stddev": 0.02, "seed": 0,
+                     "means": [[-18.0, 0, 0, 0, 0], [22.0, 4.0, 0, 0, 0]]}
+
+
 def _never_run(config):
     raise AssertionError("the config should have been rejected before any run")
 
@@ -215,6 +220,16 @@ class TestRunExperiment:
         cfg = ExperimentConfig.from_dict(doc)
         result = run_experiment(cfg)
         assert result.records[0].passes[-1] == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("passes, steps", [(1.5, 50), (3.0, 200)])
+    def test_svrg_pass_budget_holds(self, passes, steps):
+        # the envelope problem, N = 200, at SVRG's default m = 2N: each run
+        # pays a snapshot's N at step 0 and 2 evaluations a step
+        doc = _config_doc(steps=None, passes=passes, seeds=[1], record_dist=False,
+                          dataset=_ENVELOPE_DATASET, optimizer={"kind": "svrg", "h": "auto"})
+        record = run_experiment(ExperimentConfig.from_dict(doc)).records[0]
+        assert record.k[-1] == steps
+        assert record.passes[-1] == passes
 
     def test_test_split_accuracy_recorded(self):
         doc = _config_doc()
@@ -756,6 +771,13 @@ class TestCli:
         assert not (tmp_path / "out").exists()
         err = capsys.readouterr().err
         assert "Traceback" not in err and "0.5 passes give fgd 0 steps" in err
+        # half a pass of SVRG is nearer no step than the first step's N + 2
+        cfg = self._write_config(tmp_path, seeds=[1], steps=None, passes=0.5,
+                                 dataset=_ENVELOPE_DATASET, optimizer={"kind": "svrg"})
+        assert cli(["run", "--config", str(cfg)]) == 1
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "0.5 passes give svrg 0 steps" in err
 
     def _text_config(self, tmp_path, train_args, test_args, optimizer):
         for name, args in (("train", train_args), ("test", test_args)):

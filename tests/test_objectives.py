@@ -1,5 +1,9 @@
 """Objective losses, gradients, class scores, accuracy, and the ridge closed form."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +12,7 @@ from scipy.special import expit
 import ssag
 from ssag.errors import (SingularSystemError, StratumViolationError,
                          UnsupportedObjectiveError)
+from ssag.optimizers import RunConfig
 
 from conftest import OBJECTIVE_KINDS, any_kind_problem, central_diff_grad, grad_rel_error
 
@@ -218,6 +223,117 @@ class TestFullDataInPlace:
             expected.append(float(np.sum(devc * devc) / (cell.size - 1)) if cell.size > 1
                             else 0.0)
         assert stats.per_class_variance.tolist() == expected
+
+
+class TestSharedFullDataMargins:
+    """A linear model keeps the margins of its last full-data W; no result
+    may depend on the calls made before it."""
+
+    @staticmethod
+    def _full_data_bytes(obj, W):
+        stats = ssag.gradient_population_stats(obj, W)
+        return [np.float64(obj.loss_full(W)).tobytes(), obj.grad_full(W).tobytes(),
+                obj.grad_samples(W, obj.dataset.rows).tobytes(),
+                stats.population_mean.tobytes(),
+                np.float64(stats.population_variance).tobytes(),
+                stats.per_class_variance.tobytes()]
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(kind=st.sampled_from(("ridge", "logistic")), N=st.integers(2, 14),
+           p=st.integers(1, 11), C=st.integers(1, 3), seed=st.integers(0, 2**16),
+           lam=st.sampled_from([0.0, 0.3]))
+    def test_results_do_not_depend_on_earlier_calls(self, kind, N, p, C, seed, lam):
+        rng = np.random.default_rng(seed + 1)
+        W, V = rng.normal(size=p), rng.normal(size=p)
+        on_fresh = {key: self._full_data_bytes(any_kind_problem(kind, N, p, C, seed, lam=lam), U)
+                    for key, U in (("W", W), ("V", V))}
+        obj = any_kind_problem(kind, N, p, C, seed, lam=lam)
+        assert self._full_data_bytes(obj, W) == on_fresh["W"]  # fresh objective
+        assert self._full_data_bytes(obj, W.copy()) == on_fresh["W"]  # same W again
+        assert self._full_data_bytes(obj, V) == on_fresh["V"]  # another W
+        U = W.copy()
+        obj.loss_full(U)
+        U[:] = V  # changed in place after a call
+        assert self._full_data_bytes(obj, U) == on_fresh["V"]
+
+    def test_key_is_dtype_shape_and_bytes(self, random_problem):
+        obj = random_problem(kind="logistic", N=12, p=4)
+        rows, X = obj.dataset.rows, obj.dataset.features
+        W = np.random.default_rng(3).normal(size=4)
+        for other in (W.view(np.int64), W[None, :]):  # equal bytes
+            kept = obj._margins_of(W, rows)[1]
+            assert not kept.flags.writeable
+            with pytest.raises(ValueError):
+                kept[0] = 0.0
+            assert obj._margins_of(W.copy(), rows)[1] is kept
+            margins = obj._margins_of(other, rows)[1]
+            assert margins is not kept
+            assert np.array_equal(margins, ssag.objectives._margins(X, other))
+
+    @staticmethod
+    def _count_full_data_passes(monkeypatch, obj):
+        passes = []
+        margins = ssag.objectives._margins
+
+        def counted(X, W):
+            passes.append(X is obj.dataset.features)
+            return margins(X, W)
+
+        monkeypatch.setattr(ssag.objectives, "_margins", counted)
+        return passes
+
+    @pytest.mark.parametrize("kind", ["fgd", "sgd"])
+    def test_one_pass_per_recorded_snapshot(self, monkeypatch, random_problem, kind):
+        # the snapshot's loss and variance share one pass; FGD's step lands on
+        # the W its snapshot evaluated, and an SGD step reads one row
+        obj = random_problem(kind="logistic", N=40, p=3)
+        passes = self._count_full_data_passes(monkeypatch, obj)
+        rec = ssag.run(RunConfig(kind=kind, steps=12, h=0.2, cadence=1, record_variance=True),
+                       obj)
+        assert len(rec.k) == 13 and sum(passes) == 13
+
+    def test_reference_optimum_one_pass_per_point(self, monkeypatch, random_problem):
+        obj = random_problem(kind="logistic", N=40, p=3)
+        constants = ssag.estimate_constants(obj)
+        points = []
+        for name in ("loss_full", "grad_full"):
+            method = getattr(obj, name)
+            monkeypatch.setattr(obj, name, lambda W, method=method: (
+                points.append(W.tobytes()), method(W))[1])
+        passes = self._count_full_data_passes(monkeypatch, obj)
+        ssag.reference_optimum(obj, constants=constants)
+        assert len(points) == 2 * len(set(points)) > 2
+        assert sum(passes) == len(set(points))
+
+    def test_threads_sharing_one_objective(self):
+        obj = any_kind_problem("logistic", 400, 6, 2, seed=11)
+        rng = np.random.default_rng(12)
+        Ws = [rng.normal(size=6), rng.normal(size=6)]
+        expected = [(obj.loss_full(W), obj.grad_full(W).tobytes()) for W in Ws]
+        failures, counts = [], []
+
+        def worker(first):
+            done, deadline = 0, time.perf_counter() + 1.0
+            while time.perf_counter() < deadline:
+                k = (first + done) % 2
+                got = (obj.loss_full(Ws[k]), obj.grad_full(Ws[k]).tobytes())
+                if got != expected[k]:
+                    failures.append((k, got))
+                done += 1
+            counts.append(done)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == [] and len(counts) == 4 and min(counts) > 1
 
 
 class TestClosedFormOptimum:
