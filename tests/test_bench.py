@@ -35,7 +35,7 @@ def _config_doc(**overrides):
 
 
 #: The acceptance suite's envelope problem: N = 200, p = 5, two classes.
-_ENVELOPE_DATASET = {"kind": "synthetic", "counts": [100, 100], "stddev": 0.02, "seed": 0,
+_ENVELOPE_DATASET = {"kind": "synthetic", "counts": [100, 100], "stddev": 0.02, "seed": 11,
                      "means": [[-18.0, 0, 0, 0, 0], [22.0, 4.0, 0, 0, 0]]}
 
 
