@@ -12,6 +12,16 @@ import numpy as np
 
 from .errors import DimensionMismatchError, UnsupportedObjectiveError
 
+#: Vectors with fewer entries than this are computed on Python floats: the
+#: one-row gradient of a linear model (`objectives`) and the finite guard on
+#: a new iterate (`optimizers`).  It is 8 for two reasons.  numpy's pairwise
+#: sum adds fewer than 8 terms one at a time, left to right from +0.0, so a
+#: Python loop gives its bits; from 8 terms on it keeps 8 partial sums, which
+#: a loop would have to mimic.  And below 8 entries the list conversions cost
+#: less than the numpy calls they replace, whose overhead does not shrink
+#: with the vector.
+SHORT_ROW = 8
+
 
 def partition_by_class(labels: np.ndarray, num_classes: int | None = None) -> tuple[np.ndarray, ...]:
     """Group sample indices by integer class label.

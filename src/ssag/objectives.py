@@ -6,8 +6,10 @@ kernel of the linear models computes margins with a batch-size-invariant
 reduction, so ``loss_full`` equals the pairwise sum of ``loss_sample`` values
 bit for bit.  A one-row gradient of a linear model reads its row in place and
 needs no BLAS call; it equals the batch kernel's result for that row bit for
-bit, signed zeros included.  Batch gradients of more rows use BLAS and agree
-across code paths to 1e-12 relative error.  Full-data calls pass
+bit, signed zeros included.  A row shorter than ``core.SHORT_ROW`` (8)
+features is computed on Python floats, its margin summed in numpy's pairwise
+order, which below 8 terms is one left-to-right loop.  Batch gradients of
+more rows use BLAS and agree across code paths to 1e-12 relative error.  Full-data calls pass
 ``dataset.rows``, which the kernels recognise: they read the feature matrix
 and targets in place instead of gathering N rows, and give the same bits as a
 call with a fresh arange(N).  A linear model keeps the margins of its last
@@ -23,13 +25,17 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 from scipy.special import expit
 
-from .core import Dataset, as_params
+from .core import SHORT_ROW, Dataset, as_params
 from .errors import (
     DimensionMismatchError,
     SingularSystemError,
     StratumViolationError,
     UnsupportedObjectiveError,
 )
+
+#: The dtype of an index array that `grad_class_batch` takes without a
+#: conversion; an index array of any other dtype is converted to it.
+_INDEX = np.dtype(np.int64)
 
 
 class Objective(ABC):
@@ -116,6 +122,13 @@ class Objective(ABC):
 
     def grad_class_batch(self, W: np.ndarray, class_j: int, indices: np.ndarray) -> np.ndarray:
         """Mean gradient over a batch drawn from class j's partition cell."""
+        if type(indices) is np.ndarray and indices.shape == (1,) and indices.dtype is _INDEX:
+            # one int64 index, as an SSAG step at n = 1 draws it: np.asarray
+            # would return it as it is, so only the membership test is left
+            if self.dataset.class_of[indices[0]] != class_j:
+                raise StratumViolationError(
+                    f"indices {indices.tolist()} are not all members of class {class_j}")
+            return self.grad_batch(W, indices)
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size < 1:
             raise StratumViolationError("class batch must contain at least one index")
@@ -150,6 +163,7 @@ class _LinearObjective(Objective):
     def __init__(self, dataset: Dataset, lam: float = 0.0):
         super().__init__(dataset, lam)
         self._targets = np.asarray(dataset.labels, dtype=np.float64)
+        self._short_rows = dataset.n_features < SHORT_ROW
         #: (key of the last full-data W, its read-only margins); replaced whole
         self._full_margins = (None, None)
 
@@ -183,8 +197,21 @@ class _LinearObjective(Objective):
             # + 0.0 turns a -0.0 product into the +0.0 its accumulation gives
             i = indices[0]
             x = self.dataset.features[i]
-            r = self._link(np.add.reduce(x * W)) - self._targets[i]
-            return (r * x + 0.0) + self.lam * W
+            if not self._short_rows:
+                r = self._link(np.add.reduce(x * W)) - self._targets[i]
+                return (r * x + 0.0) + self.lam * W
+            # the same formula on Python floats, for a row shorter than
+            # SHORT_ROW.  The margin loop starts at +0.0 and adds left to
+            # right, as numpy's pairwise sum does below 8 terms; built-in
+            # sum() would not do: from Python 3.12 it compensates a float sum.
+            # The link stays numpy's: math.exp raises OverflowError where
+            # expit returns 0 or 1.
+            xs, ws, lam = x.tolist(), W.tolist(), self.lam
+            m = 0.0
+            for a, b in zip(xs, ws):
+                m += a * b
+            r = float(self._link(m)) - float(self._targets[i])
+            return np.array([(r * a + 0.0) + lam * b for a, b in zip(xs, ws)])
         X, resid = self._residuals(W, indices)
         return (X.T @ resid) / indices.size + self.lam * W
 

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Dataset, _mean_and_variance, estimate_constants, squared_distance
+from .core import SHORT_ROW, Dataset, _mean_and_variance, estimate_constants, squared_distance
 from .errors import ConfigError, DivergenceError, UnsupportedObjectiveError
 from .objectives import Objective, accuracy
 from .records import RunRecord
@@ -74,7 +74,11 @@ def _commit(state: State, W: np.ndarray, evals: int) -> State:
     state.W = W
     state.steps += 1
     state.grad_evals += evals
-    if np.count_nonzero(np.isfinite(W)) != W.size:
+    # a short W is checked on Python floats.  Not W.dot(W) either way: it
+    # warns "overflow encountered in dot" for a finite |w| > 1e154, and an
+    # np.errstate around it costs more than the check it replaces.
+    if not (all(map(math.isfinite, W.tolist())) if W.size < SHORT_ROW
+            else np.count_nonzero(np.isfinite(W)) == W.size):
         raise DivergenceError("optimizer produced a non-finite iterate",
                               last_finite=prev, steps=state.steps)
     return state
@@ -397,13 +401,18 @@ def run(config: RunConfig, obj: Objective, *, constants=None,
 
     alive = snapshot()
     next_record = config.cadence
+    every = SUM_RECOMPUTE_EVERY
     while alive and state.steps < config.steps:
+        # step without a check up to the next boundary: a record, the end of
+        # the budget or a running-sum recompute; each step counts one
+        stop = min(next_record, config.steps, (state.steps // every + 1) * every)
         try:
-            step(state, obj, rng)
+            for _ in range(stop - state.steps):
+                step(state, obj, rng)
         except DivergenceError:
             alive = False
             break
-        if state.steps % SUM_RECOMPUTE_EVERY == 0:
+        if state.steps % every == 0:
             recompute_sum(state)
         if state.steps >= next_record or state.steps >= config.steps:
             alive = snapshot()

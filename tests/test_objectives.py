@@ -129,18 +129,39 @@ class TestGradClassBatch:
             with pytest.raises(StratumViolationError):
                 obj.grad_class_batch(np.zeros(2), j, np.array([second[-1], first[-1]]))
         assert obj.grad_class_batch(np.zeros(2), 0, np.array([first[0]])).shape == (2,)
+        # a one-index array of another dtype is converted to int64 first: a
+        # member returns the int64 index's bits, a foreign index raises with
+        # the converted index in the message
+        W = np.array([0.2, -0.1])
+        for j, cell in enumerate((first, second)):
+            own = obj.grad_class_batch(W, j, np.array([cell[0]]))
+            foreign = (second, first)[j][0]
+            for dtype in (np.float64, np.int32):
+                got = obj.grad_class_batch(W, j, np.array([cell[0]], dtype=dtype))
+                assert np.array_equal(got.view(np.uint64), own.view(np.uint64))
+                with pytest.raises(StratumViolationError,
+                                   match=rf"^indices \[{foreign}\] are not all members of class {j}$"):
+                    obj.grad_class_batch(W, j, np.array([foreign], dtype=dtype))
+            with pytest.raises(StratumViolationError,
+                               match=rf"^indices \[{foreign}\] are not all members of class {j}$"):
+                obj.grad_class_batch(W, j, np.array([foreign]))
 
 
 class TestOneRowKernel:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(kind=st.sampled_from(["ridge", "logistic"]), N=st.integers(1, 5),
            p=st.integers(1, 30), lam=st.sampled_from([0.0, 0.1, 3.0]),
-           w_mode=st.sampled_from(["normal", "+0", "-0", "signed zeros"]),
+           w_mode=st.sampled_from(["normal", "+0", "-0", "signed zeros", "huge"]),
            seed=st.integers(0, 2**32 - 1))
     def test_bitwise_equal_to_the_batch_formula(self, kind, N, p, lam, w_mode, seed):
         # the batch formula for one row, written out: margins by a row
         # reduction, residual link(m) - y, then X'r / 1 + lam W through BLAS;
-        # bits compared as integers, so a -0.0 against a +0.0 fails
+        # bits compared as integers, so a -0.0 against a +0.0 fails.  Rows
+        # shorter than 8 features take the kernel's Python-float path, longer
+        # rows its numpy path.  "huge" weights (|w| from 1e300 to 1e308,
+        # random signs) overflow the margin to +-inf or NaN on many rows: NaN
+        # entries must sit at the same positions, every other entry, +-inf
+        # included, must have the same bits.
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(N, p)) * 10.0 ** rng.integers(-3, 4, size=p)
         column = rng.integers(0, 4, size=p)  # 0, 1: as drawn; 2: +0.0; 3: -0.0
@@ -150,14 +171,19 @@ class TestOneRowKernel:
         ds = ssag.Dataset(X, y, (np.arange(N),))
         obj = (ssag.RidgeRegression if kind == "ridge" else ssag.LogisticRegression)(ds, lam)
         W = {"normal": rng.normal(size=p), "+0": np.zeros(p), "-0": np.full(p, -0.0),
-             "signed zeros": np.where(rng.integers(0, 2, size=p) == 1, -0.0, 0.0)}[w_mode]
+             "signed zeros": np.where(rng.integers(0, 2, size=p) == 1, -0.0, 0.0),
+             "huge": rng.choice([-1.0, 1.0], size=p) * 10.0 ** rng.uniform(300, 308, size=p),
+             }[w_mode]
         link = (lambda m: m) if kind == "ridge" else expit
         for i in range(N):
             Xi = ds.features[[i]]
-            resid = link(np.add.reduce(Xi * W, axis=1)) - np.asarray(y, dtype=float)[[i]]
-            want = (Xi.T @ resid) / 1 + lam * W
-            got = obj.grad_batch(W, np.array([i]))
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            with np.errstate(all="ignore"):  # "huge" overflows on both paths
+                resid = link(np.add.reduce(Xi * W, axis=1)) - np.asarray(y, dtype=float)[[i]]
+                want = (Xi.T @ resid) / 1 + lam * W
+                got = obj.grad_batch(W, np.array([i]))
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
 
 
 class TestGradFull:

@@ -9,8 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import ssag
+from ssag import optimizers
 from ssag.errors import ConfigError, DivergenceError
-from ssag.optimizers import (SPECS, RunConfig, State, _commit, _refresh_slot, fgd_step,
+from ssag.optimizers import (DIVERGENCE_LOSS_LIMIT, SPECS, RunConfig, State, _commit,
+                             _refresh_slot, fgd_step,
                              make_state, recompute_sum, sag_step, saga_step,
                              soft_threshold, ssag_step, steps_for_passes, svrg_outer)
 from ssag.sampling import RngStream
@@ -543,6 +545,49 @@ class TestRunLoop:
                          two_class_logistic) for s in (1, 2)]
         assert np.array_equal(recs[0].k, recs[1].k)
         assert recs[0].k[-1] == 97
+
+    def test_recomputes_and_records_at_their_boundaries(self, monkeypatch, two_class_logistic):
+        # run() steps without checks up to the next record, the budget's end
+        # or a running-sum recompute; each must still fall on its own step
+        monkeypatch.setattr(optimizers, "SUM_RECOMPUTE_EVERY", 7)
+        recomputed_at = []
+        original = optimizers.recompute_sum
+
+        def counting(state):
+            recomputed_at.append(state.steps)
+            return original(state)
+
+        monkeypatch.setattr(optimizers, "recompute_sum", counting)
+        rec = ssag.run(RunConfig(kind="ssag", steps=40, h=0.05, cadence=5), two_class_logistic)
+        assert recomputed_at == [7, 14, 21, 28, 35]
+        assert rec.k.tolist() == list(range(0, 41, 5)) and not rec.diverged
+
+    @pytest.mark.parametrize("cadence", [3, 1000])
+    def test_diverging_run_matches_a_step_at_a_time_loop(self, line_ridge, cadence):
+        # cadence 3 diverges on a recorded loss, cadence 1000 on the finite
+        # guard between records; the reference checks after every step
+        obj, config = line_ridge, RunConfig(kind="fgd", steps=200, h=1e6, cadence=cadence)
+        rec = ssag.run(config, obj)
+        state, rng = make_state(config, obj), RngStream(config.seed)
+        k, loss, evals = [0], [obj.loss_full(state.W)], [0]
+        diverged, next_record = False, config.cadence
+        while state.steps < config.steps:
+            try:
+                fgd_step(state, obj, rng)
+            except DivergenceError:
+                diverged = True
+                break
+            if state.steps >= next_record or state.steps >= config.steps:
+                k.append(state.steps)
+                loss.append(obj.loss_full(state.W))
+                evals.append(state.grad_evals)
+                if not loss[-1] <= DIVERGENCE_LOSS_LIMIT:
+                    diverged = True
+                    break
+                next_record = (state.steps // config.cadence + 1) * config.cadence
+        assert rec.diverged and diverged
+        assert rec.k.tolist() == k and rec.grad_evals.tolist() == evals
+        assert np.array_equal(rec.loss, loss)
 
     def test_svrg_counts_inner_steps(self, two_class_logistic):
         rec = ssag.run(RunConfig(kind="svrg", steps=8, h=0.05, m=4, cadence=4),
