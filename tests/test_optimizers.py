@@ -12,9 +12,9 @@ import ssag
 from ssag import optimizers
 from ssag.errors import ConfigError, DivergenceError
 from ssag.optimizers import (DIVERGENCE_LOSS_LIMIT, SPECS, RunConfig, State, _commit,
-                             _refresh_slot, fgd_step,
-                             make_state, recompute_sum, sag_step, saga_step,
-                             soft_threshold, ssag_step, steps_for_passes, svrg_outer)
+                             _refresh_slot, fgd_step, make_state, recompute_sum, sag_step,
+                             saga_step, soft_threshold, ssag_step, steps_for_passes,
+                             svrg_outer)
 from ssag.sampling import RngStream
 
 from conftest import (OBJECTIVE_KINDS, any_kind_problem, reference_fgd, reference_sag,
