@@ -92,10 +92,10 @@ class Objective(ABC):
         return values if indices is self.dataset.rows else values[indices]
 
     def _check_index(self, i: int) -> int:
-        i = int(i)
-        if not 0 <= i < self.dataset.n_samples:
-            raise IndexError(f"sample index {i} out of range [0, {self.dataset.n_samples})")
-        return i
+        k = int(i)
+        if k != i or not 0 <= k < self.dataset.n_samples:
+            raise IndexError(f"sample index {i} is not an integer in [0, {self.dataset.n_samples})")
+        return k
 
     def loss_sample(self, W: np.ndarray, i: int) -> float:
         """Loss of sample i, including the regularization term."""
@@ -129,12 +129,13 @@ class Objective(ABC):
                 raise StratumViolationError(
                     f"indices {indices.tolist()} are not all members of class {class_j}")
             return self.grad_batch(W, indices)
-        indices = np.asarray(indices, dtype=np.int64)
+        given = np.asarray(indices)
+        indices = given.astype(np.int64, copy=False)
+        if indices is not given and not (indices == given).all():
+            raise StratumViolationError(f"indices {given.tolist()} are not all integers")
         if indices.size < 1:
             raise StratumViolationError("class batch must contain at least one index")
-        class_of = self.dataset.class_of
-        if not (class_of[indices[0]] == class_j if indices.size == 1
-                else (class_of[indices] == class_j).all()):
+        if not (self.dataset.class_of[indices] == class_j).all():
             raise StratumViolationError(
                 f"indices {indices.tolist()} are not all members of class {class_j}")
         return self.grad_batch(W, indices)

@@ -1,12 +1,14 @@
-"""Seeded index generation: uniform sampling and two-stage stratified draws.
+"""Seeded index generation: two-stage stratified draws, and uniform draws as
+their one-stratum case.
 
 Every stream is a cursor over the 32-bit words of one PCG64 generator: the
 low, then the high half of each raw 64-bit output, the order in which numpy
 draws bounded integers.  Identical seeds give bit-identical draws on every
-platform.  A draw is numpy's: an index in [0, k) is Lemire's multiply-shift
-of one word with rejection, and n > 1 indices without replacement are
-Floyd's algorithm followed by a Fisher-Yates shuffle, exactly what
-`Generator.integers` and `Generator.choice(..., replace=False)` return.
+platform.  A draw is numpy's: a class in [0, C) is Lemire's multiply-shift
+of one word with rejection, and n indices without replacement are Floyd's
+algorithm followed by a Fisher-Yates shuffle, exactly what
+`Generator.integers` and `Generator.choice(..., replace=False)` return.  One
+index is Floyd's first round, which maps the word `integers` would map.
 `draw_schedule` computes the draws of many steps at once as arrays; the
 `sample_*` functions draw one step through the generator.
 
@@ -24,12 +26,10 @@ from .errors import SamplingError
 
 _WORD = 1 << 32
 _LOW = np.uint64(_WORD - 1)
-#: `Generator.choice` shuffles the tail of arange(pop) instead of running
-#: Floyd's algorithm when pop > _TAIL_POPULATION and n > pop // _TAIL_CUTOFF.
-_TAIL_POPULATION = 10_000
-_TAIL_CUTOFF = 50
 #: Larger batches are drawn by `Generator.choice`, which costs less per
-#: index than the vectorised draw beyond about this size.
+#: index than the vectorised draw beyond about this size.  They include every
+#: batch numpy draws by shuffling the tail of arange(pop) instead of running
+#: Floyd's algorithm: it does so only when pop > 10 000 and n > pop // 50.
 _MAX_VECTOR_BATCH = 64
 #: Steps in a stream's first chunk; each later chunk is at most twice as
 #: long as the steps its predecessor served.
@@ -49,12 +49,11 @@ def _lemire(words: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _within_words(sizes: np.ndarray, n: int) -> np.ndarray:
-    """Words each stratum's within draw takes: 0 for the whole stratum, 1 for
-    one index, Floyd's n plus the shuffle's n - 1 otherwise.  -1 marks a draw
-    left to the generator: a batch above _MAX_VECTOR_BATCH, numpy's tail
-    shuffle, or a batch the stratum cannot hold."""
-    words = np.full(sizes.shape, 1 if n == 1 else 2 * n - 1)
-    words[(n > _MAX_VECTOR_BATCH) | (sizes > _TAIL_POPULATION) & (n > sizes // _TAIL_CUTOFF)] = -1
+    """Words each stratum's within draw takes: 0 for the whole stratum,
+    Floyd's n plus the shuffle's n - 1 otherwise.  -1 marks a draw left to
+    the generator: a batch above _MAX_VECTOR_BATCH or one the stratum cannot
+    hold."""
+    words = np.full(sizes.shape, -1 if n > _MAX_VECTOR_BATCH else 2 * n - 1)
     words[sizes == n] = 0
     words[(sizes < n) | (n < 1)] = -1
     return words
@@ -139,13 +138,13 @@ class RngStream:
     """Single-owner random stream: a cursor over one PCG64 generator's words.
 
     A run's steps take their draws from `class_batch` (a class, then a batch
-    inside it) and `uniform_batch` (a batch of the population).  These serve
-    each step from a chunk of steps that `draw_schedule` built ahead from the
-    generator's raw output.  Chunks grow geometrically from 16 steps, so a
-    short run draws few words, and hold at most 2^16 indices, so a large
-    batch costs little memory.  A step the schedule leaves out (a rejected
-    word, a batch above 64, numpy's tail shuffle) is drawn through the
-    generator by the `sample_*` functions.
+    inside it) and `uniform_batch` (a batch of the population, drawn as the
+    batch of a single stratum).  Both serve each step from a chunk of steps
+    that `draw_schedule` built ahead from the generator's raw output.  Chunks
+    grow geometrically from 16 steps, so a short run draws few words, and
+    hold at most 2^16 indices, so a large batch costs little memory.  A step
+    the schedule leaves out (a rejected word or a batch above 64) is drawn
+    through the generator by the `sample_*` functions.
 
     Every other access (`generator`, or a draw of another shape) first moves
     the generator back to the first step not yet served: `PCG64.advance` and
@@ -160,7 +159,7 @@ class RngStream:
         self._generator = np.random.Generator(self._bitgen)
         # the live chunk: the shape it serves, its draws, the next step to
         # serve, and the raw outputs it was built from (None once synced)
-        self._dataset = self._population = self._n = None
+        self._source = self._n = None
         self._strata = self._indices = None
         self._next = self._size = self._width = 0
         self._raws = None
@@ -179,58 +178,53 @@ class RngStream:
     def class_batch(self, dataset: Dataset, n: int) -> tuple[int, np.ndarray]:
         """One stratified step's draw: `sample_class`, then `sample_within_class`."""
         s = self._next
-        if s == self._size or self._dataset is not dataset or self._n != n:
-            return self._restart(dataset, None, n)
+        if s == self._size or self._source is not dataset or self._n != n:
+            return self._restart(dataset, n)
         self._next = s + 1
         return self._strata[s], self._indices[s]
 
     def uniform_batch(self, n_population: int, n: int) -> np.ndarray:
         """One uniform step's draw: `sample_uniform`."""
         s = self._next
-        if (s == self._size or self._dataset is not None
-                or self._population != n_population or self._n != n):
-            return self._restart(None, n_population, n)[1]
+        if s == self._size or self._source != n_population or self._n != n:
+            return self._restart(n_population, n)[1]
         self._next = s + 1
         return self._indices[s]
 
-    def _restart(self, dataset, n_population, n):
-        """Serve the first step of a new chunk for this shape, or draw the
-        step through the generator where the schedule leaves it out."""
+    def _restart(self, source, n):
+        """Serve the first step of a new chunk for ``source`` and n, or draw
+        the step through the generator where the schedule leaves it out.
+        ``source`` is a `Dataset` or a population size; a population is one
+        stratum whose positions are the indices, so it needs no gather."""
         steps = min(max(_FIRST_CHUNK, 2 * self._next), max(1, _CHUNK_INDICES // max(n, 1)))
         self._sync()
-        cells = dataset.partition if dataset is not None else None
-        shape = (dataset, n_population, n)
-        if self._shape[0] != shape:
-            sizes = np.array([c.size for c in cells] if cells is not None else [n_population])
-            joined = np.concatenate(cells) if cells is not None else None
-            self._shape = (shape, sizes, (_within_words(sizes, n) >= 0).any(), joined,
-                           np.cumsum(sizes) - sizes)
+        cells = source.partition if isinstance(source, Dataset) else ()
+        if self._shape[0] != (source, n):
+            sizes = np.array([c.size for c in cells] if cells else [source])
+            self._shape = ((source, n), sizes, (_within_words(sizes, n) >= 0).any(),
+                           np.concatenate(cells) if cells else None, np.cumsum(sizes) - sizes)
         _, sizes, scheduled, joined, starts = self._shape
         strata = ()
         if scheduled:
             strata, positions = self._build(sizes, n, steps)
         if not len(strata):
-            if cells is None:
-                return None, sample_uniform(self, n_population, n)
+            if not cells:
+                return None, sample_uniform(self, source, n)
             j = sample_class(self, sizes.size)
-            return j, sample_within_class(self, dataset, j, n)
-        self._dataset, self._population, self._n = dataset, n_population, n
-        if cells is None:
-            indices = positions
-        else:
-            indices = joined[starts[strata][:, None] + positions]
+            return j, sample_within_class(self, source, j, n)
+        self._source, self._n, self._next = source, n, 1
+        if cells:
+            positions = joined[starts[strata][:, None] + positions]
             self._strata = strata.tolist()
-        indices.setflags(write=False)
-        self._indices = indices
-        if cells is None:
-            return None, self.uniform_batch(n_population, n)
-        return self.class_batch(dataset, n)
+        positions.setflags(write=False)
+        self._indices = positions
+        return (self._strata[0] if cells else None), positions[0]
 
     def _build(self, sizes, n, steps):
         """Draw words for up to ``steps`` steps and schedule them as a chunk."""
         state = self._bitgen.state
         pending = state["has_uint32"]
-        per_step = int(sizes.size > 1) + max(2 * n - 1, 1)
+        per_step = int(sizes.size > 1) + 2 * n - 1
         raws = self._bitgen.random_raw((steps * per_step - pending + 1) // 2)
         words = np.empty(pending + 2 * raws.size, dtype=np.uint64)
         words[pending::2] = raws & _LOW
@@ -274,24 +268,16 @@ def sample_class(rng: RngStream, num_classes: int) -> int:
 
 
 def sample_within_class(rng: RngStream, dataset: Dataset, class_j: int, n: int) -> np.ndarray:
-    """n indices drawn uniformly without replacement from class j's cell.
+    """n indices drawn uniformly without replacement from class j's cell:
+    the cell's entries at the positions `sample_uniform` draws from its size.
 
     Requesting the whole class (n == N_j) returns the cell in ascending
-    order without consuming generator state.  A single draw (n == 1) is
-    returned as a read-only view of the cell.
+    order without consuming generator state.
     """
     cell = dataset.partition[class_j]
-    if n < 1:
-        raise SamplingError("batch size must be >= 1")
     if n > cell.size:
-        raise SamplingError(
-            f"batch size {n} exceeds class {class_j} size {cell.size}")
-    if n == cell.size:
-        return cell.copy()
-    if n == 1:
-        i = int(rng.generator.integers(cell.size))
-        return cell[i:i + 1]
-    return rng.generator.choice(cell, size=n, replace=False)
+        raise SamplingError(f"batch size {n} exceeds class {class_j} size {cell.size}")
+    return cell[sample_uniform(rng, cell.size, n)]
 
 
 def sample_uniform(rng: RngStream, n_population: int, n: int) -> np.ndarray:
@@ -306,6 +292,4 @@ def sample_uniform(rng: RngStream, n_population: int, n: int) -> np.ndarray:
         raise SamplingError(f"sample size {n} exceeds population {n_population}")
     if n == n_population:
         return np.arange(n_population)
-    if n == 1:
-        return np.array([int(rng.generator.integers(n_population))])
     return rng.generator.choice(n_population, size=n, replace=False)

@@ -328,6 +328,18 @@ class TestCsv:
         with pytest.raises(FormatError, match=f"x_s1.csv:{line}:"):
             read_csv(path)
 
+    @pytest.mark.parametrize("fault", ["k not increasing", "mismatched step grids"])
+    def test_record_checks(self, fault):
+        def record(ks):
+            return ssag.RunRecord.from_rows([(k, k, 1.0, *[np.nan] * 2, k, 0.0, np.nan)
+                                             for k in ks], seed=0)
+        if fault == "k not increasing":
+            with pytest.raises(ValueError, match="strictly increasing"):
+                record([0, 2, 2])
+        else:
+            with pytest.raises(ValueError, match="mismatched step grids"):
+                ssag.aggregate([record([0, 1, 2]), record([0, 2, 4])])
+
     def test_empty_record_header_only(self, tmp_path):
         rec = ssag.RunRecord.from_rows([], seed=0)
         (path,) = emit_csv([rec], tmp_path, "empty")
@@ -436,6 +448,17 @@ class TestCli:
         printed = [ln.split(" = ")[0] for ln in out.splitlines() if ln.startswith("h_")]
         assert printed == [f"h_{kind}" for kind in ssag.optimizers.OPTIMIZER_KINDS]
 
+    def test_estimate_constants_warns_when_mu_is_zero(self, tmp_path, capsys):
+        # a repeated column makes X'X/N singular, so unregularized ridge has mu = 0
+        X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+        ssag.write_text(ssag.Dataset.regression(X, np.array([1.0, 2.0, 3.0])), tmp_path / "d.txt")
+        code = cli(["estimate-constants", "--data", str(tmp_path / "d.txt"),
+                    "--objective", "ridge", "--lam", "0"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "mu = 0\n" in out
+        assert "warning: mu = 0, not strongly convex" in out.splitlines()
+
     def test_gen_data_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "gen.txt"
         code = cli(["gen-data", "--out", str(out), "--classes", "2", "--dim", "3",
@@ -460,6 +483,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert "usage error" in err and "Traceback" not in err
         assert sorted(path.name for path in tmp_path.iterdir()) == ["data.txt"]
+
+    def test_run_writes_a_loss_plot(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path, seeds=[1, 2])
+        plot = tmp_path / "loss.svg"
+        assert cli(["run", "--config", str(cfg), "--plot", str(plot)]) == 0
+        root = ET.parse(plot).getroot()
+        assert len([el for el in root.iter() if el.tag.endswith("polyline")]) == 1
+        assert f"plot written to {plot}" in capsys.readouterr().out.splitlines()
 
     def test_run_zero_step_budget(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, steps=0, seeds=[1])

@@ -39,6 +39,20 @@ class TestDataset:
         with pytest.raises(ValueError):
             ssag.Dataset(np.eye(2), np.array([0, 0]), (np.array([0]),))  # not covering
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: ssag.Dataset(np.zeros(3), np.zeros(3), (np.arange(3),)), "2-D matrix"),
+        (lambda: ssag.Dataset(np.eye(3), np.zeros(2), (np.arange(3),)), "one entry per sample"),
+        (lambda: ssag.Dataset(np.eye(3), np.zeros(3), ()), "at least one class"),
+        (lambda: ssag.Dataset(np.eye(2), np.zeros(2), (np.arange(2), np.array([], dtype=int))),
+         "cell 1 is empty"),
+        (lambda: ssag.partition_by_class(np.zeros((2, 2))), "one-dimensional"),
+        (lambda: ssag.partition_by_class(np.array([0.0, 1.5])), "must be integers"),
+        (lambda: ssag.partition_by_class(np.array([], dtype=int)), "empty label array"),
+        (lambda: ssag.partition_by_class(np.array([0, -1])), "non-negative")])
+    def test_construction_rejections(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_immutability(self):
         ds = ssag.Dataset.from_class_labels(np.eye(2), np.array([0, 1]))
         with pytest.raises(ValueError):

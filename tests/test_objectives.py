@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 import ssag
-from ssag.errors import (SingularSystemError, StratumViolationError,
+from ssag.errors import (DimensionMismatchError, SingularSystemError, StratumViolationError,
                          UnsupportedObjectiveError)
 from ssag.optimizers import RunConfig
 
@@ -42,6 +42,24 @@ class TestLossSample:
     def test_index_out_of_range(self, two_class_logistic):
         with pytest.raises(IndexError):
             two_class_logistic.loss_sample(np.zeros(2), 6)
+
+    @pytest.mark.parametrize("index", [1.7, -0.5, 0.5, np.float64(4.25)])
+    def test_fractional_index_rejected(self, two_class_logistic, index):
+        # int() would truncate the index to a sample; an integral float is kept
+        obj = two_class_logistic
+        W = np.array([0.2, -0.1])
+        with pytest.raises(IndexError, match="not an integer"):
+            obj.loss_sample(W, index)
+        with pytest.raises(IndexError, match="not an integer"):
+            obj.grad_sample(W, index)
+        j = int(obj.dataset.class_of[int(index)])
+        with pytest.raises(StratumViolationError, match="not all integers"):
+            obj.grad_class_batch(W, j, np.array([index]))
+        with pytest.raises(StratumViolationError, match="not all integers"):
+            obj.grad_class_batch(W, j, [obj.dataset.partition[j][0], index])
+        k = float(int(index))
+        assert obj.loss_sample(W, k) == obj.loss_sample(W, int(k))
+        assert np.array_equal(obj.grad_sample(W, k), obj.grad_sample(W, int(k)))
 
     def test_nonfinite_params_rejected(self, two_class_logistic):
         with pytest.raises(ValueError):
@@ -525,3 +543,14 @@ class TestMakeObjective:
     def test_malformed_values_rejected(self, two_class_logistic, spec):
         with pytest.raises((TypeError, ValueError)):
             ssag.make_objective(spec, two_class_logistic.dataset)
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda ds: ssag.LogisticRegression(ds), ValueError, r"labels in \{0, 1\}"),
+        (lambda ds: ssag.Mlp(ds, hidden=(2,)), ValueError, r"integer class labels in \[0, C\)"),
+        (lambda ds: ssag.RidgeRegression(ds).grad_full(np.zeros(3)), DimensionMismatchError,
+         "expected dimension 2, got 3")])
+    def test_input_rejections(self, make, error, message):
+        # real-valued targets in one cell: not logistic labels, not class indices
+        ds = ssag.Dataset.regression(np.eye(2), np.array([0.5, 1.0]))
+        with pytest.raises(error, match=message):
+            make(ds)

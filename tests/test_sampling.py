@@ -199,7 +199,8 @@ class TestWordCursor:
     _run = st.tuples(st.just("run"), st.lists(st.sampled_from(BOUNDS), min_size=1, max_size=3),
                      st.integers(1, 1500))
     _choice = st.tuples(st.just("choice"), st.integers(2, 50), st.integers(2, 50))
-    _uniform = st.tuples(st.just("uniform"), st.integers(4, 50), st.integers(2, 3))
+    _uniform = st.tuples(st.just("uniform"), st.integers(4, 50) | st.sampled_from(BOUNDS),
+                         st.integers(1, 3))
     _big = st.tuples(st.just("big"), st.sampled_from((2**33 + 1, 2**40)))
     _steps = st.tuples(st.just("steps"), st.sampled_from(("ssag", "minibatch", "sgd")),
                        st.integers(1, 64), st.integers(1, 300))
@@ -222,9 +223,9 @@ class TestWordCursor:
                 assert np.array_equal(rng.generator.choice(size, size=n, replace=False),
                                       ref.choice(size, size=n, replace=False))
             elif op[0] == "uniform":
-                _, population, n = op
+                population, n = op[1], min(op[1], op[2])
                 assert np.array_equal(sample_uniform(rng, population, n),
-                                      ref.choice(population, size=n, replace=False))
+                                      reference_uniform_batch(ref, population, n))
             elif op[0] == "steps":
                 _, kind, n, count = op
                 n = min(n, 3) if kind == "ssag" else 1 if kind == "sgd" else min(n, 22)
