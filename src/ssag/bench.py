@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from numbers import Real
 from pathlib import Path
 
@@ -191,9 +191,6 @@ class ExperimentConfig:
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
         return cls.from_dict(cls.read(path))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     def resolved_label(self) -> str:
         return self.label or str(self.optimizer.get("kind", "run"))

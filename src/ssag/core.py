@@ -59,12 +59,17 @@ class Dataset:
     indices belonging to it; cells are disjoint and cover all rows.
     ``rows`` is arange(N); the objectives recognise it by identity and read
     the C-ordered ``features`` in place instead of gathering all N rows.
+    The stratum layout is derived once, read-only: ``class_counts`` (the
+    cell sizes), ``order`` (the cells joined), ``starts`` (where each cell
+    begins in ``order``) and ``class_of`` (row index -> class index).
     """
 
     features: np.ndarray
     labels: np.ndarray
     partition: tuple[np.ndarray, ...]
-    #: row index -> class index, derived from the partition at construction
+    class_counts: np.ndarray = field(init=False, repr=False, compare=False)
+    order: np.ndarray = field(init=False, repr=False, compare=False)
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
     class_of: np.ndarray = field(init=False, repr=False, compare=False)
     rows: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -78,23 +83,20 @@ class Dataset:
         cells = tuple(np.array(c, dtype=np.int64, copy=True) for c in self.partition)
         if len(cells) < 1:
             raise ValueError("partition needs at least one class")
-        seen = np.concatenate(cells)
-        if seen.size != X.shape[0] or not np.array_equal(np.sort(seen), np.arange(X.shape[0])):
+        order = np.concatenate(cells)
+        if order.size != X.shape[0] or not np.array_equal(np.sort(order), np.arange(X.shape[0])):
             raise ValueError("partition cells must be disjoint and cover all sample indices")
-        for j, c in enumerate(cells):
-            if c.size == 0:
-                raise ValueError(f"partition cell {j} is empty")
+        counts = np.array([c.size for c in cells])
+        if not counts.all():
+            raise ValueError(f"partition cell {int(np.argmin(counts))} is empty")
         class_of = np.empty(X.shape[0], dtype=np.int64)
-        for j, c in enumerate(cells):
-            class_of[c] = j
-        rows = np.arange(X.shape[0])
-        for a in (X, y, class_of, rows, *cells):
+        class_of[order] = np.repeat(np.arange(len(cells)), counts)
+        derived = dict(class_counts=counts, order=order, starts=np.cumsum(counts) - counts,
+                       class_of=class_of, rows=np.arange(X.shape[0]))
+        for a in (X, y, *cells, *derived.values()):
             a.setflags(write=False)
-        object.__setattr__(self, "features", X)
-        object.__setattr__(self, "labels", y)
-        object.__setattr__(self, "partition", cells)
-        object.__setattr__(self, "class_of", class_of)
-        object.__setattr__(self, "rows", rows)
+        for name, value in dict(features=X, labels=y, partition=cells, **derived).items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_class_labels(cls, features: np.ndarray, labels: np.ndarray,
@@ -119,10 +121,6 @@ class Dataset:
     @property
     def n_classes(self) -> int:
         return len(self.partition)
-
-    @property
-    def class_counts(self) -> np.ndarray:
-        return np.array([c.size for c in self.partition])
 
 
 @dataclass(frozen=True)

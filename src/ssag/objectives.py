@@ -121,11 +121,14 @@ class Objective(ABC):
         return self.grad_batch(W, self.dataset.rows)
 
     def grad_class_batch(self, W: np.ndarray, class_j: int, indices: np.ndarray) -> np.ndarray:
-        """Mean gradient over a batch drawn from class j's partition cell."""
+        """Mean gradient over a batch drawn from class j's partition cell;
+        StratumViolationError unless every index is an integer in [0, N) of class j."""
         if type(indices) is np.ndarray and indices.shape == (1,) and indices.dtype is _INDEX:
             # one int64 index, as an SSAG step at n = 1 draws it: np.asarray
-            # would return it as it is, so only the membership test is left
-            if self.dataset.class_of[indices[0]] != class_j:
+            # would return it as it is, so only the range and membership
+            # tests are left (a negative index would wrap around class_of)
+            i, class_of = indices.item(), self.dataset.class_of
+            if not 0 <= i < class_of.size or class_of[i] != class_j:
                 raise StratumViolationError(
                     f"indices {indices.tolist()} are not all members of class {class_j}")
             return self.grad_batch(W, indices)
@@ -135,7 +138,9 @@ class Objective(ABC):
             raise StratumViolationError(f"indices {given.tolist()} are not all integers")
         if indices.size < 1:
             raise StratumViolationError("class batch must contain at least one index")
-        if not (self.dataset.class_of[indices] == class_j).all():
+        class_of = self.dataset.class_of
+        if not (((indices >= 0) & (indices < class_of.size)).all()
+                and (class_of[indices] == class_j).all()):
             raise StratumViolationError(
                 f"indices {indices.tolist()} are not all members of class {class_j}")
         return self.grad_batch(W, indices)

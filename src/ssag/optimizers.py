@@ -43,10 +43,10 @@ class State:
     ``table`` holds one gradient slot per stratum: C rows for SSAG, N for SAG
     and SAGA, none for the memoryless kinds (an empty table by default);
     ``table_sum`` defaults to its exact sum.  The state owns ``table_sum``:
-    each slot refresh updates it in place.
-    ``snapshot`` and ``snapshot_grad`` are SVRG's; ``n``, ``m`` (SVRG's
-    resolved refresh period) and ``prox_l1`` are the run's settings, read
-    only by the kinds that use them.
+    each slot refresh updates it in place.  ``snapshot`` and ``snapshot_grad``
+    are SVRG's; ``n``, ``m`` (SVRG's resolved refresh period) and ``prox_l1``
+    are the run's settings, read only by the kinds that use them.  No state
+    counts evaluations: the kind's `OptimizerSpec.evals` gives them.
     """
 
     W: np.ndarray
@@ -59,7 +59,6 @@ class State:
     m: int | None = None
     prox_l1: float | None = None
     steps: int = 0
-    grad_evals: int = 0
 
     def __post_init__(self):
         if self.table is None:
@@ -68,12 +67,11 @@ class State:
             self.table_sum = self.table.sum(axis=0)
 
 
-def _commit(state: State, W: np.ndarray, evals: int) -> State:
-    """Accept the next iterate and count it; DivergenceError if not finite."""
+def _commit(state: State, W: np.ndarray) -> State:
+    """Accept the next iterate and count the step; DivergenceError if not finite."""
     prev = state.W
     state.W = W
     state.steps += 1
-    state.grad_evals += evals
     # a short W is checked on Python floats.  Not W.dot(W) either way: it
     # warns "overflow encountered in dot" for a finite |w| > 1e154, and an
     # np.errstate around it costs more than the check it replaces.
@@ -98,14 +96,14 @@ def _refresh_slot(state: State, j: int, phi: np.ndarray) -> None:
     state.table[j] = phi
 
 
-def _table_average_step(state: State, j: int, phi: np.ndarray, evals: int) -> State:
+def _table_average_step(state: State, j: int, phi: np.ndarray) -> State:
     """Write phi into slot j, then step W <- W - (h/slots) * sum of all slots.
 
     The next W is a fresh array: `_commit` keeps the previous one.
     """
     _refresh_slot(state, j, phi)
     W = np.multiply(state.table_sum, state.h / state.table.shape[0])
-    return _commit(state, np.subtract(state.W, W, out=W), evals)
+    return _commit(state, np.subtract(state.W, W, out=W))
 
 
 def ssag_step(state: State, obj: Objective, rng: RngStream) -> State:
@@ -116,7 +114,7 @@ def ssag_step(state: State, obj: Objective, rng: RngStream) -> State:
     W <- W - (h/C) * sum of all slots.
     """
     j, idx = rng.class_batch(obj.dataset, state.n)
-    return _table_average_step(state, j, obj.grad_class_batch(state.W, j, idx), idx.size)
+    return _table_average_step(state, j, obj.grad_class_batch(state.W, j, idx))
 
 
 def sag_step(state: State, obj: Objective, rng: RngStream) -> State:
@@ -126,7 +124,7 @@ def sag_step(state: State, obj: Objective, rng: RngStream) -> State:
     consumes no generator state, so a step draws one sample uniformly.
     """
     idx = rng.uniform_batch(obj.dataset.n_samples, 1)
-    return _table_average_step(state, idx[0], obj.grad_batch(state.W, idx), 1)
+    return _table_average_step(state, idx[0], obj.grad_batch(state.W, idx))
 
 
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
@@ -148,7 +146,7 @@ def saga_step(state: State, obj: Objective, rng: RngStream) -> State:
     _refresh_slot(state, i, g)
     if state.prox_l1 is not None:
         W = soft_threshold(W, state.h * state.prox_l1)
-    return _commit(state, W, 1)
+    return _commit(state, W)
 
 
 def svrg_outer(state: State, obj: Objective, rng: RngStream) -> State:
@@ -161,11 +159,10 @@ def svrg_outer(state: State, obj: Objective, rng: RngStream) -> State:
     if state.steps % state.m == 0:
         state.snapshot = state.W.copy()
         state.snapshot_grad = obj.grad_full(state.snapshot)
-        state.grad_evals += N
     idx = rng.uniform_batch(N, 1)
     direction = (obj.grad_batch(state.W, idx) - obj.grad_batch(state.snapshot, idx)
                  + state.snapshot_grad)
-    return _commit(state, state.W - state.h * direction, 2)
+    return _commit(state, state.W - state.h * direction)
 
 
 def _uniform_batch_step(state: State, obj: Objective, rng: RngStream,
@@ -177,7 +174,7 @@ def _uniform_batch_step(state: State, obj: Objective, rng: RngStream,
     """
     ds = obj.dataset
     idx = ds.rows if n == ds.n_samples else rng.uniform_batch(ds.n_samples, n)
-    return _commit(state, state.W - state.h * obj.grad_batch(state.W, idx), idx.size)
+    return _commit(state, state.W - state.h * obj.grad_batch(state.W, idx))
 
 
 def fgd_step(state: State, obj: Objective, rng: RngStream) -> State:
@@ -380,10 +377,12 @@ def run(config: RunConfig, obj: Objective, *, constants=None,
     Records a row at step 0, whenever the step counter crosses a cadence
     multiple, and at the final step.  Loss above DIVERGENCE_LOSS_LIMIT or a
     non-finite iterate truncates the record and flags it diverged.  The
-    trajectory is fully deterministic given the seed.
+    trajectory is fully deterministic given the seed.  A row's ``grad_evals``
+    is the kind's `OptimizerSpec.evals` at its step.
     """
     rng = RngStream(config.seed)
-    step = globals()[SPECS[config.kind].step]
+    spec, N = SPECS[config.kind], obj.dataset.n_samples
+    step = globals()[spec.step]
     state = make_state(config, obj, constants)
     rows = []
     t0 = time.perf_counter()
@@ -395,8 +394,9 @@ def run(config: RunConfig, obj: Objective, *, constants=None,
         # gradient_population_stats' population variance, without its per-class passes
         sigma_sq = (_mean_and_variance(obj.grad_samples(state.W, obj.dataset.rows))[1]
                     if config.record_variance else float("nan"))
-        rows.append((state.steps, state.grad_evals / obj.dataset.n_samples, loss,
-                     acc, dist, state.grad_evals, (time.perf_counter() - t0) * 1e3, sigma_sq))
+        evals = spec.evals(N, config.n, config.m, state.steps)
+        rows.append((state.steps, evals / N, loss, acc, dist, evals,
+                     (time.perf_counter() - t0) * 1e3, sigma_sq))
         return bool(np.isfinite(loss)) and loss <= DIVERGENCE_LOSS_LIMIT
 
     alive = snapshot()

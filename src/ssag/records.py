@@ -28,7 +28,8 @@ class RunRecord:
 
     All metric arrays are aligned with ``k`` (the recorded step indices,
     strictly increasing, starting at 0).  Metrics that were not recorded are
-    NaN.  ``passes`` is grad_evals / N exactly.
+    NaN.  ``grad_evals`` is the kind's `OptimizerSpec.evals` at each k, and
+    ``passes`` is grad_evals / N exactly.
     """
 
     k: np.ndarray

@@ -144,7 +144,8 @@ class RngStream:
     grow geometrically from 16 steps, so a short run draws few words, and
     hold at most 2^16 indices, so a large batch costs little memory.  A step
     the schedule leaves out (a rejected word or a batch above 64) is drawn
-    through the generator by the `sample_*` functions.
+    through the generator by the `sample_*` functions.  A chunk reads the
+    stratum layout (`class_counts`, `order`, `starts`) from the `Dataset`.
 
     Every other access (`generator`, or a draw of another shape) first moves
     the generator back to the first step not yet served: `PCG64.advance` and
@@ -164,10 +165,8 @@ class RngStream:
         self._next = self._size = self._width = 0
         self._raws = None
         self._start = (0, 0)  # has_uint32 and uinteger when the chunk began
-        # the last shape asked for, its stratum sizes, whether
-        # `draw_schedule` covers any of its steps, its cells joined and
-        # where each cell starts in them
-        self._shape = (None, None, False, None, None)
+        # the last shape asked for and whether `draw_schedule` covers any step
+        self._schedules = (None, False)
 
     @property
     def generator(self) -> np.random.Generator:
@@ -198,23 +197,21 @@ class RngStream:
         stratum whose positions are the indices, so it needs no gather."""
         steps = min(max(_FIRST_CHUNK, 2 * self._next), max(1, _CHUNK_INDICES // max(n, 1)))
         self._sync()
-        cells = source.partition if isinstance(source, Dataset) else ()
-        if self._shape[0] != (source, n):
-            sizes = np.array([c.size for c in cells] if cells else [source])
-            self._shape = ((source, n), sizes, (_within_words(sizes, n) >= 0).any(),
-                           np.concatenate(cells) if cells else None, np.cumsum(sizes) - sizes)
-        _, sizes, scheduled, joined, starts = self._shape
+        cells = isinstance(source, Dataset)
+        sizes = source.class_counts if cells else (source,)
+        if self._schedules[0] != (source, n):
+            self._schedules = ((source, n), (_within_words(np.asarray(sizes), n) >= 0).any())
         strata = ()
-        if scheduled:
+        if self._schedules[1]:
             strata, positions = self._build(sizes, n, steps)
         if not len(strata):
             if not cells:
                 return None, sample_uniform(self, source, n)
-            j = sample_class(self, sizes.size)
+            j = sample_class(self, len(sizes))
             return j, sample_within_class(self, source, j, n)
         self._source, self._n, self._next = source, n, 1
         if cells:
-            positions = joined[starts[strata][:, None] + positions]
+            positions = source.order[source.starts[strata][:, None] + positions]
             self._strata = strata.tolist()
         positions.setflags(write=False)
         self._indices = positions
@@ -224,7 +221,7 @@ class RngStream:
         """Draw words for up to ``steps`` steps and schedule them as a chunk."""
         state = self._bitgen.state
         pending = state["has_uint32"]
-        per_step = int(sizes.size > 1) + 2 * n - 1
+        per_step = int(len(sizes) > 1) + 2 * n - 1
         raws = self._bitgen.random_raw((steps * per_step - pending + 1) // 2)
         words = np.empty(pending + 2 * raws.size, dtype=np.uint64)
         words[pending::2] = raws & _LOW

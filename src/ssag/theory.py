@@ -188,10 +188,6 @@ class ComplexityEstimate:
     iterations: int
     literal_iterations: int | None
 
-    @property
-    def already_converged(self) -> bool:
-        return self.iterations == 0
-
 
 def ssag_complexity(epsilon: float, inp: Theorem2Inputs) -> ComplexityEstimate:
     """Iterations k with rate^k * bracket <= epsilon, ceiling-rounded."""
@@ -249,10 +245,6 @@ class Envelope:
     @property
     def pass_fraction(self) -> float:
         return float(np.mean(self.passed)) if self.k.size else 1.0
-
-    @property
-    def all_passed(self) -> bool:
-        return bool(np.all(self.passed))
 
     @property
     def first_failure(self) -> int | None:

@@ -91,6 +91,121 @@ def reference_sgd(obj, h, steps, seed, W0=None):
     return W
 
 
+# Trajectory oracles: each runs `steps` steps from W0 (the objective's
+# default start if None), one at a time, on per-sample gradients
+# (`grad_samples` on fresh index arrays) and the one-call-per-draw oracles
+# below.  Each returns the iterates after 0..steps steps, (steps + 1, p), and
+# the gradient evaluations spent by then, (steps + 1,), counted as the loop
+# spends them.
+
+
+def _sample_mean_gradient(obj, W, idx):
+    return obj.grad_samples(W, np.asarray(idx, dtype=np.int64)).mean(axis=0)
+
+
+def reference_ssag(obj, h, steps, seed, n=1, W0=None):
+    """SSAG: C table slots; each step draws class j and n of its samples,
+    replaces slot j by their mean gradient, and steps
+    W <- W - (h/C) * sum of the slots."""
+    ds = obj.dataset
+    gen = np.random.Generator(np.random.PCG64(seed))
+    W = obj.init_params() if W0 is None else W0
+    table = np.zeros((ds.n_classes, W.size))
+    iterates, evals = [W], [0]
+    for _ in range(steps):
+        j, idx = reference_class_batch(gen, ds, n)
+        table[j] = _sample_mean_gradient(obj, W, idx)
+        W = W - (h / ds.n_classes) * table.sum(axis=0)
+        iterates.append(W)
+        evals.append(evals[-1] + len(idx))
+    return np.array(iterates), np.array(evals)
+
+
+def reference_minibatch(obj, h, steps, seed, n=1, W0=None):
+    """Mini-batch SGD: W <- W - h * mean gradient of n samples drawn
+    uniformly without replacement."""
+    N = obj.dataset.n_samples
+    gen = np.random.Generator(np.random.PCG64(seed))
+    W = obj.init_params() if W0 is None else W0
+    iterates, evals = [W], [0]
+    for _ in range(steps):
+        idx = reference_uniform_batch(gen, N, n)
+        W = W - h * _sample_mean_gradient(obj, W, idx)
+        iterates.append(W)
+        evals.append(evals[-1] + len(idx))
+    return np.array(iterates), np.array(evals)
+
+
+def reference_saga(obj, h, steps, seed, prox_l1=None, W0=None):
+    """SAGA: N table slots; each step draws sample i, moves to
+    W - h * (G_i(W) - slot_i + mean of the slots) with the slots as they were
+    before the step, then replaces slot i by G_i(W).  With an l1 weight the
+    move is followed by soft-thresholding at h * prox_l1."""
+    N = obj.dataset.n_samples
+    gen = np.random.Generator(np.random.PCG64(seed))
+    W = obj.init_params() if W0 is None else W0
+    table = np.zeros((N, W.size))
+    iterates, evals = [W], [0]
+    for _ in range(steps):
+        (i,) = reference_uniform_batch(gen, N, 1)
+        g = _sample_mean_gradient(obj, W, [i])
+        V = W - h * (g - table[i] + table.mean(axis=0))
+        table[i] = g
+        if prox_l1 is not None:
+            V = np.sign(V) * np.maximum(np.abs(V) - h * prox_l1, 0.0)
+        W = V
+        iterates.append(W)
+        evals.append(evals[-1] + 1)
+    return np.array(iterates), np.array(evals)
+
+
+def reference_svrg(obj, h, steps, seed, m, W0=None):
+    """SVRG, one inner step per step: at steps 0, m, 2m, ... the snapshot
+    moves to W and its full gradient mu is taken (N evaluations); each step
+    draws sample i and steps W <- W - h * (G_i(W) - G_i(snapshot) + mu)
+    (2 evaluations)."""
+    N = obj.dataset.n_samples
+    gen = np.random.Generator(np.random.PCG64(seed))
+    W = obj.init_params() if W0 is None else W0
+    iterates, evals = [W], [0]
+    for k in range(steps):
+        spent = 2
+        if k % m == 0:
+            snapshot, mu = W, _sample_mean_gradient(obj, W, np.arange(N))
+            spent += N
+        (i,) = reference_uniform_batch(gen, N, 1)
+        W = W - h * (_sample_mean_gradient(obj, W, [i])
+                     - _sample_mean_gradient(obj, snapshot, [i]) + mu)
+        iterates.append(W)
+        evals.append(evals[-1] + spent)
+    return np.array(iterates), np.array(evals)
+
+
+class EvaluationCounter:
+    """Gradient evaluations counted at the kernel, outside `SPECS`.
+
+    Wraps an objective's ``grad_batch``, which ``grad_full`` and
+    ``grad_class_batch`` call, to add up ``indices.size`` over its calls,
+    and its ``loss_full``, which `run` calls once per recorded row, to note
+    the running total.  Linear objectives only: the MLP's ``grad_samples``
+    calls ``grad_batch`` too.
+    """
+
+    def __init__(self, obj):
+        self.total, self.at_loss = 0, []
+        grad_batch, loss_full = obj.grad_batch, obj.loss_full
+
+        def counted(W, indices):
+            self.total += indices.size
+            return grad_batch(W, indices)
+
+        def noted(W):
+            self.at_loss.append(self.total)
+            return loss_full(W)
+
+        obj.grad_batch, obj.loss_full = counted, noted
+
+
 def reference_class_batch(gen, dataset, n):
     """One stratified step's draw from a plain np.random.Generator, one call
     per draw: the class j from `integers` (none for one class), then the

@@ -4,7 +4,7 @@ import inspect
 import json
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -215,7 +215,7 @@ class TestRunExperiment:
 
     def test_pass_budget_resolution(self):
         cfg = ExperimentConfig.from_dict(_config_doc(steps=None, passes=3.0))
-        doc = cfg.to_dict()
+        doc = asdict(cfg)
         doc.pop("steps")
         cfg = ExperimentConfig.from_dict(doc)
         result = run_experiment(cfg)
@@ -544,11 +544,11 @@ class TestCli:
         assert cli([argv[0], "--config", str(path), *argv[1:]]) == 2
         expected = {**_config_doc(), "passes": None, "out_dir": None, "label": None,
                     "record_variance": False, **changes}
-        assert loaded[0].to_dict() == expected
+        assert asdict(loaded[0]) == expected
         assert type(loaded[0].passes) is type(expected["passes"])
         file_doc = {key: value for key, value in expected.items() if value is not None}
-        assert (json.dumps(loaded[0].to_dict(), sort_keys=True)
-                == json.dumps(ExperimentConfig.from_dict(file_doc).to_dict(), sort_keys=True))
+        assert (json.dumps(asdict(loaded[0]), sort_keys=True)
+                == json.dumps(asdict(ExperimentConfig.from_dict(file_doc)), sort_keys=True))
 
     @pytest.mark.parametrize("flags", [["--seed", "3"], ["--steps", "2.5"], ["--cadence", "2.5"],
                                        ["--cadence", "0"], ["--passes", "0"], ["--seeds", "1,x"],

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import ssag
 from ssag.errors import DimensionMismatchError, UnsupportedObjectiveError
@@ -74,6 +75,29 @@ class TestDataset:
         assert ds.n_samples == 5 and ds.n_classes == 2
         assert ds.class_counts.tolist() == [2, 3]
         assert sum(ds.class_counts) == ds.n_samples
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(N=st.integers(1, 40), cuts=st.integers(0, 39), seed=st.integers(0, 2**16))
+    @example(N=1, cuts=0, seed=0)    # one singleton cell
+    @example(N=12, cuts=11, seed=3)  # C = N: every cell a singleton
+    @example(N=12, cuts=0, seed=4)   # one cell of all rows
+    def test_layout_property(self, N, cuts, seed):
+        # rows dealt in a random order into C cells of random sizes, so cells
+        # are not ascending and may be singletons
+        rng = np.random.default_rng(seed)
+        C = min(cuts, N - 1) + 1
+        bounds = np.sort(rng.choice(np.arange(1, N), size=C - 1, replace=False))
+        partition = np.split(rng.permutation(N), bounds)
+        ds = ssag.Dataset(np.zeros((N, 1)), np.zeros(N), partition)
+        assert ds.class_counts.tolist() == [cell.size for cell in partition]
+        for j, cell in enumerate(partition):
+            start, count = ds.starts[j], ds.class_counts[j]
+            assert ds.order[start:start + count].tolist() == cell.tolist()
+            assert (ds.class_of[cell] == j).all()
+        assert ds.class_of[ds.order].tolist() == np.repeat(np.arange(C), ds.class_counts).tolist()
+        for derived in (ds.class_counts, ds.order, ds.starts, ds.class_of, ds.rows):
+            with pytest.raises(ValueError, match="read-only"):
+                derived[0] = 1
 
 
 class TestPartitionByClass:

@@ -164,6 +164,19 @@ class TestGradClassBatch:
                                match=rf"^indices \[{foreign}\] are not all members of class {j}$"):
                 obj.grad_class_batch(W, j, np.array([foreign]))
 
+    @pytest.mark.parametrize("indices", [
+        np.array([-1]), np.array([-4]), np.array([6]), np.array([2**40]),  # one int64 index
+        np.array([-1, -3]), np.array([-1.0]), np.array([6, 3]), [3, 6], np.array([-1], np.int32)],
+        ids=repr)
+    def test_index_outside_the_rows_rejected(self, indices):
+        # classes {0, 1, 2} and {3, 4, 5}: a negative index would wrap around
+        # to a member, and one of N or more is a member of no class
+        obj = ssag.MeanQuadratic(ssag.Dataset.from_class_labels(
+            np.arange(6.0)[:, None], np.array([0, 0, 0, 1, 1, 1])))
+        for j in (0, 1):
+            with pytest.raises(StratumViolationError, match=f"not all members of class {j}$"):
+                obj.grad_class_batch(np.zeros(1), j, indices)
+
 
 class TestOneRowKernel:
     @settings(derandomize=True, deadline=None, max_examples=300)

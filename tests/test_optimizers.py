@@ -17,8 +17,9 @@ from ssag.optimizers import (DIVERGENCE_LOSS_LIMIT, SPECS, RunConfig, State, _co
                              svrg_outer)
 from ssag.sampling import RngStream
 
-from conftest import (OBJECTIVE_KINDS, any_kind_problem, reference_fgd, reference_sag,
-                      reference_sgd)
+from conftest import (OBJECTIVE_KINDS, EvaluationCounter, any_kind_problem, reference_fgd,
+                      reference_minibatch, reference_sag, reference_saga, reference_sgd,
+                      reference_ssag, reference_svrg)
 
 # final iterates after 12 steps of the fixed tiny logistic problem below
 # (h = 0.3, seed = 5); frozen from the first run
@@ -59,10 +60,11 @@ class TestSsagStep:
         obj = _constant_gradient_problem(2.0, n_classes=2)
         state = State(W=np.zeros(1), table=np.zeros((2, 1)),
                       table_sum=np.zeros(1), h=0.5, n=1)
+        counter = EvaluationCounter(obj)
         ssag_step(state, obj, RngStream(0))
         assert state.W == pytest.approx([-0.5])
         assert state.table_sum == pytest.approx([2.0])
-        assert state.grad_evals == 1
+        assert counter.total == 1
 
     def test_idempotent_table_write(self):
         # single class: the drawn slot already equals the fresh gradient
@@ -108,10 +110,10 @@ class TestSsagStep:
         obj = ssag.MeanQuadratic(ssag.Dataset.from_class_labels(
             np.zeros((8, 1)), np.array([0] * 4 + [1] * 4)))
         state = make_state(RunConfig(kind="ssag", steps=0, h=0.1, n=3), obj)
-        rng = RngStream(1)
+        rng, counter = RngStream(1), EvaluationCounter(obj)
         for _ in range(5):
             ssag_step(state, obj, rng)
-        assert state.grad_evals == 15
+        assert counter.total == 15
 
 
 class TestSsagSagEquivalence:
@@ -221,9 +223,10 @@ class TestFgd:
         ds = ssag.Dataset.regression(np.zeros((1, 1)), np.zeros(1))
         obj = ssag.MeanQuadratic(ds)
         state = State(W=np.array([1.0]), h=1.0)
+        counter = EvaluationCounter(obj)
         fgd_step(state, obj, RngStream(0))
         assert state.W == pytest.approx([0.0])
-        assert state.grad_evals == 1
+        assert counter.total == 1
 
     def test_reads_rows_in_place(self, random_problem):
         # n = N hands the kernel dataset.rows itself, so it gathers no copy
@@ -368,14 +371,14 @@ class TestSvrg:
         obj = two_class_logistic
         N = obj.dataset.n_samples
         state = make_state(RunConfig(kind="svrg", steps=0, h=0.1, m=3), obj)
-        rng = RngStream(0)
+        rng, counter = RngStream(0), EvaluationCounter(obj)
         svrg_outer(state, obj, rng)
-        assert (state.steps, state.grad_evals) == (1, N + 2)
+        assert (state.steps, counter.total) == (1, N + 2)
         svrg_outer(state, obj, rng)
         svrg_outer(state, obj, rng)
-        assert (state.steps, state.grad_evals) == (3, N + 2 * 3)
+        assert (state.steps, counter.total) == (3, N + 2 * 3)
         svrg_outer(state, obj, rng)
-        assert (state.steps, state.grad_evals) == (4, 2 * N + 2 * 4)
+        assert (state.steps, counter.total) == (4, 2 * N + 2 * 4)
 
     def test_golden_trajectory(self):
         state = _run_steps("svrg", _tiny_logistic(), 12, seed=5, h=0.3, m=4)
@@ -451,7 +454,7 @@ def _guard_verdict(W):
     """Whether `_commit` accepts W (True) or raises DivergenceError (False)."""
     state = State(W=np.zeros(W.size), h=0.1)
     try:
-        _commit(state, W, 1)
+        _commit(state, W)
     except DivergenceError:
         return False
     return True
@@ -476,7 +479,7 @@ class TestFiniteGuard:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError) as info:
-                _commit(state, np.array([1.0, bad, 0.0]), 1)
+                _commit(state, np.array([1.0, bad, 0.0]))
         assert info.value.steps == state.steps == 1
         assert np.array_equal(info.value.last_finite, np.zeros(3))
 
@@ -569,6 +572,7 @@ class TestRunLoop:
         obj, config = line_ridge, RunConfig(kind="fgd", steps=200, h=1e6, cadence=cadence)
         rec = ssag.run(config, obj)
         state, rng = make_state(config, obj), RngStream(config.seed)
+        counter = EvaluationCounter(obj)
         k, loss, evals = [0], [obj.loss_full(state.W)], [0]
         diverged, next_record = False, config.cadence
         while state.steps < config.steps:
@@ -580,7 +584,7 @@ class TestRunLoop:
             if state.steps >= next_record or state.steps >= config.steps:
                 k.append(state.steps)
                 loss.append(obj.loss_full(state.W))
-                evals.append(state.grad_evals)
+                evals.append(counter.total)
                 if not loss[-1] <= DIVERGENCE_LOSS_LIMIT:
                     diverged = True
                     break
@@ -605,6 +609,65 @@ class TestRunLoop:
         assert rec.passes.tolist() == (rec.grad_evals / N).tolist()
         # one full gradient per started period of m = 400 steps, two per step
         assert rec.grad_evals[-1] == 2 * N + 2 * 450
+
+
+def _case_id(value):
+    """Test id of a settings dict or an oracle; None leaves the default."""
+    if isinstance(value, dict):
+        return ",".join(f"{key}={v}" for key, v in value.items()) or "defaults"
+    return getattr(value, "__name__", None)
+
+
+def _oracle_problem(objective):
+    """A 15-row, 3-feature problem with three classes of 5 (two for
+    logistic), its constants and its optimum."""
+    obj = any_kind_problem(objective, 15, 3, 3, seed=0)
+    constants = ssag.estimate_constants(obj)
+    return obj, constants, ssag.reference_optimum(obj, constants=constants)
+
+
+class TestEvaluationCount:
+    @pytest.mark.parametrize("objective", ["ridge", "logistic"])
+    @pytest.mark.parametrize("kind, settings", [
+        ("fgd", {}), ("sgd", {}), ("minibatch", {"n": 4}), ("minibatch", {"n": 15}),
+        ("sag", {}), ("saga", {}), ("svrg", {"m": 7}), ("svrg", {}),
+        ("ssag", {"n": 1}), ("ssag", {"n": 3})], ids=_case_id)
+    def test_records_count_what_the_kernels_evaluate(self, objective, kind, settings):
+        # 40 steps, recorded every 3: neither SVRG's m = 7 nor its default
+        # m = 2N = 30 divides the budget, and minibatch at n = N reads all rows
+        obj, constants, _ = _oracle_problem(objective)
+        counter = EvaluationCounter(obj)
+        rec = ssag.run(RunConfig(kind=kind, steps=40, h=0.05, cadence=3, **settings), obj,
+                       constants=constants)
+        assert rec.k.tolist() == [*range(0, 40, 3), 40]
+        assert rec.grad_evals.tolist() == counter.at_loss
+        assert rec.passes.tolist() == [evals / 15 for evals in counter.at_loss]
+
+
+class TestReferenceOracles:
+    """`run` against the plain-loop oracles of `conftest`, at the default
+    step sizes.  The two sum in different orders, so the loss and distance
+    columns agree to a relative 1e-9, with an absolute 1e-20 on distances
+    that have reached rounding level; the evaluation counts agree exactly."""
+
+    @pytest.mark.parametrize("objective", ["ridge", "logistic"])
+    @pytest.mark.parametrize("kind, settings, oracle", [
+        ("ssag", {"n": 1}, reference_ssag), ("ssag", {"n": 4}, reference_ssag),
+        ("minibatch", {"n": 4}, reference_minibatch), ("saga", {}, reference_saga),
+        ("saga", {"prox_l1": 0.05}, reference_saga), ("svrg", {"m": 7}, reference_svrg)],
+        ids=_case_id)
+    def test_run_follows_the_oracle(self, objective, kind, settings, oracle):
+        obj, constants, w_star = _oracle_problem(objective)
+        config = RunConfig(kind=kind, steps=3000, cadence=100, seed=3, **settings)
+        rec = ssag.run(config, obj, constants=constants, w_star=w_star)
+        h = optimizers.resolve_step_size(config, obj, constants)
+        iterates, evals = oracle(obj, h, config.steps, config.seed, **settings)
+        assert not rec.diverged and rec.k.tolist() == list(range(0, 3001, 100))
+        loss = [obj.loss_full(W) for W in iterates[rec.k]]
+        dist = [ssag.squared_distance(W, w_star) for W in iterates[rec.k]]
+        np.testing.assert_allclose(rec.loss, loss, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(rec.dist_sq, dist, rtol=1e-9, atol=1e-20)
+        assert rec.grad_evals.tolist() == evals[rec.k].tolist()
 
 
 class TestRunConfig:
@@ -686,11 +749,13 @@ class TestStepsForPasses:
         # only the settings the kind reads: the others must keep their defaults
         reads = {key: value for key, value in (("n", n), ("m", m)) if key in SPECS[kind].settings}
         steps = steps_for_passes(kind, passes, N, **reads)
+        counter = EvaluationCounter(obj)
         rec = ssag.run(RunConfig(kind=kind, steps=steps, cadence=cadence, **reads), obj)
         assert not rec.diverged
         assert rec.passes.tolist() == (rec.grad_evals / N).tolist()
+        # every recorded count is what the kernels were asked for by then
+        assert rec.grad_evals.tolist() == counter.at_loss
         evals = SPECS[kind].evals
-        assert rec.grad_evals[-1] == evals(N, n, m, steps)
         # nearest the request: within half a step's evaluations, the first
         # step (SVRG's snapshot) being the largest; 1e-9 absorbs the rounding of passes * N
         assert abs(rec.grad_evals[-1] - passes * N) <= evals(N, n, m, 1) / 2 + 1e-9

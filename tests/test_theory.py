@@ -148,7 +148,7 @@ class TestComplexity:
 
     def test_epsilon_at_bracket(self):
         est = ssag.ssag_complexity(1.0, self._inputs())
-        assert est.iterations == 0 and est.already_converged
+        assert est.iterations == 0
 
     def test_worked_value(self):
         est = ssag.ssag_complexity(1e-3, self._inputs())
@@ -167,7 +167,7 @@ class TestComplexity:
         inp = Theorem2Inputs(mu=1.0, L=1.0, C=2, f=0.5, n=1,
                              sigma_c_sq=np.zeros(2), dist0_sq=0.0)
         est = ssag.ssag_complexity(1e-6, inp)
-        assert est.already_converged and est.iterations == 0
+        assert est.iterations == 0
         assert est.literal_iterations is None
 
     def test_bad_epsilon(self):
@@ -217,14 +217,14 @@ class TestDescentChain:
 class TestCheckEnvelope:
     def test_zero_metric_all_pass(self):
         rep = ssag.check_envelope(np.arange(5), np.zeros(5), np.zeros(5), n_seeds=20)
-        assert rep.all_passed and rep.pass_fraction == 1.0
+        assert rep.first_failure is None and rep.pass_fraction == 1.0
 
     def test_constructed_failure(self):
         k = np.arange(10)
         bounds = 2.0 ** (-k.astype(float))
         values = np.full(10, 0.5)
         rep = ssag.check_envelope(k, values, bounds, n_seeds=20)
-        assert not rep.all_passed
+        assert rep.first_failure is not None
         assert rep.passed[:1].all() and not rep.passed[-1]
 
     def test_first_failure_is_a_recorded_k(self):
@@ -246,7 +246,7 @@ class TestCheckEnvelope:
     def test_returns_the_envelope_that_check_guards(self):
         env = ssag.check_envelope(np.arange(3), np.zeros(3), np.ones(3), n_seeds=19,
                                   min_seeds=1)
-        assert isinstance(env, ssag.Envelope) and env.slack == 0.05 and env.all_passed
+        assert isinstance(env, ssag.Envelope) and env.slack == 0.05 and env.first_failure is None
         with pytest.raises(SsagError, match="over >= 20 seeds, got 19"):
             env.check()
 
