@@ -8,7 +8,7 @@ from .core import (ConvexityConstants, Dataset, GradientStats, as_params,
                    partition_by_class, squared_distance)
 from .ingest import SyntheticSpec, gen_synthetic, read_idx, read_text, write_text
 from .objectives import (LogisticRegression, MeanQuadratic, Mlp, Objective,
-                         RidgeRegression, accuracy, closed_form_optimum, make_objective)
+                         RidgeRegression, accuracy, make_objective)
 from .optimizers import (RunConfig, fgd_step, make_state, minibatch_step,
                          recompute_sum, run, run_seeds, sag_step, saga_step, sgd_step,
                          ssag_step, steps_for_passes, svrg_outer)

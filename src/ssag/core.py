@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, UnsupportedObjectiveError
+from .errors import DimensionMismatchError
 
 #: Vectors with fewer entries than this are computed on Python floats: the
 #: one-row gradient of a linear model (`objectives`) and the finite guard on
@@ -211,42 +211,7 @@ def gradient_population_stats(objective, W: np.ndarray) -> GradientStats:
                          per_class_variance=per_class)
 
 
-def gram_eigen_extremes(M: np.ndarray) -> tuple[float, float]:
-    """Largest and smallest eigenvalue of a symmetric PSD matrix.
-
-    Both come from one dense symmetric eigensolve and are clamped at 0,
-    since the input is positive semi-definite.
-    """
-    eigs = np.linalg.eigvalsh(M)
-    return max(float(eigs[-1]), 0.0), max(float(eigs[0]), 0.0)
-
-
 def estimate_constants(objective) -> ConvexityConstants:
-    """Smoothness and strong-convexity constants of a convex objective.
-
-    ridge:    L = lmax(X'X/N) + lam,     mu = lmin(X'X/N) + lam
-    logistic: L = lmax(X'X/N)/4 + lam,   mu = lam  (regularizer modulus only,
-              a conservative but always valid choice)
-    quadratic: L = mu = 1 + lam exactly.
-
-    lmax and lmin come from one symmetric eigensolve of X'X/N.
-    Nonconvex objectives are rejected.
-    """
-    kind = getattr(objective, "kind", None)
-    if kind == "quadratic":
-        lam = objective.lam
-        return ConvexityConstants(L=1.0 + lam, mu=1.0 + lam)
-    if kind not in ("ridge", "logistic"):
-        raise UnsupportedObjectiveError(
-            f"cannot certify convexity constants for objective kind {kind!r}")
-    X = objective.dataset.features
-    N = objective.dataset.n_samples
-    gram = (X.T @ X) / N
-    lmax, lmin = gram_eigen_extremes(gram)
-    lam = objective.lam
-    if kind == "ridge":
-        L, mu = lmax + lam, lmin + lam
-    else:
-        L, mu = 0.25 * lmax + lam, lam
-    L = max(L, np.finfo(float).tiny)
-    return ConvexityConstants(L=L, mu=mu)
+    """Smoothness and strong-convexity constants of a convex objective, as its
+    kind certifies them (`_constants`); UnsupportedObjectiveError for other kinds."""
+    return objective._constants()

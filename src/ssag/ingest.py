@@ -10,6 +10,7 @@ full round-trip precision.
 from __future__ import annotations
 
 import gzip
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,6 +42,16 @@ def _read_idx_payload(path, expected_magic: int, n_dims: int) -> tuple[tuple[int
     return dims, np.frombuffer(payload, dtype=np.uint8)
 
 
+def _partition(path, labels: np.ndarray, C: int, noun: str) -> tuple[np.ndarray, ...]:
+    """The partition of integer ``labels`` into the classes [0, C); FormatError
+    naming ``path`` if a class has no sample, as it can form no drawable stratum."""
+    absent = sorted(set(range(C)) - set(np.unique(labels).tolist()))
+    if absent:
+        raise FormatError(f"{path}: {noun} {absent} occur in none of the "
+                          f"{labels.size} samples read")
+    return partition_by_class(labels, num_classes=C)
+
+
 def read_idx(image_path, label_path, *, add_bias: bool = False,
              limit: int | None = None) -> Dataset:
     """Parse an IDX image/label file pair into a classification dataset.
@@ -64,13 +75,8 @@ def read_idx(image_path, label_path, *, add_bias: bool = False,
         labels = labels[:limit]
     if add_bias:
         features = np.hstack([features, np.ones((features.shape[0], 1))])
-    # an absent digit can form no drawable stratum, and remapping the digits
-    # present would make a train and a test file disagree
-    absent = sorted(set(range(10)) - set(np.unique(labels).tolist()))
-    if absent:
-        raise FormatError(f"{label_path}: digits {absent} occur in none of the "
-                          f"{labels.size} samples read")
-    return Dataset(features, labels, partition_by_class(labels, num_classes=10))
+    # remapping the digits present would make a train and a test file disagree
+    return Dataset(features, labels, _partition(label_path, labels, 10, "digits"))
 
 
 def write_idx(image_path, label_path, images: np.ndarray, labels: np.ndarray) -> None:
@@ -158,24 +164,25 @@ def read_text(path, *, add_bias: bool = False) -> Dataset:
     if label_kind not in ("int", "real"):
         raise FormatError(f"{path}: unknown label kind {label_kind!r} (expected int or real)")
     rows = []
-    labels = []
     for ln_no, ln in lines[1:]:
         cells = ln.split(",")
         if len(cells) != p + 1:
             raise FormatError(f"{path}:{ln_no}: expected {p + 1} columns, got {len(cells)}")
         try:
-            rows.append([float(v) for v in cells[:p]])
-            labels.append(float(cells[p]))
+            rows.append([float(v) for v in cells])
         except ValueError as exc:
             raise FormatError(f"{path}:{ln_no}: malformed cell: {exc}") from None
-        if label_kind == "int" and labels[-1] not in range(C):
+        if not all(map(math.isfinite, rows[-1])):
+            raise FormatError(f"{path}:{ln_no}: non-finite cell in {ln!r}")
+        if label_kind == "int" and rows[-1][p] not in range(C):
             raise FormatError(f"{path}:{ln_no}: label {cells[p]} is not a class in [0, {C})")
-    features = np.asarray(rows, dtype=np.float64)
+    table = np.asarray(rows, dtype=np.float64).reshape(-1, p + 1)
+    features, labels = table[:, :p], table[:, p]
     if features.size == 0:
         raise FormatError(f"{path}: no samples")
     if add_bias:
         features = np.hstack([features, np.ones((features.shape[0], 1))])
     if label_kind == "int":
-        lab = np.asarray(labels, dtype=np.int64)
-        return Dataset(features, lab, partition_by_class(lab, num_classes=C))
-    return Dataset.regression(features, np.asarray(labels, dtype=np.float64))
+        lab = labels.astype(np.int64)
+        return Dataset(features, lab, _partition(path, lab, C, "classes"))
+    return Dataset.regression(features, labels)

@@ -19,16 +19,18 @@ share one pass over the feature matrix.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 from scipy.special import expit
 
-from .core import SHORT_ROW, Dataset, as_params
+from .core import SHORT_ROW, ConvexityConstants, Dataset, as_params
 from .errors import (
     DimensionMismatchError,
     SingularSystemError,
+    SsagError,
     StratumViolationError,
     UnsupportedObjectiveError,
 )
@@ -37,6 +39,10 @@ from .errors import (
 #: conversion; an index array of any other dtype is converted to it.
 _INDEX = np.dtype(np.int64)
 
+#: Gradient-norm target and iteration cap of the logistic reference optimum.
+OPTIMUM_GRAD_TOL = 1e-10
+OPTIMUM_MAX_ITER = 100
+
 
 class Objective(ABC):
     """A finite-sum objective bound to a dataset.
@@ -44,10 +50,12 @@ class Objective(ABC):
     Subclasses implement three kernels: per-sample losses over an index set,
     the mean gradient over an index set, and per-sample gradient rows.
     Classifiers also implement `scores_matrix`, from which `accuracy` takes
-    the class of highest score.  No result depends on the calls made before
-    it, and the operations may be called concurrently: the one state, kept by
-    a linear model, is the margins of its last full-data W, held as one
-    immutable (key, margins) pair.
+    the class of highest score.  Convex kinds also implement `_constants`
+    and `_optimum`, which `core.estimate_constants` and
+    `theory.reference_optimum` return.  No result depends on the calls made
+    before it, and the operations may be called concurrently: the one state,
+    kept by a linear model, is the margins of its last full-data W, held as
+    one immutable (key, margins) pair.
     """
 
     kind: str = "abstract"
@@ -80,6 +88,15 @@ class Objective(ABC):
     def scores_matrix(self, W: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Class scores for a batch of inputs, shape (n, C); classifiers only."""
         raise UnsupportedObjectiveError(f"objective kind {self.kind!r} does not classify")
+
+    def _constants(self) -> ConvexityConstants:
+        """Certified smoothness L and strong-convexity modulus mu; convex kinds only."""
+        raise UnsupportedObjectiveError(
+            f"cannot certify convexity constants for objective kind {self.kind!r}")
+
+    def _optimum(self, constants: ConvexityConstants | None) -> np.ndarray:
+        """High-precision minimizer W*, given L and mu or None; convex kinds only."""
+        raise UnsupportedObjectiveError(f"no reference optimum for objective kind {self.kind!r}")
 
     # -- derived surface -------------------------------------------------
 
@@ -163,7 +180,8 @@ class _LinearObjective(Objective):
     """A loss of the margin m_i = x_i'W with gradient (link(m_i) - y_i) x_i + lam W.
 
     Ridge (identity ``_link``) and logistic regression (expit) share the
-    gradient kernels and define their own losses.
+    gradient kernels and the convexity constants, and define their own
+    losses.  ``_slope_bounds`` bounds the link's slope from below and above.
     """
 
     def __init__(self, dataset: Dataset, lam: float = 0.0):
@@ -227,16 +245,44 @@ class _LinearObjective(Objective):
         G += self.lam * W
         return G
 
+    def _constants(self):
+        """L = upper lmax(X'X/N) + lam and mu = lower lmin(X'X/N) + lam, with
+        [lower, upper] the link's slope bounds.  lmax and lmin come from one
+        symmetric eigensolve and are clamped at 0, since X'X/N is positive
+        semi-definite; L is clamped at the smallest positive float."""
+        X = self.dataset.features
+        eigs = np.linalg.eigvalsh((X.T @ X) / self.dataset.n_samples)
+        lmax, lmin = max(float(eigs[-1]), 0.0), max(float(eigs[0]), 0.0)
+        lower, upper = self._slope_bounds
+        return ConvexityConstants(L=max(upper * lmax + self.lam, np.finfo(float).tiny),
+                                  mu=lower * lmin + self.lam)
+
 
 class RidgeRegression(_LinearObjective):
     """Squared-error loss with L2 regularization on real-valued targets."""
 
     kind = "ridge"
     _link = staticmethod(lambda m: m)
+    _slope_bounds = (1.0, 1.0)
 
     def loss_values(self, W, indices):
         r = self._residuals(W, indices)[1]
         return 0.5 * r * r + self._reg_term(W)
+
+    def _optimum(self, constants):
+        """Exact minimizer (X'X/N + lam I)^-1 X'y/N via Cholesky, verified by a
+        residual check at 1e-10; an unregularized rank-deficient system is rejected."""
+        X, N = self.dataset.features, self.dataset.n_samples
+        A = (X.T @ X) / N + self.lam * np.eye(self.dim)
+        rhs = (X.T @ self._targets) / N
+        try:
+            w = cho_solve(cho_factor(A), rhs)
+        except LinAlgError as exc:
+            raise SingularSystemError(f"normal equations are singular: {exc}") from exc
+        resid = float(np.linalg.norm(A @ w - rhs))
+        if not np.isfinite(resid) or resid > 1e-10 * max(1.0, float(np.linalg.norm(rhs))):
+            raise SingularSystemError(f"closed-form solve failed the residual check ({resid:.3e})")
+        return w
 
 
 class LogisticRegression(_LinearObjective):
@@ -244,6 +290,8 @@ class LogisticRegression(_LinearObjective):
 
     kind = "logistic"
     _link = expit
+    #: the slope s(1 - s) of s = expit(m) lies in (0, 1/4]
+    _slope_bounds = (0.0, 0.25)
 
     def __init__(self, dataset: Dataset, lam: float = 0.0):
         super().__init__(dataset, lam)
@@ -267,6 +315,35 @@ class LogisticRegression(_LinearObjective):
         H.flat[::self.dim + 1] += self.lam
         return H
 
+    def _optimum(self, constants):
+        """Newton with line search from zero to gradient norm <= OPTIMUM_GRAD_TOL.
+
+        Each iteration solves H d = g by Cholesky and halves the step from 1
+        until the loss falls by at least a quarter of the predicted decrease
+        t g'd, or the gradient norm is within the tolerance: near W* the
+        rounding of the loss exceeds the decrease it should show.
+        """
+        constants = constants if constants is not None else self._constants()
+        if not constants.strongly_convex:
+            raise SsagError("cannot polish an optimum without strong convexity (mu = 0)")
+        W = np.zeros(self.dim)
+        loss, g = self.loss_full(W), self.grad_full(W)
+        for _ in range(OPTIMUM_MAX_ITER):
+            if math.sqrt(g @ g) <= OPTIMUM_GRAD_TOL:
+                return W
+            d = cho_solve(cho_factor(self.hessian_full(W)), g)
+            t, slope = 1.0, float(g @ d)
+            while True:
+                trial = W - t * d
+                trial_loss, trial_g = self.loss_full(trial), self.grad_full(trial)
+                if (trial_loss <= loss - 0.25 * t * slope
+                        or math.sqrt(trial_g @ trial_g) <= OPTIMUM_GRAD_TOL):
+                    break
+                t *= 0.5
+            W, loss, g = trial, trial_loss, trial_g
+        raise SsagError(f"optimum polish did not reach gradient norm {OPTIMUM_GRAD_TOL} "
+                        f"within {OPTIMUM_MAX_ITER} iterations")
+
     def scores_matrix(self, W, X):
         """Class probabilities (1 - p, p), p = expit(x'W), shape (n, 2)."""
         p1 = expit(_margins(np.asarray(X, dtype=np.float64), W))
@@ -274,10 +351,7 @@ class LogisticRegression(_LinearObjective):
 
 
 class MeanQuadratic(Objective):
-    """J_i(W) = 0.5 ||W - x_i||^2: a strongly convex test objective.
-
-    L = mu = 1 + lam exactly; the unique minimizer is mean(X) / (1 + lam).
-    """
+    """J_i(W) = 0.5 ||W - x_i||^2: a strongly convex test objective."""
 
     kind = "quadratic"
 
@@ -290,6 +364,14 @@ class MeanQuadratic(Objective):
 
     def grad_samples(self, W, indices):
         return (W - self._take(self.dataset.features, indices)) + self.lam * W
+
+    def _constants(self):
+        """L = mu = 1 + lam exactly."""
+        return ConvexityConstants(L=1.0 + self.lam, mu=1.0 + self.lam)
+
+    def _optimum(self, constants):
+        """The unique minimizer mean(X) / (1 + lam)."""
+        return self.dataset.features.mean(axis=0) / (1.0 + self.lam)
 
 
 class Mlp(Objective):
@@ -387,30 +469,6 @@ class Mlp(Objective):
         return np.exp(self._log_softmax(logits))
 
 
-def closed_form_optimum(objective: RidgeRegression) -> np.ndarray:
-    """Exact ridge minimizer (X'X/N + lam I)^-1 X'y/N via Cholesky.
-
-    The solve is verified by a residual check at 1e-10; an unregularized
-    rank-deficient system is rejected.
-    """
-    if objective.kind != "ridge":
-        raise UnsupportedObjectiveError("closed-form optimum is defined for ridge only")
-    ds = objective.dataset
-    X = ds.features
-    N = ds.n_samples
-    y = np.asarray(ds.labels, dtype=np.float64)
-    A = (X.T @ X) / N + objective.lam * np.eye(ds.n_features)
-    rhs = (X.T @ y) / N
-    try:
-        w = cho_solve(cho_factor(A), rhs)
-    except LinAlgError as exc:
-        raise SingularSystemError(f"normal equations are singular: {exc}") from exc
-    resid = float(np.linalg.norm(A @ w - rhs))
-    if not np.isfinite(resid) or resid > 1e-10 * max(1.0, float(np.linalg.norm(rhs))):
-        raise SingularSystemError(f"closed-form solve failed the residual check ({resid:.3e})")
-    return w
-
-
 def accuracy(objective: Objective, W: np.ndarray, dataset: Dataset) -> float:
     """Fraction of `dataset` whose label is the class of highest score."""
     pred = np.argmax(objective.scores_matrix(W, dataset.features), axis=1)
@@ -424,11 +482,17 @@ _KINDS = {
     "mlp": Mlp,
 }
 
+
+def _kinds_overriding(method: str) -> tuple[str, ...]:
+    return tuple(kind for kind, cls in _KINDS.items()
+                 if getattr(cls, method) is not getattr(Objective, method))
+
+
 #: Objective kinds with certified convexity constants and a reference optimum.
-CERTIFIED_KINDS = ("ridge", "logistic", "quadratic")
+CERTIFIED_KINDS = _kinds_overriding("_constants")
 
 #: Objective kinds that classify: they define `scores_matrix` and `accuracy`.
-CLASSIFIER_KINDS = ("logistic", "mlp")
+CLASSIFIER_KINDS = _kinds_overriding("scores_matrix")
 
 
 def make_objective(spec: dict, dataset: Dataset) -> Objective:

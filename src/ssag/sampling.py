@@ -107,10 +107,6 @@ def draw_schedule(words: np.ndarray, sizes, n: int,
     pop = sizes[strata]
     if within[j] == 0:
         return strata, np.broadcast_to(np.arange(n), (S, n)).copy(), width
-    if n == 1:
-        positions, ok = _lemire(block[:, head:], pop[:, None])
-        S = _first_false(ok[:, 0])
-        return strata[:S], positions[:S], width
     # Floyd's round t draws v in [0, pop - n + t] and keeps it unless it was
     # already taken, else takes pop - n + t itself
     tops = pop[:, None] - np.uint64(n) + np.arange(n, dtype=np.uint64)

@@ -5,8 +5,7 @@ lam + rho^k (gap - lam) with its variance-induced floor lam), the stratified
 method's squared-distance envelope and iteration-complexity bound, the rate
 constants of the compared methods, and the finite-population variance
 identity, plus helpers that measure the required inputs on a concrete
-problem (the reference optimum W* of a logistic objective comes from Newton
-with line search) and check recorded trajectories against an envelope.
+problem and check recorded trajectories against an envelope.
 
 The gap envelope treats the floor term as iteration-indexed (constant under a
 constant step size), not as a constant raised to the k-th power; the floor of
@@ -20,17 +19,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .core import (ConvexityConstants, estimate_constants,
                    gradient_population_stats, squared_distance)
-from .errors import OutOfRegimeError, SsagError, UndefinedBoundError, UnsupportedObjectiveError
-from .objectives import Objective, closed_form_optimum
+from .errors import OutOfRegimeError, SsagError, UndefinedBoundError
+from .objectives import Objective
 from .records import Aggregate
-
-#: Gradient-norm target and iteration cap of the logistic `reference_optimum`.
-OPTIMUM_GRAD_TOL = 1e-10
-OPTIMUM_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -284,42 +278,10 @@ def check_envelope(k: np.ndarray, mean_values: np.ndarray, bounds: np.ndarray, *
 
 def reference_optimum(obj: Objective, *,
                       constants: ConvexityConstants | None = None) -> np.ndarray:
-    """High-precision minimizer used as the distance oracle W*.
-
-    Closed form for ridge and the quadratic objective; for logistic
-    regression, Newton with line search from zero to gradient norm
-    <= OPTIMUM_GRAD_TOL.  Each iteration solves H d = g by Cholesky and halves
-    the step from 1 until the loss falls by at least a quarter of the predicted
-    decrease t g'd, or the gradient norm is within the tolerance: near W* the
-    rounding of the loss exceeds the decrease it should show.
-    """
-    if obj.kind == "ridge":
-        return closed_form_optimum(obj)
-    if obj.kind == "quadratic":
-        return obj.dataset.features.mean(axis=0) / (1.0 + obj.lam)
-    if obj.kind != "logistic":
-        raise UnsupportedObjectiveError(
-            f"no reference optimum for objective kind {obj.kind!r}")
-    constants = constants if constants is not None else estimate_constants(obj)
-    if not constants.strongly_convex:
-        raise SsagError("cannot polish an optimum without strong convexity (mu = 0)")
-    W = np.zeros(obj.dim)
-    loss, g = obj.loss_full(W), obj.grad_full(W)
-    for _ in range(OPTIMUM_MAX_ITER):
-        if math.sqrt(g @ g) <= OPTIMUM_GRAD_TOL:
-            return W
-        d = cho_solve(cho_factor(obj.hessian_full(W)), g)
-        t, slope = 1.0, float(g @ d)
-        while True:
-            trial = W - t * d
-            trial_loss, trial_g = obj.loss_full(trial), obj.grad_full(trial)
-            if (trial_loss <= loss - 0.25 * t * slope
-                    or math.sqrt(trial_g @ trial_g) <= OPTIMUM_GRAD_TOL):
-                break
-            t *= 0.5
-        W, loss, g = trial, trial_loss, trial_g
-    raise SsagError(f"optimum polish did not reach gradient norm {OPTIMUM_GRAD_TOL} "
-                    f"within {OPTIMUM_MAX_ITER} iterations")
+    """High-precision minimizer used as the distance oracle W*, as the
+    objective's kind finds it (`_optimum`) with ``constants`` (estimated when
+    None and needed); UnsupportedObjectiveError for other kinds."""
+    return obj._optimum(constants)
 
 
 def theorem2_inputs_for(obj: Objective, n: int, w0: np.ndarray, *,

@@ -232,6 +232,18 @@ def reference_uniform_batch(gen, n_population, n):
     return gen.choice(n_population, size=n, replace=False)
 
 
+def reference_ridge_optimum(obj):
+    """Ridge's minimizer as the least-squares solution of the stacked system
+    [X / sqrt(N); sqrt(lam) I] w = [y / sqrt(N); 0], whose normal equations
+    are (X'X/N + lam I) w = X'y/N; solved by an SVD, not a Cholesky factor."""
+    ds = obj.dataset
+    scale = 1.0 / np.sqrt(ds.n_samples)
+    A = np.vstack([ds.features * scale, np.sqrt(obj.lam) * np.eye(ds.n_features)])
+    b = np.concatenate([np.asarray(ds.labels, dtype=np.float64) * scale,
+                        np.zeros(ds.n_features)])
+    return np.linalg.lstsq(A, b, rcond=None)[0]
+
+
 OBJECTIVE_KINDS = ("ridge", "logistic", "quadratic", "mlp")
 
 

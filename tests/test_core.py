@@ -249,7 +249,9 @@ class TestEstimateConstants:
         rng = np.random.default_rng(3)
         A = rng.normal(size=(6, 6))
         M = A.T @ A / 6.0
-        lmax, lmin = ssag.core.gram_eigen_extremes(M)
+        const = ssag.estimate_constants(
+            ssag.RidgeRegression(ssag.Dataset.regression(A, np.zeros(6)), lam=0.0))
+        lmax, lmin = const.L, const.mu
         # independent oracle: eigenvalues via characteristic polynomial roots
         roots = np.roots(np.poly(M))
         roots = np.sort(np.real(roots))

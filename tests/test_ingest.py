@@ -1,9 +1,12 @@
 """IDX parsing, synthetic generation, and the text dataset format."""
 
+import json
+
 import numpy as np
 import pytest
 
 import ssag
+import ssag.bench
 from ssag.errors import FormatError
 from ssag.ingest import (SyntheticSpec, gen_synthetic, read_idx, read_text,
                          write_idx, write_text)
@@ -219,6 +222,45 @@ class TestTextFormat:
         path.write_text(f"p=1,C=2,labels=int\n0.5,0\n\n{row}\n", encoding="utf-8")
         with pytest.raises(FormatError, match=r"cells\.txt:4: malformed cell"):
             read_text(path)
+
+    @pytest.mark.parametrize("labels,row", [
+        ("int", "nan,1"), ("int", "inf,0"), ("real", "-inf,0.5"), ("real", "0.5,nan"),
+        ("real", "0.5,-inf")])
+    def test_non_finite_cell_names_the_line(self, tmp_path, labels, row):
+        path = tmp_path / "finite.txt"
+        path.write_text(f"p=1,C=2,labels={labels}\n0.5,0\n1.5,1\n{row}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"finite\.txt:4: non-finite cell"):
+            read_text(path)
+
+    def test_declared_class_without_a_sample_is_named(self, tmp_path):
+        path = tmp_path / "absent.txt"
+        path.write_text("p=1,C=4,labels=int\n0.5,0\n1.5,2\n2.5,0\n", encoding="utf-8")
+        with pytest.raises(FormatError,
+                           match=r"absent\.txt: classes \[1, 3\] occur in none of the 3 samples"):
+            read_text(path)
+
+    @pytest.mark.parametrize("body,message", [
+        ("p=1,C=2,labels=real\n0.5,0\nnan,1\n", "bad.txt:3: non-finite cell"),
+        ("p=1,C=2,labels=real\n0.5,0\n1.5,nan\n", "bad.txt:3: non-finite cell"),
+        ("p=1,C=3,labels=int\n0.5,0\n1.5,1\n", "bad.txt: classes [2] occur in none"),
+    ], ids=["feature", "target", "absent-class"])
+    @pytest.mark.parametrize("command", ["estimate-constants", "run"])
+    def test_bad_data_file_is_a_usage_error_in_the_cli(self, tmp_path, capsys, body, message,
+                                                       command):
+        path = tmp_path / "bad.txt"
+        path.write_text(body, encoding="utf-8")
+        if command == "run":
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({
+                "dataset": {"kind": "text", "path": str(path)},
+                "objective": {"kind": "ridge", "lam": 0.1}, "optimizer": {"kind": "sgd"},
+                "seeds": [0], "steps": 5, "out_dir": str(tmp_path / "out")}), encoding="utf-8")
+            argv = ["run", "--config", str(config)]
+        else:
+            argv = ["estimate-constants", "--data", str(path)]
+        assert ssag.bench.cli(argv) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_non_numeric_cell_is_a_usage_error_in_the_cli(self, tmp_path, capsys):
         path = tmp_path / "cells.txt"

@@ -220,7 +220,7 @@ class TestOneRowKernel:
 class TestGradFull:
     def test_zero_at_closed_form_optimum(self, random_problem):
         obj = random_problem(kind="ridge", N=12, p=3, lam=0.4, seed=5)
-        w_star = ssag.closed_form_optimum(obj)
+        w_star = ssag.reference_optimum(obj)
         assert np.linalg.norm(obj.grad_full(w_star)) <= 1e-10
 
     def test_single_sample(self):
@@ -395,26 +395,27 @@ class TestSharedFullDataMargins:
 
 class TestClosedFormOptimum:
     def test_line_fit(self, line_ridge):
-        assert ssag.closed_form_optimum(line_ridge) == pytest.approx([1.0])
+        assert ssag.reference_optimum(line_ridge) == pytest.approx([1.0])
 
     def test_regularizer_dominance(self):
         ds = ssag.Dataset.regression(np.array([[1.0], [2.0]]), np.array([1.0, 2.0]))
-        w = ssag.closed_form_optimum(ssag.RidgeRegression(ds, lam=1e6))
+        w = ssag.reference_optimum(ssag.RidgeRegression(ds, lam=1e6))
         assert np.linalg.norm(w) <= 1e-5
 
     def test_identity_solve(self):
         ds = ssag.Dataset.regression(np.eye(2), np.array([3.0, 3.0]))
-        w = ssag.closed_form_optimum(ssag.RidgeRegression(ds, lam=0.0))
+        w = ssag.reference_optimum(ssag.RidgeRegression(ds, lam=0.0))
         assert w == pytest.approx([3.0, 3.0])
 
     def test_singular_rejected(self):
         ds = ssag.Dataset.regression(np.zeros((2, 2)), np.ones(2))
         with pytest.raises(SingularSystemError):
-            ssag.closed_form_optimum(ssag.RidgeRegression(ds, lam=0.0))
+            ssag.reference_optimum(ssag.RidgeRegression(ds, lam=0.0))
 
     def test_non_ridge_rejected(self, two_class_logistic):
-        with pytest.raises(UnsupportedObjectiveError):
-            ssag.closed_form_optimum(two_class_logistic)
+        # a kind with neither a closed form nor a Newton search has no optimum
+        with pytest.raises(UnsupportedObjectiveError, match="no reference optimum"):
+            ssag.reference_optimum(ssag.Mlp(two_class_logistic.dataset, hidden=(2,)))
 
 
 class TestDescentProperty:
@@ -546,6 +547,23 @@ class TestMakeObjective:
         assert ssag.make_objective({"kind": "mlp", "hidden": [3]}, ds).sizes == (2, 3, 2)
         with pytest.raises(UnsupportedObjectiveError):
             ssag.make_objective({"kind": "nope"}, ds)
+
+    @staticmethod
+    def _works(call):
+        try:
+            call()
+        except UnsupportedObjectiveError:
+            return False
+        return True
+
+    @pytest.mark.parametrize("kind", list(ssag.objectives._KINDS))
+    def test_capability_lists_match_what_each_kind_does(self, kind):
+        obj = any_kind_problem(kind, N=8, p=3, C=2, seed=1)
+        certified = kind in ssag.objectives.CERTIFIED_KINDS
+        assert self._works(lambda: ssag.estimate_constants(obj)) == certified
+        assert self._works(lambda: ssag.reference_optimum(obj)) == certified
+        assert (self._works(lambda: ssag.accuracy(obj, obj.init_params(), obj.dataset))
+                == (kind in ssag.objectives.CLASSIFIER_KINDS))
 
     @pytest.mark.parametrize("spec", [{"kind": "logistic", "lam": "abc"},
                                       {"kind": "ridge", "lam": -1.0},

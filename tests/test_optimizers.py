@@ -1,5 +1,6 @@
 """Optimizer step semantics, special-case collapses, and the run loop."""
 
+import contextlib
 import math
 import warnings
 
@@ -213,7 +214,7 @@ class TestRecomputeSum:
 
 class TestFgd:
     def test_stationary_at_optimum(self, line_ridge):
-        w_star = ssag.closed_form_optimum(line_ridge)
+        w_star = ssag.reference_optimum(line_ridge)
         state = State(W=w_star.copy(), h=0.3)
         fgd_step(state, line_ridge, RngStream(0))
         assert np.linalg.norm(state.W - w_star) <= 1e-10
@@ -493,7 +494,7 @@ class TestRunLoop:
         # FGD gap after 500 steps within the (1 - mu/L)^k envelope
         obj = random_problem(kind="ridge", N=10, p=3, lam=0.3, seed=5)
         const = ssag.estimate_constants(obj)
-        w_star = ssag.closed_form_optimum(obj)
+        w_star = ssag.reference_optimum(obj, constants=const)
         j_star = obj.loss_full(w_star)
         cfg = RunConfig(kind="fgd", steps=500, h=1.0 / const.L, cadence=500)
         rec = ssag.run(cfg, obj, constants=const)
@@ -568,27 +569,31 @@ class TestRunLoop:
     @pytest.mark.parametrize("cadence", [3, 1000])
     def test_diverging_run_matches_a_step_at_a_time_loop(self, line_ridge, cadence):
         # cadence 3 diverges on a recorded loss, cadence 1000 on the finite
-        # guard between records; the reference checks after every step
+        # guard between records, after its step overflowed; the reference
+        # checks after every step
         obj, config = line_ridge, RunConfig(kind="fgd", steps=200, h=1e6, cadence=cadence)
-        rec = ssag.run(config, obj)
-        state, rng = make_state(config, obj), RngStream(config.seed)
-        counter = EvaluationCounter(obj)
-        k, loss, evals = [0], [obj.loss_full(state.W)], [0]
-        diverged, next_record = False, config.cadence
-        while state.steps < config.steps:
-            try:
-                fgd_step(state, obj, rng)
-            except DivergenceError:
-                diverged = True
-                break
-            if state.steps >= next_record or state.steps >= config.steps:
-                k.append(state.steps)
-                loss.append(obj.loss_full(state.W))
-                evals.append(counter.total)
-                if not loss[-1] <= DIVERGENCE_LOSS_LIMIT:
+        overflow = (pytest.warns(RuntimeWarning, match="overflow") if cadence == 1000
+                    else contextlib.nullcontext())
+        with overflow:
+            rec = ssag.run(config, obj)
+            state, rng = make_state(config, obj), RngStream(config.seed)
+            counter = EvaluationCounter(obj)
+            k, loss, evals = [0], [obj.loss_full(state.W)], [0]
+            diverged, next_record = False, config.cadence
+            while state.steps < config.steps:
+                try:
+                    fgd_step(state, obj, rng)
+                except DivergenceError:
                     diverged = True
                     break
-                next_record = (state.steps // config.cadence + 1) * config.cadence
+                if state.steps >= next_record or state.steps >= config.steps:
+                    k.append(state.steps)
+                    loss.append(obj.loss_full(state.W))
+                    evals.append(counter.total)
+                    if not loss[-1] <= DIVERGENCE_LOSS_LIMIT:
+                        diverged = True
+                        break
+                    next_record = (state.steps // config.cadence + 1) * config.cadence
         assert rec.diverged and diverged
         assert rec.k.tolist() == k and rec.grad_evals.tolist() == evals
         assert np.array_equal(rec.loss, loss)
