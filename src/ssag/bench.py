@@ -24,7 +24,7 @@ import numpy as np
 
 from ._version import __version__
 from .core import Dataset, estimate_constants
-from .errors import ConfigError, FormatError, SsagError
+from .errors import ConfigError, FormatError, LabelError, SsagError
 from .ingest import SyntheticSpec, gen_synthetic, read_idx, read_text, write_text
 from .objectives import CERTIFIED_KINDS, CLASSIFIER_KINDS, Objective, make_objective
 from .optimizers import SPECS, RunConfig, resolve_step_size, run_seeds, steps_for_passes
@@ -692,7 +692,8 @@ def _build_parser() -> _Parser:
 
 
 def cli(argv: list[str] | None = None) -> int:
-    """Entry point; returns 0 on success, 1 on a usage or data-file error, 2 on failure."""
+    """Entry point; returns 0 on success, 1 on a usage or data-file error or on
+    labels that the objective kind cannot take, 2 on failure."""
     parser = _build_parser()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
@@ -701,7 +702,7 @@ def cli(argv: list[str] | None = None) -> int:
             raise ConfigError(f"unrecognized arguments: {' '.join(extras)}")
         args.overrides = extras  # the config overrides of run and verify-bound
         return args.handler(args)
-    except (ConfigError, FormatError) as exc:
+    except (ConfigError, FormatError, LabelError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure -> exit 2

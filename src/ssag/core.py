@@ -55,8 +55,9 @@ class Dataset:
     """Immutable training data: feature matrix, labels, class partition.
 
     ``labels`` holds class indices for classification data or real targets
-    for regression.  ``partition`` maps each class j to the ascending row
-    indices belonging to it; cells are disjoint and cover all rows.
+    for regression; features and real targets must be finite.  ``partition``
+    maps each class j to the ascending row indices belonging to it; cells are
+    disjoint and cover all rows.
     ``rows`` is arange(N); the objectives recognise it by identity and read
     the C-ordered ``features`` in place instead of gathering all N rows.
     The stratum layout is derived once, read-only: ``class_counts`` (the
@@ -80,6 +81,14 @@ class Dataset:
         y = np.array(self.labels, copy=True)
         if y.ndim != 1 or y.shape[0] != X.shape[0]:
             raise ValueError("labels must be a vector with one entry per sample")
+        finite = np.isfinite(X).all(axis=1)
+        if y.dtype.kind == "f":
+            finite &= np.isfinite(y)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            j = int(np.argmin(np.isfinite(X[i])))
+            bad = f"feature {j} is {X[i, j]}" if not np.isfinite(X[i, j]) else f"target is {y[i]}"
+            raise ValueError(f"sample {i} is not finite: its {bad}")
         cells = tuple(np.array(c, dtype=np.int64, copy=True) for c in self.partition)
         if len(cells) < 1:
             raise ValueError("partition needs at least one class")

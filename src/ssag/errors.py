@@ -50,6 +50,10 @@ class OutOfRegimeError(SsagError):
     """Inputs violate the validity regime of a bound (e.g. h outside (0, 2/L))."""
 
 
+class LabelError(SsagError, ValueError):
+    """A dataset's labels do not fit the objective kind built on it."""
+
+
 class FormatError(SsagError):
     """A data file does not conform to its declared format."""
 

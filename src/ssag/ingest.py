@@ -127,12 +127,18 @@ def gen_synthetic(spec: SyntheticSpec) -> Dataset:
     """Deterministic Gaussian blobs around the per-class means.
 
     Samples are laid out class by class (class 0 block first); the partition
-    is derived from the generating class.
+    is derived from the generating class.  The noise is scaled in place and
+    each class mean added to its own rows, which gives the bits of
+    ``means[labels] + stddev * noise`` without its N x p temporaries.
     """
     labels = np.repeat(np.arange(len(spec.counts)), spec.counts)
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    noise = rng.standard_normal((labels.size, spec.means.shape[1]))
-    features = spec.means[labels] + spec.stddev * noise
+    features = rng.standard_normal((labels.size, spec.means.shape[1]))
+    features *= spec.stddev
+    start = 0
+    for mean, count in zip(spec.means, spec.counts):
+        features[start:start + count] += mean
+        start += count
     return Dataset.from_class_labels(features, labels, num_classes=len(spec.counts))
 
 
@@ -180,6 +186,8 @@ def read_text(path, *, add_bias: bool = False) -> Dataset:
     features, labels = table[:, :p], table[:, p]
     if features.size == 0:
         raise FormatError(f"{path}: no samples")
+    if label_kind == "real" and C != 1:
+        raise FormatError(f"{path}: real labels form one class, but the header declares C={C}")
     if add_bias:
         features = np.hstack([features, np.ones((features.shape[0], 1))])
     if label_kind == "int":

@@ -15,6 +15,14 @@ and targets in place instead of gathering N rows, and give the same bits as a
 call with a fresh arange(N).  A linear model keeps the margins of its last
 full-data W, so the loss, the gradient and the per-sample gradients at one W
 share one pass over the feature matrix.
+
+``population_variance`` gives the variance sum_i ||G_i - mean||^2 / (N - 1)
+of the N per-sample gradients.  By default it reduces the (N, dim) matrix of
+``grad_samples``.  A linear model never builds that matrix: lam W cancels in
+G_i - mean, so it sums ||r_i x_i - X'r/N||^2 over the residuals r of the
+margin memo, one block of rows at a time.  The margins of a full-data pass
+are reduced block by block too, so a snapshot's transient memory is one block
+of ``BLOCK_BYTES``, not N x p.
 """
 
 from __future__ import annotations
@@ -26,9 +34,10 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 from scipy.special import expit
 
-from .core import SHORT_ROW, ConvexityConstants, Dataset, as_params
+from .core import SHORT_ROW, ConvexityConstants, Dataset, _mean_and_variance, as_params
 from .errors import (
     DimensionMismatchError,
+    LabelError,
     SingularSystemError,
     SsagError,
     StratumViolationError,
@@ -42,6 +51,11 @@ _INDEX = np.dtype(np.int64)
 #: Gradient-norm target and iteration cap of the logistic reference optimum.
 OPTIMUM_GRAD_TOL = 1e-10
 OPTIMUM_MAX_ITER = 100
+
+#: Transient bytes one block of a blocked pass over the feature matrix may
+#: take: `_margins` and `_LinearObjective.population_variance` run over row
+#: blocks of at most this many bytes of features.
+BLOCK_BYTES = 1 << 18
 
 
 class Objective(ABC):
@@ -125,6 +139,12 @@ class Objective(ABC):
         W = as_params(W, self.dim)
         return float(np.sum(self.loss_values(W, self.dataset.rows)) / self.dataset.n_samples)
 
+    def population_variance(self, W: np.ndarray) -> float:
+        """sum_i ||G_i - mean||^2 / (N - 1) over the N per-sample gradients at
+        W, 0 for one sample; the variance that `gradient_population_stats`
+        reports, without its per-class passes."""
+        return _mean_and_variance(self.grad_samples(W, self.dataset.rows))[1]
+
     def grad_sample(self, W: np.ndarray, i: int) -> np.ndarray:
         """Exact analytic gradient of loss_sample."""
         W = as_params(W, self.dim)
@@ -167,13 +187,26 @@ class Objective(ABC):
         return np.zeros(self.dim)
 
 
+def _block_rows(X: np.ndarray) -> int:
+    """Rows of X in one block of a blocked pass: at least 1, at most BLOCK_BYTES."""
+    return max(BLOCK_BYTES // max(X.shape[1] * X.itemsize, 1), 1)
+
+
 def _margins(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Margins of the feature rows X.
 
     Elementwise product + per-row pairwise sum (the reduction ``np.sum``
     runs): identical results for any batch size, unlike BLAS matvec kernels.
+    Since each row is reduced on its own, a matrix of more than one block is
+    reduced block by block into one output vector with the same bits.
     """
-    return np.add.reduce(X * W, axis=1)
+    rows = _block_rows(X)
+    if X.shape[0] <= rows:
+        return np.add.reduce(X * W, axis=1)
+    out = np.empty(X.shape[0])
+    for start in range(0, X.shape[0], rows):
+        np.add.reduce(X[start:start + rows] * W, axis=1, out=out[start:start + rows])
+    return out
 
 
 class _LinearObjective(Objective):
@@ -245,6 +278,22 @@ class _LinearObjective(Objective):
         G += self.lam * W
         return G
 
+    def population_variance(self, W):
+        """sum_i ||r_i x_i - m||^2 / (N - 1) with m = X'r/N, since lam W cancels
+        in G_i - mean; summed over row blocks in order, so no N x p matrix is
+        built."""
+        X, resid = self._residuals(W, self.dataset.rows)
+        N = X.shape[0]
+        if N == 1:
+            return 0.0
+        m = (X.T @ resid) / N
+        rows, total = _block_rows(X), 0.0
+        for start in range(0, N, rows):
+            D = resid[start:start + rows, None] * X[start:start + rows]
+            D -= m
+            total += float(np.sum(np.multiply(D, D, out=D)))
+        return total / (N - 1)
+
     def _constants(self):
         """L = upper lmax(X'X/N) + lam and mu = lower lmin(X'X/N) + lam, with
         [lower, upper] the link's slope bounds.  lmax and lmin come from one
@@ -296,7 +345,7 @@ class LogisticRegression(_LinearObjective):
     def __init__(self, dataset: Dataset, lam: float = 0.0):
         super().__init__(dataset, lam)
         if not np.all(np.isin(np.asarray(dataset.labels), (0, 1))):
-            raise ValueError("logistic regression requires labels in {0, 1}")
+            raise LabelError("logistic regression requires labels in {0, 1}")
 
     def loss_values(self, W, indices):
         m = self._margins_of(W, indices)[1]
@@ -389,7 +438,7 @@ class Mlp(Objective):
         super().__init__(dataset, lam)
         y = np.asarray(dataset.labels)
         if not np.all(np.isin(y, np.arange(dataset.n_classes))):
-            raise ValueError("mlp requires integer class labels in [0, C)")
+            raise LabelError("mlp requires integer class labels in [0, C)")
         self._targets = y.astype(np.int64)
         self.sizes = (dataset.n_features, *(int(h) for h in hidden), dataset.n_classes)
         if any(s < 1 for s in self.sizes):

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import SHORT_ROW, Dataset, _mean_and_variance, estimate_constants, squared_distance
+from .core import SHORT_ROW, Dataset, estimate_constants, squared_distance
 from .errors import ConfigError, DivergenceError, UnsupportedObjectiveError
 from .objectives import Objective, accuracy
 from .records import RunRecord
@@ -391,9 +391,11 @@ def run(config: RunConfig, obj: Objective, *, constants=None,
         loss = obj.loss_full(state.W)
         dist = squared_distance(state.W, w_star) if w_star is not None else float("nan")
         acc = accuracy(obj, state.W, test_dataset) if test_dataset is not None else float("nan")
-        # gradient_population_stats' population variance, without its per-class passes
-        sigma_sq = (_mean_and_variance(obj.grad_samples(state.W, obj.dataset.rows))[1]
-                    if config.record_variance else float("nan"))
+        # gradient_population_stats' population variance, without its per-class
+        # passes; a linear model sums it from the residuals of the loss's margin
+        # pass, one block of rows at a time, so it builds no N x p matrix
+        sigma_sq = (obj.population_variance(state.W) if config.record_variance
+                    else float("nan"))
         evals = spec.evals(N, config.n, config.m, state.steps)
         rows.append((state.steps, evals / N, loss, acc, dist, evals,
                      (time.perf_counter() - t0) * 1e3, sigma_sq))

@@ -1,5 +1,7 @@
 """Shared fixtures and independent test oracles."""
 
+import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -22,6 +24,30 @@ def central_diff_grad(f, W, step=1e-6):
 def grad_rel_error(analytic, numeric):
     """Norm of the difference, normalized by max(1, norm of analytic)."""
     return float(np.linalg.norm(analytic - numeric) / max(1.0, np.linalg.norm(analytic)))
+
+
+def fsum_population_variance(obj, W):
+    """sum_i ||G_i - mean||^2 / (N - 1) over the `grad_sample` rows, 0 for one
+    sample; the mean and the sum of squares are each summed exactly by
+    math.fsum and rounded once."""
+    N = obj.dataset.n_samples
+    if N == 1:
+        return 0.0
+    G = [obj.grad_sample(W, i).tolist() for i in range(N)]
+    mean = [math.fsum(column) / N for column in zip(*G)]
+    return math.fsum((g - m) ** 2 for row in G for g, m in zip(row, mean)) / (N - 1)
+
+
+def peak_alloc_bytes(fn, *args, **kwargs):
+    """The most bytes that the allocations of one call ``fn(*args, **kwargs)``
+    held at once, numpy's array buffers included, as tracemalloc counts them.
+    What was allocated before the call does not count."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def subset_mean_gradients(obj, W, n):

@@ -54,6 +54,17 @@ class TestDataset:
         with pytest.raises(ValueError, match=message):
             make()
 
+    @pytest.mark.parametrize("features, targets, message", [
+        ([[np.nan], [1.0]], [1.0, 2.0], "sample 0 is not finite: its feature 0 is nan"),
+        ([[0.0, 1.0], [1.0, -np.inf]], [1.0, 2.0], "sample 1 is not finite: its feature 1 is -inf"),
+        ([[0.0], [1.0]], [1.0, np.inf], "sample 1 is not finite: its target is inf"),
+        ([[0.0], [1.0], [2.0]], [np.nan, 1.0, np.nan],
+         "sample 0 is not finite: its target is nan")],
+        ids=["nan-feature", "inf-feature", "inf-target", "first-of-two-targets"])
+    def test_non_finite_values_name_the_first_bad_row(self, features, targets, message):
+        with pytest.raises(ValueError, match=message):
+            ssag.Dataset.regression(np.array(features), np.array(targets))
+
     def test_immutability(self):
         ds = ssag.Dataset.from_class_labels(np.eye(2), np.array([0, 1]))
         with pytest.raises(ValueError):

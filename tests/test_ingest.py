@@ -262,6 +262,42 @@ class TestTextFormat:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("C", [0, 2, 3])
+    def test_real_labels_with_more_than_one_class_name_the_file(self, tmp_path, C):
+        # real targets form one regression cell; a declared C must agree
+        path = tmp_path / "classes.txt"
+        path.write_text(f"p=1,C={C},labels=real\n0.5,0.25\n1.5,1.0\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=rf"classes\.txt: .*declares C={C}"):
+            read_text(path)
+
+    def test_real_labels_with_one_class_load(self, tmp_path):
+        path = tmp_path / "one.txt"
+        path.write_text("p=1,C=1,labels=real\n0.5,0.25\n1.5,1.0\n", encoding="utf-8")
+        ds = read_text(path)
+        assert ds.n_classes == 1 and ds.labels.tolist() == [0.25, 1.0]
+
+    @pytest.mark.parametrize("command, objective, requirement", [
+        ("estimate-constants", "logistic", "labels in {0, 1}"),
+        ("run", "logistic", "labels in {0, 1}"),
+        ("run", "mlp", "integer class labels in [0, C)")])
+    def test_labels_the_objective_cannot_take_are_a_usage_error_in_the_cli(
+            self, tmp_path, capsys, command, objective, requirement):
+        path = tmp_path / "real.txt"
+        path.write_text("p=1,C=1,labels=real\n0.5,0.25\n1.5,1.0\n", encoding="utf-8")
+        if command == "run":
+            config = tmp_path / "cfg.json"
+            spec = {"kind": "mlp", "hidden": [2]} if objective == "mlp" else {"kind": objective}
+            config.write_text(json.dumps({
+                "dataset": {"kind": "text", "path": str(path)}, "objective": spec,
+                "optimizer": {"kind": "sgd", "h": 0.1}, "seeds": [0], "steps": 5,
+                "out_dir": str(tmp_path / "out")}), encoding="utf-8")
+            argv = ["run", "--config", str(config)]
+        else:
+            argv = ["estimate-constants", "--data", str(path), "--objective", objective]
+        assert ssag.bench.cli(argv) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and requirement in err and "Traceback" not in err
+
     def test_non_numeric_cell_is_a_usage_error_in_the_cli(self, tmp_path, capsys):
         path = tmp_path / "cells.txt"
         path.write_text("p=1,C=2,labels=int\n0.5,0\nabc,1\n", encoding="utf-8")

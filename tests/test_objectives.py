@@ -14,7 +14,8 @@ from ssag.errors import (DimensionMismatchError, SingularSystemError, StratumVio
                          UnsupportedObjectiveError)
 from ssag.optimizers import RunConfig
 
-from conftest import OBJECTIVE_KINDS, any_kind_problem, central_diff_grad, grad_rel_error
+from conftest import (OBJECTIVE_KINDS, any_kind_problem, central_diff_grad,
+                      fsum_population_variance, grad_rel_error)
 
 
 def _logistic_point(x, y, lam=0.0):
@@ -280,6 +281,38 @@ class TestFullDataInPlace:
             expected.append(float(np.sum(devc * devc) / (cell.size - 1)) if cell.size > 1
                             else 0.0)
         assert stats.per_class_variance.tolist() == expected
+
+
+class TestPopulationVariance:
+    """`population_variance` against an exactly summed oracle, for a linear
+    model's residual kernel and for the default that reduces `grad_samples`."""
+
+    @pytest.mark.parametrize("block_rows", [None, 2], ids=["one-block", "2-row-blocks"])
+    @pytest.mark.parametrize("N", [1, 2, 37])
+    @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+    def test_matches_fsum_oracle(self, monkeypatch, kind, N, block_rows):
+        obj = any_kind_problem(kind, N, 5, 2, seed=N)
+        if block_rows is not None:
+            monkeypatch.setattr(ssag.objectives, "BLOCK_BYTES", block_rows * 5 * 8)
+        W = np.random.default_rng(N + 1).normal(size=obj.dim)
+        expected = fsum_population_variance(obj, W)
+        for got in (obj.population_variance(W), ssag.Objective.population_variance(obj, W)):
+            if N == 1:
+                assert got == expected == 0.0
+            else:
+                assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("p", [3, 8, 13])
+    def test_blocked_margins_keep_their_bits(self, monkeypatch, p):
+        # each row is reduced on its own, so blocks of 3 rows and a ragged
+        # last block give the bits of one reduction over the whole matrix
+        rng = np.random.default_rng(p)
+        X = rng.normal(size=(50, p)) * rng.uniform(0.1, 1e3, size=p)
+        W = rng.normal(size=p)
+        whole = ssag.objectives._margins(X, W)
+        monkeypatch.setattr(ssag.objectives, "BLOCK_BYTES", 3 * p * 8)
+        blocked = ssag.objectives._margins(X, W)
+        assert blocked.tobytes() == whole.tobytes() == np.add.reduce(X * W, axis=1).tobytes()
 
 
 class TestSharedFullDataMargins:

@@ -18,9 +18,9 @@ from ssag.optimizers import (DIVERGENCE_LOSS_LIMIT, SPECS, RunConfig, State, _co
                              svrg_outer)
 from ssag.sampling import RngStream
 
-from conftest import (OBJECTIVE_KINDS, EvaluationCounter, any_kind_problem, reference_fgd,
-                      reference_minibatch, reference_sag, reference_saga, reference_sgd,
-                      reference_ssag, reference_svrg)
+from conftest import (OBJECTIVE_KINDS, EvaluationCounter, any_kind_problem, peak_alloc_bytes,
+                      reference_fgd, reference_minibatch, reference_sag, reference_saga,
+                      reference_sgd, reference_ssag, reference_svrg)
 
 # final iterates after 12 steps of the fixed tiny logistic problem below
 # (h = 0.3, seed = 5); frozen from the first run
@@ -597,6 +597,16 @@ class TestRunLoop:
         assert rec.diverged and diverged
         assert rec.k.tolist() == k and rec.grad_evals.tolist() == evals
         assert np.array_equal(rec.loss, loss)
+
+    def test_variance_snapshots_allocate_less_than_the_feature_matrix(self):
+        # each snapshot records the loss and sigma^2; neither may build an
+        # N x p temporary, so the run's peak stays below the matrix's bytes
+        means = np.zeros((2, 20))
+        means[0, 0], means[1, 0] = -1.0, 1.0
+        obj = ssag.LogisticRegression(ssag.gen_synthetic(ssag.SyntheticSpec(
+            means=means, counts=(10_000, 10_000), stddev=0.1, seed=1)), lam=0.02)
+        config = RunConfig(kind="sgd", steps=20, h=0.1, cadence=10, record_variance=True)
+        assert peak_alloc_bytes(ssag.run, config, obj) < obj.dataset.features.nbytes
 
     def test_svrg_counts_inner_steps(self, two_class_logistic):
         rec = ssag.run(RunConfig(kind="svrg", steps=8, h=0.05, m=4, cadence=4),

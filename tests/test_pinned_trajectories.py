@@ -9,6 +9,8 @@ changes a single bit of any recorded loss, distance, accuracy or variance
 fails here.
 """
 
+import types
+
 import numpy as np
 import pytest
 
@@ -18,29 +20,29 @@ from ssag.optimizers import SPECS, RunConfig, run
 # (objective kind, run options) -> content hash; frozen from the first run
 PINNED = {
     ("logistic", "fgd"):
-        "633460c5be84f8988618daf8ff3c1628a5e193d35f98a5fcfa7823bdc3d277e5",
+        "ce857dade5f31bd18df3d25f8c295c206881a37c05ef62a15de403afd4700ee6",
     ("logistic", "sgd"):
-        "1d16b5b0e3784a471dcd80cdcfddd09e53bcc6c385786a6f09cdaf6f05b6c5f0",
+        "e567ed803fc3dd49cba8a9e891ea1fd08acc15a5cc6c71af10ffcb2a1360a872",
     ("logistic", "minibatch"):
-        "1d16b5b0e3784a471dcd80cdcfddd09e53bcc6c385786a6f09cdaf6f05b6c5f0",
+        "e567ed803fc3dd49cba8a9e891ea1fd08acc15a5cc6c71af10ffcb2a1360a872",
     ("logistic", "sag"):
-        "0451f6eea0149d4dfeed3f66cd923a7c7d0e1a8cdeb6db4ddf30762030729d2a",
+        "33e79bc7c9001ad68fc5734a378a6f61fbd52ebd250da302d7f42a636feca995",
     ("logistic", "svrg"):
-        "cceddcbb4e7da58b398c5f4dec3ea9d263e80dbc7cc1d44d9ac049a0e211f178",
+        "64c52ebc9a04529a04a458bbf58f219c168855be05bc04c412d63f5aa111e518",
     ("logistic", "saga"):
-        "1fccd32ba6bd4121eaaeceadd6f1126abb3b2965b6f31a074317c7b2bfa58655",
+        "17589642c0d81f9a5047deb5fd4fc0de03bb53533c9b1edfa86379b438a6c4d6",
     ("logistic", "ssag"):
-        "8576e1426b13d1fa8574985ae04dbb74ee06a59e95a815fcaf7e90a9eed64a78",
+        "03fdc77dea6912aba79918cf7ef5e49291f03be62b9b6daf19a4ab268cec5837",
     ("logistic", "ssag n=2"):
-        "5e5f472f8a4dde5ff1c25a28d8123e207402b0b62950e001dce8e206d12df3b6",
+        "0c2a1ff9f96bb4bdd010dd6d9b603d58eec297207312476b1597af25d0fa170b",
     ("logistic", "saga prox_l1"):
-        "01a477053837ad7ed6e7d222f5d0a30893ebaa677307e4f85af54ccc2dae0b6b",
+        "8923918bb7dfdea28914bc7c94a01f525eeee83841ea826a4a0fc726c700d9af",
     ("logistic", "minibatch n=3"):
-        "1f7ef2f1a030dccd9dbedc48d7457863cef28a1b897e73646076be61aaff3768",
+        "3932560e9705947c89c6c1d761aedb14c1ea33c4e23a497b0a7ca2461fed1665",
     ("ridge", "ssag"):
-        "5ae107167feb937892cce325e8a7c1b71bbf9536bbf08d7af7ce2ddc9e0f4d7d",
+        "a0b72a833f29546f5f7c2ad2b68a93ea912e3094eebf52ffdf1a36e2c34389e3",
     ("ridge", "sgd h=0.05"):
-        "2eb0edd47927b33ccde3e363a64f45902621676e08c973c23c547df84f579d23",
+        "37c67d0c83b48895029f0171f4f627215c95af9e0ff484b8a79db7f906252d8d",
 }
 
 # optimizer kind -> content hash of a one-hidden-layer MLP run; frozen from
@@ -83,6 +85,21 @@ def test_trajectory_hash_is_pinned(obj_kind, label):
                  test_dataset=obj.dataset if obj_kind == "logistic" else None)
     assert not record.diverged
     assert record.content_hash() == PINNED[(obj_kind, label)]
+
+
+@pytest.mark.parametrize("obj_kind", ["ridge", "logistic"])
+def test_variance_kernel_moves_only_sigma_sq(monkeypatch, obj_kind):
+    # a linear model's residual kernel against the default, which reduces
+    # grad_samples: the same trajectory, sigma_sq within rounding
+    obj = _problem(obj_kind)
+    config = RunConfig(kind="ssag", steps=600, seed=17, cadence=50, record_variance=True)
+    residual = run(config, obj)
+    monkeypatch.setattr(obj, "population_variance",
+                        types.MethodType(ssag.Objective.population_variance, obj))
+    default = run(config, obj)
+    for column in ("k", "passes", "loss", "test_acc", "dist_sq", "grad_evals"):
+        assert getattr(residual, column).tobytes() == getattr(default, column).tobytes()
+    assert residual.sigma_sq == pytest.approx(default.sigma_sq, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("label", list(PINNED_MLP))
