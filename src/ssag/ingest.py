@@ -68,11 +68,11 @@ def read_idx(image_path, label_path, *, add_bias: bool = False,
         raise FormatError(f"image count {n_img} does not match label count {n_lab}")
     if labels.size and labels.max() > 9:
         raise FormatError(f"label byte {int(labels.max())} outside the digit range 0-9")
-    features = pixels.astype(np.float64).reshape(n_img, rows * cols) / 255.0
-    labels = labels.astype(np.int64)
-    if limit is not None:
-        features = features[:limit]
-        labels = labels[:limit]
+    # slice the bytes before converting, then scale in place: the same bits
+    # as converting and dividing the whole file, with no full-size temporaries
+    features = pixels.reshape(n_img, rows * cols)[:limit].astype(np.float64)
+    features /= 255.0
+    labels = labels[:limit].astype(np.int64)
     if add_bias:
         features = np.hstack([features, np.ones((features.shape[0], 1))])
     # remapping the digits present would make a train and a test file disagree

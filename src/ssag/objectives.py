@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from numbers import Real
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
@@ -75,8 +76,8 @@ class Objective(ABC):
     kind: str = "abstract"
 
     def __init__(self, dataset: Dataset, lam: float = 0.0):
-        if not 0.0 <= lam < np.inf:
-            raise ValueError(f"regularizer weight must be finite and >= 0, got {lam}")
+        if isinstance(lam, bool) or not isinstance(lam, Real) or not 0 <= lam < np.inf:
+            raise ValueError(f"regularizer weight must be a finite number >= 0, got {lam!r}")
         self.dataset = dataset
         self.lam = float(lam)
 

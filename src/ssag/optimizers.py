@@ -113,7 +113,7 @@ def ssag_step(state: State, obj: Objective, rng: RngStream) -> State:
     replacement, writes their mean gradient into slot j, and steps
     W <- W - (h/C) * sum of all slots.
     """
-    j, idx = rng.class_batch(obj.dataset, state.n)
+    j, idx = rng.draw(obj.dataset, state.n)
     return _table_average_step(state, j, obj.grad_class_batch(state.W, j, idx))
 
 
@@ -123,7 +123,7 @@ def sag_step(state: State, obj: Objective, rng: RngStream) -> State:
     The stratum draw picks sample i.  The draw inside a one-element cell
     consumes no generator state, so a step draws one sample uniformly.
     """
-    idx = rng.uniform_batch(obj.dataset.n_samples, 1)
+    idx = rng.draw(obj.dataset.n_samples, 1)[1]
     return _table_average_step(state, idx[0], obj.grad_batch(state.W, idx))
 
 
@@ -139,7 +139,7 @@ def saga_step(state: State, obj: Objective, rng: RngStream) -> State:
     W - h * (G_i(W) - phi_i + sum/N); the slot is refreshed afterwards.
     """
     N = obj.dataset.n_samples
-    idx = rng.uniform_batch(N, 1)
+    idx = rng.draw(N, 1)[1]
     i = idx[0]
     g = obj.grad_batch(state.W, idx)
     W = state.W - state.h * (g - state.table[i] + state.table_sum / N)
@@ -159,7 +159,7 @@ def svrg_outer(state: State, obj: Objective, rng: RngStream) -> State:
     if state.steps % state.m == 0:
         state.snapshot = state.W.copy()
         state.snapshot_grad = obj.grad_full(state.snapshot)
-    idx = rng.uniform_batch(N, 1)
+    idx = rng.draw(N, 1)[1]
     direction = (obj.grad_batch(state.W, idx) - obj.grad_batch(state.snapshot, idx)
                  + state.snapshot_grad)
     return _commit(state, state.W - state.h * direction)
@@ -173,7 +173,7 @@ def _uniform_batch_step(state: State, obj: Objective, rng: RngStream,
     so the kernel reads the rows in place.
     """
     ds = obj.dataset
-    idx = ds.rows if n == ds.n_samples else rng.uniform_batch(ds.n_samples, n)
+    idx = ds.rows if n == ds.n_samples else rng.draw(ds.n_samples, n)[1]
     return _commit(state, state.W - state.h * obj.grad_batch(state.W, idx))
 
 
@@ -292,12 +292,11 @@ class RunConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
-        if self.h is not None and not 0.0 <= self.h < np.inf:
-            raise ConfigError(f"step size h must be finite and >= 0, got {self.h}")
-        l1 = self.prox_l1
-        if l1 is not None and (isinstance(l1, bool) or not isinstance(l1, Real)
-                               or not 0 <= l1 < np.inf):
-            raise ConfigError(f"l1 weight prox_l1 must be a finite number >= 0, got {l1!r}")
+        for key, noun in (("h", "step size h"), ("prox_l1", "l1 weight prox_l1")):
+            value = getattr(self, key)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, Real)
+                                      or not 0 <= value < np.inf):
+                raise ConfigError(f"{noun} must be a finite number >= 0, got {value!r}")
         if self.steps < 0:
             raise ConfigError("step budget must be >= 0")
         if self.seed < 0:

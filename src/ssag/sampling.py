@@ -9,7 +9,8 @@ of one word with rejection, and n indices without replacement are Floyd's
 algorithm followed by a Fisher-Yates shuffle, exactly what
 `Generator.integers` and `Generator.choice(..., replace=False)` return.  One
 index is Floyd's first round, which maps the word `integers` would map.
-`draw_schedule` computes the draws of many steps at once as arrays; the
+`RngStream.draw` serves each step's draw, a stratum and a batch inside it,
+from the arrays that `draw_schedule` computes for many steps at once; the
 `sample_*` functions draw one step through the generator.
 
 Exhaustive draws (requesting a whole class or the whole population) return
@@ -133,10 +134,10 @@ def draw_schedule(words: np.ndarray, sizes, n: int,
 class RngStream:
     """Single-owner random stream: a cursor over one PCG64 generator's words.
 
-    A run's steps take their draws from `class_batch` (a class, then a batch
-    inside it) and `uniform_batch` (a batch of the population, drawn as the
-    batch of a single stratum).  Both serve each step from a chunk of steps
-    that `draw_schedule` built ahead from the generator's raw output.  Chunks
+    A run's steps take their draws from `draw` (a stratum, then a batch
+    inside it; a population is a single stratum, so a uniform draw is the
+    one-stratum draw).  It serves each step from a chunk of steps that
+    `draw_schedule` built ahead from the generator's raw output.  Chunks
     grow geometrically from 16 steps, so a short run draws few words, and
     hold at most 2^16 indices, so a large batch costs little memory.  A step
     the schedule leaves out (a rejected word or a batch above 64) is drawn
@@ -170,21 +171,15 @@ class RngStream:
         self._sync()
         return self._generator
 
-    def class_batch(self, dataset: Dataset, n: int) -> tuple[int, np.ndarray]:
-        """One stratified step's draw: `sample_class`, then `sample_within_class`."""
+    def draw(self, source, n: int) -> tuple[int, np.ndarray]:
+        """One step's draw: a stratum, then n indices inside it.  A `Dataset`
+        source takes `sample_class`, then `sample_within_class`; a population
+        size is one stratum, so its draw is stratum 0 and `sample_uniform`."""
         s = self._next
-        if s == self._size or self._source is not dataset or self._n != n:
-            return self._restart(dataset, n)
+        if s == self._size or self._n != n or self._source is not source and self._source != source:
+            return self._restart(source, n)
         self._next = s + 1
         return self._strata[s], self._indices[s]
-
-    def uniform_batch(self, n_population: int, n: int) -> np.ndarray:
-        """One uniform step's draw: `sample_uniform`."""
-        s = self._next
-        if s == self._size or self._source != n_population or self._n != n:
-            return self._restart(n_population, n)[1]
-        self._next = s + 1
-        return self._indices[s]
 
     def _restart(self, source, n):
         """Serve the first step of a new chunk for ``source`` and n, or draw
@@ -202,16 +197,15 @@ class RngStream:
             strata, positions = self._build(sizes, n, steps)
         if not len(strata):
             if not cells:
-                return None, sample_uniform(self, source, n)
+                return 0, sample_uniform(self, source, n)
             j = sample_class(self, len(sizes))
             return j, sample_within_class(self, source, j, n)
         self._source, self._n, self._next = source, n, 1
         if cells:
             positions = source.order[source.starts[strata][:, None] + positions]
-            self._strata = strata.tolist()
         positions.setflags(write=False)
-        self._indices = positions
-        return (self._strata[0] if cells else None), positions[0]
+        self._strata, self._indices = strata.tolist(), positions
+        return self._strata[0], positions[0]
 
     def _build(self, sizes, n, steps):
         """Draw words for up to ``steps`` steps and schedule them as a chunk."""

@@ -7,6 +7,7 @@ import pytest
 
 import ssag
 import ssag.bench
+from conftest import peak_alloc_bytes
 from ssag.errors import FormatError
 from ssag.ingest import (SyntheticSpec, gen_synthetic, read_idx, read_text,
                          write_idx, write_text)
@@ -104,6 +105,17 @@ class TestIdx:
         assert ds.n_samples == 20
         assert ds.n_features == 17
         assert np.all(ds.features[:, -1] == 1.0)
+
+    def test_limit_converts_only_the_rows_kept(self, tmp_path):
+        # 2000 images of 28 x 28: the whole file as float64 is 12.5 MB, while
+        # the first 100 rows are 0.63 MB
+        img, lab, images, _ = _idx_fixture(tmp_path, n=2000, rows=28, cols=28)
+        whole = read_idx(img, lab)
+        assert np.array_equal(whole.features, images.reshape(2000, -1).astype(np.float64) / 255.0)
+        assert peak_alloc_bytes(read_idx, img, lab, limit=100) < images.size * 8
+        limited = read_idx(img, lab, limit=100)
+        assert limited.features.tobytes() == whole.features[:100].tobytes()
+        assert np.array_equal(limited.labels, whole.labels[:100])
 
     def test_partition_disjoint_exhaustive(self, tmp_path):
         img, lab, _, _ = _idx_fixture(tmp_path, n=40)

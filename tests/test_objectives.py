@@ -608,6 +608,12 @@ class TestMakeObjective:
         with pytest.raises((TypeError, ValueError)):
             ssag.make_objective(spec, two_class_logistic.dataset)
 
+    @pytest.mark.parametrize("lam", [True, "abc", [0.1], None, -1.0, float("nan")])
+    @pytest.mark.parametrize("kind", ["ridge", "logistic"])
+    def test_bad_lam_is_a_value_error(self, two_class_logistic, kind, lam):
+        with pytest.raises(ValueError, match="regularizer weight"):
+            ssag.make_objective({"kind": kind, "lam": lam}, two_class_logistic.dataset)
+
     @pytest.mark.parametrize("make, error, message", [
         (lambda ds: ssag.LogisticRegression(ds), ValueError, r"labels in \{0, 1\}"),
         (lambda ds: ssag.Mlp(ds, hidden=(2,)), ValueError, r"integer class labels in \[0, C\)"),

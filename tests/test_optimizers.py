@@ -719,6 +719,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="prox_l1"):
             RunConfig(kind="saga", steps=1, prox_l1=prox_l1)
 
+    @pytest.mark.parametrize("h", ["abc", [1.0], True, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_step_size(self, h):
+        with pytest.raises(ConfigError, match="step size h"):
+            RunConfig(kind="sgd", steps=1, h=h)
+
     @pytest.mark.parametrize("prox_l1", [0.0, None])
     def test_accepts_zero_and_no_prox_l1(self, prox_l1):
         assert RunConfig(kind="saga", steps=1, prox_l1=prox_l1).prox_l1 == prox_l1

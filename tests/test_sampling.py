@@ -1,5 +1,6 @@
 """Seeded sampling: reproducibility, uniformity, stratum safety."""
 
+import copy
 from collections import Counter
 from itertools import combinations
 
@@ -183,13 +184,13 @@ def _labelled(counts):
 def _step(rng, ref, kind, ds, n):
     """One step's draw of an optimizer kind from the stream and from the oracle."""
     if kind == "ssag":
-        (j, idx), (j_ref, idx_ref) = rng.class_batch(ds, n), reference_class_batch(ref, ds, n)
+        (j, idx), (j_ref, idx_ref) = rng.draw(ds, n), reference_class_batch(ref, ds, n)
         assert j == j_ref
         assert np.array_equal(idx, idx_ref)
         assert np.isin(idx, ds.partition[j]).all()
     else:
         N = ds.n_samples
-        assert np.array_equal(rng.uniform_batch(N, n), reference_uniform_batch(ref, N, n))
+        assert np.array_equal(rng.draw(N, n)[1], reference_uniform_batch(ref, N, n))
 
 
 class TestWordCursor:
@@ -251,7 +252,7 @@ class TestWordCursor:
         ref = np.random.Generator(np.random.PCG64(6))
         for step in range(3000):
             if step % 2:
-                j, idx = rng.class_batch(dataset, 1)
+                j, idx = rng.draw(dataset, 1)
             else:
                 j = sample_class(rng, 3)
                 idx = sample_within_class(rng, dataset, j, 1)
@@ -326,7 +327,7 @@ class TestWordCursor:
         rng = RngStream(4)
         ref = np.random.Generator(np.random.PCG64(4))
         for _ in range(3000 // n):
-            assert np.array_equal(rng.uniform_batch(N, n), reference_uniform_batch(ref, N, n))
+            assert np.array_equal(rng.draw(N, n)[1], reference_uniform_batch(ref, N, n))
         assert rng.generator.bit_generator.state == ref.bit_generator.state
 
     def test_schedule_stops_before_the_first_rejected_word(self):
@@ -339,3 +340,28 @@ class TestWordCursor:
         assert width == 1 and strata.tolist() == [0] * first
         assert positions[:, 0].tolist() == [int(w) * k >> 32 for w in words[:first]]
         assert draw_schedule(words[first:], [k], 1, 64)[0].size == 0
+
+
+class TestOneStratum:
+    """A population of N is one stratum: `draw(N, n)` is the draw on a
+    one-class `Dataset` of N rows, step for step."""
+
+    @staticmethod
+    def _state(rng, ds):
+        # the generator state a synced copy reports; syncing the stream itself
+        # would end its chunk after every step
+        return copy.deepcopy(rng, {id(ds): ds}).generator.bit_generator.state
+
+    @pytest.mark.parametrize("N, n", [(N, n) for N in (50, 300, 3000)
+                                      for n in (1, 3, 65, N) if n <= N])
+    def test_population_draw_is_the_one_class_draw(self, N, n):
+        # 60 steps cross the chunk boundaries after steps 16 and 48; n = 65
+        # is drawn by the generator at every step
+        ds = _labelled([N])
+        by_size, by_dataset = RngStream(5), RngStream(5)
+        for _ in range(60):
+            (j, idx), (j_ds, idx_ds) = by_size.draw(N, n), by_dataset.draw(ds, n)
+            assert j == j_ds == 0
+            assert np.array_equal(idx, idx_ds)
+            assert self._state(by_size, ds) == self._state(by_dataset, ds)
+        assert by_size.generator.bit_generator.state == by_dataset.generator.bit_generator.state

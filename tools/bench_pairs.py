@@ -1,0 +1,150 @@
+"""Alternating pairs of benchmark runs from two checkouts of the repository.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --workload ssag-envelope \\
+        --seed 1 --seconds 45 --pairs 10
+
+Each round runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
+once in each checkout, one run after the other: the parent first in even rounds
+and the change first in odd rounds.  For every end-to-end metric that the
+change's BENCHMARK.json lists, the summary gives both medians, the parent's
+interquartile range and the rounds the change won in the metric's ``better``
+direction; a tie counts for neither side.  It also says whether every run on
+both sides printed the same records digests; the exit code is 1 when they
+differ or a run failed a check.
+
+Each run is a child process that this script waits for; it leaves nothing
+running and writes nothing outside what ``perfbench/run.py`` itself writes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+@dataclass(frozen=True)
+class Run:
+    """What one benchmark run printed: its end-to-end metrics, its records
+    digests and whether all its checks passed."""
+
+    metrics: dict[str, float]
+    digests: tuple[str, ...]
+    correct: bool
+
+
+def parse_output(stdout: str, workload: str) -> Run:
+    """The `Run` in the standard output of ``perfbench/run.py --workload W``:
+    the JSON result on its last line and the ``W: records digest`` line."""
+    lines = stdout.strip().splitlines()
+    if not lines or not lines[-1].startswith("{"):
+        raise ValueError(f"{workload}: the run printed no result line")
+    result = json.loads(lines[-1])
+    prefix = f"{workload}: records digest "
+    digests = tuple(d for line in lines if line.startswith(prefix)
+                    for d in line[len(prefix):].split())
+    return Run({key: metric["value"] for key, metric in result["metrics"].items()},
+               digests, bool(result["correct"]))
+
+
+def quartiles(values) -> tuple[float, float, float]:
+    """The first quartile, median and third quartile of ``values``, by
+    `statistics.quantiles`' inclusive method; all three are the value itself
+    for a single value."""
+    values = list(values)
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def wins(parent, change, better: str) -> int:
+    """Rounds in which the change's value beats the parent's of the same round
+    in the ``better`` direction ("lower" or "higher"); ties count for neither."""
+    if better not in ("lower", "higher"):
+        raise ValueError(f"unknown direction {better!r}")
+    sign = 1 if better == "higher" else -1
+    return sum(sign * (c - p) > 0 for p, c in zip(parent, change, strict=True))
+
+
+def summarize(end_to_end, runs: dict[str, list[Run]]) -> list[dict]:
+    """One row per metric of ``end_to_end`` (BENCHMARK.json's entries): both
+    medians, the parent's interquartile range and the change's wins."""
+    rows = []
+    for spec in end_to_end:
+        name = spec["name"]
+        parent = [run.metrics[name] for run in runs["parent"]]
+        change = [run.metrics[name] for run in runs["change"]]
+        q1, parent_median, q3 = quartiles(parent)
+        rows.append({"name": name, "unit": spec["unit"], "better": spec["better"],
+                     "parent_median": parent_median, "parent_iqr": q3 - q1,
+                     "change_median": statistics.median(change),
+                     "change_wins": wins(parent, change, spec["better"]),
+                     "pairs": len(parent)})
+    return rows
+
+
+def same_digests(runs: dict[str, list[Run]]) -> bool:
+    """Whether every run on both sides printed the same records digests."""
+    return len({run.digests for side in SIDES for run in runs[side]}) == 1
+
+
+def format_summary(rows, runs) -> str:
+    lines = [f"{'metric':<12} {'unit':<5} {'parent median':>14} {'parent IQR':>11} "
+             f"{'change median':>14} {'change wins':>12}"]
+    for row in rows:
+        lines.append(f"{row['name']:<12} {row['unit']:<5} {row['parent_median']:>14.6g} "
+                     f"{row['parent_iqr']:>11.4g} {row['change_median']:>14.6g} "
+                     f"{row['change_wins']:>5}/{row['pairs']} {row['better']}")
+    digests = sorted({d for side in SIDES for run in runs[side] for d in run.digests})
+    verdict = "same in every run" if same_digests(runs) else "DIFFER between runs"
+    lines.append(f"records digests: {verdict}: {' '.join(digests)}")
+    failed = sum(not run.correct for side in SIDES for run in runs[side])
+    lines.append(f"runs with a failed check: {failed}")
+    return "\n".join(lines)
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Run:
+    """One untraced benchmark run in ``checkout``, waited for."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
+    if proc.returncode not in (0, 1):
+        sys.stderr.write(proc.stderr)
+        raise RuntimeError(f"{checkout}: perfbench/run.py exited {proc.returncode}")
+    return parse_output(proc.stdout, workload)
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    for side in SIDES:
+        p.add_argument(f"--{side}", type=Path, required=True, help=f"the {side} checkout")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seconds", type=float, required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error("--pairs must be >= 1")
+    end_to_end = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    runs = {side: [] for side in SIDES}
+    for round_no in range(args.pairs):
+        for side in SIDES if round_no % 2 == 0 else SIDES[::-1]:
+            run = run_once(getattr(args, side), args.workload, args.seed, args.seconds)
+            runs[side].append(run)
+            print(f"pair {round_no} {side}: "
+                  + ", ".join(f"{m['name']} {run.metrics[m['name']]:.6g}" for m in end_to_end)
+                  + f", digests {' '.join(run.digests)}", flush=True)
+    print(f"{args.workload}: {args.pairs} pairs, seed {args.seed}, {args.seconds:g} s per run")
+    print(format_summary(summarize(end_to_end, runs), runs))
+    return 0 if same_digests(runs) and all(r.correct for side in SIDES for r in runs[side]) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
