@@ -35,11 +35,11 @@ def _read_idx_payload(path, expected_magic: int, n_dims: int) -> tuple[tuple[int
         raise FormatError(f"{path}: magic {magic} does not match expected {expected_magic}")
     dims = tuple(int.from_bytes(raw[4 + 4 * i:8 + 4 * i], "big") for i in range(n_dims))
     expected_len = int(np.prod(dims))
-    payload = raw[header_len:]
-    if len(payload) != expected_len:
-        raise FormatError(f"{path}: payload holds {len(payload)} bytes, "
+    if len(raw) - header_len != expected_len:
+        raise FormatError(f"{path}: payload holds {len(raw) - header_len} bytes, "
                           f"dimensions {dims} require {expected_len}")
-    return dims, np.frombuffer(payload, dtype=np.uint8)
+    # a view of the file's bytes past the header: no copy of the payload
+    return dims, np.frombuffer(raw, dtype=np.uint8, offset=header_len)
 
 
 def _partition(path, labels: np.ndarray, C: int, noun: str) -> tuple[np.ndarray, ...]:

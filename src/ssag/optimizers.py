@@ -2,7 +2,7 @@
 one registry of per-kind specs (`SPECS`) over four step kernels and one
 `State`.  SSAG and SAG share the table-averaged step (SAG is SSAG over N
 singleton strata), SAGA steps on the same gradient table, FGD, SGD and
-mini-batch SGD share the uniform-batch step, and SVRG advances one inner step
+mini-batch SGD share the mini-batch step, and SVRG advances one inner step
 at a time.  A kind's spec decides how many table slots its state keeps; the
 running sum of the slots is recomputed exactly every `SUM_RECOMPUTE_EVERY`
 steps to cap floating drift.
@@ -34,6 +34,8 @@ from .sampling import RngStream
 DIVERGENCE_LOSS_LIMIT = 1e12
 #: The running sum of the gradient table is recomputed exactly every this many steps.
 SUM_RECOMPUTE_EVERY = 10_000
+#: A run takes its draws from the stream in blocks of at most this many indices.
+_BLOCK_INDICES = 1 << 14
 
 
 @dataclass
@@ -106,24 +108,22 @@ def _table_average_step(state: State, j: int, phi: np.ndarray) -> State:
     return _commit(state, np.subtract(state.W, W, out=W))
 
 
-def ssag_step(state: State, obj: Objective, rng: RngStream) -> State:
+def ssag_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
     """One SSAG update: refresh one class slot, move along the slot mean.
 
-    Draws class j uniformly, draws n within-class samples without
+    Takes the step's draw, class j and n of its samples drawn without
     replacement, writes their mean gradient into slot j, and steps
     W <- W - (h/C) * sum of all slots.
     """
-    j, idx = rng.draw(obj.dataset, state.n)
     return _table_average_step(state, j, obj.grad_class_batch(state.W, j, idx))
 
 
-def sag_step(state: State, obj: Objective, rng: RngStream) -> State:
+def sag_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
     """One SAG update: SSAG over the N singleton strata {i}.
 
-    The stratum draw picks sample i.  The draw inside a one-element cell
-    consumes no generator state, so a step draws one sample uniformly.
+    The draw of one sample i from the population is the stratum draw, since
+    the draw inside a one-element cell consumes no generator state.
     """
-    idx = rng.draw(obj.dataset.n_samples, 1)[1]
     return _table_average_step(state, idx[0], obj.grad_batch(state.W, idx))
 
 
@@ -132,71 +132,58 @@ def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
-def saga_step(state: State, obj: Objective, rng: RngStream) -> State:
-    """One SAGA update with optional L1 prox.
+def saga_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
+    """One SAGA update with optional L1 prox, on the drawn sample i.
 
     The candidate uses the pre-update slot value and table mean:
     W - h * (G_i(W) - phi_i + sum/N); the slot is refreshed afterwards.
     """
-    N = obj.dataset.n_samples
-    idx = rng.draw(N, 1)[1]
     i = idx[0]
     g = obj.grad_batch(state.W, idx)
-    W = state.W - state.h * (g - state.table[i] + state.table_sum / N)
+    W = state.W - state.h * (g - state.table[i] + state.table_sum / obj.dataset.n_samples)
     _refresh_slot(state, i, g)
     if state.prox_l1 is not None:
         W = soft_threshold(W, state.h * state.prox_l1)
     return _commit(state, W)
 
 
-def svrg_outer(state: State, obj: Objective, rng: RngStream) -> State:
-    """One SVRG inner step W <- W - h * (G_i(W) - G_i(snapshot) + snapshot_grad).
+def svrg_outer(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
+    """One SVRG inner step W <- W - h * (G_i(W) - G_i(snapshot) + snapshot_grad)
+    on the drawn sample i.
 
     At every multiple of m steps, starting at step 0, the snapshot first
     moves to the current iterate and its full gradient is recomputed.
     """
-    N = obj.dataset.n_samples
     if state.steps % state.m == 0:
         state.snapshot = state.W.copy()
         state.snapshot_grad = obj.grad_full(state.snapshot)
-    idx = rng.draw(N, 1)[1]
     direction = (obj.grad_batch(state.W, idx) - obj.grad_batch(state.snapshot, idx)
                  + state.snapshot_grad)
     return _commit(state, state.W - state.h * direction)
 
 
-def _uniform_batch_step(state: State, obj: Objective, rng: RngStream,
-                        n: int) -> State:
-    """W <- W - h * mean gradient of n samples drawn uniformly without replacement.
+def fgd_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
+    """One full-gradient step W <- W - h * grad_full(W).
 
-    n = N takes ``dataset.rows`` without a draw, as `sample_uniform` would,
-    so the kernel reads the rows in place.
+    This is the mini-batch step on ``idx = dataset.rows``, which the kernel
+    reads in place; a full batch takes no draw.
     """
-    ds = obj.dataset
-    idx = ds.rows if n == ds.n_samples else rng.draw(ds.n_samples, n)[1]
     return _commit(state, state.W - state.h * obj.grad_batch(state.W, idx))
 
 
-def fgd_step(state: State, obj: Objective, rng: RngStream) -> State:
-    """One full-gradient step W <- W - h * grad_full(W).
-
-    This is the uniform-batch step with n = N; the exhaustive draw consumes
-    no generator state.
-    """
-    return _uniform_batch_step(state, obj, rng, obj.dataset.n_samples)
+def sgd_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
+    """One SGD update along a single uniformly drawn sample gradient: the
+    mini-batch step at n = 1."""
+    return _commit(state, state.W - state.h * obj.grad_batch(state.W, idx))
 
 
-def sgd_step(state: State, obj: Objective, rng: RngStream) -> State:
-    """One SGD update along a single uniformly drawn sample gradient."""
-    return _uniform_batch_step(state, obj, rng, 1)
-
-
-def minibatch_step(state: State, obj: Objective, rng: RngStream) -> State:
-    """One mini-batch update along the mean gradient of n uniform samples.
+def minibatch_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
+    """One mini-batch update W <- W - h * mean gradient of the samples ``idx``,
+    n drawn uniformly without replacement.
 
     n = N reduces to fgd_step and n = 1 to sgd_step, step for step.
     """
-    return _uniform_batch_step(state, obj, rng, state.n)
+    return _commit(state, state.W - state.h * obj.grad_batch(state.W, idx))
 
 
 def _inner_length(m: int | None, n_samples: int) -> int:
@@ -215,18 +202,21 @@ class OptimizerSpec:
 
     ``step`` names the kind's step function in this module; `run` looks the
     name up when it starts, so replacing the module attribute replaces the
-    step.  ``default_h(L, dataset)`` is the theoretical step size,
-    ``evals(N, n, m, k)`` the exact gradient evaluations of the first k steps,
-    ``slots(dataset)`` the row count of the state's gradient table, and
-    ``settings`` the `RunConfig` settings the step reads besides ``h``.
-    ``batch_limit(dataset)`` gives the largest batch ``n`` the kind can draw
-    and the name of what bounds it, or is None if the kind ignores ``n``.
-    ``envelope`` is the theorem whose envelope `ssag verify-bound` checks
-    for this kind (2 for the stratified method, 1 for the uniform-batch
-    kinds), or None.
+    step.  ``source(dataset, n)`` gives the ``(source, n)`` of the step's
+    `RngStream.take` draws, or None for a full batch, which steps on
+    ``dataset.rows`` without a draw.  ``default_h(L, dataset)`` is the
+    theoretical step size, ``evals(N, n, m, k)`` the exact gradient
+    evaluations of the first k steps, ``slots(dataset)`` the row count of
+    the state's gradient table, and ``settings`` the `RunConfig` settings
+    the step reads besides ``h``.  ``batch_limit(dataset)`` gives the largest
+    batch ``n`` the kind can draw and the name of what bounds it, or is None
+    if the kind ignores ``n``.  ``envelope`` is the theorem whose envelope
+    `ssag verify-bound` checks for this kind (2 for the stratified method, 1
+    for the uniform-batch kinds), or None.
     """
 
     step: str
+    source: Callable[[Dataset, int], tuple[Dataset | int, int] | None]
     default_h: Callable[[float, Dataset], float]
     evals: Callable[[int, int, int | None, int], int]
     slots: Callable[[Dataset], int]
@@ -235,21 +225,28 @@ class OptimizerSpec:
     envelope: int | None = None
 
 
+def _one_sample(ds: Dataset, n: int) -> tuple[int, int]:
+    return ds.n_samples, 1
+
+
 SPECS = {
-    "fgd": OptimizerSpec("fgd_step", lambda L, ds: 1.0 / L, lambda N, n, m, k: k * N,
-                         lambda ds: 0, (), envelope=1),
-    "sgd": OptimizerSpec("sgd_step", lambda L, ds: 1.0 / L, lambda N, n, m, k: k,
-                         lambda ds: 0, (), envelope=1),
-    "minibatch": OptimizerSpec("minibatch_step", lambda L, ds: 1.0 / L,
-                               lambda N, n, m, k: k * n, lambda ds: 0, ("n",),
+    "fgd": OptimizerSpec("fgd_step", lambda ds, n: None, lambda L, ds: 1.0 / L,
+                         lambda N, n, m, k: k * N, lambda ds: 0, (), envelope=1),
+    "sgd": OptimizerSpec("sgd_step", _one_sample, lambda L, ds: 1.0 / L,
+                         lambda N, n, m, k: k, lambda ds: 0, (), envelope=1),
+    "minibatch": OptimizerSpec("minibatch_step",
+                               lambda ds, n: (ds.n_samples, n) if n < ds.n_samples else None,
+                               lambda L, ds: 1.0 / L, lambda N, n, m, k: k * n,
+                               lambda ds: 0, ("n",),
                                lambda ds: (ds.n_samples, "the sample count"), 1),
-    "sag": OptimizerSpec("sag_step", lambda L, ds: 1.0 / (16.0 * L), lambda N, n, m, k: k,
-                         lambda ds: ds.n_samples, ()),
-    "svrg": OptimizerSpec("svrg_outer", lambda L, ds: 1.0 / (3.0 * L), _svrg_evals,
-                          lambda ds: 0, ("m",)),
-    "saga": OptimizerSpec("saga_step", lambda L, ds: 1.0 / (3.0 * L), lambda N, n, m, k: k,
-                          lambda ds: ds.n_samples, ("prox_l1",)),
-    "ssag": OptimizerSpec("ssag_step", lambda L, ds: 1.0 / (2.0 * ds.n_classes * L),
+    "sag": OptimizerSpec("sag_step", _one_sample, lambda L, ds: 1.0 / (16.0 * L),
+                         lambda N, n, m, k: k, lambda ds: ds.n_samples, ()),
+    "svrg": OptimizerSpec("svrg_outer", _one_sample, lambda L, ds: 1.0 / (3.0 * L),
+                          _svrg_evals, lambda ds: 0, ("m",)),
+    "saga": OptimizerSpec("saga_step", _one_sample, lambda L, ds: 1.0 / (3.0 * L),
+                          lambda N, n, m, k: k, lambda ds: ds.n_samples, ("prox_l1",)),
+    "ssag": OptimizerSpec("ssag_step", lambda ds, n: (ds, n),
+                          lambda L, ds: 1.0 / (2.0 * ds.n_classes * L),
                           lambda N, n, m, k: k * n, lambda ds: ds.n_classes, ("n",),
                           lambda ds: (int(ds.class_counts.min()), "the smallest class"), 2),
 }
@@ -380,7 +377,8 @@ def run(config: RunConfig, obj: Objective, *, constants=None,
     is the kind's `OptimizerSpec.evals` at its step.
     """
     rng = RngStream(config.seed)
-    spec, N = SPECS[config.kind], obj.dataset.n_samples
+    spec, ds = SPECS[config.kind], obj.dataset
+    N, source = ds.n_samples, spec.source(ds, config.n)
     step = globals()[spec.step]
     state = make_state(config, obj, constants)
     rows = []
@@ -403,13 +401,21 @@ def run(config: RunConfig, obj: Objective, *, constants=None,
     alive = snapshot()
     next_record = config.cadence
     every = SUM_RECOMPUTE_EVERY
+    start = end = 0  # the steps whose draws the block holds
     while alive and state.steps < config.steps:
+        if state.steps == end:
+            start, end = end, min(end + max(1, _BLOCK_INDICES // config.n), config.steps)
+            if source is None:
+                strata, indices = [0] * (end - start), [ds.rows] * (end - start)
+            else:
+                strata, indices = rng.take(*source, end - start)
+                strata = strata.tolist()
         # step without a check up to the next boundary: a record, the end of
-        # the budget or a running-sum recompute; each step counts one
-        stop = min(next_record, config.steps, (state.steps // every + 1) * every)
+        # the block of draws (the budget's end among them) or a recompute
+        stop = min(next_record, end, (state.steps // every + 1) * every)
         try:
-            for _ in range(stop - state.steps):
-                step(state, obj, rng)
+            for s in range(state.steps - start, stop - start):
+                step(state, obj, strata[s], indices[s])
         except DivergenceError:
             alive = False
             break

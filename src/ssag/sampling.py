@@ -1,7 +1,7 @@
 """Seeded index generation: two-stage stratified draws, and uniform draws as
 their one-stratum case.
 
-Every stream is a cursor over the 32-bit words of one PCG64 generator: the
+Every stream reads the 32-bit words of one PCG64 generator in order: the
 low, then the high half of each raw 64-bit output, the order in which numpy
 draws bounded integers.  Identical seeds give bit-identical draws on every
 platform.  A draw is numpy's: a class in [0, C) is Lemire's multiply-shift
@@ -9,8 +9,8 @@ of one word with rejection, and n indices without replacement are Floyd's
 algorithm followed by a Fisher-Yates shuffle, exactly what
 `Generator.integers` and `Generator.choice(..., replace=False)` return.  One
 index is Floyd's first round, which maps the word `integers` would map.
-`RngStream.draw` serves each step's draw, a stratum and a batch inside it,
-from the arrays that `draw_schedule` computes for many steps at once; the
+`RngStream.take` returns many steps' draws, a stratum and a batch inside it
+per step, from the arrays that `draw_schedule` computes for them at once; the
 `sample_*` functions draw one step through the generator.
 
 Exhaustive draws (requesting a whole class or the whole population) return
@@ -32,11 +32,6 @@ _LOW = np.uint64(_WORD - 1)
 #: batch numpy draws by shuffling the tail of arange(pop) instead of running
 #: Floyd's algorithm: it does so only when pop > 10 000 and n > pop // 50.
 _MAX_VECTOR_BATCH = 64
-#: Steps in a stream's first chunk; each later chunk is at most twice as
-#: long as the steps its predecessor served.
-_FIRST_CHUNK = 16
-#: Indices a chunk holds at most.
-_CHUNK_INDICES = 1 << 16
 
 
 def _lemire(words: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
@@ -132,116 +127,80 @@ def draw_schedule(words: np.ndarray, sizes, n: int,
 
 
 class RngStream:
-    """Single-owner random stream: a cursor over one PCG64 generator's words.
+    """Single-owner random stream over one PCG64 generator's words.
 
-    A run's steps take their draws from `draw` (a stratum, then a batch
-    inside it; a population is a single stratum, so a uniform draw is the
-    one-stratum draw).  It serves each step from a chunk of steps that
-    `draw_schedule` built ahead from the generator's raw output.  Chunks
-    grow geometrically from 16 steps, so a short run draws few words, and
-    hold at most 2^16 indices, so a large batch costs little memory.  A step
-    the schedule leaves out (a rejected word or a batch above 64) is drawn
-    through the generator by the `sample_*` functions.  A chunk reads the
-    stratum layout (`class_counts`, `order`, `starts`) from the `Dataset`.
-
-    Every other access (`generator`, or a draw of another shape) first moves
-    the generator back to the first step not yet served: `PCG64.advance` and
-    the pending half-word restore the exact state that one generator call per
-    draw would have left.  So `sample_*`, `Generator.choice` and any other use
-    of the generator continue the same stream, and chunks change no draw.
+    A run takes its steps' draws in blocks from `take` (a stratum, then a
+    batch inside it; a population is a single stratum, so a uniform draw is
+    the one-stratum draw).  `take` schedules the block with `draw_schedule`
+    from the generator's raw output and moves the generator to the first word
+    it did not use; a step the schedule leaves out (a rejected word, a batch
+    above 64) is drawn through the generator by the `sample_*` functions.  So
+    after every call `generator` is exactly where one generator call per draw
+    would have left it, and `sample_*`, `Generator.choice` and any other use
+    of the generator continue the same stream.  `take` reads the stratum
+    layout (`class_counts`, `order`, `starts`) from the `Dataset`.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._bitgen = np.random.PCG64(self.seed)
-        self._generator = np.random.Generator(self._bitgen)
-        # the live chunk: the shape it serves, its draws, the next step to
-        # serve, and the raw outputs it was built from (None once synced)
-        self._source = self._n = None
-        self._strata = self._indices = None
-        self._next = self._size = self._width = 0
-        self._raws = None
-        self._start = (0, 0)  # has_uint32 and uinteger when the chunk began
-        # the last shape asked for and whether `draw_schedule` covers any step
-        self._schedules = (None, False)
+        self.generator = np.random.Generator(np.random.PCG64(self.seed))
 
-    @property
-    def generator(self) -> np.random.Generator:
-        """The underlying generator, at the first draw not yet served."""
-        self._sync()
-        return self._generator
-
-    def draw(self, source, n: int) -> tuple[int, np.ndarray]:
-        """One step's draw: a stratum, then n indices inside it.  A `Dataset`
-        source takes `sample_class`, then `sample_within_class`; a population
-        size is one stratum, so its draw is stratum 0 and `sample_uniform`."""
-        s = self._next
-        if s == self._size or self._n != n or self._source is not source and self._source != source:
-            return self._restart(source, n)
-        self._next = s + 1
-        return self._strata[s], self._indices[s]
-
-    def _restart(self, source, n):
-        """Serve the first step of a new chunk for ``source`` and n, or draw
-        the step through the generator where the schedule leaves it out.
-        ``source`` is a `Dataset` or a population size; a population is one
-        stratum whose positions are the indices, so it needs no gather."""
-        steps = min(max(_FIRST_CHUNK, 2 * self._next), max(1, _CHUNK_INDICES // max(n, 1)))
-        self._sync()
+    def take(self, source, n: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next ``steps`` draws of one shape: strata (steps,) and indices
+        (steps, n).  A `Dataset` source draws a stratum by `sample_class`, then
+        n indices inside it by `sample_within_class`; a population size is one
+        stratum, so its strata are 0 and its indices are `sample_uniform`'s."""
         cells = isinstance(source, Dataset)
-        sizes = source.class_counts if cells else (source,)
-        if self._schedules[0] != (source, n):
-            self._schedules = ((source, n), (_within_words(np.asarray(sizes), n) >= 0).any())
-        strata = ()
-        if self._schedules[1]:
-            strata, positions = self._build(sizes, n, steps)
-        if not len(strata):
-            if not cells:
-                return 0, sample_uniform(self, source, n)
-            j = sample_class(self, len(sizes))
-            return j, sample_within_class(self, source, j, n)
-        self._source, self._n, self._next = source, n, 1
-        if cells:
-            positions = source.order[source.starts[strata][:, None] + positions]
-        positions.setflags(write=False)
-        self._strata, self._indices = strata.tolist(), positions
-        return self._strata[0], positions[0]
+        sizes = source.class_counts if cells else np.array([source])
+        strata = np.zeros(steps, dtype=np.int64)
+        indices = np.empty((steps, max(n, 0)), dtype=np.int64)
+        scheduled = (_within_words(sizes, n) >= 0).any()
+        done, ask = 0, steps
+        while done < steps:
+            if scheduled:
+                s, positions = self._schedule(sizes, n, min(ask, steps - done))
+                end = done + s.size
+                strata[done:end] = s
+                indices[done:end] = (source.order[source.starts[s][:, None] + positions]
+                                     if cells else positions)
+                # a short run ends before a step left out; schedule at most
+                # twice as many steps next, so short runs draw few words
+                done, ask = end, max(16, 2 * s.size)
+                if done == steps:
+                    break
+            if cells:
+                strata[done] = j = sample_class(self, sizes.size)
+                indices[done] = sample_within_class(self, source, j, n)
+            else:
+                indices[done] = sample_uniform(self, source, n)
+            done += 1
+        return strata, indices
 
-    def _build(self, sizes, n, steps):
-        """Draw words for up to ``steps`` steps and schedule them as a chunk."""
-        state = self._bitgen.state
-        pending = state["has_uint32"]
-        per_step = int(len(sizes) > 1) + 2 * n - 1
-        raws = self._bitgen.random_raw((steps * per_step - pending + 1) // 2)
+    def _schedule(self, sizes, n, steps):
+        """Schedule up to ``steps`` steps from the generator's next words and
+        move the generator to the first word they did not take: back by
+        `PCG64.advance`, and the pending half-word restored."""
+        bitgen = self.generator.bit_generator
+        state = bitgen.state
+        pending, start_u = state["has_uint32"], state["uinteger"]
+        per_step = int(sizes.size > 1) + 2 * n - 1
+        raws = bitgen.random_raw((steps * per_step - pending + 1) // 2)
         words = np.empty(pending + 2 * raws.size, dtype=np.uint64)
         words[pending::2] = raws & _LOW
         words[pending + 1::2] = raws >> np.uint64(32)
         if pending:
-            words[0] = state["uinteger"]
-        strata, positions, self._width = draw_schedule(words, sizes, n, steps)
-        self._raws, self._start = raws, (pending, state["uinteger"])
-        self._next, self._size = 0, strata.size
-        if not strata.size:
-            self._sync()
-        return strata, positions
-
-    def _sync(self) -> None:
-        """Move the generator to the first word of the first unserved step."""
-        raws = self._raws
-        if raws is None:
-            return
-        pending, start_u = self._start
-        used = self._next * self._width - pending  # raw half-words served
-        self._bitgen.advance((used + 1) // 2 - raws.size)
-        state = self._bitgen.state
+            words[0] = start_u
+        strata, positions, width = draw_schedule(words, sizes, n, steps)
+        used = strata.size * width - pending  # raw half-words taken
+        bitgen.advance((used + 1) // 2 - raws.size)
+        state = bitgen.state
         if used > 0:
             state["has_uint32"] = used & 1
             state["uinteger"] = int(raws[(used - 1) // 2] >> np.uint64(32))
         else:
             state["has_uint32"], state["uinteger"] = -used, start_u
-        self._bitgen.state = state
-        self._raws = None
-        self._next = self._size = 0
+        bitgen.state = state
+        return strata, positions
 
     def __repr__(self):
         return f"RngStream(seed={self.seed})"

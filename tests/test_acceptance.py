@@ -171,10 +171,10 @@ def test_criterion_5_ssag_sag_paired_oracle():
     obj = ssag.MeanQuadratic(ds)
     h = 0.5
     state = make_state(RunConfig(kind="ssag", steps=0, h=h, n=1), obj)
-    rng = RngStream(123)
+    strata, indices = RngStream(123).take(ds, 1, 10_000)
     worst = 0.0
-    for _, W_sag in zip(range(10_000), reference_sag(obj, h, seed=123)):
-        ssag_step(state, obj, rng)
+    for j, idx, W_sag in zip(strata.tolist(), indices, reference_sag(obj, h, seed=123)):
+        ssag_step(state, obj, j, idx)
         worst = max(worst, float(np.max(np.abs(state.W - W_sag))))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 10.0

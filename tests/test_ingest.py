@@ -117,6 +117,16 @@ class TestIdx:
         assert limited.features.tobytes() == whole.features[:100].tobytes()
         assert np.array_equal(limited.labels, whole.labels[:100])
 
+    def test_limited_read_holds_one_copy_of_the_file(self, tmp_path):
+        # the pixels are a view of the bytes read: a 2000-image 28 x 28 file
+        # read with limit=10 peaked at 2.00x the file's bytes when the payload
+        # was copied out of them, and peaks at 1.09x as a view
+        img, lab, images, _ = _idx_fixture(tmp_path, n=2000, rows=28, cols=28)
+        assert peak_alloc_bytes(read_idx, img, lab, limit=10) < 1.5 * img.stat().st_size
+        limited = read_idx(img, lab, limit=10)
+        expected = images.reshape(2000, -1)[:10].astype(np.float64) / 255.0
+        assert limited.features.tobytes() == expected.tobytes()
+
     def test_partition_disjoint_exhaustive(self, tmp_path):
         img, lab, _, _ = _idx_fixture(tmp_path, n=40)
         ds = read_idx(img, lab)

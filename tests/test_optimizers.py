@@ -44,13 +44,22 @@ def _constant_gradient_problem(value=2.0, n_classes=2):
     return ssag.MeanQuadratic(ds)
 
 
+def _draws(kind, obj, steps, rng, n=1):
+    """A kind's draws for ``steps`` steps, as (stratum, indices) pairs, from
+    one `take` on its spec's source; a full batch takes ``dataset.rows``."""
+    source = SPECS[kind].source(obj.dataset, n)
+    if source is None:
+        return [(0, obj.dataset.rows)] * steps
+    strata, indices = rng.take(*source, steps)
+    return list(zip(strata.tolist(), indices))
+
+
 def _run_steps(kind, obj, steps, seed, **kwargs):
     cfg = RunConfig(kind=kind, steps=steps, seed=seed, cadence=max(steps, 1), **kwargs)
     state = make_state(cfg, obj)
-    rng = RngStream(seed)
     step = getattr(ssag.optimizers, SPECS[kind].step)
-    while state.steps < steps:
-        step(state, obj, rng)
+    for j, idx in _draws(kind, obj, steps, RngStream(seed), cfg.n):
+        step(state, obj, j, idx)
     return state
 
 
@@ -62,7 +71,7 @@ class TestSsagStep:
         state = State(W=np.zeros(1), table=np.zeros((2, 1)),
                       table_sum=np.zeros(1), h=0.5, n=1)
         counter = EvaluationCounter(obj)
-        ssag_step(state, obj, RngStream(0))
+        ssag_step(state, obj, *_draws("ssag", obj, 1, RngStream(0))[0])
         assert state.W == pytest.approx([-0.5])
         assert state.table_sum == pytest.approx([2.0])
         assert counter.total == 1
@@ -72,7 +81,7 @@ class TestSsagStep:
         obj = _constant_gradient_problem(2.0, n_classes=1)
         state = State(W=np.zeros(1), table=np.array([[2.0]]),
                       table_sum=np.array([2.0]), h=0.25, n=1)
-        ssag_step(state, obj, RngStream(0))
+        ssag_step(state, obj, *_draws("ssag", obj, 1, RngStream(0))[0])
         assert state.table.tolist() == [[2.0]]
         assert state.table_sum == pytest.approx([2.0])
         assert state.W == pytest.approx([-0.5])  # moved by -(h/C) * sum
@@ -83,10 +92,9 @@ class TestSsagStep:
             np.array([0, 1, 2] * 4)))
         cfg = RunConfig(kind="ssag", steps=0, h=0.1, n=2)
         state = make_state(cfg, obj)
-        rng = RngStream(3)
-        for _ in range(60):
+        for j, idx in _draws("ssag", obj, 60, RngStream(3), n=2):
             before = state.table.copy()
-            ssag_step(state, obj, rng)
+            ssag_step(state, obj, j, idx)
             changed = np.flatnonzero(np.any(state.table != before, axis=1))
             assert changed.size <= 1
 
@@ -111,9 +119,9 @@ class TestSsagStep:
         obj = ssag.MeanQuadratic(ssag.Dataset.from_class_labels(
             np.zeros((8, 1)), np.array([0] * 4 + [1] * 4)))
         state = make_state(RunConfig(kind="ssag", steps=0, h=0.1, n=3), obj)
-        rng, counter = RngStream(1), EvaluationCounter(obj)
-        for _ in range(5):
-            ssag_step(state, obj, rng)
+        draws, counter = _draws("ssag", obj, 5, RngStream(1), n=3), EvaluationCounter(obj)
+        for j, idx in draws:
+            ssag_step(state, obj, j, idx)
         assert counter.total == 15
 
 
@@ -127,9 +135,10 @@ class TestSsagSagEquivalence:
         s1 = make_state(RunConfig(kind="ssag", steps=0, h=h, n=1), obj)
         s2 = make_state(RunConfig(kind="sag", steps=0, h=h), obj)
         r1, r2 = RngStream(123), RngStream(123)
-        for _, W_ref in zip(range(500), reference_sag(obj, h, seed=123)):
-            ssag_step(s1, obj, r1)
-            sag_step(s2, obj, r2)
+        draws = zip(_draws("ssag", obj, 500, r1), _draws("sag", obj, 500, r2))
+        for (d1, d2), W_ref in zip(draws, reference_sag(obj, h, seed=123)):
+            ssag_step(s1, obj, *d1)
+            sag_step(s2, obj, *d2)
             assert np.max(np.abs(s1.W - W_ref)) <= 1e-12
             assert np.max(np.abs(s2.W - W_ref)) <= 1e-12
         # both streams made the 500 class draws of the reference, no more
@@ -154,9 +163,10 @@ class TestSsagSagEquivalence:
         s1 = State(W=W0, h=0.05, table=np.zeros((N, W0.size)))
         s2 = State(W=W0, h=0.05, table=np.zeros((N, W0.size)))
         r1, r2 = RngStream(seed), RngStream(seed)
-        for _, W_ref in zip(range(steps), reference_sag(obj, 0.05, seed=seed, W0=W0)):
-            ssag_step(s1, obj, r1)
-            sag_step(s2, obj, r2)
+        draws = zip(_draws("ssag", obj, steps, r1), _draws("sag", obj, steps, r2))
+        for (d1, d2), W_ref in zip(draws, reference_sag(obj, 0.05, seed=seed, W0=W0)):
+            ssag_step(s1, obj, *d1)
+            sag_step(s2, obj, *d2)
             assert np.array_equal(s1.W, s2.W)
             assert np.max(np.abs(s1.W - W_ref)) <= 1e-12 * max(1.0, np.max(np.abs(W_ref)))
         # both streams end in one state; a one-sample dataset has a single
@@ -216,7 +226,7 @@ class TestFgd:
     def test_stationary_at_optimum(self, line_ridge):
         w_star = ssag.reference_optimum(line_ridge)
         state = State(W=w_star.copy(), h=0.3)
-        fgd_step(state, line_ridge, RngStream(0))
+        fgd_step(state, line_ridge, 0, line_ridge.dataset.rows)
         assert np.linalg.norm(state.W - w_star) <= 1e-10
 
     def test_one_step_quadratic(self):
@@ -225,20 +235,22 @@ class TestFgd:
         obj = ssag.MeanQuadratic(ds)
         state = State(W=np.array([1.0]), h=1.0)
         counter = EvaluationCounter(obj)
-        fgd_step(state, obj, RngStream(0))
+        fgd_step(state, obj, 0, ds.rows)
         assert state.W == pytest.approx([0.0])
         assert counter.total == 1
 
-    def test_reads_rows_in_place(self, random_problem):
-        # n = N hands the kernel dataset.rows itself, so it gathers no copy
+    @pytest.mark.parametrize("kind", ["fgd", "minibatch"])
+    def test_reads_rows_in_place(self, random_problem, kind):
+        # a full batch takes no draw: run() hands the kernel dataset.rows
+        # itself, so it gathers no copy
         obj = random_problem(kind="logistic", N=10, p=3, seed=6)
+        n = obj.dataset.n_samples if kind == "minibatch" else 1
+        assert SPECS[kind].source(obj.dataset, n) is None
         seen = []
         grad_batch = obj.grad_batch
         obj.grad_batch = lambda W, indices: seen.append(indices) or grad_batch(W, indices)
-        rng = RngStream(0)
-        fgd_step(State(W=np.zeros(obj.dim), h=0.1), obj, rng)
-        assert len(seen) == 1 and seen[0] is obj.dataset.rows
-        assert rng.generator.bit_generator.state == np.random.PCG64(0).state
+        ssag.run(RunConfig(kind=kind, steps=3, h=0.1, n=n), obj)
+        assert len(seen) == 3 and all(indices is obj.dataset.rows for indices in seen)
 
     def test_descent_every_step(self, random_problem):
         obj = random_problem(kind="ridge", N=9, p=3, lam=0.3, seed=4)
@@ -246,7 +258,7 @@ class TestFgd:
         state = State(W=np.ones(obj.dim), h=1.5 / const.L)
         prev = obj.loss_full(state.W)
         for _ in range(30):
-            fgd_step(state, obj, RngStream(0))
+            fgd_step(state, obj, 0, obj.dataset.rows)
             cur = obj.loss_full(state.W)
             if np.linalg.norm(obj.grad_full(state.W)) <= 1e-12:
                 break
@@ -312,7 +324,7 @@ class TestSag:
     def test_first_step_hand_trace(self):
         obj = _constant_gradient_problem(2.0, n_classes=2)  # N = 2 samples
         state = make_state(RunConfig(kind="sag", steps=0, h=0.5), obj)
-        sag_step(state, obj, RngStream(0))
+        sag_step(state, obj, *_draws("sag", obj, 1, RngStream(0))[0])
         # W1 = -(h/N) * G_i(W0) = -(0.5/2) * 2
         assert state.W == pytest.approx([-0.5])
 
@@ -322,10 +334,9 @@ class TestSag:
         obj = two_class_logistic
         N = obj.dataset.n_samples
         state = make_state(RunConfig(kind="sag", steps=0, h=0.0), obj)
-        rng = RngStream(8)
         visited = set()
-        for _ in range(500):
-            sag_step(state, obj, rng)
+        for j, idx in _draws("sag", obj, 500, RngStream(8)):
+            sag_step(state, obj, j, idx)
             visited = {i for i in range(N)
                        if np.any(state.table[i] != 0.0)}
             if len(visited) == N:
@@ -351,7 +362,7 @@ class TestSvrg:
         # gradient, so one inner step with m=1 equals an fgd step
         obj = two_class_logistic
         state = make_state(RunConfig(kind="svrg", steps=0, h=0.2, m=1), obj)
-        svrg_outer(state, obj, RngStream(9))
+        svrg_outer(state, obj, *_draws("svrg", obj, 1, RngStream(9))[0])
         expected = -0.2 * obj.grad_full(np.zeros(obj.dim))
         assert state.W == pytest.approx(expected, rel=1e-12)
 
@@ -372,13 +383,13 @@ class TestSvrg:
         obj = two_class_logistic
         N = obj.dataset.n_samples
         state = make_state(RunConfig(kind="svrg", steps=0, h=0.1, m=3), obj)
-        rng, counter = RngStream(0), EvaluationCounter(obj)
-        svrg_outer(state, obj, rng)
+        draws, counter = iter(_draws("svrg", obj, 4, RngStream(0))), EvaluationCounter(obj)
+        svrg_outer(state, obj, *next(draws))
         assert (state.steps, counter.total) == (1, N + 2)
-        svrg_outer(state, obj, rng)
-        svrg_outer(state, obj, rng)
+        svrg_outer(state, obj, *next(draws))
+        svrg_outer(state, obj, *next(draws))
         assert (state.steps, counter.total) == (3, N + 2 * 3)
-        svrg_outer(state, obj, rng)
+        svrg_outer(state, obj, *next(draws))
         assert (state.steps, counter.total) == (4, 2 * N + 2 * 4)
 
     def test_golden_trajectory(self):
@@ -394,7 +405,7 @@ class TestSaga:
     def test_first_step_zero_table(self):
         obj = _constant_gradient_problem(2.0, n_classes=2)
         state = make_state(RunConfig(kind="saga", steps=0, h=0.25), obj)
-        saga_step(state, obj, RngStream(0))
+        saga_step(state, obj, *_draws("saga", obj, 1, RngStream(0))[0])
         # sum term is zero, so W1 = W0 - h * G_i(W0)
         assert state.W == pytest.approx([-0.5])
 
@@ -405,7 +416,7 @@ class TestSaga:
     def test_prox_applied_after_candidate(self):
         obj = _constant_gradient_problem(2.0, n_classes=2)
         state = make_state(RunConfig(kind="saga", steps=0, h=0.25, prox_l1=0.8), obj)
-        saga_step(state, obj, RngStream(0))
+        saga_step(state, obj, *_draws("saga", obj, 1, RngStream(0))[0])
         # candidate -0.5, threshold h*lam1 = 0.2 -> -0.3
         assert state.W == pytest.approx([-0.3])
 
@@ -440,7 +451,7 @@ class TestDivergenceDetection:
         obj = ssag.RidgeRegression(ds)
         state = State(W=np.array([1e200]), h=1e10)
         with pytest.raises(DivergenceError) as info:
-            fgd_step(state, obj, RngStream(0))
+            fgd_step(state, obj, 0, ds.rows)
         assert np.all(np.isfinite(info.value.last_finite))
 
 
@@ -537,9 +548,8 @@ class TestRunLoop:
         obj = two_class_logistic
         cfg = RunConfig(kind="ssag", steps=2000, h=0.05, cadence=2000)
         state = make_state(cfg, obj)
-        rng = RngStream(10)
-        for _ in range(2000):
-            ssag_step(state, obj, rng)
+        for j, idx in _draws("ssag", obj, 2000, RngStream(10)):
+            ssag_step(state, obj, j, idx)
         exact = state.table.sum(axis=0)
         rel = np.linalg.norm(state.table_sum - exact) / max(1.0, np.linalg.norm(exact))
         assert rel <= 1e-9
@@ -576,13 +586,13 @@ class TestRunLoop:
                     else contextlib.nullcontext())
         with overflow:
             rec = ssag.run(config, obj)
-            state, rng = make_state(config, obj), RngStream(config.seed)
+            state = make_state(config, obj)
             counter = EvaluationCounter(obj)
             k, loss, evals = [0], [obj.loss_full(state.W)], [0]
             diverged, next_record = False, config.cadence
             while state.steps < config.steps:
                 try:
-                    fgd_step(state, obj, rng)
+                    fgd_step(state, obj, 0, obj.dataset.rows)
                 except DivergenceError:
                     diverged = True
                     break

@@ -1,6 +1,5 @@
 """Seeded sampling: reproducibility, uniformity, stratum safety."""
 
-import copy
 from collections import Counter
 from itertools import combinations
 
@@ -181,20 +180,51 @@ def _labelled(counts):
     return ssag.Dataset.from_class_labels(np.zeros((labels.size, 1)), labels)
 
 
-def _step(rng, ref, kind, ds, n):
-    """One step's draw of an optimizer kind from the stream and from the oracle."""
-    if kind == "ssag":
-        (j, idx), (j_ref, idx_ref) = rng.draw(ds, n), reference_class_batch(ref, ds, n)
+def _take(rng, ref, source, n, steps):
+    """One `take` of ``steps`` draws from the stream against as many draws
+    from the oracle, one call per draw; ``source`` is a `Dataset` or a
+    population size."""
+    strata, indices = rng.take(source, n, steps)
+    assert strata.shape == (steps,) and indices.shape == (steps, n)
+    for j, idx in zip(strata.tolist(), indices):
+        if isinstance(source, ssag.Dataset):
+            j_ref, idx_ref = reference_class_batch(ref, source, n)
+            assert np.isin(idx, source.partition[j]).all()
+        else:
+            j_ref, idx_ref = 0, reference_uniform_batch(ref, source, n)
         assert j == j_ref
         assert np.array_equal(idx, idx_ref)
-        assert np.isin(idx, ds.partition[j]).all()
-    else:
-        N = ds.n_samples
-        assert np.array_equal(rng.draw(N, n)[1], reference_uniform_batch(ref, N, n))
+
+
+def _source(kind, ds):
+    """The source of an optimizer kind's draws: the dataset for SSAG's
+    class-then-batch draw, the population size for the uniform kinds."""
+    return ds if kind == "ssag" else ds.n_samples
+
+
+@st.composite
+def _step_plans(draw):
+    """Class counts, and one to three blocks (kind, n, steps, mixed call) of
+    draws on them."""
+    counts = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4))
+    big = draw(st.sampled_from((0, 10_000, 10_001, 12_000)))
+    counts += [big] * bool(big)
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        # fgd draws nothing: a full pass reads dataset.rows
+        kind = draw(st.sampled_from([kind for kind in SPECS if kind != "fgd"]))
+        limit = {"ssag": min(counts), "minibatch": sum(counts)}.get(kind, 1)
+        # edges: the whole class or population, numpy's tail-shuffle cutoff
+        # and the largest batch the schedule draws
+        edges = sorted({limit, min(limit, limit // 50 + 1), min(limit, 64), min(limit, 65)})
+        n = draw(st.integers(1, limit) | st.sampled_from(edges))
+        blocks.append((kind, n, draw(st.integers(1, 200)),
+                       draw(st.sampled_from(BOUNDS + ("choice",)))))
+    return counts, blocks
 
 
 class TestWordCursor:
-    """`RngStream` step draws and `generator` against one scalar
+    """`RngStream.take` blocks and `generator` against one scalar
     `np.random.Generator` call per draw."""
 
     _run = st.tuples(st.just("run"), st.lists(st.sampled_from(BOUNDS), min_size=1, max_size=3),
@@ -230,20 +260,20 @@ class TestWordCursor:
             elif op[0] == "steps":
                 _, kind, n, count = op
                 n = min(n, 3) if kind == "ssag" else 1 if kind == "sgd" else min(n, 22)
-                for _ in range(count):
-                    _step(rng, ref, kind, ds, n)
+                _take(rng, ref, _source(kind, ds), n, count)
             else:
                 assert int(rng.generator.integers(op[1])) == int(ref.integers(op[1]))
         assert rng.generator.bit_generator.state == ref.bit_generator.state
 
-    def test_large_bound_while_chunk_is_live(self):
+    def test_large_bounds_between_blocks(self):
+        # a generator call between two blocks, with a bound drawn from 64-bit
+        # words or one that rejects often, continues the stream
         ds = _labelled([5, 9])
         rng = RngStream(8)
         ref = np.random.Generator(np.random.PCG64(8))
-        for k in [None] * 700 + [2**33 + 1] + [None] * 700 + [3 * 10**9] * 300 + [None] * 5:
-            if k is None:
-                _step(rng, ref, "ssag", ds, 1)
-            else:
+        for steps, k in [(700, 2**33 + 1), (700, None)] + [(0, 3 * 10**9)] * 300 + [(5, None)]:
+            _take(rng, ref, ds, 1, steps)
+            if k is not None:
                 assert int(rng.generator.integers(k)) == int(ref.integers(k))
         assert rng.generator.bit_generator.state == ref.bit_generator.state
 
@@ -252,7 +282,8 @@ class TestWordCursor:
         ref = np.random.Generator(np.random.PCG64(6))
         for step in range(3000):
             if step % 2:
-                j, idx = rng.draw(dataset, 1)
+                strata, indices = rng.take(dataset, 1, 1)
+                j, idx = int(strata[0]), indices[0]
             else:
                 j = sample_class(rng, 3)
                 idx = sample_within_class(rng, dataset, j, 1)
@@ -262,29 +293,18 @@ class TestWordCursor:
         assert rng.generator.bit_generator.state == ref.bit_generator.state
 
     @settings(derandomize=True, deadline=None, max_examples=60)
-    @given(seed=st.integers(0, 2**64 - 1),
-           counts=st.lists(st.integers(1, 40), min_size=1, max_size=4),
-           big=st.sampled_from((0, 10_000, 10_001, 12_000)), data=st.data())
-    def test_step_draws_match_the_oracle(self, seed, counts, big, data):
+    @given(seed=st.integers(0, 2**64 - 1), plan=_step_plans())
+    def test_step_draws_match_the_oracle(self, seed, plan):
         # every kind's draw, n up to the class size or population, classes of
         # any balance (N_c = n and C = 1 included), populations on both sides
-        # of numpy's tail-shuffle cutoff; after each run of steps a mixed
-        # generator call must find the generator where the oracle's is
-        ds = _labelled(counts + [big] * bool(big))
+        # of numpy's tail-shuffle cutoff; after each block a mixed generator
+        # call must find the generator where the oracle's is
+        counts, blocks = plan
+        ds = _labelled(counts)
         rng = RngStream(seed)
         ref = np.random.Generator(np.random.PCG64(seed))
-        for _ in range(data.draw(st.integers(1, 3))):
-            kind = data.draw(st.sampled_from(list(SPECS)))
-            if kind == "fgd":  # draws nothing: a full pass reads dataset.rows
-                continue
-            limit = int({"ssag": min(ds.class_counts), "minibatch": ds.n_samples}.get(kind, 1))
-            # edges: the whole class or population, numpy's tail-shuffle
-            # cutoff and the largest batch the schedule draws
-            edges = sorted({limit, min(limit, limit // 50 + 1), min(limit, 64), min(limit, 65)})
-            n = data.draw(st.integers(1, limit) | st.sampled_from(edges))
-            for _ in range(data.draw(st.integers(1, 200))):
-                _step(rng, ref, kind, ds, n)
-            mixed = data.draw(st.sampled_from(BOUNDS + ("choice",)))
+        for kind, n, steps, mixed in blocks:
+            _take(rng, ref, _source(kind, ds), n, steps)
             if mixed == "choice":
                 assert np.array_equal(rng.generator.choice(9, size=4, replace=False),
                                       ref.choice(9, size=4, replace=False))
@@ -304,30 +324,28 @@ class TestWordCursor:
         rng = RngStream(21)
         ref = np.random.Generator(np.random.PCG64(21))
         for step in range(40):
-            _step(rng, ref, "ssag" if step % 3 else "minibatch", ds, n)
+            _take(rng, ref, _source("ssag" if step % 3 else "minibatch", ds), n, 1)
         assert rng.generator.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("n", [2, 10, 33, 64])
     @pytest.mark.parametrize("kind", ["ssag", "minibatch"])
     def test_long_runs_match_the_oracle(self, kind, n):
-        # 3000 steps are served from chunks of up to 2048 steps, so Floyd's
-        # rounds and the shuffle are checked far past the first chunks
+        # 3000 steps in blocks of up to 2000, so Floyd's rounds and the
+        # shuffle are checked far into a block and across block boundaries
         ds = _labelled([100, 120] if kind == "ssag" else [20_000])
         rng = RngStream(17)
         ref = np.random.Generator(np.random.PCG64(17))
-        for _ in range(3000):
-            _step(rng, ref, kind, ds, n)
+        for steps in (1, 999, 2000):
+            _take(rng, ref, _source(kind, ds), n, steps)
         assert rng.generator.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_forced_rejections(self, n):
-        # a population of 3e9 rejects about 30 % of words, so most chunks
-        # end at a rejected word and its step is drawn by the generator
-        N = 3 * 10**9
+        # a population of 3e9 rejects about 30 % of words, so most scheduled
+        # runs end at a rejected word and its step is drawn by the generator
         rng = RngStream(4)
         ref = np.random.Generator(np.random.PCG64(4))
-        for _ in range(3000 // n):
-            assert np.array_equal(rng.draw(N, n)[1], reference_uniform_batch(ref, N, n))
+        _take(rng, ref, 3 * 10**9, n, 3000 // n)
         assert rng.generator.bit_generator.state == ref.bit_generator.state
 
     def test_schedule_stops_before_the_first_rejected_word(self):
@@ -342,26 +360,45 @@ class TestWordCursor:
         assert draw_schedule(words[first:], [k], 1, 64)[0].size == 0
 
 
-class TestOneStratum:
-    """A population of N is one stratum: `draw(N, n)` is the draw on a
-    one-class `Dataset` of N rows, step for step."""
+class TestTake:
+    """k steps taken in sub-blocks of any size, 0 included, are k draws of
+    the one-call-per-draw oracle, and after every `take` the generator is
+    where the oracle's is."""
 
-    @staticmethod
-    def _state(rng, ds):
-        # the generator state a synced copy reports; syncing the stream itself
-        # would end its chunk after every step
-        return copy.deepcopy(rng, {id(ds): ds}).generator.bit_generator.state
+    # (source, n): a population that rejects nearly half its words; n = 65,
+    # above the largest scheduled batch; numpy's tail shuffle (N > 10 000,
+    # n > N // 50); whole-stratum draws; imbalanced classes with a stratum of
+    # exactly n rows
+    CASES = ((2**31 + 1, 1), (2**31 + 1, 3), (300, 65), ((70, 90), 65), (20_001, 500),
+             (9, 9), ((4, 4), 4), ((3, 10, 3, 7), 3), ((1, 5, 9), 1), ((8, 40, 8), 8))
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**64 - 1), case=st.sampled_from(CASES),
+           blocks=st.lists(st.integers(0, 150), max_size=4))
+    def test_blocks_match_one_call_per_draw(self, seed, case, blocks):
+        source, n = case
+        if isinstance(source, tuple):
+            source = _labelled(list(source))
+        rng = RngStream(seed)
+        ref = np.random.Generator(np.random.PCG64(seed))
+        for steps in blocks + [0]:
+            _take(rng, ref, source, n, steps)
+            assert rng.generator.bit_generator.state == ref.bit_generator.state
+
+
+class TestOneStratum:
+    """A population of N is one stratum: `take(N, n, k)` is the draw on a
+    one-class `Dataset` of N rows, step for step."""
 
     @pytest.mark.parametrize("N, n", [(N, n) for N in (50, 300, 3000)
                                       for n in (1, 3, 65, N) if n <= N])
     def test_population_draw_is_the_one_class_draw(self, N, n):
-        # 60 steps cross the chunk boundaries after steps 16 and 48; n = 65
-        # is drawn by the generator at every step
+        # blocks of 1 to 33 steps; n = 65 is drawn by the generator at every step
         ds = _labelled([N])
         by_size, by_dataset = RngStream(5), RngStream(5)
-        for _ in range(60):
-            (j, idx), (j_ds, idx_ds) = by_size.draw(N, n), by_dataset.draw(ds, n)
-            assert j == j_ds == 0
+        for steps in (1, 15, 0, 33, 2, 9):
+            (strata, idx), (strata_ds, idx_ds) = (by_size.take(N, n, steps),
+                                                  by_dataset.take(ds, n, steps))
+            assert strata.tolist() == strata_ds.tolist() == [0] * steps
             assert np.array_equal(idx, idx_ds)
-            assert self._state(by_size, ds) == self._state(by_dataset, ds)
-        assert by_size.generator.bit_generator.state == by_dataset.generator.bit_generator.state
+            assert by_size.generator.bit_generator.state == by_dataset.generator.bit_generator.state
