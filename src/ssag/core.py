@@ -50,6 +50,18 @@ def partition_by_class(labels: np.ndarray, num_classes: int | None = None) -> tu
     return tuple(cells)
 
 
+class _Fresh:
+    """A C-ordered float64 feature matrix that a builder made for one
+    `Dataset` and hands over: the dataset keeps it, read-only, instead of
+    copying it.  Any other features argument is copied, so that no caller's
+    array can change a dataset."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable training data: feature matrix, labels, class partition.
@@ -63,6 +75,8 @@ class Dataset:
     The stratum layout is derived once, read-only: ``class_counts`` (the
     cell sizes), ``order`` (the cells joined), ``starts`` (where each cell
     begins in ``order``) and ``class_of`` (row index -> class index).
+    ``features`` is a read-only copy of the matrix passed in, unless a
+    builder hands over a fresh one (`_Fresh`).
     """
 
     features: np.ndarray
@@ -75,7 +89,10 @@ class Dataset:
     rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        X = np.array(self.features, dtype=np.float64, order="C", copy=True)
+        if isinstance(self.features, _Fresh):
+            X = np.asarray(self.features.array, dtype=np.float64, order="C")
+        else:
+            X = np.array(self.features, dtype=np.float64, order="C", copy=True)
         if X.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
         y = np.array(self.labels, copy=True)

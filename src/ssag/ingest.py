@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, partition_by_class
+from .core import Dataset, _Fresh, partition_by_class
 from .errors import FormatError
 
 IDX_IMAGE_MAGIC = 2051
@@ -68,15 +68,15 @@ def read_idx(image_path, label_path, *, add_bias: bool = False,
         raise FormatError(f"image count {n_img} does not match label count {n_lab}")
     if labels.size and labels.max() > 9:
         raise FormatError(f"label byte {int(labels.max())} outside the digit range 0-9")
-    # slice the bytes before converting, then scale in place: the same bits
-    # as converting and dividing the whole file, with no full-size temporaries
-    features = pixels.reshape(n_img, rows * cols)[:limit].astype(np.float64)
-    features /= 255.0
+    # slice the bytes before converting, and scale them straight into the
+    # matrix the dataset keeps: the bits of converting and dividing the whole
+    # file, with no full-size temporaries
+    kept = pixels.reshape(n_img, rows * cols)[:limit]
+    features = np.ones((kept.shape[0], kept.shape[1] + add_bias))
+    np.divide(kept, 255.0, out=features[:, :kept.shape[1]])
     labels = labels[:limit].astype(np.int64)
-    if add_bias:
-        features = np.hstack([features, np.ones((features.shape[0], 1))])
     # remapping the digits present would make a train and a test file disagree
-    return Dataset(features, labels, _partition(label_path, labels, 10, "digits"))
+    return Dataset(_Fresh(features), labels, _partition(label_path, labels, 10, "digits"))
 
 
 def write_idx(image_path, label_path, images: np.ndarray, labels: np.ndarray) -> None:
@@ -139,7 +139,7 @@ def gen_synthetic(spec: SyntheticSpec) -> Dataset:
     for mean, count in zip(spec.means, spec.counts):
         features[start:start + count] += mean
         start += count
-    return Dataset.from_class_labels(features, labels, num_classes=len(spec.counts))
+    return Dataset.from_class_labels(_Fresh(features), labels, num_classes=len(spec.counts))
 
 
 def write_text(dataset: Dataset, path) -> None:
@@ -154,43 +154,64 @@ def write_text(dataset: Dataset, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def _numbered_lines(path):
+    """(number, line) for each non-blank line of a UTF-8 text file, read one
+    line at a time; lines are split and numbered as ``str.splitlines`` splits
+    the whole text."""
+    number = 0
+    with open(path, encoding="utf-8", newline="") as f:
+        for chunk in f:
+            for line in chunk.splitlines():
+                number += 1
+                if line.strip():
+                    yield number, line
+
+
 def read_text(path, *, add_bias: bool = False) -> Dataset:
-    """Load a dataset from the delimited text format."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [(number, ln) for number, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not lines:
+    """Load a dataset from the delimited text format.
+
+    The file is read twice, a line at a time: once to count the samples and
+    once to parse each into its row of the feature matrix, so that neither
+    the text nor a list of its rows is ever held whole.
+    """
+    lines = _numbered_lines(path)
+    first = next(lines, None)
+    if first is None:
         raise FormatError(f"{path}: empty file")
     try:
-        header = dict(part.split("=", 1) for part in lines[0][1].split(","))
+        header = dict(part.split("=", 1) for part in first[1].split(","))
         p = int(header["p"])
         C = int(header["C"])
         label_kind = header.get("labels", "int")
+        if p < 0:
+            raise ValueError("negative p")
     except (KeyError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed header {lines[0][1]!r}") from exc
+        raise FormatError(f"{path}: malformed header {first[1]!r}") from exc
     if label_kind not in ("int", "real"):
         raise FormatError(f"{path}: unknown label kind {label_kind!r} (expected int or real)")
-    rows = []
-    for ln_no, ln in lines[1:]:
+    N = sum(1 for _ in lines)
+    features, labels = np.ones((N, p + add_bias)), np.empty(N)
+    rows = _numbered_lines(path)
+    next(rows)  # the header
+    for i, (ln_no, ln) in enumerate(rows):
         cells = ln.split(",")
         if len(cells) != p + 1:
             raise FormatError(f"{path}:{ln_no}: expected {p + 1} columns, got {len(cells)}")
         try:
-            rows.append([float(v) for v in cells])
+            values = [float(v) for v in cells]
         except ValueError as exc:
             raise FormatError(f"{path}:{ln_no}: malformed cell: {exc}") from None
-        if not all(map(math.isfinite, rows[-1])):
+        if not all(map(math.isfinite, values)):
             raise FormatError(f"{path}:{ln_no}: non-finite cell in {ln!r}")
-        if label_kind == "int" and rows[-1][p] not in range(C):
+        if label_kind == "int" and values[p] not in range(C):
             raise FormatError(f"{path}:{ln_no}: label {cells[p]} is not a class in [0, {C})")
-    table = np.asarray(rows, dtype=np.float64).reshape(-1, p + 1)
-    features, labels = table[:, :p], table[:, p]
-    if features.size == 0:
+        features[i, :p] = values[:p]
+        labels[i] = values[p]
+    if N * p == 0:
         raise FormatError(f"{path}: no samples")
     if label_kind == "real" and C != 1:
         raise FormatError(f"{path}: real labels form one class, but the header declares C={C}")
-    if add_bias:
-        features = np.hstack([features, np.ones((features.shape[0], 1))])
     if label_kind == "int":
         lab = labels.astype(np.int64)
-        return Dataset(features, lab, _partition(path, lab, C, "classes"))
-    return Dataset.regression(features, labels)
+        return Dataset(_Fresh(features), lab, _partition(path, lab, C, "classes"))
+    return Dataset(_Fresh(features), labels, (np.arange(N),))

@@ -17,12 +17,17 @@ full-data W, so the loss, the gradient and the per-sample gradients at one W
 share one pass over the feature matrix.
 
 ``population_variance`` gives the variance sum_i ||G_i - mean||^2 / (N - 1)
-of the N per-sample gradients.  By default it reduces the (N, dim) matrix of
-``grad_samples``.  A linear model never builds that matrix: lam W cancels in
-G_i - mean, so it sums ||r_i x_i - X'r/N||^2 over the residuals r of the
-margin memo, one block of rows at a time.  The margins of a full-data pass
-are reduced block by block too, so a snapshot's transient memory is one block
-of ``BLOCK_BYTES``, not N x p.
+of the N per-sample gradients.  By default it reduces ``grad_samples`` one
+block of rows at a time, so it never holds the (N, dim) matrix.  A linear
+model needs no gradient rows at all: lam W cancels in G_i - mean, so it sums
+||r_i x_i - X'r/N||^2 over the residuals r of the margin memo, one block of
+rows at a time.  The margins of a full-data pass and the logistic Hessian are
+reduced block by block too, so their transient memory is one block of
+``BLOCK_BYTES``, not N x p.
+
+The logistic link is `sigmoid`, written on numpy's ``exp``: its array and
+Python-float calls give the same bits, so the one-row kernel matches the
+batch kernel.  The package needs numpy alone at run time.
 """
 
 from __future__ import annotations
@@ -32,10 +37,8 @@ from abc import ABC, abstractmethod
 from numbers import Real
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
-from scipy.special import expit
 
-from .core import SHORT_ROW, ConvexityConstants, Dataset, _mean_and_variance, as_params
+from .core import SHORT_ROW, ConvexityConstants, Dataset, as_params
 from .errors import (
     DimensionMismatchError,
     LabelError,
@@ -53,10 +56,28 @@ _INDEX = np.dtype(np.int64)
 OPTIMUM_GRAD_TOL = 1e-10
 OPTIMUM_MAX_ITER = 100
 
-#: Transient bytes one block of a blocked pass over the feature matrix may
-#: take: `_margins` and `_LinearObjective.population_variance` run over row
-#: blocks of at most this many bytes of features.
+#: Transient bytes one block of a blocked pass may take: `_margins`,
+#: `LogisticRegression.hessian_full` and both `population_variance` kernels
+#: run over row blocks of at most this many bytes of features or gradients.
 BLOCK_BYTES = 1 << 18
+
+
+def sigmoid(m):
+    """The logistic function 1 / (1 + exp(-m)), as (1 or e) / (1 + e) with
+    e = exp(-|m|), so that nothing overflows and no floating-point warning is
+    raised: +inf gives 1, -inf gives 0 and NaN gives NaN.
+
+    A Python float gives a Python float with the bits of the array call: both
+    take numpy's ``exp``, whose bits do not depend on the call's shape or
+    stride (``math.exp`` differs from it in the last bit of some values).
+    """
+    if type(m) is float:
+        e = float(np.exp(-abs(m)))
+        return (1.0 if m >= 0 else e) / (1.0 + e)
+    # -|m| as min(m, -m), and (1 or e) as max(e, m >= 0) since e <= 1: on
+    # 20 000 margins half the time of abs and where, whose scalar fill is slow
+    e = np.exp(np.minimum(m, -m))
+    return np.maximum(e, m >= 0) / (1.0 + e)
 
 
 class Objective(ABC):
@@ -143,8 +164,25 @@ class Objective(ABC):
     def population_variance(self, W: np.ndarray) -> float:
         """sum_i ||G_i - mean||^2 / (N - 1) over the N per-sample gradients at
         W, 0 for one sample; the variance that `gradient_population_stats`
-        reports, without its per-class passes."""
-        return _mean_and_variance(self.grad_samples(W, self.dataset.rows))[1]
+        reports, without its per-class passes.
+
+        ``grad_samples`` is reduced over row blocks of at most BLOCK_BYTES,
+        each block's mean and squared deviations merged into the running ones
+        by Chan's pairwise update; one block gives `core._mean_and_variance`'s bits.
+        """
+        N, rows = self.dataset.n_samples, _block_rows(self.dim * 8)
+        count, mean, m2 = 0, np.zeros(self.dim), 0.0
+        for start in range(0, N, rows):
+            G = self.grad_samples(W, self.dataset.rows[start:start + rows])
+            n = G.shape[0]
+            block_mean = G.mean(axis=0)
+            np.subtract(G, block_mean, out=G)
+            delta = block_mean - mean
+            count += n
+            m2 += (float(np.sum(np.multiply(G, G, out=G)))
+                   + float(np.sum(delta * delta)) * ((count - n) * n / count))
+            mean += delta * (n / count)
+        return m2 / (N - 1) if N > 1 else 0.0
 
     def grad_sample(self, W: np.ndarray, i: int) -> np.ndarray:
         """Exact analytic gradient of loss_sample."""
@@ -188,9 +226,10 @@ class Objective(ABC):
         return np.zeros(self.dim)
 
 
-def _block_rows(X: np.ndarray) -> int:
-    """Rows of X in one block of a blocked pass: at least 1, at most BLOCK_BYTES."""
-    return max(BLOCK_BYTES // max(X.shape[1] * X.itemsize, 1), 1)
+def _block_rows(row_bytes: int) -> int:
+    """Rows of ``row_bytes`` each in one block of a blocked pass: at least 1,
+    at most BLOCK_BYTES."""
+    return max(BLOCK_BYTES // max(row_bytes, 1), 1)
 
 
 def _margins(X: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -201,7 +240,7 @@ def _margins(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     Since each row is reduced on its own, a matrix of more than one block is
     reduced block by block into one output vector with the same bits.
     """
-    rows = _block_rows(X)
+    rows = _block_rows(X.shape[1] * X.itemsize)
     if X.shape[0] <= rows:
         return np.add.reduce(X * W, axis=1)
     out = np.empty(X.shape[0])
@@ -213,7 +252,7 @@ def _margins(X: np.ndarray, W: np.ndarray) -> np.ndarray:
 class _LinearObjective(Objective):
     """A loss of the margin m_i = x_i'W with gradient (link(m_i) - y_i) x_i + lam W.
 
-    Ridge (identity ``_link``) and logistic regression (expit) share the
+    Ridge (identity ``_link``) and logistic regression (`sigmoid`) share the
     gradient kernels and the convexity constants, and define their own
     losses.  ``_slope_bounds`` bounds the link's slope from below and above.
     """
@@ -256,19 +295,18 @@ class _LinearObjective(Objective):
             i = indices[0]
             x = self.dataset.features[i]
             if not self._short_rows:
-                r = self._link(np.add.reduce(x * W)) - self._targets[i]
+                # the link takes the margin as a Python float, its cheap branch
+                r = self._link(float(np.add.reduce(x * W))) - float(self._targets[i])
                 return (r * x + 0.0) + self.lam * W
             # the same formula on Python floats, for a row shorter than
             # SHORT_ROW.  The margin loop starts at +0.0 and adds left to
             # right, as numpy's pairwise sum does below 8 terms; built-in
             # sum() would not do: from Python 3.12 it compensates a float sum.
-            # The link stays numpy's: math.exp raises OverflowError where
-            # expit returns 0 or 1.
             xs, ws, lam = x.tolist(), W.tolist(), self.lam
             m = 0.0
             for a, b in zip(xs, ws):
                 m += a * b
-            r = float(self._link(m)) - float(self._targets[i])
+            r = self._link(m) - float(self._targets[i])
             return np.array([(r * a + 0.0) + lam * b for a, b in zip(xs, ws)])
         X, resid = self._residuals(W, indices)
         return (X.T @ resid) / indices.size + self.lam * W
@@ -288,7 +326,7 @@ class _LinearObjective(Objective):
         if N == 1:
             return 0.0
         m = (X.T @ resid) / N
-        rows, total = _block_rows(X), 0.0
+        rows, total = _block_rows(X.shape[1] * X.itemsize), 0.0
         for start in range(0, N, rows):
             D = resid[start:start + rows, None] * X[start:start + rows]
             D -= m
@@ -320,14 +358,16 @@ class RidgeRegression(_LinearObjective):
         return 0.5 * r * r + self._reg_term(W)
 
     def _optimum(self, constants):
-        """Exact minimizer (X'X/N + lam I)^-1 X'y/N via Cholesky, verified by a
-        residual check at 1e-10; an unregularized rank-deficient system is rejected."""
+        """Exact minimizer (X'X/N + lam I)^-1 X'y/N, verified by a residual check
+        at 1e-10; a system that fails the Cholesky factorization, as an
+        unregularized rank-deficient one does, is rejected."""
         X, N = self.dataset.features, self.dataset.n_samples
         A = (X.T @ X) / N + self.lam * np.eye(self.dim)
         rhs = (X.T @ self._targets) / N
         try:
-            w = cho_solve(cho_factor(A), rhs)
-        except LinAlgError as exc:
+            np.linalg.cholesky(A)  # the positive-definite check
+            w = np.linalg.solve(A, rhs)
+        except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"normal equations are singular: {exc}") from exc
         resid = float(np.linalg.norm(A @ w - rhs))
         if not np.isfinite(resid) or resid > 1e-10 * max(1.0, float(np.linalg.norm(rhs))):
@@ -339,8 +379,8 @@ class LogisticRegression(_LinearObjective):
     """Binary cross-entropy with L2 regularization; labels in {0, 1}."""
 
     kind = "logistic"
-    _link = expit
-    #: the slope s(1 - s) of s = expit(m) lies in (0, 1/4]
+    _link = staticmethod(sigmoid)
+    #: the slope s(1 - s) of s = sigmoid(m) lies in (0, 1/4]
     _slope_bounds = (0.0, 0.25)
 
     def __init__(self, dataset: Dataset, lam: float = 0.0):
@@ -353,14 +393,17 @@ class LogisticRegression(_LinearObjective):
         return np.logaddexp(0.0, m) - self._take(self._targets, indices) * m + self._reg_term(W)
 
     def hessian_full(self, W: np.ndarray) -> np.ndarray:
-        """Full-data Hessian X'diag(s(1 - s))X / N + lam I, s = expit(X W).
+        """Full-data Hessian X'diag(s(1 - s))X / N + lam I, s = sigmoid(X W).
 
-        Reads the feature matrix in place; the weighted rows are the one
-        N x p temporary.
+        Sums X_b'diag(s_b(1 - s_b))X_b over row blocks X_b of the feature
+        matrix, read in place, so its transient memory is one block.
         """
-        X = self.dataset.features
-        s = expit(X @ W)
-        H = X.T @ (X * (s * (1.0 - s))[:, None])
+        X, rows = self.dataset.features, _block_rows(self.dim * 8)
+        H = np.zeros((self.dim, self.dim))
+        for start in range(0, X.shape[0], rows):
+            Xb = X[start:start + rows]
+            s = sigmoid(Xb @ W)
+            H += Xb.T @ (Xb * (s * (1.0 - s))[:, None])
         H /= self.dataset.n_samples
         H.flat[::self.dim + 1] += self.lam
         return H
@@ -368,7 +411,7 @@ class LogisticRegression(_LinearObjective):
     def _optimum(self, constants):
         """Newton with line search from zero to gradient norm <= OPTIMUM_GRAD_TOL.
 
-        Each iteration solves H d = g by Cholesky and halves the step from 1
+        Each iteration solves H d = g and halves the step from 1
         until the loss falls by at least a quarter of the predicted decrease
         t g'd, or the gradient norm is within the tolerance: near W* the
         rounding of the loss exceeds the decrease it should show.
@@ -381,7 +424,7 @@ class LogisticRegression(_LinearObjective):
         for _ in range(OPTIMUM_MAX_ITER):
             if math.sqrt(g @ g) <= OPTIMUM_GRAD_TOL:
                 return W
-            d = cho_solve(cho_factor(self.hessian_full(W)), g)
+            d = np.linalg.solve(self.hessian_full(W), g)
             t, slope = 1.0, float(g @ d)
             while True:
                 trial = W - t * d
@@ -395,8 +438,8 @@ class LogisticRegression(_LinearObjective):
                         f"within {OPTIMUM_MAX_ITER} iterations")
 
     def scores_matrix(self, W, X):
-        """Class probabilities (1 - p, p), p = expit(x'W), shape (n, 2)."""
-        p1 = expit(_margins(np.asarray(X, dtype=np.float64), W))
+        """Class probabilities (1 - p, p), p = sigmoid(x'W), shape (n, 2)."""
+        p1 = sigmoid(_margins(np.asarray(X, dtype=np.float64), W))
         return np.column_stack((1.0 - p1, p1))
 
 
@@ -472,7 +515,7 @@ class Mlp(Objective):
         acts = [X]
         a = X
         for (Wl, bl) in layers[:-1]:
-            a = expit(a @ Wl.T + bl)
+            a = sigmoid(a @ Wl.T + bl)
             acts.append(a)
         Wl, bl = layers[-1]
         logits = a @ Wl.T + bl

@@ -47,11 +47,12 @@ def _lemire(words: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
 def _within_words(sizes: np.ndarray, n: int) -> np.ndarray:
     """Words each stratum's within draw takes: 0 for the whole stratum,
     Floyd's n plus the shuffle's n - 1 otherwise.  -1 marks a draw left to
-    the generator: a batch above _MAX_VECTOR_BATCH or one the stratum cannot
-    hold."""
+    the generator: a batch above _MAX_VECTOR_BATCH, one the stratum cannot
+    hold, or one from a stratum above 2^32, whose bounds numpy draws from
+    64-bit words."""
     words = np.full(sizes.shape, -1 if n > _MAX_VECTOR_BATCH else 2 * n - 1)
     words[sizes == n] = 0
-    words[(sizes < n) | (n < 1)] = -1
+    words[(sizes < n) | (n < 1) | (sizes > _WORD)] = -1
     return words
 
 

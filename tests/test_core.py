@@ -72,6 +72,22 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.labels[0] = 3
 
+    @pytest.mark.parametrize("build", ["direct", "from_class_labels", "regression"])
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_a_caller_array_is_copied(self, build, writeable):
+        # only the package's own builders hand their matrix over; a caller's
+        # array, read-only or not, stays the caller's
+        X = np.eye(2)
+        X.setflags(write=writeable)
+        y = np.array([0, 1])
+        ds = {"direct": lambda: ssag.Dataset(X, y, (np.array([0]), np.array([1]))),
+              "from_class_labels": lambda: ssag.Dataset.from_class_labels(X, y),
+              "regression": lambda: ssag.Dataset.regression(X, y.astype(float))}[build]()
+        assert not np.shares_memory(ds.features, X)
+        X.setflags(write=True)
+        X[0, 0] = 5.0
+        assert ds.features[0, 0] == 1.0
+
     def test_rows_and_row_major_features(self):
         ds = ssag.Dataset.from_class_labels(np.asfortranarray(np.eye(3)), np.array([0, 1, 0]))
         assert ds.rows.tolist() == [0, 1, 2] and not ds.rows.flags.writeable

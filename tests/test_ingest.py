@@ -134,6 +134,29 @@ class TestIdx:
         assert np.array_equal(merged, np.arange(40))
 
 
+class TestBuilderMemory:
+    @pytest.mark.parametrize("builder", ["gen_synthetic", "read_text", "read_idx"])
+    def test_builder_peaks_under_one_and_a_half_matrices(self, tmp_path, builder):
+        # each builder hands its fresh matrix to Dataset, which keeps it
+        # read-only instead of copying it; with the copy, gen_synthetic peaked
+        # at 2.36x the matrix (N = 20 000, p = 20), read_idx at 2.25x and the
+        # whole-text read_text at 13.3x
+        spec = SyntheticSpec(means=np.random.default_rng(0).standard_normal((2, 20)),
+                             counts=(10_000, 10_000), stddev=1.0, seed=1)
+        if builder == "gen_synthetic":
+            call = (gen_synthetic, spec)
+        elif builder == "read_text":
+            path = tmp_path / "data.txt"
+            write_text(gen_synthetic(spec), path)
+            call = (read_text, path)
+        else:
+            img, lab, _, _ = _idx_fixture(tmp_path, n=500, rows=28, cols=28)
+            call = (read_idx, img, lab)
+        ds = call[0](*call[1:])  # first: lazy imports inside numpy do not count
+        assert not ds.features.flags.writeable
+        assert peak_alloc_bytes(*call) < 1.5 * ds.features.nbytes
+
+
 class TestSynthetic:
     def test_zero_stddev_exact_means(self):
         means = np.array([[1.0, 2.0], [-3.0, 4.0]])

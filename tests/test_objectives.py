@@ -1,8 +1,10 @@
 """Objective losses, gradients, class scores, accuracy, and the ridge closed form."""
 
+import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -12,10 +14,11 @@ from scipy.special import expit
 import ssag
 from ssag.errors import (DimensionMismatchError, SingularSystemError, StratumViolationError,
                          UnsupportedObjectiveError)
+from ssag.objectives import BLOCK_BYTES, sigmoid
 from ssag.optimizers import RunConfig
 
 from conftest import (OBJECTIVE_KINDS, any_kind_problem, central_diff_grad,
-                      fsum_population_variance, grad_rel_error)
+                      fsum_population_variance, grad_rel_error, peak_alloc_bytes)
 
 
 def _logistic_point(x, y, lam=0.0):
@@ -179,6 +182,53 @@ class TestGradClassBatch:
                 obj.grad_class_batch(np.zeros(1), j, indices)
 
 
+def _numpy_sigmoid(m):
+    """The logistic function written out on numpy's exp, the oracle's link."""
+    e = np.exp(-np.abs(m))
+    return np.where(m >= 0, 1.0, e) / (1.0 + e)
+
+
+class TestSigmoid:
+    GRID = np.concatenate([np.linspace(-745.0, 745.0, 200_001),
+                           np.geomspace(1e-300, 745.0, 2001), -np.geomspace(1e-300, 745.0, 2001)])
+
+    def test_within_four_ulps_of_expit(self):
+        # scipy's expit is the oracle; below the smallest normal number both
+        # are subnormal, where the exp of each rounds to fewer bits
+        ours, theirs = sigmoid(self.GRID), expit(self.GRID)
+        normal = theirs >= np.finfo(float).tiny
+        assert np.all(np.abs(ours - theirs)[normal]
+                      <= 4 * np.finfo(float).eps * theirs[normal])
+        assert np.all(ours[~normal] < np.finfo(float).tiny)
+
+    def test_special_values_without_warnings(self):
+        special = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 1000.0, -1000.0, -745.0])
+        # exp(-745) = 2.9e-324 rounds to the smallest subnormal (expit gives 0)
+        expected = [1.0, 0.0, np.nan, 0.5, 0.5, 1.0, 0.0, 5e-324]
+        with warnings.catch_warnings(), np.errstate(all="warn", under="ignore"):
+            warnings.simplefilter("error")  # numpy's default error state, as errors
+            array = sigmoid(special)
+            scalars = [sigmoid(float(m)) for m in special]
+        np.testing.assert_array_equal(array, expected)
+        np.testing.assert_array_equal(scalars, expected)
+
+    def test_scalar_call_has_the_array_bits(self):
+        # the one-row kernel takes the Python-float branch, the batch kernels
+        # the array one: both must give the same bits
+        ours = sigmoid(self.GRID)
+        scalars = [sigmoid(m) for m in self.GRID[::7].tolist()]
+        assert all(type(s) is float for s in scalars)
+        assert np.array(scalars).tobytes() == ours[::7].tobytes()
+        assert sigmoid(self.GRID[::3]).tobytes() == ours[::3].tobytes()  # strided
+
+    def test_package_imports_without_scipy(self):
+        code = ("import sys, ssag, ssag.bench; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "[]"
+
+
 class TestOneRowKernel:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(kind=st.sampled_from(["ridge", "logistic"]), N=st.integers(1, 5),
@@ -206,7 +256,7 @@ class TestOneRowKernel:
              "signed zeros": np.where(rng.integers(0, 2, size=p) == 1, -0.0, 0.0),
              "huge": rng.choice([-1.0, 1.0], size=p) * 10.0 ** rng.uniform(300, 308, size=p),
              }[w_mode]
-        link = (lambda m: m) if kind == "ridge" else expit
+        link = (lambda m: m) if kind == "ridge" else _numpy_sigmoid
         for i in range(N):
             Xi = ds.features[[i]]
             with np.errstate(all="ignore"):  # "huge" overflows on both paths
@@ -251,6 +301,20 @@ class TestHessianFull:
         numeric = np.array([central_diff_grad(lambda v, i=i: obj.grad_full(v)[i], W)
                             for i in range(p)])
         assert grad_rel_error(obj.hessian_full(W), numeric) <= 1e-6
+
+    def test_row_blocks_bound_the_transient_memory(self):
+        # 20 000 x 20 features (12.2 blocks): the weighted copy of the whole
+        # matrix is gone, and the blocked sums match the one-pass formula
+        means = np.zeros((2, 20))
+        means[0, 0], means[1, 0] = -1.0, 1.0
+        obj = ssag.LogisticRegression(ssag.gen_synthetic(ssag.SyntheticSpec(
+            means=means, counts=(10_000, 10_000), stddev=0.1, seed=1)), lam=0.02)
+        W = np.random.default_rng(0).normal(size=20)
+        assert peak_alloc_bytes(obj.hessian_full, W) < 3 * BLOCK_BYTES
+        X = obj.dataset.features
+        s = expit(X @ W)
+        whole = X.T @ (X * (s * (1.0 - s))[:, None]) / X.shape[0] + 0.02 * np.eye(20)
+        np.testing.assert_allclose(obj.hessian_full(W), whole, rtol=1e-12, atol=1e-15)
 
 
 class TestFullDataInPlace:
@@ -301,6 +365,16 @@ class TestPopulationVariance:
                 assert got == expected == 0.0
             else:
                 assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_default_kernel_peaks_under_a_few_blocks(self):
+        # an MLP of dim 10 302 at N = 200: grad_samples of all rows would be
+        # 62.9 blocks; the default reduces them a block of rows at a time
+        means = np.zeros((2, 100))
+        means[0, 0], means[1, 0] = -1.0, 1.0
+        obj = ssag.Mlp(ssag.gen_synthetic(ssag.SyntheticSpec(
+            means=means, counts=(100, 100), stddev=0.1, seed=1)), hidden=(100,))
+        assert obj.dim >= 10_000
+        assert peak_alloc_bytes(obj.population_variance, obj.init_params(0)) < 6 * BLOCK_BYTES
 
     @pytest.mark.parametrize("p", [3, 8, 13])
     def test_blocked_margins_keep_their_bits(self, monkeypatch, p):

@@ -26,7 +26,7 @@ from conftest import (OBJECTIVE_KINDS, EvaluationCounter, any_kind_problem, peak
 # (h = 0.3, seed = 5); frozen from the first run
 GOLDEN_SGD = [0.14733948911998002, 0.8856573395677226]
 GOLDEN_SAG = [0.20685700944616825, 0.6739127579064007]
-GOLDEN_SVRG = [0.08877198907705586, 0.850871662980199]
+GOLDEN_SVRG = [0.08877198907705589, 0.850871662980199]
 
 
 def _tiny_logistic():

@@ -13,6 +13,7 @@ import types
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import ssag
 from ssag.optimizers import SPECS, RunConfig, run
@@ -20,36 +21,36 @@ from ssag.optimizers import SPECS, RunConfig, run
 # (objective kind, run options) -> content hash; frozen from the first run
 PINNED = {
     ("logistic", "fgd"):
-        "ce857dade5f31bd18df3d25f8c295c206881a37c05ef62a15de403afd4700ee6",
+        "0bd698013196821bc2eeaabe32f903b4599a5c35702356c63ee499d44fc1ece3",
     ("logistic", "sgd"):
-        "e567ed803fc3dd49cba8a9e891ea1fd08acc15a5cc6c71af10ffcb2a1360a872",
+        "9e91b95b37059db4e9a3eb51f42a7506d8b8201c683f6ef4176cc7f570df0d06",
     ("logistic", "minibatch"):
-        "e567ed803fc3dd49cba8a9e891ea1fd08acc15a5cc6c71af10ffcb2a1360a872",
+        "9e91b95b37059db4e9a3eb51f42a7506d8b8201c683f6ef4176cc7f570df0d06",
     ("logistic", "sag"):
-        "33e79bc7c9001ad68fc5734a378a6f61fbd52ebd250da302d7f42a636feca995",
+        "cea1352393f64d27aab916364e0f6d2f17bc9c68c227ade4313d03e8cf9bc109",
     ("logistic", "svrg"):
-        "64c52ebc9a04529a04a458bbf58f219c168855be05bc04c412d63f5aa111e518",
+        "e4e30dd8dae4f46faf55f468dee6a2866db69fa494b93675707e7faf30c502a5",
     ("logistic", "saga"):
-        "17589642c0d81f9a5047deb5fd4fc0de03bb53533c9b1edfa86379b438a6c4d6",
+        "2291601eba85278dfca5e171b3cc86e24096f59a9818ae35930f2334596ad10c",
     ("logistic", "ssag"):
-        "03fdc77dea6912aba79918cf7ef5e49291f03be62b9b6daf19a4ab268cec5837",
+        "de4dd9415154b141ae0b728213a86578407c104721214e5b824894eeeb844fca",
     ("logistic", "ssag n=2"):
-        "0c2a1ff9f96bb4bdd010dd6d9b603d58eec297207312476b1597af25d0fa170b",
+        "32fd1ddb55d5ece6fa6806ae3a320c03f7f89be66b43257931fc2d3c78c7573e",
     ("logistic", "saga prox_l1"):
-        "8923918bb7dfdea28914bc7c94a01f525eeee83841ea826a4a0fc726c700d9af",
+        "60ac7942d0fb50f9551f0dfd9a707d4453db54f77ed303a15717d1fa359a59d0",
     ("logistic", "minibatch n=3"):
-        "3932560e9705947c89c6c1d761aedb14c1ea33c4e23a497b0a7ca2461fed1665",
+        "c5858c6a4d625ac576633f90b3b5a581df7319c9f8659a2eb528958f752d36ab",
     ("ridge", "ssag"):
-        "a0b72a833f29546f5f7c2ad2b68a93ea912e3094eebf52ffdf1a36e2c34389e3",
+        "e5ded78f017a1f7498cc7f4971532c9b93a7a4f12a95bc02f81bfb64d5dbbea2",
     ("ridge", "sgd h=0.05"):
-        "37c67d0c83b48895029f0171f4f627215c95af9e0ff484b8a79db7f906252d8d",
+        "4a713e2e6e066a0d933b29b8e01c1589de714ef86f8929ed6ae643aa557b4c56",
 }
 
 # optimizer kind -> content hash of a one-hidden-layer MLP run; frozen from
 # the first run
 PINNED_MLP = {
-    "ssag": "0fc60c94a98f9d411dbd11b6c0b4c3a7e9cd05cfbf80f5796155ce3786ff24ab",
-    "sgd": "64af08cfd0e9a151512975e0e7a44c195e919d4c6fa010acd0bffdbbf584466b",
+    "ssag": "49aa23752dd3ea26f697f466209bce7f1af16f971d5ac9ab923b6c960bbf966e",
+    "sgd": "6010b8bf9a204d562107b492ecd7fc7d43e9762df2f60bb0a56328346cee0abc",
 }
 
 OPTIONS = {
@@ -100,6 +101,41 @@ def test_variance_kernel_moves_only_sigma_sq(monkeypatch, obj_kind):
     for column in ("k", "passes", "loss", "test_acc", "dist_sq", "grad_evals"):
         assert getattr(residual, column).tobytes() == getattr(default, column).tobytes()
     assert residual.sigma_sq == pytest.approx(default.sigma_sq, rel=1e-14, abs=0.0)
+
+
+def _pinned_record(obj_kind, label):
+    if obj_kind == "mlp":
+        obj = _problem("mlp", hidden=[5])
+        config = RunConfig(kind=label, h=0.1, steps=600, seed=17, cadence=50,
+                           record_variance=True)
+        return run(config, obj, test_dataset=obj.dataset)
+    obj = _problem(obj_kind)
+    constants = ssag.estimate_constants(obj)
+    config = RunConfig(steps=600, seed=17, cadence=50, record_variance=True,
+                       **OPTIONS.get(label, {"kind": label}))
+    return run(config, obj, constants=constants,
+               w_star=ssag.reference_optimum(obj, constants=constants),
+               test_dataset=obj.dataset)
+
+
+@pytest.mark.parametrize("obj_kind,label", [key for key in PINNED if key[0] == "logistic"]
+                         + [("mlp", label) for label in PINNED_MLP])
+def test_sigmoid_moves_columns_only_within_rounding(monkeypatch, obj_kind, label):
+    # numpy's sigmoid against scipy's expit in every place the package takes
+    # the link (residuals, Hessian and so W*, class scores, MLP hidden
+    # layers): the same steps and accuracies, loss and sigma_sq within
+    # rounding, and the distance to W* within rounding of the distance
+    ours = _pinned_record(obj_kind, label)
+    monkeypatch.setattr(ssag.objectives, "sigmoid", expit)
+    monkeypatch.setattr(ssag.LogisticRegression, "_link", staticmethod(expit))
+    theirs = _pinned_record(obj_kind, label)
+    for column in ("k", "passes", "grad_evals", "test_acc"):
+        assert getattr(ours, column).tobytes() == getattr(theirs, column).tobytes()
+    for column in ("loss", "sigma_sq"):
+        assert getattr(ours, column) == pytest.approx(getattr(theirs, column), rel=1e-14, abs=0.0)
+    if obj_kind == "logistic":
+        np.testing.assert_allclose(np.sqrt(ours.dist_sq), np.sqrt(theirs.dist_sq),
+                                   rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("label", list(PINNED_MLP))

@@ -385,6 +385,23 @@ class TestTake:
             _take(rng, ref, source, n, steps)
             assert rng.generator.bit_generator.state == ref.bit_generator.state
 
+    @pytest.mark.parametrize("pop", [2**32, 2**32 + 1])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_populations_at_the_32_bit_boundary(self, pop, n):
+        # numpy draws a bound above 2^32 from 64-bit words; a bound of 2^32
+        # is still one 32-bit word
+        got = RngStream(3).take(pop, n, 4)[1]
+        by_integers = np.random.Generator(np.random.PCG64(3))
+        by_choice = np.random.Generator(np.random.PCG64(3))
+        if n == 1:
+            assert got.ravel().tolist() == [int(by_integers.integers(pop)) for _ in range(4)]
+        assert got.tolist() == [by_choice.choice(pop, n, replace=False).tolist()
+                                for _ in range(4)]
+        rng, ref = RngStream(3), np.random.Generator(np.random.PCG64(3))
+        for steps in (2, 0, 5):
+            _take(rng, ref, pop, n, steps)
+            assert rng.generator.bit_generator.state == ref.bit_generator.state
+
 
 class TestOneStratum:
     """A population of N is one stratum: `take(N, n, k)` is the draw on a
