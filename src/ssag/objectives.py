@@ -16,6 +16,15 @@ call with a fresh arange(N).  A linear model keeps the margins of its last
 full-data W, so the loss, the gradient and the per-sample gradients at one W
 share one pass over the feature matrix.
 
+``grad_batch`` and ``grad_class_batch`` take numpy's ``out=``: given a float64
+array of shape (dim,) that does not overlap W, they write the gradient into
+it and return it, with the bits of the allocating call.  They write only
+after every check has passed, so a call that raises leaves ``out`` as it was;
+an optimizer can hand over a table slot or a scratch row.  Every scalar
+operand of the one-row kernel (the residual, lam and the 0.0 that clears a
+-0.0) is a 0-d float64 array, which a ufunc takes at less cost than a Python
+float; lam's is made once per objective (`core.operand`).
+
 ``population_variance`` gives the variance sum_i ||G_i - mean||^2 / (N - 1)
 of the N per-sample gradients.  By default it reduces ``grad_samples`` one
 block of rows at a time, so it never holds the (N, dim) matrix.  A linear
@@ -26,8 +35,9 @@ reduced block by block too, so their transient memory is one block of
 ``BLOCK_BYTES``, not N x p.
 
 The logistic link is `sigmoid`, written on numpy's ``exp``: its array and
-Python-float calls give the same bits, so the one-row kernel matches the
-batch kernel.  The package needs numpy alone at run time.
+Python-float calls give the same bits, so the one-row kernel, which calls the
+float branch directly, matches the batch kernel.  The package needs numpy
+alone at run time.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ from numbers import Real
 
 import numpy as np
 
-from .core import SHORT_ROW, ConvexityConstants, Dataset, as_params
+from .core import SHORT_ROW, ConvexityConstants, Dataset, Moments, as_params, operand
 from .errors import (
     DimensionMismatchError,
     LabelError,
@@ -62,22 +72,35 @@ OPTIMUM_MAX_ITER = 100
 BLOCK_BYTES = 1 << 18
 
 
+_ZERO, _ONE, _MINUS_ONE = operand(0.0), operand(1.0), operand(-1.0)
+
+
+def _sigmoid_float(m: float) -> float:
+    """`sigmoid` of a Python float, as a Python float: the one-row kernel's link."""
+    e = float(np.exp(-abs(m)))
+    return (1.0 if m >= 0 else e) / (1.0 + e)
+
+
 def sigmoid(m):
     """The logistic function 1 / (1 + exp(-m)), as (1 or e) / (1 + e) with
     e = exp(-|m|), so that nothing overflows and no floating-point warning is
     raised: +inf gives 1, -inf gives 0 and NaN gives NaN.
 
-    A Python float gives a Python float with the bits of the array call: both
+    A scalar gives a Python float with the bits of the array call: both
     take numpy's ``exp``, whose bits do not depend on the call's shape or
     stride (``math.exp`` differs from it in the last bit of some values).
+    An array gives a float64 array, whatever its dtype.
     """
     if type(m) is float:
-        e = float(np.exp(-abs(m)))
-        return (1.0 if m >= 0 else e) / (1.0 + e)
-    # -|m| as min(m, -m), and (1 or e) as max(e, m >= 0) since e <= 1: on
-    # 20 000 margins half the time of abs and where, whose scalar fill is slow
-    e = np.exp(np.minimum(m, -m))
-    return np.maximum(e, m >= 0) / (1.0 + e)
+        return _sigmoid_float(m)
+    e = np.copysign(m, _MINUS_ONE)  # -|m|, one call where min(m, -m) took two
+    if e.ndim == 0:  # any other scalar: numpy gave a scalar, which takes no out=
+        return _sigmoid_float(float(m))
+    np.exp(e, out=e)
+    # (1 or e) as max(e, m >= 0) since e <= 1, and 1 + e in place of e: six
+    # ufunc calls and two temporaries, each scalar operand a 0-d array
+    numerator = np.maximum(e, np.greater_equal(m, _ZERO))
+    return np.divide(numerator, np.add(e, _ONE, out=e), out=numerator)
 
 
 class Objective(ABC):
@@ -100,7 +123,13 @@ class Objective(ABC):
         if isinstance(lam, bool) or not isinstance(lam, Real) or not 0 <= lam < np.inf:
             raise ValueError(f"regularizer weight must be a finite number >= 0, got {lam!r}")
         self.dataset = dataset
-        self.lam = float(lam)
+        #: lam as a read-only 0-d array, the kernels' operand
+        self._lam = operand(lam)
+
+    @property
+    def lam(self) -> float:
+        """The regularizer weight, fixed at construction."""
+        return float(self._lam)
 
     # -- kernels ---------------------------------------------------------
 
@@ -114,8 +143,10 @@ class Objective(ABC):
         """Per-sample losses J_i(W) for the given sample indices."""
 
     @abstractmethod
-    def grad_batch(self, W: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """Arithmetic mean of per-sample gradients over the given indices."""
+    def grad_batch(self, W: np.ndarray, indices: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        """Arithmetic mean of per-sample gradients over the given indices,
+        written into ``out`` when given (the module docstring's contract)."""
 
     @abstractmethod
     def grad_samples(self, W: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -167,22 +198,14 @@ class Objective(ABC):
         reports, without its per-class passes.
 
         ``grad_samples`` is reduced over row blocks of at most BLOCK_BYTES,
-        each block's mean and squared deviations merged into the running ones
-        by Chan's pairwise update; one block gives `core._mean_and_variance`'s bits.
+        each block merged into the running moments by Chan's pairwise update
+        (`core.Moments`).
         """
         N, rows = self.dataset.n_samples, _block_rows(self.dim * 8)
-        count, mean, m2 = 0, np.zeros(self.dim), 0.0
+        moments = Moments()
         for start in range(0, N, rows):
-            G = self.grad_samples(W, self.dataset.rows[start:start + rows])
-            n = G.shape[0]
-            block_mean = G.mean(axis=0)
-            np.subtract(G, block_mean, out=G)
-            delta = block_mean - mean
-            count += n
-            m2 += (float(np.sum(np.multiply(G, G, out=G)))
-                   + float(np.sum(delta * delta)) * ((count - n) * n / count))
-            mean += delta * (n / count)
-        return m2 / (N - 1) if N > 1 else 0.0
+            moments.add(self.grad_samples(W, self.dataset.rows[start:start + rows]))
+        return moments.variance()
 
     def grad_sample(self, W: np.ndarray, i: int) -> np.ndarray:
         """Exact analytic gradient of loss_sample."""
@@ -196,18 +219,20 @@ class Objective(ABC):
             raise DimensionMismatchError(f"expected dimension {self.dim}, got {W.shape[0]}")
         return self.grad_batch(W, self.dataset.rows)
 
-    def grad_class_batch(self, W: np.ndarray, class_j: int, indices: np.ndarray) -> np.ndarray:
-        """Mean gradient over a batch drawn from class j's partition cell;
-        StratumViolationError unless every index is an integer in [0, N) of class j."""
+    def grad_class_batch(self, W: np.ndarray, class_j: int, indices: np.ndarray,
+                         out: np.ndarray | None = None) -> np.ndarray:
+        """Mean gradient over a batch drawn from class j's partition cell,
+        written into ``out`` when given; StratumViolationError, with ``out``
+        untouched, unless every index is an integer in [0, N) of class j."""
         if type(indices) is np.ndarray and indices.shape == (1,) and indices.dtype is _INDEX:
             # one int64 index, as an SSAG step at n = 1 draws it: np.asarray
             # would return it as it is, so only the range and membership
             # tests are left (a negative index would wrap around class_of)
             i, class_of = indices.item(), self.dataset.class_of
-            if not 0 <= i < class_of.size or class_of[i] != class_j:
+            if not 0 <= i < class_of.size or class_of.item(i) != class_j:
                 raise StratumViolationError(
                     f"indices {indices.tolist()} are not all members of class {class_j}")
-            return self.grad_batch(W, indices)
+            return self.grad_batch(W, indices, out=out)
         given = np.asarray(indices)
         indices = given.astype(np.int64, copy=False)
         if indices is not given and not (indices == given).all():
@@ -219,7 +244,7 @@ class Objective(ABC):
                 and (class_of[indices] == class_j).all()):
             raise StratumViolationError(
                 f"indices {indices.tolist()} are not all members of class {class_j}")
-        return self.grad_batch(W, indices)
+        return self.grad_batch(W, indices, out=out)
 
     def init_params(self, seed: int = 0) -> np.ndarray:
         """Initial parameter vector; zeros unless a subclass overrides."""
@@ -240,9 +265,9 @@ def _margins(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     Since each row is reduced on its own, a matrix of more than one block is
     reduced block by block into one output vector with the same bits.
     """
-    rows = _block_rows(X.shape[1] * X.itemsize)
-    if X.shape[0] <= rows:
+    if X.nbytes <= BLOCK_BYTES:
         return np.add.reduce(X * W, axis=1)
+    rows = _block_rows(X.shape[1] * X.itemsize)
     out = np.empty(X.shape[0])
     for start in range(0, X.shape[0], rows):
         np.add.reduce(X[start:start + rows] * W, axis=1, out=out[start:start + rows])
@@ -254,7 +279,9 @@ class _LinearObjective(Objective):
 
     Ridge (identity ``_link``) and logistic regression (`sigmoid`) share the
     gradient kernels and the convexity constants, and define their own
-    losses.  ``_slope_bounds`` bounds the link's slope from below and above.
+    losses.  ``_link_float`` is the link's Python-float branch, which the
+    one-row kernel calls.  ``_slope_bounds`` bounds the link's slope from
+    below and above.
     """
 
     def __init__(self, dataset: Dataset, lam: float = 0.0):
@@ -288,33 +315,42 @@ class _LinearObjective(Objective):
         X, margins = self._margins_of(W, indices)
         return X, self._link(margins) - self._take(self._targets, indices)
 
-    def grad_batch(self, W, indices):
+    def grad_batch(self, W, indices, out=None):
         if indices.size == 1 and indices is not self.dataset.rows:
             # one row, read in place: r * x is the matmul's one product, and
             # + 0.0 turns a -0.0 product into the +0.0 its accumulation gives
-            i = indices[0]
+            i = indices.item()
             x = self.dataset.features[i]
             if not self._short_rows:
-                # the link takes the margin as a Python float, its cheap branch
-                r = self._link(float(np.add.reduce(x * W))) - float(self._targets[i])
-                return (r * x + 0.0) + self.lam * W
+                # the margin lands in the 0-d r, which then holds the
+                # residual; the link takes it as a Python float
+                t = np.multiply(x, W)
+                r = np.add.reduce(t, out=np.empty(()))
+                r[()] = self._link_float(float(r)) - self._targets.item(i)
+                out = np.multiply(x, r, out=out)
+                np.add(out, _ZERO, out=out)
+                return np.add(out, np.multiply(W, self._lam, out=t), out=out)
             # the same formula on Python floats, for a row shorter than
             # SHORT_ROW.  The margin loop starts at +0.0 and adds left to
             # right, as numpy's pairwise sum does below 8 terms; built-in
             # sum() would not do: from Python 3.12 it compensates a float sum.
-            xs, ws, lam = x.tolist(), W.tolist(), self.lam
+            xs, ws, lam = x.tolist(), W.tolist(), float(self._lam)
             m = 0.0
             for a, b in zip(xs, ws):
                 m += a * b
-            r = self._link(m) - float(self._targets[i])
-            return np.array([(r * a + 0.0) + lam * b for a, b in zip(xs, ws)])
+            r = self._link_float(m) - self._targets.item(i)
+            g = [(r * a + 0.0) + lam * b for a, b in zip(xs, ws)]
+            if out is None:
+                return np.array(g)
+            out[...] = g
+            return out
         X, resid = self._residuals(W, indices)
-        return (X.T @ resid) / indices.size + self.lam * W
+        return np.add((X.T @ resid) / indices.size, self._lam * W, out=out)
 
     def grad_samples(self, W, indices):
         X, resid = self._residuals(W, indices)
         G = resid[:, None] * X
-        G += self.lam * W
+        G += self._lam * W
         return G
 
     def population_variance(self, W):
@@ -350,7 +386,7 @@ class RidgeRegression(_LinearObjective):
     """Squared-error loss with L2 regularization on real-valued targets."""
 
     kind = "ridge"
-    _link = staticmethod(lambda m: m)
+    _link = _link_float = staticmethod(lambda m: m)
     _slope_bounds = (1.0, 1.0)
 
     def loss_values(self, W, indices):
@@ -380,6 +416,7 @@ class LogisticRegression(_LinearObjective):
 
     kind = "logistic"
     _link = staticmethod(sigmoid)
+    _link_float = staticmethod(_sigmoid_float)
     #: the slope s(1 - s) of s = sigmoid(m) lies in (0, 1/4]
     _slope_bounds = (0.0, 0.25)
 
@@ -452,11 +489,12 @@ class MeanQuadratic(Objective):
         d = W - self._take(self.dataset.features, indices)
         return 0.5 * np.sum(d * d, axis=1) + self._reg_term(W)
 
-    def grad_batch(self, W, indices):
-        return W - self._take(self.dataset.features, indices).mean(axis=0) + self.lam * W
+    def grad_batch(self, W, indices, out=None):
+        return np.add(W - self._take(self.dataset.features, indices).mean(axis=0),
+                      self._lam * W, out=out)
 
     def grad_samples(self, W, indices):
-        return (W - self._take(self.dataset.features, indices)) + self.lam * W
+        return (W - self._take(self.dataset.features, indices)) + self._lam * W
 
     def _constants(self):
         """L = mu = 1 + lam exactly."""
@@ -532,7 +570,7 @@ class Mlp(Objective):
         ce = -log_p[np.arange(indices.size), self._targets[indices]]
         return ce + self._reg_term(W)
 
-    def grad_batch(self, W, indices):
+    def grad_batch(self, W, indices, out=None):
         n = indices.size
         acts, logits = self._forward(W, self._take(self.dataset.features, indices))
         probs = np.exp(self._log_softmax(logits))
@@ -547,13 +585,13 @@ class Mlp(Objective):
             if k > 0:
                 a = acts[k]
                 delta = (delta @ layers[k][0]) * a * (1.0 - a)
-        return grad + self.lam * W
+        return np.add(grad, self._lam * W, out=out)
 
     def grad_samples(self, W, indices):
         indices = np.asarray(indices, dtype=np.int64)
         out = np.empty((indices.size, self.dim))
         for r, i in enumerate(indices):
-            out[r] = self.grad_batch(W, np.array([i]))
+            self.grad_batch(W, np.array([i]), out=out[r])
         return out
 
     def scores_matrix(self, W, X):

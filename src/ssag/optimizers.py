@@ -12,6 +12,13 @@ with the mean gradient of a fresh within-class batch and moves along the mean
 of the C slots.  Under class imbalance that direction targets the
 class-balanced gradient, not the sample-weighted full gradient; the update is
 implemented literally as specified.
+
+Each step writes through buffers its `State` owns: SAG and SSAG have the
+kernel write the new gradient straight into the drawn table slot, the other
+kinds into a scratch row.  The roundings keep the plain formulas' order, so
+every trajectory keeps its bits, and a step whose kernel raises leaves W, the
+table, its sum and the step count as they were.  The update formulas are
+whole-row ufunc calls, which broadcast over a leading seed axis as written.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import SHORT_ROW, Dataset, estimate_constants, squared_distance
+from .core import SHORT_ROW, Dataset, estimate_constants, operand, squared_distance
 from .errors import ConfigError, DivergenceError, UnsupportedObjectiveError
 from .objectives import Objective, accuracy
 from .records import RunRecord
@@ -49,6 +56,12 @@ class State:
     are SVRG's; ``n``, ``m`` (SVRG's resolved refresh period) and ``prox_l1``
     are the run's settings, read only by the kinds that use them.  No state
     counts evaluations: the kind's `OptimizerSpec.evals` gives them.
+
+    The steps' operands are made at construction: ``h`` and ``h / slots`` as
+    0-d arrays (``slots`` is the table's row count, N for SAGA), two scratch
+    rows of W's shape and, for a W of ``SHORT_ROW`` entries or more, the mask
+    of the finite guard.  So ``h`` and the table's shape are fixed once the
+    state is made.
     """
 
     W: np.ndarray
@@ -67,6 +80,12 @@ class State:
             self.table = np.zeros((0, self.W.size))
         if self.table_sum is None:
             self.table_sum = self.table.sum(axis=0)
+        slots = self.table.shape[0]
+        self._h = operand(self.h)
+        self._h_per_slot = operand(self.h / max(slots, 1))
+        self._slots = operand(slots)
+        self._scratch = tuple(np.empty((2, *self.W.shape)))  # two rows, as views
+        self._finite = np.empty(self.W.shape, dtype=bool) if self.W.size >= SHORT_ROW else None
 
 
 def _commit(state: State, W: np.ndarray) -> State:
@@ -78,7 +97,7 @@ def _commit(state: State, W: np.ndarray) -> State:
     # warns "overflow encountered in dot" for a finite |w| > 1e154, and an
     # np.errstate around it costs more than the check it replaces.
     if not (all(map(math.isfinite, W.tolist())) if W.size < SHORT_ROW
-            else np.count_nonzero(np.isfinite(W)) == W.size):
+            else np.count_nonzero(np.isfinite(W, out=state._finite)) == W.size):
         raise DivergenceError("optimizer produced a non-finite iterate",
                               last_finite=prev, steps=state.steps)
     return state
@@ -98,13 +117,17 @@ def _refresh_slot(state: State, j: int, phi: np.ndarray) -> None:
     state.table[j] = phi
 
 
-def _table_average_step(state: State, j: int, phi: np.ndarray) -> State:
-    """Write phi into slot j, then step W <- W - (h/slots) * sum of all slots.
+def _table_average_step(state: State, slot: np.ndarray) -> State:
+    """Finish a slot refresh and step W <- W - (h/slots) * sum of all slots.
 
-    The next W is a fresh array: `_commit` keeps the previous one.
+    The caller has put ``table_sum - old slot`` in the first scratch row and
+    then the kernel's new gradient in ``slot``, so a kernel that raises
+    leaves the table and its sum as they were; the sum is rounded as
+    ``table_sum - old + new``.  The next W is a fresh array: `_commit` keeps
+    the previous one.
     """
-    _refresh_slot(state, j, phi)
-    W = np.multiply(state.table_sum, state.h / state.table.shape[0])
+    np.add(state._scratch[0], slot, out=state.table_sum)
+    W = np.multiply(state.table_sum, state._h_per_slot)
     return _commit(state, np.subtract(state.W, W, out=W))
 
 
@@ -115,7 +138,10 @@ def ssag_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
     replacement, writes their mean gradient into slot j, and steps
     W <- W - (h/C) * sum of all slots.
     """
-    return _table_average_step(state, j, obj.grad_class_batch(state.W, j, idx))
+    slot = state.table[j]
+    np.subtract(state.table_sum, slot, out=state._scratch[0])
+    obj.grad_class_batch(state.W, j, idx, out=slot)
+    return _table_average_step(state, slot)
 
 
 def sag_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
@@ -124,7 +150,10 @@ def sag_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
     The draw of one sample i from the population is the stratum draw, since
     the draw inside a one-element cell consumes no generator state.
     """
-    return _table_average_step(state, idx[0], obj.grad_batch(state.W, idx))
+    slot = state.table[idx.item()]
+    np.subtract(state.table_sum, slot, out=state._scratch[0])
+    obj.grad_batch(state.W, idx, out=slot)
+    return _table_average_step(state, slot)
 
 
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
@@ -137,10 +166,15 @@ def saga_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
 
     The candidate uses the pre-update slot value and table mean:
     W - h * (G_i(W) - phi_i + sum/N); the slot is refreshed afterwards.
+    The table has N rows, so N is the state's slot count.
     """
-    i = idx[0]
-    g = obj.grad_batch(state.W, idx)
-    W = state.W - state.h * (g - state.table[i] + state.table_sum / obj.dataset.n_samples)
+    i = idx.item()
+    g, d = state._scratch
+    obj.grad_batch(state.W, idx, out=g)
+    np.subtract(g, state.table[i], out=d)
+    W = np.divide(state.table_sum, state._slots)
+    np.multiply(np.add(d, W, out=d), state._h, out=d)
+    np.subtract(state.W, d, out=W)
     _refresh_slot(state, i, g)
     if state.prox_l1 is not None:
         W = soft_threshold(W, state.h * state.prox_l1)
@@ -157,33 +191,29 @@ def svrg_outer(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
     if state.steps % state.m == 0:
         state.snapshot = state.W.copy()
         state.snapshot_grad = obj.grad_full(state.snapshot)
-    direction = (obj.grad_batch(state.W, idx) - obj.grad_batch(state.snapshot, idx)
-                 + state.snapshot_grad)
-    return _commit(state, state.W - state.h * direction)
-
-
-def fgd_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
-    """One full-gradient step W <- W - h * grad_full(W).
-
-    This is the mini-batch step on ``idx = dataset.rows``, which the kernel
-    reads in place; a full batch takes no draw.
-    """
-    return _commit(state, state.W - state.h * obj.grad_batch(state.W, idx))
-
-
-def sgd_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
-    """One SGD update along a single uniformly drawn sample gradient: the
-    mini-batch step at n = 1."""
-    return _commit(state, state.W - state.h * obj.grad_batch(state.W, idx))
+    g, g_snapshot = state._scratch
+    obj.grad_batch(state.W, idx, out=g)
+    obj.grad_batch(state.snapshot, idx, out=g_snapshot)
+    np.subtract(g, g_snapshot, out=g)
+    np.add(g, state.snapshot_grad, out=g)
+    return _commit(state, np.subtract(state.W, np.multiply(g, state._h, out=g)))
 
 
 def minibatch_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
     """One mini-batch update W <- W - h * mean gradient of the samples ``idx``,
     n drawn uniformly without replacement.
 
-    n = N reduces to fgd_step and n = 1 to sgd_step, step for step.
+    n = N reduces to fgd_step and n = 1 to sgd_step, step for step: both are
+    this function.  FGD steps on ``idx = dataset.rows``, which the kernel
+    reads in place; a full batch takes no draw.
     """
-    return _commit(state, state.W - state.h * obj.grad_batch(state.W, idx))
+    g = obj.grad_batch(state.W, idx, out=state._scratch[0])
+    return _commit(state, np.subtract(state.W, np.multiply(g, state._h, out=g)))
+
+
+#: A full-gradient step (on ``dataset.rows``) and an SGD step (on one
+#: uniformly drawn sample) are mini-batch steps.
+fgd_step = sgd_step = minibatch_step
 
 
 def _inner_length(m: int | None, n_samples: int) -> int:

@@ -221,9 +221,9 @@ class EvaluationCounter:
         self.total, self.at_loss = 0, []
         grad_batch, loss_full = obj.grad_batch, obj.loss_full
 
-        def counted(W, indices):
+        def counted(W, indices, out=None):
             self.total += indices.size
-            return grad_batch(W, indices)
+            return grad_batch(W, indices, out=out)
 
         def noted(W):
             self.at_loss.append(self.total)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 import ssag
 from ssag.errors import DimensionMismatchError, UnsupportedObjectiveError
 
-from conftest import enumeration_mean_and_variance
+from conftest import any_kind_problem, enumeration_mean_and_variance, peak_alloc_bytes
 
 
 def _quadratic_on(points, labels=None):
@@ -172,6 +172,69 @@ class TestGradientPopulationStats:
         assert stats.per_class_variance.tolist() == [0.0, 0.0]
         assert stats.population_variance == pytest.approx(expected)
         assert stats.population_variance > 0.0
+
+    @staticmethod
+    def _fsum_stats(obj, W):
+        """Population mean, variance and per-class variances of the gradient
+        rows, each sum rounded once by math.fsum."""
+        from math import fsum
+        G = obj.grad_samples(W, np.arange(obj.dataset.n_samples))
+
+        def moments(rows):
+            mean = np.array([fsum(col) / rows.shape[0] for col in rows.T])
+            squares = fsum(float(d) ** 2 for d in (rows - mean).ravel())
+            return mean, squares / (rows.shape[0] - 1) if rows.shape[0] > 1 else 0.0
+
+        mean, var = moments(G)
+        return mean, var, [moments(G[cell])[1] for cell in obj.dataset.partition]
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 5, None])
+    @pytest.mark.parametrize("kind", ["ridge", "logistic", "quadratic", "mlp"])
+    def test_row_blocks_match_the_fsum_oracle(self, monkeypatch, kind, block_rows):
+        # cells given out of row order, one of them a single row, so each
+        # block holds a few rows of several classes
+        base = any_kind_problem(kind, 23, 4, 3, seed=7)
+        cells = (np.array([5, 0, 17, 9, 3, 22, 11]), np.array([14]),
+                 np.array([20, 1, 2, 4, 6, 7, 8, 10, 12, 13, 15, 16, 18, 19, 21]))
+        ds = ssag.Dataset(base.dataset.features, base.dataset.labels, cells)
+        spec = {"kind": kind, "lam": 0.1, **({"hidden": [3]} if kind == "mlp" else {})}
+        obj = ssag.make_objective(spec, ds)
+        if block_rows is not None:
+            monkeypatch.setattr(ssag.objectives, "BLOCK_BYTES", block_rows * obj.dim * 8)
+        W = np.random.default_rng(8).normal(size=obj.dim)
+        stats = ssag.gradient_population_stats(obj, W)
+        mean, var, per_class = self._fsum_stats(obj, W)
+        assert stats.population_mean == pytest.approx(mean, rel=1e-12, abs=1e-15)
+        assert stats.population_variance == pytest.approx(var, rel=1e-12)
+        assert stats.per_class_variance[1] == 0.0
+        assert stats.per_class_variance == pytest.approx(per_class, rel=1e-12)
+
+    def test_one_block_keeps_the_one_pass_bits(self):
+        # the ssag-envelope geometry: N = 200, p = 5 logistic, one block
+        means = np.zeros((2, 5))
+        means[0, 0], means[1, 0], means[1, 1] = -18.0, 22.0, 4.0
+        obj = ssag.LogisticRegression(ssag.gen_synthetic(ssag.SyntheticSpec(
+            means=means, counts=(100, 100), stddev=0.02, seed=1)), lam=0.1)
+        W = np.random.default_rng(3).normal(size=5)
+        G = obj.grad_samples(W, np.arange(200))
+        stats = ssag.gradient_population_stats(obj, W)
+        dev = G - G.mean(axis=0)
+        assert stats.population_mean.tobytes() == G.mean(axis=0).tobytes()
+        assert stats.population_variance == float(np.sum(dev * dev) / 199)
+        for cell, got in zip(obj.dataset.partition, stats.per_class_variance.tolist()):
+            devc = G[cell] - G[cell].mean(axis=0)
+            assert got == float(np.sum(devc * devc) / (cell.size - 1))
+
+    def test_peaks_under_a_few_blocks(self):
+        # an MLP of dim 10 302 at N = 200: the (N, dim) gradient matrix would
+        # be 62.9 blocks, and a copy of each class's rows as much again
+        means = np.zeros((2, 100))
+        means[0, 0], means[1, 0] = -1.0, 1.0
+        obj = ssag.Mlp(ssag.gen_synthetic(ssag.SyntheticSpec(
+            means=means, counts=(100, 100), stddev=0.1, seed=1)), hidden=(100,))
+        assert obj.dim >= 10_000
+        peak = peak_alloc_bytes(ssag.gradient_population_stats, obj, obj.init_params(0))
+        assert peak < 6 * ssag.objectives.BLOCK_BYTES
 
     def test_single_sample_degenerate(self):
         obj = _quadratic_on([[1.0, 2.0]])

@@ -240,7 +240,8 @@ class TestOneRowKernel:
         # reduction, residual link(m) - y, then X'r / 1 + lam W through BLAS;
         # bits compared as integers, so a -0.0 against a +0.0 fails.  Rows
         # shorter than 8 features take the kernel's Python-float path, longer
-        # rows its numpy path.  "huge" weights (|w| from 1e300 to 1e308,
+        # rows its numpy path; a call with out= must write the same bits and
+        # return out.  "huge" weights (|w| from 1e300 to 1e308,
         # random signs) overflow the margin to +-inf or NaN on many rows: NaN
         # entries must sit at the same positions, every other entry, +-inf
         # included, must have the same bits.
@@ -263,9 +264,52 @@ class TestOneRowKernel:
                 resid = link(np.add.reduce(Xi * W, axis=1)) - np.asarray(y, dtype=float)[[i]]
                 want = (Xi.T @ resid) / 1 + lam * W
                 got = obj.grad_batch(W, np.array([i]))
+                out = np.full(p, np.nan)
+                written = obj.grad_batch(W, np.array([i]), out=out)
+            assert written is out
             nan = np.isnan(want)
-            assert np.array_equal(np.isnan(got), nan)
-            assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+            for result in (got, out):
+                assert np.array_equal(np.isnan(result), nan)
+                assert np.array_equal(result[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+class TestOutArgument:
+    """``grad_batch(W, indices, out=out)`` and ``grad_class_batch`` write the
+    allocating call's bits into ``out``, signed zeros included, and return
+    ``out``: at one row (a short and a long row for the linear models), at a
+    batch and at ``dataset.rows``."""
+
+    @pytest.mark.parametrize("w_mode", ["normal", "signed zeros"])
+    @pytest.mark.parametrize("p", [5, 12], ids=["short-row", "long-row"])
+    @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+    def test_bits_of_the_allocating_call(self, kind, p, w_mode):
+        obj = any_kind_problem(kind, 9, p, 3, seed=p)
+        rng = np.random.default_rng(p + 1)
+        W = (rng.normal(size=obj.dim) if w_mode == "normal"
+             else np.where(rng.integers(0, 2, size=obj.dim) == 1, -0.0, 0.0))
+        ds = obj.dataset
+        for indices in (np.array([4]), np.array([0, 3, 8, 5]), ds.rows):
+            want = obj.grad_batch(W, indices)
+            out = np.full(obj.dim, np.nan)
+            assert obj.grad_batch(W, indices, out=out) is out
+            assert out.tobytes() == want.tobytes()
+        for j, cell in enumerate(ds.partition):
+            for indices in (cell[:1], cell):
+                want = obj.grad_class_batch(W, j, indices)
+                out = np.full(obj.dim, np.nan)
+                assert obj.grad_class_batch(W, j, indices, out=out) is out
+                assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+    def test_a_rejected_call_leaves_out_as_it_was(self, kind):
+        obj = any_kind_problem(kind, 9, 12, 3, seed=4)
+        W, out = np.ones(obj.dim), np.arange(float(obj.dim))
+        other = obj.dataset.partition[1]
+        with pytest.raises(StratumViolationError):
+            obj.grad_class_batch(W, 0, other[:1], out=out)
+        with pytest.raises(IndexError):
+            obj.grad_batch(W, np.array([9]), out=out)
+        assert out.tobytes() == np.arange(float(obj.dim)).tobytes()
 
 
 class TestGradFull:

@@ -248,7 +248,8 @@ class TestFgd:
         assert SPECS[kind].source(obj.dataset, n) is None
         seen = []
         grad_batch = obj.grad_batch
-        obj.grad_batch = lambda W, indices: seen.append(indices) or grad_batch(W, indices)
+        obj.grad_batch = (lambda W, indices, out=None:
+                          seen.append(indices) or grad_batch(W, indices, out=out))
         ssag.run(RunConfig(kind=kind, steps=3, h=0.1, n=n), obj)
         assert len(seen) == 3 and all(indices is obj.dataset.rows for indices in seen)
 
@@ -435,6 +436,48 @@ class TestSaga:
         mean_table = table.mean(axis=0)
         directions = (obj.grad_samples(W, np.arange(N)) - table) + mean_table
         assert directions.mean(axis=0) == pytest.approx(obj.grad_full(W), rel=1e-12)
+
+
+def _state_bytes(state):
+    return (state.W.tobytes(), state.table.tobytes(), state.table_sum.tobytes(), state.steps)
+
+
+class TestRejectedDraw:
+    """A step whose kernel raises leaves W, the table, its running sum and
+    the step count as they were.  SAG and SSAG have the kernel write into the
+    drawn slot, so a step that took the old slot out of the sum before the
+    kernel ran would leave a sum without it."""
+
+    @pytest.mark.parametrize("p", [5, 12], ids=["short-row", "long-row"])
+    @pytest.mark.parametrize("objective", ["logistic", "mlp"])
+    @pytest.mark.parametrize("kind", ["ssag", "sag", "saga", "svrg", "sgd", "minibatch"])
+    def test_out_of_range_index(self, kind, objective, p):
+        obj = any_kind_problem(objective, 10, p, 2, seed=p)
+        state = make_state(RunConfig(kind=kind, steps=0, h=0.05, n=1), obj)
+        for j, idx in _draws(kind, obj, 7, RngStream(2)):
+            getattr(optimizers, SPECS[kind].step)(state, obj, j, idx)
+        before = _state_bytes(state)
+        N = obj.dataset.n_samples
+        for bad in (N, -N - 1):
+            error = ssag.errors.StratumViolationError if kind == "ssag" else IndexError
+            with pytest.raises(error):
+                getattr(optimizers, SPECS[kind].step)(state, obj, 0, np.array([bad]))
+            assert _state_bytes(state) == before
+
+    @pytest.mark.parametrize("p", [5, 12], ids=["short-row", "long-row"])
+    def test_index_outside_the_drawn_class(self, p):
+        obj = any_kind_problem("logistic", 10, p, 2, seed=p)
+        state = make_state(RunConfig(kind="ssag", steps=0, h=0.05, n=2), obj)
+        for j, idx in _draws("ssag", obj, 7, RngStream(2), n=2):
+            ssag_step(state, obj, j, idx)
+        assert np.all(state.table != 0.0)
+        before = _state_bytes(state)
+        for j in (0, 1):
+            other = obj.dataset.partition[1 - j]
+            for idx in (other[:1], other[:2], np.array([obj.dataset.partition[j][0], other[0]])):
+                with pytest.raises(ssag.errors.StratumViolationError):
+                    ssag_step(state, obj, j, idx)
+                assert _state_bytes(state) == before
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
