@@ -91,10 +91,8 @@ def sigmoid(m):
     stride (``math.exp`` differs from it in the last bit of some values).
     An array gives a float64 array, whatever its dtype.
     """
-    if type(m) is float:
-        return _sigmoid_float(m)
-    e = np.copysign(m, _MINUS_ONE)  # -|m|, one call where min(m, -m) took two
-    if e.ndim == 0:  # any other scalar: numpy gave a scalar, which takes no out=
+    e = np.copysign(m, _MINUS_ONE)  # -|m|
+    if e.ndim == 0:  # a scalar: numpy gave a scalar, which takes no out=
         return _sigmoid_float(float(m))
     np.exp(e, out=e)
     # (1 or e) as max(e, m >= 0) since e <= 1, and 1 + e in place of e: six

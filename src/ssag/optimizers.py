@@ -27,6 +27,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from numbers import Integral, Real
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -60,8 +61,8 @@ class State:
     The steps' operands are made at construction: ``h`` and ``h / slots`` as
     0-d arrays (``slots`` is the table's row count, N for SAGA), two scratch
     rows of W's shape and, for a W of ``SHORT_ROW`` entries or more, the mask
-    of the finite guard.  So ``h`` and the table's shape are fixed once the
-    state is made.
+    of the finite guard.  So ``h`` and ``table`` are fixed once the state is
+    made: assigning either raises AttributeError (the slots stay writable).
     """
 
     W: np.ndarray
@@ -86,6 +87,26 @@ class State:
         self._slots = operand(slots)
         self._scratch = tuple(np.empty((2, *self.W.shape)))  # two rows, as views
         self._finite = np.empty(self.W.shape, dtype=bool) if self.W.size >= SHORT_ROW else None
+
+
+def _fixed(name: str) -> property:
+    """A `State` field that keeps its first value other than None, so that an
+    assignment after construction raises instead of going unseen by the
+    operands made from it."""
+    key = f"_{name}_value"
+
+    def set_once(state: State, value) -> None:
+        # not through state.__dict__, which would cost every attribute
+        # read of the state its fast path
+        if getattr(state, key, None) is not None:
+            raise AttributeError(f"State.{name} is fixed once the state is made")
+        setattr(state, key, value)
+
+    return property(attrgetter(key), set_once)
+
+
+# set after the class is made, so that the dataclass keeps the fields' defaults
+State.h, State.table = _fixed("h"), _fixed("table")
 
 
 def _commit(state: State, W: np.ndarray) -> State:

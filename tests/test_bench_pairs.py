@@ -65,3 +65,13 @@ def test_parse_output():
     assert run == Run({"steps_per_s": 105300.0}, ("3730fcbb", "0badf00d"), True)
     with pytest.raises(ValueError, match="no result"):
         bench_pairs.parse_output("ssag-envelope: records digest x\n", "ssag-envelope")
+
+
+def test_alternate_swaps_the_first_side_each_round(capsys):
+    order = []
+    checkouts = bench_pairs.pair_parser("pairs").parse_args(["--parent", "p", "--change", "c"])
+    runs = bench_pairs.alternate(checkouts, 3, lambda checkout: order.append(checkout.name)
+                                 or len(order), str)
+    assert order == ["p", "c", "c", "p", "p", "c"]
+    assert runs == {"parent": [1, 4, 5], "change": [2, 3, 6]}
+    assert capsys.readouterr().out.splitlines()[:2] == ["pair 0 parent: 1", "pair 0 change: 2"]

@@ -222,6 +222,28 @@ class TestRecomputeSum:
         assert np.all(np.abs(state.table_sum - exact) <= rounding)
 
 
+class TestFixedFields:
+    """The steps' operands are made from h and the table's row count at
+    construction, so both fields refuse a later assignment."""
+
+    @pytest.mark.parametrize("name, value", [("h", 0.2), ("table", np.zeros((3, 2)))])
+    def test_assignment_after_construction_raises(self, name, value):
+        state = State(W=np.zeros(2), h=0.1, table=np.ones((2, 2)))
+        with pytest.raises(AttributeError, match=f"State.{name} is fixed"):
+            setattr(state, name, value)
+        assert state.h == 0.1 and state.table.shape == (2, 2)
+        assert float(state._h_per_slot) == 0.05
+
+    def test_default_table_and_slots_stay_writable(self):
+        state = State(W=np.zeros(2), h=0.1)
+        assert state.table.shape == (0, 2)
+        with pytest.raises(AttributeError):
+            state.table = np.zeros((1, 2))
+        state = State(W=np.zeros(2), h=0.1, table=np.zeros((2, 2)))
+        state.table[1] = [1.0, -1.0]
+        assert state.table.tolist() == [[0.0, 0.0], [1.0, -1.0]]
+
+
 class TestFgd:
     def test_stationary_at_optimum(self, line_ridge):
         w_star = ssag.reference_optimum(line_ridge)

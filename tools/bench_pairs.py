@@ -110,21 +110,49 @@ def format_summary(rows, runs) -> str:
     return "\n".join(lines)
 
 
+def pair_parser(description: str) -> argparse.ArgumentParser:
+    """A parser that takes the two checkouts, ``--parent DIR --change DIR``."""
+    p = argparse.ArgumentParser(description=description)
+    for side in SIDES:
+        p.add_argument(f"--{side}", type=Path, required=True, help=f"the {side} checkout")
+    return p
+
+
+def child_stdout(cmd, checkout: Path, ok=(0,)) -> str:
+    """The standard output of ``cmd`` run in ``checkout`` and waited for; its
+    standard error is passed on and RuntimeError raised if it exits with a
+    code not in ``ok``."""
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
+    if proc.returncode not in ok:
+        sys.stderr.write(proc.stderr)
+        raise RuntimeError(f"{checkout}: the child process exited {proc.returncode}")
+    return proc.stdout
+
+
+def alternate(args, rounds: int, run_one, describe) -> dict[str, list]:
+    """Each side's ``run_one(checkout)`` results over ``rounds`` rounds, in
+    round order.  A round runs both checkouts of ``args``, one after the
+    other: the parent first in even rounds and the change first in odd
+    rounds.  Each run's ``describe(result)`` is printed as it ends."""
+    runs = {side: [] for side in SIDES}
+    for round_no in range(rounds):
+        for side in SIDES if round_no % 2 == 0 else SIDES[::-1]:
+            result = run_one(getattr(args, side))
+            runs[side].append(result)
+            print(f"pair {round_no} {side}: {describe(result)}", flush=True)
+    return runs
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Run:
-    """One untraced benchmark run in ``checkout``, waited for."""
+    """One untraced benchmark run in ``checkout``, waited for; a run whose
+    checks failed exits 1 and still counts."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
-    if proc.returncode not in (0, 1):
-        sys.stderr.write(proc.stderr)
-        raise RuntimeError(f"{checkout}: perfbench/run.py exited {proc.returncode}")
-    return parse_output(proc.stdout, workload)
+    return parse_output(child_stdout(cmd, checkout, ok=(0, 1)), workload)
 
 
 def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    for side in SIDES:
-        p.add_argument(f"--{side}", type=Path, required=True, help=f"the {side} checkout")
+    p = pair_parser(__doc__.splitlines()[0])
     p.add_argument("--workload", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--seconds", type=float, required=True)
@@ -133,14 +161,11 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         p.error("--pairs must be >= 1")
     end_to_end = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
-    runs = {side: [] for side in SIDES}
-    for round_no in range(args.pairs):
-        for side in SIDES if round_no % 2 == 0 else SIDES[::-1]:
-            run = run_once(getattr(args, side), args.workload, args.seed, args.seconds)
-            runs[side].append(run)
-            print(f"pair {round_no} {side}: "
-                  + ", ".join(f"{m['name']} {run.metrics[m['name']]:.6g}" for m in end_to_end)
-                  + f", digests {' '.join(run.digests)}", flush=True)
+    runs = alternate(
+        args, args.pairs,
+        lambda checkout: run_once(checkout, args.workload, args.seed, args.seconds),
+        lambda run: ", ".join(f"{m['name']} {run.metrics[m['name']]:.6g}" for m in end_to_end)
+        + f", digests {' '.join(run.digests)}")
     print(f"{args.workload}: {args.pairs} pairs, seed {args.seed}, {args.seconds:g} s per run")
     print(format_summary(summarize(end_to_end, runs), runs))
     return 0 if same_digests(runs) and all(r.correct for side in SIDES for r in runs[side]) else 1

@@ -2,13 +2,13 @@
 
     python3 tools/step_costs.py --parent DIR --change DIR --rounds 5 --steps 20000
 
-Each round starts one child process per checkout, one after the other: the
-parent first in even rounds and the change first in odd rounds.  A child
-imports ``ssag`` from its checkout's ``src`` and builds the logistic problems
-of both benchmark workloads: ssag-envelope's (N = 200, p = 5, lam = 0.1) and
-large-n-compare's (N = 20 000, p = 20, lam = 0.02).  For each kind that takes
-a per-step draw, it takes ``--steps`` draws from ``RngStream.take`` first,
-then times the kind's step function over them from a fresh `make_state`,
+Each round starts one child process per checkout, one after the other, by
+`bench_pairs.alternate`: the parent first in even rounds and the change first
+in odd rounds.  A child imports ``ssag`` from its checkout's ``src`` and
+builds the logistic problems of both benchmark workloads: ssag-envelope's
+(N = 200, p = 5, lam = 0.1) and large-n-compare's (N = 20 000, p = 20,
+lam = 0.02).  For each kind that takes a per-step draw, it takes ``--steps``
+draws from ``RngStream.take`` first, then times the kind's step function over them from a fresh `make_state`,
 ``--repeats`` times, and keeps the fastest.  The first step of each timing is
 SVRG's first snapshot.  FGD is left out: its step is one full-data pass.
 
@@ -20,13 +20,11 @@ when some W differs.  Each child is waited for, so nothing is left running.
 
 from __future__ import annotations
 
-import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
 
-SIDES = ("parent", "change")
+from bench_pairs import SIDES, alternate, child_stdout, pair_parser
 
 #: (kind, batch n) timed in each geometry, as large-n-compare runs them
 KINDS = (("ssag", 1), ("sag", 1), ("sgd", 1), ("saga", 1), ("svrg", 1), ("minibatch", 10))
@@ -104,22 +102,16 @@ def format_summary(rows) -> str:
 
 
 def run_child(checkout: Path, steps: int, repeats: int, seed: int) -> dict:
-    """One child process on ``checkout``'s sources, waited for."""
+    """One timing child on ``checkout``'s sources, waited for."""
     code = (f"import sys, json; sys.path[:0] = [{str(checkout / 'src')!r}, "
             f"{str(Path(__file__).resolve().parent)!r}]; import step_costs; "
             f"print(json.dumps(step_costs._child({steps}, {repeats}, {seed})))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=False)
-    if proc.returncode != 0:
-        sys.stderr.write(proc.stderr)
-        raise RuntimeError(f"{checkout}: the timing child exited {proc.returncode}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(child_stdout([sys.executable, "-c", code], checkout).strip()
+                      .splitlines()[-1])
 
 
 def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    for side in SIDES:
-        p.add_argument(f"--{side}", type=Path, required=True, help=f"the {side} checkout")
+    p = pair_parser(__doc__.splitlines()[0])
     p.add_argument("--rounds", type=int, default=5)
     p.add_argument("--steps", type=int, default=20_000)
     p.add_argument("--repeats", type=int, default=3)
@@ -127,12 +119,10 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if min(args.rounds, args.steps, args.repeats) < 1:
         p.error("--rounds, --steps and --repeats must be >= 1")
-    runs = {side: [] for side in SIDES}
-    for round_no in range(args.rounds):
-        for side in SIDES if round_no % 2 == 0 else SIDES[::-1]:
-            runs[side].append(run_child(getattr(args, side).resolve(), args.steps,
-                                        args.repeats, args.seed))
-            print(f"round {round_no} {side} done", flush=True)
+    runs = alternate(
+        args, args.rounds,
+        lambda checkout: run_child(checkout.resolve(), args.steps, args.repeats, args.seed),
+        lambda result: "done")
     rows = summarize(runs)
     print(f"{args.rounds} rounds x {args.repeats} repeats of {args.steps} steps, seed {args.seed}")
     print(format_summary(rows))
