@@ -26,9 +26,9 @@ SHORT_ROW = 8
 def operand(value: float) -> np.ndarray:
     """``value`` as a read-only 0-d float64 array.  A ufunc takes a 0-d array
     operand at about two thirds of the cost of a Python float, with the same
-    bits (``np.multiply(x, r, out=buf)`` at p = 20: 340 against 500 ns with
-    numpy 2.4 on a 2-core x86-64 host), so the one-row kernels and the
-    optimizer steps keep their scalars in this form."""
+    bits (``multiply(x, r, buf)`` at p = 20: 224 against 350 ns with numpy
+    2.4 on a 2-core x86-64 host), so the one-row kernels and the optimizer
+    steps keep their scalars in this form."""
     a = np.array(float(value))
     a.flags.writeable = False
     return a

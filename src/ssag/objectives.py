@@ -47,6 +47,7 @@ from abc import ABC, abstractmethod
 from numbers import Real
 
 import numpy as np
+from numpy import add, copysign, divide, exp, greater_equal, maximum, multiply
 
 from .core import SHORT_ROW, ConvexityConstants, Dataset, Moments, as_params, operand
 from .errors import (
@@ -77,7 +78,7 @@ _ZERO, _ONE, _MINUS_ONE = operand(0.0), operand(1.0), operand(-1.0)
 
 def _sigmoid_float(m: float) -> float:
     """`sigmoid` of a Python float, as a Python float: the one-row kernel's link."""
-    e = float(np.exp(-abs(m)))
+    e = float(exp(-abs(m)))
     return (1.0 if m >= 0 else e) / (1.0 + e)
 
 
@@ -91,14 +92,14 @@ def sigmoid(m):
     stride (``math.exp`` differs from it in the last bit of some values).
     An array gives a float64 array, whatever its dtype.
     """
-    e = np.copysign(m, _MINUS_ONE)  # -|m|
+    e = copysign(m, _MINUS_ONE)  # -|m|
     if e.ndim == 0:  # a scalar: numpy gave a scalar, which takes no out=
         return _sigmoid_float(float(m))
-    np.exp(e, out=e)
+    exp(e, e)
     # (1 or e) as max(e, m >= 0) since e <= 1, and 1 + e in place of e: six
     # ufunc calls and two temporaries, each scalar operand a 0-d array
-    numerator = np.maximum(e, np.greater_equal(m, _ZERO))
-    return np.divide(numerator, np.add(e, _ONE, out=e), out=numerator)
+    numerator = maximum(e, greater_equal(m, _ZERO))
+    return divide(numerator, add(e, _ONE, e), numerator)
 
 
 class Objective(ABC):
@@ -314,20 +315,21 @@ class _LinearObjective(Objective):
         return X, self._link(margins) - self._take(self._targets, indices)
 
     def grad_batch(self, W, indices, out=None):
-        if indices.size == 1 and indices is not self.dataset.rows:
+        ds = self.dataset
+        if indices.size == 1 and indices is not ds.rows:
             # one row, read in place: r * x is the matmul's one product, and
             # + 0.0 turns a -0.0 product into the +0.0 its accumulation gives
             i = indices.item()
-            x = self.dataset.features[i]
+            x = ds.features[i]
             if not self._short_rows:
                 # the margin lands in the 0-d r, which then holds the
                 # residual; the link takes it as a Python float
-                t = np.multiply(x, W)
-                r = np.add.reduce(t, out=np.empty(()))
+                t = multiply(x, W)
+                r = add.reduce(t, 0, None, np.empty(()))
                 r[()] = self._link_float(float(r)) - self._targets.item(i)
-                out = np.multiply(x, r, out=out)
-                np.add(out, _ZERO, out=out)
-                return np.add(out, np.multiply(W, self._lam, out=t), out=out)
+                out = multiply(x, r, out)
+                add(out, _ZERO, out)
+                return add(out, multiply(W, self._lam, t), out)
             # the same formula on Python floats, for a row shorter than
             # SHORT_ROW.  The margin loop starts at +0.0 and adds left to
             # right, as numpy's pairwise sum does below 8 terms; built-in
@@ -343,7 +345,7 @@ class _LinearObjective(Objective):
             out[...] = g
             return out
         X, resid = self._residuals(W, indices)
-        return np.add((X.T @ resid) / indices.size, self._lam * W, out=out)
+        return add((X.T @ resid) / indices.size, multiply(self._lam, W), out)
 
     def grad_samples(self, W, indices):
         X, resid = self._residuals(W, indices)

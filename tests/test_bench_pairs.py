@@ -75,3 +75,19 @@ def test_alternate_swaps_the_first_side_each_round(capsys):
     assert order == ["p", "c", "c", "p", "p", "c"]
     assert runs == {"parent": [1, 4, 5], "change": [2, 3, 6]}
     assert capsys.readouterr().out.splitlines()[:2] == ["pair 0 parent: 1", "pair 0 change: 2"]
+
+
+@pytest.mark.parametrize("side", ["--parent", "--change"])
+def test_pair_parser_refuses_a_git_work_tree(tmp_path, capsys, side):
+    work_tree, export = tmp_path / "work", tmp_path / "export"
+    (work_tree / ".git").mkdir(parents=True)
+    export.mkdir()
+    argv = {"--parent": export, "--change": export}
+    argv[side] = work_tree
+    with pytest.raises(SystemExit):
+        bench_pairs.pair_parser("pairs").parse_args(
+            [arg for flag, path in argv.items() for arg in (flag, str(path))])
+    assert "git archive" in capsys.readouterr().err
+    args = bench_pairs.pair_parser("pairs").parse_args(
+        ["--parent", str(export), "--change", str(export)])
+    assert (args.parent, args.change) == (export, export)

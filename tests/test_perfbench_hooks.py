@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import ssag
 from ssag.optimizers import SPECS
@@ -91,6 +92,29 @@ def test_ssag_step_edges_gradient_and_update_once_per_step_draws_never(random_pr
     assert calls == {"class draw": [0], "within-class draw": [0],
                      "class-batch gradient": [config.steps] * 2,
                      "update and guard": [config.steps]}
+
+
+#: (the gradient span a kind's step calls directly, calls per step)
+STEP_GRADIENTS = {"ssag": ("objectives.grad_class_batch", 1),
+                  "svrg": ("objectives.grad_batch", 2)}
+
+
+@pytest.mark.parametrize("kind", list(SPECS))
+def test_tracer_keeps_each_kind_trajectory_and_step_count(random_problem, kind):
+    # perfbench's trace_neutral check and its per-layer counts hold only if
+    # a traced step takes the bits of an untraced one, goes through its named
+    # step function once per step and calls its gradient through the object
+    obj = random_problem(kind="logistic", N=12, p=12)
+    config = ssag.RunConfig(kind=kind, steps=40, h=0.1, cadence=10)
+    untraced = ssag.run(config, obj)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        traced = ssag.run(config, obj)
+    assert traced.content_hash() == untraced.content_hash()
+    step_calls = {other: tracer.totals(f"optimizers.step.{other}")[0] for other in SPECS}
+    assert step_calls == {other: config.steps if other == kind else 0 for other in SPECS}
+    gradient, per_step = STEP_GRADIENTS.get(kind, ("objectives.grad_batch", 1))
+    assert tracer.totals(gradient, f"optimizers.step.{kind}")[0] == per_step * config.steps
 
 
 def test_full_data_calls_count_every_row(random_problem):

@@ -16,6 +16,7 @@ import pytest
 from scipy.special import expit
 
 import ssag
+from ssag.core import SHORT_ROW
 from ssag.optimizers import SPECS, RunConfig, run
 
 # (objective kind, run options) -> content hash; frozen from the first run
@@ -53,6 +54,34 @@ PINNED_MLP = {
     "sgd": "6010b8bf9a204d562107b492ecd7fc7d43e9762df2f60bb0a56328346cee0abc",
 }
 
+# (objective kind, run options) -> content hash of a run on the p = 12
+# problem, whose rows take the numpy one-row kernel and whose iterates take
+# the finite guard's mask; frozen from the first run
+PINNED_LONG = {
+    ("logistic", "fgd"):
+        "c3a0286a479f57a5ca906b8754e27851290c7a871919ae9d17e421d83bc72e75",
+    ("logistic", "sgd"):
+        "993743b5b29ac5c6b1e2e13d4ac991ca314891ef9715e8d6a0e4a4f1a3c9236f",
+    ("logistic", "minibatch"):
+        "993743b5b29ac5c6b1e2e13d4ac991ca314891ef9715e8d6a0e4a4f1a3c9236f",
+    ("logistic", "sag"):
+        "aa04b5a9a5fda6e7a1d3cff542d56f096026e854281a8b92aa69ce86ba37f2b6",
+    ("logistic", "svrg"):
+        "9c7e8b57bf3ae28e89a2ab0f9dfb6c833877ca3bc59e2320c896133c31ac02fc",
+    ("logistic", "saga"):
+        "bc286ca5313501bdd357944548719e06f870e2cca3c395e25dee914016314ddd",
+    ("logistic", "ssag"):
+        "630510627a024883ba6a08dcad1673f1a12170b745a16967e6ff4f9d0fa505b2",
+    ("logistic", "ssag n=2"):
+        "80a41665e449fbaca01c6ba41b88a172ce91c955c27191c6b2f9aaff7cf7b96c",
+    ("logistic", "saga prox_l1"):
+        "31361023671716bed0a58e1597e7d85692fe491a27bc8d839ae03fe908e7bcd5",
+    ("logistic", "minibatch n=3"):
+        "f3b82163e3d796441e017055b78af265593e99e46523471b6a9bf54da50c243f",
+    ("ridge", "ssag"):
+        "d5f33b49459b8bb1670e2c3ed59d14c63fe747f448329798ebb4698bb84b1f34",
+}
+
 OPTIONS = {
     "ssag n=2": {"kind": "ssag", "n": 2},
     "saga prox_l1": {"kind": "saga", "prox_l1": 0.05},
@@ -71,6 +100,20 @@ def _problem(kind, **spec):
     return ssag.make_objective({"kind": kind, "lam": 0.1, **spec}, ds)
 
 
+def _long_problem(kind):
+    """Three unequal Gaussian classes, N = 31, p = 12: rows of at least
+    `core.SHORT_ROW` features."""
+    means = np.array([
+        [1.5, -0.5, 0.2, 0.0, 0.8, -1.2, 0.3, 0.6, -0.4, 1.0, 0.1, -0.7],
+        [-1.0, 1.0, 0.0, 0.5, -0.6, 0.9, -1.1, 0.2, 0.7, -0.3, 0.4, 1.2],
+        [0.0, -1.5, 1.0, -0.5, 0.3, 0.4, 0.9, -1.3, -0.2, -0.8, 1.1, 0.0]])
+    ds = ssag.gen_synthetic(ssag.SyntheticSpec(means=means, counts=(12, 10, 9),
+                                               stddev=0.8, seed=5))
+    if kind == "logistic":
+        ds = ssag.Dataset(ds.features, (ds.labels == 0).astype(np.int64), ds.partition)
+    return ssag.make_objective({"kind": kind, "lam": 0.1}, ds)
+
+
 def test_every_kind_is_pinned():
     assert {label for _, label in PINNED if label in SPECS} == set(SPECS)
 
@@ -86,6 +129,24 @@ def test_trajectory_hash_is_pinned(obj_kind, label):
                  test_dataset=obj.dataset if obj_kind == "logistic" else None)
     assert not record.diverged
     assert record.content_hash() == PINNED[(obj_kind, label)]
+
+
+def test_every_kind_is_pinned_on_long_rows():
+    assert {label for _, label in PINNED_LONG if label in SPECS} == set(SPECS)
+
+
+@pytest.mark.parametrize("obj_kind,label", list(PINNED_LONG))
+def test_long_row_trajectory_hash_is_pinned(obj_kind, label):
+    obj = _long_problem(obj_kind)
+    assert obj.dim >= SHORT_ROW
+    constants = ssag.estimate_constants(obj)
+    config = RunConfig(steps=600, seed=17, cadence=50, record_variance=True,
+                       **OPTIONS.get(label, {"kind": label}))
+    record = run(config, obj, constants=constants,
+                 w_star=ssag.reference_optimum(obj, constants=constants),
+                 test_dataset=obj.dataset if obj_kind == "logistic" else None)
+    assert not record.diverged
+    assert record.content_hash() == PINNED_LONG[(obj_kind, label)]
 
 
 @pytest.mark.parametrize("obj_kind", ["ridge", "logistic"])

@@ -12,8 +12,10 @@ direction; a tie counts for neither side.  It also says whether every run on
 both sides printed the same records digests; the exit code is 1 when they
 differ or a run failed a check.
 
-Each run is a child process that this script waits for; it leaves nothing
-running and writes nothing outside what ``perfbench/run.py`` itself writes.
+Both checkouts are file exports (``git archive REV | tar -x -C DIR``); a
+directory that holds ``.git`` is refused.  Each run is a child process that
+this script waits for; it leaves nothing running and writes nothing outside
+what ``perfbench/run.py`` itself writes.
 """
 
 from __future__ import annotations
@@ -110,11 +112,25 @@ def format_summary(rows, runs) -> str:
     return "\n".join(lines)
 
 
+def export_dir(value: str) -> Path:
+    """A checkout directory that holds no ``.git``.  A git work tree read
+    0.3-0.4 MB more ``peak_rss_mb`` than an export of the same files, so
+    both sides of a comparison are exports."""
+    path = Path(value)
+    if (path / ".git").exists():
+        raise argparse.ArgumentTypeError(
+            f"{path} holds .git; compare exports made with "
+            f"`git archive REV | tar -x -C DIR`, not a git work tree")
+    return path
+
+
 def pair_parser(description: str) -> argparse.ArgumentParser:
-    """A parser that takes the two checkouts, ``--parent DIR --change DIR``."""
+    """A parser that takes the two checkouts, ``--parent DIR --change DIR``,
+    each a directory without ``.git`` (`export_dir`)."""
     p = argparse.ArgumentParser(description=description)
     for side in SIDES:
-        p.add_argument(f"--{side}", type=Path, required=True, help=f"the {side} checkout")
+        p.add_argument(f"--{side}", type=export_dir, required=True,
+                       help=f"the {side} checkout, a `git archive` export")
     return p
 
 
