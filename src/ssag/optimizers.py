@@ -60,9 +60,11 @@ class State:
     and SAGA, none for the memoryless kinds (an empty table by default);
     ``table_sum`` defaults to its exact sum.  The state owns ``table_sum``:
     each slot refresh updates it in place.  ``snapshot`` and ``snapshot_grad``
-    are SVRG's; ``n``, ``m`` (SVRG's resolved refresh period) and ``prox_l1``
-    are the run's settings, read only by the kinds that use them.  No state
-    counts evaluations: the kind's `OptimizerSpec.evals` gives them.
+    are SVRG's; ``m`` (SVRG's resolved refresh period) and ``prox_l1`` are the
+    run's settings, read only by the kinds that use them.  A step's batch
+    reaches it through its draw (`OptimizerSpec.source`), so the state keeps
+    no batch size.  No state counts evaluations: the kind's
+    `OptimizerSpec.evals` gives them.
 
     The steps' operands are made at construction: ``h`` and ``h / slots`` as
     0-d arrays (``slots`` is the table's row count, N for SAGA), two scratch
@@ -78,7 +80,6 @@ class State:
     table_sum: np.ndarray | None = None  # (p,), running sum of the slots
     snapshot: np.ndarray | None = None
     snapshot_grad: np.ndarray | None = None
-    n: int = 1
     m: int | None = None
     prox_l1: float | None = None
     steps: int = 0
@@ -403,7 +404,7 @@ def make_state(config: RunConfig, obj: Objective, constants=None) -> State:
             raise ConfigError(f"batch size {config.n} exceeds {bound} ({limit} samples)")
     W0 = obj.init_params(seed=config.seed)
     return State(W=W0, h=resolve_step_size(config, obj, constants),
-                 table=np.zeros((spec.slots(ds), W0.size)), n=config.n,
+                 table=np.zeros((spec.slots(ds), W0.size)),
                  m=_inner_length(config.m, ds.n_samples), prox_l1=config.prox_l1)
 
 

@@ -328,6 +328,26 @@ class TestCsv:
         with pytest.raises(FormatError, match=f"x_s1.csv:{line}:"):
             read_csv(path)
 
+    @pytest.mark.parametrize("header", [
+        "", "k,passes,loss", "k,passes,loss,test_acc,dist_sq,grad_evals,wall_s"],
+        ids=["empty", "short", "renamed"])
+    def test_wrong_header_rejected(self, tmp_path, header):
+        result = self._result(seeds=[1])
+        (path,) = emit_csv(result.records, tmp_path, "x")
+        rows = path.read_text().splitlines()
+        path.write_text("\n".join([header] + rows[1:]) + "\n")
+        with pytest.raises(FormatError, match="x_s1.csv: missing or wrong CSV header"):
+            read_csv(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        result = self._result(seeds=[1])
+        (path,) = emit_csv(result.records, tmp_path, "x")
+        rows = path.read_text().splitlines()
+        path.write_text("\n".join(rows[:2] + ["", "   "] + rows[2:] + [""]) + "\n")
+        cols = read_csv(path)
+        assert np.array_equal(cols["k"], result.records[0].k)
+        assert np.array_equal(cols["loss"], result.records[0].loss)
+
     @pytest.mark.parametrize("fault", ["k not increasing", "mismatched step grids"])
     def test_record_checks(self, fault):
         def record(ks):
@@ -663,6 +683,14 @@ class TestCli:
         assert cli(["verify-bound", "--config", str(cfg), *flags]) == 1
         err = capsys.readouterr().err
         assert "usage error" in err and "Traceback" not in err
+
+    def test_plot_rejects_an_unknown_flag(self, tmp_path, capsys):
+        # only run and verify-bound take config overrides; no file is read or written
+        svg = tmp_path / "fig.svg"
+        assert cli(["plot", str(tmp_path / "none.csv"), "--out", str(svg), "--bogus", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "usage error: unrecognized arguments: --bogus 1" in err and "Traceback" not in err
+        assert not svg.exists()
 
     def test_plot_from_csv(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, seeds=[1])

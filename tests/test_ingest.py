@@ -1,5 +1,6 @@
 """IDX parsing, synthetic generation, and the text dataset format."""
 
+import gzip
 import json
 
 import numpy as np
@@ -132,6 +133,21 @@ class TestIdx:
         ds = read_idx(img, lab)
         merged = np.sort(np.concatenate(ds.partition))
         assert np.array_equal(merged, np.arange(40))
+
+    @pytest.mark.parametrize("limit", [None, 20])
+    def test_gzipped_pair_reads_as_the_plain_pair(self, tmp_path, limit):
+        # the MNIST files are distributed gzipped; a read decompresses them
+        img, lab, _, _ = _idx_fixture(tmp_path, n=40)
+        packed = [path.with_name(path.name + ".gz") for path in (img, lab)]
+        for path, gz in zip((img, lab), packed):
+            gz.write_bytes(gzip.compress(path.read_bytes()))
+        plain, unpacked = read_idx(img, lab, limit=limit), read_idx(*packed, limit=limit)
+        assert unpacked.n_samples == (limit or 40)
+        assert np.array_equal(unpacked.features, plain.features)
+        assert np.array_equal(unpacked.labels, plain.labels)
+        assert len(unpacked.partition) == len(plain.partition) == 10
+        for cell, plain_cell in zip(unpacked.partition, plain.partition):
+            assert np.array_equal(cell, plain_cell)
 
 
 class TestBuilderMemory:

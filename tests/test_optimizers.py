@@ -69,7 +69,7 @@ class TestSsagStep:
         # sum = (2) and W1 = -(0.5/2) * 2 = -0.5
         obj = _constant_gradient_problem(2.0, n_classes=2)
         state = State(W=np.zeros(1), table=np.zeros((2, 1)),
-                      table_sum=np.zeros(1), h=0.5, n=1)
+                      table_sum=np.zeros(1), h=0.5)
         counter = EvaluationCounter(obj)
         ssag_step(state, obj, *_draws("ssag", obj, 1, RngStream(0))[0])
         assert state.W == pytest.approx([-0.5])
@@ -80,7 +80,7 @@ class TestSsagStep:
         # single class: the drawn slot already equals the fresh gradient
         obj = _constant_gradient_problem(2.0, n_classes=1)
         state = State(W=np.zeros(1), table=np.array([[2.0]]),
-                      table_sum=np.array([2.0]), h=0.25, n=1)
+                      table_sum=np.array([2.0]), h=0.25)
         ssag_step(state, obj, *_draws("ssag", obj, 1, RngStream(0))[0])
         assert state.table.tolist() == [[2.0]]
         assert state.table_sum == pytest.approx([2.0])
@@ -185,7 +185,7 @@ class TestRecomputeSum:
 
     def test_single_entry_table(self):
         state = State(W=np.zeros(2), table=np.array([[1.5, -2.0]]),
-                      table_sum=np.zeros(2), h=0.1, n=1)
+                      table_sum=np.zeros(2), h=0.1)
         recompute_sum(state)
         assert state.table_sum == pytest.approx([1.5, -2.0])
 
@@ -766,6 +766,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(kind="ssag", steps=10, **setting)
 
+    @pytest.mark.parametrize("setting, message", [({"steps": -1}, "step budget"),
+                                                  ({"cadence": 0}, "metric cadence")])
+    def test_rejects_a_count_below_its_range(self, setting, message):
+        # an experiment file checks these before it builds a RunConfig, so
+        # only a direct construction reaches RunConfig's own checks
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(kind="sgd", **{"steps": 3, **setting})
+
     @pytest.mark.parametrize("kind, setting", [
         ("sgd", {"steps": 2.5}), ("sgd", {"cadence": 1.5}), ("sgd", {"seed": 2.5}),
         ("sgd", {"seed": True}), ("ssag", {"n": True}), ("svrg", {"m": 2.5}),
@@ -809,13 +817,16 @@ class TestRunConfig:
             np.zeros((6, 1)), np.array([0, 0, 0, 0, 1, 1])))
         with pytest.raises(ConfigError, match="smallest class"):
             ssag.run(RunConfig(kind="ssag", steps=10, h=0.1, n=3), obj)
-        assert make_state(RunConfig(kind="ssag", steps=10, h=0.1, n=2), obj).n == 2
+        # the smallest class's size itself is accepted
+        assert isinstance(make_state(RunConfig(kind="ssag", steps=10, h=0.1, n=2), obj), State)
 
     def test_rejects_minibatch_larger_than_sample_count(self):
         obj = _tiny_logistic()  # N = 6
         with pytest.raises(ConfigError, match="sample count"):
             ssag.run(RunConfig(kind="minibatch", steps=10, h=0.1, n=7), obj)
-        assert make_state(RunConfig(kind="minibatch", steps=10, h=0.1, n=6), obj).n == 6
+        # the sample count itself is accepted
+        assert isinstance(make_state(RunConfig(kind="minibatch", steps=10, h=0.1, n=6), obj),
+                          State)
 
 
 class TestStepsForPasses:

@@ -5,12 +5,14 @@
 Each round starts one child process per checkout, one after the other, by
 `bench_pairs.alternate`: the parent first in even rounds and the change first
 in odd rounds.  A child imports ``ssag`` from its checkout's ``src`` and
-builds the logistic problems of both benchmark workloads: ssag-envelope's
-(N = 200, p = 5, lam = 0.1) and large-n-compare's (N = 20 000, p = 20,
-lam = 0.02).  For each kind that takes a per-step draw, it takes ``--steps``
-draws from ``RngStream.take`` first, then times the kind's step function over them from a fresh `make_state`,
-``--repeats`` times, and keeps the fastest.  The first step of each timing is
-SVRG's first snapshot.  FGD is left out: its step is one full-data pass.
+builds the problems of both benchmark workloads by their own set-up in its
+checkout's ``perfbench/workloads.py``: ssag-envelope's (N = 200, p = 5) and
+large-n-compare's (N = 20 000, p = 20), at workload seed ``--seed``.  For
+each kind that takes a per-step draw, it takes ``--steps`` draws from
+``RngStream.take`` first, then times the kind's step function over them from
+a fresh `make_state`, ``--repeats`` times, and keeps the fastest.  The first
+step of each timing is SVRG's first snapshot.  FGD is left out: its step is
+one full-data pass.
 
 The summary gives, per geometry and kind, the fastest run of each side (min
 of ``rounds`` x ``repeats``), the change's time over the parent's, and whether
@@ -32,31 +34,22 @@ KINDS = (("ssag", 1), ("sag", 1), ("sgd", 1), ("saga", 1), ("svrg", 1), ("miniba
 
 def _child(steps: int, repeats: int, seed: int) -> dict:
     """{geometry: {kind: [us per step, hex digest of the final W]}} in this
-    process, with ``ssag`` imported from ``sys.path``."""
+    process, with ``ssag`` and perfbench's ``workloads`` imported from
+    ``sys.path``."""
     import hashlib
     import time
-
-    import numpy as np
 
     import ssag
     from ssag import optimizers
     from ssag.optimizers import SPECS, RunConfig
+    from workloads import LargeNCompare, SsagEnvelope
 
-    def problem(p, per_class, offsets, stddev, lam):
-        means = np.zeros((2, p))
-        for (row, col), value in offsets.items():
-            means[row, col] = value
-        ds = ssag.gen_synthetic(ssag.SyntheticSpec(means=means, counts=(per_class, per_class),
-                                                   stddev=stddev, seed=seed))
-        return ssag.LogisticRegression(ds, lam=lam)
-
-    geometries = {
-        "p = 5": problem(5, 100, {(0, 0): -18.0, (1, 0): 22.0, (1, 1): 4.0}, 0.02, 0.1),
-        "p = 20": problem(20, 10_000, {(0, 0): -1.0, (1, 0): 1.0}, 0.1, 0.02),
-    }
     result = {}
-    for name, obj in geometries.items():
-        constants = ssag.estimate_constants(obj)
+    for name, workload in (("p = 5", SsagEnvelope), ("p = 20", LargeNCompare)):
+        # the objective and certified constants of the workload's set-up,
+        # which writes nothing to its output directory
+        obj, run_kwargs = workload(seed, tiny=False, out_dir=None).setup()
+        constants = run_kwargs["constants"]
         result[name] = {}
         for kind, n in KINDS:
             config = RunConfig(kind=kind, steps=steps, n=n, seed=seed)
@@ -104,7 +97,8 @@ def format_summary(rows) -> str:
 def run_child(checkout: Path, steps: int, repeats: int, seed: int) -> dict:
     """One timing child on ``checkout``'s sources, waited for."""
     code = (f"import sys, json; sys.path[:0] = [{str(checkout / 'src')!r}, "
-            f"{str(Path(__file__).resolve().parent)!r}]; import step_costs; "
+            f"{str(checkout / 'perfbench')!r}, {str(Path(__file__).resolve().parent)!r}]; "
+            f"import step_costs; "
             f"print(json.dumps(step_costs._child({steps}, {repeats}, {seed})))")
     return json.loads(child_stdout([sys.executable, "-c", code], checkout).strip()
                       .splitlines()[-1])
