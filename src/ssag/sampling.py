@@ -1,18 +1,21 @@
 """Seeded index generation: two-stage stratified draws, and uniform draws as
 their one-stratum case.
 
-Every stream reads the 32-bit words of one PCG64 generator in order (the
-low, then the high half of each raw output), as numpy draws bounded
-integers, so identical seeds give bit-identical draws on every platform.  A
-draw is numpy's: a class is Lemire's multiply-shift of one word with
-rejection, and n indices without replacement are Floyd's algorithm and a
-Fisher-Yates shuffle, as `Generator.choice(..., replace=False)` returns
-them.  `RngStream.take` draws many steps from one schedule, `draw_schedule`,
-that serves every stratum shape; it returns to the generator (the
-`sample_*` functions) only for a rejected word, a bound above 2^32 or a
-batch above 64.  Exhaustive draws (a whole class or the whole population)
-take no word and return ascending indices, so paired-trajectory oracles
-need only a shared seed.
+Every stream reads the 32-bit words of one PCG64 generator in order: the
+low, then the high half of each raw 64-bit output, the order in which numpy
+draws bounded integers.  Identical seeds give bit-identical draws on every
+platform.  A draw is numpy's: a class in [0, C) is Lemire's multiply-shift
+of one word with rejection, and n indices without replacement are Floyd's
+algorithm followed by a Fisher-Yates shuffle, exactly what
+`Generator.integers` and `Generator.choice(..., replace=False)` return.  One
+index is Floyd's first round, which maps the word `integers` would map.
+`RngStream.take` returns many steps' draws, a stratum and a batch inside it
+per step, from the arrays that `draw_schedule` computes for them at once; the
+`sample_*` functions draw one step through the generator.
+
+Exhaustive draws (requesting a whole class or the whole population) return
+ascending indices without consuming generator state; this makes
+paired-trajectory oracles possible by seed sharing alone.
 """
 
 from __future__ import annotations
@@ -32,17 +35,21 @@ _MAX_VECTOR_BATCH = 64
 
 
 def _lemire(words: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
-    """Each 32-bit word mapped into [0, k), and whether numpy keeps it: it
-    rejects a word whose low product half lies below (2^32 - k) % k."""
+    """Each 32-bit word mapped into [0, k), and whether numpy keeps it.
+
+    numpy rejects a word whose low product half lies below (2^32 - k) % k
+    and draws again from the next word.
+    """
     m = words * k
     return (m >> 32).astype(np.int64), (m & _LOW) >= (_WORD - k) % k
 
 
 def _within_words(sizes: np.ndarray, n: int) -> np.ndarray:
-    """Words each stratum's within draw takes: none for the whole stratum,
-    Floyd's n plus the shuffle's n - 1 otherwise, and -1 for a draw left to
-    the generator: a batch above _MAX_VECTOR_BATCH or above the stratum, or a
-    stratum above 2^32, whose bounds numpy draws from 64-bit words."""
+    """Words each stratum's within draw takes: 0 for the whole stratum,
+    Floyd's n plus the shuffle's n - 1 otherwise.  -1 marks a draw left to
+    the generator: a batch above _MAX_VECTOR_BATCH, one the stratum cannot
+    hold, or one from a stratum above 2^32, whose bounds numpy draws from
+    64-bit words."""
     words = np.full(sizes.shape, -1 if n > _MAX_VECTOR_BATCH else 2 * n - 1)
     words[sizes == n] = 0
     words[(sizes < n) | (n < 1) | (sizes > _WORD)] = -1
@@ -54,97 +61,85 @@ def _first_false(ok: np.ndarray) -> int:
     return int(bad[0]) if bad.size else ok.size
 
 
-def _floyd_shuffle(block: np.ndarray, pop: np.ndarray, n: int) -> np.ndarray:
-    """The n positions that each row of ``block`` (Floyd's n words, then the
-    shuffle's n - 1) draws in a stratum of ``pop`` rows, up to a rejection."""
+def draw_schedule(words: np.ndarray, sizes, n: int,
+                  steps: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The draws of the longest run of like steps at the head of ``words``.
+
+    ``words`` holds 32-bit words in PCG64 order (a uint64 array) and
+    ``sizes`` the stratum sizes.  A step takes one word for its stratum when
+    there is more than one, then the words of its within-stratum draw of n
+    positions, as `sample_class` and `sample_within_class` would draw them.
+    The run ends after ``steps`` steps, before the first step that would
+    reject a word, and before the first step whose word count differs from
+    the first step's.
+
+    Returns ``(strata, positions, width)``: the strata (S,), the positions
+    inside them (S, n) in draw order, and the words per step.  S is 0 when
+    the first step itself is such a step: draw it with the generator.
+    """
+    sizes = np.asarray(sizes, dtype=np.uint64)
+    within = _within_words(sizes, n)
+    head = int(sizes.size > 1)
+    empty = np.zeros(0, dtype=np.int64), np.zeros((0, max(n, 0)), dtype=np.int64), 0
+    if head:
+        if not words.size:
+            return empty
+        j, ok = _lemire(words[:1], sizes.size)
+        if not ok[0]:
+            return empty
+        j = int(j[0])
+    else:
+        j = 0
+    if within[j] < 0:
+        return empty
+    width = head + int(within[j])
+    S = min(steps, words.size // width) if width else steps
+    block = words[:S * width].reshape(S, width)
+    if head:
+        strata, ok = _lemire(block[:, 0], sizes.size)
+        S = _first_false(ok & (within[strata] == within[j]))
+        strata, block = strata[:S], block[:S]
+    else:
+        strata = np.zeros(S, dtype=np.int64)
+    pop = sizes[strata]
+    if within[j] == 0:
+        return strata, np.broadcast_to(np.arange(n), (S, n)).copy(), width
     # Floyd's round t draws v in [0, pop - n + t] and keeps it unless it was
     # already taken, else takes pop - n + t itself
     tops = pop[:, None] - np.uint64(n) + np.arange(n, dtype=np.uint64)
-    v, ok = _lemire(block[:, :n], tops + np.uint64(1))
+    v, ok = _lemire(block[:, head:head + n], tops + np.uint64(1))
     # the shuffle swaps position i with one drawn from [0, i], i = n-1 .. 1
-    swaps, ok_swaps = _lemire(block[:, n:], np.arange(n, 1, -1, dtype=np.uint64))
+    swaps, ok_swaps = _lemire(block[:, head + n:], np.arange(n, 1, -1, dtype=np.uint64))
     S = _first_false(ok.all(axis=1) & ok_swaps.all(axis=1))
     v, tops, swaps = v[:S], tops[:S].astype(np.int64), swaps[:S]
-    # Floyd's algorithm, one round per column for all rows at once
+    # Floyd's algorithm, one round per column for all steps at once
     positions = np.empty((S, n), dtype=np.int64)
     for t in range(n):
         taken = (positions[:, :t] == v[:, t:t + 1]).any(axis=1)
         positions[:, t] = np.where(taken, tops[:, t], v[:, t])
-    # the shuffle, one swap per column for all rows at once
+    # the shuffle, one swap per column for all steps at once
     rows = np.arange(S)
     for col, i in enumerate(range(n - 1, 0, -1)):
         s = swaps[:, col]
         picked = positions[rows, s]
         positions[rows, s] = positions[:, i]
         positions[:, i] = picked
-    return positions
-
-
-def draw_schedule(words: np.ndarray, sizes, n: int,
-                  steps: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The draws of up to ``steps`` steps at the head of ``words`` (uint64
-    32-bit words in PCG64 order) on strata of ``sizes`` rows, any shape.
-
-    Each step starts where the one before it ended: a word for its stratum
-    when there is more than one, then the words of its n positions inside it
-    (none for a whole stratum), as `sample_class` and `sample_within_class`
-    draw them.  The schedule ends after ``steps`` steps, at the end of
-    ``words``, or before a step that numpy draws otherwise, which `take`
-    leaves to the generator: one that meets a rejected word, a bound above
-    2^32 or a batch above 64.
-
-    Returns ``(strata, positions, used)``: the strata (S,), the positions
-    inside them (S, n) in draw order, and the words the S steps took.
-    """
-    sizes = np.asarray(sizes, dtype=np.uint64)
-    within = _within_words(sizes, n)
-    head = int(sizes.size > 1)
-    if within[0] >= 0 and (within == within[0]).all():
-        # every step takes the same words: the steps are the rows of a block
-        width = head + int(within[0])
-        S = min(steps, words.size // width) if width else steps
-        block = words[:S * width].reshape(S, width)
-        if head:
-            strata, ok = _lemire(block[:, 0], sizes.size)
-            S = _first_false(ok)
-        else:
-            strata = np.zeros(S, dtype=np.int64)
-        positions = (_floyd_shuffle(block[:S, head:], sizes[strata[:S]], n) if within[0]
-                     else np.tile(np.arange(n), (S, 1)))
-        return strata[:len(positions)], positions, len(positions) * width
-    # steps of different word counts: each word, read as a stratum word, gives
-    # where its step would end, and the steps are the chain of ends from 0
-    cand, ok = _lemire(words, sizes.size)
-    gap = within[cand]
-    ends = np.arange(head, words.size + head) + gap
-    ends = np.where(ok & (gap >= 0) & (ends <= words.size), ends, -1)
-    ends = memoryview(np.append(ends, -1))  # the end of the words ends the chain
-    t, chain = 0, [0]
-    for _ in range(steps):
-        if (t := ends[t]) < 0:
-            break
-        chain.append(t)
-    starts = np.fromiter(chain, np.int64, len(chain))
-    strata = cand[starts[:-1]]
-    drawn = np.flatnonzero(within[strata])
-    found = _floyd_shuffle(words[starts[drawn, None] + head + np.arange(2 * n - 1)],
-                           sizes[strata[drawn]], n)
-    S = drawn[len(found)] if len(found) < drawn.size else strata.size
-    positions = np.tile(np.arange(n), (S, 1))
-    positions[drawn[:len(found)]] = found
-    return strata[:S], positions, int(starts[S])
+    return strata[:S], positions, width
 
 
 class RngStream:
     """Single-owner random stream over one PCG64 generator's words.
 
-    `take` returns a block of steps' draws, a stratum and a batch inside it
-    per step (a population is one stratum), from one `draw_schedule` pass on
-    any stratum shape.  It returns to the generator, through `sample_*`,
-    only for a rejected word, a bound above 2^32 or a batch above 64, and
-    leaves `generator` where one generator call per draw would have, so any
-    use of it continues the same stream.  `take` reads the stratum layout
-    (`class_counts`, `order`, `starts`) from the `Dataset`.
+    A run takes its steps' draws in blocks from `take` (a stratum, then a
+    batch inside it; a population is a single stratum, so a uniform draw is
+    the one-stratum draw).  `take` schedules the block with `draw_schedule`
+    from the generator's raw output and moves the generator to the first word
+    it did not use; a step the schedule leaves out (a rejected word, a batch
+    above 64) is drawn through the generator by the `sample_*` functions.  So
+    after every call `generator` is exactly where one generator call per draw
+    would have left it, and `sample_*`, `Generator.choice` and any other use
+    of the generator continue the same stream.  `take` reads the stratum
+    layout (`class_counts`, `order`, `starts`) from the `Dataset`.
     """
 
     def __init__(self, seed: int):
@@ -160,11 +155,11 @@ class RngStream:
         sizes = source.class_counts if cells else np.array([source])
         strata = np.zeros(steps, dtype=np.int64)
         indices = np.empty((steps, max(n, 0)), dtype=np.int64)
-        widest = int(_within_words(sizes, n).max())  # -1: no step is scheduled
+        scheduled = (_within_words(sizes, n) >= 0).any()
         done, ask = 0, steps
         while done < steps:
-            if widest >= 0:
-                s, positions = self._schedule(sizes, n, min(ask, steps - done), widest)
+            if scheduled:
+                s, positions = self._schedule(sizes, n, min(ask, steps - done))
                 end = done + s.size
                 strata[done:end] = s
                 indices[done:end] = (source.order[source.starts[s][:, None] + positions]
@@ -182,23 +177,29 @@ class RngStream:
             done += 1
         return strata, indices
 
-    def _schedule(self, sizes, n, steps, widest):
-        """Schedule up to ``steps`` steps (of at most ``widest`` within words)
-        from the generator's next words, then move it back to the first word
-        they did not take by `PCG64.advance`, the pending half-word restored."""
+    def _schedule(self, sizes, n, steps):
+        """Schedule up to ``steps`` steps from the generator's next words and
+        move the generator to the first word they did not take: back by
+        `PCG64.advance`, and the pending half-word restored."""
         bitgen = self.generator.bit_generator
         state = bitgen.state
         pending, start_u = state["has_uint32"], state["uinteger"]
-        raws = bitgen.random_raw((steps * (int(sizes.size > 1) + widest) - pending + 1) // 2)
+        per_step = int(sizes.size > 1) + 2 * n - 1
+        raws = bitgen.random_raw((steps * per_step - pending + 1) // 2)
         words = np.empty(pending + 2 * raws.size, dtype=np.uint64)
-        words[:pending] = start_u
-        words[pending::2], words[pending + 1::2] = raws & _LOW, raws >> np.uint64(32)
-        strata, positions, used = draw_schedule(words, sizes, n, steps)
-        used -= pending  # raw half-words taken
+        words[pending::2] = raws & _LOW
+        words[pending + 1::2] = raws >> np.uint64(32)
+        if pending:
+            words[0] = start_u
+        strata, positions, width = draw_schedule(words, sizes, n, steps)
+        used = strata.size * width - pending  # raw half-words taken
         bitgen.advance((used + 1) // 2 - raws.size)
         state = bitgen.state
-        state["has_uint32"] = used & 1  # and 1 at used = -1: the half-word still pending
-        state["uinteger"] = int(raws[(used - 1) // 2] >> np.uint64(32)) if used > 0 else start_u
+        if used > 0:
+            state["has_uint32"] = used & 1
+            state["uinteger"] = int(raws[(used - 1) // 2] >> np.uint64(32))
+        else:
+            state["has_uint32"], state["uinteger"] = -used, start_u
         bitgen.state = state
         return strata, positions
 
