@@ -5,8 +5,9 @@ budget; `run_experiment` executes one deterministic run per seed and
 aggregates seed means; `emit_csv` / `emit_plot` write the artifacts; the CLI
 wires the pieces into subcommands (gen-data, estimate-constants, run,
 compare, verify-bound, plot).  Identical configs yield byte-identical CSVs
-apart from the wall-time column.  `SECTION_RULES` is the one place where
-config section keys and value rules live; loading and the CLI check them there.
+apart from the wall-time column.  `SECTION_RULES` is the one table of config
+section keys; loading and the CLI check them there, with the rules for values
+that no constructor checks at load.
 """
 
 from __future__ import annotations
@@ -17,13 +18,12 @@ import os
 import sys
 import traceback
 from dataclasses import dataclass, field, replace
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
 from ._version import __version__
-from .core import Dataset, estimate_constants
+from .core import Dataset, estimate_constants, is_int, is_real
 from .errors import ConfigError, FormatError, LabelError, SsagError
 from .ingest import SyntheticSpec, gen_synthetic, read_idx, read_text, write_text
 from .objectives import CERTIFIED_KINDS, CLASSIFIER_KINDS, Objective, make_objective
@@ -37,32 +37,20 @@ from .theory import (MIN_PASS_FRACTION, MIN_SEEDS, reference_optimum, theorem1_e
 OUT_DIR_ENV = "SSAG_OUT_DIR"
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool)
-
-
-_INT, _STR = (_is_int, "an integer"), (lambda v: isinstance(v, str), "a string")
-_INTS = (lambda v: isinstance(v, list) and v and all(map(_is_int, v)),
-         "a nonempty list of integers")
+_STR = (lambda v: isinstance(v, str), "a string")
 _NULL_OR_STR = (lambda v: v is None or isinstance(v, str), "null or a string")
 _NULL_OR_BOOL = (lambda v: v is None or isinstance(v, bool), "null, true or false")
-_LIMIT = (lambda v: v is None or _is_int(v) and v >= 1, "null or an integer >= 1")
-_LAM = {"lam": (lambda v: _is_real(v) and 0 <= v < np.inf, "a finite number >= 0")}
+_LIMIT = (lambda v: v is None or is_int(v) and v >= 1, "null or an integer >= 1")
+_LAM = {"lam": (lambda v: is_real(v) and 0 <= v < np.inf, "a finite number >= 0")}
 
-#: The one place where config section keys and value rules live: section -> kind ->
-#: (required keys, {key: (check, what the value must be)}).  A check tests the JSON type,
-#: and a range only where `SyntheticSpec` or `RunConfig` does not check it at load.
+#: The one table of config section keys: section -> kind -> (required keys, {key: rule}).
+#: A rule is (check, what the value must be) for a value that no constructor checks at
+#: load, and None for one that `SyntheticSpec` or `RunConfig` checks when
+#: `ExperimentConfig` builds it.
 SECTION_RULES = {
     "dataset": {
-        "synthetic": (("means", "counts"), {
-            "means": (lambda v: isinstance(v, list) and all(isinstance(row, list) and all(
-                map(_is_real, row)) for row in v), "a list of lists of numbers"),
-            "counts": _INTS, "stddev": (_is_real, "a number"), "seed": _INT,
-            "test_counts": _INTS, "test_seed": _INT}),
+        "synthetic": (("means", "counts"), dict.fromkeys(
+            ("means", "counts", "stddev", "seed", "test_counts", "test_seed"))),
         "text": (("path",), {"path": _STR, "test_path": _NULL_OR_STR, "add_bias": _NULL_OR_BOOL}),
         "idx": (("images", "labels"), {
             "images": _STR, "labels": _STR, "test_images": _NULL_OR_STR,
@@ -72,12 +60,9 @@ SECTION_RULES = {
     "objective": {
         **dict.fromkeys(("ridge", "logistic", "quadratic"), ((), _LAM)),
         "mlp": ((), {"hidden": (lambda v: isinstance(v, list) and all(
-            _is_int(h) and h >= 1 for h in v), "a list of integers >= 1"), **_LAM}),
+            is_int(h) and h >= 1 for h in v), "a list of integers >= 1"), **_LAM}),
     },
-    "optimizer": dict.fromkeys(SPECS, ((), {
-        "h": (lambda v: v is None or v == "auto" or _is_real(v), 'a number, "auto" or null'),
-        "n": _INT, "m": (lambda v: v is None or _is_int(v), "null or an integer"),
-        "prox_l1": (lambda v: v is None or _is_real(v), "null or a number")})),
+    "optimizer": dict.fromkeys(SPECS, ((), dict.fromkeys(("h", "n", "m", "prox_l1")))),
 }
 
 
@@ -95,17 +80,16 @@ def _check_section(name: str, section) -> None:
         raise ConfigError(f"{name} kind {kind!r}: missing keys {sorted(missing)}, unknown keys "
                           f"{sorted(unknown)} (optional: {sorted(set(rules) - set(required))})")
     for key, value in section.items():
-        if key != "kind" and not rules[key][0](value):
+        if key != "kind" and rules[key] and not rules[key][0](value):
             raise ConfigError(f"{name} {key} must be {rules[key][1]}, got {value!r}")
 
 
-#: What each top-level field of an experiment config, the sections aside, must be.
+#: What each top-level field of an experiment config, the sections aside, must be;
+#: `RunConfig` checks ``cadence`` and ``steps``.
 _FIELD_CHECKS = {
-    "seeds": (lambda v: _INTS[0](v) and min(v) >= 0 and len(set(v)) == len(v),
-              "a nonempty list of distinct integers >= 0"),
-    "cadence": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    "steps": (lambda v: v is None or _is_int(v) and v >= 0, "null or an integer >= 0"),
-    "passes": (lambda v: v is None or _is_real(v) and 0 < v < np.inf,
+    "seeds": (lambda v: isinstance(v, list) and v and all(is_int(s) and s >= 0 for s in v)
+              and len(set(v)) == len(v), "a nonempty list of distinct integers >= 0"),
+    "passes": (lambda v: v is None or is_real(v) and 0 < v < np.inf,
                "null or a finite number > 0"),
     **dict.fromkeys(("out_dir", "label"), _NULL_OR_STR),
     **{name: (lambda v: isinstance(v, bool), "true or false")
@@ -120,9 +104,10 @@ class ExperimentConfig:
     Mirrors the JSON config document one to one; every leaf field can be
     overridden from the command line by a flag of the same (dotted) name.
     Construction checks the top-level fields against `_FIELD_CHECKS` and the
-    sections against `SECTION_RULES`, the one place where section keys and value rules live.
-    ``run_config`` is the optimizer section parsed at construction: the
-    `RunConfig` of seed 0, with steps 0 under a pass budget.
+    sections against `SECTION_RULES`, then builds the synthetic dataset's
+    `SyntheticSpec` and the optimizer's `RunConfig`, which check the values
+    the table leaves to them.  ``run_config`` is that `RunConfig`: the one of
+    seed 0, with steps 0 under a pass budget.
     """
 
     dataset: dict
@@ -150,14 +135,14 @@ class ExperimentConfig:
         if data["kind"] == "synthetic":
             try:
                 test_split = _synthetic_specs(data)[1]
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"malformed config value: {exc}") from None
-        opt = self.optimizer
-        h, l1 = opt.get("h", "auto"), opt.get("prox_l1")
+        opt, h = self.optimizer, self.optimizer.get("h")
         self.run_config = RunConfig(
-            kind=opt["kind"], steps=self.steps or 0, h=None if h in ("auto", None) else float(h),
-            n=opt.get("n", 1), m=opt.get("m"), prox_l1=None if l1 is None else float(l1),
-            cadence=self.cadence, record_variance=self.record_variance)
+            kind=opt["kind"], steps=0 if self.steps is None else self.steps,
+            h=None if h == "auto" else h, n=opt.get("n", 1), m=opt.get("m"),
+            prox_l1=opt.get("prox_l1"), cadence=self.cadence,
+            record_variance=self.record_variance)
         kind = self.objective["kind"]
         if kind not in CERTIFIED_KINDS and (self.record_dist or self.run_config.h is None):
             raise ConfigError(f"objective kind {kind!r} has no certified constants: it needs "
@@ -206,13 +191,12 @@ def _resolve_out_dir(out_dir: str | None) -> Path:
 
 def _synthetic_specs(spec: dict) -> tuple[SyntheticSpec, SyntheticSpec | None]:
     """The train and optional test blobs of a synthetic dataset section."""
-    synth = SyntheticSpec(means=np.asarray(spec["means"], dtype=np.float64),
-                          counts=tuple(spec["counts"]), stddev=float(spec.get("stddev", 1.0)),
-                          seed=int(spec.get("seed", 0)))
+    synth = SyntheticSpec(means=spec["means"], counts=spec["counts"],
+                          stddev=spec.get("stddev", 1.0), seed=spec.get("seed", 0))
     if "test_seed" not in spec and "test_counts" not in spec:
         return synth, None
-    return synth, replace(synth, counts=tuple(spec.get("test_counts", synth.counts)),
-                          seed=int(spec.get("test_seed", synth.seed + 1)))
+    return synth, replace(synth, counts=spec.get("test_counts", synth.counts),
+                          seed=spec.get("test_seed", synth.seed + 1))
 
 
 def build_dataset(spec: dict) -> tuple[Dataset, Dataset | None]:
@@ -318,10 +302,14 @@ def emit_summary_csv(agg: Aggregate, out_dir, name: str = "summary.csv") -> Path
 def read_csv(path) -> dict[str, np.ndarray]:
     """Parse back a per-run CSV into column arrays.
 
-    FormatError naming ``path:line`` if the header is not the pinned schema,
-    or a row has the wrong number of cells or a cell that is not a number.
+    FormatError naming ``path`` if the file cannot be read as UTF-8 text, and
+    naming ``path:line`` if the header is not the pinned schema, or a row has
+    the wrong number of cells or a cell that is not a number.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: cannot read: {exc}") from None
     if not lines or lines[0].split(",") != list(CSV_COLUMNS):
         raise FormatError(f"{path}: missing or wrong CSV header "
                           f"(expected {','.join(CSV_COLUMNS)})")
@@ -507,10 +495,8 @@ def _cmd_gen_data(args) -> int:
                  if args.means else _auto_means(args.classes, args.dim, args.separation).tolist())
         counts = ([int(c) for c in args.counts.split(",")] if args.counts
                   else [args.count] * len(means))
-        spec = {"kind": "synthetic", "means": means, "counts": counts, "stddev": args.stddev,
-                "seed": args.seed}
-        _check_section("dataset", spec)
-        ds, _ = build_dataset(spec)
+        ds, _ = build_dataset({"kind": "synthetic", "means": means, "counts": counts,
+                               "stddev": args.stddev, "seed": args.seed})
     except (ValueError, ZeroDivisionError) as exc:  # --dim 0 divides by zero in _auto_means
         raise ConfigError(f"malformed gen-data flag: {exc}") from None
     write_text(ds, args.out)

@@ -7,6 +7,7 @@ the package; :func:`as_params` validates them at entry points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -21,6 +22,16 @@ from .errors import DimensionMismatchError
 #: less than the numpy calls they replace, whose overhead does not shrink
 #: with the vector.
 SHORT_ROW = 8
+
+
+def is_int(value) -> bool:
+    """Whether ``value`` is an integer, Python's or numpy's, and not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number, Python's or numpy's, and not a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def operand(value: float) -> np.ndarray:
@@ -162,16 +173,20 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ConvexityConstants:
-    """Smoothness constant L and strong-convexity modulus mu of an objective."""
+    """Smoothness constant L and strong-convexity modulus mu of an objective.
+
+    The one check of a (L, mu) pair: ValueError unless 0 < L < inf and
+    0 <= mu <= L, up to a relative 1e-12 for mu; NaN fails both.
+    """
 
     L: float
     mu: float
 
     def __post_init__(self):
-        if not (self.L > 0.0 and np.isfinite(self.L)):
-            raise ValueError("L must be positive and finite")
-        if self.mu < 0.0 or self.mu > self.L * (1.0 + 1e-12):
-            raise ValueError("mu must satisfy 0 <= mu <= L")
+        if not 0.0 < self.L < np.inf:
+            raise ValueError(f"L must be positive and finite, got {self.L}")
+        if not 0.0 <= self.mu <= self.L * (1.0 + 1e-12):
+            raise ValueError(f"mu must satisfy 0 <= mu <= L = {self.L}, got {self.mu}")
 
     @property
     def strongly_convex(self) -> bool:

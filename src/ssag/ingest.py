@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import gzip
 import math
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, _Fresh, partition_by_class
+from .core import Dataset, _Fresh, is_int, is_real, partition_by_class
 from .errors import FormatError
 
 IDX_IMAGE_MAGIC = 2051
@@ -24,9 +25,12 @@ IDX_LABEL_MAGIC = 2049
 
 
 def _read_idx_payload(path, expected_magic: int, n_dims: int) -> tuple[tuple[int, ...], np.ndarray]:
-    raw = Path(path).read_bytes()
-    if raw[:2] == b"\x1f\x8b":  # gzip-compressed IDX file
-        raw = gzip.decompress(raw)
+    try:
+        raw = Path(path).read_bytes()
+        if raw[:2] == b"\x1f\x8b":  # gzip-compressed IDX file
+            raw = gzip.decompress(raw)
+    except (OSError, EOFError, zlib.error) as exc:  # BadGzipFile is an OSError
+        raise FormatError(f"{path}: cannot read: {exc}") from None
     header_len = 4 + 4 * n_dims
     if len(raw) < header_len:
         raise FormatError(f"{path}: truncated header ({len(raw)} bytes)")
@@ -98,7 +102,11 @@ def write_idx(image_path, label_path, images: np.ndarray, labels: np.ndarray) ->
 
 @dataclass(frozen=True, eq=False)
 class SyntheticSpec:
-    """Gaussian class blobs: one mean vector per class, shared stddev."""
+    """Gaussian class blobs: one mean vector per class, shared stddev.
+
+    Each count and the seed is an integer and the stddev and each mean a
+    number, none of them a bool; ValueError otherwise, with nothing truncated.
+    """
 
     means: np.ndarray       # (C, p)
     counts: tuple[int, ...]
@@ -106,21 +114,22 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=np.float64)
-        if means.ndim != 2:
-            raise ValueError("means must be a (C, p) matrix")
-        if len(self.counts) != means.shape[0]:
-            raise ValueError("need one sample count per class mean")
-        if any(c < 1 for c in self.counts):
-            raise ValueError("every class needs at least one sample")
-        if not 0.0 <= self.stddev < np.inf:
-            raise ValueError("stddev must be finite and >= 0")
+        cells = np.asarray(self.means, dtype=object)
+        if cells.ndim != 2 or not all(map(is_real, cells.flat)):
+            raise ValueError(f"means must be a (C, p) matrix of numbers, got {self.means!r}")
+        means = cells.astype(np.float64)
         if not np.isfinite(means).all():
             raise ValueError("means must be finite")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if len(self.counts) != means.shape[0]:
+            raise ValueError("need one sample count per class mean")
+        if not all(is_int(c) and c >= 1 for c in self.counts):
+            raise ValueError(f"counts must be integers >= 1, got {self.counts!r}")
+        if not (is_real(self.stddev) and 0.0 <= float(self.stddev) < np.inf):
+            raise ValueError(f"stddev must be a finite number >= 0, got {self.stddev!r}")
+        if not (is_int(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         object.__setattr__(self, "means", means)
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        object.__setattr__(self, "counts", tuple(self.counts))
 
 
 def gen_synthetic(spec: SyntheticSpec) -> Dataset:
@@ -157,14 +166,17 @@ def write_text(dataset: Dataset, path) -> None:
 def _numbered_lines(path):
     """(number, line) for each non-blank line of a UTF-8 text file, read one
     line at a time; lines are split and numbered as ``str.splitlines`` splits
-    the whole text."""
+    the whole text.  FormatError naming ``path`` if it cannot be read."""
     number = 0
-    with open(path, encoding="utf-8", newline="") as f:
-        for chunk in f:
-            for line in chunk.splitlines():
-                number += 1
-                if line.strip():
-                    yield number, line
+    try:
+        with open(path, encoding="utf-8", newline="") as f:
+            for chunk in f:
+                for line in chunk.splitlines():
+                    number += 1
+                    if line.strip():
+                        yield number, line
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: cannot read: {exc}") from None
 
 
 def read_text(path, *, add_bias: bool = False) -> Dataset:

@@ -26,8 +26,9 @@ operand of the one-row kernel (the residual, lam and the 0.0 that clears a
 float; lam's is made once per objective (`core.operand`).
 
 ``population_variance`` gives the variance sum_i ||G_i - mean||^2 / (N - 1)
-of the N per-sample gradients.  By default it reduces ``grad_samples`` one
-block of rows at a time, so it never holds the (N, dim) matrix.  A linear
+of the N per-sample gradients.  By default it is the population variance of
+`core.gradient_population_stats`, which reduces ``grad_samples`` one block
+of rows at a time, so it never holds the (N, dim) matrix.  A linear
 model needs no gradient rows at all: lam W cancels in G_i - mean, so it sums
 ||r_i x_i - X'r/N||^2 over the residuals r of the margin memo, one block of
 rows at a time.  The margins of a full-data pass and the logistic Hessian are
@@ -44,12 +45,12 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from numbers import Real
 
 import numpy as np
 from numpy import add, copysign, divide, exp, greater_equal, maximum, multiply
 
-from .core import SHORT_ROW, ConvexityConstants, Dataset, Moments, as_params, operand
+from .core import (SHORT_ROW, ConvexityConstants, Dataset, as_params, gradient_population_stats,
+                   is_int, is_real, operand)
 from .errors import (
     DimensionMismatchError,
     LabelError,
@@ -119,7 +120,7 @@ class Objective(ABC):
     kind: str = "abstract"
 
     def __init__(self, dataset: Dataset, lam: float = 0.0):
-        if isinstance(lam, bool) or not isinstance(lam, Real) or not 0 <= lam < np.inf:
+        if not (is_real(lam) and 0 <= lam < np.inf):
             raise ValueError(f"regularizer weight must be a finite number >= 0, got {lam!r}")
         self.dataset = dataset
         #: lam as a read-only 0-d array, the kernels' operand
@@ -193,18 +194,9 @@ class Objective(ABC):
 
     def population_variance(self, W: np.ndarray) -> float:
         """sum_i ||G_i - mean||^2 / (N - 1) over the N per-sample gradients at
-        W, 0 for one sample; the variance that `gradient_population_stats`
-        reports, without its per-class passes.
-
-        ``grad_samples`` is reduced over row blocks of at most BLOCK_BYTES,
-        each block merged into the running moments by Chan's pairwise update
-        (`core.Moments`).
-        """
-        N, rows = self.dataset.n_samples, _block_rows(self.dim * 8)
-        moments = Moments()
-        for start in range(0, N, rows):
-            moments.add(self.grad_samples(W, self.dataset.rows[start:start + rows]))
-        return moments.variance()
+        W, 0 for one sample: the variance that `gradient_population_stats`
+        reports, from its blocked pass over ``grad_samples``."""
+        return gradient_population_stats(self, W).population_variance
 
     def grad_sample(self, W: np.ndarray, i: int) -> np.ndarray:
         """Exact analytic gradient of loss_sample."""
@@ -522,9 +514,9 @@ class Mlp(Objective):
         if not np.all(np.isin(y, np.arange(dataset.n_classes))):
             raise LabelError("mlp requires integer class labels in [0, C)")
         self._targets = y.astype(np.int64)
-        self.sizes = (dataset.n_features, *(int(h) for h in hidden), dataset.n_classes)
-        if any(s < 1 for s in self.sizes):
-            raise ValueError("all layer widths must be >= 1")
+        self.sizes = (dataset.n_features, *hidden, dataset.n_classes)
+        if not all(is_int(s) and s >= 1 for s in self.sizes):
+            raise ValueError(f"layer widths must be integers >= 1, got {self.sizes}")
         #: start offset of each layer's (weight, bias) block, then the dimension
         self._starts = [0]
         for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):

@@ -31,14 +31,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from numbers import Integral, Real
 from operator import attrgetter
 from typing import Callable
 
 import numpy as np
 from numpy import add, divide, isfinite, multiply, subtract
 
-from .core import SHORT_ROW, Dataset, estimate_constants, operand, squared_distance
+from .core import (SHORT_ROW, Dataset, estimate_constants, is_int, is_real, operand,
+                   squared_distance)
 from .errors import ConfigError, DivergenceError, UnsupportedObjectiveError
 from .objectives import Objective, accuracy
 from .records import RunRecord
@@ -350,27 +350,16 @@ class RunConfig:
 
     def __post_init__(self):
         reads = _spec(self.kind).settings
-        for key in ("steps", "seed", "cadence", "n", "m"):
+        for key, low, noun in (("steps", 0, "the step budget"), ("seed", 0, "the generator seed"),
+                               ("cadence", 1, "the metric cadence"), ("n", 1, "the batch size"),
+                               ("m", 1, "SVRG's inner-loop length")):
             value = getattr(self, key)
-            if key == "m" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
+            if not (is_int(value) and value >= low or key == "m" and value is None):
+                raise ConfigError(f"{key} must be an integer >= {low} ({noun}), got {value!r}")
         for key, noun in (("h", "step size h"), ("prox_l1", "l1 weight prox_l1")):
             value = getattr(self, key)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, Real)
-                                      or not 0 <= value < np.inf):
+            if value is not None and not (is_real(value) and 0 <= value < np.inf):
                 raise ConfigError(f"{noun} must be a finite number >= 0, got {value!r}")
-        if self.steps < 0:
-            raise ConfigError("step budget must be >= 0")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.cadence < 1:
-            raise ConfigError("metric cadence must be >= 1")
-        if self.n < 1:
-            raise ConfigError("batch size must be >= 1")
-        if self.m is not None and self.m < 1:
-            raise ConfigError("SVRG inner-loop length m must be >= 1")
         ignored = sorted({key for spec in SPECS.values() for key in spec.settings
                           if key not in reads and getattr(self, key) != getattr(RunConfig, key)})
         if ignored:
@@ -455,9 +444,9 @@ def run(config: RunConfig, obj: Objective, *, constants=None,
         loss = obj.loss_full(state.W)
         dist = squared_distance(state.W, w_star) if w_star is not None else float("nan")
         acc = accuracy(obj, state.W, test_dataset) if test_dataset is not None else float("nan")
-        # gradient_population_stats' population variance, without its per-class
-        # passes; a linear model sums it from the residuals of the loss's margin
-        # pass, one block of rows at a time, so it builds no N x p matrix
+        # gradient_population_stats' population variance; a linear model sums
+        # it from the residuals of the loss's margin pass instead, one block of
+        # rows at a time, so no snapshot builds an N x p matrix
         sigma_sq = (obj.population_variance(state.W) if config.record_variance
                     else float("nan"))
         evals = spec.evals(N, config.n, config.m, state.steps)

@@ -31,7 +31,8 @@ from .records import Aggregate
 class CviInputs:
     """Inputs of the convergence-variance inequality.
 
-    Requires 0 < h < 2/L, 0 < f <= 1, n >= 1, sigma_sq >= 0.
+    Requires 0 <= mu <= L (`ConvexityConstants`), 0 < h < 2/L and the
+    sampling ranges of `finite_population_variance`.
     """
 
     h: float
@@ -42,16 +43,10 @@ class CviInputs:
     sigma_sq: float
 
     def __post_init__(self):
-        if not (self.L > 0 and 0 <= self.mu <= self.L * (1 + 1e-12)):
-            raise ValueError("need 0 <= mu <= L with L > 0")
+        ConvexityConstants(self.L, self.mu)
         if not (0.0 < self.h < 2.0 / self.L):
             raise OutOfRegimeError(f"step size {self.h} outside (0, 2/L) = (0, {2.0 / self.L})")
-        if not (0.0 < self.f <= 1.0):
-            raise ValueError("sampling ratio f must lie in (0, 1]")
-        if self.n < 1:
-            raise ValueError("sample size n must be >= 1")
-        if self.sigma_sq < 0.0:
-            raise ValueError("gradient variance must be >= 0")
+        _check_sampling(self.sigma_sq, self.f, self.n)
 
 
 def cvi_lambda(inp: CviInputs) -> float:
@@ -64,14 +59,14 @@ def cvi_lambda(inp: CviInputs) -> float:
         raise UndefinedBoundError("variance floor undefined for mu = 0")
     if inp.h * inp.mu == 2.0:
         raise UndefinedBoundError("variance floor undefined for h*mu = 2")
-    return (inp.h * inp.L * (1.0 - inp.f) * inp.sigma_sq
-            / (2.0 * inp.mu * (2.0 - inp.h * inp.mu) * inp.n))
+    return (inp.h * inp.L * finite_population_variance(inp.sigma_sq, inp.f, inp.n)
+            / (2.0 * inp.mu * (2.0 - inp.h * inp.mu)))
 
 
 def cvi_rho(h: float, L: float, mu: float) -> float:
     """Per-step gap contraction rho = h^2 mu L - 2 h mu + 1, < 1 on (0, 2/L)."""
-    if not (L > 0 and 0 < mu <= L * (1 + 1e-12)):
-        raise ValueError("need 0 < mu <= L")
+    if not ConvexityConstants(L, mu).strongly_convex:
+        raise ValueError("need mu > 0")
     if not (0.0 < h < 2.0 / L):
         raise OutOfRegimeError(f"step size {h} outside (0, 2/L) = (0, {2.0 / L})")
     return h * h * mu * L - 2.0 * h * mu + 1.0
@@ -112,20 +107,16 @@ class Theorem2Inputs:
     dist0_sq: float
 
     def __post_init__(self):
-        if not (self.L > 0 and 0 < self.mu <= self.L * (1 + 1e-12)):
-            raise ValueError("need 0 < mu <= L")
+        if not ConvexityConstants(self.L, self.mu).strongly_convex:
+            raise ValueError("need mu > 0")
         if self.C < 1:
             raise ValueError("class count must be >= 1")
         sig = np.asarray(self.sigma_c_sq, dtype=np.float64)
         if sig.ndim != 1 or sig.size != self.C:
             raise ValueError("need one per-class variance per class")
-        if np.any(sig < 0.0) or self.dist0_sq < 0.0:
-            raise ValueError("variances and distances must be >= 0")
-        f = np.asarray(self.f, dtype=np.float64)
-        if np.any(f <= 0.0) or np.any(f > 1.0):
-            raise ValueError("sampling ratios must lie in (0, 1]")
-        if np.any(np.asarray(self.n) < 1):
-            raise ValueError("batch sizes must be >= 1")
+        _check_sampling(sig, self.f, self.n)
+        if not self.dist0_sq >= 0.0:
+            raise ValueError(f"initial squared distance must be >= 0, got {self.dist0_sq}")
         object.__setattr__(self, "sigma_c_sq", sig)
 
     @property
@@ -136,9 +127,7 @@ class Theorem2Inputs:
     @property
     def variance_term(self) -> float:
         """(9/4) sum_c ((1 - f_c)/n_c) sigma_c^2 at the optimum."""
-        return float(2.25 * np.sum((1.0 - np.asarray(self.f, dtype=np.float64))
-                                   / np.asarray(self.n, dtype=np.float64)
-                                   * self.sigma_c_sq))
+        return float(2.25 * np.sum(finite_population_variance(self.sigma_c_sq, self.f, self.n)))
 
     @property
     def bracket(self) -> float:
@@ -199,14 +188,22 @@ def ssag_complexity(epsilon: float, inp: Theorem2Inputs) -> ComplexityEstimate:
                               literal_iterations=count(var_term) if var_term > 0.0 else None)
 
 
-def finite_population_variance(sigma_sq: float, f: float, n: int) -> float:
-    """Variance (1-f)/n * sigma^2 of a without-replacement sample mean."""
-    if not (0.0 < f <= 1.0):
-        raise ValueError("sampling ratio f must lie in (0, 1]")
-    if n < 1:
-        raise ValueError("sample size must be >= 1")
-    if sigma_sq < 0.0:
-        raise ValueError("population variance must be >= 0")
+def _check_sampling(sigma_sq, f, n) -> None:
+    """The one check of sampling inputs, each a scalar or one value per
+    stratum: ValueError unless 0 < f <= 1, n >= 1 and sigma_sq >= 0
+    everywhere; NaN fails."""
+    if not np.all((0.0 < f) & (f <= 1.0)):
+        raise ValueError(f"sampling ratio f must lie in (0, 1], got {f}")
+    if not np.all(n >= 1):
+        raise ValueError(f"sample size n must be >= 1, got {n}")
+    if not np.all(sigma_sq >= 0.0):
+        raise ValueError(f"population variance must be >= 0, got {sigma_sq}")
+
+
+def finite_population_variance(sigma_sq, f, n):
+    """Variance (1-f)/n * sigma^2 of a without-replacement sample mean: a
+    float for scalar inputs, one value per stratum for per-stratum inputs."""
+    _check_sampling(sigma_sq, f, n)
     return (1.0 - f) / n * sigma_sq
 
 

@@ -1,5 +1,6 @@
 """Orchestration, CSV/SVG artifacts, and the command-line interface."""
 
+import gzip
 import inspect
 import json
 import re
@@ -151,6 +152,16 @@ class TestExperimentConfig:
         else:
             with pytest.raises(ConfigError):
                 ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["means", "stddev"])
+    def test_integer_beyond_float_range_rejected_at_load(self, key):
+        # JSON reads 1e400 as inf but an integer literal as an exact int,
+        # which float64 cannot hold
+        dataset = {**_config_doc()["dataset"], key: 10**400}
+        if key == "means":
+            dataset["means"] = [[10**400, 0.0], [-2.0, 0.0]]
+        with pytest.raises(ConfigError, match="int too large"):
+            ExperimentConfig.from_dict(_config_doc(dataset=dataset))
 
     @pytest.mark.parametrize("hidden, accepted", [([3], True), ([], True), ([4, 2], True),
                                                   ([True], False), ([2.7], False),
@@ -503,6 +514,40 @@ class TestCli:
         err = capsys.readouterr().err
         assert "usage error" in err and "Traceback" not in err
         assert sorted(path.name for path in tmp_path.iterdir()) == ["data.txt"]
+
+    @staticmethod
+    def _corrupt_gzip(path):
+        # a deflate stream with one byte flipped: zlib rejects it mid-stream
+        raw = bytearray(gzip.compress(bytes(range(256)) * 40))
+        raw[10] ^= 0x5A
+        path.write_bytes(bytes(raw))
+        return path
+
+    @pytest.mark.parametrize("case", ["text", "idx", "idx-gzip", "estimate-constants", "plot",
+                                      "not-utf8"])
+    def test_unreadable_data_file_is_usage_error(self, tmp_path, capsys, case):
+        missing = tmp_path / "missing.dat"
+        if case == "text":
+            bad = missing
+            argv = ["run", "-c", str(self._write_config(
+                tmp_path, dataset={"kind": "text", "path": str(bad)}))]
+        elif case.startswith("idx"):
+            bad = missing if case == "idx" else self._corrupt_gzip(tmp_path / "images.gz")
+            argv = ["run", "-c", str(self._write_config(
+                tmp_path, dataset={"kind": "idx", "images": str(bad), "labels": str(missing)}))]
+        elif case == "estimate-constants":
+            bad = missing
+            argv = ["estimate-constants", "--data", str(bad)]
+        elif case == "plot":
+            bad = missing
+            argv = ["plot", str(bad), "--out", str(tmp_path / "p.svg")]
+        else:
+            bad = tmp_path / "latin1.txt"
+            bad.write_bytes(b"p=1,C=1,labels=real\n\xe9,1\n")
+            argv = ["estimate-constants", "--data", str(bad)]
+        assert cli(argv) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: {bad}: cannot read" in err and "Traceback" not in err
 
     def test_run_writes_a_loss_plot(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, seeds=[1, 2])

@@ -205,6 +205,17 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             SyntheticSpec(means=np.array([[0.0, np.nan]]), counts=(1,), stddev=1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("counts", (5.5, 5)), ("counts", (True, 5)), ("counts", ("5", 5)),
+        ("stddev", True), ("stddev", "0.5"),
+        ("seed", 2.7), ("seed", True), ("seed", "3"),
+        ("means", [["1"], ["-1"]]), ("means", [[1.0], [True]]), ("means", [[1.0, 0.0], [2.0]]),
+        ("means", np.array([[True], [False]]))])
+    def test_rejects_a_value_it_would_have_to_convert(self, field, value):
+        spec = dict(means=np.array([[1.0], [-1.0]]), counts=(5, 5), stddev=0.5, seed=1)
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            SyntheticSpec(**{**spec, field: value})
+
 
 class TestTextFormat:
     def test_classification_roundtrip(self, tmp_path):

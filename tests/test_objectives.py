@@ -732,6 +732,11 @@ class TestMakeObjective:
         with pytest.raises(ValueError, match="regularizer weight"):
             ssag.make_objective({"kind": kind, "lam": lam}, two_class_logistic.dataset)
 
+    @pytest.mark.parametrize("hidden", [(2.7,), (True,), ("3",), (2, np.float64(3.0))])
+    def test_mlp_rejects_non_integer_widths(self, two_class_logistic, hidden):
+        with pytest.raises(ValueError, match="layer widths must be integers"):
+            ssag.Mlp(two_class_logistic.dataset, hidden=hidden)
+
     @pytest.mark.parametrize("make, error, message", [
         (lambda ds: ssag.LogisticRegression(ds), ValueError, r"labels in \{0, 1\}"),
         (lambda ds: ssag.Mlp(ds, hidden=(2,)), ValueError, r"integer class labels in \[0, C\)"),

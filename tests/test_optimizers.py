@@ -769,8 +769,7 @@ class TestRunConfig:
     @pytest.mark.parametrize("setting, message", [({"steps": -1}, "step budget"),
                                                   ({"cadence": 0}, "metric cadence")])
     def test_rejects_a_count_below_its_range(self, setting, message):
-        # an experiment file checks these before it builds a RunConfig, so
-        # only a direct construction reaches RunConfig's own checks
+        # an experiment file's steps and cadence reach these checks too
         with pytest.raises(ConfigError, match=message):
             RunConfig(kind="sgd", **{"steps": 3, **setting})
 

@@ -292,6 +292,15 @@ class TestWordCursor:
             assert idx.tolist() == [int(cell[ref.integers(cell.size)])]
         assert rng.generator.bit_generator.state == ref.bit_generator.state
 
+    @pytest.mark.parametrize("words, sizes, n", [
+        ([], (4, 4), 1),  # no word to draw the first stratum from
+        ([0], (4, 4, 4), 1),  # Lemire rejects word 0 for 3 strata: (2^32 - 3) mod 3 = 1
+        ([0], (1, 5), 2),  # word 0 draws stratum 0, which cannot hold n = 2
+    ])
+    def test_schedule_leaves_an_undrawable_first_step_to_the_generator(self, words, sizes, n):
+        strata, positions, width = draw_schedule(np.array(words, dtype=np.uint64), sizes, n, 8)
+        assert strata.shape == (0,) and positions.shape == (0, n) and width == 0
+
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(seed=st.integers(0, 2**64 - 1), plan=_step_plans())
     def test_step_draws_match_the_oracle(self, seed, plan):

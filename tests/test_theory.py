@@ -421,3 +421,68 @@ class TestFitDecayRate:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             ssag.fit_decay_rate(np.array([1.0]), np.array([2.0]))
+
+
+def _t2(**kw):
+    args = dict(mu=1.0, L=2.0, C=2, f=0.5, n=1, sigma_c_sq=np.ones(2), dist0_sq=1.0)
+    return Theorem2Inputs(**{**args, **kw})
+
+
+def _env(n_seeds=20, values=(1.0, 2.0)):
+    return ssag.Envelope(np.arange(2), np.array(values), np.ones(2), n_seeds)
+
+
+NAN = float("nan")
+
+
+class TestInputRules:
+    """Every input rule of the bounds, one case per raise site; NaN fails each
+    range check it reaches."""
+
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda: ssag.ConvexityConstants(L=NAN, mu=0.0), ValueError, "L must be positive"),
+        (lambda: ssag.ConvexityConstants(L=1.0, mu=NAN), ValueError, "mu must satisfy"),
+        (lambda: _cvi(L=1.0, mu=2.0), ValueError, "mu must satisfy"),
+        (lambda: _cvi(h=NAN), OutOfRegimeError, "step size"),
+        (lambda: ssag.cvi_lambda(_cvi(mu=0.0)), UndefinedBoundError, "mu = 0"),
+        # accepted by CviInputs, since mu exceeds L by less than the 1e-12 tolerance
+        (lambda: ssag.cvi_lambda(_cvi(h=1.999999999999, L=1.0, mu=1.0000000000005)),
+         UndefinedBoundError, r"h\*mu = 2"),
+        (lambda: ssag.cvi_rho(0.1, 1.0, 0.0), ValueError, "need mu > 0"),
+        (lambda: ssag.cvi_rho(0.1, 1.0, NAN), ValueError, "mu must satisfy"),
+        (lambda: ssag.cvi_rho(NAN, 1.0, 0.5), OutOfRegimeError, "step size"),
+        (lambda: ssag.cvi_envelope(1, 0.0, NAN, 1.0), OutOfRegimeError, "rho"),
+        (lambda: ssag.cvi_envelope(-1, 0.0, 0.5, 1.0), ValueError, "iteration index"),
+        (lambda: _t2(mu=0.0), ValueError, "need mu > 0"),
+        (lambda: _t2(L=NAN), ValueError, "L must be positive"),
+        (lambda: _t2(C=0, sigma_c_sq=np.ones(0)), ValueError, "class count"),
+        (lambda: _t2(sigma_c_sq=np.ones(3)), ValueError, "one per-class variance"),
+        (lambda: _t2(dist0_sq=-1.0), ValueError, "initial squared distance"),
+        (lambda: _t2(dist0_sq=NAN), ValueError, "initial squared distance"),
+        (lambda: _t2(f=np.array([0.5, NAN])), ValueError, "sampling ratio"),
+        (lambda: _t2(n=np.array([1, 0])), ValueError, "sample size"),
+        (lambda: _t2(sigma_c_sq=np.array([1.0, NAN])), ValueError, "population variance"),
+        (lambda: _cvi(f=NAN), ValueError, "sampling ratio"),
+        (lambda: _cvi(n=0), ValueError, "sample size"),
+        (lambda: _cvi(sigma_sq=-1.0), ValueError, "population variance"),
+        (lambda: ssag.theorem2_bound(-1, _t2()), ValueError, "iteration index"),
+        (lambda: ssag.ssag_complexity(0.0, _t2()), ValueError, "epsilon"),
+        (lambda: ssag.finite_population_variance(1.0, NAN, 1), ValueError, "sampling ratio"),
+        (lambda: ssag.finite_population_variance(1.0, 0.5, 0), ValueError, "sample size"),
+        (lambda: ssag.finite_population_variance(NAN, 0.5, 1), ValueError,
+         "population variance"),
+        (lambda: _env(n_seeds=19).check(), SsagError, "over >= 20 seeds"),
+        (lambda: _env(values=(1.0, NAN)).check(), SsagError, "NaN"),
+        (lambda: ssag.check_envelope(np.arange(2), np.ones(3), np.ones(2), n_seeds=20),
+         ValueError, "matching shapes"),
+        (lambda: ssag.fit_decay_rate(np.arange(3), np.array([1.0, 0.0, NAN])), ValueError,
+         "two positive values"),
+    ])
+    def test_rule_rejects(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
+    def test_sampling_rule_takes_a_scalar_or_one_value_per_stratum(self):
+        assert ssag.finite_population_variance(4.0, 0.5, 2) == 1.0
+        got = ssag.finite_population_variance(np.array([4.0, 8.0]), np.array([0.5, 1.0]), 2)
+        assert got.tolist() == [1.0, 0.0]
