@@ -41,7 +41,7 @@ _STR = (lambda v: isinstance(v, str), "a string")
 _NULL_OR_STR = (lambda v: v is None or isinstance(v, str), "null or a string")
 _NULL_OR_BOOL = (lambda v: v is None or isinstance(v, bool), "null, true or false")
 _LIMIT = (lambda v: v is None or is_int(v) and v >= 1, "null or an integer >= 1")
-_LAM = {"lam": (lambda v: is_real(v) and 0 <= v < np.inf, "a finite number >= 0")}
+_LAM = {"lam": (lambda v: is_real(v) and v >= 0, "a finite number >= 0")}
 
 #: The one table of config section keys: section -> kind -> (required keys, {key: rule}).
 #: A rule is (check, what the value must be) for a value that no constructor checks at
@@ -89,8 +89,7 @@ def _check_section(name: str, section) -> None:
 _FIELD_CHECKS = {
     "seeds": (lambda v: isinstance(v, list) and v and all(is_int(s) and s >= 0 for s in v)
               and len(set(v)) == len(v), "a nonempty list of distinct integers >= 0"),
-    "passes": (lambda v: v is None or is_real(v) and 0 < v < np.inf,
-               "null or a finite number > 0"),
+    "passes": (lambda v: v is None or is_real(v) and v > 0, "null or a finite number > 0"),
     **dict.fromkeys(("out_dir", "label"), _NULL_OR_STR),
     **{name: (lambda v: isinstance(v, bool), "true or false")
        for name in ("record_dist", "record_variance")},
@@ -135,7 +134,7 @@ class ExperimentConfig:
         if data["kind"] == "synthetic":
             try:
                 test_split = _synthetic_specs(data)[1]
-            except (TypeError, ValueError, OverflowError) as exc:
+            except (TypeError, ValueError) as exc:
                 raise ConfigError(f"malformed config value: {exc}") from None
         opt, h = self.optimizer, self.optimizer.get("h")
         self.run_config = RunConfig(

@@ -6,6 +6,7 @@ the package; :func:`as_params` validates them at entry points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 
@@ -30,8 +31,12 @@ def is_int(value) -> bool:
 
 
 def is_real(value) -> bool:
-    """Whether ``value`` is a real number, Python's or numpy's, and not a bool."""
-    return isinstance(value, Real) and not isinstance(value, bool)
+    """Whether ``value`` is a real number, Python's or numpy's, not a bool and
+    finite in float64: not NaN, an infinity or an integer that float() overflows."""
+    try:
+        return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # float() overflows the integer
+        return False
 
 
 def operand(value: float) -> np.ndarray:
@@ -221,7 +226,7 @@ def squared_distance(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise DimensionMismatchError(f"shapes {a.shape} and {b.shape} differ")
     d = a - b
-    return float(np.sum(d * d))
+    return float(np.add.reduce(d * d, None))
 
 
 def as_params(values, dim: int | None = None) -> np.ndarray:

@@ -105,7 +105,7 @@ class SyntheticSpec:
     """Gaussian class blobs: one mean vector per class, shared stddev.
 
     Each count and the seed is an integer and the stddev and each mean a
-    number, none of them a bool; ValueError otherwise, with nothing truncated.
+    finite number, none of them a bool; ValueError otherwise, nothing truncated.
     """
 
     means: np.ndarray       # (C, p)
@@ -116,15 +116,13 @@ class SyntheticSpec:
     def __post_init__(self):
         cells = np.asarray(self.means, dtype=object)
         if cells.ndim != 2 or not all(map(is_real, cells.flat)):
-            raise ValueError(f"means must be a (C, p) matrix of numbers, got {self.means!r}")
+            raise ValueError(f"means must be a (C, p) matrix of finite numbers, got {self.means!r}")
         means = cells.astype(np.float64)
-        if not np.isfinite(means).all():
-            raise ValueError("means must be finite")
         if len(self.counts) != means.shape[0]:
             raise ValueError("need one sample count per class mean")
         if not all(is_int(c) and c >= 1 for c in self.counts):
             raise ValueError(f"counts must be integers >= 1, got {self.counts!r}")
-        if not (is_real(self.stddev) and 0.0 <= float(self.stddev) < np.inf):
+        if not (is_real(self.stddev) and self.stddev >= 0):
             raise ValueError(f"stddev must be a finite number >= 0, got {self.stddev!r}")
         if not (is_int(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")

@@ -120,16 +120,17 @@ class Objective(ABC):
     kind: str = "abstract"
 
     def __init__(self, dataset: Dataset, lam: float = 0.0):
-        if not (is_real(lam) and 0 <= lam < np.inf):
-            raise ValueError(f"regularizer weight must be a finite number >= 0, got {lam!r}")
+        if not (is_real(lam) and lam >= 0):
+            raise ValueError(f"regularizer weight lam must be a finite number >= 0, got {lam!r}")
         self.dataset = dataset
-        #: lam as a read-only 0-d array, the kernels' operand
+        #: lam as a read-only 0-d array, the kernels' operand, and as a float
         self._lam = operand(lam)
+        self._lam_float = float(self._lam)
 
     @property
     def lam(self) -> float:
         """The regularizer weight, fixed at construction."""
-        return float(self._lam)
+        return self._lam_float
 
     # -- kernels ---------------------------------------------------------
 
@@ -169,7 +170,7 @@ class Objective(ABC):
 
     def _reg_term(self, W: np.ndarray) -> float:
         """The regularizer 0.5 * lam * ||W||^2 inside every per-sample loss."""
-        return 0.5 * self.lam * float(np.sum(W * W))
+        return 0.5 * self._lam_float * float(add.reduce(W * W, None))
 
     def _take(self, values: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """``values[indices]``, or ``values`` itself for the full-data ``dataset.rows``."""
@@ -190,7 +191,8 @@ class Objective(ABC):
     def loss_full(self, W: np.ndarray) -> float:
         """Mean per-sample loss; reduction is numpy pairwise summation."""
         W = as_params(W, self.dim)
-        return float(np.sum(self.loss_values(W, self.dataset.rows)) / self.dataset.n_samples)
+        return float(add.reduce(self.loss_values(W, self.dataset.rows), None)
+                     / self.dataset.n_samples)
 
     def population_variance(self, W: np.ndarray) -> float:
         """sum_i ||G_i - mean||^2 / (N - 1) over the N per-sample gradients at
@@ -215,15 +217,15 @@ class Objective(ABC):
         """Mean gradient over a batch drawn from class j's partition cell,
         written into ``out`` when given; StratumViolationError, with ``out``
         untouched, unless every index is an integer in [0, N) of class j."""
-        if type(indices) is np.ndarray and indices.shape == (1,) and indices.dtype is _INDEX:
-            # one int64 index, as an SSAG step at n = 1 draws it: np.asarray
-            # would return it as it is, so only the range and membership
+        if type(indices) is np.ndarray and indices.dtype is _INDEX and indices.size == 1:
+            # one int64 index of any shape, as an SSAG step at n = 1 draws it:
+            # np.asarray would return it as it is, so only the range and membership
             # tests are left (a negative index would wrap around class_of)
             i, class_of = indices.item(), self.dataset.class_of
             if not 0 <= i < class_of.size or class_of.item(i) != class_j:
                 raise StratumViolationError(
                     f"indices {indices.tolist()} are not all members of class {class_j}")
-            return self.grad_batch(W, indices, out=out)
+            return self.grad_batch(W, indices, out)
         given = np.asarray(indices)
         indices = given.astype(np.int64, copy=False)
         if indices is not given and not (indices == given).all():
@@ -235,7 +237,7 @@ class Objective(ABC):
                 and (class_of[indices] == class_j).all()):
             raise StratumViolationError(
                 f"indices {indices.tolist()} are not all members of class {class_j}")
-        return self.grad_batch(W, indices, out=out)
+        return self.grad_batch(W, indices, out)
 
     def init_params(self, seed: int = 0) -> np.ndarray:
         """Initial parameter vector; zeros unless a subclass overrides."""
@@ -326,7 +328,7 @@ class _LinearObjective(Objective):
             # SHORT_ROW.  The margin loop starts at +0.0 and adds left to
             # right, as numpy's pairwise sum does below 8 terms; built-in
             # sum() would not do: from Python 3.12 it compensates a float sum.
-            xs, ws, lam = x.tolist(), W.tolist(), float(self._lam)
+            xs, ws, lam = x.tolist(), W.tolist(), self._lam_float
             m = 0.0
             for a, b in zip(xs, ws):
                 m += a * b

@@ -24,6 +24,9 @@ A step's cost is its numpy dispatch, so the steps call each ufunc through a
 module-level name with its output passed positionally, and read a repeated
 attribute into a local once: ``multiply(a, b, o)`` takes 224 ns at p = 20
 where ``np.multiply(a, b, out=o)`` takes 278 (numpy 2.4, 2-core x86-64).
+perfbench's tracer (``perfbench/spans.py``) counts calls by name, so these stay:
+the kind's step function once per step, SSAG's `Objective.grad_class_batch` then
+`grad_batch` once each per step, and `loss_full` and `squared_distance` per record.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ class State:
     rows of W's shape and, for a W of ``SHORT_ROW`` entries or more, the mask
     of the finite guard and the bytes of an all-true mask.  So ``h`` and
     ``table`` are fixed once the state is made: assigning either raises
-    AttributeError (the slots stay writable).
+    AttributeError (the slots stay writable; the steps read ``_table_value``).
     """
 
     W: np.ndarray
@@ -94,7 +97,8 @@ class State:
         self._h_per_slot = operand(self.h / max(slots, 1))
         self._slots = operand(slots)
         self._scratch = tuple(np.empty((2, *self.W.shape)))  # two rows, as views
-        if self.W.size >= SHORT_ROW:
+        self._short = self.W.size < SHORT_ROW
+        if not self._short:
             self._finite = np.empty(self.W.shape, dtype=bool)
             self._all_finite = np.ones(self.W.shape, dtype=bool).tobytes()
 
@@ -129,7 +133,7 @@ def _commit(state: State, W: np.ndarray) -> State:
     # counting the mask's true entries.  Not W.dot(W): it warns "overflow
     # encountered in dot" for a finite |w| > 1e154, and an np.errstate costs
     # more than the check.
-    if not (all(map(math.isfinite, W.tolist())) if W.size < SHORT_ROW
+    if not (all(map(math.isfinite, W.tolist())) if state._short
             else isfinite(W, state._finite).tobytes() == state._all_finite):
         raise DivergenceError("optimizer produced a non-finite iterate",
                               last_finite=prev, steps=state.steps)
@@ -145,7 +149,7 @@ def recompute_sum(state: State) -> State:
 def _refresh_slot(state: State, j: int, phi: np.ndarray) -> None:
     """Write phi into slot j and update the running sum in place, rounded as
     ``table_sum - table[j] + phi``."""
-    table_sum, table = state.table_sum, state.table
+    table_sum, table = state.table_sum, state._table_value
     subtract(table_sum, table[j], table_sum)
     add(table_sum, phi, table_sum)
     table[j] = phi
@@ -173,9 +177,9 @@ def ssag_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
     replacement, writes their mean gradient into slot j, and steps
     W <- W - (h/C) * sum of all slots.
     """
-    slot = state.table[j]
+    slot = state._table_value[j]
     subtract(state.table_sum, slot, state._scratch[0])
-    obj.grad_class_batch(state.W, j, idx, out=slot)
+    obj.grad_class_batch(state.W, j, idx, slot)
     return _table_average_step(state, slot)
 
 
@@ -185,9 +189,9 @@ def sag_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
     The draw of one sample i from the population is the stratum draw, since
     the draw inside a one-element cell consumes no generator state.
     """
-    slot = state.table[idx.item()]
+    slot = state._table_value[idx.item()]
     subtract(state.table_sum, slot, state._scratch[0])
-    obj.grad_batch(state.W, idx, out=slot)
+    obj.grad_batch(state.W, idx, slot)
     return _table_average_step(state, slot)
 
 
@@ -205,8 +209,8 @@ def saga_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
     """
     i, W0 = idx.item(), state.W
     g, d = state._scratch
-    obj.grad_batch(W0, idx, out=g)
-    subtract(g, state.table[i], d)
+    obj.grad_batch(W0, idx, g)
+    subtract(g, state._table_value[i], d)
     W = divide(state.table_sum, state._slots)
     multiply(add(d, W, d), state._h, d)
     subtract(W0, d, W)
@@ -228,8 +232,8 @@ def svrg_outer(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
         state.snapshot_grad = obj.grad_full(state.snapshot)
     g, g_snapshot = state._scratch
     W = state.W
-    obj.grad_batch(W, idx, out=g)
-    obj.grad_batch(state.snapshot, idx, out=g_snapshot)
+    obj.grad_batch(W, idx, g)
+    obj.grad_batch(state.snapshot, idx, g_snapshot)
     subtract(g, g_snapshot, g)
     add(g, state.snapshot_grad, g)
     return _commit(state, subtract(W, multiply(g, state._h, g)))
@@ -244,7 +248,7 @@ def minibatch_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> Sta
     reads in place; a full batch takes no draw.
     """
     W = state.W
-    g = obj.grad_batch(W, idx, out=state._scratch[0])
+    g = obj.grad_batch(W, idx, state._scratch[0])
     return _commit(state, subtract(W, multiply(g, state._h, g)))
 
 
@@ -358,7 +362,7 @@ class RunConfig:
                 raise ConfigError(f"{key} must be an integer >= {low} ({noun}), got {value!r}")
         for key, noun in (("h", "step size h"), ("prox_l1", "l1 weight prox_l1")):
             value = getattr(self, key)
-            if value is not None and not (is_real(value) and 0 <= value < np.inf):
+            if value is not None and not (is_real(value) and value >= 0):
                 raise ConfigError(f"{noun} must be a finite number >= 0, got {value!r}")
         ignored = sorted({key for spec in SPECS.values() for key in spec.settings
                           if key not in reads and getattr(self, key) != getattr(RunConfig, key)})
@@ -452,7 +456,7 @@ def run(config: RunConfig, obj: Objective, *, constants=None,
         evals = spec.evals(N, config.n, config.m, state.steps)
         rows.append((state.steps, evals / N, loss, acc, dist, evals,
                      (time.perf_counter() - t0) * 1e3, sigma_sq))
-        return bool(np.isfinite(loss)) and loss <= DIVERGENCE_LOSS_LIMIT
+        return math.isfinite(loss) and loss <= DIVERGENCE_LOSS_LIMIT
 
     alive = snapshot()
     next_record = config.cadence
@@ -469,9 +473,10 @@ def run(config: RunConfig, obj: Objective, *, constants=None,
         # step without a check up to the next boundary: a record, the end of
         # the block of draws (the budget's end among them) or a recompute
         stop = min(next_record, end, (state.steps // every + 1) * every)
+        a, b = state.steps - start, stop - start
         try:
-            for s in range(state.steps - start, stop - start):
-                step(state, obj, strata[s], indices[s])
+            for j, idx in zip(strata[a:b], indices[a:b]):
+                step(state, obj, j, idx)
         except DivergenceError:
             alive = False
             break

@@ -153,15 +153,38 @@ class TestExperimentConfig:
             with pytest.raises(ConfigError):
                 ExperimentConfig.from_dict(doc)
 
-    @pytest.mark.parametrize("key", ["means", "stddev"])
-    def test_integer_beyond_float_range_rejected_at_load(self, key):
+    @pytest.mark.parametrize("key", ["means", "stddev", "lam", "h", "prox_l1", "passes"])
+    def test_integer_beyond_float_range_rejected_at_load(self, tmp_path, capsys, key):
         # JSON reads 1e400 as inf but an integer literal as an exact int,
-        # which float64 cannot hold
-        dataset = {**_config_doc()["dataset"], key: 10**400}
-        if key == "means":
-            dataset["means"] = [[10**400, 0.0], [-2.0, 0.0]]
-        with pytest.raises(ConfigError, match="int too large"):
-            ExperimentConfig.from_dict(_config_doc(dataset=dataset))
+        # which float64 cannot hold; each real-valued key rejects it where it
+        # is first checked, in the library and from a config file, and says
+        # which key it was
+        huge, doc = 10**400, _config_doc(out_dir=str(tmp_path / "out"))
+        ds = ssag.Dataset.from_class_labels(np.eye(2), np.array([0, 1]))
+        if key in ("means", "stddev"):
+            data = doc["dataset"]
+            data[key] = [[huge, 0.0], [-2.0, 0.0]] if key == "means" else huge
+            library = lambda: ssag.SyntheticSpec(data["means"], (10, 10), data["stddev"])
+        elif key == "lam":
+            doc["objective"]["lam"] = huge
+            library = lambda: ssag.LogisticRegression(ds, lam=huge)
+        elif key == "passes":
+            del doc["steps"]
+            doc["passes"] = huge
+            library = lambda: ExperimentConfig.from_dict(doc)
+        else:
+            doc["optimizer"] = {"kind": "saga", key: huge}
+            library = lambda: RunConfig(kind="saga", steps=1, **{key: huge})
+        with pytest.raises((ConfigError, ValueError), match=f"{key} must be"):
+            library()
+        with pytest.raises(ConfigError, match=f"{key} must be"):
+            ExperimentConfig.from_dict(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli(["run", "-c", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{key} must be" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("hidden, accepted", [([3], True), ([], True), ([4, 2], True),
                                                   ([True], False), ([2.7], False),

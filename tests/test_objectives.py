@@ -1,10 +1,12 @@
 """Objective losses, gradients, class scores, accuracy, and the ridge closed form."""
 
+import os
 import subprocess
 import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +170,32 @@ class TestGradClassBatch:
                                match=rf"^indices \[{foreign}\] are not all members of class {j}$"):
                 obj.grad_class_batch(W, j, np.array([foreign]))
 
+    @pytest.mark.parametrize("shape", [(), (1, 1)], ids=str)
+    def test_one_int64_index_of_another_shape_matches_the_general_path(self, two_class_logistic,
+                                                                       shape):
+        # an int64 index of one entry takes the one-index path whatever its
+        # shape; as int32 it takes the general path, which converts it.  Both
+        # give the (1,) index's bits, or raise with the same message and
+        # leave out as it was
+        obj, W = two_class_logistic, np.array([0.2, -0.1])
+        first, second = obj.dataset.partition
+        for j, (cell, other) in enumerate(((first, second), (second, first))):
+            for i in (cell[0], cell[-1]):
+                want = obj.grad_class_batch(W, j, np.array([i]))
+                for dtype in (np.int64, np.int32):
+                    got = obj.grad_class_batch(W, j, np.array(i, dtype).reshape(shape))
+                    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+            for i in (other[0], -1, obj.dataset.n_samples):
+                messages = set()
+                for dtype in (np.int64, np.int32):
+                    out = np.full(2, 7.0)
+                    with pytest.raises(StratumViolationError) as info:
+                        obj.grad_class_batch(W, j, np.array(i, dtype).reshape(shape), out)
+                    messages.add(str(info.value))
+                    assert out.tolist() == [7.0, 7.0]
+                assert messages == {f"indices {np.array(i).reshape(shape).tolist()} "
+                                    f"are not all members of class {j}"}
+
     @pytest.mark.parametrize("indices", [
         np.array([-1]), np.array([-4]), np.array([6]), np.array([2**40]),  # one int64 index
         np.array([-1, -3]), np.array([-1.0]), np.array([6, 3]), [3, 6], np.array([-1], np.int32)],
@@ -224,8 +252,13 @@ class TestSigmoid:
     def test_package_imports_without_scipy(self):
         code = ("import sys, ssag, ssag.bench; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        # the child imports the package this process imported, whether pytest
+        # found it through pyproject's pythonpath or the caller's PYTHONPATH
+        source_root = str(Path(ssag.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (source_root, os.environ.get("PYTHONPATH"))))}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True)
+                             check=True, env=env)
         assert out.stdout.strip() == "[]"
 
 

@@ -1,6 +1,7 @@
 """Optimizer step semantics, special-case collapses, and the run loop."""
 
 import contextlib
+import itertools
 import math
 import warnings
 
@@ -641,16 +642,34 @@ class TestRunLoop:
         assert recomputed_at == [7, 14, 21, 28, 35]
         assert rec.k.tolist() == list(range(0, 41, 5)) and not rec.diverged
 
-    @pytest.mark.parametrize("cadence", [3, 1000])
-    def test_diverging_run_matches_a_step_at_a_time_loop(self, line_ridge, cadence):
+    @pytest.mark.parametrize("cadence, injected", [
+        (3, None), (1000, None), (3, np.nan), (3, np.inf), (3, -np.inf),
+        (3, np.nextafter(DIVERGENCE_LOSS_LIMIT, np.inf)), (3, DIVERGENCE_LOSS_LIMIT)],
+        ids=["3", "1000", "nan", "inf", "-inf", "above-limit", "at-limit"])
+    def test_diverging_run_matches_a_step_at_a_time_loop(self, line_ridge, cadence, injected):
         # cadence 3 diverges on a recorded loss, cadence 1000 on the finite
         # guard between records, after its step overflowed; the reference
-        # checks after every step
-        obj, config = line_ridge, RunConfig(kind="fgd", steps=200, h=1e6, cadence=cadence)
+        # checks after every step.  The other cases step stably and give the
+        # third recorded loss a set value: a NaN, an infinity of either sign
+        # or the next float above the limit cuts the record there, the limit
+        # itself does not
+        obj = line_ridge
+        config = RunConfig(kind="fgd", steps=200, h=1e6 if injected is None else 0.1,
+                           cadence=cadence)
+        true_loss = obj.loss_full
+
+        def set_third_loss():  # from the next loss_full call on
+            calls = itertools.count()
+            obj.loss_full = lambda W: injected if next(calls) == 2 else true_loss(W)
+
         overflow = (pytest.warns(RuntimeWarning, match="overflow") if cadence == 1000
                     else contextlib.nullcontext())
         with overflow:
+            if injected is not None:
+                set_third_loss()
             rec = ssag.run(config, obj)
+            if injected is not None:
+                set_third_loss()
             state = make_state(config, obj)
             counter = EvaluationCounter(obj)
             k, loss, evals = [0], [obj.loss_full(state.W)], [0]
@@ -665,13 +684,15 @@ class TestRunLoop:
                     k.append(state.steps)
                     loss.append(obj.loss_full(state.W))
                     evals.append(counter.total)
-                    if not loss[-1] <= DIVERGENCE_LOSS_LIMIT:
+                    if not (np.isfinite(loss[-1]) and loss[-1] <= DIVERGENCE_LOSS_LIMIT):
                         diverged = True
                         break
                     next_record = (state.steps // config.cadence + 1) * config.cadence
-        assert rec.diverged and diverged
+        assert rec.diverged == diverged == (injected != DIVERGENCE_LOSS_LIMIT)
         assert rec.k.tolist() == k and rec.grad_evals.tolist() == evals
-        assert np.array_equal(rec.loss, loss)
+        if injected is not None:
+            assert k[-1] == (200 if injected == DIVERGENCE_LOSS_LIMIT else 6)
+        assert np.array_equal(rec.loss, loss, equal_nan=True)
 
     def test_variance_snapshots_allocate_less_than_the_feature_matrix(self):
         # each snapshot records the loss and sigma^2; neither may build an

@@ -1,18 +1,27 @@
 """Alternating pairs of benchmark runs from two checkouts of the repository.
 
-    python3 tools/bench_pairs.py --parent DIR --change DIR --workload ssag-envelope \\
-        --seed 1 --seconds 45 --pairs 10
+    python3 tools/bench_pairs.py --parent DIR --change DIR [--control DIR] \\
+        --workload ssag-envelope --seed 1 --seconds 45 --pairs 10
 
 Each round runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
-once in each checkout, one run after the other: the parent first in even rounds
-and the change first in odd rounds.  For every end-to-end metric that the
-change's BENCHMARK.json lists, the summary gives both medians, the parent's
-interquartile range and the rounds the change won in the metric's ``better``
-direction; a tie counts for neither side.  It also says whether every run on
-both sides printed the same records digests; the exit code is 1 when they
-differ or a run failed a check.
+once in each checkout, one run after the other: parent, change (and control)
+in even rounds and the reverse order in odd rounds.  For every end-to-end
+metric that the change's BENCHMARK.json lists, the summary gives both
+medians, the parent's interquartile range, the change's shift (its median
+over the parent's, less 1) and the rounds the change won in the metric's
+``better`` direction; a tie counts for neither side.  It also says whether
+every run on every side printed the same records digests; the exit code is 1
+when they differ or a run failed a check.
 
-Both checkouts are file exports (``git archive REV | tar -x -C DIR``); a
+``--control`` is a second export of the parent, an A/A leg: the same code
+run in the same rounds, so whatever separates it from the parent is noise or
+position, not code.  The summary then adds each metric's A/A shift (the
+control's median over the parent's, less 1), the A/A spread (the
+interquartile range of the per-round control/parent ratios, less 1) and the
+rounds the control won.  A change's shift means little unless it lies well
+outside the A/A shift and spread.
+
+Every checkout is a file export (``git archive REV | tar -x -C DIR``); a
 directory that holds ``.git`` is refused.  Each run is a child process that
 this script waits for; it leaves nothing running and writes nothing outside
 what ``perfbench/run.py`` itself writes.
@@ -22,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -29,6 +39,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 SIDES = ("parent", "change")
+#: The optional A/A leg, a second export of the parent.
+CONTROL = "control"
 
 
 @dataclass(frozen=True)
@@ -75,40 +87,57 @@ def wins(parent, change, better: str) -> int:
     return sum(sign * (c - p) > 0 for p, c in zip(parent, change, strict=True))
 
 
+def shift(base: float, value: float) -> float:
+    """``value / base - 1``; NaN for a zero base."""
+    return value / base - 1 if base else math.nan
+
+
 def summarize(end_to_end, runs: dict[str, list[Run]]) -> list[dict]:
     """One row per metric of ``end_to_end`` (BENCHMARK.json's entries): both
-    medians, the parent's interquartile range and the change's wins."""
+    medians, the parent's interquartile range and the change's shift and
+    wins; with a control leg in ``runs``, also its A/A shift, spread and
+    wins."""
     rows = []
     for spec in end_to_end:
-        name = spec["name"]
-        parent = [run.metrics[name] for run in runs["parent"]]
-        change = [run.metrics[name] for run in runs["change"]]
+        name, better = spec["name"], spec["better"]
+        parent, change = ([run.metrics[name] for run in runs[side]] for side in SIDES)
         q1, parent_median, q3 = quartiles(parent)
-        rows.append({"name": name, "unit": spec["unit"], "better": spec["better"],
-                     "parent_median": parent_median, "parent_iqr": q3 - q1,
-                     "change_median": statistics.median(change),
-                     "change_wins": wins(parent, change, spec["better"]),
-                     "pairs": len(parent)})
+        change_median = statistics.median(change)
+        row = {"name": name, "unit": spec["unit"], "better": better,
+               "parent_median": parent_median, "parent_iqr": q3 - q1,
+               "change_median": change_median, "change_shift": shift(parent_median, change_median),
+               "change_wins": wins(parent, change, better), "pairs": len(parent)}
+        if CONTROL in runs:
+            control = [run.metrics[name] for run in runs[CONTROL]]
+            q1, _, q3 = quartiles([shift(p, c) for p, c in zip(parent, control, strict=True)])
+            row.update(aa_shift=shift(parent_median, statistics.median(control)),
+                       aa_spread=q3 - q1, aa_wins=wins(parent, control, better))
+        rows.append(row)
     return rows
 
 
 def same_digests(runs: dict[str, list[Run]]) -> bool:
-    """Whether every run on both sides printed the same records digests."""
-    return len({run.digests for side in SIDES for run in runs[side]}) == 1
+    """Whether every run on every side printed the same records digests."""
+    return len({run.digests for side_runs in runs.values() for run in side_runs}) == 1
 
 
 def format_summary(rows, runs) -> str:
+    control = CONTROL in runs
     lines = [f"{'metric':<12} {'unit':<5} {'parent median':>14} {'parent IQR':>11} "
-             f"{'change median':>14} {'change wins':>12}"]
+             f"{'change median':>14} {'change shift':>13} {'change wins':>12}"
+             + (f" {'A/A shift':>10} {'A/A spread':>11} {'A/A wins':>9}" if control else "")]
     for row in rows:
         lines.append(f"{row['name']:<12} {row['unit']:<5} {row['parent_median']:>14.6g} "
                      f"{row['parent_iqr']:>11.4g} {row['change_median']:>14.6g} "
-                     f"{row['change_wins']:>5}/{row['pairs']} {row['better']}")
-    digests = sorted({d for side in SIDES for run in runs[side] for d in run.digests})
+                     f"{row['change_shift']:>+13.2%} {row['change_wins']:>5}/{row['pairs']:<6}"
+                     + (f" {row['aa_shift']:>+10.2%} {row['aa_spread']:>11.2%} "
+                        f"{row['aa_wins']:>6}/{row['pairs']}" if control else "")
+                     + f" {row['better']}")
+    everything = [run for side_runs in runs.values() for run in side_runs]
+    digests = sorted({d for run in everything for d in run.digests})
     verdict = "same in every run" if same_digests(runs) else "DIFFER between runs"
     lines.append(f"records digests: {verdict}: {' '.join(digests)}")
-    failed = sum(not run.correct for side in SIDES for run in runs[side])
-    lines.append(f"runs with a failed check: {failed}")
+    lines.append(f"runs with a failed check: {sum(not run.correct for run in everything)}")
     return "\n".join(lines)
 
 
@@ -147,12 +176,15 @@ def child_stdout(cmd, checkout: Path, ok=(0,)) -> str:
 
 def alternate(args, rounds: int, run_one, describe) -> dict[str, list]:
     """Each side's ``run_one(checkout)`` results over ``rounds`` rounds, in
-    round order.  A round runs both checkouts of ``args``, one after the
-    other: the parent first in even rounds and the change first in odd
-    rounds.  Each run's ``describe(result)`` is printed as it ends."""
-    runs = {side: [] for side in SIDES}
+    round order.  A round runs every checkout of ``args``, one after the
+    other: parent, change and, when ``args.control`` is set, control in even
+    rounds, and the reverse order in odd rounds, so that each side runs
+    before each other side in half of the rounds.  Each run's
+    ``describe(result)`` is printed as it ends."""
+    sides = SIDES + ((CONTROL,) if getattr(args, CONTROL, None) is not None else ())
+    runs = {side: [] for side in sides}
     for round_no in range(rounds):
-        for side in SIDES if round_no % 2 == 0 else SIDES[::-1]:
+        for side in sides if round_no % 2 == 0 else sides[::-1]:
             result = run_one(getattr(args, side))
             runs[side].append(result)
             print(f"pair {round_no} {side}: {describe(result)}", flush=True)
@@ -169,6 +201,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Run:
 
 def main(argv=None) -> int:
     p = pair_parser(__doc__.splitlines()[0])
+    p.add_argument(f"--{CONTROL}", type=export_dir,
+                   help="a second export of the parent, run as an A/A leg")
     p.add_argument("--workload", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--seconds", type=float, required=True)
@@ -184,7 +218,8 @@ def main(argv=None) -> int:
         + f", digests {' '.join(run.digests)}")
     print(f"{args.workload}: {args.pairs} pairs, seed {args.seed}, {args.seconds:g} s per run")
     print(format_summary(summarize(end_to_end, runs), runs))
-    return 0 if same_digests(runs) and all(r.correct for side in SIDES for r in runs[side]) else 1
+    correct = all(run.correct for side_runs in runs.values() for run in side_runs)
+    return 0 if same_digests(runs) and correct else 1
 
 
 if __name__ == "__main__":
