@@ -90,7 +90,10 @@ _FIELD_CHECKS = {
     "seeds": (lambda v: isinstance(v, list) and v and all(is_int(s) and s >= 0 for s in v)
               and len(set(v)) == len(v), "a nonempty list of distinct integers >= 0"),
     "passes": (lambda v: v is None or is_real(v) and v > 0, "null or a finite number > 0"),
-    **dict.fromkeys(("out_dir", "label"), _NULL_OR_STR),
+    "out_dir": _NULL_OR_STR,
+    # a label names the run's files inside out_dir, so it holds no path separator
+    "label": (lambda v: v is None or isinstance(v, str) and not set(v) & set("/\\\0"),
+              "null or a string without '/', '\\' or NUL"),
     **{name: (lambda v: isinstance(v, bool), "true or false")
        for name in ("record_dist", "record_variance")},
 }

@@ -236,7 +236,7 @@ def as_params(values, dim: int | None = None) -> np.ndarray:
         raise DimensionMismatchError("parameter vector must be one-dimensional")
     if dim is not None and w.shape[0] != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {w.shape[0]}")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValueError("parameter vector contains non-finite entries")
     return w
 

@@ -178,7 +178,7 @@ class Objective(ABC):
 
     def _check_index(self, i: int) -> int:
         k = int(i)
-        if k != i or not 0 <= k < self.dataset.n_samples:
+        if k != i or np.asarray(i).dtype == bool or not 0 <= k < self.dataset.n_samples:
             raise IndexError(f"sample index {i} is not an integer in [0, {self.dataset.n_samples})")
         return k
 
@@ -228,7 +228,7 @@ class Objective(ABC):
             return self.grad_batch(W, indices, out)
         given = np.asarray(indices)
         indices = given.astype(np.int64, copy=False)
-        if indices is not given and not (indices == given).all():
+        if given.dtype == bool or indices is not given and not (indices == given).all():
             raise StratumViolationError(f"indices {given.tolist()} are not all integers")
         if indices.size < 1:
             raise StratumViolationError("class batch must contain at least one index")

@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -55,72 +54,58 @@ SUM_RECOMPUTE_EVERY = 10_000
 _BLOCK_INDICES = 1 << 14
 
 
-@dataclass
 class State:
     """The memory of one run, the same fields for every optimizer kind.
 
     ``table`` holds one gradient slot per stratum: C rows for SSAG, N for SAG
     and SAGA, none for the memoryless kinds (an empty table by default);
-    ``table_sum`` defaults to its exact sum.  The state owns ``table_sum``:
-    each slot refresh updates it in place.  ``snapshot`` and ``snapshot_grad``
-    are SVRG's; ``m`` (SVRG's resolved refresh period) and ``prox_l1`` are the
-    run's settings, read only by the kinds that use them.  A step's batch
-    reaches it through its draw (`OptimizerSpec.source`), so the state keeps
-    no batch size.  No state counts evaluations: the kind's
-    `OptimizerSpec.evals` gives them.
+    ``table_sum`` defaults to its exact sum, and each slot refresh updates it
+    in place.  ``m`` (SVRG's resolved refresh period) and ``prox_l1`` are the
+    run's settings, read only by the kinds that use them; SVRG's step sets
+    ``snapshot`` and ``snapshot_grad``.  A step's batch reaches it through
+    its draw (`OptimizerSpec.source`) and a kind's evaluations are
+    `OptimizerSpec.evals`, so the state keeps neither.
 
-    The steps' operands are made at construction: ``h`` and ``h / slots`` as
-    0-d arrays (``slots`` is the table's row count, N for SAGA), two scratch
-    rows of W's shape and, for a W of ``SHORT_ROW`` entries or more, the mask
-    of the finite guard and the bytes of an all-true mask.  So ``h`` and
-    ``table`` are fixed once the state is made: assigning either raises
-    AttributeError (the slots stay writable; the steps read ``_table_value``).
+    The steps' operands are made here: ``h`` and ``h / slots`` as 0-d arrays
+    (``slots`` is the table's row count, N for SAGA), two scratch rows of W's
+    shape and, for a W of ``SHORT_ROW`` entries or more, the finite guard's
+    mask and the bytes of an all-true mask.  So ``h`` and ``table`` are
+    read-only: assigning either raises AttributeError.  The slots stay
+    writable; the steps read the table as ``_table``.
     """
 
-    W: np.ndarray
-    h: float
-    table: np.ndarray | None = None      # (slots, p), zero-initialized
-    table_sum: np.ndarray | None = None  # (p,), running sum of the slots
-    snapshot: np.ndarray | None = None
-    snapshot_grad: np.ndarray | None = None
-    m: int | None = None
-    prox_l1: float | None = None
-    steps: int = 0
-
-    def __post_init__(self):
-        if self.table is None:
-            self.table = np.zeros((0, self.W.size))
-        if self.table_sum is None:
-            self.table_sum = self.table.sum(axis=0)
-        slots = self.table.shape[0]
-        self._h = operand(self.h)
-        self._h_per_slot = operand(self.h / max(slots, 1))
+    def __init__(self, W: np.ndarray, h: float, table: np.ndarray | None = None,
+                 table_sum: np.ndarray | None = None, m: int | None = None,
+                 prox_l1: float | None = None):
+        self.W, self.m, self.prox_l1, self.steps = W, m, prox_l1, 0
+        self._table = table = np.zeros((0, W.size)) if table is None else table
+        self.table_sum = table.sum(axis=0) if table_sum is None else table_sum
+        self.snapshot = self.snapshot_grad = None
+        slots = table.shape[0]
+        self._h = operand(h)
+        self._h_per_slot = operand(h / max(slots, 1))
         self._slots = operand(slots)
-        self._scratch = tuple(np.empty((2, *self.W.shape)))  # two rows, as views
-        self._short = self.W.size < SHORT_ROW
+        self._scratch = tuple(np.empty((2, *W.shape)))  # two rows, as views
+        self._short = W.size < SHORT_ROW
         if not self._short:
-            self._finite = np.empty(self.W.shape, dtype=bool)
-            self._all_finite = np.ones(self.W.shape, dtype=bool).tobytes()
+            self._finite = np.empty(W.shape, dtype=bool)
+            self._all_finite = np.ones(W.shape, dtype=bool).tobytes()
 
+    @property
+    def h(self) -> float:
+        return self._h.item()
 
-def _fixed(name: str) -> property:
-    """A `State` field that keeps its first value other than None, so that an
-    assignment after construction raises instead of going unseen by the
-    operands made from it."""
-    key = f"_{name}_value"
+    @h.setter
+    def h(self, value) -> None:
+        raise AttributeError("State.h is fixed once the state is made")
 
-    def set_once(state: State, value) -> None:
-        # not through state.__dict__, which would cost every attribute
-        # read of the state its fast path
-        if getattr(state, key, None) is not None:
-            raise AttributeError(f"State.{name} is fixed once the state is made")
-        setattr(state, key, value)
+    @property
+    def table(self) -> np.ndarray:
+        return self._table
 
-    return property(attrgetter(key), set_once)
-
-
-# set after the class is made, so that the dataclass keeps the fields' defaults
-State.h, State.table = _fixed("h"), _fixed("table")
+    @table.setter
+    def table(self, value) -> None:
+        raise AttributeError("State.table is fixed once the state is made")
 
 
 def _commit(state: State, W: np.ndarray) -> State:
@@ -149,7 +134,7 @@ def recompute_sum(state: State) -> State:
 def _refresh_slot(state: State, j: int, phi: np.ndarray) -> None:
     """Write phi into slot j and update the running sum in place, rounded as
     ``table_sum - table[j] + phi``."""
-    table_sum, table = state.table_sum, state._table_value
+    table_sum, table = state.table_sum, state._table
     subtract(table_sum, table[j], table_sum)
     add(table_sum, phi, table_sum)
     table[j] = phi
@@ -177,7 +162,7 @@ def ssag_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
     replacement, writes their mean gradient into slot j, and steps
     W <- W - (h/C) * sum of all slots.
     """
-    slot = state._table_value[j]
+    slot = state._table[j]
     subtract(state.table_sum, slot, state._scratch[0])
     obj.grad_class_batch(state.W, j, idx, slot)
     return _table_average_step(state, slot)
@@ -189,7 +174,7 @@ def sag_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
     The draw of one sample i from the population is the stratum draw, since
     the draw inside a one-element cell consumes no generator state.
     """
-    slot = state._table_value[idx.item()]
+    slot = state._table[idx.item()]
     subtract(state.table_sum, slot, state._scratch[0])
     obj.grad_batch(state.W, idx, slot)
     return _table_average_step(state, slot)
@@ -210,7 +195,7 @@ def saga_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
     i, W0 = idx.item(), state.W
     g, d = state._scratch
     obj.grad_batch(W0, idx, g)
-    subtract(g, state._table_value[i], d)
+    subtract(g, state._table[i], d)
     W = divide(state.table_sum, state._slots)
     multiply(add(d, W, d), state._h, d)
     subtract(W0, d, W)

@@ -640,7 +640,9 @@ class TestCli:
 
     @pytest.mark.parametrize("flags", [["--seed", "3"], ["--steps", "2.5"], ["--cadence", "2.5"],
                                        ["--cadence", "0"], ["--passes", "0"], ["--seeds", "1,x"],
-                                       ["--out"], ["--nosuch", "1"], ["stray"]])
+                                       ["--out"], ["--nosuch", "1"], ["stray"],
+                                       ["--label", "a/b"], ["--label", "a\\b"],
+                                       ["--label", "a\0b"]])
     def test_bad_override_is_usage_error(self, tmp_path, capsys, monkeypatch, flags):
         # --seed is retired: --seeds 3 sets the one-seed list
         monkeypatch.setattr(ssag.bench, "run_experiment", _never_run)
@@ -665,6 +667,7 @@ class TestCli:
                      "counts": [10, 10], "stddev": True}),
         ("seeds", [5, 5]),
         ("seeds", [-1]),
+        ("label", "sub/run"),
     ])
     def test_malformed_field_fails_at_load_and_writes_nothing(self, tmp_path, capsys,
                                                               monkeypatch, key, value):
@@ -799,6 +802,16 @@ class TestCli:
         doc = _config_doc(seeds=[1], steps=20, cadence=10)
         assert self._compare_configs(tmp_path, doc, dict(doc, seeds=[1, 2])) == 1
         assert "share the labels ['ssag']" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_compare_rejects_a_label_with_a_path_separator_before_running(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ssag.bench, "run_experiment", _never_run)
+        good = _config_doc(seeds=[1], steps=20, cadence=10, label="good")
+        bad = _config_doc(seeds=[1], steps=20, cadence=10, label="sub/bad")
+        assert self._compare_configs(tmp_path, good, bad) == 1
+        err = capsys.readouterr().err
+        assert "label must be null or a string without" in err and "Traceback" not in err
         assert not list(tmp_path.rglob("*.csv"))
 
     def test_compare_loads_every_config_before_running(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The statistics of tools/bench_pairs.py on fixed numbers."""
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -165,3 +166,36 @@ def test_main_runs_the_control_leg(tmp_path, monkeypatch, capsys, control_digest
         "pair 1 control", "pair 1 change", "pair 1 parent"]
     speed = next(line.split() for line in out if line.startswith("steps_per_s"))
     assert speed[5:] == ["+5.00%", "2/2", "+0.00%", "1.00%", "1/2", "higher"]
+
+
+@pytest.mark.parametrize("change_shift, better, expected", [
+    (0.75, "higher", "inside A/A band"), (-0.25, "lower", "inside A/A band"),
+    (0.25, "higher", "inside A/A band"), (0.875, "higher", "better"),
+    (0.875, "lower", "worse"), (-0.375, "higher", "worse"), (-0.375, "lower", "better"),
+    (math.nan, "higher", "no verdict")])
+def test_verdict_against_the_a_a_band(change_shift, better, expected):
+    # A/A shift 0.25 and spread 0.5: the band is [-0.25, 0.75], ends included
+    assert bench_pairs.verdict(change_shift, 0.25, 0.5, better) == expected
+
+
+def test_summarize_and_format_give_each_metric_a_verdict():
+    # steps_per_s: change +5 % against an A/A shift of +0.5 % and spread
+    # 0.5 %; total_s falls with it, so both read better
+    runs = {"parent": _runs([100, 100]), "change": _runs([105, 105]),
+            "control": _runs([100, 101])}
+    rows = summarize(END_TO_END, runs)
+    assert [row["verdict"] for row in rows] == ["better", "better"]
+    lines = bench_pairs.format_summary(rows, runs).splitlines()
+    assert lines[3:5] == ["verdict steps_per_s: better", "verdict total_s: better"]
+    # a slower change reads worse on both; one inside the band reads so
+    runs["change"] = _runs([95, 95])
+    assert [row["verdict"] for row in summarize(END_TO_END, runs)] == ["worse", "worse"]
+    runs["change"] = _runs([100.5, 100.5])
+    assert [row["verdict"] for row in summarize(END_TO_END, runs)] == [
+        "inside A/A band", "inside A/A band"]
+    # without a control leg there is no band, so no verdict
+    del runs["control"]
+    rows = summarize(END_TO_END, runs)
+    assert "verdict" not in rows[0]
+    assert not any(line.startswith("verdict") for line in
+                   bench_pairs.format_summary(rows, runs).splitlines())

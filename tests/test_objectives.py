@@ -67,9 +67,30 @@ class TestLossSample:
         assert obj.loss_sample(W, k) == obj.loss_sample(W, int(k))
         assert np.array_equal(obj.grad_sample(W, k), obj.grad_sample(W, int(k)))
 
+    @pytest.mark.parametrize("index", [True, False, np.True_, np.array(True)])
+    def test_bool_index_rejected(self, two_class_logistic, index):
+        # int(True) == True, so a bool passed the integral test as sample 1
+        obj, W = two_class_logistic, np.array([0.2, -0.1])
+        with pytest.raises(IndexError, match="not an integer"):
+            obj.loss_sample(W, index)
+        with pytest.raises(IndexError, match="not an integer"):
+            obj.grad_sample(W, index)
+
+    @pytest.mark.parametrize("mask", [[True, False], np.array([True, True])])
+    def test_bool_mask_rejected_as_a_class_batch(self, two_class_logistic, mask):
+        # astype(int64) read the mask as the rows [1, 0] and [1, 1], both of class 1
+        obj, out = two_class_logistic, np.full(2, 7.0)
+        with pytest.raises(StratumViolationError, match="not all integers"):
+            obj.grad_class_batch(np.array([0.2, -0.1]), 1, mask, out)
+        assert out.tolist() == [7.0, 7.0]
+
     def test_nonfinite_params_rejected(self, two_class_logistic):
-        with pytest.raises(ValueError):
-            two_class_logistic.loss_sample(np.array([np.nan, 0.0]), 0)
+        for bad in (np.nan, np.inf, -np.inf):
+            W = np.array([0.0, bad])
+            with pytest.raises(ValueError, match="non-finite"):
+                two_class_logistic.loss_sample(W, 0)
+            with pytest.raises(ValueError, match="non-finite"):
+                two_class_logistic.loss_full(W)
 
 
 class TestLossFullReduction:

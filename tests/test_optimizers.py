@@ -642,6 +642,24 @@ class TestRunLoop:
         assert recomputed_at == [7, 14, 21, 28, 35]
         assert rec.k.tolist() == list(range(0, 41, 5)) and not rec.diverged
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("kind", ["ssag", "sgd", "sag", "minibatch"])
+    def test_records_do_not_depend_on_the_draw_block_size(self, monkeypatch, random_problem,
+                                                          kind, block):
+        # run() takes its draws in blocks of _BLOCK_INDICES // n steps (1 to 6
+        # here, thousands by default), so records every 5 steps and recomputes
+        # every 7 fall inside a block; a draw lost or repeated at a block's
+        # end, or a boundary missed inside one, would change the records
+        obj = random_problem(N=12, p=3, C=2, seed=3)
+        monkeypatch.setattr(optimizers, "SUM_RECOMPUTE_EVERY", 7)
+        config = RunConfig(kind=kind, steps=41, h=0.05, cadence=5,
+                           n=2 if "n" in SPECS[kind].settings else 1)
+        expected = ssag.run(config, obj)
+        monkeypatch.setattr(optimizers, "_BLOCK_INDICES", block)
+        rec = ssag.run(config, obj)
+        assert rec.k.tolist() == [*range(0, 41, 5), 41] and not rec.diverged
+        assert rec.content_hash() == expected.content_hash()
+
     @pytest.mark.parametrize("cadence, injected", [
         (3, None), (1000, None), (3, np.nan), (3, np.inf), (3, -np.inf),
         (3, np.nextafter(DIVERGENCE_LOSS_LIMIT, np.inf)), (3, DIVERGENCE_LOSS_LIMIT)],

@@ -18,8 +18,10 @@ run in the same rounds, so whatever separates it from the parent is noise or
 position, not code.  The summary then adds each metric's A/A shift (the
 control's median over the parent's, less 1), the A/A spread (the
 interquartile range of the per-round control/parent ratios, less 1) and the
-rounds the control won.  A change's shift means little unless it lies well
-outside the A/A shift and spread.
+rounds the control won, and a verdict per metric: ``inside A/A band`` when
+the change's shift lies within the A/A spread of the A/A shift, else
+``better`` or ``worse`` in the metric's direction.  A change's shift means
+little unless it lies outside that band.
 
 Every checkout is a file export (``git archive REV | tar -x -C DIR``); a
 directory that holds ``.git`` is refused.  Each run is a child process that
@@ -92,11 +94,23 @@ def shift(base: float, value: float) -> float:
     return value / base - 1 if base else math.nan
 
 
+def verdict(change_shift: float, aa_shift: float, aa_spread: float, better: str) -> str:
+    """``inside A/A band`` when |change shift - A/A shift| <= A/A spread, else
+    ``better`` or ``worse`` in the ``better`` direction; ``no verdict`` when
+    a shift is NaN (a zero parent median)."""
+    gap = change_shift - aa_shift
+    if math.isnan(gap):
+        return "no verdict"
+    if abs(gap) <= aa_spread:
+        return "inside A/A band"
+    return "better" if (gap > 0) == (better == "higher") else "worse"
+
+
 def summarize(end_to_end, runs: dict[str, list[Run]]) -> list[dict]:
     """One row per metric of ``end_to_end`` (BENCHMARK.json's entries): both
     medians, the parent's interquartile range and the change's shift and
     wins; with a control leg in ``runs``, also its A/A shift, spread and
-    wins."""
+    wins and the change's `verdict`."""
     rows = []
     for spec in end_to_end:
         name, better = spec["name"], spec["better"]
@@ -112,6 +126,7 @@ def summarize(end_to_end, runs: dict[str, list[Run]]) -> list[dict]:
             q1, _, q3 = quartiles([shift(p, c) for p, c in zip(parent, control, strict=True)])
             row.update(aa_shift=shift(parent_median, statistics.median(control)),
                        aa_spread=q3 - q1, aa_wins=wins(parent, control, better))
+            row["verdict"] = verdict(row["change_shift"], row["aa_shift"], q3 - q1, better)
         rows.append(row)
     return rows
 
@@ -133,10 +148,12 @@ def format_summary(rows, runs) -> str:
                      + (f" {row['aa_shift']:>+10.2%} {row['aa_spread']:>11.2%} "
                         f"{row['aa_wins']:>6}/{row['pairs']}" if control else "")
                      + f" {row['better']}")
+    if control:
+        lines += [f"verdict {row['name']}: {row['verdict']}" for row in rows]
     everything = [run for side_runs in runs.values() for run in side_runs]
     digests = sorted({d for run in everything for d in run.digests})
-    verdict = "same in every run" if same_digests(runs) else "DIFFER between runs"
-    lines.append(f"records digests: {verdict}: {' '.join(digests)}")
+    same = "same in every run" if same_digests(runs) else "DIFFER between runs"
+    lines.append(f"records digests: {same}: {' '.join(digests)}")
     lines.append(f"runs with a failed check: {sum(not run.correct for run in everything)}")
     return "\n".join(lines)
 
