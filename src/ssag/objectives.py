@@ -207,7 +207,9 @@ class Objective(ABC):
         return self.grad_batch(W, np.array([i]))
 
     def grad_full(self, W: np.ndarray) -> np.ndarray:
-        """Mean gradient over the whole dataset."""
+        """Mean gradient over the whole dataset at a one-dimensional W."""
+        if W.ndim != 1:
+            raise DimensionMismatchError("parameter vector must be one-dimensional")
         if W.shape[0] != self.dim:
             raise DimensionMismatchError(f"expected dimension {self.dim}, got {W.shape[0]}")
         return self.grad_batch(W, self.dataset.rows)
@@ -227,6 +229,10 @@ class Objective(ABC):
                     f"indices {indices.tolist()} are not all members of class {class_j}")
             return self.grad_batch(W, indices, out)
         given = np.asarray(indices)
+        if given is not indices and not isinstance(indices, np.ndarray) and any(
+                isinstance(v, (bool, np.bool_)) for v in np.asarray(indices, dtype=object).flat):
+            # np.asarray([0, True]) is int64, so a list's own entries are searched
+            raise StratumViolationError(f"indices {indices!r} are not all integers")
         indices = given.astype(np.int64, copy=False)
         if given.dtype == bool or indices is not given and not (indices == given).all():
             raise StratumViolationError(f"indices {given.tolist()} are not all integers")
@@ -582,7 +588,7 @@ class Mlp(Objective):
         return np.add(grad, self._lam * W, out=out)
 
     def grad_samples(self, W, indices):
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = np.asarray(indices)
         out = np.empty((indices.size, self.dim))
         for r, i in enumerate(indices):
             self.grad_batch(W, np.array([i]), out=out[r])

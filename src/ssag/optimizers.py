@@ -13,10 +13,11 @@ of the C slots.  Under class imbalance that direction targets the
 class-balanced gradient, not the sample-weighted full gradient; the update is
 implemented literally as specified.
 
-Each step writes through buffers its `State` owns: SAG and SSAG have the
-kernel write the new gradient straight into the drawn table slot, the other
-kinds into a scratch row.  The roundings keep the plain formulas' order, so
-every trajectory keeps its bits, and a step whose kernel raises leaves W, the
+Each step writes through buffers its `State` owns.  SSAG, SAG and SAGA park
+``table_sum - slot`` in a scratch row and have the kernel write the new
+gradient straight into the drawn slot; the other kinds' kernels write into a
+scratch row.  The roundings keep the plain formulas' order, so every
+trajectory keeps its bits, and a step whose kernel raises leaves W, the
 table, its sum and the step count as they were.  The update formulas are
 whole-row ufunc calls, which broadcast over a leading seed axis as written.
 
@@ -37,7 +38,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from numpy import add, divide, isfinite, multiply, subtract
+from numpy import add, divide, isfinite, multiply, negative, subtract
 
 from .core import (SHORT_ROW, Dataset, estimate_constants, is_int, is_real, operand,
                    squared_distance)
@@ -59,12 +60,12 @@ class State:
 
     ``table`` holds one gradient slot per stratum: C rows for SSAG, N for SAG
     and SAGA, none for the memoryless kinds (an empty table by default);
-    ``table_sum`` defaults to its exact sum, and each slot refresh updates it
-    in place.  ``m`` (SVRG's resolved refresh period) and ``prox_l1`` are the
-    run's settings, read only by the kinds that use them; SVRG's step sets
-    ``snapshot`` and ``snapshot_grad``.  A step's batch reaches it through
-    its draw (`OptimizerSpec.source`) and a kind's evaluations are
-    `OptimizerSpec.evals`, so the state keeps neither.
+    ``table_sum`` defaults to its exact sum, and slot refreshes and
+    `recompute_sum` write it in place.  ``m`` (SVRG's resolved refresh period)
+    and ``prox_l1`` are the run's settings, read only by the kinds that use
+    them; SVRG's step sets ``snapshot`` and ``snapshot_grad``.  A step's
+    batch reaches it through its draw (`OptimizerSpec.source`) and a kind's
+    evaluations are `OptimizerSpec.evals`, so the state keeps neither.
 
     The steps' operands are made here: ``h`` and ``h / slots`` as 0-d arrays
     (``slots`` is the table's row count, N for SAGA), two scratch rows of W's
@@ -126,29 +127,15 @@ def _commit(state: State, W: np.ndarray) -> State:
 
 
 def recompute_sum(state: State) -> State:
-    """Replace the cached running sum with the exact table sum (zeros if empty)."""
-    state.table_sum = state.table.sum(axis=0)
+    """Overwrite the running sum in place with the exact table sum (zeros if empty)."""
+    add.reduce(state._table, 0, None, state.table_sum)
     return state
 
 
-def _refresh_slot(state: State, j: int, phi: np.ndarray) -> None:
-    """Write phi into slot j and update the running sum in place, rounded as
-    ``table_sum - table[j] + phi``."""
-    table_sum, table = state.table_sum, state._table
-    subtract(table_sum, table[j], table_sum)
-    add(table_sum, phi, table_sum)
-    table[j] = phi
-
-
 def _table_average_step(state: State, slot: np.ndarray) -> State:
-    """Finish a slot refresh and step W <- W - (h/slots) * sum of all slots.
-
-    The caller has put ``table_sum - old slot`` in the first scratch row and
-    then the kernel's new gradient in ``slot``, so a kernel that raises
-    leaves the table and its sum as they were; the sum is rounded as
-    ``table_sum - old + new``.  The next W is a fresh array: `_commit` keeps
-    the previous one.
-    """
+    """Finish a slot refresh, the sum rounded as ``table_sum - old + new``
+    from the first scratch row, and step W <- W - (h/slots) * sum of all
+    slots.  The next W is a fresh array: `_commit` keeps the previous one."""
     table_sum = state.table_sum
     add(state._scratch[0], slot, table_sum)
     W = multiply(table_sum, state._h_per_slot)
@@ -189,17 +176,20 @@ def saga_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
     """One SAGA update with optional L1 prox, on the drawn sample i.
 
     The candidate uses the pre-update slot value and table mean:
-    W - h * (G_i(W) - phi_i + sum/N); the slot is refreshed afterwards.
-    The table has N rows, so N is the state's slot count.
+    W - h * (G_i(W) - phi_i + sum/N).  The slot is refreshed as SAG's is, with
+    -phi_i kept in a scratch row: G_i(W) + (-phi_i) rounds as G_i(W) - phi_i,
+    signed zeros included.  The table has N rows, so N is the slot count.
     """
-    i, W0 = idx.item(), state.W
-    g, d = state._scratch
-    obj.grad_batch(W0, idx, g)
-    subtract(g, state._table[i], d)
-    W = divide(state.table_sum, state._slots)
+    W0, table_sum, slot = state.W, state.table_sum, state._table[idx.item()]
+    rest, d = state._scratch
+    subtract(table_sum, slot, rest)
+    negative(slot, d)
+    obj.grad_batch(W0, idx, slot)
+    add(slot, d, d)
+    W = divide(table_sum, state._slots)
     multiply(add(d, W, d), state._h, d)
     subtract(W0, d, W)
-    _refresh_slot(state, i, g)
+    add(rest, slot, table_sum)
     if state.prox_l1 is not None:
         W = soft_threshold(W, state.h * state.prox_l1)
     return _commit(state, W)

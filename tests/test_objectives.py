@@ -84,6 +84,15 @@ class TestLossSample:
             obj.grad_class_batch(np.array([0.2, -0.1]), 1, mask, out)
         assert out.tolist() == [7.0, 7.0]
 
+    @pytest.mark.parametrize("batch", [[0, True], (0, np.True_), [np.True_, 0], [[0, True]]],
+                             ids=["list", "tuple", "numpy-bool-first", "nested"])
+    def test_bool_among_integers_rejected_as_a_class_batch(self, two_class_logistic, batch):
+        # np.asarray([0, True]) is int64, which read the bool as row 1, also of class 1
+        obj, out = two_class_logistic, np.full(2, 7.0)
+        with pytest.raises(StratumViolationError, match="not all integers"):
+            obj.grad_class_batch(np.array([0.2, -0.1]), 1, batch, out)
+        assert out.tolist() == [7.0, 7.0]
+
     def test_nonfinite_params_rejected(self, two_class_logistic):
         for bad in (np.nan, np.inf, -np.inf):
             W = np.array([0.0, bad])
@@ -377,6 +386,13 @@ class TestGradFull:
         obj = ssag.RidgeRegression(ds)
         W = np.array([0.7])
         assert np.array_equal(obj.grad_full(W), obj.grad_sample(W, 0))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 2), ()], ids=["matrix", "row", "scalar"])
+    def test_rejects_params_that_are_not_one_dimensional(self, two_class_logistic, shape):
+        # loss_full rejects these with the same error; numpy's broadcast
+        # ValueError used to escape from grad_full
+        with pytest.raises(DimensionMismatchError, match="one-dimensional"):
+            two_class_logistic.grad_full(np.zeros(shape))
 
     def test_balanced_class_mean_identity(self):
         # on a balanced set the full gradient equals the mean of class means
@@ -681,6 +697,13 @@ class TestMlp:
         mean_rows = obj.grad_samples(W, idx).mean(axis=0)
         batch = obj.grad_batch(W, idx)
         assert np.linalg.norm(batch - mean_rows) <= 1e-12 * max(1.0, np.linalg.norm(batch))
+
+    @pytest.mark.parametrize("indices", [[0.5, 1.7], np.array([2.0, 3.0])])
+    def test_grad_samples_rejects_non_integer_indices(self, indices):
+        # as the linear models' grad_samples does; a forced int64 cast took
+        # [0.5, 1.7] as the rows [0, 1]
+        with pytest.raises(IndexError):
+            self._toy().grad_samples(np.zeros(12), indices)
 
     def test_init_bounds_and_determinism(self):
         obj = self._toy()

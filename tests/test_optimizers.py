@@ -14,9 +14,8 @@ import ssag
 from ssag import optimizers
 from ssag.errors import ConfigError, DivergenceError
 from ssag.optimizers import (DIVERGENCE_LOSS_LIMIT, SPECS, RunConfig, State, _commit,
-                             _refresh_slot, fgd_step, make_state, recompute_sum, sag_step,
-                             saga_step, soft_threshold, ssag_step, steps_for_passes,
-                             svrg_outer)
+                             fgd_step, make_state, recompute_sum, sag_step, saga_step,
+                             soft_threshold, ssag_step, steps_for_passes, svrg_outer)
 from ssag.sampling import RngStream
 
 from conftest import (OBJECTIVE_KINDS, EvaluationCounter, any_kind_problem, peak_alloc_bytes,
@@ -53,6 +52,31 @@ def _draws(kind, obj, steps, rng, n=1):
         return [(0, obj.dataset.rows)] * steps
     strata, indices = rng.take(*source, steps)
     return list(zip(strata.tolist(), indices))
+
+
+class _RowFeed:
+    """Stands in for an objective: each gradient call writes the next of
+    ``rows`` into ``out``, whatever W and the indices are."""
+
+    def __init__(self, rows):
+        self._rows = iter(rows)
+
+    def grad_batch(self, W, idx, out):
+        out[...] = next(self._rows)
+        return out
+
+    def grad_class_batch(self, W, j, idx, out):
+        return self.grad_batch(W, idx, out)
+
+
+class _FailingKernel:
+    """Stands in for an objective whose every gradient call raises."""
+
+    def grad_batch(self, W, idx, out):
+        raise RuntimeError("kernel failed")
+
+    def grad_class_batch(self, W, j, idx, out):
+        raise RuntimeError("kernel failed")
 
 
 def _run_steps(kind, obj, steps, seed, **kwargs):
@@ -190,17 +214,25 @@ class TestRecomputeSum:
         recompute_sum(state)
         assert state.table_sum == pytest.approx([1.5, -2.0])
 
+    def test_writes_the_sum_in_place(self):
+        state = State(W=np.zeros(2), table=np.array([[1.5, -2.0], [0.25, 4.0]]),
+                      table_sum=np.zeros(2), h=0.1)
+        buffer = state.table_sum
+        recompute_sum(state)
+        assert state.table_sum is buffer
+        assert buffer.tolist() == [1.75, 2.0]
+
     @settings(max_examples=40, deadline=None)
     @given(rows=st.integers(1, 6), p=st.integers(1, 3), updates=st.integers(0, 300),
            scale=st.sampled_from([1e-3, 1.0, 1e8]), seed=st.integers(0, 2**16))
     @example(rows=5, p=3, updates=1_000_000, scale=1.0, seed=0)
     def test_drift_after_many_updates(self, rows, p, updates, scale, seed):
-        # _refresh_slot computes a = fl(s - t_j), then s' = fl(a + g). In
-        # round-to-nearest binary64, fl(x op y) = (x op y) / (1 + d) with
-        # |d| <= u = 2^-53, so each operation errs by at most u |result|, and
-        # any order of R - 1 additions errs by at most gamma_{R-1} sum_i |t_i|,
-        # gamma_n = n u / (1 - n u).  The state starts from such a sum.  So,
-        # per coordinate, the cached sum is within
+        # Each table kind's step refreshes slot j as a = fl(s - t_j), then
+        # s' = fl(a + g).  In round-to-nearest binary64, fl(x op y) =
+        # (x op y) / (1 + d) with |d| <= u = 2^-53, so each operation errs by
+        # at most u |result|, and any order of R - 1 additions errs by at most
+        # gamma_{R-1} sum_i |t_i|, gamma_n = n u / (1 - n u).  The state starts
+        # from such a sum.  So, per coordinate, the cached sum is within
         #   gamma_{R-1} sum_i |t0_i| + u sum_k (|a_k| + |s'_k|)
         # of the exact table sum, and recompute_sum's result within
         # gamma_{R-1} sum_i |t_i|.  math.fsum rounds the exact sum once, which
@@ -210,17 +242,25 @@ class TestRecomputeSum:
         gamma = (rows - 1) * u / (1 - (rows - 1) * u)
         rng = np.random.default_rng(seed)
         table = scale * rng.normal(size=(rows, p))
-        state = State(W=np.zeros(p), table=table.copy(), h=0.1)
-        drift = gamma * np.abs(table).sum(axis=0)
-        for j, g in zip(rng.integers(rows, size=updates), scale * rng.normal(size=(updates, p))):
-            a = state.table_sum - state.table[j]
-            _refresh_slot(state, j, g)
-            drift += u * (np.abs(a) + np.abs(state.table_sum))
-        exact = np.array([math.fsum(col) for col in state.table.T])
-        assert np.all(np.abs(state.table_sum - exact) <= drift + u * np.abs(exact))
-        recompute_sum(state)
-        rounding = gamma * np.abs(state.table).sum(axis=0) + u * np.abs(exact)
-        assert np.all(np.abs(state.table_sum - exact) <= rounding)
+        slots = rng.integers(rows, size=updates)
+        draws = scale * rng.normal(size=(updates, p))
+        # a_k and s'_k of each update, refilled by each kind's pass over the draws
+        a, sums = np.empty((updates, p)), np.empty((updates, p))
+        for step in (sag_step, saga_step, ssag_step):
+            # slot j is SAG's and SAGA's sample and SSAG's class
+            state, obj = State(W=np.zeros(p), table=table.copy(), h=0.1), _RowFeed(draws)
+            for k, (j, idx) in enumerate(zip(slots.tolist(), slots[:, None])):
+                np.subtract(state.table_sum, state.table[j], a[k])
+                step(state, obj, j, idx)
+                sums[k] = state.table_sum
+            assert state.steps == updates
+            drift = gamma * np.abs(table).sum(axis=0) + u * (
+                np.abs(a, a).sum(axis=0) + np.abs(sums, sums).sum(axis=0))
+            exact = np.array([math.fsum(col) for col in state.table.T])
+            assert np.all(np.abs(state.table_sum - exact) <= drift + u * np.abs(exact))
+            recompute_sum(state)
+            rounding = gamma * np.abs(state.table).sum(axis=0) + u * np.abs(exact)
+            assert np.all(np.abs(state.table_sum - exact) <= rounding)
 
 
 class TestFixedFields:
@@ -467,9 +507,9 @@ def _state_bytes(state):
 
 class TestRejectedDraw:
     """A step whose kernel raises leaves W, the table, its running sum and
-    the step count as they were.  SAG and SSAG have the kernel write into the
-    drawn slot, so a step that took the old slot out of the sum before the
-    kernel ran would leave a sum without it."""
+    the step count as they were.  SSAG, SAG and SAGA have the kernel write
+    into the drawn slot, so a step that took the old slot out of the sum
+    before the kernel ran would leave a sum without it."""
 
     @pytest.mark.parametrize("p", [5, 12], ids=["short-row", "long-row"])
     @pytest.mark.parametrize("objective", ["logistic", "mlp"])
@@ -485,6 +525,22 @@ class TestRejectedDraw:
             error = ssag.errors.StratumViolationError if kind == "ssag" else IndexError
             with pytest.raises(error):
                 getattr(optimizers, SPECS[kind].step)(state, obj, 0, np.array([bad]))
+            assert _state_bytes(state) == before
+
+    @pytest.mark.parametrize("kind", ["ssag", "sag", "saga"])
+    def test_kernel_that_raises_after_the_slot_is_picked(self, kind):
+        # the index is in range, so the step picks its slot and parks the
+        # slot's complement before the kernel runs
+        obj = any_kind_problem("logistic", 10, 5, 2, seed=5)
+        state = make_state(RunConfig(kind=kind, steps=0, h=0.05), obj)
+        step = getattr(optimizers, SPECS[kind].step)
+        for j, idx in _draws(kind, obj, 7, RngStream(2)):
+            step(state, obj, j, idx)
+        assert np.any(state.table != 0.0)
+        before = _state_bytes(state)
+        for j, idx in _draws(kind, obj, 3, RngStream(3)):
+            with pytest.raises(RuntimeError, match="kernel failed"):
+                step(state, _FailingKernel(), j, idx)
             assert _state_bytes(state) == before
 
     @pytest.mark.parametrize("p", [5, 12], ids=["short-row", "long-row"])

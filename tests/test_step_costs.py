@@ -1,10 +1,15 @@
-"""The summary of tools/step_costs.py on fixed numbers."""
+"""The summary of tools/step_costs.py on fixed numbers, and its state digest."""
 
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from ssag.optimizers import State
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-from step_costs import format_summary, summarize  # noqa: E402  (tools/step_costs.py)
+# tools/step_costs.py
+from step_costs import _state_digest, format_summary, summarize  # noqa: E402
 
 
 def _child(ssag_us, sgd_us, digest="abc"):
@@ -31,3 +36,17 @@ def test_one_differing_digest_marks_the_kind():
     lines = format_summary([ssag, sgd]).splitlines()
     assert lines[1].split() == ["p", "=", "5", "ssag", "6.30", "5.90", "0.937", "DIFFER"]
     assert lines[2].split()[-1] == "same"
+
+
+
+def test_state_digest_covers_the_table_and_its_sum():
+    def state():
+        return State(W=np.array([0.5, -1.0]), h=0.1, table=np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+    states = [state() for _ in range(4)]
+    states[1].table[1, 0] = 3.5  # one slot differs, the sum does not
+    states[2].table_sum[1] = 6.5  # only the running sum differs
+    states[3].W[0] = 0.25
+    digests = [_state_digest(s) for s in states]
+    assert len(set(digests)) == 4
+    assert _state_digest(state()) == digests[0]

@@ -10,18 +10,21 @@ checkout's ``perfbench/workloads.py``: ssag-envelope's (N = 200, p = 5) and
 large-n-compare's (N = 20 000, p = 20), at workload seed ``--seed``.  For
 each kind that takes a per-step draw, it takes ``--steps`` draws from
 ``RngStream.take`` first, then times the kind's step function over them from
-a fresh `make_state`, ``--repeats`` times, and keeps the fastest.  The first
+a fresh `make_state`, ``--repeats`` times, and keeps the fastest, with a
+digest of the final state: its W, gradient table and running sum.  The first
 step of each timing is SVRG's first snapshot.  FGD is left out: its step is
 one full-data pass.
 
 The summary gives, per geometry and kind, the fastest run of each side (min
 of ``rounds`` x ``repeats``), the change's time over the parent's, and whether
-the final W had the same bits in every run on both sides.  The exit code is 1
-when some W differs.  Each child is waited for, so nothing is left running.
+the final state had the same bits in every run on both sides.  The exit code
+is 1 when some state differs.  Each child is waited for, so nothing is left
+running.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -32,11 +35,18 @@ from bench_pairs import SIDES, alternate, child_stdout, pair_parser
 KINDS = (("ssag", 1), ("sag", 1), ("sgd", 1), ("saga", 1), ("svrg", 1), ("minibatch", 10))
 
 
+def _state_digest(state) -> str:
+    """Hex digest of a state's W, gradient table and running sum."""
+    digest = hashlib.sha256()
+    for array in (state.W, state.table, state.table_sum):
+        digest.update(array.tobytes())
+    return digest.hexdigest()[:16]
+
+
 def _child(steps: int, repeats: int, seed: int) -> dict:
-    """{geometry: {kind: [us per step, hex digest of the final W]}} in this
-    process, with ``ssag`` and perfbench's ``workloads`` imported from
-    ``sys.path``."""
-    import hashlib
+    """{geometry: {kind: [us per step, `_state_digest` of the final state]}}
+    in this process, with ``ssag`` and perfbench's ``workloads`` imported
+    from ``sys.path``."""
     import time
 
     import ssag
@@ -63,15 +73,14 @@ def _child(steps: int, repeats: int, seed: int) -> dict:
                 for s in range(steps):
                     step(state, obj, strata[s], indices[s])
                 best = min(best, time.perf_counter() - t0)
-            result[name][kind] = [best / steps * 1e6,
-                                  hashlib.sha256(state.W.tobytes()).hexdigest()[:16]]
+            result[name][kind] = [best / steps * 1e6, _state_digest(state)]
     return result
 
 
 def summarize(runs: dict[str, list[dict]]) -> list[dict]:
     """One row per geometry and kind: each side's fastest time, the change's
     ratio to the parent's, and whether every run on both sides ended on the
-    same W digest."""
+    same state digest."""
     rows = []
     for geometry, kinds in runs["parent"][0].items():
         for kind in kinds:
@@ -86,7 +95,7 @@ def summarize(runs: dict[str, list[dict]]) -> list[dict]:
 
 def format_summary(rows) -> str:
     lines = [f"{'geometry':<9} {'kind':<10} {'parent us':>10} {'change us':>10} "
-             f"{'change/parent':>14} {'W bits':>7}"]
+             f"{'change/parent':>14} {'state':>7}"]
     for row in rows:
         lines.append(f"{row['geometry']:<9} {row['kind']:<10} {row['parent_us']:>10.2f} "
                      f"{row['change_us']:>10.2f} {row['ratio']:>14.3f} "
