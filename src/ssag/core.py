@@ -1,7 +1,9 @@
 """Core data types and population-level gradient statistics.
 
 Parameter vectors are plain one-dimensional float64 numpy arrays throughout
-the package; :func:`as_params` validates them at entry points.
+the package; :func:`as_params` validates them at entry points.  Every
+blocked pass over a dataset's rows, here and in `objectives`, takes blocks
+of at most `BLOCK_BYTES`, read when the pass runs (`block_rows`).
 """
 
 from __future__ import annotations
@@ -23,6 +25,17 @@ from .errors import DimensionMismatchError
 #: less than the numpy calls they replace, whose overhead does not shrink
 #: with the vector.
 SHORT_ROW = 8
+
+#: Transient bytes one block of a blocked pass may take: `gradient_population_stats`,
+#: `objectives._margins`, the logistic Hessian and a linear `population_variance`
+#: run over row blocks of at most this many bytes of features or gradients.
+BLOCK_BYTES = 1 << 18
+
+
+def block_rows(row_bytes: int) -> int:
+    """Rows of ``row_bytes`` each in one block of a blocked pass: at least 1,
+    at most BLOCK_BYTES."""
+    return max(BLOCK_BYTES // max(row_bytes, 1), 1)
 
 
 def is_int(value) -> bool:
@@ -133,9 +146,13 @@ class Dataset:
             j = int(np.argmin(np.isfinite(X[i])))
             bad = f"feature {j} is {X[i, j]}" if not np.isfinite(X[i, j]) else f"target is {y[i]}"
             raise ValueError(f"sample {i} is not finite: its {bad}")
-        cells = tuple(np.array(c, dtype=np.int64, copy=True) for c in self.partition)
+        cells = tuple(as_indices(c) for c in self.partition)
+        for k, cell in enumerate(cells):
+            if cell is None:
+                raise ValueError(f"partition cell {k} holds an entry that is not an integer")
         if len(cells) < 1:
             raise ValueError("partition needs at least one class")
+        cells = tuple(c.copy() for c in cells)
         order = np.concatenate(cells)
         if order.size != X.shape[0] or not np.array_equal(np.sort(order), np.arange(X.shape[0])):
             raise ValueError("partition cells must be disjoint and cover all sample indices")
@@ -236,9 +253,27 @@ def as_params(values, dim: int | None = None) -> np.ndarray:
         raise DimensionMismatchError("parameter vector must be one-dimensional")
     if dim is not None and w.shape[0] != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {w.shape[0]}")
-    if not np.isfinite(w).all():
+    # the bytes of the isfinite mask against an all-true mask's: a third of
+    # the cost of .all() at p = 5
+    if np.isfinite(w).tobytes() != b"\x01" * w.shape[0]:
         raise ValueError("parameter vector contains non-finite entries")
     return w
+
+
+def as_indices(values) -> np.ndarray | None:
+    """``values`` as an int64 array if every entry is an integer, Python's or
+    numpy's or an integral float, and none is a bool; None otherwise.  An
+    int64 array is returned as it is.  np.asarray([0, True]) is int64, so the
+    entries of a sequence are searched for a bool."""
+    given = np.asarray(values)
+    if given.dtype.kind not in "iuf" or not isinstance(values, np.ndarray) and any(
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat):
+        return None
+    if given.dtype == np.int64:
+        return given
+    with np.errstate(invalid="ignore"):  # a NaN or an infinity casts to a garbage integer
+        indices = given.astype(np.int64)
+    return indices if (indices == given).all() else None
 
 
 class Moments:
@@ -280,18 +315,16 @@ def gradient_population_stats(objective, W: np.ndarray) -> GradientStats:
     uses the 1/(N-1) finite-population convention.  A single-sample dataset
     yields variance 0.
 
-    ``grad_samples`` is taken over row blocks of at most
-    ``objectives.BLOCK_BYTES``, in row order; each block's rows are sorted
-    class by class, each class in its cell's order, and merged into the
-    class's `Moments` before the block is merged into the population's.  So
-    the transient memory is about two blocks, and a dataset of one block gets
-    the bits of the one-pass formulas over ``G`` and ``G[cell]``.
+    ``grad_samples`` is taken over row blocks of at most `BLOCK_BYTES`, in
+    row order; each block's rows are sorted class by class, each class in its
+    cell's order, and merged into the class's `Moments` before the block is
+    merged into the population's.  So the transient memory is about two
+    blocks, and a dataset of one block gets the bits of the one-pass formulas
+    over ``G`` and ``G[cell]``.
     """
-    from .objectives import _block_rows  # objectives imports this module
-
     ds = objective.dataset
     W = as_params(W, objective.dim)
-    N, rows = ds.n_samples, _block_rows(objective.dim * 8)
+    N, rows = ds.n_samples, block_rows(objective.dim * 8)
     # each row's place in the joined cells: sorting by it groups a block's
     # rows class by class, each class in its cell's order
     place = np.empty(N, dtype=np.int64)

@@ -33,7 +33,8 @@ model needs no gradient rows at all: lam W cancels in G_i - mean, so it sums
 ||r_i x_i - X'r/N||^2 over the residuals r of the margin memo, one block of
 rows at a time.  The margins of a full-data pass and the logistic Hessian are
 reduced block by block too, so their transient memory is one block of
-``BLOCK_BYTES``, not N x p.
+`core.BLOCK_BYTES`, not N x p.  Every full-data call checks its W with
+`core.as_params`, so every kind takes and rejects the same vectors.
 
 The logistic link is `sigmoid`, written on numpy's ``exp``: its array and
 Python-float calls give the same bits, so the one-row kernel, which calls the
@@ -49,10 +50,10 @@ from abc import ABC, abstractmethod
 import numpy as np
 from numpy import add, copysign, divide, exp, greater_equal, maximum, multiply
 
-from .core import (SHORT_ROW, ConvexityConstants, Dataset, as_params, gradient_population_stats,
-                   is_int, is_real, operand)
+from . import core
+from .core import (SHORT_ROW, ConvexityConstants, Dataset, as_indices, as_params, block_rows,
+                   gradient_population_stats, is_int, is_real, operand)
 from .errors import (
-    DimensionMismatchError,
     LabelError,
     SingularSystemError,
     SsagError,
@@ -67,12 +68,6 @@ _INDEX = np.dtype(np.int64)
 #: Gradient-norm target and iteration cap of the logistic reference optimum.
 OPTIMUM_GRAD_TOL = 1e-10
 OPTIMUM_MAX_ITER = 100
-
-#: Transient bytes one block of a blocked pass may take: `_margins`,
-#: `LogisticRegression.hessian_full` and both `population_variance` kernels
-#: run over row blocks of at most this many bytes of features or gradients.
-BLOCK_BYTES = 1 << 18
-
 
 _ZERO, _ONE, _MINUS_ONE = operand(0.0), operand(1.0), operand(-1.0)
 
@@ -182,6 +177,18 @@ class Objective(ABC):
             raise IndexError(f"sample index {i} is not an integer in [0, {self.dataset.n_samples})")
         return k
 
+    def _check_rows(self, indices) -> np.ndarray:
+        """``indices`` as an int64 array for ``grad_samples``; IndexError unless
+        each is an integer in [0, N), not a bool nor, as numpy indexes, a float.
+        ``dataset.rows`` passes by identity."""
+        if indices is self.dataset.rows:
+            return indices
+        rows, N = as_indices(indices), self.dataset.n_samples
+        if rows is None or rows.size and (np.asarray(indices).dtype.kind == "f"
+                                          or not 0 <= rows.min() <= rows.max() < N):
+            raise IndexError(f"sample indices {indices!r} are not all integers in [0, {N})")
+        return rows
+
     def loss_sample(self, W: np.ndarray, i: int) -> float:
         """Loss of sample i, including the regularization term."""
         W = as_params(W, self.dim)
@@ -207,12 +214,9 @@ class Objective(ABC):
         return self.grad_batch(W, np.array([i]))
 
     def grad_full(self, W: np.ndarray) -> np.ndarray:
-        """Mean gradient over the whole dataset at a one-dimensional W."""
-        if W.ndim != 1:
-            raise DimensionMismatchError("parameter vector must be one-dimensional")
-        if W.shape[0] != self.dim:
-            raise DimensionMismatchError(f"expected dimension {self.dim}, got {W.shape[0]}")
-        return self.grad_batch(W, self.dataset.rows)
+        """Mean gradient over the whole dataset at W, which `core.as_params`
+        checks as it does ``loss_full``'s."""
+        return self.grad_batch(as_params(W, self.dim), self.dataset.rows)
 
     def grad_class_batch(self, W: np.ndarray, class_j: int, indices: np.ndarray,
                          out: np.ndarray | None = None) -> np.ndarray:
@@ -228,14 +232,9 @@ class Objective(ABC):
                 raise StratumViolationError(
                     f"indices {indices.tolist()} are not all members of class {class_j}")
             return self.grad_batch(W, indices, out)
-        given = np.asarray(indices)
-        if given is not indices and not isinstance(indices, np.ndarray) and any(
-                isinstance(v, (bool, np.bool_)) for v in np.asarray(indices, dtype=object).flat):
-            # np.asarray([0, True]) is int64, so a list's own entries are searched
-            raise StratumViolationError(f"indices {indices!r} are not all integers")
-        indices = given.astype(np.int64, copy=False)
-        if given.dtype == bool or indices is not given and not (indices == given).all():
-            raise StratumViolationError(f"indices {given.tolist()} are not all integers")
+        given, indices = indices, as_indices(indices)
+        if indices is None:
+            raise StratumViolationError(f"indices {given!r} are not all integers")
         if indices.size < 1:
             raise StratumViolationError("class batch must contain at least one index")
         class_of = self.dataset.class_of
@@ -250,12 +249,6 @@ class Objective(ABC):
         return np.zeros(self.dim)
 
 
-def _block_rows(row_bytes: int) -> int:
-    """Rows of ``row_bytes`` each in one block of a blocked pass: at least 1,
-    at most BLOCK_BYTES."""
-    return max(BLOCK_BYTES // max(row_bytes, 1), 1)
-
-
 def _margins(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Margins of the feature rows X.
 
@@ -264,9 +257,9 @@ def _margins(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     Since each row is reduced on its own, a matrix of more than one block is
     reduced block by block into one output vector with the same bits.
     """
-    if X.nbytes <= BLOCK_BYTES:
+    if X.nbytes <= core.BLOCK_BYTES:
         return np.add.reduce(X * W, axis=1)
-    rows = _block_rows(X.shape[1] * X.itemsize)
+    rows = block_rows(X.shape[1] * X.itemsize)
     out = np.empty(X.shape[0])
     for start in range(0, X.shape[0], rows):
         np.add.reduce(X[start:start + rows] * W, axis=1, out=out[start:start + rows])
@@ -348,7 +341,7 @@ class _LinearObjective(Objective):
         return add((X.T @ resid) / indices.size, multiply(self._lam, W), out)
 
     def grad_samples(self, W, indices):
-        X, resid = self._residuals(W, indices)
+        X, resid = self._residuals(W, self._check_rows(indices))
         G = resid[:, None] * X
         G += self._lam * W
         return G
@@ -357,12 +350,12 @@ class _LinearObjective(Objective):
         """sum_i ||r_i x_i - m||^2 / (N - 1) with m = X'r/N, since lam W cancels
         in G_i - mean; summed over row blocks in order, so no N x p matrix is
         built."""
-        X, resid = self._residuals(W, self.dataset.rows)
+        X, resid = self._residuals(as_params(W, self.dim), self.dataset.rows)
         N = X.shape[0]
         if N == 1:
             return 0.0
         m = (X.T @ resid) / N
-        rows, total = _block_rows(X.shape[1] * X.itemsize), 0.0
+        rows, total = block_rows(X.shape[1] * X.itemsize), 0.0
         for start in range(0, N, rows):
             D = resid[start:start + rows, None] * X[start:start + rows]
             D -= m
@@ -435,7 +428,7 @@ class LogisticRegression(_LinearObjective):
         Sums X_b'diag(s_b(1 - s_b))X_b over row blocks X_b of the feature
         matrix, read in place, so its transient memory is one block.
         """
-        X, rows = self.dataset.features, _block_rows(self.dim * 8)
+        X, rows = self.dataset.features, block_rows(self.dim * 8)
         H = np.zeros((self.dim, self.dim))
         for start in range(0, X.shape[0], rows):
             Xb = X[start:start + rows]
@@ -494,7 +487,7 @@ class MeanQuadratic(Objective):
                       self._lam * W, out=out)
 
     def grad_samples(self, W, indices):
-        return (W - self._take(self.dataset.features, indices)) + self._lam * W
+        return (W - self._take(self.dataset.features, self._check_rows(indices))) + self._lam * W
 
     def _constants(self):
         """L = mu = 1 + lam exactly."""
@@ -588,7 +581,7 @@ class Mlp(Objective):
         return np.add(grad, self._lam * W, out=out)
 
     def grad_samples(self, W, indices):
-        indices = np.asarray(indices)
+        indices = self._check_rows(indices)
         out = np.empty((indices.size, self.dim))
         for r, i in enumerate(indices):
             self.grad_batch(W, np.array([i]), out=out[r])

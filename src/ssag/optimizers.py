@@ -60,7 +60,7 @@ class State:
 
     ``table`` holds one gradient slot per stratum: C rows for SSAG, N for SAG
     and SAGA, none for the memoryless kinds (an empty table by default);
-    ``table_sum`` defaults to its exact sum, and slot refreshes and
+    ``table_sum`` starts as its exact sum, and slot refreshes and
     `recompute_sum` write it in place.  ``m`` (SVRG's resolved refresh period)
     and ``prox_l1`` are the run's settings, read only by the kinds that use
     them; SVRG's step sets ``snapshot`` and ``snapshot_grad``.  A step's
@@ -76,11 +76,10 @@ class State:
     """
 
     def __init__(self, W: np.ndarray, h: float, table: np.ndarray | None = None,
-                 table_sum: np.ndarray | None = None, m: int | None = None,
-                 prox_l1: float | None = None):
+                 m: int | None = None, prox_l1: float | None = None):
         self.W, self.m, self.prox_l1, self.steps = W, m, prox_l1, 0
         self._table = table = np.zeros((0, W.size)) if table is None else table
-        self.table_sum = table.sum(axis=0) if table_sum is None else table_sum
+        self.table_sum = table.sum(axis=0)
         self.snapshot = self.snapshot_grad = None
         slots = table.shape[0]
         self._h = operand(h)

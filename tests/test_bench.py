@@ -58,6 +58,12 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(doc)  # neither set
 
+    def test_requires_seeds(self):
+        doc = _config_doc()
+        del doc["seeds"]
+        with pytest.raises(ConfigError, match=r"missing config keys: \['seeds'\]"):
+            ExperimentConfig.from_dict(doc)
+
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(_config_doc(typo_key=1))

@@ -49,7 +49,16 @@ class TestDataset:
         (lambda: ssag.partition_by_class(np.zeros((2, 2))), "one-dimensional"),
         (lambda: ssag.partition_by_class(np.array([0.0, 1.5])), "must be integers"),
         (lambda: ssag.partition_by_class(np.array([], dtype=int)), "empty label array"),
-        (lambda: ssag.partition_by_class(np.array([0, -1])), "non-negative")])
+        (lambda: ssag.partition_by_class(np.array([0, -1])), "non-negative"),
+        # np.array(cell, dtype=np.int64) truncated these to the cells [0, 1] and [1]
+        (lambda: ssag.Dataset(np.eye(3), np.zeros(3), ([0.5, 1.7], [2])),
+         "cell 0 holds an entry that is not an integer"),
+        (lambda: ssag.Dataset(np.eye(2), np.zeros(2), ([True], [0])),
+         "cell 0 holds an entry that is not an integer"),
+        (lambda: ssag.Dataset(np.eye(2), np.zeros(2), ([0], [np.True_])),
+         "cell 1 holds an entry that is not an integer"),
+        (lambda: ssag.Dataset(np.eye(2), np.zeros(2), ([0, np.nan], [1])),
+         "cell 0 holds an entry that is not an integer")])
     def test_construction_rejections(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
@@ -64,6 +73,11 @@ class TestDataset:
     def test_non_finite_values_name_the_first_bad_row(self, features, targets, message):
         with pytest.raises(ValueError, match=message):
             ssag.Dataset.regression(np.array(features), np.array(targets))
+
+    def test_integral_float_cells_are_kept(self):
+        ds = ssag.Dataset(np.eye(3), np.zeros(3), ([2.0, 0.0], np.array([1.0])))
+        assert [cell.tolist() for cell in ds.partition] == [[2, 0], [1]]
+        assert all(cell.dtype == np.int64 for cell in ds.partition)
 
     def test_immutability(self):
         ds = ssag.Dataset.from_class_labels(np.eye(2), np.array([0, 1]))
@@ -200,7 +214,7 @@ class TestGradientPopulationStats:
         spec = {"kind": kind, "lam": 0.1, **({"hidden": [3]} if kind == "mlp" else {})}
         obj = ssag.make_objective(spec, ds)
         if block_rows is not None:
-            monkeypatch.setattr(ssag.objectives, "BLOCK_BYTES", block_rows * obj.dim * 8)
+            monkeypatch.setattr(ssag.core, "BLOCK_BYTES", block_rows * obj.dim * 8)
         W = np.random.default_rng(8).normal(size=obj.dim)
         stats = ssag.gradient_population_stats(obj, W)
         mean, var, per_class = self._fsum_stats(obj, W)
@@ -234,7 +248,7 @@ class TestGradientPopulationStats:
             means=means, counts=(100, 100), stddev=0.1, seed=1)), hidden=(100,))
         assert obj.dim >= 10_000
         peak = peak_alloc_bytes(ssag.gradient_population_stats, obj, obj.init_params(0))
-        assert peak < 6 * ssag.objectives.BLOCK_BYTES
+        assert peak < 6 * ssag.core.BLOCK_BYTES
 
     def test_single_sample_degenerate(self):
         obj = _quadratic_on([[1.0, 2.0]])

@@ -84,6 +84,14 @@ class TestIdx:
         with pytest.raises(FormatError, match="payload"):
             read_idx(img, lab)
 
+    @pytest.mark.parametrize("keep", [0, 3, 15], ids=["empty", "part-of-magic", "part-of-dims"])
+    def test_file_shorter_than_its_header(self, tmp_path, keep):
+        # an image file's header is its magic and three dimensions, 16 bytes
+        img, lab, _, _ = _idx_fixture(tmp_path)
+        img.write_bytes(img.read_bytes()[:keep])
+        with pytest.raises(FormatError, match=rf"truncated header \({keep} bytes\)"):
+            read_idx(img, lab)
+
     def test_count_mismatch(self, tmp_path):
         img, lab, images, labels = _idx_fixture(tmp_path)
         other_lab = tmp_path / "short-labels"
@@ -315,7 +323,8 @@ class TestTextFormat:
         ("p=1,C=2,labels=real\n0.5,0\nnan,1\n", "bad.txt:3: non-finite cell"),
         ("p=1,C=2,labels=real\n0.5,0\n1.5,nan\n", "bad.txt:3: non-finite cell"),
         ("p=1,C=3,labels=int\n0.5,0\n1.5,1\n", "bad.txt: classes [2] occur in none"),
-    ], ids=["feature", "target", "absent-class"])
+        ("p=1,C=1,labels=real\n", "bad.txt: no samples"),
+    ], ids=["feature", "target", "absent-class", "header-only"])
     @pytest.mark.parametrize("command", ["estimate-constants", "run"])
     def test_bad_data_file_is_a_usage_error_in_the_cli(self, tmp_path, capsys, body, message,
                                                        command):

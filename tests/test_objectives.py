@@ -16,7 +16,8 @@ from scipy.special import expit
 import ssag
 from ssag.errors import (DimensionMismatchError, SingularSystemError, StratumViolationError,
                          UnsupportedObjectiveError)
-from ssag.objectives import BLOCK_BYTES, sigmoid
+from ssag.core import BLOCK_BYTES
+from ssag.objectives import sigmoid
 from ssag.optimizers import RunConfig
 
 from conftest import (OBJECTIVE_KINDS, any_kind_problem, central_diff_grad,
@@ -394,6 +395,18 @@ class TestGradFull:
         with pytest.raises(DimensionMismatchError, match="one-dimensional"):
             two_class_logistic.grad_full(np.zeros(shape))
 
+    def test_takes_a_list_as_loss_full_does(self, two_class_logistic):
+        # grad_full read W.ndim, so a list raised AttributeError
+        obj = two_class_logistic
+        assert obj.loss_full([0.2, -0.1]) == obj.loss_full(np.array([0.2, -0.1]))
+        assert (obj.grad_full([0.2, -0.1]).tobytes()
+                == obj.grad_full(np.array([0.2, -0.1])).tobytes())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_params(self, two_class_logistic, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            two_class_logistic.grad_full(np.array([0.0, bad]))
+
     def test_balanced_class_mean_identity(self):
         # on a balanced set the full gradient equals the mean of class means
         X = np.array([[1.0], [2.0], [5.0], [6.0]])
@@ -471,7 +484,7 @@ class TestPopulationVariance:
     def test_matches_fsum_oracle(self, monkeypatch, kind, N, block_rows):
         obj = any_kind_problem(kind, N, 5, 2, seed=N)
         if block_rows is not None:
-            monkeypatch.setattr(ssag.objectives, "BLOCK_BYTES", block_rows * 5 * 8)
+            monkeypatch.setattr(ssag.core, "BLOCK_BYTES", block_rows * 5 * 8)
         W = np.random.default_rng(N + 1).normal(size=obj.dim)
         expected = fsum_population_variance(obj, W)
         for got in (obj.population_variance(W), ssag.Objective.population_variance(obj, W)):
@@ -479,6 +492,23 @@ class TestPopulationVariance:
                 assert got == expected == 0.0
             else:
                 assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+    def test_every_kind_takes_a_list(self, kind):
+        # the linear kernel read W.dtype, so a list raised AttributeError
+        obj = any_kind_problem(kind, 9, 3, 2, seed=4)
+        W = np.random.default_rng(5).normal(size=obj.dim)
+        assert obj.population_variance(W.tolist()) == obj.population_variance(W)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+    def test_every_kind_rejects_a_non_finite_w(self, kind, bad):
+        # the linear kernel returned NaN with a RuntimeWarning
+        obj = any_kind_problem(kind, 9, 3, 2, seed=4)
+        W = np.zeros(obj.dim)
+        W[1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            obj.population_variance(W)
 
     def test_default_kernel_peaks_under_a_few_blocks(self):
         # an MLP of dim 10 302 at N = 200: grad_samples of all rows would be
@@ -498,9 +528,41 @@ class TestPopulationVariance:
         X = rng.normal(size=(50, p)) * rng.uniform(0.1, 1e3, size=p)
         W = rng.normal(size=p)
         whole = ssag.objectives._margins(X, W)
-        monkeypatch.setattr(ssag.objectives, "BLOCK_BYTES", 3 * p * 8)
+        monkeypatch.setattr(ssag.core, "BLOCK_BYTES", 3 * p * 8)
         blocked = ssag.objectives._margins(X, W)
         assert blocked.tobytes() == whole.tobytes() == np.add.reduce(X * W, axis=1).tobytes()
+
+
+class TestGradSamplesIndices:
+    """``grad_samples`` takes integer row indices in [0, N) on every kind and
+    rejects the rest before any work."""
+
+    @pytest.mark.parametrize("indices", [
+        [True, False, False, False, False, True], [True] * 6, np.array([True, False]),
+        [0, True], (np.True_, 2), np.array([-1]), [-6], [3, 9], np.array([0, 9], np.uint8)],
+        ids=["bool-list", "all-true", "bool-array", "bool-among-ints", "numpy-bool",
+             "minus-one", "minus-n", "past-the-end", "uint8-past-the-end"])
+    @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+    def test_rejects_a_bool_or_an_index_outside_the_rows(self, monkeypatch, kind, indices):
+        obj = any_kind_problem(kind, 9, 3, 2, seed=4)
+        monkeypatch.setattr(obj, "grad_batch", _no_work)
+        monkeypatch.setattr(obj, "_margins_of", _no_work, raising=False)
+        with pytest.raises(IndexError, match="not all integers in"):
+            obj.grad_samples(np.zeros(obj.dim), indices)
+
+    @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+    def test_integer_indices_give_their_rows(self, kind):
+        obj = any_kind_problem(kind, 9, 3, 2, seed=4)
+        W = np.random.default_rng(6).normal(size=obj.dim)
+        whole = obj.grad_samples(W, obj.dataset.rows)
+        for indices in ([8, 0, 8], (2,), np.array([1, 3], np.int32), np.uint8([4])):
+            got = obj.grad_samples(W, indices)
+            assert got.tobytes() == whole[np.asarray(indices)].tobytes()
+        assert obj.grad_samples(W, []).shape == (0, obj.dim)
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("a rejected index reached a gradient kernel")
 
 
 class TestSharedFullDataMargins:

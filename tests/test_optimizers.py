@@ -93,8 +93,7 @@ class TestSsagStep:
         # both classes carry gradient (2) at W=0, so any draw gives
         # sum = (2) and W1 = -(0.5/2) * 2 = -0.5
         obj = _constant_gradient_problem(2.0, n_classes=2)
-        state = State(W=np.zeros(1), table=np.zeros((2, 1)),
-                      table_sum=np.zeros(1), h=0.5)
+        state = State(W=np.zeros(1), table=np.zeros((2, 1)), h=0.5)
         counter = EvaluationCounter(obj)
         ssag_step(state, obj, *_draws("ssag", obj, 1, RngStream(0))[0])
         assert state.W == pytest.approx([-0.5])
@@ -104,8 +103,7 @@ class TestSsagStep:
     def test_idempotent_table_write(self):
         # single class: the drawn slot already equals the fresh gradient
         obj = _constant_gradient_problem(2.0, n_classes=1)
-        state = State(W=np.zeros(1), table=np.array([[2.0]]),
-                      table_sum=np.array([2.0]), h=0.25)
+        state = State(W=np.zeros(1), table=np.array([[2.0]]), h=0.25)
         ssag_step(state, obj, *_draws("ssag", obj, 1, RngStream(0))[0])
         assert state.table.tolist() == [[2.0]]
         assert state.table_sum == pytest.approx([2.0])
@@ -209,15 +207,15 @@ class TestRecomputeSum:
         assert np.all(state.table_sum == 0.0)
 
     def test_single_entry_table(self):
-        state = State(W=np.zeros(2), table=np.array([[1.5, -2.0]]),
-                      table_sum=np.zeros(2), h=0.1)
+        state = State(W=np.zeros(2), table=np.array([[1.5, -2.0]]), h=0.1)
+        state.table_sum[...] = 0.0  # a stale sum
         recompute_sum(state)
         assert state.table_sum == pytest.approx([1.5, -2.0])
 
     def test_writes_the_sum_in_place(self):
-        state = State(W=np.zeros(2), table=np.array([[1.5, -2.0], [0.25, 4.0]]),
-                      table_sum=np.zeros(2), h=0.1)
+        state = State(W=np.zeros(2), table=np.array([[1.5, -2.0], [0.25, 4.0]]), h=0.1)
         buffer = state.table_sum
+        buffer[...] = 0.0  # a stale sum
         recompute_sum(state)
         assert state.table_sum is buffer
         assert buffer.tolist() == [1.75, 2.0]
@@ -856,6 +854,12 @@ class TestReferenceOracles:
 
 
 class TestRunConfig:
+    def test_rejects_an_unknown_kind(self):
+        with pytest.raises(ConfigError, match="unknown optimizer kind 'nope'"):
+            RunConfig(kind="nope", steps=1)
+        with pytest.raises(ConfigError, match="unknown optimizer kind 'nope'"):
+            steps_for_passes("nope", 1.0, 10)
+
     @pytest.mark.parametrize("setting", [{"m": 0}, {"m": -1}])
     def test_rejects_nonpositive_period(self, setting):
         with pytest.raises(ConfigError):
@@ -936,6 +940,10 @@ class TestStepsForPasses:
         # a tie goes to the even step count, as round() rounds
         assert steps_for_passes("fgd", 1.5, 100) == 2
         assert steps_for_passes("fgd", 2.5, 100) == 2
+
+    @pytest.mark.parametrize("kind, passes", [("sgd", 0), ("fgd", 0.0), ("svrg", -1.5)])
+    def test_no_passes_take_no_steps(self, kind, passes):
+        assert steps_for_passes(kind, passes, 100) == 0
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(kind=st.sampled_from(sorted(SPECS)), per_class=st.integers(2, 6),
