@@ -16,14 +16,13 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 
-#: Vectors with fewer entries than this are computed on Python floats: the
-#: one-row gradient of a linear model (`objectives`) and the finite guard on
-#: a new iterate (`optimizers`).  It is 8 for two reasons.  numpy's pairwise
-#: sum adds fewer than 8 terms one at a time, left to right from +0.0, so a
-#: Python loop gives its bits; from 8 terms on it keeps 8 partial sums, which
-#: a loop would have to mimic.  And below 8 entries the list conversions cost
-#: less than the numpy calls they replace, whose overhead does not shrink
-#: with the vector.
+#: A one-row gradient of a linear model (`objectives`) with fewer features
+#: than this is computed on Python floats.  It is 8 for two reasons.  numpy's
+#: pairwise sum adds fewer than 8 terms one at a time, left to right from
+#: +0.0, so a Python loop gives its bits; from 8 terms on it keeps 8 partial
+#: sums, which a loop would have to mimic.  And below 8 entries the list
+#: conversions cost less than the numpy calls they replace, whose overhead
+#: does not shrink with the vector.
 SHORT_ROW = 8
 
 #: Transient bytes one block of a blocked pass may take: `gradient_population_stats`,
@@ -66,16 +65,14 @@ def operand(value: float) -> np.ndarray:
 def partition_by_class(labels: np.ndarray, num_classes: int | None = None) -> tuple[np.ndarray, ...]:
     """Group sample indices by integer class label.
 
-    Returns one ascending index array per class, covering 0..C-1.  Raises if
-    any class in that range is empty, since the stratified sampler must be
-    able to draw from every class.
+    A label is an integer by `as_indices`' rule: an integral float is one, a
+    bool is not.  Returns one ascending index array per class, covering
+    0..C-1.  Raises if any class in that range is empty, since the stratified
+    sampler must be able to draw from every class.
     """
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ValueError("labels must be one-dimensional")
-    lab = labels.astype(np.int64)
-    if not np.array_equal(lab, np.asarray(labels)):
-        raise ValueError("labels must be integers to partition by class")
+    lab = as_indices(labels)
+    if lab is None or lab.ndim != 1:
+        raise ValueError("labels must be integers, not bools, in a one-dimensional array")
     if lab.size == 0:
         raise ValueError("cannot partition an empty label array")
     if lab.min() < 0:
@@ -253,11 +250,16 @@ def as_params(values, dim: int | None = None) -> np.ndarray:
         raise DimensionMismatchError("parameter vector must be one-dimensional")
     if dim is not None and w.shape[0] != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {w.shape[0]}")
-    # the bytes of the isfinite mask against an all-true mask's: a third of
-    # the cost of .all() at p = 5
-    if np.isfinite(w).tobytes() != b"\x01" * w.shape[0]:
+    if not all_finite(w):
         raise ValueError("parameter vector contains non-finite entries")
     return w
+
+
+def all_finite(w: np.ndarray) -> bool:
+    """Whether every entry of ``w`` is finite, with no warning for any value:
+    the bytes of its isfinite mask against an all-true mask's, a third of the
+    cost of .all() at p = 5."""
+    return np.isfinite(w).tobytes() == b"\x01" * w.size
 
 
 def as_indices(values) -> np.ndarray | None:

@@ -1,9 +1,5 @@
 """Exception types shared across the package."""
 
-from __future__ import annotations
-
-import numpy as np
-
 
 class SsagError(Exception):
     """Base class for all errors raised by this package."""
@@ -27,19 +23,6 @@ class SingularSystemError(SsagError):
 
 class SamplingError(SsagError):
     """Invalid sampling request (empty population, batch too large, ...)."""
-
-
-class DivergenceError(SsagError):
-    """An optimizer produced a non-finite iterate.
-
-    Carries the last finite parameter vector so a run can be truncated
-    instead of lost.
-    """
-
-    def __init__(self, message: str, last_finite: np.ndarray, steps: int):
-        super().__init__(message)
-        self.last_finite = last_finite
-        self.steps = steps
 
 
 class UndefinedBoundError(SsagError):

@@ -178,15 +178,16 @@ class Objective(ABC):
         return k
 
     def _check_rows(self, indices) -> np.ndarray:
-        """``indices`` as an int64 array for ``grad_samples``; IndexError unless
-        each is an integer in [0, N), not a bool nor, as numpy indexes, a float.
-        ``dataset.rows`` passes by identity."""
+        """``indices`` as a 1-D int64 array for ``grad_samples``; IndexError unless
+        it is 1-D and each is an integer in [0, N), not a bool nor, as numpy
+        indexes, a float.  ``dataset.rows`` passes by identity."""
         if indices is self.dataset.rows:
             return indices
         rows, N = as_indices(indices), self.dataset.n_samples
-        if rows is None or rows.size and (np.asarray(indices).dtype.kind == "f"
-                                          or not 0 <= rows.min() <= rows.max() < N):
-            raise IndexError(f"sample indices {indices!r} are not all integers in [0, {N})")
+        if rows is None or rows.ndim != 1 or rows.size and (
+                np.asarray(indices).dtype.kind == "f" or not 0 <= rows.min() <= rows.max() < N):
+            raise IndexError(f"sample indices {indices!r} are not all integers in [0, {N}) "
+                             "in one dimension")
         return rows
 
     def loss_sample(self, W: np.ndarray, i: int) -> float:

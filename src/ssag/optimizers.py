@@ -20,6 +20,9 @@ scratch row.  The roundings keep the plain formulas' order, so every
 trajectory keeps its bits, and a step whose kernel raises leaves W, the
 table, its sum and the step count as they were.  The update formulas are
 whole-row ufunc calls, which broadcast over a leading seed axis as written.
+No step checks that W stays finite.  Every kind's next W is W - d, or its
+soft threshold, so a non-finite entry stays so, and `run` checks W once at
+the end of each segment of steps between its boundaries.
 
 A step's cost is its numpy dispatch, so the steps call each ufunc through a
 module-level name with its output passed positionally, and read a repeated
@@ -38,11 +41,11 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from numpy import add, divide, isfinite, multiply, negative, subtract
+from numpy import add, divide, multiply, negative, subtract
 
-from .core import (SHORT_ROW, Dataset, estimate_constants, is_int, is_real, operand,
+from .core import (Dataset, all_finite, estimate_constants, is_int, is_real, operand,
                    squared_distance)
-from .errors import ConfigError, DivergenceError, UnsupportedObjectiveError
+from .errors import ConfigError, UnsupportedObjectiveError
 from .objectives import Objective, accuracy
 from .records import RunRecord
 from .sampling import RngStream
@@ -68,11 +71,10 @@ class State:
     evaluations are `OptimizerSpec.evals`, so the state keeps neither.
 
     The steps' operands are made here: ``h`` and ``h / slots`` as 0-d arrays
-    (``slots`` is the table's row count, N for SAGA), two scratch rows of W's
-    shape and, for a W of ``SHORT_ROW`` entries or more, the finite guard's
-    mask and the bytes of an all-true mask.  So ``h`` and ``table`` are
-    read-only: assigning either raises AttributeError.  The slots stay
-    writable; the steps read the table as ``_table``.
+    (``slots`` is the table's row count, N for SAGA) and two scratch rows of
+    W's shape.  So ``h`` and ``table`` are read-only: assigning either raises
+    AttributeError.  The slots stay writable; the steps read the table as
+    ``_table``.
     """
 
     def __init__(self, W: np.ndarray, h: float, table: np.ndarray | None = None,
@@ -86,10 +88,6 @@ class State:
         self._h_per_slot = operand(h / max(slots, 1))
         self._slots = operand(slots)
         self._scratch = tuple(np.empty((2, *W.shape)))  # two rows, as views
-        self._short = W.size < SHORT_ROW
-        if not self._short:
-            self._finite = np.empty(W.shape, dtype=bool)
-            self._all_finite = np.ones(W.shape, dtype=bool).tobytes()
 
     @property
     def h(self) -> float:
@@ -109,19 +107,9 @@ class State:
 
 
 def _commit(state: State, W: np.ndarray) -> State:
-    """Accept the next iterate and count the step; DivergenceError if not finite."""
-    prev = state.W
+    """Accept the next iterate, finite or not, and count the step."""
     state.W = W
     state.steps += 1
-    # a short W is checked on Python floats, a longer one by comparing the
-    # bytes of its isfinite mask with an all-true mask's, half the cost of
-    # counting the mask's true entries.  Not W.dot(W): it warns "overflow
-    # encountered in dot" for a finite |w| > 1e154, and an np.errstate costs
-    # more than the check.
-    if not (all(map(math.isfinite, W.tolist())) if state._short
-            else isfinite(W, state._finite).tobytes() == state._all_finite):
-        raise DivergenceError("optimizer produced a non-finite iterate",
-                              last_finite=prev, steps=state.steps)
     return state
 
 
@@ -134,7 +122,7 @@ def recompute_sum(state: State) -> State:
 def _table_average_step(state: State, slot: np.ndarray) -> State:
     """Finish a slot refresh, the sum rounded as ``table_sum - old + new``
     from the first scratch row, and step W <- W - (h/slots) * sum of all
-    slots.  The next W is a fresh array: `_commit` keeps the previous one."""
+    slots.  The next W is a fresh array; the previous one is left as it was."""
     table_sum = state.table_sum
     add(state._scratch[0], slot, table_sum)
     W = multiply(table_sum, state._h_per_slot)
@@ -146,7 +134,8 @@ def ssag_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
 
     Takes the step's draw, class j and n of its samples drawn without
     replacement, writes their mean gradient into slot j, and steps
-    W <- W - (h/C) * sum of all slots.
+    W <- W - (h/C) * sum of all slots.  Like every step, it does not check
+    that W stays finite.
     """
     slot = state._table[j]
     subtract(state.table_sum, slot, state._scratch[0])
@@ -158,7 +147,8 @@ def sag_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
     """One SAG update: SSAG over the N singleton strata {i}.
 
     The draw of one sample i from the population is the stratum draw, since
-    the draw inside a one-element cell consumes no generator state.
+    the draw inside a one-element cell consumes no generator state.  It does
+    not check that W stays finite.
     """
     slot = state._table[idx.item()]
     subtract(state.table_sum, slot, state._scratch[0])
@@ -178,6 +168,7 @@ def saga_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
     W - h * (G_i(W) - phi_i + sum/N).  The slot is refreshed as SAG's is, with
     -phi_i kept in a scratch row: G_i(W) + (-phi_i) rounds as G_i(W) - phi_i,
     signed zeros included.  The table has N rows, so N is the slot count.
+    It does not check that W stays finite.
     """
     W0, table_sum, slot = state.W, state.table_sum, state._table[idx.item()]
     rest, d = state._scratch
@@ -199,9 +190,10 @@ def svrg_outer(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
     on the drawn sample i.
 
     At every multiple of m steps, starting at step 0, the snapshot first
-    moves to the current iterate and its full gradient is recomputed.
+    moves to the current iterate and its full gradient is recomputed, unless
+    the iterate is not finite: `grad_full` refuses it, and W stays so anyway.
     """
-    if state.steps % state.m == 0:
+    if state.steps % state.m == 0 and all_finite(state.W):
         state.snapshot = state.W.copy()
         state.snapshot_grad = obj.grad_full(state.snapshot)
     g, g_snapshot = state._scratch
@@ -219,7 +211,8 @@ def minibatch_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> Sta
 
     n = N reduces to fgd_step and n = 1 to sgd_step, step for step: both are
     this function.  FGD steps on ``idx = dataset.rows``, which the kernel
-    reads in place; a full batch takes no draw.
+    reads in place; a full batch takes no draw.  It does not check that W
+    stays finite.
     """
     W = state.W
     g = obj.grad_batch(W, idx, state._scratch[0])
@@ -405,8 +398,10 @@ def run(config: RunConfig, obj: Objective, *, constants=None,
     """Execute one seeded run and record metrics at the configured cadence.
 
     Records a row at step 0, whenever the step counter crosses a cadence
-    multiple, and at the final step.  Loss above DIVERGENCE_LOSS_LIMIT or a
-    non-finite iterate truncates the record and flags it diverged.  The
+    multiple, and at the final step.  A recorded loss above
+    DIVERGENCE_LOSS_LIMIT truncates the record and flags it diverged, as
+    does an iterate that is not finite at the end of a segment of steps
+    (see the module note); the record then ends at the row before.  The
     trajectory is fully deterministic given the seed.  A row's ``grad_evals``
     is the kind's `OptimizerSpec.evals` at its step.
     """
@@ -436,29 +431,32 @@ def run(config: RunConfig, obj: Objective, *, constants=None,
     next_record = config.cadence
     every = SUM_RECOMPUTE_EVERY
     start = end = 0  # the steps whose draws the block holds
-    while alive and state.steps < config.steps:
-        if state.steps == end:
-            start, end = end, min(end + max(1, _BLOCK_INDICES // config.n), config.steps)
-            if source is None:
-                strata, indices = [0] * (end - start), [ds.rows] * (end - start)
-            else:
-                strata, indices = rng.take(*source, end - start)
-                strata = strata.tolist()
-        # step without a check up to the next boundary: a record, the end of
-        # the block of draws (the budget's end among them) or a recompute
-        stop = min(next_record, end, (state.steps // every + 1) * every)
-        a, b = state.steps - start, stop - start
-        try:
+    # steps past a non-finite W warn of overflow and invalid values; one
+    # errstate for the loop costs less than one per segment (at cadence 1, a step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while alive and state.steps < config.steps:
+            if state.steps == end:
+                start, end = end, min(end + max(1, _BLOCK_INDICES // config.n), config.steps)
+                if source is None:
+                    strata, indices = [0] * (end - start), [ds.rows] * (end - start)
+                else:
+                    strata, indices = rng.take(*source, end - start)
+                    strata = strata.tolist()
+            # step without a check up to the next boundary: a record, the end
+            # of the block of draws (the budget's end among them) or a recompute
+            stop = min(next_record, end, (state.steps // every + 1) * every)
+            a, b = state.steps - start, stop - start
             for j, idx in zip(strata[a:b], indices[a:b]):
                 step(state, obj, j, idx)
-        except DivergenceError:
-            alive = False
-            break
-        if state.steps % every == 0:
-            recompute_sum(state)
-        if state.steps >= next_record or state.steps >= config.steps:
-            alive = snapshot()
-            next_record = (state.steps // config.cadence + 1) * config.cadence
+            # before the recompute and the snapshot, whose loss_full refuses it
+            alive = all_finite(state.W)
+            if not alive:
+                break
+            if state.steps % every == 0:
+                recompute_sum(state)
+            if state.steps >= next_record or state.steps >= config.steps:
+                alive = snapshot()
+                next_record = (state.steps // config.cadence + 1) * config.cadence
     return RunRecord.from_rows(rows, seed=config.seed, diverged=not alive)
 
 

@@ -143,8 +143,9 @@ class TestDataset:
 
 class TestPartitionByClass:
     def test_hand_partition(self):
-        cells = ssag.partition_by_class(np.array([0, 1, 0, 1]))
-        assert [c.tolist() for c in cells] == [[0, 2], [1, 3]]
+        for labels in ([0, 1, 0, 1], [0.0, 1.0, 0.0, 1.0]):  # an integral float is a label
+            cells = ssag.partition_by_class(np.array(labels))
+            assert [c.tolist() for c in cells] == [[0, 2], [1, 3]]
 
     def test_single_class(self):
         (cell,) = ssag.partition_by_class(np.array([0, 0, 0]))
@@ -153,6 +154,17 @@ class TestPartitionByClass:
     def test_empty_class_rejected(self):
         with pytest.raises(ValueError):
             ssag.partition_by_class(np.array([0, 2]))  # class 1 empty
+
+    @pytest.mark.parametrize("labels", [np.array([True, False, True]), [0, True, 1],
+                                        [np.True_, 0]],
+                             ids=["bool-array", "bool-among-ints", "numpy-bool"])
+    def test_bools_are_not_class_labels(self, labels):
+        # a bool array once gave the cells [1] and [0, 2], and a dataset
+        # with bool labels, though a bool is refused in a partition cell
+        with pytest.raises(ValueError, match="not bools"):
+            ssag.partition_by_class(labels)
+        with pytest.raises(ValueError, match="not bools"):
+            ssag.Dataset.from_class_labels(np.eye(len(labels)), labels)
 
     def test_disjoint_and_exhaustive(self):
         rng = np.random.default_rng(0)

@@ -550,6 +550,18 @@ class TestGradSamplesIndices:
         with pytest.raises(IndexError, match="not all integers in"):
             obj.grad_samples(np.zeros(obj.dim), indices)
 
+    @pytest.mark.parametrize("indices", [np.array([[0, 1]]), [[0], [1]], np.array(3), 3],
+                             ids=["2-d-array", "nested-list", "0-d-array", "scalar"])
+    @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+    def test_rejects_indices_that_are_not_one_dimensional(self, monkeypatch, kind, indices):
+        # a (1, 2) array once gave a linear model (1, 2, dim) rows, and the
+        # MLP an IndexError from inside its kernel
+        obj = any_kind_problem(kind, 9, 3, 2, seed=4)
+        monkeypatch.setattr(obj, "grad_batch", _no_work)
+        monkeypatch.setattr(obj, "_margins_of", _no_work, raising=False)
+        with pytest.raises(IndexError, match="in one dimension"):
+            obj.grad_samples(np.zeros(obj.dim), indices)
+
     @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
     def test_integer_indices_give_their_rows(self, kind):
         obj = any_kind_problem(kind, 9, 3, 2, seed=4)

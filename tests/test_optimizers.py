@@ -12,8 +12,9 @@ from hypothesis.extra import numpy as hnp
 
 import ssag
 from ssag import optimizers
-from ssag.errors import ConfigError, DivergenceError
-from ssag.optimizers import (DIVERGENCE_LOSS_LIMIT, SPECS, RunConfig, State, _commit,
+from ssag.core import all_finite
+from ssag.errors import ConfigError
+from ssag.optimizers import (DIVERGENCE_LOSS_LIMIT, OPTIMIZER_KINDS, SPECS, RunConfig, State,
                              fgd_step, make_state, recompute_sum, sag_step, saga_step,
                              soft_threshold, ssag_step, steps_for_passes, svrg_outer)
 from ssag.sampling import RngStream
@@ -242,22 +243,35 @@ class TestRecomputeSum:
         table = scale * rng.normal(size=(rows, p))
         slots = rng.integers(rows, size=updates)
         draws = scale * rng.normal(size=(updates, p))
-        # a_k and s'_k of each update, refilled by each kind's pass over the draws
-        a, sums = np.empty((updates, p)), np.empty((updates, p))
+        # a plain replay of the refreshes.  Update k's slot holds the row
+        # `old[k]` of `written`: its start row or an earlier update's draw.
+        # Since fl(s - t) = fl(s + (-t)), one sequential add.accumulate over
+        # s0, -t(1), g_1, -t(2), g_2, ... rounds as the steps do, and its
+        # partial sums are a_1, s'_1, a_2, s'_2, ...
+        written, holds, old = np.concatenate([table, draws]), list(range(rows)), []
+        for k, j in enumerate(slots.tolist()):
+            old.append(holds[j])
+            holds[j] = rows + k
+        partial = np.empty((2 * updates + 1, p))
+        partial[0] = table.sum(axis=0)  # the sum a State starts from
+        np.negative(written[old], partial[1::2])
+        partial[2::2] = draws
+        np.add.accumulate(partial, axis=0, out=partial)
+        final_table, final_sum = written[holds], partial[-1].copy()
+        a_and_sums = np.abs(partial, partial)[1:].sum(axis=0)  # sum_k |a_k| + |s'_k|
+        drift = gamma * np.abs(table).sum(axis=0) + u * a_and_sums
+        exact = np.array([math.fsum(col) for col in final_table.T])
+        assert np.all(np.abs(final_sum - exact) <= drift + u * np.abs(exact))
+        rounding = gamma * np.abs(final_table).sum(axis=0) + u * np.abs(exact)
         for step in (sag_step, saga_step, ssag_step):
             # slot j is SAG's and SAGA's sample and SSAG's class
             state, obj = State(W=np.zeros(p), table=table.copy(), h=0.1), _RowFeed(draws)
-            for k, (j, idx) in enumerate(zip(slots.tolist(), slots[:, None])):
-                np.subtract(state.table_sum, state.table[j], a[k])
+            for j, idx in zip(slots.tolist(), slots[:, None]):
                 step(state, obj, j, idx)
-                sums[k] = state.table_sum
             assert state.steps == updates
-            drift = gamma * np.abs(table).sum(axis=0) + u * (
-                np.abs(a, a).sum(axis=0) + np.abs(sums, sums).sum(axis=0))
-            exact = np.array([math.fsum(col) for col in state.table.T])
-            assert np.all(np.abs(state.table_sum - exact) <= drift + u * np.abs(exact))
+            assert state.table.tobytes() == final_table.tobytes()
+            assert state.table_sum.tobytes() == final_sum.tobytes()
             recompute_sum(state)
-            rounding = gamma * np.abs(state.table).sum(axis=0) + u * np.abs(exact)
             assert np.all(np.abs(state.table_sum - exact) <= rounding)
 
 
@@ -566,16 +580,41 @@ class TestDivergenceDetection:
         assert rec.diverged
         assert len(rec) < 201
 
-    def test_divergence_error_carries_last_finite(self):
-        ds = ssag.Dataset.regression(np.array([[1e200]]), np.array([0.0]))
-        obj = ssag.RidgeRegression(ds)
-        state = State(W=np.array([1e200]), h=1e10)
-        with pytest.raises(DivergenceError) as info:
-            fgd_step(state, obj, 0, ds.rows)
-        assert np.all(np.isfinite(info.value.last_finite))
+    @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+    @settings(max_examples=15, deadline=None)
+    @given(objective=st.sampled_from(["logistic", "ridge", "quadratic", "mlp"]),
+           p=st.sampled_from([3, 12]), h=st.sampled_from([0.0, 0.05, 1e6]),
+           bad=st.sampled_from([np.inf, -np.inf, np.nan]), at=st.integers(0, 11),
+           before=st.integers(1, 4), after=st.integers(1, 12), m=st.integers(1, 3),
+           prox=st.booleans(), seed=st.integers(0, 2**16))
+    def test_a_non_finite_entry_stays_non_finite(self, kind, objective, p, h, bad, at,
+                                                  before, after, m, prox, seed):
+        # the rule run()'s one check per segment rests on: once a real step's
+        # W holds a non-finite entry, so does every later W, whatever the kind
+        # (SAGA's soft threshold and SVRG's snapshot refreshes included).  As
+        # in run(), W is finite at the first step, which takes SVRG's snapshot
+        obj = any_kind_problem(objective, 8, p, 2, seed=seed)
+        options = {"n": 2} if "n" in SPECS[kind].settings else {}
+        if kind == "svrg":
+            options["m"] = m
+        if kind == "saga" and prox:
+            options["prox_l1"] = 0.5
+        config = RunConfig(kind=kind, steps=0, h=h, seed=seed, **options)
+        state = make_state(config, obj)
+        step = getattr(optimizers, SPECS[kind].step)
+        draws = _draws(kind, obj, before + after, RngStream(seed), config.n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, idx in draws[:before]:
+                step(state, obj, j, idx)
+            state.W = state.W.copy()
+            state.W[at % obj.dim] = bad
+            for j, idx in draws[before:]:
+                step(state, obj, j, idx)
+                assert not np.isfinite(state.W).all()
+        assert state.steps == before + after
 
 
-# values the finite guard must judge like np.isfinite: +-inf, NaN, +-0,
+# values the finite check must judge like np.isfinite: +-inf, NaN, +-0,
 # subnormals and +-max
 SPECIAL_FLOATS = (np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
                   np.finfo(np.float64).max, -np.finfo(np.float64).max)
@@ -583,13 +622,12 @@ MLP_SIZE = 784 * 120 + 120 + 120 * 10 + 10  # parameters of the 784-120-10 MLP
 
 
 def _guard_verdict(W):
-    """Whether `_commit` accepts W (True) or raises DivergenceError (False)."""
-    state = State(W=np.zeros(W.size), h=0.1)
-    try:
-        _commit(state, W)
-    except DivergenceError:
-        return False
-    return True
+    """Whether `core.all_finite`, the check `run` makes at the end of each
+    segment of steps, accepts W; `core.as_params` must agree."""
+    verdict = all_finite(W)
+    with contextlib.nullcontext() if verdict else pytest.raises(ValueError, match="non-finite"):
+        ssag.as_params(W)
+    return verdict
 
 
 class TestFiniteGuard:
@@ -607,13 +645,25 @@ class TestFiniteGuard:
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_raises_without_warnings(self, bad):
-        state = State(W=np.zeros(3), h=0.1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DivergenceError) as info:
-                _commit(state, np.array([1.0, bad, 0.0]))
-        assert info.value.steps == state.steps == 1
-        assert np.array_equal(info.value.last_finite, np.zeros(3))
+            assert not _guard_verdict(np.array([1.0, bad, 0.0]))
+
+    def test_run_checks_once_per_segment(self, monkeypatch, two_class_logistic):
+        # segments end at records (every 5 steps), recomputes (every 7) and
+        # the budget's end (40); the steps between them check nothing
+        monkeypatch.setattr(optimizers, "SUM_RECOMPUTE_EVERY", 7)
+        counter = EvaluationCounter(two_class_logistic)  # one evaluation per step
+        checked_at, check = [], optimizers.all_finite
+
+        def counting(W):
+            checked_at.append(counter.total)
+            return check(W)
+
+        monkeypatch.setattr(optimizers, "all_finite", counting)
+        rec = ssag.run(RunConfig(kind="ssag", steps=40, h=0.05, cadence=5), two_class_logistic)
+        assert checked_at == [5, 7, 10, 14, 15, 20, 21, 25, 28, 30, 35, 40]
+        assert not rec.diverged
 
 
 class TestRunLoop:
@@ -714,52 +764,60 @@ class TestRunLoop:
         assert rec.k.tolist() == [*range(0, 41, 5), 41] and not rec.diverged
         assert rec.content_hash() == expected.content_hash()
 
-    @pytest.mark.parametrize("cadence, injected", [
-        (3, None), (1000, None), (3, np.nan), (3, np.inf), (3, -np.inf),
-        (3, np.nextafter(DIVERGENCE_LOSS_LIMIT, np.inf)), (3, DIVERGENCE_LOSS_LIMIT)],
-        ids=["3", "1000", "nan", "inf", "-inf", "above-limit", "at-limit"])
-    def test_diverging_run_matches_a_step_at_a_time_loop(self, line_ridge, cadence, injected):
-        # cadence 3 diverges on a recorded loss, cadence 1000 on the finite
-        # guard between records, after its step overflowed; the reference
-        # checks after every step.  The other cases step stably and give the
-        # third recorded loss a set value: a NaN, an infinity of either sign
-        # or the next float above the limit cuts the record there, the limit
-        # itself does not
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("kind, cadence, h, options, injected", [
+        *[(kind, cadence, 1e6, {}, None) for kind in OPTIMIZER_KINDS for cadence in (1, 7, 100)],
+        *[("svrg", cadence, 1e100, {"m": 2}, None) for cadence in (1, 7, 100)],
+        ("svrg", 1000, 1e6, {"m": 2}, None), ("saga", 100, 1e6, {"prox_l1": 0.5}, None),
+        *[("fgd", 3, 0.1, {}, injected) for injected in (
+            np.nan, np.inf, -np.inf, np.nextafter(DIVERGENCE_LOSS_LIMIT, np.inf),
+            DIVERGENCE_LOSS_LIMIT)]],
+        ids=lambda value: _case_id(value) if isinstance(value, dict) else str(value))
+    def test_diverging_run_matches_a_step_at_a_time_loop(self, line_ridge, kind, cadence, h,
+                                                          options, injected):
+        # the reference checks W after every step, run() at the end of each
+        # segment.  At h = 1e6, cadences 1 and 7 diverge on a recorded loss,
+        # 100 and 1000 on the finite check between records, after a step
+        # overflowed; at h = 1e100 W overflows by step 4.  From cadence 7 on,
+        # SVRG's segment runs on through refreshes past that step, which must
+        # not raise.  The fgd cases step stably and give the third recorded
+        # loss a set value: a NaN, an infinity of either sign or the next
+        # float above the limit cuts the record there, the limit itself does
+        # not
         obj = line_ridge
-        config = RunConfig(kind="fgd", steps=200, h=1e6 if injected is None else 0.1,
-                           cadence=cadence)
+        config = RunConfig(kind=kind, steps=200, h=h, cadence=cadence, **options)
         true_loss = obj.loss_full
 
         def set_third_loss():  # from the next loss_full call on
             calls = itertools.count()
             obj.loss_full = lambda W: injected if next(calls) == 2 else true_loss(W)
 
-        overflow = (pytest.warns(RuntimeWarning, match="overflow") if cadence == 1000
-                    else contextlib.nullcontext())
-        with overflow:
-            if injected is not None:
-                set_third_loss()
+        if injected is not None:
+            set_third_loss()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # run() steps past a non-finite W quietly
             rec = ssag.run(config, obj)
-            if injected is not None:
-                set_third_loss()
-            state = make_state(config, obj)
-            counter = EvaluationCounter(obj)
-            k, loss, evals = [0], [obj.loss_full(state.W)], [0]
-            diverged, next_record = False, config.cadence
-            while state.steps < config.steps:
-                try:
-                    fgd_step(state, obj, 0, obj.dataset.rows)
-                except DivergenceError:
+        if injected is not None:
+            set_third_loss()
+        state = make_state(config, obj)
+        step = getattr(optimizers, SPECS[kind].step)
+        counter = EvaluationCounter(obj)
+        k, loss, evals = [0], [obj.loss_full(state.W)], [0]
+        diverged, next_record = False, config.cadence
+        for j, idx in _draws(kind, obj, config.steps, RngStream(config.seed), config.n):
+            step(state, obj, j, idx)
+            if not np.isfinite(state.W).all():
+                diverged = True
+                break
+            if state.steps >= next_record or state.steps >= config.steps:
+                k.append(state.steps)
+                loss.append(obj.loss_full(state.W))
+                evals.append(counter.total)
+                if not (np.isfinite(loss[-1]) and loss[-1] <= DIVERGENCE_LOSS_LIMIT):
                     diverged = True
                     break
-                if state.steps >= next_record or state.steps >= config.steps:
-                    k.append(state.steps)
-                    loss.append(obj.loss_full(state.W))
-                    evals.append(counter.total)
-                    if not (np.isfinite(loss[-1]) and loss[-1] <= DIVERGENCE_LOSS_LIMIT):
-                        diverged = True
-                        break
-                    next_record = (state.steps // config.cadence + 1) * config.cadence
+                next_record = (state.steps // config.cadence + 1) * config.cadence
         assert rec.diverged == diverged == (injected != DIVERGENCE_LOSS_LIMIT)
         assert rec.k.tolist() == k and rec.grad_evals.tolist() == evals
         if injected is not None:
