@@ -2,8 +2,8 @@
 
 Parameter vectors are plain one-dimensional float64 numpy arrays throughout
 the package; :func:`as_params` validates them at entry points.  Every
-blocked pass over a dataset's rows, here and in `objectives`, takes blocks
-of at most `BLOCK_BYTES`, read when the pass runs (`block_rows`).
+blocked pass over a dataset's rows, here and in `objectives`, walks the
+slices of `row_blocks`, of at most `BLOCK_BYTES` read when the pass runs.
 """
 
 from __future__ import annotations
@@ -31,10 +31,11 @@ SHORT_ROW = 8
 BLOCK_BYTES = 1 << 18
 
 
-def block_rows(row_bytes: int) -> int:
-    """Rows of ``row_bytes`` each in one block of a blocked pass: at least 1,
-    at most BLOCK_BYTES."""
-    return max(BLOCK_BYTES // max(row_bytes, 1), 1)
+def row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
+    """The blocks of a pass over ``n_rows`` rows of ``row_bytes`` each, as
+    slices in row order: at most BLOCK_BYTES each, but never under one row."""
+    rows = max(BLOCK_BYTES // max(row_bytes, 1), 1)
+    return [slice(start, min(start + rows, n_rows)) for start in range(0, n_rows, rows)]
 
 
 def is_int(value) -> bool:
@@ -326,15 +327,13 @@ def gradient_population_stats(objective, W: np.ndarray) -> GradientStats:
     """
     ds = objective.dataset
     W = as_params(W, objective.dim)
-    N, rows = ds.n_samples, block_rows(objective.dim * 8)
     # each row's place in the joined cells: sorting by it groups a block's
     # rows class by class, each class in its cell's order
-    place = np.empty(N, dtype=np.int64)
+    place = np.empty(ds.n_samples, dtype=np.int64)
     place[ds.order] = ds.rows
     population, per_class = Moments(), [Moments() for _ in ds.partition]
-    for start in range(0, N, rows):
-        block = ds.rows if rows >= N else ds.rows[start:start + rows]
-        G = objective.grad_samples(W, block)
+    for block in row_blocks(ds.n_samples, objective.dim * 8):
+        G = objective.grad_samples(W, ds.rows[block])
         by_class = np.argsort(place[block])
         grouped = G[by_class]  # a copy: G is intact for its own pass
         classes = ds.class_of[block][by_class]

@@ -25,16 +25,17 @@ operand of the one-row kernel (the residual, lam and the 0.0 that clears a
 -0.0) is a 0-d float64 array, which a ufunc takes at less cost than a Python
 float; lam's is made once per objective (`core.operand`).
 
-``population_variance`` gives the variance sum_i ||G_i - mean||^2 / (N - 1)
-of the N per-sample gradients.  By default it is the population variance of
-`core.gradient_population_stats`, which reduces ``grad_samples`` one block
-of rows at a time, so it never holds the (N, dim) matrix.  A linear
-model needs no gradient rows at all: lam W cancels in G_i - mean, so it sums
-||r_i x_i - X'r/N||^2 over the residuals r of the margin memo, one block of
-rows at a time.  The margins of a full-data pass and the logistic Hessian are
-reduced block by block too, so their transient memory is one block of
-`core.BLOCK_BYTES`, not N x p.  Every full-data call checks its W with
-`core.as_params`, so every kind takes and rejects the same vectors.
+``grad_samples`` gives the per-sample gradient rows: one ``grad_batch`` per
+row, unless a kind has a one-pass kernel, as the linear and quadratic do.
+``population_variance`` is sum_i ||G_i - mean||^2 / (N - 1); by default
+`core.gradient_population_stats`' variance, which never holds the (N, dim)
+matrix.  A linear model needs no gradient rows: lam W cancels in G_i - mean,
+so it sums ||r_i x_i - X'r/N||^2 over the residuals r of the margin memo.
+Every blocked pass (those two, a full-data pass's margins and the logistic
+Hessian) walks `core.row_blocks`, so its transient memory is one block of
+`core.BLOCK_BYTES`, not N x p.  Every full-data call, `hessian_full` and
+`accuracy` included, checks W with `core.as_params`, and every sample index
+passes `core.as_indices`' rule, so every kind takes and rejects the same inputs.
 
 The logistic link is `sigmoid`, written on numpy's ``exp``: its array and
 Python-float calls give the same bits, so the one-row kernel, which calls the
@@ -51,8 +52,8 @@ import numpy as np
 from numpy import add, copysign, divide, exp, greater_equal, maximum, multiply
 
 from . import core
-from .core import (SHORT_ROW, ConvexityConstants, Dataset, as_indices, as_params, block_rows,
-                   gradient_population_stats, is_int, is_real, operand)
+from .core import (SHORT_ROW, ConvexityConstants, Dataset, as_indices, as_params,
+                   gradient_population_stats, is_int, is_real, operand, row_blocks)
 from .errors import (
     LabelError,
     SingularSystemError,
@@ -101,8 +102,8 @@ def sigmoid(m):
 class Objective(ABC):
     """A finite-sum objective bound to a dataset.
 
-    Subclasses implement three kernels: per-sample losses over an index set,
-    the mean gradient over an index set, and per-sample gradient rows.
+    Subclasses implement two kernels, per-sample losses and the mean gradient
+    over an index set; ``grad_samples`` has a per-row default.
     Classifiers also implement `scores_matrix`, from which `accuracy` takes
     the class of highest score.  Convex kinds also implement `_constants`
     and `_optimum`, which `core.estimate_constants` and
@@ -144,9 +145,14 @@ class Objective(ABC):
         """Arithmetic mean of per-sample gradients over the given indices,
         written into ``out`` when given (the module docstring's contract)."""
 
-    @abstractmethod
     def grad_samples(self, W: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """Per-sample gradient rows, shape (len(indices), dim)."""
+        """Per-sample gradient rows, shape (len(indices), dim): by default
+        one `grad_batch` per row."""
+        indices = self._check_rows(indices)
+        out = np.empty((indices.size, self.dim))
+        for r, i in enumerate(indices):
+            self.grad_batch(W, np.array([i]), out=out[r])
+        return out
 
     def scores_matrix(self, W: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Class scores for a batch of inputs, shape (n, C); classifiers only."""
@@ -172,10 +178,10 @@ class Objective(ABC):
         return values if indices is self.dataset.rows else values[indices]
 
     def _check_index(self, i: int) -> int:
-        k = int(i)
-        if k != i or np.asarray(i).dtype == bool or not 0 <= k < self.dataset.n_samples:
-            raise IndexError(f"sample index {i} is not an integer in [0, {self.dataset.n_samples})")
-        return k
+        k, N = as_indices(i), self.dataset.n_samples
+        if k is None or k.ndim or not 0 <= k < N:
+            raise IndexError(f"sample index {i} is not an integer in [0, {N})")
+        return int(k)
 
     def _check_rows(self, indices) -> np.ndarray:
         """``indices`` as a 1-D int64 array for ``grad_samples``; IndexError unless
@@ -260,10 +266,9 @@ def _margins(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     """
     if X.nbytes <= core.BLOCK_BYTES:
         return np.add.reduce(X * W, axis=1)
-    rows = block_rows(X.shape[1] * X.itemsize)
     out = np.empty(X.shape[0])
-    for start in range(0, X.shape[0], rows):
-        np.add.reduce(X[start:start + rows] * W, axis=1, out=out[start:start + rows])
+    for block in row_blocks(X.shape[0], X.shape[1] * X.itemsize):
+        np.add.reduce(X[block] * W, axis=1, out=out[block])
     return out
 
 
@@ -355,10 +360,9 @@ class _LinearObjective(Objective):
         N = X.shape[0]
         if N == 1:
             return 0.0
-        m = (X.T @ resid) / N
-        rows, total = block_rows(X.shape[1] * X.itemsize), 0.0
-        for start in range(0, N, rows):
-            D = resid[start:start + rows, None] * X[start:start + rows]
+        m, total = (X.T @ resid) / N, 0.0
+        for block in row_blocks(N, X.shape[1] * X.itemsize):
+            D = resid[block, None] * X[block]
             D -= m
             total += float(np.sum(np.multiply(D, D, out=D)))
         return total / (N - 1)
@@ -429,10 +433,9 @@ class LogisticRegression(_LinearObjective):
         Sums X_b'diag(s_b(1 - s_b))X_b over row blocks X_b of the feature
         matrix, read in place, so its transient memory is one block.
         """
-        X, rows = self.dataset.features, block_rows(self.dim * 8)
-        H = np.zeros((self.dim, self.dim))
-        for start in range(0, X.shape[0], rows):
-            Xb = X[start:start + rows]
+        W, X, H = as_params(W, self.dim), self.dataset.features, np.zeros((self.dim, self.dim))
+        for block in row_blocks(X.shape[0], self.dim * 8):
+            Xb = X[block]
             s = sigmoid(Xb @ W)
             H += Xb.T @ (Xb * (s * (1.0 - s))[:, None])
         H /= self.dataset.n_samples
@@ -581,13 +584,6 @@ class Mlp(Objective):
                 delta = (delta @ layers[k][0]) * a * (1.0 - a)
         return np.add(grad, self._lam * W, out=out)
 
-    def grad_samples(self, W, indices):
-        indices = self._check_rows(indices)
-        out = np.empty((indices.size, self.dim))
-        for r, i in enumerate(indices):
-            self.grad_batch(W, np.array([i]), out=out[r])
-        return out
-
     def scores_matrix(self, W, X):
         """Softmax class scores for a batch of inputs, shape (n, C)."""
         _, logits = self._forward(W, np.asarray(X, dtype=np.float64))
@@ -596,6 +592,7 @@ class Mlp(Objective):
 
 def accuracy(objective: Objective, W: np.ndarray, dataset: Dataset) -> float:
     """Fraction of `dataset` whose label is the class of highest score."""
+    W = as_params(W, objective.dim)
     pred = np.argmax(objective.scores_matrix(W, dataset.features), axis=1)
     return float(np.mean(pred == np.asarray(dataset.labels)))
 

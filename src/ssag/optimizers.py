@@ -192,10 +192,18 @@ def svrg_outer(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
     At every multiple of m steps, starting at step 0, the snapshot first
     moves to the current iterate and its full gradient is recomputed, unless
     the iterate is not finite: `grad_full` refuses it, and W stays so anyway.
+    ValueError if the state has no m or the first snapshot's W is not finite.
     """
-    if state.steps % state.m == 0 and all_finite(state.W):
-        state.snapshot = state.W.copy()
-        state.snapshot_grad = obj.grad_full(state.snapshot)
+    try:
+        refresh = state.steps % state.m == 0
+    except (TypeError, ZeroDivisionError):
+        raise ValueError(f"SVRG needs the state's refresh period m, got {state.m!r}") from None
+    if refresh:
+        if all_finite(state.W):
+            state.snapshot = state.W.copy()
+            state.snapshot_grad = obj.grad_full(state.snapshot)
+        elif state.snapshot is None:
+            raise ValueError("SVRG's first snapshot needs a finite W")
     g, g_snapshot = state._scratch
     W = state.W
     obj.grad_batch(W, idx, g)
@@ -371,7 +379,12 @@ def make_state(config: RunConfig, obj: Objective, constants=None) -> State:
 def steps_for_passes(kind: str, passes: float, n_samples: int, n: int = 1,
                      m: int | None = None) -> int:
     """Step count whose exact gradient evaluations are nearest the given data
-    passes; a tie goes to the even count, as `round` rounds."""
+    passes; a tie goes to the even count, as `round` rounds.  ConfigError
+    unless ``passes`` and ``passes * n_samples`` are finite and >= 0."""
+    if not (is_real(passes) and passes >= 0 and is_real(passes * n_samples)):
+        raise ConfigError(f"passes must be a finite number >= 0 whose product with the "
+                          f"{n_samples} samples is finite, got {passes!r}")
+
     def evals(k):
         return _spec(kind).evals(n_samples, n, m, k)
 
@@ -380,7 +393,7 @@ def steps_for_passes(kind: str, passes: float, n_samples: int, n: int = 1,
     target = 2 * passes * n_samples
     # bisect for the first k whose count reaches the request; every step
     # costs at least one evaluation, so k <= ceil(passes * N)
-    k, hi = 0, max(math.ceil(passes * n_samples), 0)
+    k, hi = 0, math.ceil(passes * n_samples)
     while k < hi:
         mid = (k + hi) // 2
         if 2 * evals(mid) < target:

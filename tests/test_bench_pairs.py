@@ -168,14 +168,50 @@ def test_main_runs_the_control_leg(tmp_path, monkeypatch, capsys, control_digest
     assert speed[5:] == ["+5.00%", "2/2", "+0.00%", "1.00%", "1/2", "higher"]
 
 
-@pytest.mark.parametrize("change_shift, better, expected", [
-    (0.75, "higher", "inside A/A band"), (-0.25, "lower", "inside A/A band"),
-    (0.25, "higher", "inside A/A band"), (0.875, "higher", "better"),
-    (0.875, "lower", "worse"), (-0.375, "higher", "worse"), (-0.375, "lower", "better"),
-    (math.nan, "higher", "no verdict")])
-def test_verdict_against_the_a_a_band(change_shift, better, expected):
-    # A/A shift 0.25 and spread 0.5: the band is [-0.25, 0.75], ends included
-    assert bench_pairs.verdict(change_shift, 0.25, 0.5, better) == expected
+@pytest.mark.parametrize("change_median, better, expected", [
+    (2.0, "higher", ("inside A/A band", None)), (1.0, "higher", ("inside A/A band", None)),
+    (3.0, "lower", ("inside A/A band", None)),
+    (3.5, "higher", ("better", "the control's Q3")), (3.5, "lower", ("worse", "the control's Q3")),
+    (0.5, "higher", ("worse", "the parent's Q1")), (0.5, "lower", ("better", "the parent's Q1")),
+    (math.nan, "higher", ("no verdict", None))])
+def test_verdict_against_the_a_a_band(change_median, better, expected):
+    # parent IQR [1, 2] and control IQR [1.5, 3]: the pooled band is [1, 3],
+    # ends included, and a median outside it names the quartile it passed
+    legs = {"parent": (1.0, 2.0), "control": (1.5, 3.0)}
+    assert bench_pairs.verdict(change_median, legs, better) == expected
+
+
+def test_a_median_between_the_parent_and_the_control_reads_inside():
+    # layout alone, in the shape of a large-n-compare comparison: the change
+    # reads 0.43 % and 0.25 % below the parent on setup_s and peak_rss_mb, and
+    # the control, the parent's code again, lower still (0.89 % and 0.71 %),
+    # each leg with a tight IQR.  A change median between the two legs is no
+    # code effect, where the shift-minus-A/A-shift rule read both worse.
+    metrics = [{"name": "setup_s", "unit": "s", "better": "lower"},
+               {"name": "peak_rss_mb", "unit": "MB", "better": "lower"}]
+    jitter = (1.0, 1.0002, 1.0, 0.9998, 1.0)
+
+    def runs(setup, rss):
+        return [Run({"setup_s": setup * j, "peak_rss_mb": rss * j}, ("abc",), True)
+                for j in jitter]
+
+    legs = {"parent": runs(27.4, 49.40), "change": runs(27.4 * (1 - 0.0043), 49.40 * (1 - 0.0025)),
+            "control": runs(27.4 * (1 - 0.0089), 49.40 * (1 - 0.0071))}
+    rows = summarize(metrics, legs)
+    assert [row["verdict"] for row in rows] == ["inside A/A band"] * 2
+    for row in rows:
+        # the old rule: a gap above the A/A spread, upwards on a metric
+        # where lower is better
+        assert row["change_shift"] - row["aa_shift"] > row["aa_spread"]
+
+
+def test_a_six_percent_slower_change_still_reads_worse():
+    runs = {"parent": _runs([100, 101, 99, 100, 102]), "change": _runs([94, 95, 93, 94, 96]),
+            "control": _runs([100.5, 99, 101, 100, 99.5])}
+    speed, total = summarize(END_TO_END, runs)
+    assert speed["change_shift"] == pytest.approx(-0.06)
+    assert (speed["verdict"], speed["bound"]) == ("worse", "the control's Q1")
+    assert (total["verdict"], total["bound"]) == ("worse", "the control's Q3")
 
 
 def test_summarize_and_format_give_each_metric_a_verdict():
@@ -186,7 +222,8 @@ def test_summarize_and_format_give_each_metric_a_verdict():
     rows = summarize(END_TO_END, runs)
     assert [row["verdict"] for row in rows] == ["better", "better"]
     lines = bench_pairs.format_summary(rows, runs).splitlines()
-    assert lines[3:5] == ["verdict steps_per_s: better", "verdict total_s: better"]
+    assert lines[3:5] == ["verdict steps_per_s: better, past the control's Q3",
+                          "verdict total_s: better, past the control's Q1"]
     # a slower change reads worse on both; one inside the band reads so
     runs["change"] = _runs([95, 95])
     assert [row["verdict"] for row in summarize(END_TO_END, runs)] == ["worse", "worse"]

@@ -175,6 +175,28 @@ class TestPartitionByClass:
         assert np.array_equal(merged, np.arange(50))
 
 
+class TestRowBlocks:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(n_rows=st.integers(0, 3000), row_bytes=st.integers(0, 2 * ssag.core.BLOCK_BYTES))
+    @example(n_rows=0, row_bytes=8)
+    @example(n_rows=3, row_bytes=0)
+    @example(n_rows=7, row_bytes=ssag.core.BLOCK_BYTES + 1)
+    @example(n_rows=2 * 8193, row_bytes=32)
+    def test_slices_cover_the_rows_once_in_order(self, n_rows, row_bytes):
+        blocks = ssag.core.row_blocks(n_rows, row_bytes)
+        limit = max(ssag.core.BLOCK_BYTES // max(row_bytes, 1), 1)
+        assert [i for block in blocks for i in range(n_rows)[block]] == list(range(n_rows))
+        assert all(block.step is None and 1 <= block.stop - block.start <= limit
+                   for block in blocks)
+        # every block but the last is full, so there are ceil(n_rows / limit)
+        assert len(blocks) == -(-n_rows // limit)
+
+    def test_reads_block_bytes_at_the_call(self, monkeypatch):
+        assert ssag.core.row_blocks(7, 16) == [slice(0, 7)]
+        monkeypatch.setattr(ssag.core, "BLOCK_BYTES", 3 * 16)
+        assert ssag.core.row_blocks(7, 16) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+
+
 class TestGradientPopulationStats:
     def test_hand_scalar_gradients(self):
         # quadratic gradient at W = 0 is -x_i: choose x to get gradients {1, 3}

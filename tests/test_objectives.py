@@ -68,14 +68,23 @@ class TestLossSample:
         assert obj.loss_sample(W, k) == obj.loss_sample(W, int(k))
         assert np.array_equal(obj.grad_sample(W, k), obj.grad_sample(W, int(k)))
 
-    @pytest.mark.parametrize("index", [True, False, np.True_, np.array(True)])
+    @pytest.mark.parametrize("index", [True, False, np.True_, np.array(True), np.nan, np.inf,
+                                       np.array([1]), None])
     def test_bool_index_rejected(self, two_class_logistic, index):
-        # int(True) == True, so a bool passed the integral test as sample 1
+        # int(True) == True, so a bool passed the integral test as sample 1;
+        # int() raised ValueError, OverflowError or TypeError for NaN, inf,
+        # a one-entry array and None
         obj, W = two_class_logistic, np.array([0.2, -0.1])
         with pytest.raises(IndexError, match="not an integer"):
             obj.loss_sample(W, index)
         with pytest.raises(IndexError, match="not an integer"):
             obj.grad_sample(W, index)
+
+    @pytest.mark.parametrize("index", [3, 3.0, np.int32(3), np.array(3)])
+    def test_integer_index_forms_accepted(self, two_class_logistic, index):
+        obj, W = two_class_logistic, np.array([0.2, -0.1])
+        assert obj.loss_sample(W, index) == obj.loss_sample(W, 3)
+        assert obj.grad_sample(W, index).tobytes() == obj.grad_sample(W, 3).tobytes()
 
     @pytest.mark.parametrize("mask", [[True, False], np.array([True, True])])
     def test_bool_mask_rejected_as_a_class_batch(self, two_class_logistic, mask):
@@ -442,6 +451,42 @@ class TestHessianFull:
         s = expit(X @ W)
         whole = X.T @ (X * (s * (1.0 - s))[:, None]) / X.shape[0] + 0.02 * np.eye(20)
         np.testing.assert_allclose(obj.hessian_full(W), whole, rtol=1e-12, atol=1e-15)
+
+
+#: Every entry point that takes a W, by name: (the call, the kinds it serves)
+W_ENTRY_POINTS = {
+    "loss_full": (lambda obj, W: obj.loss_full(W), OBJECTIVE_KINDS),
+    "grad_full": (lambda obj, W: obj.grad_full(W), OBJECTIVE_KINDS),
+    "population_variance": (lambda obj, W: obj.population_variance(W), OBJECTIVE_KINDS),
+    "gradient_population_stats": (lambda obj, W: list(vars(
+        ssag.gradient_population_stats(obj, W)).values()), OBJECTIVE_KINDS),
+    "loss_sample": (lambda obj, W: obj.loss_sample(W, 2), OBJECTIVE_KINDS),
+    "grad_sample": (lambda obj, W: obj.grad_sample(W, 2), OBJECTIVE_KINDS),
+    "accuracy": (lambda obj, W: ssag.accuracy(obj, W, obj.dataset),
+                 ssag.objectives.CLASSIFIER_KINDS),
+    "hessian_full": (lambda obj, W: obj.hessian_full(W), ("logistic",)),
+}
+
+
+@pytest.mark.parametrize("kind, entry", [(kind, entry) for entry, (_, kinds) in
+                                         W_ENTRY_POINTS.items() for kind in kinds])
+def test_every_entry_point_checks_w_with_as_params(kind, entry):
+    # hessian_full returned a NaN matrix and accuracy 0.5 for a NaN W
+    call = W_ENTRY_POINTS[entry][0]
+    obj = any_kind_problem(kind, 9, 3, 2, seed=4)
+    W = np.random.default_rng(5).normal(size=obj.dim)
+    W_nan = W.copy()
+    W_nan[1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        call(obj, W_nan)
+    with pytest.raises(DimensionMismatchError, match=f"expected dimension {obj.dim}"):
+        call(obj, np.zeros(obj.dim + 1))
+    by_array, by_list = call(obj, W), call(obj, W.tolist())
+
+    def bits(result):
+        return [np.asarray(v).tobytes() for v in (result if isinstance(result, list) else [result])]
+
+    assert bits(by_list) == bits(by_array)
 
 
 class TestFullDataInPlace:

@@ -476,6 +476,27 @@ class TestSvrg:
         state = make_state(RunConfig(kind="svrg", steps=0, h=0.1), two_class_logistic)
         assert state.m == 2 * two_class_logistic.dataset.n_samples
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+    def test_a_first_snapshot_without_a_finite_w_is_a_value_error(self, kind, bad):
+        # the kernel failed from inside, with TypeError or AttributeError on None
+        obj = any_kind_problem(kind, 6, 2, 2, seed=3)
+        state = make_state(RunConfig(kind="svrg", steps=0, h=0.1, m=2), obj)
+        state.W = np.full(obj.dim, bad)
+        with pytest.raises(ValueError, match="first snapshot needs a finite W"):
+            svrg_outer(state, obj, *_draws("svrg", obj, 1, RngStream(0))[0])
+        assert (state.steps, state.snapshot) == (0, None)
+
+    @pytest.mark.parametrize("m", [None, 0])
+    def test_a_state_without_m_is_a_value_error(self, two_class_logistic, m):
+        # State(W, h) keeps m = None: steps % None raised TypeError, and % 0
+        # ZeroDivisionError
+        obj = two_class_logistic
+        state = State(W=np.zeros(obj.dim), h=0.1, m=m)
+        with pytest.raises(ValueError, match="refresh period m, got"):
+            svrg_outer(state, obj, *_draws("svrg", obj, 1, RngStream(0))[0])
+        assert state.steps == 0
+
 
 class TestSaga:
     def test_first_step_zero_table(self):
@@ -999,9 +1020,18 @@ class TestStepsForPasses:
         assert steps_for_passes("fgd", 1.5, 100) == 2
         assert steps_for_passes("fgd", 2.5, 100) == 2
 
-    @pytest.mark.parametrize("kind, passes", [("sgd", 0), ("fgd", 0.0), ("svrg", -1.5)])
+    @pytest.mark.parametrize("kind, passes", [("sgd", 0), ("fgd", 0.0), ("svrg", 0)])
     def test_no_passes_take_no_steps(self, kind, passes):
         assert steps_for_passes(kind, passes, 100) == 0
+
+    @pytest.mark.parametrize("passes", [math.nan, math.inf, -1, -1.5, True, "2", None, 1e308,
+                                        10**307])
+    def test_rejects_a_budget_that_is_not_a_finite_number_at_least_0(self, passes):
+        # NaN raised ValueError from math.ceil, inf, 1e308 and 10**307 (whose
+        # passes x N overflows float64) OverflowError, and a negative budget
+        # gave 0 steps
+        with pytest.raises(ConfigError, match="passes must be a finite number >= 0"):
+            steps_for_passes("sgd", passes, 100)
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(kind=st.sampled_from(sorted(SPECS)), per_class=st.integers(2, 6),

@@ -15,13 +15,15 @@ when they differ or a run failed a check.
 
 ``--control`` is a second export of the parent, an A/A leg: the same code
 run in the same rounds, so whatever separates it from the parent is noise or
-position, not code.  The summary then adds each metric's A/A shift (the
-control's median over the parent's, less 1), the A/A spread (the
-interquartile range of the per-round control/parent ratios, less 1) and the
-rounds the control won, and a verdict per metric: ``inside A/A band`` when
-the change's shift lies within the A/A spread of the A/A shift, else
-``better`` or ``worse`` in the metric's direction.  A change's shift means
-little unless it lies outside that band.
+position, such as memory layout, not code.  The summary then adds each
+metric's A/A shift (the control's median over the parent's, less 1), the A/A
+spread (the interquartile range of the per-round control/parent ratios, less
+1) and the rounds the control won, and a verdict per metric: ``inside A/A
+band`` when the change's median lies between the lower of the parent's and
+the control's first quartiles and the higher of their third quartiles, else
+``better`` or ``worse`` in the metric's direction, with the leg whose
+quartile it passed.  The parent and the control are two samples of the same
+code, so a change's median that lies between their ranges tells nothing.
 
 Every checkout is a file export (``git archive REV | tar -x -C DIR``); a
 directory that holds ``.git`` is refused.  Each run is a child process that
@@ -94,23 +96,30 @@ def shift(base: float, value: float) -> float:
     return value / base - 1 if base else math.nan
 
 
-def verdict(change_shift: float, aa_shift: float, aa_spread: float, better: str) -> str:
-    """``inside A/A band`` when |change shift - A/A shift| <= A/A spread, else
-    ``better`` or ``worse`` in the ``better`` direction; ``no verdict`` when
-    a shift is NaN (a zero parent median)."""
-    gap = change_shift - aa_shift
-    if math.isnan(gap):
-        return "no verdict"
-    if abs(gap) <= aa_spread:
-        return "inside A/A band"
-    return "better" if (gap > 0) == (better == "higher") else "worse"
+def verdict(change_median: float, legs: dict[str, tuple[float, float]],
+            better: str) -> tuple[str, str | None]:
+    """The change's verdict against the pooled band of ``legs``, each leg's
+    (first quartile, third quartile): ``inside A/A band`` when the median lies
+    between the lowest first quartile and the highest third quartile, ends
+    included, else ``better`` or ``worse`` in the ``better`` direction, with
+    the quartile that bounds it (``the control's Q3``); ``no verdict`` when
+    a value is NaN."""
+    if math.isnan(change_median) or any(math.isnan(q) for iqr in legs.values() for q in iqr):
+        return "no verdict", None
+    low = min(legs, key=lambda leg: legs[leg][0])
+    high = max(legs, key=lambda leg: legs[leg][1])
+    if legs[low][0] <= change_median <= legs[high][1]:
+        return "inside A/A band", None
+    above = change_median > legs[high][1]
+    bound = f"the {high}'s Q3" if above else f"the {low}'s Q1"
+    return ("better" if above == (better == "higher") else "worse"), bound
 
 
 def summarize(end_to_end, runs: dict[str, list[Run]]) -> list[dict]:
     """One row per metric of ``end_to_end`` (BENCHMARK.json's entries): both
     medians, the parent's interquartile range and the change's shift and
     wins; with a control leg in ``runs``, also its A/A shift, spread and
-    wins and the change's `verdict`."""
+    wins and the change's `verdict` and its bound."""
     rows = []
     for spec in end_to_end:
         name, better = spec["name"], spec["better"]
@@ -123,10 +132,12 @@ def summarize(end_to_end, runs: dict[str, list[Run]]) -> list[dict]:
                "change_wins": wins(parent, change, better), "pairs": len(parent)}
         if CONTROL in runs:
             control = [run.metrics[name] for run in runs[CONTROL]]
-            q1, _, q3 = quartiles([shift(p, c) for p, c in zip(parent, control, strict=True)])
-            row.update(aa_shift=shift(parent_median, statistics.median(control)),
-                       aa_spread=q3 - q1, aa_wins=wins(parent, control, better))
-            row["verdict"] = verdict(row["change_shift"], row["aa_shift"], q3 - q1, better)
+            c1, control_median, c3 = quartiles(control)
+            r1, _, r3 = quartiles([shift(p, c) for p, c in zip(parent, control, strict=True)])
+            row.update(aa_shift=shift(parent_median, control_median),
+                       aa_spread=r3 - r1, aa_wins=wins(parent, control, better))
+            row["verdict"], row["bound"] = verdict(
+                change_median, {"parent": (q1, q3), CONTROL: (c1, c3)}, better)
         rows.append(row)
     return rows
 
@@ -149,7 +160,8 @@ def format_summary(rows, runs) -> str:
                         f"{row['aa_wins']:>6}/{row['pairs']}" if control else "")
                      + f" {row['better']}")
     if control:
-        lines += [f"verdict {row['name']}: {row['verdict']}" for row in rows]
+        lines += [f"verdict {row['name']}: {row['verdict']}"
+                  + (f", past {row['bound']}" if row["bound"] else "") for row in rows]
     everything = [run for side_runs in runs.values() for run in side_runs]
     digests = sorted({d for run in everything for d in run.digests})
     same = "same in every run" if same_digests(runs) else "DIFFER between runs"
