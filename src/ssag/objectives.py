@@ -55,6 +55,7 @@ from . import core
 from .core import (SHORT_ROW, ConvexityConstants, Dataset, as_indices, as_params,
                    gradient_population_stats, is_int, is_real, operand, row_blocks)
 from .errors import (
+    DimensionMismatchError,
     LabelError,
     SingularSystemError,
     SsagError,
@@ -184,11 +185,9 @@ class Objective(ABC):
         return int(k)
 
     def _check_rows(self, indices) -> np.ndarray:
-        """``indices`` as a 1-D int64 array for ``grad_samples``; IndexError unless
-        it is 1-D and each is an integer in [0, N), not a bool nor, as numpy
-        indexes, a float.  ``dataset.rows`` passes by identity."""
-        if indices is self.dataset.rows:
-            return indices
+        """``indices`` as a 1-D int64 array for ``grad_samples``, an int64 array,
+        ``dataset.rows`` included, as it is; IndexError unless it is 1-D and each
+        is an integer in [0, N), not a bool nor, as numpy indexes, a float."""
         rows, N = as_indices(indices), self.dataset.n_samples
         if rows is None or rows.ndim != 1 or rows.size and (
                 np.asarray(indices).dtype.kind == "f" or not 0 <= rows.min() <= rows.max() < N):
@@ -229,9 +228,10 @@ class Objective(ABC):
                          out: np.ndarray | None = None) -> np.ndarray:
         """Mean gradient over a batch drawn from class j's partition cell,
         written into ``out`` when given; StratumViolationError, with ``out``
-        untouched, unless every index is an integer in [0, N) of class j."""
-        if type(indices) is np.ndarray and indices.dtype is _INDEX and indices.size == 1:
-            # one int64 index of any shape, as an SSAG step at n = 1 draws it:
+        untouched, unless every index is an integer in [0, N) of class j.  A
+        batch of any shape is taken as the 1-D batch of its entries."""
+        if type(indices) is np.ndarray and indices.dtype is _INDEX and indices.shape == (1,):
+            # one int64 index in a 1-D array, as an SSAG step at n = 1 draws it:
             # np.asarray would return it as it is, so only the range and membership
             # tests are left (a negative index would wrap around class_of)
             i, class_of = indices.item(), self.dataset.class_of
@@ -249,7 +249,7 @@ class Objective(ABC):
                 and (class_of[indices] == class_j).all()):
             raise StratumViolationError(
                 f"indices {indices.tolist()} are not all members of class {class_j}")
-        return self.grad_batch(W, indices, out)
+        return self.grad_batch(W, indices.reshape(-1), out)
 
     def init_params(self, seed: int = 0) -> np.ndarray:
         """Initial parameter vector; zeros unless a subclass overrides."""
@@ -591,8 +591,13 @@ class Mlp(Objective):
 
 
 def accuracy(objective: Objective, W: np.ndarray, dataset: Dataset) -> float:
-    """Fraction of `dataset` whose label is the class of highest score."""
+    """Fraction of `dataset` whose label is the class of highest score;
+    DimensionMismatchError unless its features are the objective's width."""
     W = as_params(W, objective.dim)
+    if dataset.n_features != objective.dataset.n_features:
+        raise DimensionMismatchError(
+            f"held-out features have width {dataset.n_features}, "
+            f"the objective's data {objective.dataset.n_features}")
     pred = np.argmax(objective.scores_matrix(W, dataset.features), axis=1)
     return float(np.mean(pred == np.asarray(dataset.labels)))
 

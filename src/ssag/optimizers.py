@@ -93,17 +93,9 @@ class State:
     def h(self) -> float:
         return self._h.item()
 
-    @h.setter
-    def h(self, value) -> None:
-        raise AttributeError("State.h is fixed once the state is made")
-
     @property
     def table(self) -> np.ndarray:
         return self._table
-
-    @table.setter
-    def table(self, value) -> None:
-        raise AttributeError("State.table is fixed once the state is made")
 
 
 def _commit(state: State, W: np.ndarray) -> State:

@@ -72,15 +72,11 @@ class RunRecord:
 
 def _nan_mean_std(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column mean/std ignoring NaN; all-NaN columns stay NaN (no warning)."""
-    mean = np.full(stack.shape[1], np.nan)
-    std = np.full(stack.shape[1], np.nan)
-    counts = np.sum(~np.isnan(stack), axis=0)
-    ok = counts > 0
-    if np.any(ok):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            mean[ok] = np.nanmean(stack[:, ok], axis=0)
-            std[ok] = np.nanstd(stack[:, ok], axis=0, ddof=1) if stack.shape[0] > 1 else 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        mean = np.nanmean(stack, axis=0)
+        std = (np.nanstd(stack, axis=0, ddof=1) if stack.shape[0] > 1
+               else np.where(np.isnan(mean), np.nan, 0.0))
     return mean, std
 
 

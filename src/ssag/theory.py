@@ -249,11 +249,11 @@ class Envelope:
                 f"within bound * (1 + {self.slack}) over {self.n_seeds} seeds "
                 f"(pass fraction {self.pass_fraction:.4f})")
 
-    def check(self, min_seeds: int = MIN_SEEDS) -> Envelope:
-        """This envelope; SsagError unless it averages over at least ``min_seeds``
+    def check(self) -> Envelope:
+        """This envelope; SsagError unless it averages over at least `MIN_SEEDS`
         seeds and no value is missing (NaN)."""
-        if self.n_seeds < min_seeds:
-            raise SsagError(f"need seed-averaged metrics over >= {min_seeds} seeds, "
+        if self.n_seeds < MIN_SEEDS:
+            raise SsagError(f"need seed-averaged metrics over >= {MIN_SEEDS} seeds, "
                             f"got {self.n_seeds}")
         if np.any(np.isnan(self.values)):
             raise SsagError("record lacks the required metric (NaN entries present)")
@@ -261,16 +261,15 @@ class Envelope:
 
 
 def check_envelope(k: np.ndarray, mean_values: np.ndarray, bounds: np.ndarray, *,
-                   n_seeds: int, slack: float = ENVELOPE_SLACK,
-                   min_seeds: int = MIN_SEEDS) -> Envelope:
+                   n_seeds: int, slack: float = ENVELOPE_SLACK) -> Envelope:
     """The `Envelope` of a seed-averaged metric against per-iteration bound
-    values, checked for ``min_seeds`` seeds and no missing value."""
+    values, checked for `MIN_SEEDS` seeds and no missing value."""
     k = np.asarray(k)
     mean_values = np.asarray(mean_values, dtype=np.float64)
     bounds = np.asarray(bounds, dtype=np.float64)
     if not (k.shape == mean_values.shape == bounds.shape):
         raise ValueError("k, values, and bounds must have matching shapes")
-    return Envelope(k, mean_values, bounds, n_seeds, slack).check(min_seeds)
+    return Envelope(k, mean_values, bounds, n_seeds, slack).check()
 
 
 def reference_optimum(obj: Objective, *,

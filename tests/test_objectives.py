@@ -1,5 +1,6 @@
 """Objective losses, gradients, class scores, accuracy, and the ridge closed form."""
 
+import math
 import os
 import subprocess
 import sys
@@ -213,10 +214,10 @@ class TestGradClassBatch:
     @pytest.mark.parametrize("shape", [(), (1, 1)], ids=str)
     def test_one_int64_index_of_another_shape_matches_the_general_path(self, two_class_logistic,
                                                                        shape):
-        # an int64 index of one entry takes the one-index path whatever its
-        # shape; as int32 it takes the general path, which converts it.  Both
-        # give the (1,) index's bits, or raise with the same message and
-        # leave out as it was
+        # only a (1,) int64 index takes the one-index path; an index of one
+        # entry in another shape takes the general path, and as int32 it is
+        # converted first.  Both give the (1,) index's bits, or raise with the
+        # caller's shape in the same message and leave out as it was
         obj, W = two_class_logistic, np.array([0.2, -0.1])
         first, second = obj.dataset.partition
         for j, (cell, other) in enumerate(((first, second), (second, first))):
@@ -235,6 +236,23 @@ class TestGradClassBatch:
                     assert out.tolist() == [7.0, 7.0]
                 assert messages == {f"indices {np.array(i).reshape(shape).tolist()} "
                                     f"are not all members of class {j}"}
+
+    @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+    def test_a_batch_of_any_shape_is_taken_as_its_entries(self, kind):
+        # the kernels take a 1-D batch: the quadratic averaged a 0-d index's
+        # features, and a (1, 1) or (1, 2) batch made other kinds raise or
+        # return a gradient of the wrong shape
+        obj = any_kind_problem(kind, 6, 3, 2, seed=3)
+        W = np.random.default_rng(4).normal(size=obj.dim)
+        for j, cell in enumerate(obj.dataset.partition):
+            for shape in ((), (1, 1), (1, 2), (2, 1)):
+                flat = cell[:math.prod(shape)]
+                want = obj.grad_class_batch(W, j, flat).tobytes()
+                for dtype in (np.int64, np.int32):
+                    batch, out = flat.astype(dtype).reshape(shape), np.empty(obj.dim)
+                    assert obj.grad_class_batch(W, j, batch).tobytes() == want
+                    assert obj.grad_class_batch(W, j, batch, out) is out
+                    assert out.tobytes() == want
 
     @pytest.mark.parametrize("indices", [
         np.array([-1]), np.array([-4]), np.array([6]), np.array([2**40]),  # one int64 index
@@ -877,6 +895,16 @@ class TestAccuracy:
         assert obj.scores_matrix(W, np.ones((1, 1)))[0] == pytest.approx([0.5, 0.5])
         ds = ssag.Dataset.from_class_labels(np.ones((1, 1)), np.array([0]))
         assert ssag.accuracy(obj, W, ds) == 1.0
+
+    @pytest.mark.parametrize("kind", ssag.objectives.CLASSIFIER_KINDS)
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_held_out_features_of_another_width_rejected(self, kind, width):
+        # numpy raised "operands could not be broadcast together" or a matmul
+        # ValueError instead
+        obj = any_kind_problem(kind, 6, 3, 2, seed=4)
+        held_out = ssag.Dataset.from_class_labels(np.ones((2, width)), np.array([0, 1]))
+        with pytest.raises(DimensionMismatchError, match=f"width {width}, the objective's data 3"):
+            ssag.accuracy(obj, obj.init_params(), held_out)
 
     def test_mlp_uniform_tie_counts_as_class_0(self):
         ds = ssag.Dataset.from_class_labels(np.eye(3), np.array([0, 1, 2]))

@@ -244,11 +244,13 @@ class TestCheckEnvelope:
             ssag.check_envelope(np.arange(2), values, np.ones(2), n_seeds=20)
 
     def test_returns_the_envelope_that_check_guards(self):
-        env = ssag.check_envelope(np.arange(3), np.zeros(3), np.ones(3), n_seeds=19,
-                                  min_seeds=1)
+        env = ssag.check_envelope(np.arange(3), np.zeros(3), np.ones(3), n_seeds=20)
         assert isinstance(env, ssag.Envelope) and env.slack == 0.05 and env.first_failure is None
+        assert env.check() is env
         with pytest.raises(SsagError, match="over >= 20 seeds, got 19"):
-            env.check()
+            ssag.check_envelope(np.arange(3), np.zeros(3), np.ones(3), n_seeds=19)
+        with pytest.raises(SsagError, match="over >= 20 seeds, got 19"):
+            ssag.Envelope(env.k, env.values, env.bounds, 19).check()
 
     def test_fgd_deterministic_envelope(self, line_ridge):
         # deterministic full-gradient run against its zero-floor envelope
@@ -263,8 +265,7 @@ class TestCheckEnvelope:
         rho = ssag.cvi_rho(h, const.L, const.mu)
         bounds = np.array([ssag.cvi_envelope(int(k) - 1, 0.0, rho, gaps[1])
                            for k in rec.k[1:]])
-        rep = ssag.check_envelope(rec.k[1:], gaps[1:], bounds,
-                                  n_seeds=20, min_seeds=1)
+        rep = ssag.check_envelope(rec.k[1:], gaps[1:], bounds, n_seeds=20)
         assert rep.pass_fraction == 1.0
 
 
@@ -400,7 +401,7 @@ class TestEnvelopeCalls:
         assert env.params["anchor"] == 1 and env.params["rho"] == rho
         assert np.array_equal(env.k, rec.k[1:]) and np.array_equal(env.values, gaps[1:])
         assert np.array_equal(env.bounds, np.maximum(oracle, env.floor))
-        assert env.check(min_seeds=1).pass_fraction == 1.0
+        assert env.pass_fraction == 1.0
 
 
 class TestFitDecayRate:
