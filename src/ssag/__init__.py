@@ -17,7 +17,7 @@ from .sampling import RngStream, sample_class, sample_uniform, sample_within_cla
 from .theory import (ComplexityEstimate, CviInputs, Envelope, Theorem2Inputs,
                      check_envelope, cvi_envelope, cvi_lambda, cvi_rho,
                      finite_population_variance, fit_decay_rate,
-                     reference_optimum, sag_rate, saga_rate, ssag_complexity, ssag_rate,
+                     reference_optimum, sag_rate, ssag_complexity, ssag_rate,
                      theorem1_envelope, theorem2_bound, theorem2_envelope, theorem2_inputs_for)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

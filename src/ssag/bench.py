@@ -25,9 +25,9 @@ import numpy as np
 from ._version import __version__
 from .core import Dataset, estimate_constants, is_int, is_real
 from .errors import ConfigError, FormatError, LabelError, SsagError
-from .ingest import SyntheticSpec, gen_synthetic, read_idx, read_text, write_text
+from .ingest import SyntheticSpec, gen_synthetic, is_limit, read_idx, read_text, write_text
 from .objectives import CERTIFIED_KINDS, CLASSIFIER_KINDS, Objective, make_objective
-from .optimizers import SPECS, RunConfig, resolve_step_size, run_seeds, steps_for_passes
+from .optimizers import SETTINGS, SPECS, RunConfig, resolve_step_size, run_seeds, steps_for_passes
 from .records import (COLUMNS, CSV_COLUMNS, CSV_METRICS, SUMMARY_METRICS, Aggregate,
                       RunRecord, aggregate)
 from .theory import (MIN_PASS_FRACTION, MIN_SEEDS, reference_optimum, theorem1_envelope,
@@ -40,7 +40,7 @@ OUT_DIR_ENV = "SSAG_OUT_DIR"
 _STR = (lambda v: isinstance(v, str), "a string")
 _NULL_OR_STR = (lambda v: v is None or isinstance(v, str), "null or a string")
 _NULL_OR_BOOL = (lambda v: v is None or isinstance(v, bool), "null, true or false")
-_LIMIT = (lambda v: v is None or is_int(v) and v >= 1, "null or an integer >= 1")
+_LIMIT = (is_limit, "null or an integer >= 1")
 _LAM = {"lam": (lambda v: is_real(v) and v >= 0, "a finite number >= 0")}
 
 #: The one table of config section keys: section -> kind -> (required keys, {key: rule}).
@@ -62,7 +62,7 @@ SECTION_RULES = {
         "mlp": ((), {"hidden": (lambda v: isinstance(v, list) and all(
             is_int(h) and h >= 1 for h in v), "a list of integers >= 1"), **_LAM}),
     },
-    "optimizer": dict.fromkeys(SPECS, ((), dict.fromkeys(("h", "n", "m", "prox_l1")))),
+    "optimizer": dict.fromkeys(SPECS, ((), dict.fromkeys(("h", *SETTINGS)))),
 }
 
 
@@ -141,10 +141,9 @@ class ExperimentConfig:
                 raise ConfigError(f"malformed config value: {exc}") from None
         opt, h = self.optimizer, self.optimizer.get("h")
         self.run_config = RunConfig(
-            kind=opt["kind"], steps=0 if self.steps is None else self.steps,
-            h=None if h == "auto" else h, n=opt.get("n", 1), m=opt.get("m"),
-            prox_l1=opt.get("prox_l1"), cadence=self.cadence,
-            record_variance=self.record_variance)
+            kind=opt["kind"], steps=0 if self.steps is None else self.steps, cadence=self.cadence,
+            h=None if h == "auto" else h, record_variance=self.record_variance,
+            **{key: opt[key] for key in SETTINGS if key in opt})
         kind = self.objective["kind"]
         if kind not in CERTIFIED_KINDS and (self.record_dist or self.run_config.h is None):
             raise ConfigError(f"objective kind {kind!r} has no certified constants: it needs "

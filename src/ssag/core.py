@@ -63,13 +63,13 @@ def operand(value: float) -> np.ndarray:
     return a
 
 
-def partition_by_class(labels: np.ndarray, num_classes: int | None = None) -> tuple[np.ndarray, ...]:
+def partition_by_class(labels: np.ndarray) -> tuple[np.ndarray, ...]:
     """Group sample indices by integer class label.
 
     A label is an integer by `as_indices`' rule: an integral float is one, a
-    bool is not.  Returns one ascending index array per class, covering
-    0..C-1.  Raises if any class in that range is empty, since the stratified
-    sampler must be able to draw from every class.
+    bool is not.  Returns one ascending index array per class j in 0..C-1,
+    where C is the largest label plus one.  Raises if any class is empty,
+    since the stratified sampler must be able to draw from every class.
     """
     lab = as_indices(labels)
     if lab is None or lab.ndim != 1:
@@ -78,9 +78,8 @@ def partition_by_class(labels: np.ndarray, num_classes: int | None = None) -> tu
         raise ValueError("cannot partition an empty label array")
     if lab.min() < 0:
         raise ValueError("class labels must be non-negative")
-    C = int(num_classes) if num_classes is not None else int(lab.max()) + 1
     cells = []
-    for j in range(C):
+    for j in range(int(lab.max()) + 1):
         idx = np.flatnonzero(lab == j)
         if idx.size == 0:
             raise ValueError(f"class {j} is empty; every class needs at least one sample")
@@ -105,14 +104,14 @@ class Dataset:
     """Immutable training data: feature matrix, labels, class partition.
 
     ``labels`` holds class indices for classification data or real targets
-    for regression; features and real targets must be finite.  ``partition``
-    maps each class j to the ascending row indices belonging to it; cells are
-    disjoint and cover all rows.
+    for regression; features and real targets must be finite.  The cells of
+    the ``partition`` passed in are disjoint row indices covering all rows.
+    The stratum layout is derived once, read-only: ``order`` (the cells
+    joined), ``class_counts``, ``starts`` (where each cell begins in
+    ``order``), ``class_of`` (row index -> class index), and ``partition[j]``
+    as the slice of ``order`` at ``starts[j]``, so the rows are stored once.
     ``rows`` is arange(N); the objectives recognise it by identity and read
     the C-ordered ``features`` in place instead of gathering all N rows.
-    The stratum layout is derived once, read-only: ``class_counts`` (the
-    cell sizes), ``order`` (the cells joined), ``starts`` (where each cell
-    begins in ``order``) and ``class_of`` (row index -> class index).
     ``features`` is a read-only copy of the matrix passed in, unless a
     builder hands over a fresh one (`_Fresh`).
     """
@@ -150,7 +149,6 @@ class Dataset:
                 raise ValueError(f"partition cell {k} holds an entry that is not an integer")
         if len(cells) < 1:
             raise ValueError("partition needs at least one class")
-        cells = tuple(c.copy() for c in cells)
         order = np.concatenate(cells)
         if order.size != X.shape[0] or not np.array_equal(np.sort(order), np.arange(X.shape[0])):
             raise ValueError("partition cells must be disjoint and cover all sample indices")
@@ -161,22 +159,21 @@ class Dataset:
         class_of[order] = np.repeat(np.arange(len(cells)), counts)
         derived = dict(class_counts=counts, order=order, starts=np.cumsum(counts) - counts,
                        class_of=class_of, rows=np.arange(X.shape[0]))
-        for a in (X, y, *cells, *derived.values()):
+        for a in (X, y, *derived.values()):
             a.setflags(write=False)
+        cells = tuple(order[s:s + c] for s, c in zip(derived["starts"].tolist(), counts.tolist()))
         for name, value in dict(features=X, labels=y, partition=cells, **derived).items():
             object.__setattr__(self, name, value)
 
     @classmethod
-    def from_class_labels(cls, features: np.ndarray, labels: np.ndarray,
-                          num_classes: int | None = None) -> "Dataset":
-        """Build a classification dataset, deriving the partition from labels."""
-        return cls(features, labels, partition_by_class(labels, num_classes))
+    def from_class_labels(cls, features: np.ndarray, labels: np.ndarray) -> "Dataset":
+        """Build a classification dataset, partitioned by `partition_by_class`."""
+        return cls(features, labels, partition_by_class(labels))
 
     @classmethod
     def regression(cls, features: np.ndarray, targets: np.ndarray) -> "Dataset":
-        """Build a regression dataset with a single partition cell."""
-        features = np.asarray(features)
-        return cls(features, targets, (np.arange(features.shape[0]),))
+        """Build a regression dataset: one partition cell of all ``np.size(targets)`` rows."""
+        return cls(features, targets, (np.arange(np.size(targets)),))
 
     @property
     def n_samples(self) -> int:
@@ -244,12 +241,12 @@ def squared_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.add.reduce(d * d, None))
 
 
-def as_params(values, dim: int | None = None) -> np.ndarray:
-    """Validate a parameter vector: 1-D, float64, finite, optional dimension."""
+def as_params(values, dim: int) -> np.ndarray:
+    """Validate a parameter vector: 1-D, float64, finite, of dimension ``dim``."""
     w = np.asarray(values, dtype=np.float64)
     if w.ndim != 1:
         raise DimensionMismatchError("parameter vector must be one-dimensional")
-    if dim is not None and w.shape[0] != dim:
+    if w.shape[0] != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {w.shape[0]}")
     if not all_finite(w):
         raise ValueError("parameter vector contains non-finite entries")
@@ -331,7 +328,7 @@ def gradient_population_stats(objective, W: np.ndarray) -> GradientStats:
     # rows class by class, each class in its cell's order
     place = np.empty(ds.n_samples, dtype=np.int64)
     place[ds.order] = ds.rows
-    population, per_class = Moments(), [Moments() for _ in ds.partition]
+    population, per_class = Moments(), [Moments() for _ in range(ds.n_classes)]
     for block in row_blocks(ds.n_samples, objective.dim * 8):
         G = objective.grad_samples(W, ds.rows[block])
         by_class = np.argsort(place[block])

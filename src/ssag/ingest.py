@@ -53,7 +53,12 @@ def _partition(path, labels: np.ndarray, C: int, noun: str) -> tuple[np.ndarray,
     if absent:
         raise FormatError(f"{path}: {noun} {absent} occur in none of the "
                           f"{labels.size} samples read")
-    return partition_by_class(labels, num_classes=C)
+    return partition_by_class(labels)
+
+
+def is_limit(value) -> bool:
+    """Whether ``value`` is a `read_idx` limit: None or an integer >= 1 (`is_int`)."""
+    return value is None or is_int(value) and value >= 1
 
 
 def read_idx(image_path, label_path, *, add_bias: bool = False,
@@ -64,8 +69,12 @@ def read_idx(image_path, label_path, *, add_bias: bool = False,
     Labels must be digits 0-9 and every digit must occur among the samples
     kept, so the partition always has 10 cells and a sample's label is its
     class index.  ``limit`` keeps only the first ``limit`` samples.
-    ``add_bias`` appends a constant 1 feature column.
+    ``add_bias`` appends a constant 1 feature column.  ValueError unless
+    ``add_bias`` is a bool and ``limit`` `is_limit`.
     """
+    if not (isinstance(add_bias, bool) and is_limit(limit)):
+        raise ValueError("add_bias must be a bool and limit None or an integer >= 1, "
+                         f"got {add_bias!r} and {limit!r}")
     (n_img, rows, cols), pixels = _read_idx_payload(image_path, IDX_IMAGE_MAGIC, 3)
     (n_lab,), labels = _read_idx_payload(label_path, IDX_LABEL_MAGIC, 1)
     if n_img != n_lab:
@@ -146,7 +155,7 @@ def gen_synthetic(spec: SyntheticSpec) -> Dataset:
     for mean, count in zip(spec.means, spec.counts):
         features[start:start + count] += mean
         start += count
-    return Dataset.from_class_labels(_Fresh(features), labels, num_classes=len(spec.counts))
+    return Dataset.from_class_labels(_Fresh(features), labels)
 
 
 def write_text(dataset: Dataset, path) -> None:
@@ -182,8 +191,11 @@ def read_text(path, *, add_bias: bool = False) -> Dataset:
 
     The file is read twice, a line at a time: once to count the samples and
     once to parse each into its row of the feature matrix, so that neither
-    the text nor a list of its rows is ever held whole.
+    the text nor a list of its rows is ever held whole.  ``add_bias``, a
+    bool (ValueError otherwise), appends a constant 1 feature column.
     """
+    if not isinstance(add_bias, bool):
+        raise ValueError(f"add_bias must be a bool, got {add_bias!r}")
     lines = _numbered_lines(path)
     first = next(lines, None)
     if first is None:
@@ -224,4 +236,4 @@ def read_text(path, *, add_bias: bool = False) -> Dataset:
     if label_kind == "int":
         lab = labels.astype(np.int64)
         return Dataset(_Fresh(features), lab, _partition(path, lab, C, "classes"))
-    return Dataset(_Fresh(features), labels, (np.arange(N),))
+    return Dataset.regression(_Fresh(features), labels)

@@ -289,7 +289,8 @@ SPECS = {
                           lambda ds: (int(ds.class_counts.min()), "the smallest class"), 2),
 }
 
-OPTIMIZER_KINDS = tuple(SPECS)
+#: The `RunConfig` settings that some kind reads besides ``h``, in order of first use.
+SETTINGS = tuple(dict.fromkeys(key for spec in SPECS.values() for key in spec.settings))
 
 
 def _spec(kind: str) -> OptimizerSpec:
@@ -331,8 +332,8 @@ class RunConfig:
             value = getattr(self, key)
             if value is not None and not (is_real(value) and value >= 0):
                 raise ConfigError(f"{noun} must be a finite number >= 0, got {value!r}")
-        ignored = sorted({key for spec in SPECS.values() for key in spec.settings
-                          if key not in reads and getattr(self, key) != getattr(RunConfig, key)})
+        ignored = sorted(key for key in SETTINGS
+                         if key not in reads and getattr(self, key) != getattr(RunConfig, key))
         if ignored:
             raise ConfigError(f"optimizer kind {self.kind!r} ignores the settings {ignored}; "
                               f"it reads {['h', *reads]}, others must keep their defaults")

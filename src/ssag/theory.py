@@ -153,11 +153,6 @@ def sag_rate(mu: float, L: float, N: int) -> float:
     return ssag_rate(mu, L, N)
 
 
-def saga_rate(mu: float, L: float, N: int) -> float:
-    """Rate factor 1 - mu/(2(mu N + L)) of the prox-capable variant."""
-    return 1.0 - mu / (2.0 * (mu * N + L))
-
-
 @dataclass(frozen=True)
 class ComplexityEstimate:
     """Iteration counts to reach a target accuracy epsilon.

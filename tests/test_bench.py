@@ -506,7 +506,7 @@ class TestCli:
         assert f"h_sag = {1.0 / (16 * 0.6):.12g}" in out
         assert f"h_saga = {1.0 / (3 * 0.6):.12g}" in out
         printed = [ln.split(" = ")[0] for ln in out.splitlines() if ln.startswith("h_")]
-        assert printed == [f"h_{kind}" for kind in ssag.optimizers.OPTIMIZER_KINDS]
+        assert printed == [f"h_{kind}" for kind in ssag.optimizers.SPECS]
 
     def test_estimate_constants_warns_when_mu_is_zero(self, tmp_path, capsys):
         # a repeated column makes X'X/N singular, so unregularized ridge has mu = 0

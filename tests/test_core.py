@@ -43,6 +43,7 @@ class TestDataset:
     @pytest.mark.parametrize("make, message", [
         (lambda: ssag.Dataset(np.zeros(3), np.zeros(3), (np.arange(3),)), "2-D matrix"),
         (lambda: ssag.Dataset(np.eye(3), np.zeros(2), (np.arange(3),)), "one entry per sample"),
+        (lambda: ssag.Dataset.regression(np.eye(3), np.zeros(2)), "one entry per sample"),
         (lambda: ssag.Dataset(np.eye(3), np.zeros(3), ()), "at least one class"),
         (lambda: ssag.Dataset(np.eye(2), np.zeros(2), (np.arange(2), np.array([], dtype=int))),
          "cell 1 is empty"),
@@ -139,6 +140,53 @@ class TestDataset:
         for derived in (ds.class_counts, ds.order, ds.starts, ds.class_of, ds.rows):
             with pytest.raises(ValueError, match="read-only"):
                 derived[0] = 1
+
+
+def _text_dataset(tmp_path, ds):
+    ssag.write_text(ds, tmp_path / "data.txt")
+    return ssag.read_text(tmp_path / "data.txt")
+
+
+def _idx_dataset(tmp_path):
+    images, labels = np.zeros((20, 2, 2), dtype=np.uint8), np.arange(20, dtype=np.uint8) % 10
+    ssag.ingest.write_idx(tmp_path / "images", tmp_path / "labels", images, labels)
+    return ssag.read_idx(tmp_path / "images", tmp_path / "labels")
+
+
+_X6, _LABELS6 = np.arange(12.0).reshape(6, 2), np.array([1, 0, 2, 1, 0, 2])
+
+#: one small dataset per builder, from the test's tmp_path
+DATASET_BUILDERS = {
+    "from_class_labels": lambda tmp: ssag.Dataset.from_class_labels(_X6, _LABELS6),
+    "own-cells": lambda tmp: ssag.Dataset(_X6, _LABELS6, ([4, 1], np.array([3, 0]), [5, 2])),
+    "text-int": lambda tmp: _text_dataset(tmp, ssag.Dataset.from_class_labels(_X6, _LABELS6)),
+    "text-real": lambda tmp: _text_dataset(tmp, ssag.Dataset.regression(_X6, _LABELS6 / 4)),
+    "idx": _idx_dataset,
+    "gen_synthetic": lambda tmp: ssag.gen_synthetic(ssag.SyntheticSpec(
+        means=np.zeros((3, 2)), counts=(2, 3, 1), stddev=1.0)),
+}
+
+
+class TestStratumLayout:
+    """Each stratum's rows are stored once: the cells are slices of ``order``."""
+
+    @pytest.mark.parametrize("builder", DATASET_BUILDERS)
+    def test_cells_are_read_only_slices_of_order(self, tmp_path, builder):
+        ds = DATASET_BUILDERS[builder](tmp_path)
+        for j, cell in enumerate(ds.partition):
+            start, count = ds.starts[j], ds.class_counts[j]
+            assert not cell.flags.writeable
+            assert np.shares_memory(cell, ds.order)
+            assert cell.dtype == np.int64
+            assert cell.tobytes() == ds.order[start:start + count].tobytes()
+
+    def test_a_caller_cell_written_later_leaves_the_dataset_as_built(self):
+        cells = (np.array([2, 0]), np.array([1]))
+        ds = ssag.Dataset(np.eye(3), np.zeros(3), cells)
+        cells[0][:] = [1, 2]
+        cells[1][0] = 0
+        assert [cell.tolist() for cell in ds.partition] == [[2, 0], [1]]
+        assert ds.order.tolist() == [2, 0, 1] and ds.class_of.tolist() == [0, 1, 0]
 
 
 class TestPartitionByClass:

@@ -115,6 +115,27 @@ class TestIdx:
         assert ds.n_features == 17
         assert np.all(ds.features[:, -1] == 1.0)
 
+    # -5 dropped the last 5 samples, 0 and True raised a FormatError about
+    # absent digits, and 2.5 numpy's slice TypeError
+    @pytest.mark.parametrize("limit", [-5, 0, True, np.True_, 2.5, "3"])
+    def test_limit_outside_its_rule_is_refused(self, tmp_path, limit):
+        img, lab, _, _ = _idx_fixture(tmp_path)
+        with pytest.raises(ValueError, match="limit None or an integer >= 1"):
+            read_idx(img, lab, limit=limit)
+        assert read_idx(img, lab, limit=np.int64(30)).n_samples == 30
+
+    # 2 appended two constant columns; "yes" and None raised a TypeError in read_text
+    @pytest.mark.parametrize("add_bias", [2, 1, 0, "yes", None])
+    @pytest.mark.parametrize("reader", ["idx", "text"])
+    def test_add_bias_must_be_a_bool(self, tmp_path, reader, add_bias):
+        img, lab, _, _ = _idx_fixture(tmp_path)
+        write_text(read_idx(img, lab), tmp_path / "data.txt")
+        read = {"idx": lambda **kw: read_idx(img, lab, **kw),
+                "text": lambda **kw: read_text(tmp_path / "data.txt", **kw)}[reader]
+        with pytest.raises(ValueError, match="add_bias must be a bool"):
+            read(add_bias=add_bias)
+        assert read(add_bias=True).n_features == 17 and read(add_bias=False).n_features == 16
+
     def test_limit_converts_only_the_rows_kept(self, tmp_path):
         # 2000 images of 28 x 28: the whole file as float64 is 12.5 MB, while
         # the first 100 rows are 0.63 MB
@@ -350,6 +371,21 @@ class TestTextFormat:
         path.write_text(f"p=1,C={C},labels=real\n0.5,0.25\n1.5,1.0\n", encoding="utf-8")
         with pytest.raises(FormatError, match=rf"classes\.txt: .*declares C={C}"):
             read_text(path)
+
+    def test_real_labels_build_the_regression_dataset(self, tmp_path):
+        # the reader hands its matrix to Dataset.regression, so the file gives
+        # the bits and the one-cell partition that constructor gives the arrays
+        X, y = np.array([[0.5, -1.0], [2.0, 0.1], [1.5, 3.0]]), np.array([0.25, -1.0, 7.5])
+        path = tmp_path / "reg.txt"
+        path.write_text("p=2,C=1,labels=real\n" + "".join(
+            f"{a!r},{b!r},{t!r}\n" for (a, b), t in zip(X.tolist(), y.tolist())), encoding="utf-8")
+        ds, expected = read_text(path), ssag.Dataset.regression(X, y)
+        for name in ("features", "labels", "order", "class_counts", "starts", "class_of"):
+            got, want = getattr(ds, name), getattr(expected, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        (cell,), (expected_cell,) = ds.partition, expected.partition
+        assert cell.tolist() == expected_cell.tolist() == [0, 1, 2]
+        assert np.shares_memory(cell, ds.order) and np.shares_memory(expected_cell, expected.order)
 
     def test_real_labels_with_one_class_load(self, tmp_path):
         path = tmp_path / "one.txt"

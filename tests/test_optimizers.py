@@ -14,7 +14,7 @@ import ssag
 from ssag import optimizers
 from ssag.core import all_finite
 from ssag.errors import ConfigError
-from ssag.optimizers import (DIVERGENCE_LOSS_LIMIT, OPTIMIZER_KINDS, SPECS, RunConfig, State,
+from ssag.optimizers import (DIVERGENCE_LOSS_LIMIT, SPECS, RunConfig, State,
                              fgd_step, make_state, recompute_sum, sag_step, saga_step,
                              soft_threshold, ssag_step, steps_for_passes, svrg_outer)
 from ssag.sampling import RngStream
@@ -200,6 +200,10 @@ class TestSsagSagEquivalence:
         assert (state == np.random.PCG64(seed).state) == (N == 1)
 
 
+#: the steps that refresh a table slot
+TABLE_STEPS = (sag_step, saga_step, ssag_step)
+
+
 class TestRecomputeSum:
     def test_fresh_state_stays_zero(self):
         obj = _tiny_logistic()
@@ -223,9 +227,13 @@ class TestRecomputeSum:
 
     @settings(max_examples=40, deadline=None)
     @given(rows=st.integers(1, 6), p=st.integers(1, 3), updates=st.integers(0, 300),
-           scale=st.sampled_from([1e-3, 1.0, 1e8]), seed=st.integers(0, 2**16))
-    @example(rows=5, p=3, updates=1_000_000, scale=1.0, seed=0)
-    def test_drift_after_many_updates(self, rows, p, updates, scale, seed):
+           scale=st.sampled_from([1e-3, 1.0, 1e8]), seed=st.integers(0, 2**16),
+           steps=st.just(TABLE_STEPS))
+    @example(rows=5, p=3, updates=20_000, scale=1.0, seed=0, steps=TABLE_STEPS)
+    # the three kinds share one slot refresh, and every other example holds
+    # each of them to the same replay, so the million updates run SSAG's alone
+    @example(rows=5, p=3, updates=1_000_000, scale=1.0, seed=0, steps=(ssag_step,))
+    def test_drift_after_many_updates(self, rows, p, updates, scale, seed, steps):
         # Each table kind's step refreshes slot j as a = fl(s - t_j), then
         # s' = fl(a + g).  In round-to-nearest binary64, fl(x op y) =
         # (x op y) / (1 + d) with |d| <= u = 2^-53, so each operation errs by
@@ -263,7 +271,7 @@ class TestRecomputeSum:
         exact = np.array([math.fsum(col) for col in final_table.T])
         assert np.all(np.abs(final_sum - exact) <= drift + u * np.abs(exact))
         rounding = gamma * np.abs(final_table).sum(axis=0) + u * np.abs(exact)
-        for step in (sag_step, saga_step, ssag_step):
+        for step in steps:
             # slot j is SAG's and SAGA's sample and SSAG's class
             state, obj = State(W=np.zeros(p), table=table.copy(), h=0.1), _RowFeed(draws)
             for j, idx in zip(slots.tolist(), slots[:, None]):
@@ -603,7 +611,7 @@ class TestDivergenceDetection:
         assert rec.diverged
         assert len(rec) < 201
 
-    @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+    @pytest.mark.parametrize("kind", SPECS)
     @settings(max_examples=15, deadline=None)
     @given(objective=st.sampled_from(["logistic", "ridge", "quadratic", "mlp"]),
            p=st.sampled_from([3, 12]), h=st.sampled_from([0.0, 0.05, 1e6]),
@@ -649,7 +657,7 @@ def _guard_verdict(W):
     segment of steps, accepts W; `core.as_params` must agree."""
     verdict = all_finite(W)
     with contextlib.nullcontext() if verdict else pytest.raises(ValueError, match="non-finite"):
-        ssag.as_params(W)
+        ssag.as_params(W, W.size)
     return verdict
 
 
@@ -790,7 +798,7 @@ class TestRunLoop:
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
     @pytest.mark.parametrize("kind, cadence, h, options, injected", [
-        *[(kind, cadence, 1e6, {}, None) for kind in OPTIMIZER_KINDS for cadence in (1, 7, 100)],
+        *[(kind, cadence, 1e6, {}, None) for kind in SPECS for cadence in (1, 7, 100)],
         *[("svrg", cadence, 1e100, {"m": 2}, None) for cadence in (1, 7, 100)],
         ("svrg", 1000, 1e6, {"m": 2}, None), ("saga", 100, 1e6, {"prox_l1": 0.5}, None),
         *[("fgd", 3, 0.1, {}, injected) for injected in (

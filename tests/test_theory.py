@@ -124,7 +124,6 @@ class TestRates:
     def test_worked_values(self):
         assert ssag.ssag_rate(1.0, 1.0, 2) == 0.9375
         assert ssag.sag_rate(1.0, 1.0, 100) == 0.99875
-        assert ssag.saga_rate(1.0, 1.0, 100) == pytest.approx(1.0 - 1.0 / 202.0, rel=1e-15)
 
     def test_equal_when_classes_equal_samples(self):
         assert ssag.ssag_rate(0.3, 2.0, 50) == ssag.sag_rate(0.3, 2.0, 50)
