@@ -105,7 +105,7 @@ class Dataset:
 
     ``labels`` holds class indices for classification data or real targets
     for regression; features and real targets must be finite.  The cells of
-    the ``partition`` passed in are disjoint row indices covering all rows.
+    the ``partition`` passed in are disjoint 1-D row indices covering all rows.
     The stratum layout is derived once, read-only: ``order`` (the cells
     joined), ``class_counts``, ``starts`` (where each cell begins in
     ``order``), ``class_of`` (row index -> class index), and ``partition[j]``
@@ -147,6 +147,9 @@ class Dataset:
         for k, cell in enumerate(cells):
             if cell is None:
                 raise ValueError(f"partition cell {k} holds an entry that is not an integer")
+            if cell.ndim != 1:
+                raise ValueError(
+                    f"partition cell {k} must be one-dimensional, got shape {cell.shape}")
         if len(cells) < 1:
             raise ValueError("partition needs at least one class")
         order = np.concatenate(cells)

@@ -577,8 +577,8 @@ class Mlp(Objective):
         layers = self._layers(W)
         grad = np.empty(self.dim)
         for k, (g_weight, g_bias) in reversed(list(enumerate(self._layers(grad)))):
-            g_weight[...] = delta.T @ acts[k]
-            g_bias[...] = delta.sum(axis=0)
+            np.matmul(delta.T, acts[k], out=g_weight)
+            np.add.reduce(delta, 0, out=g_bias)
             if k > 0:
                 a = acts[k]
                 delta = (delta @ layers[k][0]) * a * (1.0 - a)

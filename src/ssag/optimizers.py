@@ -13,16 +13,16 @@ of the C slots.  Under class imbalance that direction targets the
 class-balanced gradient, not the sample-weighted full gradient; the update is
 implemented literally as specified.
 
-Each step writes through buffers its `State` owns.  SSAG, SAG and SAGA park
-``table_sum - slot`` in a scratch row and have the kernel write the new
-gradient straight into the drawn slot; the other kinds' kernels write into a
-scratch row.  The roundings keep the plain formulas' order, so every
-trajectory keeps its bits, and a step whose kernel raises leaves W, the
-table, its sum and the step count as they were.  The update formulas are
-whole-row ufunc calls, which broadcast over a leading seed axis as written.
-No step checks that W stays finite.  Every kind's next W is W - d, or its
-soft threshold, so a non-finite entry stays so, and `run` checks W once at
-the end of each segment of steps between its boundaries.
+A step writes only buffers its `State` owns, W included, and returns nothing.
+SSAG, SAG and SAGA park ``table_sum - slot`` in a scratch row and have the
+kernel write the new gradient straight into the drawn slot; the other kinds'
+kernels write into a scratch row.  The roundings keep the plain formulas'
+order, so every trajectory keeps its bits, and a step whose kernel raises
+leaves W, the table, its sum and the step count as they were.  The update
+formulas are whole-row ufunc calls, which broadcast over a leading seed axis
+as written.  No step checks that W stays finite.  Every kind's next W is
+W - d, or its soft threshold, so a non-finite entry stays so, and `run`
+checks W once at the end of each segment of steps between its boundaries.
 
 A step's cost is its numpy dispatch, so the steps call each ufunc through a
 module-level name with its output passed positionally, and read a repeated
@@ -70,16 +70,17 @@ class State:
     batch reaches it through its draw (`OptimizerSpec.source`) and a kind's
     evaluations are `OptimizerSpec.evals`, so the state keeps neither.
 
-    The steps' operands are made here: ``h`` and ``h / slots`` as 0-d arrays
-    (``slots`` is the table's row count, N for SAGA) and two scratch rows of
-    W's shape.  So ``h`` and ``table`` are read-only: assigning either raises
-    AttributeError.  The slots stay writable; the steps read the table as
-    ``_table``.
+    The steps' operands are made here: ``W``, a float copy of the W passed
+    in, which each step overwrites with the next iterate; ``h`` and
+    ``h / slots`` as 0-d arrays (``slots`` is the table's row count, N for
+    SAGA); and three scratch rows of W's shape.  So ``h`` and ``table`` are
+    read-only: assigning either raises AttributeError.  The slots stay
+    writable; the steps read the table as ``_table``.
     """
 
     def __init__(self, W: np.ndarray, h: float, table: np.ndarray | None = None,
                  m: int | None = None, prox_l1: float | None = None):
-        self.W, self.m, self.prox_l1, self.steps = W, m, prox_l1, 0
+        self.W, self.m, self.prox_l1, self.steps = np.array(W, float), m, prox_l1, 0
         self._table = table = np.zeros((0, W.size)) if table is None else table
         self.table_sum = table.sum(axis=0)
         self.snapshot = self.snapshot_grad = None
@@ -87,7 +88,7 @@ class State:
         self._h = operand(h)
         self._h_per_slot = operand(h / max(slots, 1))
         self._slots = operand(slots)
-        self._scratch = tuple(np.empty((2, *W.shape)))  # two rows, as views
+        self._scratch = tuple(np.empty((3, *self.W.shape)))  # three rows, as views
 
     @property
     def h(self) -> float:
@@ -98,30 +99,22 @@ class State:
         return self._table
 
 
-def _commit(state: State, W: np.ndarray) -> State:
-    """Accept the next iterate, finite or not, and count the step."""
-    state.W = W
-    state.steps += 1
-    return state
-
-
-def recompute_sum(state: State) -> State:
+def recompute_sum(state: State) -> None:
     """Overwrite the running sum in place with the exact table sum (zeros if empty)."""
     add.reduce(state._table, 0, None, state.table_sum)
-    return state
 
 
-def _table_average_step(state: State, slot: np.ndarray) -> State:
-    """Finish a slot refresh, the sum rounded as ``table_sum - old + new``
-    from the first scratch row, and step W <- W - (h/slots) * sum of all
-    slots.  The next W is a fresh array; the previous one is left as it was."""
-    table_sum = state.table_sum
+def _table_average_step(state: State, slot: np.ndarray) -> None:
+    """SSAG's and SAG's tail: finish a slot refresh, the sum rounded as
+    ``table_sum - old + new`` from the first scratch row, and write
+    W - (h/slots) * sum of all slots over W, the product in the second."""
+    table_sum, W = state.table_sum, state.W
     add(state._scratch[0], slot, table_sum)
-    W = multiply(table_sum, state._h_per_slot)
-    return _commit(state, subtract(state.W, W, W))
+    subtract(W, multiply(table_sum, state._h_per_slot, state._scratch[1]), W)
+    state.steps += 1
 
 
-def ssag_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
+def ssag_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> None:
     """One SSAG update: refresh one class slot, move along the slot mean.
 
     Takes the step's draw, class j and n of its samples drawn without
@@ -132,10 +125,10 @@ def ssag_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
     slot = state._table[j]
     subtract(state.table_sum, slot, state._scratch[0])
     obj.grad_class_batch(state.W, j, idx, slot)
-    return _table_average_step(state, slot)
+    _table_average_step(state, slot)
 
 
-def sag_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
+def sag_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> None:
     """One SAG update: SSAG over the N singleton strata {i}.
 
     The draw of one sample i from the population is the stratum draw, since
@@ -145,7 +138,7 @@ def sag_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
     slot = state._table[idx.item()]
     subtract(state.table_sum, slot, state._scratch[0])
     obj.grad_batch(state.W, idx, slot)
-    return _table_average_step(state, slot)
+    _table_average_step(state, slot)
 
 
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
@@ -153,31 +146,31 @@ def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
-def saga_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
+def saga_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> None:
     """One SAGA update with optional L1 prox, on the drawn sample i.
 
     The candidate uses the pre-update slot value and table mean:
     W - h * (G_i(W) - phi_i + sum/N).  The slot is refreshed as SAG's is, with
     -phi_i kept in a scratch row: G_i(W) + (-phi_i) rounds as G_i(W) - phi_i,
-    signed zeros included.  The table has N rows, so N is the slot count.
-    It does not check that W stays finite.
+    signed zeros included.  The table has N rows, so N is the slot count, and
+    the mean sum/N goes in the third scratch row.  The L1 prox writes into W.
     """
-    W0, table_sum, slot = state.W, state.table_sum, state._table[idx.item()]
-    rest, d = state._scratch
+    W, table_sum, slot = state.W, state.table_sum, state._table[idx.item()]
+    rest, d, mean = state._scratch
     subtract(table_sum, slot, rest)
     negative(slot, d)
-    obj.grad_batch(W0, idx, slot)
+    obj.grad_batch(W, idx, slot)
     add(slot, d, d)
-    W = divide(table_sum, state._slots)
-    multiply(add(d, W, d), state._h, d)
-    subtract(W0, d, W)
+    divide(table_sum, state._slots, mean)
+    multiply(add(d, mean, d), state._h, d)
+    subtract(W, d, W)
     add(rest, slot, table_sum)
     if state.prox_l1 is not None:
-        W = soft_threshold(W, state.h * state.prox_l1)
-    return _commit(state, W)
+        W[...] = soft_threshold(W, state.h * state.prox_l1)
+    state.steps += 1
 
 
-def svrg_outer(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
+def svrg_outer(state: State, obj: Objective, j: int, idx: np.ndarray) -> None:
     """One SVRG inner step W <- W - h * (G_i(W) - G_i(snapshot) + snapshot_grad)
     on the drawn sample i.
 
@@ -196,16 +189,17 @@ def svrg_outer(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
             state.snapshot_grad = obj.grad_full(state.snapshot)
         elif state.snapshot is None:
             raise ValueError("SVRG's first snapshot needs a finite W")
-    g, g_snapshot = state._scratch
+    g, g_snapshot = state._scratch[:2]
     W = state.W
     obj.grad_batch(W, idx, g)
     obj.grad_batch(state.snapshot, idx, g_snapshot)
     subtract(g, g_snapshot, g)
     add(g, state.snapshot_grad, g)
-    return _commit(state, subtract(W, multiply(g, state._h, g)))
+    subtract(W, multiply(g, state._h, g), W)
+    state.steps += 1
 
 
-def minibatch_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> State:
+def minibatch_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> None:
     """One mini-batch update W <- W - h * mean gradient of the samples ``idx``,
     n drawn uniformly without replacement.
 
@@ -216,7 +210,8 @@ def minibatch_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> Sta
     """
     W = state.W
     g = obj.grad_batch(W, idx, state._scratch[0])
-    return _commit(state, subtract(W, multiply(g, state._h, g)))
+    subtract(W, multiply(g, state._h, g), W)
+    state.steps += 1
 
 
 #: A full-gradient step (on ``dataset.rows``) and an SGD step (on one

@@ -59,7 +59,15 @@ class TestDataset:
         (lambda: ssag.Dataset(np.eye(2), np.zeros(2), ([0], [np.True_])),
          "cell 1 holds an entry that is not an integer"),
         (lambda: ssag.Dataset(np.eye(2), np.zeros(2), ([0, np.nan], [1])),
-         "cell 0 holds an entry that is not an integer")])
+         "cell 0 holds an entry that is not an integer"),
+        # numpy's concatenate refused the first two; the third covers the
+        # rows but was refused as not disjoint and covering
+        (lambda: ssag.Dataset(np.eye(2), np.zeros(2), (np.array([[0]]), np.array([1]))),
+         r"cell 0 must be one-dimensional, got shape \(1, 1\)"),
+        (lambda: ssag.Dataset(np.eye(3), np.zeros(3), (np.arange(2), 2)),
+         r"cell 1 must be one-dimensional, got shape \(\)"),
+        (lambda: ssag.Dataset(np.eye(2), np.zeros(2), (np.array([[0], [1]]),)),
+         r"cell 0 must be one-dimensional, got shape \(2, 1\)")])
     def test_construction_rejections(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()

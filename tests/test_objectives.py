@@ -835,6 +835,35 @@ class TestMlp:
         batch = obj.grad_batch(W, idx)
         assert np.linalg.norm(batch - mean_rows) <= 1e-12 * max(1.0, np.linalg.norm(batch))
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_gradient_views_get_the_bytes_of_the_temporaries(self, n):
+        # each layer's gradient is written straight into its view of the
+        # gradient; it must hold the bytes of delta.T @ acts[k] and
+        # delta.sum(axis=0) formed apart and copied in.  Zero pixels make
+        # zero products: BLAS gives them +0.0, where a broadcast multiply
+        # gives -0.0 for a negative delta, and at lam = 0 half of those
+        # would survive the + lam * W
+        rng = np.random.default_rng(5)
+        X = rng.uniform(0.0, 1.0, size=(30, 40))
+        X[rng.random(X.shape) < 0.6] = 0.0
+        y = np.arange(30) % 3
+        obj = ssag.Mlp(ssag.Dataset.from_class_labels(X, y), hidden=(7, 5))
+        W = obj.init_params(seed=2)
+        idx = np.sort(rng.choice(30, size=n, replace=False))
+        acts, logits = obj._forward(W, X[idx])
+        delta = np.exp(obj._log_softmax(logits))
+        delta[np.arange(n), y[idx]] -= 1.0
+        delta /= n
+        layers, expected = obj._layers(W), np.empty(obj.dim)
+        for k, (g_weight, g_bias) in reversed(list(enumerate(obj._layers(expected)))):
+            g_weight[...] = delta.T @ acts[k]
+            g_bias[...] = delta.sum(axis=0)
+            if k > 0:
+                delta = (delta @ layers[k][0]) * acts[k] * (1.0 - acts[k])
+        expected += obj.lam * W
+        assert (expected == 0).any()
+        assert obj.grad_batch(W, idx).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("indices", [[0.5, 1.7], np.array([2.0, 3.0])])
     def test_grad_samples_rejects_non_integer_indices(self, indices):
         # as the linear models' grad_samples does; a forced int64 cast took

@@ -307,6 +307,35 @@ class TestFixedFields:
         assert state.table.tolist() == [[0.0, 0.0], [1.0, -1.0]]
 
 
+class TestStateOwnsW:
+    """A state copies the W it is given, once, and every step writes the
+    next iterate into that copy and returns nothing."""
+
+    @pytest.mark.parametrize("kind, options", [
+        ("ssag", {}), ("sag", {}), ("saga", {}), ("saga", {"prox_l1": 0.05}),
+        ("svrg", {"m": 2}), ("fgd", {})], ids=["ssag", "sag", "saga", "saga-prox", "svrg", "fgd"])
+    def test_steps_write_the_state_s_own_W(self, kind, options):
+        # SVRG refreshes its snapshot at steps 0, 2 and 4; FGD steps on
+        # dataset.rows
+        obj = _tiny_logistic()
+        W0 = np.array([0.3, -0.2])
+        step = getattr(optimizers, SPECS[kind].step)
+        slots = SPECS[kind].slots(obj.dataset)
+        a, b = (State(W=W0, h=0.3, table=np.zeros((slots, 2)), **options) for _ in range(2))
+        W = a.W
+        draws = _draws(kind, obj, 5, RngStream(4))
+        for j, idx in draws:
+            returned = step(a, obj, j, idx)
+            assert a.W is W
+            assert returned is None
+        # a moved, while the caller's W0 and b's copy of it did not
+        assert not np.array_equal(a.W, W0)
+        assert W0.tolist() == [0.3, -0.2] and b.W.tolist() == [0.3, -0.2]
+        for j, idx in draws:
+            step(b, obj, j, idx)
+        assert b.W.tobytes() == a.W.tobytes() and a.steps == b.steps == 5
+
+
 class TestFgd:
     def test_stationary_at_optimum(self, line_ridge):
         w_star = ssag.reference_optimum(line_ridge)
