@@ -134,6 +134,10 @@ class ExperimentConfig:
             raise ConfigError("exactly one of 'passes' or 'steps' must be set")
         data = self.dataset
         test_split = data.get("test_path") or data.get("test_images")
+        if data["kind"] == "idx" and (bool(test_split) != bool(data.get("test_labels"))
+                                      or not test_split and data.get("test_limit")):
+            raise ConfigError("dataset idx: test_images and test_labels name one test split, "
+                              "so set both or neither; test_limit needs both")
         if data["kind"] == "synthetic":
             try:
                 test_split = _synthetic_specs(data)[1]

@@ -205,8 +205,8 @@ def read_text(path, *, add_bias: bool = False) -> Dataset:
         p = int(header["p"])
         C = int(header["C"])
         label_kind = header.get("labels", "int")
-        if p < 0:
-            raise ValueError("negative p")
+        if p < 1:
+            raise ValueError("no feature")
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: malformed header {first[1]!r}") from exc
     if label_kind not in ("int", "real"):
@@ -229,7 +229,7 @@ def read_text(path, *, add_bias: bool = False) -> Dataset:
             raise FormatError(f"{path}:{ln_no}: label {cells[p]} is not a class in [0, {C})")
         features[i, :p] = values[:p]
         labels[i] = values[p]
-    if N * p == 0:
+    if N == 0:
         raise FormatError(f"{path}: no samples")
     if label_kind == "real" and C != 1:
         raise FormatError(f"{path}: real labels form one class, but the header declares C={C}")

@@ -203,9 +203,6 @@ class RngStream:
         bitgen.state = state
         return strata, positions
 
-    def __repr__(self):
-        return f"RngStream(seed={self.seed})"
-
 
 def sample_class(rng: RngStream, num_classes: int) -> int:
     """Uniform class index from {0..C-1}; one draw, none when C = 1."""

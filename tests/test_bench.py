@@ -105,6 +105,12 @@ class TestExperimentConfig:
         ("dataset", {"kind": "synthetic", "means": [[1.0], [-1.0]], "counts": [5, 5],
                      "test_seed": "x"}, False),
         ("dataset", {"kind": "idx", "images": "a", "labels": "b", "limit": 0}, False),
+        # the two test files name one split, and test_limit limits it
+        ("dataset", {"kind": "idx", "images": "a", "labels": "b", "test_images": "c"}, False),
+        ("dataset", {"kind": "idx", "images": "a", "labels": "b", "test_labels": "d"}, False),
+        ("dataset", {"kind": "idx", "images": "a", "labels": "b", "test_limit": 5}, False),
+        ("dataset", {"kind": "idx", "images": "a", "labels": "b", "test_images": "c",
+                     "test_labels": "d", "test_limit": 5}, True),
         ("dataset", {"kind": "text", "path": 3}, False),
         ("dataset", {"kind": "text", "path": "a", "add_bias": "yes"}, False),
         ("objective", {"kind": "logistic", "lam": "abc"}, False),
@@ -451,6 +457,18 @@ class TestPlot:
         with pytest.raises(SsagError):
             emit_plot([("bad", np.arange(3.0), np.zeros(3))], tmp_path / "p.svg")
 
+    @pytest.mark.parametrize("x, y", [([2.0, 2.0], [1.0, 0.5]), ([0.0, 1.0, 2.0], [100.0] * 3)],
+                             ids=["one-x", "one-decade"])
+    def test_a_zero_span_axis_still_plots(self, tmp_path, x, y):
+        # a single x value, or every y in one power of ten, spans no range of
+        # its axis; the axis widens by one unit or one decade
+        path = emit_plot([("s", np.array(x), np.array(y))], tmp_path / "p.svg")
+        root = ET.parse(path).getroot()
+        polys = [el for el in root.iter() if el.tag.endswith("polyline")]
+        assert len(polys) == 1
+        points = [pt.split(",") for pt in polys[0].attrib["points"].split()]
+        assert len(points) == len(x) and np.isfinite(np.array(points, float)).all()
+
     def test_nonpositive_points_dropped(self, tmp_path):
         y = np.array([1.0, 0.0, np.nan, 0.5])
         path = emit_plot([("s", np.arange(4.0), y)], tmp_path / "p.svg")
@@ -479,6 +497,10 @@ class TestBuildDataset:
             "images": str(tmp_path / "tr-im"), "labels": str(tmp_path / "tr-lb"),
             "test_images": str(tmp_path / "te-im"), "test_labels": str(tmp_path / "te-lb")})
         assert train.n_samples == 20 and test.n_samples == 10
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigError, match="unknown dataset kind 'csv'"):
+            build_dataset({"kind": "csv", "path": "d.csv"})
 
 
 class TestCli:
@@ -585,6 +607,20 @@ class TestCli:
         root = ET.parse(plot).getroot()
         assert len([el for el in root.iter() if el.tag.endswith("polyline")]) == 1
         assert f"plot written to {plot}" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_run_warns_of_a_diverged_seed(self, tmp_path, capsys, monkeypatch):
+        # the second of two seeds runs at a step size that diverges
+        run_seeds = ssag.bench.run_seeds
+        monkeypatch.setattr(ssag.bench, "run_seeds", lambda config, obj, seeds, **kwargs: [
+            *run_seeds(config, obj, seeds[:1], **kwargs),
+            *run_seeds(replace(config, h=1e9), obj, seeds[1:], **kwargs)])
+        cfg = self._write_config(tmp_path, seeds=[1, 2])
+        with pytest.warns(RuntimeWarning, match="diverged"):
+            assert cli(["run", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("ssag: 2 runs") and out[1] == "warning: 1 runs diverged"
 
     def test_run_zero_step_budget(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, steps=0, seeds=[1])

@@ -42,6 +42,13 @@ class TestIdx:
         assert np.array_equal(ds.features, expected)
         assert ds.labels.tolist() == labels.tolist()
 
+    @pytest.mark.parametrize("shape", [(4, 16), (4, 2, 2, 1)])
+    def test_write_refuses_images_not_a_stack_of_matrices(self, tmp_path, shape):
+        labels = np.arange(4, dtype=np.uint8)
+        with pytest.raises(ValueError, match=r"\(n, rows, cols\)"):
+            write_idx(tmp_path / "im", tmp_path / "lb", np.zeros(shape, np.uint8), labels)
+        assert not (tmp_path / "im").exists()
+
     def test_absent_digit_rejected(self, tmp_path):
         images = np.zeros((4, 2, 2), dtype=np.uint8)
         img, lab = tmp_path / "im", tmp_path / "lb"
@@ -345,7 +352,8 @@ class TestTextFormat:
         ("p=1,C=2,labels=real\n0.5,0\n1.5,nan\n", "bad.txt:3: non-finite cell"),
         ("p=1,C=3,labels=int\n0.5,0\n1.5,1\n", "bad.txt: classes [2] occur in none"),
         ("p=1,C=1,labels=real\n", "bad.txt: no samples"),
-    ], ids=["feature", "target", "absent-class", "header-only"])
+        ("p=0,C=1,labels=real\n0.5\n1.0\n1.5\n", "bad.txt: malformed header 'p=0,C=1"),
+    ], ids=["feature", "target", "absent-class", "header-only", "no-features"])
     @pytest.mark.parametrize("command", ["estimate-constants", "run"])
     def test_bad_data_file_is_a_usage_error_in_the_cli(self, tmp_path, capsys, body, message,
                                                        command):

@@ -1,46 +1,89 @@
-"""The summary of tools/step_costs.py on fixed and recorded numbers, its A/A
-leg, and its state digest."""
+"""tools/step_costs.py: its child's cells, its state digest, and its report
+through the summary of tools/bench_pairs.py on fixed and recorded numbers,
+with and without an A/A leg."""
 
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ssag.optimizers import State
+from ssag.optimizers import SPECS, State
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-# tools/step_costs.py
+REPO = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(REPO / "tools"), str(REPO / "perfbench")]
+# tools/step_costs.py, tools/bench_pairs.py and perfbench/workloads.py
 import step_costs  # noqa: E402
-from step_costs import _state_digest, format_summary, summarize  # noqa: E402
+from bench_pairs import Run, format_summary, summarize  # noqa: E402
+from step_costs import _state_digest  # noqa: E402
+from workloads import LargeNCompare  # noqa: E402
 
 
 def _child(ssag_us, sgd_us, digest="abc"):
     """One child's output: two kinds on one geometry."""
-    return {"p = 5": {"ssag": [ssag_us, digest], "sgd": [sgd_us, "def"]}}
+    return {"p = 5 ssag": [ssag_us, digest], "p = 5 sgd": [sgd_us, "def"]}
 
 
-def test_median_round_per_side_and_ratio():
+def _main(monkeypatch, tmp_path, outputs, *argv):
+    """`step_costs.main` on a checkout per side of ``outputs``, whose
+    children print their lists of child outputs in turn."""
+    for side in outputs:
+        (tmp_path / side).mkdir()
+
+    def child_stdout(cmd, checkout, ok=(0,)):
+        return "a child's log line\n" + json.dumps(outputs[checkout.name].pop(0)) + "\n"
+
+    monkeypatch.setattr(step_costs, "child_stdout", child_stdout)
+    return step_costs.main([arg for side in outputs for arg in (f"--{side}", str(tmp_path / side))]
+                           + list(argv))
+
+
+def test_a_child_times_each_drawing_kind_of_large_n_compare():
+    # a real child on this checkout's sources: every kind of large-n-compare
+    # whose step takes a draw, in its order, on both geometries, and the same
+    # final states when run again
+    run = step_costs.run_child(REPO, steps=2, repeats=1, seed=1)
+    kinds = [kind for kind, _ in LargeNCompare.KINDS if kind != "fgd"]
+    assert SPECS["fgd"].source(None, 1) is None
+    assert list(run.metrics) == [f"{geometry} {kind}" for geometry in ("p = 5", "p = 20")
+                                 for kind in kinds]
+    assert all(us > 0 for us in run.metrics.values()) and run.correct
+    assert len(set(run.digests)) == len(run.metrics)
+    assert step_costs.run_child(REPO, steps=2, repeats=1, seed=1).digests == run.digests
+
+
+def test_medians_and_shift_through_the_shared_summary(monkeypatch, capsys, tmp_path):
     # each child's time is its fastest repeat; a side's figure is their median
-    runs = {"parent": [_child(6.5, 4.4), _child(6.3, 4.6), _child(6.7, 4.3)],
-            "change": [_child(5.9, 4.5), _child(6.1, 4.0), _child(5.8, 4.2)]}
-    ssag, sgd = summarize(runs)
-    assert (ssag["geometry"], ssag["kind"]) == ("p = 5", "ssag")
-    assert (ssag["parent_us"], ssag["change_us"]) == (6.5, 5.9)
-    assert ssag["ratio"] == 5.9 / 6.5
-    assert (sgd["parent_us"], sgd["change_us"]) == (4.4, 4.2)
-    assert ssag["same_w"] and sgd["same_w"]
-    assert "verdict" not in ssag
+    outputs = {"parent": [_child(6.5, 4.4), _child(6.3, 4.6), _child(6.7, 4.3)],
+               "change": [_child(5.9, 4.5), _child(6.1, 4.0), _child(5.8, 4.2)]}
+    assert _main(monkeypatch, tmp_path, outputs, "--rounds", "3") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "pair 0 parent: p = 5 ssag 6.500, p = 5 sgd 4.400"
+    ssag = next(line for line in out if line.startswith("p = 5 ssag "))
+    # median 6.5 against 5.9, IQR 6.6 - 6.4; the change won all three rounds
+    assert ssag.split()[4:] == ["us", "6.5", "0.2", "5.9", "-9.23%", "3/3", "lower"]
+    assert not any(line.startswith(("verdict", "final state")) for line in out)
+    assert out[-2].startswith("records digests: same in every run")
 
 
-def test_one_differing_digest_marks_the_kind():
-    runs = {"parent": [_child(6.5, 4.4), _child(6.3, 4.6), _child(6.6, 4.5)],
-            "change": [_child(5.9, 4.5), _child(6.1, 4.0, digest="abd"), _child(6.0, 4.2)]}
-    ssag, sgd = summarize(runs)
-    assert not ssag["same_w"] and sgd["same_w"]
-    lines = format_summary([ssag, sgd]).splitlines()
-    assert lines[1].split() == ["p", "=", "5", "ssag", "6.50", "6.00", "0.923", "DIFFER"]
-    assert lines[2].split()[-1] == "same"
+def test_a_differing_digest_names_its_cell_and_fails(monkeypatch, capsys, tmp_path):
+    outputs = {"parent": [_child(6.5, 4.4), _child(6.3, 4.6), _child(6.6, 4.5)],
+               "change": [_child(5.9, 4.5), _child(6.1, 4.0, digest="abd"), _child(6.0, 4.2)]}
+    assert _main(monkeypatch, tmp_path, outputs, "--rounds", "3") == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("final state")] == [
+        "final state DIFFERS: p = 5 ssag"]
+    assert "records digests: DIFFER between runs: abc abd def" in out
+
+
+def test_ten_rounds_by_default(monkeypatch, capsys, tmp_path):
+    outputs = {side: [_child(6.0 + r / 10, 4.0) for r in range(10)]
+               for side in ("parent", "change")}
+    assert _main(monkeypatch, tmp_path, outputs) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[19] == "pair 9 parent: p = 5 ssag 6.900, p = 5 sgd 4.000"
+    assert out[20].startswith("10 rounds x 3 repeats")
 
 
 #: Microseconds per p = 5 step of three kinds, each round's fastest of three
@@ -61,37 +104,47 @@ def _replayed(slower=1.10):
     """RECORDED as each side's child outputs, with a fourth kind that is the
     parent's SSAG on the parent and control sides, and ``slower`` times it
     in every round on the change's."""
-    kinds = {side: {**times, "slower": times["ssag"]} for side, times in RECORDED.items()}
-    kinds["change"]["slower"] = [slower * us for us in RECORDED["parent"]["ssag"]]
-    return {side: [{"p = 5": {kind: [us[r], "abc"] for kind, us in times.items()}}
+    kinds = {side: {**times, "slower ssag": times["ssag"]} for side, times in RECORDED.items()}
+    kinds["change"]["slower ssag"] = [slower * us for us in RECORDED["parent"]["ssag"]]
+    return {side: [{f"p = 5 {kind}": [us[r], "abc"] for kind, us in times.items()}
                    for r in range(5)] for side, times in kinds.items()}
 
 
 def test_recorded_rounds_read_inside_and_a_slower_kind_worse():
-    rows = {row["kind"]: row for row in summarize(_replayed())}
+    runs = {side: [Run({cell: us for cell, (us, _) in child.items()},
+                       tuple(digest for _, digest in child.values()), True) for child in children]
+            for side, children in _replayed().items()}
+    cells = [{"name": cell, "unit": "us", "better": "lower"} for cell in runs["parent"][0].metrics]
+    rows = {row["name"]: row for row in summarize(cells, runs)}
     for kind in ("ssag", "sag", "sgd"):
-        assert (rows[kind]["verdict"], rows[kind]["bound"]) == ("inside A/A band", None)
-    assert (rows["slower"]["verdict"], rows["slower"]["bound"]) == ("worse", "the parent's Q3")
-    assert rows["slower"]["ratio"] == pytest.approx(1.10)
-    assert rows["ssag"]["aa_ratio"] == 2.765 / 2.734
-    lines = format_summary(list(rows.values())).splitlines()
-    assert lines[0].split()[-3:] == ["state", "A/A", "verdict"]
-    assert lines[1].endswith("same  1.011 inside A/A band")
-    assert lines[4].endswith("worse, past the parent's Q3")
+        assert (rows[f"p = 5 {kind}"]["verdict"], rows[f"p = 5 {kind}"]["bound"]) == (
+            "inside A/A band", None)
+    slower = rows["p = 5 slower ssag"]
+    assert (slower["verdict"], slower["bound"]) == ("worse", "the parent's Q3")
+    assert slower["change_shift"] == pytest.approx(0.10)
+    assert rows["p = 5 ssag"]["aa_shift"] == 2.765 / 2.734 - 1
+    lines = format_summary(list(rows.values()), runs).splitlines()
+    # the name column widens to the longest cell, the 17 characters of
+    # "p = 5 slower ssag"
+    assert lines[0].startswith(f"{'metric':<17} unit ")
+    assert lines[1].startswith(f"{'p = 5 ssag':<17} us ")
+    # parent Q1 2.732 and Q3 2.938; the control beat the parent in rounds 0,
+    # 3 and 4, and its per-round ratios less 1 have quartiles -5.68 % and 1.13 %
+    assert lines[1].split()[4:] == ["us", "2.734", "0.206", "2.755", "+0.77%", "2/5", "+1.13%",
+                                    "6.82%", "3/5", "lower"]
+    inside = [f"verdict p = 5 {kind}: inside A/A band" for kind in ("ssag", "sag", "sgd")]
+    assert lines[5:9] == [*inside, "verdict p = 5 slower ssag: worse, past the parent's Q3"]
 
 
 def test_main_runs_the_control_leg(monkeypatch, capsys, tmp_path):
-    replayed = _replayed()
-    for side in replayed:
-        (tmp_path / side).mkdir()
-    monkeypatch.setattr(step_costs, "run_child",
-                        lambda checkout, steps, repeats, seed: replayed[checkout.name].pop(0))
-    argv = [arg for side in replayed for arg in (f"--{side}", str(tmp_path / side))]
-    assert step_costs.main([*argv, "--rounds", "5"]) == 0
+    assert _main(monkeypatch, tmp_path, _replayed(), "--rounds", "5") == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == "pair 0 parent: p = 5: ssag 3.620 sag 2.728 sgd 2.033 slower 3.620"
-    assert out[-1].endswith("worse, past the parent's Q3")
-
+    assert out[0] == ("pair 0 parent: p = 5 ssag 3.620, p = 5 sag 2.728, p = 5 sgd 2.033, "
+                      "p = 5 slower ssag 3.620")
+    assert [line.split(":")[0] for line in out[3:6]] == [
+        "pair 1 control", "pair 1 change", "pair 1 parent"]
+    assert "verdict p = 5 slower ssag: worse, past the parent's Q3" in out
+    assert out[-1] == "runs with a failed check: 0"
 
 
 def test_state_digest_covers_the_table_and_its_sum():

@@ -286,6 +286,12 @@ class TestReferenceOptimum:
         w = ssag.reference_optimum(two_class_logistic)
         assert np.linalg.norm(two_class_logistic.grad_full(w)) <= 1e-10
 
+    def test_logistic_polish_out_of_iterations_raises(self, monkeypatch, two_class_logistic):
+        # one Newton step from zero does not reach the tolerance
+        monkeypatch.setattr(ssag.objectives, "OPTIMUM_MAX_ITER", 1)
+        with pytest.raises(SsagError, match="within 1 iterations"):
+            ssag.reference_optimum(two_class_logistic)
+
     def test_logistic_needs_strong_convexity(self, two_class_logistic):
         with pytest.raises(SsagError, match="mu = 0"):
             ssag.reference_optimum(two_class_logistic,

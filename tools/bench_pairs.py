@@ -25,6 +25,17 @@ the control's first quartiles and the higher of their third quartiles, else
 quartile it passed.  The parent and the control are two samples of the same
 code, so a change's median that lies between their ranges tells nothing.
 
+The table has one row per metric: its name and unit, the parent's median
+and IQR, the change's median, shift and wins out of the pairs and, with a
+control, the A/A shift, spread and wins, then the metric's direction.  With
+a control a ``verdict`` line per metric follows; then come the records
+digests and the count of runs with a failed check.  ``tools/step_costs.py``
+prints the same summary, with one metric per geometry and kind and each
+cell's final-state digest among the digests, and adds a ``final state
+DIFFERS: <cell>`` line for each cell whose digest is not the same in every
+run.  Both tools run 10 rounds by default (``--pairs`` here, ``--rounds``
+there).
+
 Every checkout is a file export (``git archive REV | tar -x -C DIR``); a
 directory that holds ``.git`` is refused.  Each run is a child process that
 this script waits for; it leaves nothing running and writes nothing outside
@@ -148,12 +159,16 @@ def same_digests(runs: dict[str, list[Run]]) -> bool:
 
 
 def format_summary(rows, runs) -> str:
+    """The summary table of `summarize`'s ``rows``, its name column as wide as
+    the longest name but never under 12, then each row's verdict when
+    ``runs`` has a control leg, the records digests and the failed runs."""
     control = CONTROL in runs
-    lines = [f"{'metric':<12} {'unit':<5} {'parent median':>14} {'parent IQR':>11} "
+    width = max([12, *(len(row["name"]) for row in rows)])
+    lines = [f"{'metric':<{width}} {'unit':<5} {'parent median':>14} {'parent IQR':>11} "
              f"{'change median':>14} {'change shift':>13} {'change wins':>12}"
              + (f" {'A/A shift':>10} {'A/A spread':>11} {'A/A wins':>9}" if control else "")]
     for row in rows:
-        lines.append(f"{row['name']:<12} {row['unit']:<5} {row['parent_median']:>14.6g} "
+        lines.append(f"{row['name']:<{width}} {row['unit']:<5} {row['parent_median']:>14.6g} "
                      f"{row['parent_iqr']:>11.4g} {row['change_median']:>14.6g} "
                      f"{row['change_shift']:>+13.2%} {row['change_wins']:>5}/{row['pairs']:<6}"
                      + (f" {row['aa_shift']:>+10.2%} {row['aa_spread']:>11.2%} "
@@ -184,11 +199,14 @@ def export_dir(value: str) -> Path:
 
 def pair_parser(description: str) -> argparse.ArgumentParser:
     """A parser that takes the two checkouts, ``--parent DIR --change DIR``,
-    each a directory without ``.git`` (`export_dir`)."""
+    and the optional A/A leg, ``--control DIR``, each a directory without
+    ``.git`` (`export_dir`)."""
     p = argparse.ArgumentParser(description=description)
     for side in SIDES:
         p.add_argument(f"--{side}", type=export_dir, required=True,
                        help=f"the {side} checkout, a `git archive` export")
+    p.add_argument(f"--{CONTROL}", type=export_dir,
+                   help="a second export of the parent, run as an A/A leg")
     return p
 
 
@@ -210,7 +228,7 @@ def alternate(args, rounds: int, run_one, describe) -> dict[str, list]:
     rounds, and the reverse order in odd rounds, so that each side runs
     before each other side in half of the rounds.  Each run's
     ``describe(result)`` is printed as it ends."""
-    sides = SIDES + ((CONTROL,) if getattr(args, CONTROL, None) is not None else ())
+    sides = SIDES + ((CONTROL,) if args.control is not None else ())
     runs = {side: [] for side in sides}
     for round_no in range(rounds):
         for side in sides if round_no % 2 == 0 else sides[::-1]:
@@ -230,8 +248,6 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Run:
 
 def main(argv=None) -> int:
     p = pair_parser(__doc__.splitlines()[0])
-    p.add_argument(f"--{CONTROL}", type=export_dir,
-                   help="a second export of the parent, run as an A/A leg")
     p.add_argument("--workload", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--seconds", type=float, required=True)

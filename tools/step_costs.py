@@ -1,7 +1,7 @@
 """Microseconds per optimizer step, for each kind, in two checkouts.
 
     python3 tools/step_costs.py --parent DIR --change DIR [--control DIR] \
-        --rounds 5 --steps 20000
+        --rounds 10 --steps 20000
 
 Each round starts one child process per checkout, one after the other, by
 `bench_pairs.alternate`: parent, change (and control) in even rounds and the
@@ -9,21 +9,26 @@ reverse order in odd rounds.  A child imports ``ssag`` from its checkout's
 ``src`` and builds the problems of both benchmark workloads by their own
 set-up in its checkout's ``perfbench/workloads.py``: ssag-envelope's
 (N = 200, p = 5) and large-n-compare's (N = 20 000, p = 20), at workload
-seed ``--seed``.  For each kind that takes a per-step draw, it takes
+seed ``--seed``.  It times the kinds of large-n-compare's ``KINDS`` that
+take a per-step draw, with their batch sizes; FGD, whose step is one
+full-data pass, takes none and is left out.  For each kind it takes
 ``--steps`` draws from ``RngStream.take`` first, then times the kind's step
 function over them from a fresh `make_state`, ``--repeats`` times, and keeps
 the fastest, with a digest of the final state: its W, gradient table and
-running sum.  The first step of each timing is SVRG's first snapshot.  FGD
-is left out: its step is one full-data pass.
+running sum.  The first step of each timing is SVRG's first snapshot.
 
-The summary gives, per geometry and kind, each side's median over the
-rounds of a round's fastest repeat, the change's median over the parent's,
-and whether the final state had the same bits in every run on every side.
-``--control`` is a second export of the parent, an A/A leg as in
-`bench_pairs`: the summary then adds the control's median over the parent's
-and the change's `bench_pairs.verdict` against the pooled parent and control
-quartiles, so that one rule judges both tools.  The exit code is 1 when some
-state differs.  Each child is waited for, so nothing is left running.
+Each child's result is a `bench_pairs.Run`: one metric per geometry and
+kind, named like ``p = 5 ssag`` in microseconds per step, lower being
+better, and the final-state digests in the same order.  The summary is
+`bench_pairs`' own, one rule for both tools: per cell, both medians over the
+rounds, the parent's interquartile range, the change's shift and wins and,
+with ``--control`` (an A/A leg, a second export of the parent), the A/A
+shift, spread and wins and the change's verdict against the pooled parent
+and control quartiles.  Rounds default to 10, as ``bench_pairs.py
+--pairs`` does: at 5, three exports of one tree read 3 of 12 cells outside
+the A/A band.  A ``final state DIFFERS: <cell>`` line names each cell whose
+digest is not the same in every run on every side, and the exit code is 1
+when there is one.  Each child is waited for, so nothing is left running.
 """
 
 from __future__ import annotations
@@ -33,11 +38,7 @@ import json
 import sys
 from pathlib import Path
 
-from bench_pairs import (CONTROL, alternate, child_stdout, export_dir, pair_parser,
-                         quartiles, verdict)
-
-#: (kind, batch n) timed in each geometry, as large-n-compare runs them
-KINDS = (("ssag", 1), ("sag", 1), ("sgd", 1), ("saga", 1), ("svrg", 1), ("minibatch", 10))
+from bench_pairs import Run, alternate, child_stdout, format_summary, pair_parser, summarize
 
 
 def _state_digest(state) -> str:
@@ -49,9 +50,9 @@ def _state_digest(state) -> str:
 
 
 def _child(steps: int, repeats: int, seed: int) -> dict:
-    """{geometry: {kind: [us per step, `_state_digest` of the final state]}}
-    in this process, with ``ssag`` and perfbench's ``workloads`` imported
-    from ``sys.path``."""
+    """{cell: [us per step, `_state_digest` of the final state]} in this
+    process, with ``ssag`` and perfbench's ``workloads`` imported from
+    ``sys.path``."""
     import time
 
     import ssag
@@ -65,10 +66,12 @@ def _child(steps: int, repeats: int, seed: int) -> dict:
         # which writes nothing to its output directory
         obj, run_kwargs = workload(seed, tiny=False, out_dir=None).setup()
         constants = run_kwargs["constants"]
-        result[name] = {}
-        for kind, n in KINDS:
+        for kind, n in LargeNCompare.KINDS:
+            source = SPECS[kind].source(obj.dataset, n)
+            if source is None:
+                continue
             config = RunConfig(kind=kind, steps=steps, n=n, seed=seed)
-            strata, indices = ssag.RngStream(seed).take(*SPECS[kind].source(obj.dataset, n), steps)
+            strata, indices = ssag.RngStream(seed).take(*source, steps)
             strata = strata.tolist()
             step = getattr(optimizers, SPECS[kind].step)
             best = float("inf")
@@ -78,72 +81,25 @@ def _child(steps: int, repeats: int, seed: int) -> dict:
                 for s in range(steps):
                     step(state, obj, strata[s], indices[s])
                 best = min(best, time.perf_counter() - t0)
-            result[name][kind] = [best / steps * 1e6, _state_digest(state)]
+            result[f"{name} {kind}"] = [best / steps * 1e6, _state_digest(state)]
     return result
 
 
-def summarize(runs: dict[str, list[dict]]) -> list[dict]:
-    """One row per geometry and kind: each side's median of its rounds'
-    times, the change's ratio to the parent's, and whether every run on
-    every side ended on the same state digest; with a control leg in
-    ``runs``, also the control's ratio to the parent's and the change's
-    `verdict` (lower is better) and its bound."""
-    rows = []
-    for geometry, kinds in runs["parent"][0].items():
-        for kind in kinds:
-            cells = {side: [run[geometry][kind] for run in side_runs]
-                     for side, side_runs in runs.items()}
-            q = {side: quartiles(us for us, _ in cell) for side, cell in cells.items()}
-            digests = {digest for cell in cells.values() for _, digest in cell}
-            row = {"geometry": geometry, "kind": kind, "parent_us": q["parent"][1],
-                   "change_us": q["change"][1], "ratio": q["change"][1] / q["parent"][1],
-                   "same_w": len(digests) == 1}
-            if CONTROL in runs:
-                row["aa_ratio"] = q[CONTROL][1] / q["parent"][1]
-                row["verdict"], row["bound"] = verdict(
-                    row["change_us"], {leg: (q[leg][0], q[leg][2]) for leg in ("parent", CONTROL)},
-                    "lower")
-            rows.append(row)
-    return rows
-
-
-def format_summary(rows) -> str:
-    control = "verdict" in rows[0]
-    lines = [f"{'geometry':<9} {'kind':<10} {'parent us':>10} {'change us':>10} "
-             f"{'change/parent':>14} {'state':>7}" + (f" {'A/A':>6} verdict" if control else "")]
-    for row in rows:
-        line = (f"{row['geometry']:<9} {row['kind']:<10} {row['parent_us']:>10.2f} "
-                f"{row['change_us']:>10.2f} {row['ratio']:>14.3f} "
-                f"{'same' if row['same_w'] else 'DIFFER':>7}")
-        if control:
-            line += f" {row['aa_ratio']:>6.3f} {row['verdict']}"
-            line += f", past {row['bound']}" if row["bound"] else ""
-        lines.append(line)
-    return "\n".join(lines)
-
-
-def describe(result: dict) -> str:
-    """One child's microseconds per step, as its progress line."""
-    return "; ".join(f"{geometry}: " + " ".join(f"{kind} {us:.3f}" for kind, (us, _)
-                                                 in kinds.items())
-                     for geometry, kinds in result.items())
-
-
-def run_child(checkout: Path, steps: int, repeats: int, seed: int) -> dict:
-    """One timing child on ``checkout``'s sources, waited for."""
+def run_child(checkout: Path, steps: int, repeats: int, seed: int) -> Run:
+    """One timing child on ``checkout``'s sources, waited for, as a `Run`."""
     code = (f"import sys, json; sys.path[:0] = [{str(checkout / 'src')!r}, "
             f"{str(checkout / 'perfbench')!r}, {str(Path(__file__).resolve().parent)!r}]; "
             f"import step_costs; "
             f"print(json.dumps(step_costs._child({steps}, {repeats}, {seed})))")
-    return json.loads(child_stdout([sys.executable, "-c", code], checkout).strip()
-                      .splitlines()[-1])
+    cells = json.loads(child_stdout([sys.executable, "-c", code], checkout).strip()
+                       .splitlines()[-1])
+    return Run({cell: us for cell, (us, _) in cells.items()},
+               tuple(digest for _, digest in cells.values()), True)
 
 
 def main(argv=None) -> int:
     p = pair_parser(__doc__.splitlines()[0])
-    p.add_argument(f"--{CONTROL}", type=export_dir,
-                   help="a second export of the parent, run as an A/A leg")
-    p.add_argument("--rounds", type=int, default=5)
+    p.add_argument("--rounds", type=int, default=10)
     p.add_argument("--steps", type=int, default=20_000)
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--seed", type=int, default=1)
@@ -153,11 +109,17 @@ def main(argv=None) -> int:
     runs = alternate(
         args, args.rounds,
         lambda checkout: run_child(checkout.resolve(), args.steps, args.repeats, args.seed),
-        describe)
-    rows = summarize(runs)
+        lambda run: ", ".join(f"{cell} {us:.3f}" for cell, us in run.metrics.items()))
+    cells = list(runs["parent"][0].metrics)
     print(f"{args.rounds} rounds x {args.repeats} repeats of {args.steps} steps, seed {args.seed}")
-    print(format_summary(rows))
-    return 0 if all(row["same_w"] for row in rows) else 1
+    print(format_summary(summarize([{"name": cell, "unit": "us", "better": "lower"}
+                                    for cell in cells], runs), runs))
+    everything = [run for side_runs in runs.values() for run in side_runs]
+    differ = [cell for i, cell in enumerate(cells)
+              if len({run.digests[i] for run in everything}) > 1]
+    for cell in differ:
+        print(f"final state DIFFERS: {cell}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
