@@ -13,6 +13,7 @@ that no constructor checks at load.
 from __future__ import annotations
 
 import argparse
+import html
 import json
 import os
 import sys
@@ -178,15 +179,8 @@ class ExperimentConfig:
             raise ConfigError(f"config {path} must hold a JSON object")
         return doc
 
-    @classmethod
-    def load(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(cls.read(path))
-
     def resolved_label(self) -> str:
         return self.label or str(self.optimizer.get("kind", "run"))
-
-    def resolved_out_dir(self) -> Path:
-        return _resolve_out_dir(self.out_dir)
 
 
 def _resolve_out_dir(out_dir: str | None) -> Path:
@@ -402,11 +396,12 @@ def emit_plot(series: list[tuple[str, np.ndarray, np.ndarray]], path, *,
                      f'y2="{mt + ph + 5}" stroke="#333333" stroke-width="1"/>')
         parts.append(f'<text x="{xx:.2f}" y="{mt + ph + 20}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="11">{v:g}</text>')
+    x_text, y_text = (html.escape(str(text), quote=False) for text in (x_label, metric_label))
     parts.append(f'<text x="{ml + pw / 2:.1f}" y="{height - 10}" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="13">{_esc(x_label)}</text>')
+                 f'font-family="sans-serif" font-size="13">{x_text}</text>')
     parts.append(f'<text x="18" y="{mt + ph / 2:.1f}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="13" '
-                 f'transform="rotate(-90 18 {mt + ph / 2:.1f})">{_esc(metric_label)}</text>')
+                 f'transform="rotate(-90 18 {mt + ph / 2:.1f})">{y_text}</text>')
     # polylines + legend
     for idx, (label, x, y) in enumerate(cleaned):
         color = _PALETTE[idx % len(_PALETTE)]
@@ -417,16 +412,12 @@ def emit_plot(series: list[tuple[str, np.ndarray, np.ndarray]], path, *,
         parts.append(f'<line x1="{ml + pw - 150}" y1="{ly}" x2="{ml + pw - 126}" '
                      f'y2="{ly}" stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{ml + pw - 120}" y="{ly + 4}" font-family="sans-serif" '
-                     f'font-size="11">{_esc(label)}</text>')
+                     f'font-size="11">{html.escape(str(label), quote=False)}</text>')
     parts.append("</svg>")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(parts) + "\n", encoding="utf-8", newline="\n")
     return path
-
-
-def _esc(text: str) -> str:
-    return (str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +518,7 @@ def _cmd_estimate_constants(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _load_config(args)
-    label, out_dir = config.resolved_label(), config.resolved_out_dir()
+    label, out_dir = config.resolved_label(), _resolve_out_dir(config.out_dir)
     result = run_experiment(config)
     paths = emit_csv(result.records, out_dir, label)
     emit_summary_csv(result.agg, out_dir, f"{label}_summary.csv")
@@ -545,7 +536,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    configs = [ExperimentConfig.load(path) for path in args.configs]
+    configs = [ExperimentConfig.from_dict(ExperimentConfig.read(path)) for path in args.configs]
     labels = [config.resolved_label() for config in configs]
     shared = sorted({label for label in labels if labels.count(label) > 1})
     if shared:

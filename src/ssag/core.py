@@ -135,10 +135,11 @@ class Dataset:
         y = np.array(self.labels, copy=True)
         if y.ndim != 1 or y.shape[0] != X.shape[0]:
             raise ValueError("labels must be a vector with one entry per sample")
-        finite = np.isfinite(X).all(axis=1)
-        if y.dtype.kind == "f":
-            finite &= np.isfinite(y)
-        if not finite.all():
+        # one flat pass; the per-row search runs only to name the first bad row
+        if not (np.isfinite(X).all() and (y.dtype.kind != "f" or np.isfinite(y).all())):
+            finite = np.isfinite(X).all(axis=1)
+            if y.dtype.kind == "f":
+                finite &= np.isfinite(y)
             i = int(np.argmin(finite))
             j = int(np.argmin(np.isfinite(X[i])))
             bad = f"feature {j} is {X[i, j]}" if not np.isfinite(X[i, j]) else f"target is {y[i]}"

@@ -37,10 +37,10 @@ Hessian) walks `core.row_blocks`, so its transient memory is one block of
 `accuracy` included, checks W with `core.as_params`, and every sample index
 passes `core.as_indices`' rule, so every kind takes and rejects the same inputs.
 
-The logistic link is `sigmoid`, written on numpy's ``exp``: its array and
-Python-float calls give the same bits, so the one-row kernel, which calls the
-float branch directly, matches the batch kernel.  The package needs numpy
-alone at run time.
+The logistic link is `sigmoid`, the array link written on numpy's ``exp``,
+and `_sigmoid_float` is its Python-float twin with the same bits, so the
+one-row kernel, which calls the twin, matches the batch kernel.  The
+package needs numpy alone at run time.
 """
 
 from __future__ import annotations
@@ -75,24 +75,23 @@ _ZERO, _ONE, _MINUS_ONE = operand(0.0), operand(1.0), operand(-1.0)
 
 
 def _sigmoid_float(m: float) -> float:
-    """`sigmoid` of a Python float, as a Python float: the one-row kernel's link."""
+    """`sigmoid` of a Python float, as a Python float, with the array call's
+    bits: the one-row kernel's link."""
     e = float(exp(-abs(m)))
     return (1.0 if m >= 0 else e) / (1.0 + e)
 
 
-def sigmoid(m):
-    """The logistic function 1 / (1 + exp(-m)), as (1 or e) / (1 + e) with
-    e = exp(-|m|), so that nothing overflows and no floating-point warning is
-    raised: +inf gives 1, -inf gives 0 and NaN gives NaN.
+def sigmoid(m: np.ndarray) -> np.ndarray:
+    """The logistic function 1 / (1 + exp(-m)) of an array of one or more
+    dimensions, as a float64 array whatever its dtype: (1 or e) / (1 + e)
+    with e = exp(-|m|), so that nothing overflows and no floating-point
+    warning is raised: +inf gives 1, -inf gives 0 and NaN gives NaN.
 
-    A scalar gives a Python float with the bits of the array call: both
-    take numpy's ``exp``, whose bits do not depend on the call's shape or
-    stride (``math.exp`` differs from it in the last bit of some values).
-    An array gives a float64 array, whatever its dtype.
+    `_sigmoid_float` is its Python-float twin with the same bits: both take
+    numpy's ``exp``, whose bits do not depend on the call's shape or stride
+    (``math.exp`` differs from it in the last bit of some values).
     """
     e = copysign(m, _MINUS_ONE)  # -|m|
-    if e.ndim == 0:  # a scalar: numpy gave a scalar, which takes no out=
-        return _sigmoid_float(float(m))
     exp(e, e)
     # (1 or e) as max(e, m >= 0) since e <= 1, and 1 + e in place of e: six
     # ufunc calls and two temporaries, each scalar operand a 0-d array
@@ -277,7 +276,7 @@ class _LinearObjective(Objective):
 
     Ridge (identity ``_link``) and logistic regression (`sigmoid`) share the
     gradient kernels and the convexity constants, and define their own
-    losses.  ``_link_float`` is the link's Python-float branch, which the
+    losses.  ``_link_float`` is the link's Python-float twin, which the
     one-row kernel calls.  ``_slope_bounds`` bounds the link's slope from
     below and above.
     """

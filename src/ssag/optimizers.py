@@ -35,7 +35,9 @@ the kind's step function once per step, SSAG's `Objective.grad_class_batch` then
 
 from __future__ import annotations
 
+import bisect
 import math
+import sys
 import time
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -368,10 +370,11 @@ def steps_for_passes(kind: str, passes: float, n_samples: int, n: int = 1,
                      m: int | None = None) -> int:
     """Step count whose exact gradient evaluations are nearest the given data
     passes; a tie goes to the even count, as `round` rounds.  ConfigError
-    unless ``passes`` and ``passes * n_samples`` are finite and >= 0."""
-    if not (is_real(passes) and passes >= 0 and is_real(passes * n_samples)):
+    unless ``passes`` is a finite number >= 0 whose product with
+    ``n_samples`` is below 2**63, the longest range `bisect` searches."""
+    if not (is_real(passes) and passes >= 0 and passes * n_samples < sys.maxsize):
         raise ConfigError(f"passes must be a finite number >= 0 whose product with the "
-                          f"{n_samples} samples is finite, got {passes!r}")
+                          f"{n_samples} samples is below 2**63, got {passes!r}")
 
     def evals(k):
         return _spec(kind).evals(n_samples, n, m, k)
@@ -379,15 +382,10 @@ def steps_for_passes(kind: str, passes: float, n_samples: int, n: int = 1,
     # twice the request, so that comparing it with the sum of two integer
     # counts (twice their midpoint) is exact
     target = 2 * passes * n_samples
-    # bisect for the first k whose count reaches the request; every step
-    # costs at least one evaluation, so k <= ceil(passes * N)
-    k, hi = 0, math.ceil(passes * n_samples)
-    while k < hi:
-        mid = (k + hi) // 2
-        if 2 * evals(mid) < target:
-            k = mid + 1
-        else:
-            hi = mid
+    # the first k whose count reaches the request; every step costs at least
+    # one evaluation, so k <= ceil(passes * N)
+    k = bisect.bisect_left(range(math.ceil(passes * n_samples) + 1), target,
+                           key=lambda k: 2 * evals(k))
     if k == 0:
         return 0
     midpoint = evals(k - 1) + evals(k)

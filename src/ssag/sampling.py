@@ -143,8 +143,7 @@ class RngStream:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
-        self.generator = np.random.Generator(np.random.PCG64(self.seed))
+        self.generator = np.random.Generator(np.random.PCG64(int(seed)))
 
     def take(self, source, n: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
         """The next ``steps`` draws of one shape: strata (steps,) and indices

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import ssag
-from ssag.bench import (SECTION_RULES, ExperimentConfig, build_dataset, cli, emit_csv,
-                        emit_plot, emit_summary_csv, read_csv, run_experiment)
+from ssag.bench import (SECTION_RULES, ExperimentConfig, _resolve_out_dir, build_dataset, cli,
+                        emit_csv, emit_plot, emit_summary_csv, read_csv, run_experiment)
 from ssag.errors import ConfigError, FormatError, SsagError
 from ssag.ingest import write_idx
 from ssag.optimizers import RunConfig, resolve_step_size
@@ -312,7 +312,7 @@ class TestRunExperiment:
     def test_out_dir_env_default(self, monkeypatch, tmp_path):
         monkeypatch.setenv("SSAG_OUT_DIR", str(tmp_path / "envout"))
         cfg = ExperimentConfig.from_dict(_config_doc())
-        assert cfg.resolved_out_dir() == tmp_path / "envout"
+        assert _resolve_out_dir(cfg.out_dir) == tmp_path / "envout"
 
 
 class TestContentHash:
@@ -468,6 +468,15 @@ class TestPlot:
         assert len(polys) == 1
         points = [pt.split(",") for pt in polys[0].attrib["points"].split()]
         assert len(points) == len(x) and np.isfinite(np.array(points, float)).all()
+
+    def test_markup_characters_in_labels_read_back(self, tmp_path):
+        # '<', '>' and '&' in a label would break the SVG unless escaped
+        path = emit_plot([("a<b & c>", np.arange(3.0), np.array([1.0, 0.5, 0.2]))],
+                         tmp_path / "p.svg", metric_label="loss & gap", x_label="x <passes>")
+        root = ET.parse(path).getroot()  # a parse failure would raise
+        texts = [el.text for el in root.iter() if el.tag.endswith("text")]
+        assert texts[-1] == "a<b & c>"
+        assert "loss & gap" in texts and "x <passes>" in texts
 
     def test_nonpositive_points_dropped(self, tmp_path):
         y = np.array([1.0, 0.0, np.nan, 0.5])

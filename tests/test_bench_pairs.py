@@ -69,6 +69,28 @@ def test_parse_output():
         bench_pairs.parse_output("ssag-envelope: records digest x\n", "ssag-envelope")
 
 
+def test_host_slowdown_is_read_and_summarized():
+    # each rep line carries the host probe's slowdown; the run keeps their
+    # median, and the summary prints each side's median of those
+    stdout = "\n".join([
+        *(f"ssag-envelope: rep {i}: setup 0.1 s, run 2.0 s, total 2.1 s, host slowdown {f}, "
+          "9 steps, 0/9 runs failed, {}" for i, f in enumerate(("1.250", "0.900", "2.000"))),
+        "large-n-compare: rep 0: setup 0.1 s, run 2.0 s, total 2.1 s, host slowdown 9.000, x",
+        "ssag-envelope: records digest abc",
+        '{"correct": true, "metrics": {"steps_per_s": {"value": 1.0, "unit": "1/s"}}}'])
+    assert bench_pairs.parse_output(stdout, "ssag-envelope").slowdown == 1.25
+    runs = {"parent": [Run({"steps_per_s": 1.0, "total_s": 1.0}, ("abc",), True, f)
+                       for f in (1.0, 2.0, 1.5)],
+            "change": [Run({"steps_per_s": 1.0, "total_s": 1.0}, ("abc",), True, f)
+                       for f in (0.5, 0.75, 0.6)]}
+    lines = bench_pairs.format_summary(summarize(END_TO_END, runs), runs).splitlines()
+    assert lines[-1] == "host slowdown median: parent 1.500, change 0.600"
+    # runs without a probe, as step_costs.py's, print no such line
+    assert math.isnan(_runs([1])[0].slowdown)
+    runs = {"parent": _runs([1, 2]), "change": _runs([3, 4])}
+    assert "slowdown" not in bench_pairs.format_summary(summarize(END_TO_END, runs), runs)
+
+
 def test_alternate_swaps_the_first_side_each_round(capsys):
     order = []
     checkouts = bench_pairs.pair_parser("pairs").parse_args(["--parent", "p", "--change", "c"])

@@ -18,7 +18,7 @@ import ssag
 from ssag.errors import (DimensionMismatchError, SingularSystemError, StratumViolationError,
                          UnsupportedObjectiveError)
 from ssag.core import BLOCK_BYTES
-from ssag.objectives import sigmoid
+from ssag.objectives import _sigmoid_float, sigmoid
 from ssag.optimizers import RunConfig
 
 from conftest import (OBJECTIVE_KINDS, any_kind_problem, central_diff_grad,
@@ -294,15 +294,15 @@ class TestSigmoid:
         with warnings.catch_warnings(), np.errstate(all="warn", under="ignore"):
             warnings.simplefilter("error")  # numpy's default error state, as errors
             array = sigmoid(special)
-            scalars = [sigmoid(float(m)) for m in special]
+            scalars = [_sigmoid_float(float(m)) for m in special]
         np.testing.assert_array_equal(array, expected)
         np.testing.assert_array_equal(scalars, expected)
 
     def test_scalar_call_has_the_array_bits(self):
-        # the one-row kernel takes the Python-float branch, the batch kernels
+        # the one-row kernel takes the Python-float twin, the batch kernels
         # the array one: both must give the same bits
         ours = sigmoid(self.GRID)
-        scalars = [sigmoid(m) for m in self.GRID[::7].tolist()]
+        scalars = [_sigmoid_float(m) for m in self.GRID[::7].tolist()]
         assert all(type(s) is float for s in scalars)
         assert np.array(scalars).tobytes() == ours[::7].tobytes()
         assert sigmoid(self.GRID[::3]).tobytes() == ours[::3].tobytes()  # strided

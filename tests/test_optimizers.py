@@ -4,6 +4,7 @@ import contextlib
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -1059,6 +1060,25 @@ class TestStepsForPasses:
         assert steps_for_passes("fgd", 1.5, 100) == 2
         assert steps_for_passes("fgd", 2.5, 100) == 2
 
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    def test_nearest_count_against_a_brute_force_oracle(self, kind):
+        # the k in [0, ceil(passes N)] whose 2 evals(k) is nearest the request
+        # 2 passes N, a tie going to the even k.  The request is the float
+        # product passes * N (exact on the eighths, which give many ties),
+        # and every distance is an exact Fraction
+        spec = SPECS[kind]
+        ns = (1, 3) if "n" in spec.settings else (1,)
+        for N in (1, 2, 3, 8, 25):
+            ms = (None, 1, 4, 3 * N) if "m" in spec.settings else (None,)
+            for n, m, passes in itertools.product(
+                    ns, ms, [j / 8 for j in range(33)] + [0.1, 1 / 3, 0.7, 2.2]):
+                request = 2 * Fraction(passes * N)
+                nearest = min(range(math.ceil(passes * N) + 1), key=lambda k: (
+                    abs(2 * spec.evals(N, n, m, k) - request), k % 2))
+                reads = {key: value for key, value in (("n", n), ("m", m))
+                         if key in spec.settings}
+                assert steps_for_passes(kind, passes, N, **reads) == nearest, (N, n, m, passes)
+
     @pytest.mark.parametrize("kind, passes", [("sgd", 0), ("fgd", 0.0), ("svrg", 0)])
     def test_no_passes_take_no_steps(self, kind, passes):
         assert steps_for_passes(kind, passes, 100) == 0
@@ -1071,6 +1091,13 @@ class TestStepsForPasses:
         # gave 0 steps
         with pytest.raises(ConfigError, match="passes must be a finite number >= 0"):
             steps_for_passes("sgd", passes, 100)
+
+    def test_rejects_a_count_past_the_range_bisect_can_search(self):
+        # 1e300 passes of 100 samples is finite, but no range holds 1e302
+        # step counts; it is refused as a config error, not an OverflowError
+        with pytest.raises(ConfigError, match="below 2\\*\\*63"):
+            steps_for_passes("sgd", 1e300, 100)
+        assert steps_for_passes("sgd", 2**62 / 100, 100) == 2**62
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(kind=st.sampled_from(sorted(SPECS)), per_class=st.integers(2, 6),

@@ -29,12 +29,15 @@ The table has one row per metric: its name and unit, the parent's median
 and IQR, the change's median, shift and wins out of the pairs and, with a
 control, the A/A shift, spread and wins, then the metric's direction.  With
 a control a ``verdict`` line per metric follows; then come the records
-digests and the count of runs with a failed check.  ``tools/step_costs.py``
-prints the same summary, with one metric per geometry and kind and each
-cell's final-state digest among the digests, and adds a ``final state
-DIFFERS: <cell>`` line for each cell whose digest is not the same in every
-run.  Both tools run 10 rounds by default (``--pairs`` here, ``--rounds``
-there).
+digests, the count of runs with a failed check and, when the runs read the
+host's speed, each side's median ``host slowdown``: perfbench's probe of how
+much slower the host ran than its reference, which can swing about 2x within
+one comparison.  Each run's progress line prints its own median slowdown.
+``tools/step_costs.py`` prints the same summary, with one metric per
+geometry and kind and each cell's final-state digest among the digests, and
+adds a ``final state DIFFERS: <cell>`` line for each cell whose digest is
+not the same in every run.  Both tools run 10 rounds by default
+(``--pairs`` here, ``--rounds`` there).
 
 Every checkout is a file export (``git archive REV | tar -x -C DIR``); a
 directory that holds ``.git`` is refused.  Each run is a child process that
@@ -61,16 +64,19 @@ CONTROL = "control"
 @dataclass(frozen=True)
 class Run:
     """What one benchmark run printed: its end-to-end metrics, its records
-    digests and whether all its checks passed."""
+    digests, whether all its checks passed and the median host slowdown of
+    its reps (NaN for a run without a host probe)."""
 
     metrics: dict[str, float]
     digests: tuple[str, ...]
     correct: bool
+    slowdown: float = math.nan
 
 
 def parse_output(stdout: str, workload: str) -> Run:
     """The `Run` in the standard output of ``perfbench/run.py --workload W``:
-    the JSON result on its last line and the ``W: records digest`` line."""
+    the JSON result on its last line, the ``W: records digest`` line and the
+    ``host slowdown`` of each ``W: rep N:`` line."""
     lines = stdout.strip().splitlines()
     if not lines or not lines[-1].startswith("{"):
         raise ValueError(f"{workload}: the run printed no result line")
@@ -78,8 +84,12 @@ def parse_output(stdout: str, workload: str) -> Run:
     prefix = f"{workload}: records digest "
     digests = tuple(d for line in lines if line.startswith(prefix)
                     for d in line[len(prefix):].split())
+    marker = ", host slowdown "
+    slowdowns = [float(line.split(marker, 1)[1].split(",", 1)[0]) for line in lines
+                 if line.startswith(f"{workload}: rep ") and marker in line]
     return Run({key: metric["value"] for key, metric in result["metrics"].items()},
-               digests, bool(result["correct"]))
+               digests, bool(result["correct"]),
+               statistics.median(slowdowns) if slowdowns else math.nan)
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -182,6 +192,10 @@ def format_summary(rows, runs) -> str:
     same = "same in every run" if same_digests(runs) else "DIFFER between runs"
     lines.append(f"records digests: {same}: {' '.join(digests)}")
     lines.append(f"runs with a failed check: {sum(not run.correct for run in everything)}")
+    if not all(math.isnan(run.slowdown) for run in everything):
+        lines.append("host slowdown median: " + ", ".join(
+            f"{side} {statistics.median(run.slowdown for run in side_runs):.3f}"
+            for side, side_runs in runs.items()))
     return "\n".join(lines)
 
 
@@ -260,7 +274,7 @@ def main(argv=None) -> int:
         args, args.pairs,
         lambda checkout: run_once(checkout, args.workload, args.seed, args.seconds),
         lambda run: ", ".join(f"{m['name']} {run.metrics[m['name']]:.6g}" for m in end_to_end)
-        + f", digests {' '.join(run.digests)}")
+        + f", host slowdown {run.slowdown:.3f}, digests {' '.join(run.digests)}")
     print(f"{args.workload}: {args.pairs} pairs, seed {args.seed}, {args.seconds:g} s per run")
     print(format_summary(summarize(end_to_end, runs), runs))
     correct = all(run.correct for side_runs in runs.values() for run in side_runs)
