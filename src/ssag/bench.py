@@ -303,7 +303,8 @@ def read_csv(path) -> dict[str, np.ndarray]:
 
     FormatError naming ``path`` if the file cannot be read as UTF-8 text, and
     naming ``path:line`` if the header is not the pinned schema, or a row has
-    the wrong number of cells or a cell that is not a number.
+    the wrong number of cells or a cell that is not a number of its column's
+    dtype (`k` and `grad_evals` take integers within int64's range).
     """
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -320,8 +321,8 @@ def read_csv(path) -> dict[str, np.ndarray]:
         try:
             if len(cells) != len(CSV_COLUMNS):
                 raise ValueError(f"{len(cells)} cells, expected {len(CSV_COLUMNS)}")
-            rows.append([float(cell) for cell in cells])
-        except ValueError as exc:
+            rows.append([COLUMNS[name](cell) for name, cell in zip(CSV_COLUMNS, cells)])
+        except (ValueError, OverflowError) as exc:
             raise FormatError(f"{path}:{number}: malformed row: {exc}") from None
     cols = zip(*rows) if rows else [()] * len(CSV_COLUMNS)
     return {name: np.asarray(col, dtype=COLUMNS[name]) for name, col in zip(CSV_COLUMNS, cols)}

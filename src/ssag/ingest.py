@@ -34,11 +34,11 @@ def _read_idx_payload(path, expected_magic: int, n_dims: int) -> tuple[tuple[int
     header_len = 4 + 4 * n_dims
     if len(raw) < header_len:
         raise FormatError(f"{path}: truncated header ({len(raw)} bytes)")
-    magic = int.from_bytes(raw[:4], "big")
+    magic, *dims = np.frombuffer(raw, ">u4", 1 + n_dims).tolist()
     if magic != expected_magic:
         raise FormatError(f"{path}: magic {magic} does not match expected {expected_magic}")
-    dims = tuple(int.from_bytes(raw[4 + 4 * i:8 + 4 * i], "big") for i in range(n_dims))
-    expected_len = int(np.prod(dims))
+    dims = tuple(dims)
+    expected_len = math.prod(dims)
     if len(raw) - header_len != expected_len:
         raise FormatError(f"{path}: payload holds {len(raw) - header_len} bytes, "
                           f"dimensions {dims} require {expected_len}")
@@ -98,15 +98,11 @@ def write_idx(image_path, label_path, images: np.ndarray, labels: np.ndarray) ->
     labels = np.ascontiguousarray(labels, dtype=np.uint8)
     if images.ndim != 3 or labels.ndim != 1 or images.shape[0] != labels.shape[0]:
         raise ValueError("need images of shape (n, rows, cols) and matching labels")
-    with open(image_path, "wb") as fh:
-        fh.write(IDX_IMAGE_MAGIC.to_bytes(4, "big"))
-        for d in images.shape:
-            fh.write(int(d).to_bytes(4, "big"))
-        fh.write(images.tobytes())
-    with open(label_path, "wb") as fh:
-        fh.write(IDX_LABEL_MAGIC.to_bytes(4, "big"))
-        fh.write(int(labels.shape[0]).to_bytes(4, "big"))
-        fh.write(labels.tobytes())
+    for path, magic, array in ((image_path, IDX_IMAGE_MAGIC, images),
+                               (label_path, IDX_LABEL_MAGIC, labels)):
+        with open(path, "wb") as fh:
+            fh.write(np.array([magic, *array.shape], ">u4").tobytes())
+            fh.write(array.tobytes())
 
 
 @dataclass(frozen=True, eq=False)

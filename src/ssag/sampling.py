@@ -68,7 +68,7 @@ def draw_schedule(words: np.ndarray, sizes, n: int,
     ``words`` holds 32-bit words in PCG64 order (a uint64 array) and
     ``sizes`` the stratum sizes.  A step takes one word for its stratum when
     there is more than one, then the words of its within-stratum draw of n
-    positions, as `sample_class` and `sample_within_class` would draw them.
+    positions, as `sample_class` and `sample_uniform` would draw them.
     The run ends after ``steps`` steps, before the first step that would
     reject a word, and before the first step whose word count differs from
     the first step's.
@@ -135,11 +135,12 @@ class RngStream:
     the one-stratum draw).  `take` schedules the block with `draw_schedule`
     from the generator's raw output and moves the generator to the first word
     it did not use; a step the schedule leaves out (a rejected word, a batch
-    above 64) is drawn through the generator by the `sample_*` functions.  So
-    after every call `generator` is exactly where one generator call per draw
-    would have left it, and `sample_*`, `Generator.choice` and any other use
-    of the generator continue the same stream.  `take` reads the stratum
-    layout (`class_counts`, `order`, `starts`) from the `Dataset`.
+    above 64) is drawn through the generator by `sample_class` and
+    `sample_uniform`.  So after every call `generator` is exactly where one
+    generator call per draw would have left it, and `sample_*`,
+    `Generator.choice` and any other use of the generator continue the same
+    stream.  `take` reads the stratum layout (`class_counts`, `order`,
+    `starts`) from the `Dataset`, and maps the block's positions to rows once.
     """
 
     def __init__(self, seed: int):
@@ -147,34 +148,31 @@ class RngStream:
 
     def take(self, source, n: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
         """The next ``steps`` draws of one shape: strata (steps,) and indices
-        (steps, n).  A `Dataset` source draws a stratum by `sample_class`, then
-        n indices inside it by `sample_within_class`; a population size is one
-        stratum, so its strata are 0 and its indices are `sample_uniform`'s."""
+        (steps, n).  A step draws a stratum by `sample_class` when there is
+        more than one, then n positions inside it by `sample_uniform`; a
+        `Dataset` maps them to the stratum's rows, and a population size is one
+        stratum whose positions are the indices."""
         cells = isinstance(source, Dataset)
         sizes = source.class_counts if cells else np.array([source])
         strata = np.zeros(steps, dtype=np.int64)
-        indices = np.empty((steps, max(n, 0)), dtype=np.int64)
+        positions = np.empty((steps, max(n, 0)), dtype=np.int64)
         scheduled = (_within_words(sizes, n) >= 0).any()
         done, ask = 0, steps
         while done < steps:
             if scheduled:
-                s, positions = self._schedule(sizes, n, min(ask, steps - done))
+                s, block = self._schedule(sizes, n, min(ask, steps - done))
                 end = done + s.size
-                strata[done:end] = s
-                indices[done:end] = (source.order[source.starts[s][:, None] + positions]
-                                     if cells else positions)
+                strata[done:end], positions[done:end] = s, block
                 # a short run ends before a step left out; schedule at most
                 # twice as many steps next, so short runs draw few words
                 done, ask = end, max(16, 2 * s.size)
                 if done == steps:
                     break
-            if cells:
-                strata[done] = j = sample_class(self, sizes.size)
-                indices[done] = sample_within_class(self, source, j, n)
-            else:
-                indices[done] = sample_uniform(self, source, n)
+            strata[done] = j = sample_class(self, sizes.size) if sizes.size > 1 else 0
+            positions[done] = sample_uniform(self, int(sizes[j]), n)
             done += 1
-        return strata, indices
+        return strata, (source.order[source.starts[strata][:, None] + positions]
+                        if cells else positions)
 
     def _schedule(self, sizes, n, steps):
         """Schedule up to ``steps`` steps from the generator's next words and

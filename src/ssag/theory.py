@@ -246,10 +246,12 @@ class Envelope:
 
     def check(self) -> Envelope:
         """This envelope; SsagError unless it averages over at least `MIN_SEEDS`
-        seeds and no value is missing (NaN)."""
+        seeds, holds a recorded step and no value is missing (NaN)."""
         if self.n_seeds < MIN_SEEDS:
             raise SsagError(f"need seed-averaged metrics over >= {MIN_SEEDS} seeds, "
                             f"got {self.n_seeds}")
+        if not self.k.size:
+            raise SsagError("the envelope holds no recorded step to check")
         if np.any(np.isnan(self.values)):
             raise SsagError("record lacks the required metric (NaN entries present)")
         return self
@@ -258,7 +260,7 @@ class Envelope:
 def check_envelope(k: np.ndarray, mean_values: np.ndarray, bounds: np.ndarray, *,
                    n_seeds: int, slack: float = ENVELOPE_SLACK) -> Envelope:
     """The `Envelope` of a seed-averaged metric against per-iteration bound
-    values, checked for `MIN_SEEDS` seeds and no missing value."""
+    values, checked for `MIN_SEEDS` seeds, a recorded step and no missing value."""
     k = np.asarray(k)
     mean_values = np.asarray(mean_values, dtype=np.float64)
     bounds = np.asarray(bounds, dtype=np.float64)

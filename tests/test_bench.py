@@ -341,6 +341,11 @@ class TestContentHash:
         assert replace(rec, diverged=True).content_hash() != base
 
 
+def _step_count(value):
+    """CSV damage that writes ``value`` as the step count of line 3."""
+    return lambda rows: rows[:2] + [value + rows[2][rows[2].index(","):]] + rows[3:]
+
+
 class TestCsv:
     def _result(self, **overrides):
         return run_experiment(ExperimentConfig.from_dict(_config_doc(**overrides)))
@@ -365,7 +370,9 @@ class TestCsv:
         (lambda rows: rows[:-1] + [rows[-1].rsplit(",", 2)[0]], 5),
         (lambda rows: rows[:2] + [rows[2].replace(",", ",x", 1)] + rows[3:], 3),
         (lambda rows: rows[:1] + [rows[1] + ",1.0"] + rows[2:], 2),
-    ], ids=["truncated", "not_a_number", "extra_cell"])
+        *((_step_count(value), 3) for value in ("1.5", "inf", "nan", "1e30", str(2**63))),
+    ], ids=["truncated", "not_a_number", "extra_cell", "fractional_k", "infinite_k", "nan_k",
+            "k_past_int64_as_float", "k_past_int64"])
     def test_malformed_rows_rejected(self, tmp_path, damage, line):
         result = self._result(seeds=[1])
         (path,) = emit_csv(result.records, tmp_path, "x")

@@ -91,6 +91,17 @@ class TestIdx:
         with pytest.raises(FormatError, match="payload"):
             read_idx(img, lab)
 
+    def test_dimensions_whose_product_wraps_int64_are_refused(self, tmp_path):
+        # 2**16 * 2**24 * 2**24 = 2**64, which an int64 product wraps to 0:
+        # a header-only image file would pass the size check and fail in reshape
+        img, lab = tmp_path / "images-idx3-ubyte", tmp_path / "labels-idx1-ubyte"
+        img.write_bytes(np.array([2051, 2**16, 2**24, 2**24], ">u4").tobytes())
+        lab.write_bytes(np.array([2049, 2**16], ">u4").tobytes()
+                        + (np.arange(2**16) % 10).astype(np.uint8).tobytes())
+        with pytest.raises(FormatError, match=rf"payload holds 0 bytes, dimensions "
+                                              rf"\(65536, 16777216, 16777216\) require {2**64}"):
+            read_idx(img, lab)
+
     @pytest.mark.parametrize("keep", [0, 3, 15], ids=["empty", "part-of-magic", "part-of-dims"])
     def test_file_shorter_than_its_header(self, tmp_path, keep):
         # an image file's header is its magic and three dimensions, 16 bytes

@@ -479,6 +479,8 @@ class TestInputRules:
          "population variance"),
         (lambda: _env(n_seeds=19).check(), SsagError, "over >= 20 seeds"),
         (lambda: _env(values=(1.0, NAN)).check(), SsagError, "NaN"),
+        (lambda: ssag.check_envelope(np.array([], int), np.array([]), np.array([]), n_seeds=20),
+         SsagError, "no recorded step"),
         (lambda: ssag.check_envelope(np.arange(2), np.ones(3), np.ones(2), n_seeds=20),
          ValueError, "matching shapes"),
         (lambda: ssag.fit_decay_rate(np.arange(3), np.array([1.0, 0.0, NAN])), ValueError,
