@@ -92,10 +92,20 @@ def read_idx(image_path, label_path, *, add_bias: bool = False,
     return Dataset(_Fresh(features), labels, _partition(label_path, labels, 10, "digits"))
 
 
+def _idx_bytes(values) -> np.ndarray:
+    """``values`` as a C-ordered uint8 array; ValueError naming the first entry
+    that is not an integer in [0, 255], which a cast would wrap or truncate."""
+    array = np.asarray(values)
+    fits = ((array >= 0) & (array <= 255) & (array == np.floor(array))).ravel()
+    if not fits.all():
+        bad = array.flat[int(np.argmin(fits))].item()
+        raise ValueError(f"IDX entries must be integers in [0, 255], got {bad!r}")
+    return np.ascontiguousarray(array, dtype=np.uint8)
+
+
 def write_idx(image_path, label_path, images: np.ndarray, labels: np.ndarray) -> None:
     """Write a uint8 image stack (n, rows, cols) and labels as an IDX pair."""
-    images = np.ascontiguousarray(images, dtype=np.uint8)
-    labels = np.ascontiguousarray(labels, dtype=np.uint8)
+    images, labels = _idx_bytes(images), _idx_bytes(labels)
     if images.ndim != 3 or labels.ndim != 1 or images.shape[0] != labels.shape[0]:
         raise ValueError("need images of shape (n, rows, cols) and matching labels")
     for path, magic, array in ((image_path, IDX_IMAGE_MAGIC, images),

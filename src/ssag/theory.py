@@ -213,7 +213,8 @@ MIN_PASS_FRACTION = 0.99
 class Envelope:
     """A seed-mean metric over ``n_seeds`` seeds and its envelope on the
     recorded steps ``k``; the envelope calls clamp the bounds at ``floor``, the
-    metric's float64 resolution, and ``params`` names the envelope constants."""
+    metric's float64 resolution, and ``params`` names the envelope constants.
+    SsagError when ``k`` holds no recorded step."""
 
     k: np.ndarray
     values: np.ndarray
@@ -223,6 +224,10 @@ class Envelope:
     floor: float = 0.0
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if not np.size(self.k):
+            raise SsagError("the envelope holds no recorded step to check")
+
     @property
     def passed(self) -> np.ndarray:
         """Per recorded step: value <= bound * (1 + slack)."""
@@ -230,7 +235,7 @@ class Envelope:
 
     @property
     def pass_fraction(self) -> float:
-        return float(np.mean(self.passed)) if self.k.size else 1.0
+        return float(np.mean(self.passed))
 
     @property
     def first_failure(self) -> int | None:
@@ -246,12 +251,10 @@ class Envelope:
 
     def check(self) -> Envelope:
         """This envelope; SsagError unless it averages over at least `MIN_SEEDS`
-        seeds, holds a recorded step and no value is missing (NaN)."""
+        seeds and no value is missing (NaN)."""
         if self.n_seeds < MIN_SEEDS:
             raise SsagError(f"need seed-averaged metrics over >= {MIN_SEEDS} seeds, "
                             f"got {self.n_seeds}")
-        if not self.k.size:
-            raise SsagError("the envelope holds no recorded step to check")
         if np.any(np.isnan(self.values)):
             raise SsagError("record lacks the required metric (NaN entries present)")
         return self

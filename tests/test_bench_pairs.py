@@ -85,7 +85,7 @@ def test_host_slowdown_is_read_and_summarized():
                        for f in (0.5, 0.75, 0.6)]}
     lines = bench_pairs.format_summary(summarize(END_TO_END, runs), runs).splitlines()
     assert lines[-1] == "host slowdown median: parent 1.500, change 0.600"
-    # runs without a probe, as step_costs.py's, print no such line
+    # runs without a probe print no such line
     assert math.isnan(_runs([1])[0].slowdown)
     runs = {"parent": _runs([1, 2]), "change": _runs([3, 4])}
     assert "slowdown" not in bench_pairs.format_summary(summarize(END_TO_END, runs), runs)

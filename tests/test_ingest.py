@@ -49,6 +49,16 @@ class TestIdx:
             write_idx(tmp_path / "im", tmp_path / "lb", np.zeros(shape, np.uint8), labels)
         assert not (tmp_path / "im").exists()
 
+    @pytest.mark.parametrize("images, labels, bad", [
+        (np.full((4, 2, 2), 300), np.arange(4), "300"),  # a cast writes 44
+        (np.zeros((3, 2, 2), np.uint8), np.array([1.7, 2, 3]), "1.7"),  # a cast writes 1
+        (np.pad(np.full((1, 1, 1), -1), ((0, 3), (0, 1), (0, 1))), np.arange(4), "-1"),
+    ])
+    def test_write_refuses_entries_a_byte_cannot_hold(self, tmp_path, images, labels, bad):
+        with pytest.raises(ValueError, match=rf"integers in \[0, 255\], got {bad}$"):
+            write_idx(tmp_path / "im", tmp_path / "lb", images, labels)
+        assert not (tmp_path / "im").exists() and not (tmp_path / "lb").exists()
+
     def test_absent_digit_rejected(self, tmp_path):
         images = np.zeros((4, 2, 2), dtype=np.uint8)
         img, lab = tmp_path / "im", tmp_path / "lb"

@@ -16,33 +16,17 @@ when they differ or a run failed a check.
 ``--control`` is a second export of the parent, an A/A leg: the same code
 run in the same rounds, so whatever separates it from the parent is noise or
 position, such as memory layout, not code.  The summary then adds each
-metric's A/A shift (the control's median over the parent's, less 1), the A/A
-spread (the interquartile range of the per-round control/parent ratios, less
-1) and the rounds the control won, and a verdict per metric: ``inside A/A
-band`` when the change's median lies between the lower of the parent's and
-the control's first quartiles and the higher of their third quartiles, else
-``better`` or ``worse`` in the metric's direction, with the leg whose
-quartile it passed.  The parent and the control are two samples of the same
-code, so a change's median that lies between their ranges tells nothing.
+metric's A/A shift, spread (the interquartile range of the per-round
+control/parent ratios) and wins, and a `verdict` against the pooled band of
+the parent's and the control's quartiles: the two legs are samples of the
+same code, so a change's median inside that band tells nothing.
+``tools/step_costs.py`` judges per-step costs by paired per-block ratios
+instead: this tool's separate end-to-end runs have no paired blocks, and its
+pooled band read noise as a verdict on per-step costs at 10 rounds.  Each run
+and the summary also print perfbench's ``host slowdown``, its probe of the
+host's speed, which can swing about 2x within one comparison.
 
-The table has one row per metric: its name and unit, the parent's median
-and IQR, the change's median, shift and wins out of the pairs and, with a
-control, the A/A shift, spread and wins, then the metric's direction.  With
-a control a ``verdict`` line per metric follows; then come the records
-digests, the count of runs with a failed check and, when the runs read the
-host's speed, each side's median ``host slowdown``: perfbench's probe of how
-much slower the host ran than its reference, which can swing about 2x within
-one comparison.  Each run's progress line prints its own median slowdown.
-``tools/step_costs.py`` prints the same summary, with one metric per
-geometry and kind and each cell's final-state digest among the digests, and
-adds a ``final state DIFFERS: <cell>`` line for each cell whose digest is
-not the same in every run.  Both tools run 10 rounds by default
-(``--pairs`` here, ``--rounds`` there).
-
-Every checkout is a file export (``git archive REV | tar -x -C DIR``); a
-directory that holds ``.git`` is refused.  Each run is a child process that
-this script waits for; it leaves nothing running and writes nothing outside
-what ``perfbench/run.py`` itself writes.
+Each checkout is a ``git archive`` export; each run is waited for.
 """
 
 from __future__ import annotations
@@ -169,16 +153,14 @@ def same_digests(runs: dict[str, list[Run]]) -> bool:
 
 
 def format_summary(rows, runs) -> str:
-    """The summary table of `summarize`'s ``rows``, its name column as wide as
-    the longest name but never under 12, then each row's verdict when
-    ``runs`` has a control leg, the records digests and the failed runs."""
+    """The summary table of `summarize`'s ``rows``, then each row's verdict
+    when ``runs`` has a control leg, the records digests and the failed runs."""
     control = CONTROL in runs
-    width = max([12, *(len(row["name"]) for row in rows)])
-    lines = [f"{'metric':<{width}} {'unit':<5} {'parent median':>14} {'parent IQR':>11} "
+    lines = [f"{'metric':<12} {'unit':<5} {'parent median':>14} {'parent IQR':>11} "
              f"{'change median':>14} {'change shift':>13} {'change wins':>12}"
              + (f" {'A/A shift':>10} {'A/A spread':>11} {'A/A wins':>9}" if control else "")]
     for row in rows:
-        lines.append(f"{row['name']:<{width}} {row['unit']:<5} {row['parent_median']:>14.6g} "
+        lines.append(f"{row['name']:<12} {row['unit']:<5} {row['parent_median']:>14.6g} "
                      f"{row['parent_iqr']:>11.4g} {row['change_median']:>14.6g} "
                      f"{row['change_shift']:>+13.2%} {row['change_wins']:>5}/{row['pairs']:<6}"
                      + (f" {row['aa_shift']:>+10.2%} {row['aa_spread']:>11.2%} "
@@ -224,24 +206,10 @@ def pair_parser(description: str) -> argparse.ArgumentParser:
     return p
 
 
-def child_stdout(cmd, checkout: Path, ok=(0,)) -> str:
-    """The standard output of ``cmd`` run in ``checkout`` and waited for; its
-    standard error is passed on and RuntimeError raised if it exits with a
-    code not in ``ok``."""
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
-    if proc.returncode not in ok:
-        sys.stderr.write(proc.stderr)
-        raise RuntimeError(f"{checkout}: the child process exited {proc.returncode}")
-    return proc.stdout
-
-
 def alternate(args, rounds: int, run_one, describe) -> dict[str, list]:
-    """Each side's ``run_one(checkout)`` results over ``rounds`` rounds, in
-    round order.  A round runs every checkout of ``args``, one after the
-    other: parent, change and, when ``args.control`` is set, control in even
-    rounds, and the reverse order in odd rounds, so that each side runs
-    before each other side in half of the rounds.  Each run's
-    ``describe(result)`` is printed as it ends."""
+    """Each side's ``run_one(checkout)`` results over ``rounds`` rounds, each
+    run's ``describe(result)`` printed as it ends: parent, change and control,
+    if ``args.control`` is set, in even rounds and the reverse in odd ones."""
     sides = SIDES + ((CONTROL,) if args.control is not None else ())
     runs = {side: [] for side in sides}
     for round_no in range(rounds):
@@ -254,10 +222,15 @@ def alternate(args, rounds: int, run_one, describe) -> dict[str, list]:
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Run:
     """One untraced benchmark run in ``checkout``, waited for; a run whose
-    checks failed exits 1 and still counts."""
+    checks failed exits 1 and still counts.  On any other exit code its
+    standard error is passed on and RuntimeError raised."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    return parse_output(child_stdout(cmd, checkout, ok=(0, 1)), workload)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
+    if proc.returncode not in (0, 1):
+        sys.stderr.write(proc.stderr)
+        raise RuntimeError(f"{checkout}: the run exited {proc.returncode}")
+    return parse_output(proc.stdout, workload)
 
 
 def main(argv=None) -> int:

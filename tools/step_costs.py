@@ -1,124 +1,150 @@
-"""Microseconds per optimizer step, for each kind, in two checkouts.
+"""Per-step costs of two or three trees, all timed in one process.
 
-    python3 tools/step_costs.py --parent DIR --change DIR [--control DIR] \
-        --rounds 10 --steps 20000
+    python3 tools/step_costs.py --parent DIR --change DIR [--control DIR] \\
+        --blocks 100 --steps 1000 --seed 1
 
-Each round starts one child process per checkout, one after the other, by
-`bench_pairs.alternate`: parent, change (and control) in even rounds and the
-reverse order in odd rounds.  A child imports ``ssag`` from its checkout's
-``src`` and builds the problems of both benchmark workloads by their own
-set-up in its checkout's ``perfbench/workloads.py``: ssag-envelope's
-(N = 200, p = 5) and large-n-compare's (N = 20 000, p = 20), at workload
-seed ``--seed``.  It times the kinds of large-n-compare's ``KINDS`` that
-take a per-step draw, with their batch sizes; FGD, whose step is one
-full-data pass, takes none and is left out.  For each kind it takes
-``--steps`` draws from ``RngStream.take`` first, then times the kind's step
-function over them from a fresh `make_state`, ``--repeats`` times, and keeps
-the fastest, with a digest of the final state: its W, gradient table and
-running sum.  The first step of each timing is SVRG's first snapshot.
-
-Each child's result is a `bench_pairs.Run`: one metric per geometry and
-kind, named like ``p = 5 ssag`` in microseconds per step, lower being
-better, and the final-state digests in the same order.  The summary is
-`bench_pairs`' own, one rule for both tools: per cell, both medians over the
-rounds, the parent's interquartile range, the change's shift and wins and,
-with ``--control`` (an A/A leg, a second export of the parent), the A/A
-shift, spread and wins and the change's verdict against the pooled parent
-and control quartiles.  Rounds default to 10, as ``bench_pairs.py
---pairs`` does: at 5, three exports of one tree read 3 of 12 cells outside
-the A/A band.  A ``final state DIFFERS: <cell>`` line names each cell whose
-digest is not the same in every run on every side, and the exit code is 1
-when there is one.  Each child is waited for, so nothing is left running.
+Each tree's ``src/ssag`` is imported as its own package (``ssag_parent``, ...)
+and builds ssag-envelope's and large-n-compare's problems from one set of
+arrays through its own API; a tree that lacks a name the harness calls is
+refused by that name, for ``bench_pairs.py`` to compare.  Each cell, a geometry
+and a kind of `KINDS`, runs ``--blocks`` blocks of ``--steps`` steps per side
+and prints each leg's median per-block ratio to the parent with its 95 %
+sign-test interval; the change reads ``better`` or ``worse`` only when its
+interval misses the ``--control`` leg's.  ``bench_pairs.py`` keeps a pooled
+quartile band, as its end-to-end runs have no paired blocks, though that band
+read noise as a verdict on per-step costs at 10 rounds.  A cell whose sides'
+final states differ is named in a ``final state DIFFERS`` line, and the exit
+code is 1.  The trees share numpy's global state, the allocator and the caches:
+changes to those are for perfbench.
 """
 
-from __future__ import annotations
-
+import functools
 import hashlib
-import json
+import importlib.util
+import itertools
+import math
+import statistics
 import sys
-from pathlib import Path
+import time
 
-from bench_pairs import Run, alternate, child_stdout, format_summary, pair_parser, summarize
+import numpy as np
+
+from bench_pairs import CONTROL, SIDES, pair_parser
+
+#: large-n-compare's kinds whose step takes a draw (all but FGD), with their batch sizes
+KINDS = (("sgd", 1), ("minibatch", 10), ("sag", 1), ("saga", 1), ("svrg", 1), ("ssag", 1))
+
+
+def load(name, root):
+    """The package in ``root / "src/ssag"``, imported afresh as the module ``name``."""
+    for key in [key for key in sys.modules if key == name or key.startswith(f"{name}.")]:
+        del sys.modules[key]
+    src = root / "src" / "ssag"
+    spec = importlib.util.spec_from_file_location(name, src / "__init__.py",
+                                                  submodule_search_locations=[str(src)])
+    sys.modules[name] = tree = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tree)
+    return tree
+
+
+def problems(seed):
+    """(geometry, features, labels, lam) of each problem, as `ssag.gen_synthetic` makes it."""
+    envelope, large = np.zeros((2, 5)), np.zeros((2, 20))
+    envelope[:, 0], envelope[1, 1], large[:, 0] = (-18.0, 22.0), 4.0, (-1.0, 1.0)
+    for geometry, means, per_class, stddev, lam in (("p = 5", envelope, 100, 0.02, 0.1),
+                                                    ("p = 20", large, 10_000, 0.1, 0.02)):
+        labels = np.repeat([0, 1], per_class)
+        noise = np.random.default_rng(seed).standard_normal((labels.size, means.shape[1]))
+        yield geometry, means[labels] + stddev * noise, labels, lam
+
+
+def cells(tree, shared, steps, seed):
+    """{cell: (step, state, objective, draw)} as ``tree`` builds them; ``draw()``
+    takes the cell's next ``steps`` draws from its own `RngStream`."""
+    out = {}
+    for geometry, features, labels, lam in shared:
+        obj = tree.LogisticRegression(tree.Dataset.from_class_labels(features, labels), lam=lam)
+        constants = tree.estimate_constants(obj)
+        for kind, n in KINDS:
+            spec = tree.optimizers.SPECS[kind]
+            config = tree.RunConfig(kind=kind, steps=steps, n=n, seed=seed)
+            draw = functools.partial(tree.RngStream(seed).take, *spec.source(obj.dataset, n), steps)
+            out[f"{geometry} {kind}"] = (getattr(tree.optimizers, spec.step),
+                                         tree.make_state(config, obj, constants), obj, draw)
+    return out
+
+
+def time_blocks(sides, blocks, steps):
+    """Each side's seconds per block of its cell in ``sides``, its draws taken
+    first.  The blocks cycle through every order of the sides: with three, a
+    rotation lets a drift within a block move the two legs' ratios apart."""
+    orders = list(itertools.permutations(sides))
+    times = {side: [] for side in sides}
+    for block in range(blocks):
+        for side in orders[block % len(orders)]:
+            step, state, obj, draw = sides[side]
+            strata, indices = draw()
+            strata = strata.tolist()
+            t0 = time.perf_counter()
+            for s in range(steps):
+                step(state, obj, strata[s], indices[s])
+            times[side].append(time.perf_counter() - t0)
+    return times
+
+
+def sign_interval(values):
+    """(low, median, high): the k-th smallest and largest of ``values`` for the
+    largest k with binomial(n, 1/2) coverage 1 - 2 P(B < k) >= 95 %."""
+    x, n = sorted(values), len(values)
+    k, below = 0, 0  # below = 2**n P(B < k)
+    while 1 - 2 * (below + math.comb(n, k)) / 2**n >= 0.95:
+        below, k = below + math.comb(n, k), k + 1
+    return (x[k - 1] if k else -math.inf), statistics.median(x), (x[n - k] if k else math.inf)
+
+
+def summary_line(cell, times, steps):
+    """The parent's us per step, then each leg and, with a control, the verdict."""
+    legs = {side: sign_interval([math.log(t / p) for t, p in zip(ts, times["parent"], strict=True)])
+            for side, ts in times.items() if side != "parent"}
+    parts = [f"{cell:<16} parent {statistics.median(times['parent']) / steps * 1e6:8.3f} us"]
+    parts += [f"{side} {math.expm1(mid):+.2%} [{math.expm1(low):+.2%}, {math.expm1(high):+.2%}]"
+              for side, (low, mid, high) in legs.items()]
+    if CONTROL in legs:
+        (low, _, high), (c_low, _, c_high) = legs["change"], legs[CONTROL]
+        parts.append("better" if high < c_low else "worse" if low > c_high else "inside")
+    return "  ".join(parts)
 
 
 def _state_digest(state) -> str:
     """Hex digest of a state's W, gradient table and running sum."""
-    digest = hashlib.sha256()
-    for array in (state.W, state.table, state.table_sum):
-        digest.update(array.tobytes())
-    return digest.hexdigest()[:16]
-
-
-def _child(steps: int, repeats: int, seed: int) -> dict:
-    """{cell: [us per step, `_state_digest` of the final state]} in this
-    process, with ``ssag`` and perfbench's ``workloads`` imported from
-    ``sys.path``."""
-    import time
-
-    import ssag
-    from ssag import optimizers
-    from ssag.optimizers import SPECS, RunConfig
-    from workloads import LargeNCompare, SsagEnvelope
-
-    result = {}
-    for name, workload in (("p = 5", SsagEnvelope), ("p = 20", LargeNCompare)):
-        # the objective and certified constants of the workload's set-up,
-        # which writes nothing to its output directory
-        obj, run_kwargs = workload(seed, tiny=False, out_dir=None).setup()
-        constants = run_kwargs["constants"]
-        for kind, n in LargeNCompare.KINDS:
-            source = SPECS[kind].source(obj.dataset, n)
-            if source is None:
-                continue
-            config = RunConfig(kind=kind, steps=steps, n=n, seed=seed)
-            strata, indices = ssag.RngStream(seed).take(*source, steps)
-            strata = strata.tolist()
-            step = getattr(optimizers, SPECS[kind].step)
-            best = float("inf")
-            for _ in range(repeats):
-                state = optimizers.make_state(config, obj, constants)
-                t0 = time.perf_counter()
-                for s in range(steps):
-                    step(state, obj, strata[s], indices[s])
-                best = min(best, time.perf_counter() - t0)
-            result[f"{name} {kind}"] = [best / steps * 1e6, _state_digest(state)]
-    return result
-
-
-def run_child(checkout: Path, steps: int, repeats: int, seed: int) -> Run:
-    """One timing child on ``checkout``'s sources, waited for, as a `Run`."""
-    code = (f"import sys, json; sys.path[:0] = [{str(checkout / 'src')!r}, "
-            f"{str(checkout / 'perfbench')!r}, {str(Path(__file__).resolve().parent)!r}]; "
-            f"import step_costs; "
-            f"print(json.dumps(step_costs._child({steps}, {repeats}, {seed})))")
-    cells = json.loads(child_stdout([sys.executable, "-c", code], checkout).strip()
-                       .splitlines()[-1])
-    return Run({cell: us for cell, (us, _) in cells.items()},
-               tuple(digest for _, digest in cells.values()), True)
+    arrays = (state.W, state.table, state.table_sum)
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()[:16]
 
 
 def main(argv=None) -> int:
     p = pair_parser(__doc__.splitlines()[0])
-    p.add_argument("--rounds", type=int, default=10)
-    p.add_argument("--steps", type=int, default=20_000)
-    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--blocks", type=int, default=100)
+    p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--seed", type=int, default=1)
     args = p.parse_args(argv)
-    if min(args.rounds, args.steps, args.repeats) < 1:
-        p.error("--rounds, --steps and --repeats must be >= 1")
-    runs = alternate(
-        args, args.rounds,
-        lambda checkout: run_child(checkout.resolve(), args.steps, args.repeats, args.seed),
-        lambda run: ", ".join(f"{cell} {us:.3f}" for cell, us in run.metrics.items()))
-    cells = list(runs["parent"][0].metrics)
-    print(f"{args.rounds} rounds x {args.repeats} repeats of {args.steps} steps, seed {args.seed}")
-    print(format_summary(summarize([{"name": cell, "unit": "us", "better": "lower"}
-                                    for cell in cells], runs), runs))
-    everything = [run for side_runs in runs.values() for run in side_runs]
-    differ = [cell for i, cell in enumerate(cells)
-              if len({run.digests[i] for run in everything}) > 1]
-    for cell in differ:
-        print(f"final state DIFFERS: {cell}")
+    if min(args.blocks, args.steps) < 1:
+        p.error("--blocks and --steps must be >= 1")
+    shared, trees = list(problems(args.seed)), {}
+    for side in (*SIDES, CONTROL) if args.control else SIDES:
+        root = getattr(args, side).resolve()
+        try:
+            trees[side] = cells(load(f"ssag_{side}", root), shared, args.steps, args.seed)
+        except AttributeError as exc:
+            raise SystemExit(f"{root}: {exc}; compare it with tools/bench_pairs.py") from None
+    print(f"{args.blocks} blocks x {args.steps} steps, seed {args.seed}, sides {', '.join(trees)}")
+    differ = False
+    for cell in trees["parent"]:
+        sides = {side: side_cells[cell] for side, side_cells in trees.items()}
+        times = time_blocks(sides, args.blocks, args.steps)
+        print(summary_line(cell, times, args.steps), flush=True)
+        if len({_state_digest(state) for _, state, _, _ in sides.values()}) > 1:
+            differ = True
+            print(f"final state DIFFERS: {cell}")
     return 1 if differ else 0
 
 
