@@ -7,7 +7,8 @@ reduction, so ``loss_full`` equals the pairwise sum of ``loss_sample`` values
 bit for bit.  A one-row gradient of a linear model reads its row in place and
 needs no BLAS call; it equals the batch kernel's result for that row bit for
 bit, signed zeros included.  A row shorter than ``core.SHORT_ROW`` (8)
-features is computed on Python floats, its margin summed in numpy's pairwise
+features is computed on Python floats (`_LinearObjective._row_grad`, which an
+SSAG segment on such rows calls too), its margin summed in numpy's pairwise
 order, which below 8 terms is one left-to-right loop.  Batch gradients of
 more rows use BLAS and agree across code paths to 1e-12 relative error.  Full-data calls pass
 ``dataset.rows``, which the kernels recognise: they read the feature matrix
@@ -72,6 +73,11 @@ OPTIMUM_GRAD_TOL = 1e-10
 OPTIMUM_MAX_ITER = 100
 
 _ZERO, _ONE, _MINUS_ONE = operand(0.0), operand(1.0), operand(-1.0)
+
+
+def not_in_class(indices: list, class_j: int) -> StratumViolationError:
+    """The error of a class batch whose ``indices`` are not all members of class j."""
+    return StratumViolationError(f"indices {indices} are not all members of class {class_j}")
 
 
 def _sigmoid_float(m: float) -> float:
@@ -235,8 +241,7 @@ class Objective(ABC):
             # tests are left (a negative index would wrap around class_of)
             i, class_of = indices.item(), self.dataset.class_of
             if not 0 <= i < class_of.size or class_of.item(i) != class_j:
-                raise StratumViolationError(
-                    f"indices {indices.tolist()} are not all members of class {class_j}")
+                raise not_in_class(indices.tolist(), class_j)
             return self.grad_batch(W, indices, out)
         given, indices = indices, as_indices(indices)
         if indices is None:
@@ -246,8 +251,7 @@ class Objective(ABC):
         class_of = self.dataset.class_of
         if not (((indices >= 0) & (indices < class_of.size)).all()
                 and (class_of[indices] == class_j).all()):
-            raise StratumViolationError(
-                f"indices {indices.tolist()} are not all members of class {class_j}")
+            raise not_in_class(indices.tolist(), class_j)
         return self.grad_batch(W, indices.reshape(-1), out)
 
     def init_params(self, seed: int = 0) -> np.ndarray:
@@ -328,22 +332,25 @@ class _LinearObjective(Objective):
                 out = multiply(x, r, out)
                 add(out, _ZERO, out)
                 return add(out, multiply(W, self._lam, t), out)
-            # the same formula on Python floats, for a row shorter than
-            # SHORT_ROW.  The margin loop starts at +0.0 and adds left to
-            # right, as numpy's pairwise sum does below 8 terms; built-in
-            # sum() would not do: from Python 3.12 it compensates a float sum.
-            xs, ws, lam = x.tolist(), W.tolist(), self._lam_float
-            m = 0.0
-            for a, b in zip(xs, ws):
-                m += a * b
-            r = self._link_float(m) - self._targets.item(i)
-            g = [(r * a + 0.0) + lam * b for a, b in zip(xs, ws)]
+            g = self._row_grad(i, x.tolist(), W.tolist())
             if out is None:
                 return np.array(g)
             out[...] = g
             return out
         X, resid = self._residuals(W, indices)
         return add((X.T @ resid) / indices.size, multiply(self._lam, W), out)
+
+    def _row_grad(self, i: int, xs: list, ws: list) -> list:
+        """The one-row formula on Python floats, for a row shorter than
+        SHORT_ROW: the gradient of sample i, whose row is ``xs``, at the W
+        whose entries are ``ws``.  The margin loop starts at +0.0 and adds
+        left to right, as numpy's pairwise sum does below 8 terms; built-in
+        sum() would not do: from Python 3.12 it compensates a float sum."""
+        m = 0.0
+        for a, b in zip(xs, ws):
+            m += a * b
+        r, lam = self._link_float(m) - self._targets.item(i), self._lam_float
+        return [(r * a + 0.0) + lam * b for a, b in zip(xs, ws)]
 
     def grad_samples(self, W, indices):
         X, resid = self._residuals(W, self._check_rows(indices))
@@ -574,14 +581,17 @@ class Mlp(Objective):
         delta[np.arange(n), self._targets[indices]] -= 1.0
         delta /= n
         layers = self._layers(W)
-        grad = np.empty(self.dim)
+        # lam W first, then each layer straight into ``out`` when given: the
+        # only W-sized temporary is lam W, and lam W + g has the bits of g + lam W
+        reg = multiply(W, self._lam)
+        grad = np.empty(self.dim) if out is None else out
         for k, (g_weight, g_bias) in reversed(list(enumerate(self._layers(grad)))):
             np.matmul(delta.T, acts[k], out=g_weight)
             np.add.reduce(delta, 0, out=g_bias)
             if k > 0:
                 a = acts[k]
                 delta = (delta @ layers[k][0]) * a * (1.0 - a)
-        return np.add(grad, self._lam * W, out=out)
+        return add(reg, grad, grad)
 
     def scores_matrix(self, W, X):
         """Softmax class scores for a batch of inputs, shape (n, C)."""

@@ -28,9 +28,18 @@ A step's cost is its numpy dispatch, so the steps call each ufunc through a
 module-level name with its output passed positionally, and read a repeated
 attribute into a local once: ``multiply(a, b, o)`` takes 224 ns at p = 20
 where ``np.multiply(a, b, out=o)`` takes 278 (numpy 2.4, 2-core x86-64).
-perfbench's tracer (``perfbench/spans.py``) counts calls by name, so these stay:
-the kind's step function once per step, SSAG's `Objective.grad_class_batch` then
-`grad_batch` once each per step, and `loss_full` and `squared_distance` per record.
+Where a step's whole state is a few dozen floats, as SSAG's at n = 1 on rows
+shorter than `core.SHORT_ROW`, `run` takes each segment in one call of
+`_ssag_short_rows`, on Python floats, with the same bits; `segment_stepper`
+says when.  So the SSAG update is written twice: with ufuncs in `ssag_step`
+and with floats in `_ssag_short_rows`.
+
+perfbench's tracer (``perfbench/spans.py``) counts calls by name, and wrapping
+a name sends a run through the per-step loop: `segment_stepper` takes the
+float segment only for this module's own `ssag_step` and the objectives' own
+kernels.  A traced or counted run therefore sees the kind's step function once
+per step, SSAG's `Objective.grad_class_batch` then `grad_batch` once each per
+step, and `loss_full` and `squared_distance` per record.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ from numpy import add, divide, multiply, negative, subtract
 from .core import (Dataset, all_finite, estimate_constants, is_int, is_real, operand,
                    squared_distance)
 from .errors import ConfigError, UnsupportedObjectiveError
-from .objectives import Objective, accuracy
+from .objectives import Objective, _LinearObjective, accuracy, not_in_class
 from .records import RunRecord
 from .sampling import RngStream
 
@@ -128,6 +137,70 @@ def ssag_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> None:
     subtract(state.table_sum, slot, state._scratch[0])
     obj.grad_class_batch(state.W, j, idx, slot)
     _table_average_step(state, slot)
+
+
+#: `ssag_step` as this module defines it: `segment_stepper` compares a run's
+#: step with it, not with whatever the name is bound to when the run starts
+_SSAG_STEP = ssag_step
+#: the kernels that the short-row segment stands in for
+_GRAD_BATCH, _GRAD_CLASS_BATCH = _LinearObjective.grad_batch, Objective.grad_class_batch
+
+
+def _ssag_short_rows(state: State, obj: Objective, strata: list, indices: np.ndarray) -> None:
+    """`ssag_step` over a segment's draws at n = 1 on a linear model whose
+    rows are shorter than `core.SHORT_ROW`, on Python floats.
+
+    W, the table and its sum are read once and written back at the end, or
+    as they stood before a step that raises.  Each step checks its draw's
+    class as `Objective.grad_class_batch` does, reads the row with
+    ``tolist()``, and takes its gradient from `grad_batch`'s short-row
+    formula (`_LinearObjective._row_grad`).  The update is `ssag_step`'s,
+    rounded as its ufuncs round it: the sum as ``(sum - old) + new``, then
+    W - sum * (h/C).
+    """
+    W, table, table_sum = state.W, state._table, state.table_sum
+    ws, slots, total = W.tolist(), table.tolist(), table_sum.tolist()
+    h_per_slot, row_grad = state._h_per_slot.item(), obj._row_grad
+    features, class_of = obj.dataset.features, obj.dataset.class_of
+    N, dims, done = class_of.size, range(len(ws)), 0
+    try:
+        for j, i in zip(strata, indices[:, 0].tolist()):
+            if not 0 <= i < N or class_of.item(i) != j:
+                raise not_in_class([i], j)
+            g, old = row_grad(i, features[i].tolist(), ws), slots[j]
+            slots[j] = g
+            # one loop over the entries: two list comprehensions cost twice as much
+            for k in dims:
+                s = total[k] = (total[k] - old[k]) + g[k]
+                ws[k] -= s * h_per_slot
+            done += 1
+    finally:
+        W[...], table[...], table_sum[...] = ws, slots, total
+        state.steps += done
+
+
+def segment_stepper(step: Callable, obj: Objective, n: int) -> Callable:
+    """The function ``(state, obj, strata, indices)`` that takes a segment's
+    steps for `run`, given the run's step function, objective and batch size.
+
+    `_ssag_short_rows` when the step is this module's own `ssag_step`, n is
+    1, and ``obj`` is a ridge or logistic model with rows shorter than
+    `core.SHORT_ROW` whose ``grad_batch`` and ``grad_class_batch`` are the
+    package's own; otherwise a loop that calls ``step`` once per draw.  So a
+    step or a kernel replaced by name, as a tracer or a counter replaces it,
+    sees every step.
+    """
+    if (step is _SSAG_STEP and n == 1
+            and getattr(obj.grad_batch, "__func__", None) is _GRAD_BATCH
+            and getattr(obj.grad_class_batch, "__func__", None) is _GRAD_CLASS_BATCH
+            and obj._short_rows):
+        return _ssag_short_rows
+
+    def per_step(state, obj, strata, indices):
+        for j, idx in zip(strata, indices):
+            step(state, obj, j, idx)
+
+    return per_step
 
 
 def sag_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> None:
@@ -403,11 +476,18 @@ def run(config: RunConfig, obj: Objective, *, constants=None,
     (see the module note); the record then ends at the row before.  The
     trajectory is fully deterministic given the seed.  A row's ``grad_evals``
     is the kind's `OptimizerSpec.evals` at its step.
+
+    The steps between two boundaries (a record, the end of a block of draws
+    and a recompute) are one segment, which `segment_stepper` takes: SSAG at
+    n = 1 on a ridge or logistic model with rows shorter than
+    `core.SHORT_ROW` in one float kernel, any other run one step call per
+    draw.  A step function or objective kernel replaced by name sees every
+    step, since the kernel runs only for the package's own functions.
     """
     rng = RngStream(config.seed)
     spec, ds = SPECS[config.kind], obj.dataset
     N, source = ds.n_samples, spec.source(ds, config.n)
-    step = globals()[spec.step]
+    advance = segment_stepper(globals()[spec.step], obj, config.n)
     state = make_state(config, obj, constants)
     rows = []
     t0 = time.perf_counter()
@@ -445,8 +525,7 @@ def run(config: RunConfig, obj: Objective, *, constants=None,
             # of the block of draws (the budget's end among them) or a recompute
             stop = min(next_record, end, (state.steps // every + 1) * every)
             a, b = state.steps - start, stop - start
-            for j, idx in zip(strata[a:b], indices[a:b]):
-                step(state, obj, j, idx)
+            advance(state, obj, strata[a:b], indices[a:b])
             # before the recompute and the snapshot, whose loss_full refuses it
             alive = all_finite(state.W)
             if not alive:

@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 import ssag
 from ssag import optimizers
-from ssag.core import all_finite
+from ssag.core import SHORT_ROW, all_finite
 from ssag.errors import ConfigError
 from ssag.optimizers import (DIVERGENCE_LOSS_LIMIT, SPECS, RunConfig, State,
                              fgd_step, make_state, recompute_sum, sag_step, saga_step,
@@ -630,6 +630,131 @@ class TestRejectedDraw:
                 with pytest.raises(ssag.errors.StratumViolationError):
                     ssag_step(state, obj, j, idx)
                 assert _state_bytes(state) == before
+
+
+def _short_row_problem(objective, p, counts, seed):
+    """A ridge or logistic model on p features whose class j has counts[j]
+    rows (logistic takes the first two classes), the rows shuffled."""
+    counts = counts[:2] if objective == "logistic" else counts
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+    X = rng.normal(size=(labels.size, p)) * rng.uniform(0.1, 3.0, size=p)
+    targets = rng.normal(size=labels.size) if objective == "ridge" else labels
+    return ssag.make_objective({"kind": objective, "lam": 0.1},
+                               ssag.Dataset(X, targets, ssag.partition_by_class(labels)))
+
+
+def _pass_through(state, obj, j, idx):
+    """`ssag_step` under another name: bound as ``optimizers.ssag_step``, it
+    sends SSAG runs through the per-step loop."""
+    ssag_step(state, obj, j, idx)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+class TestShortRowSegment:
+    """SSAG at n = 1 on rows shorter than SHORT_ROW steps a whole segment on
+    Python floats (`optimizers._ssag_short_rows`); the per-step path, forced
+    by rebinding `optimizers.ssag_step`, is its oracle, bit for bit."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(objective=st.sampled_from(["ridge", "logistic"]), p=st.integers(1, SHORT_ROW),
+           counts=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+           steps=st.integers(0, 150), cadence=st.integers(1, 40), every=st.integers(1, 30),
+           h=st.sampled_from([0.0, 0.02, 0.3, 1e3]), seed=st.integers(0, 3))
+    @example("ridge", 3, [2, 7], 150, 7, 9, 1e3, 0)  # diverges
+    @example("logistic", SHORT_ROW, [3, 9], 100, 30, 17, 0.3, 1)  # the bypass
+    def test_same_records_as_the_per_step_path(self, objective, p, counts, steps, cadence,
+                                               every, h, seed):
+        obj = _short_row_problem(objective, p, counts, seed)
+        segment = optimizers.segment_stepper(ssag_step, obj, 1)
+        assert (segment is optimizers._ssag_short_rows) == (p < SHORT_ROW)
+        config = RunConfig(kind="ssag", steps=steps, h=h, cadence=cadence, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimizers, "SUM_RECOMPUTE_EVERY", every)
+            segments = ssag.run(config, obj)
+            mp.setattr(optimizers, "ssag_step", _pass_through)
+            per_step = ssag.run(config, obj)
+        assert segments.content_hash() == per_step.content_hash()
+        if (objective, p, h) == ("ridge", 3, 1e3):
+            assert segments.diverged
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(objective=st.sampled_from(["ridge", "logistic"]), p=st.integers(1, SHORT_ROW - 1),
+           counts=st.lists(st.integers(1, 9), min_size=2, max_size=4),
+           bad_at=st.integers(0, 19), bad=st.sampled_from(["other class", "N", "-1"]))
+    def test_an_out_of_class_draw_raises_with_the_per_step_state(self, objective, p, counts,
+                                                                  bad_at, bad):
+        obj = _short_row_problem(objective, p, counts, bad_at)
+        ds = obj.dataset
+        strata, indices = RngStream(bad_at).take(ds, 1, 20)
+        j = strata[bad_at]
+        indices[bad_at] = {"other class": ds.partition[(j + 1) % ds.n_classes][0],
+                           "N": ds.n_samples, "-1": -1}[bad]
+        outcomes = []
+        for step in (ssag_step, _pass_through):
+            state = make_state(RunConfig(kind="ssag", steps=0, h=0.3), obj)
+            with pytest.raises(ssag.errors.StratumViolationError) as raised:
+                optimizers.segment_stepper(step, obj, 1)(state, obj, strata.tolist(), indices)
+            outcomes.append((str(raised.value), _state_bytes(state)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1][3] == bad_at
+
+
+class TestStepAllocations:
+    """Transient bytes per step, as `conftest.peak_alloc_bytes` counts them:
+    a guard that a host's noise cannot move."""
+
+    @pytest.mark.parametrize("p", [5, 20])
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    def test_a_linear_step_takes_a_few_kb(self, kind, p):
+        obj = any_kind_problem("logistic", 12, p, 2, seed=p)
+        state = make_state(RunConfig(kind=kind, steps=0, h=0.05), obj)
+        step = getattr(optimizers, SPECS[kind].step)
+        draws = _draws(kind, obj, 4, RngStream(1))
+        step(state, obj, *draws[0])  # SVRG's first snapshot
+        # FGD's one pass over the rows holds products of the feature matrix's size
+        bound = 2048 + (2 * obj.dataset.features.nbytes if kind == "fgd" else 0)
+        peaks = [peak_alloc_bytes(step, state, obj, *draw) for draw in draws[1:]]
+        assert max(peaks) < bound, peaks
+
+    @pytest.mark.parametrize("kind", ["ssag", "sgd"])
+    def test_an_mlp_step_holds_at_most_one_w(self, kind):
+        # the gradient goes straight into the slot or scratch row; lam W is
+        # the one W-sized temporary left, the rest is a few activation rows
+        X = np.random.default_rng(0).normal(size=(30, 200))
+        obj = ssag.Mlp(ssag.Dataset.from_class_labels(X, np.arange(30) % 10), hidden=(120,),
+                       lam=0.01)
+        state = make_state(RunConfig(kind=kind, steps=0, h=0.05), obj)
+        step = getattr(optimizers, SPECS[kind].step)
+        draws = _draws(kind, obj, 3, RngStream(1))
+        step(state, obj, *draws[0])
+        peaks = [peak_alloc_bytes(step, state, obj, *draw) for draw in draws[1:]]
+        assert max(peaks) < state.W.nbytes + 16 * 1024, peaks
+
+    def test_a_short_row_segment_keeps_no_copy_of_the_rows(self):
+        # 1000 steps on N = 200 and N = 20 000 rows of the envelope geometry.
+        # The larger draws' index list holds one int object each, which
+        # CPython caches below 257, so 32 bytes a draw may differ; a copy of
+        # the features or of class_of would take 800 or 160 KB more
+        peaks = []
+        for per_class in (100, 10_000):
+            obj = _envelope_logistic(per_class)
+            state = make_state(RunConfig(kind="ssag", steps=0, h=0.05), obj)
+            strata, indices = RngStream(1).take(obj.dataset, 1, 1000)
+            segment = optimizers.segment_stepper(ssag_step, obj, 1)
+            assert segment is optimizers._ssag_short_rows
+            peaks.append(peak_alloc_bytes(segment, state, obj, strata.tolist(), indices))
+            assert state.steps == 1000
+        assert peaks[0] <= peaks[1] <= peaks[0] + 32 * 1000
+
+
+def _envelope_logistic(per_class):
+    """ssag-envelope's p = 5 logistic problem with ``per_class`` rows per class."""
+    means = np.zeros((2, 5))
+    means[0, 0], means[1, 0], means[1, 1] = -18.0, 22.0, 4.0
+    return ssag.LogisticRegression(ssag.gen_synthetic(ssag.SyntheticSpec(
+        means=means, counts=(per_class, per_class), stddev=0.02, seed=1)), lam=0.1)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

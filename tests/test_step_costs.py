@@ -173,6 +173,37 @@ def test_a_differing_digest_names_its_cell_and_fails(tmp_path, capsys):
     assert (out[13][:12], out[14]) == ("p = 20 ssag ", "final state DIFFERS: p = 20 ssag")
 
 
+COUNT_SEGMENTS = """
+
+_segment_stepper, SEGMENTS = segment_stepper, []
+
+
+def segment_stepper(step, obj, n):
+    advance = _segment_stepper(step, obj, n)
+
+    def counted(state, obj, strata, indices):
+        SEGMENTS.append((advance.__name__, len(strata)))
+        advance(state, obj, strata, indices)
+
+    return counted
+"""
+
+
+def test_blocks_go_through_the_segment_stepper_or_step_by_step_without_it(tmp_path, capsys):
+    # the parent lacks segment_stepper, as trees before it do, and steps each
+    # draw; the change times each block through it, so its p = 5 ssag cell
+    # runs the float segment, with the parent's final state
+    roots = {"parent": _export(tmp_path, "parent", optimizers="\ndel segment_stepper\n"),
+             "change": _export(tmp_path, "change", optimizers=COUNT_SEGMENTS)}
+    assert step_costs.main([*_argv(**roots), "--blocks", "2", "--steps", "3"]) == 0
+    assert "DIFFERS" not in capsys.readouterr().out
+    assert not hasattr(sys.modules["ssag_parent"].optimizers, "segment_stepper")
+    segments = sys.modules["ssag_change"].optimizers.SEGMENTS
+    assert len(segments) == 2 * 2 * len(step_costs.KINDS)
+    assert {size for _, size in segments} == {3}
+    assert [name for name, _ in segments].count("_ssag_short_rows") == 2
+
+
 def test_a_tree_without_make_state_is_refused_by_that_name(tmp_path):
     roots = {"parent": _export(tmp_path, "parent"),
              "change": _export(tmp_path, "change", init="del make_state\n")}

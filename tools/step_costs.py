@@ -7,10 +7,12 @@ Each tree's ``src/ssag`` is imported as its own package (``ssag_parent``, ...)
 and builds ssag-envelope's and large-n-compare's problems from one set of
 arrays through its own API; a tree that lacks a name the harness calls is
 refused by that name, for ``bench_pairs.py`` to compare.  Each cell, a geometry
-and a kind of `KINDS`, runs ``--blocks`` blocks of ``--steps`` steps per side
-and prints each leg's median per-block ratio to the parent with its 95 %
-sign-test interval; the change reads ``better`` or ``worse`` only when its
-interval misses the ``--control`` leg's.  ``bench_pairs.py`` keeps a pooled
+and a kind of `KINDS`, runs ``--blocks`` blocks of ``--steps`` steps per side,
+each block through the function that the tree's ``run`` calls for a segment
+(``optimizers.segment_stepper``), or one step call per draw in a tree that
+lacks it, and prints each leg's median per-block ratio to the parent with its
+95 % sign-test interval; the change reads ``better`` or ``worse`` only when
+its interval misses the ``--control`` leg's.  ``bench_pairs.py`` keeps a pooled
 quartile band, as its end-to-end runs have no paired blocks, though that band
 read noise as a verdict on per-step costs at 10 rounds.  A cell whose sides'
 final states differ is named in a ``final state DIFFERS`` line, and the exit
@@ -58,9 +60,20 @@ def problems(seed):
         yield geometry, means[labels] + stddev * noise, labels, lam
 
 
+def per_step(step):
+    """A loop that calls ``step`` once per draw: how a tree without
+    ``optimizers.segment_stepper`` takes a block's steps."""
+    def advance(state, obj, strata, indices):
+        for j, idx in zip(strata, indices):
+            step(state, obj, j, idx)
+    return advance
+
+
 def cells(tree, shared, steps, seed):
-    """{cell: (step, state, objective, draw)} as ``tree`` builds them; ``draw()``
-    takes the cell's next ``steps`` draws from its own `RngStream`."""
+    """{cell: (advance, state, objective, draw)} as ``tree`` builds them:
+    ``advance(state, obj, strata, indices)`` takes a block's steps through the
+    function that ``run`` calls for a segment, and ``draw()`` takes the cell's
+    next ``steps`` draws from its own `RngStream`."""
     out = {}
     for geometry, features, labels, lam in shared:
         obj = tree.LogisticRegression(tree.Dataset.from_class_labels(features, labels), lam=lam)
@@ -69,8 +82,11 @@ def cells(tree, shared, steps, seed):
             spec = tree.optimizers.SPECS[kind]
             config = tree.RunConfig(kind=kind, steps=steps, n=n, seed=seed)
             draw = functools.partial(tree.RngStream(seed).take, *spec.source(obj.dataset, n), steps)
-            out[f"{geometry} {kind}"] = (getattr(tree.optimizers, spec.step),
-                                         tree.make_state(config, obj, constants), obj, draw)
+            step = getattr(tree.optimizers, spec.step)
+            stepper = getattr(tree.optimizers, "segment_stepper", None)
+            advance = stepper(step, obj, n) if stepper else per_step(step)
+            out[f"{geometry} {kind}"] = (advance, tree.make_state(config, obj, constants), obj,
+                                         draw)
     return out
 
 
@@ -82,12 +98,11 @@ def time_blocks(sides, blocks, steps):
     times = {side: [] for side in sides}
     for block in range(blocks):
         for side in orders[block % len(orders)]:
-            step, state, obj, draw = sides[side]
+            advance, state, obj, draw = sides[side]
             strata, indices = draw()
             strata = strata.tolist()
             t0 = time.perf_counter()
-            for s in range(steps):
-                step(state, obj, strata[s], indices[s])
+            advance(state, obj, strata, indices)
             times[side].append(time.perf_counter() - t0)
     return times
 
