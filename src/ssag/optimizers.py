@@ -28,18 +28,14 @@ A step's cost is its numpy dispatch, so the steps call each ufunc through a
 module-level name with its output passed positionally, and read a repeated
 attribute into a local once: ``multiply(a, b, o)`` takes 224 ns at p = 20
 where ``np.multiply(a, b, out=o)`` takes 278 (numpy 2.4, 2-core x86-64).
-Where a step's whole state is a few dozen floats, as SSAG's at n = 1 on rows
-shorter than `core.SHORT_ROW`, `run` takes each segment in one call of
-`_ssag_short_rows`, on Python floats, with the same bits; `segment_stepper`
-says when.  So the SSAG update is written twice: with ufuncs in `ssag_step`
-and with floats in `_ssag_short_rows`.
-
-perfbench's tracer (``perfbench/spans.py``) counts calls by name, and wrapping
-a name sends a run through the per-step loop: `segment_stepper` takes the
-float segment only for this module's own `ssag_step` and the objectives' own
-kernels.  A traced or counted run therefore sees the kind's step function once
-per step, SSAG's `Objective.grad_class_batch` then `grad_batch` once each per
-step, and `loss_full` and `squared_distance` per record.
+SSAG's whole state at n = 1 on rows shorter than `core.SHORT_ROW` is a few
+dozen floats, so `run` steps such a segment in `_ssag_short_rows` on Python
+floats, with the same bits: the SSAG update is written twice, in ufuncs and
+in floats.  perfbench's tracer (``perfbench/spans.py``) counts calls by name,
+and wrapping a name sends a run through the per-step loop (`segment_stepper`),
+so a traced run sees the kind's step function once per step, SSAG's
+`Objective.grad_class_batch` then `grad_batch` once each per step, and
+`loss_full` and `squared_distance` per record.
 """
 
 from __future__ import annotations
@@ -139,24 +135,21 @@ def ssag_step(state: State, obj: Objective, j: int, idx: np.ndarray) -> None:
     _table_average_step(state, slot)
 
 
-#: `ssag_step` as this module defines it: `segment_stepper` compares a run's
-#: step with it, not with whatever the name is bound to when the run starts
-_SSAG_STEP = ssag_step
-#: the kernels that the short-row segment stands in for
-_GRAD_BATCH, _GRAD_CLASS_BATCH = _LinearObjective.grad_batch, Objective.grad_class_batch
+#: the functions that `_ssag_short_rows` stands in for, as defined, whatever
+#: names are bound to them when a run starts
+_SSAG_STEP, _GRAD_BATCH, _GRAD_CLASS_BATCH = (ssag_step, _LinearObjective.grad_batch,
+                                              Objective.grad_class_batch)
 
 
 def _ssag_short_rows(state: State, obj: Objective, strata: list, indices: np.ndarray) -> None:
-    """`ssag_step` over a segment's draws at n = 1 on a linear model whose
-    rows are shorter than `core.SHORT_ROW`, on Python floats.
+    """`ssag_step` over a segment's draws at n = 1, on Python floats.
 
-    W, the table and its sum are read once and written back at the end, or
-    as they stood before a step that raises.  Each step checks its draw's
-    class as `Objective.grad_class_batch` does, reads the row with
-    ``tolist()``, and takes its gradient from `grad_batch`'s short-row
-    formula (`_LinearObjective._row_grad`).  The update is `ssag_step`'s,
-    rounded as its ufuncs round it: the sum as ``(sum - old) + new``, then
-    W - sum * (h/C).
+    W, the table and its sum are read once and written back at the end or,
+    if a step raises, as they stood before it.  Each step checks its draw's class
+    as `Objective.grad_class_batch` does, takes the gradient from
+    `grad_batch`'s short-row formula (`_LinearObjective._row_grad`), and
+    rounds the update as `ssag_step`'s ufuncs do: the sum as
+    ``(sum - old) + new``, then W - sum * (h/C).
     """
     W, table, table_sum = state.W, state._table, state.table_sum
     ws, slots, total = W.tolist(), table.tolist(), table_sum.tolist()
@@ -186,9 +179,7 @@ def segment_stepper(step: Callable, obj: Objective, n: int) -> Callable:
     `_ssag_short_rows` when the step is this module's own `ssag_step`, n is
     1, and ``obj`` is a ridge or logistic model with rows shorter than
     `core.SHORT_ROW` whose ``grad_batch`` and ``grad_class_batch`` are the
-    package's own; otherwise a loop that calls ``step`` once per draw.  So a
-    step or a kernel replaced by name, as a tracer or a counter replaces it,
-    sees every step.
+    package's own; otherwise a loop that calls ``step`` once per draw.
     """
     if (step is _SSAG_STEP and n == 1
             and getattr(obj.grad_batch, "__func__", None) is _GRAD_BATCH
@@ -478,11 +469,9 @@ def run(config: RunConfig, obj: Objective, *, constants=None,
     is the kind's `OptimizerSpec.evals` at its step.
 
     The steps between two boundaries (a record, the end of a block of draws
-    and a recompute) are one segment, which `segment_stepper` takes: SSAG at
-    n = 1 on a ridge or logistic model with rows shorter than
-    `core.SHORT_ROW` in one float kernel, any other run one step call per
-    draw.  A step function or objective kernel replaced by name sees every
-    step, since the kernel runs only for the package's own functions.
+    and a recompute) are one segment, taken by `segment_stepper`'s function:
+    one step call per draw, unless the float kernel applies.  A step or
+    objective kernel replaced by name sees every step.
     """
     rng = RngStream(config.seed)
     spec, ds = SPECS[config.kind], obj.dataset
