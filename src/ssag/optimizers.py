@@ -145,8 +145,8 @@ def _ssag_short_rows(state: State, obj: Objective, strata: list, indices: np.nda
     """`ssag_step` over a segment's draws at n = 1, on Python floats.
 
     W, the table and its sum are read once and written back at the end or,
-    if a step raises, as they stood before it.  Each step checks its draw's class
-    as `Objective.grad_class_batch` does, takes the gradient from
+    if a step raises, as they stood before it.  Each step checks its draw's
+    class as `Objective.grad_class_batch` does, takes the gradient from
     `grad_batch`'s short-row formula (`_LinearObjective._row_grad`), and
     rounds the update as `ssag_step`'s ufuncs do: the sum as
     ``(sum - old) + new``, then W - sum * (h/C).

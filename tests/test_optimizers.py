@@ -733,13 +733,14 @@ class TestStepAllocations:
         assert max(peaks) < state.W.nbytes + 16 * 1024, peaks
 
     def test_a_short_row_segment_keeps_no_copy_of_the_rows(self):
-        # 1000 steps on N = 200 and N = 20 000 rows of the envelope geometry.
-        # The larger draws' index list holds one int object each, which
-        # CPython caches below 257, so 32 bytes a draw may differ; a copy of
-        # the features or of class_of would take 800 or 160 KB more
+        # 1000 steps on N = 200 and N = 20 000 rows of p = 5, ssag-envelope's
+        # N and a hundred times it.  The larger draws' index list holds one
+        # int object each, which CPython caches below 257, so 32 bytes a draw
+        # may differ; a copy of the features or of class_of would take 800 or
+        # 160 KB more
         peaks = []
-        for per_class in (100, 10_000):
-            obj = _envelope_logistic(per_class)
+        for N in (200, 20_000):
+            obj = any_kind_problem("logistic", N, 5, 2, seed=1)
             state = make_state(RunConfig(kind="ssag", steps=0, h=0.05), obj)
             strata, indices = RngStream(1).take(obj.dataset, 1, 1000)
             segment = optimizers.segment_stepper(ssag_step, obj, 1)
@@ -747,14 +748,6 @@ class TestStepAllocations:
             peaks.append(peak_alloc_bytes(segment, state, obj, strata.tolist(), indices))
             assert state.steps == 1000
         assert peaks[0] <= peaks[1] <= peaks[0] + 32 * 1000
-
-
-def _envelope_logistic(per_class):
-    """ssag-envelope's p = 5 logistic problem with ``per_class`` rows per class."""
-    means = np.zeros((2, 5))
-    means[0, 0], means[1, 0], means[1, 1] = -18.0, 22.0, 4.0
-    return ssag.LogisticRegression(ssag.gen_synthetic(ssag.SyntheticSpec(
-        means=means, counts=(per_class, per_class), stddev=0.02, seed=1)), lam=0.1)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
