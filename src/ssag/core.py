@@ -17,12 +17,13 @@ import numpy as np
 from .errors import DimensionMismatchError
 
 #: A one-row gradient of a linear model (`objectives`) with fewer features
-#: than this is computed on Python floats.  It is 8 for two reasons.  numpy's
-#: pairwise sum adds fewer than 8 terms one at a time, left to right from
-#: +0.0, so a Python loop gives its bits; from 8 terms on it keeps 8 partial
-#: sums, which a loop would have to mimic.  And below 8 entries the list
-#: conversions cost less than the numpy calls they replace, whose overhead
-#: does not shrink with the vector.
+#: than this is computed on Python floats, and so is a segment of SSAG steps
+#: at n = 1 on such rows (`optimizers.segment_stepper`).  It is 8 for two
+#: reasons.  numpy's pairwise sum adds fewer than 8 terms one at a time, left
+#: to right from +0.0, so a Python loop gives its bits; from 8 terms on it
+#: keeps 8 partial sums, which a loop would have to mimic.  And below 8
+#: entries the list conversions cost less than the numpy calls they replace,
+#: whose overhead does not shrink with the vector.
 SHORT_ROW = 8
 
 #: Transient bytes one block of a blocked pass may take: `gradient_population_stats`,

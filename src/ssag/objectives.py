@@ -236,7 +236,9 @@ class Objective(ABC):
         untouched, unless every index is an integer in [0, N) of class j.  A
         batch of any shape is taken as the 1-D batch of its entries."""
         if type(indices) is np.ndarray and indices.dtype is _INDEX and indices.shape == (1,):
-            # one int64 index in a 1-D array, as an SSAG step at n = 1 draws it:
+            # one int64 index in a 1-D array, as an SSAG step at n = 1 draws it
+            # (on rows shorter than SHORT_ROW such a step comes here only when
+            # a name is wrapped, see `optimizers.segment_stepper`):
             # np.asarray would return it as it is, so only the range and membership
             # tests are left (a negative index would wrap around class_of)
             i, class_of = indices.item(), self.dataset.class_of

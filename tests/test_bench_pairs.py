@@ -91,27 +91,38 @@ def test_host_slowdown_is_read_and_summarized():
     assert "slowdown" not in bench_pairs.format_summary(summarize(END_TO_END, runs), runs)
 
 
-def test_alternate_swaps_the_first_side_each_round(capsys):
-    order = []
-    checkouts = bench_pairs.pair_parser("pairs").parse_args(["--parent", "p", "--change", "c"])
-    runs = bench_pairs.alternate(checkouts, 3, lambda checkout: order.append(checkout.name)
-                                 or len(order), str)
-    assert order == ["p", "c", "c", "p", "p", "c"]
-    assert runs == {"parent": [1, 4, 5], "change": [2, 3, 6]}
-    assert capsys.readouterr().out.splitlines()[:2] == ["pair 0 parent: 1", "pair 0 change: 2"]
+def test_round_order_takes_each_permutation_in_turn():
+    # two sides alternate; with three, each side runs first, second and last
+    assert [bench_pairs.round_order(("p", "c"), r) for r in range(3)] == [
+        ("p", "c"), ("c", "p"), ("p", "c")]
+    orders = [bench_pairs.round_order(("p", "c", "x"), r) for r in range(7)]
+    assert orders == [("p", "c", "x"), ("p", "x", "c"), ("c", "p", "x"), ("c", "x", "p"),
+                      ("x", "p", "c"), ("x", "c", "p"), ("p", "c", "x")]
+    assert all({order[i] for order in orders} == {"p", "c", "x"} for i in range(3))
+
+
+def _checkout(path):
+    """``path`` as a checkout directory: one that holds ``src/ssag/__init__.py``."""
+    (path / "src" / "ssag").mkdir(parents=True)
+    (path / "src" / "ssag" / "__init__.py").touch()
+    return path
 
 
 @pytest.mark.parametrize("side", ["--parent", "--change"])
-def test_pair_parser_refuses_a_git_work_tree(tmp_path, capsys, side):
-    work_tree, export = tmp_path / "work", tmp_path / "export"
-    (work_tree / ".git").mkdir(parents=True)
-    export.mkdir()
+@pytest.mark.parametrize("refused, message", [
+    ("work", "git archive"), ("missing", "is not a checkout"), ("empty", "is not a checkout")])
+def test_pair_parser_refuses_a_git_work_tree(tmp_path, capsys, side, refused, message):
+    # a git work tree, a missing directory and an empty one, each a usage error
+    work_tree, export = _checkout(tmp_path / "work"), _checkout(tmp_path / "export")
+    (work_tree / ".git").mkdir()
+    (tmp_path / "empty").mkdir()
     argv = {"--parent": export, "--change": export}
-    argv[side] = work_tree
-    with pytest.raises(SystemExit):
+    argv[side] = tmp_path / refused
+    with pytest.raises(SystemExit) as exited:
         bench_pairs.pair_parser("pairs").parse_args(
             [arg for flag, path in argv.items() for arg in (flag, str(path))])
-    assert "git archive" in capsys.readouterr().err
+    assert exited.value.code == 2
+    assert message in capsys.readouterr().err
     args = bench_pairs.pair_parser("pairs").parse_args(
         ["--parent", str(export), "--change", str(export)])
     assert (args.parent, args.change) == (export, export)
@@ -152,22 +163,9 @@ def test_format_summary_prints_the_shifts_next_to_each_other():
     assert "A/A" not in lines[0] and lines[1].split()[5:] == ["+5.00%", "2/2", "higher"]
 
 
-def test_alternate_reverses_all_three_sides_each_round(capsys):
-    order = []
-    args = bench_pairs.pair_parser("pairs").parse_args(["--parent", "p", "--change", "c"])
-    args.control = Path("x")
-    runs = bench_pairs.alternate(args, 3, lambda checkout: order.append(checkout.name)
-                                 or len(order), str)
-    assert order == ["p", "c", "x", "x", "c", "p", "p", "c", "x"]
-    assert runs == {"parent": [1, 6, 7], "change": [2, 5, 8], "control": [3, 4, 9]}
-
-
 @pytest.mark.parametrize("control_digest, code", [("abc", 0), ("abd", 1)])
 def test_main_runs_the_control_leg(tmp_path, monkeypatch, capsys, control_digest, code):
-    checkouts = {}
-    for side in ("parent", "change", "control"):
-        checkouts[side] = tmp_path / side
-        checkouts[side].mkdir()
+    checkouts = {side: _checkout(tmp_path / side) for side in ("parent", "change", "control")}
     (checkouts["change"] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
     speeds = {"parent": iter([100, 100]), "change": iter([104, 106]),
               "control": iter([99, 101])}
@@ -185,7 +183,7 @@ def test_main_runs_the_control_leg(tmp_path, monkeypatch, capsys, control_digest
     out = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in out[:6]] == [
         "pair 0 parent", "pair 0 change", "pair 0 control",
-        "pair 1 control", "pair 1 change", "pair 1 parent"]
+        "pair 1 parent", "pair 1 control", "pair 1 change"]
     speed = next(line.split() for line in out if line.startswith("steps_per_s"))
     assert speed[5:] == ["+5.00%", "2/2", "+0.00%", "1.00%", "1/2", "higher"]
 

@@ -700,6 +700,28 @@ class TestShortRowSegment:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][1][3] == bad_at
 
+    @pytest.mark.parametrize("name", ["ssag_step", "grad_batch", "grad_class_batch"])
+    def test_a_wrapped_name_sees_every_step(self, monkeypatch, name):
+        # rebinding optimizers.ssag_step or wrapping the instance's gradient
+        # sends the run through the per-step path, as perfbench's tracer does;
+        # the wrapper sees each step once, and the records keep their bits
+        obj = _short_row_problem("logistic", 5, [3, 9], 1)
+        config = RunConfig(kind="ssag", steps=60, h=0.3, cadence=7, seed=1)
+        assert optimizers.segment_stepper(ssag_step, obj, 1) is optimizers._ssag_short_rows
+        segments = ssag.run(config, obj)
+        owner = optimizers if name == "ssag_step" else obj
+        wrapped, calls = getattr(owner, name), []
+
+        def wrapper(*args):
+            calls.append(args)
+            return wrapped(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+        assert (optimizers.segment_stepper(optimizers.ssag_step, obj, 1)
+                is not optimizers._ssag_short_rows)
+        assert ssag.run(config, obj).content_hash() == segments.content_hash()
+        assert len(calls) == config.steps
+
 
 class TestStepAllocations:
     """Transient bytes per step, as `conftest.peak_alloc_bytes` counts them:

@@ -100,6 +100,16 @@ def _replay(name):
     return {side: [us * 1e-3 for us in times] for side, times in RECORDED[name].items()}
 
 
+@pytest.mark.parametrize("blocks, legs", [
+    (5, "change +100.00% [-100.00%, +inf%]  control +0.00% [-100.00%, +inf%]  no verdict"),
+    (6, "change +100.00% [+100.00%, +100.00%]  control +0.00% [+0.00%, +0.00%]  worse")])
+def test_below_6_blocks_a_change_twice_as_slow_reads_no_verdict(blocks, legs):
+    # below 6 blocks the sign-test interval is the whole line, which misses
+    # no other interval; from 6 on it runs from the smallest ratio to the largest
+    times = {"parent": [1e-3] * blocks, "change": [2e-3] * blocks, "control": [1e-3] * blocks}
+    assert summary_line("p = 5 sgd", times, 1000).endswith(f"us  {legs}")
+
+
 def test_recorded_a_a_blocks_read_inside():
     # neither interval holds the other's median, and the control's misses 0:
     # only the overlap of the two says that this is noise
@@ -147,6 +157,13 @@ def test_the_harness_times_each_drawing_kind_on_both_geometries(tmp_path, capsys
     # without a control: the shift and its interval, whole at 2 blocks, and
     # no verdict; equal final states print nothing more
     assert all(line.split("  ")[-1].endswith("[-100.00%, +inf%]") for line in out[1:])
+    # each block goes through the tree's segment_stepper: at p = 5, SSAG's
+    # is the float segment
+    tree = sys.modules["ssag_change"]
+    advance = {cell: side[0] for cell, side in
+               step_costs.cells(tree, list(step_costs.problems(1)), 3, 1).items()}
+    assert [cell for cell, f in advance.items() if f is tree.optimizers._ssag_short_rows] == [
+        "p = 5 ssag"]
 
 
 NUDGE = """
@@ -167,48 +184,23 @@ def test_a_differing_digest_names_its_cell_and_fails(tmp_path, capsys):
     assert step_costs.main([*_argv(**roots), "--blocks", "2", "--steps", "3"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0].endswith("sides parent, change, control")
-    assert len(out) == 15 and all(line.endswith("  inside") for line in out[1:7] + out[8:14])
+    # 2 blocks give each leg the whole line as its interval: no verdict
+    assert len(out) == 15 and all(line.endswith("  no verdict") for line in out[1:7] + out[8:14])
     # each DIFFERS line follows its own cell's line
     assert (out[6][:11], out[7]) == ("p = 5 ssag ", "final state DIFFERS: p = 5 ssag")
     assert (out[13][:12], out[14]) == ("p = 20 ssag ", "final state DIFFERS: p = 20 ssag")
 
 
-COUNT_SEGMENTS = """
-
-_segment_stepper, SEGMENTS = segment_stepper, []
-
-
-def segment_stepper(step, obj, n):
-    advance = _segment_stepper(step, obj, n)
-
-    def counted(state, obj, strata, indices):
-        SEGMENTS.append((advance.__name__, len(strata)))
-        advance(state, obj, strata, indices)
-
-    return counted
-"""
-
-
-def test_blocks_go_through_the_segment_stepper_or_step_by_step_without_it(tmp_path, capsys):
-    # the parent lacks segment_stepper, as trees before it do, and steps each
-    # draw; the change times each block through it, so its p = 5 ssag cell
-    # runs the float segment, with the parent's final state
-    roots = {"parent": _export(tmp_path, "parent", optimizers="\ndel segment_stepper\n"),
-             "change": _export(tmp_path, "change", optimizers=COUNT_SEGMENTS)}
-    assert step_costs.main([*_argv(**roots), "--blocks", "2", "--steps", "3"]) == 0
-    assert "DIFFERS" not in capsys.readouterr().out
-    assert not hasattr(sys.modules["ssag_parent"].optimizers, "segment_stepper")
-    segments = sys.modules["ssag_change"].optimizers.SEGMENTS
-    assert len(segments) == 2 * 2 * len(step_costs.KINDS)
-    assert {size for _, size in segments} == {3}
-    assert [name for name, _ in segments].count("_ssag_short_rows") == 2
-
-
-def test_a_tree_without_make_state_is_refused_by_that_name(tmp_path):
+@pytest.mark.parametrize("module, name, owner", [
+    ("init", "make_state", "ssag_change"),
+    ("optimizers", "segment_stepper", "ssag_change.optimizers")])
+def test_a_tree_without_make_state_is_refused_by_that_name(tmp_path, module, name, owner):
+    # segment_stepper is what times each block: a tree before it is for
+    # bench_pairs.py, as is one without make_state
     roots = {"parent": _export(tmp_path, "parent"),
-             "change": _export(tmp_path, "change", init="del make_state\n")}
-    with pytest.raises(SystemExit, match=r"change: module 'ssag_change' has no attribute "
-                       r"'make_state'; compare it with tools/bench_pairs\.py"):
+             "change": _export(tmp_path, "change", **{module: f"\ndel {name}\n"})}
+    with pytest.raises(SystemExit, match=rf"change: module '{owner}' has no attribute "
+                       rf"'{name}'; compare it with tools/bench_pairs\.py"):
         step_costs.main(_argv(**roots))
 
 

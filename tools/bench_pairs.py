@@ -4,14 +4,15 @@
         --workload ssag-envelope --seed 1 --seconds 45 --pairs 10
 
 Each round runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
-once in each checkout, one run after the other: parent, change (and control)
-in even rounds and the reverse order in odd rounds.  For every end-to-end
-metric that the change's BENCHMARK.json lists, the summary gives both
-medians, the parent's interquartile range, the change's shift (its median
-over the parent's, less 1) and the rounds the change won in the metric's
-``better`` direction; a tie counts for neither side.  It also says whether
-every run on every side printed the same records digests; the exit code is 1
-when they differ or a run failed a check.
+once in each checkout, one run after the other, in the order `round_order`
+gives: parent and change alternate, and with a control each side runs first,
+second and last in turn.  For every end-to-end metric that the change's
+BENCHMARK.json lists, the summary gives both medians, the parent's
+interquartile range, the change's shift (its median over the parent's, less
+1) and the rounds the change won in the metric's ``better`` direction; a tie
+counts for neither side.  It also says whether every run on every side
+printed the same records digests; the exit code is 1 when they differ or a
+run failed a check.
 
 ``--control`` is a second export of the parent, an A/A leg: the same code
 run in the same rounds, so whatever separates it from the parent is noise or
@@ -32,6 +33,7 @@ Each checkout is a ``git archive`` export; each run is waited for.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import statistics
@@ -182,14 +184,17 @@ def format_summary(rows, runs) -> str:
 
 
 def export_dir(value: str) -> Path:
-    """A checkout directory that holds no ``.git``.  A git work tree read
-    0.3-0.4 MB more ``peak_rss_mb`` than an export of the same files, so
-    both sides of a comparison are exports."""
+    """A checkout directory, one that holds ``src/ssag/__init__.py`` and no
+    ``.git``.  A git work tree read 0.3-0.4 MB more ``peak_rss_mb`` than an
+    export of the same files, so both sides of a comparison are exports."""
     path = Path(value)
     if (path / ".git").exists():
         raise argparse.ArgumentTypeError(
             f"{path} holds .git; compare exports made with "
             f"`git archive REV | tar -x -C DIR`, not a git work tree")
+    if not (path / "src" / "ssag" / "__init__.py").is_file():
+        raise argparse.ArgumentTypeError(f"{path} is not a checkout: it holds no "
+                                         f"src/ssag/__init__.py")
     return path
 
 
@@ -206,18 +211,12 @@ def pair_parser(description: str) -> argparse.ArgumentParser:
     return p
 
 
-def alternate(args, rounds: int, run_one, describe) -> dict[str, list]:
-    """Each side's ``run_one(checkout)`` results over ``rounds`` rounds, each
-    run's ``describe(result)`` printed as it ends: parent, change and control,
-    if ``args.control`` is set, in even rounds and the reverse in odd ones."""
-    sides = SIDES + ((CONTROL,) if args.control is not None else ())
-    runs = {side: [] for side in sides}
-    for round_no in range(rounds):
-        for side in sides if round_no % 2 == 0 else sides[::-1]:
-            result = run_one(getattr(args, side))
-            runs[side].append(result)
-            print(f"pair {round_no} {side}: {describe(result)}", flush=True)
-    return runs
+def round_order(sides, round_no: int) -> tuple:
+    """The order of ``sides`` in round ``round_no``: their permutations, one
+    per round, in turn.  Two sides alternate; with three, each side runs
+    first, second and last in turn."""
+    orders = list(itertools.permutations(sides))
+    return orders[round_no % len(orders)]
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Run:
@@ -243,11 +242,15 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         p.error("--pairs must be >= 1")
     end_to_end = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
-    runs = alternate(
-        args, args.pairs,
-        lambda checkout: run_once(checkout, args.workload, args.seed, args.seconds),
-        lambda run: ", ".join(f"{m['name']} {run.metrics[m['name']]:.6g}" for m in end_to_end)
-        + f", host slowdown {run.slowdown:.3f}, digests {' '.join(run.digests)}")
+    runs = {side: [] for side in SIDES + ((CONTROL,) if args.control else ())}
+    for round_no in range(args.pairs):
+        for side in round_order(runs, round_no):
+            run = run_once(getattr(args, side), args.workload, args.seed, args.seconds)
+            runs[side].append(run)
+            print(f"pair {round_no} {side}: "
+                  + ", ".join(f"{m['name']} {run.metrics[m['name']]:.6g}" for m in end_to_end)
+                  + f", host slowdown {run.slowdown:.3f}, digests {' '.join(run.digests)}",
+                  flush=True)
     print(f"{args.workload}: {args.pairs} pairs, seed {args.seed}, {args.seconds:g} s per run")
     print(format_summary(summarize(end_to_end, runs), runs))
     correct = all(run.correct for side_runs in runs.values() for run in side_runs)

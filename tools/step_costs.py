@@ -5,25 +5,28 @@
 
 Each tree's ``src/ssag`` is imported as its own package (``ssag_parent``, ...)
 and builds ssag-envelope's and large-n-compare's problems from one set of
-arrays through its own API; a tree that lacks a name the harness calls is
-refused by that name, for ``bench_pairs.py`` to compare.  Each cell, a geometry
-and a kind of `KINDS`, runs ``--blocks`` blocks of ``--steps`` steps per side,
-each block through the function that the tree's ``run`` calls for a segment
-(``optimizers.segment_stepper``), or one step call per draw in a tree that
-lacks it, and prints each leg's median per-block ratio to the parent with its
-95 % sign-test interval; the change reads ``better`` or ``worse`` only when
-its interval misses the ``--control`` leg's.  ``bench_pairs.py`` keeps a pooled
-quartile band, as its end-to-end runs have no paired blocks, though that band
-read noise as a verdict on per-step costs at 10 rounds.  A cell whose sides'
-final states differ is named in a ``final state DIFFERS`` line, and the exit
-code is 1.  The trees share numpy's global state, the allocator and the caches:
-changes to those are for perfbench.
+arrays through its own API; a tree that lacks a name the harness calls, such
+as ``optimizers.segment_stepper``, is refused by that name, for
+``bench_pairs.py`` to compare.  Each cell, a geometry and a kind of `KINDS`,
+runs ``--blocks`` blocks of ``--steps`` steps per side, each block through
+the function that the tree's ``run`` calls for a segment, the sides in
+`bench_pairs.round_order`, and prints each leg's median per-block ratio to
+the parent with its 95 % sign-test interval; the change reads ``better`` or
+``worse`` only when its interval misses the ``--control`` leg's, and ``no
+verdict`` below 6 blocks, where the interval is the whole line.
+``bench_pairs.py`` keeps a pooled quartile band, as its end-to-end runs have
+no paired blocks, though that band read noise as a verdict on per-step costs
+at 10 rounds.  Two exports of one tree differ by about 0.5-1 % per cell in
+one process, about the width of an interval at 100 blocks, so a cell that no
+side changed can read a verdict: re-run a single verdict before citing it.  A
+cell whose sides' final states differ is named in a ``final state DIFFERS``
+line, and the exit code is 1.  The trees share numpy's global state, the
+allocator and the caches: changes to those are for perfbench.
 """
 
 import functools
 import hashlib
 import importlib.util
-import itertools
 import math
 import statistics
 import sys
@@ -31,7 +34,7 @@ import time
 
 import numpy as np
 
-from bench_pairs import CONTROL, SIDES, pair_parser
+from bench_pairs import CONTROL, SIDES, pair_parser, round_order
 
 #: large-n-compare's kinds whose step takes a draw (all but FGD), with their batch sizes
 KINDS = (("sgd", 1), ("minibatch", 10), ("sag", 1), ("saga", 1), ("svrg", 1), ("ssag", 1))
@@ -60,15 +63,6 @@ def problems(seed):
         yield geometry, means[labels] + stddev * noise, labels, lam
 
 
-def per_step(step):
-    """A loop that calls ``step`` once per draw: how a tree without
-    ``optimizers.segment_stepper`` takes a block's steps."""
-    def advance(state, obj, strata, indices):
-        for j, idx in zip(strata, indices):
-            step(state, obj, j, idx)
-    return advance
-
-
 def cells(tree, shared, steps, seed):
     """{cell: (advance, state, objective, draw)} as ``tree`` builds them:
     ``advance(state, obj, strata, indices)`` takes a block's steps through the
@@ -82,9 +76,7 @@ def cells(tree, shared, steps, seed):
             spec = tree.optimizers.SPECS[kind]
             config = tree.RunConfig(kind=kind, steps=steps, n=n, seed=seed)
             draw = functools.partial(tree.RngStream(seed).take, *spec.source(obj.dataset, n), steps)
-            step = getattr(tree.optimizers, spec.step)
-            stepper = getattr(tree.optimizers, "segment_stepper", None)
-            advance = stepper(step, obj, n) if stepper else per_step(step)
+            advance = tree.optimizers.segment_stepper(getattr(tree.optimizers, spec.step), obj, n)
             out[f"{geometry} {kind}"] = (advance, tree.make_state(config, obj, constants), obj,
                                          draw)
     return out
@@ -92,12 +84,12 @@ def cells(tree, shared, steps, seed):
 
 def time_blocks(sides, blocks, steps):
     """Each side's seconds per block of its cell in ``sides``, its draws taken
-    first.  The blocks cycle through every order of the sides: with three, a
-    rotation lets a drift within a block move the two legs' ratios apart."""
-    orders = list(itertools.permutations(sides))
+    first.  Each block takes its order from `round_order`, every order in
+    turn: with three sides, a rotation lets a drift within a block move the
+    two legs' ratios apart."""
     times = {side: [] for side in sides}
     for block in range(blocks):
-        for side in orders[block % len(orders)]:
+        for side in round_order(sides, block):
             advance, state, obj, draw = sides[side]
             strata, indices = draw()
             strata = strata.tolist()
@@ -118,7 +110,8 @@ def sign_interval(values):
 
 
 def summary_line(cell, times, steps):
-    """The parent's us per step, then each leg and, with a control, the verdict."""
+    """The parent's us per step, then each leg and, with a control, the
+    verdict: ``no verdict`` when either leg's interval is unbounded."""
     legs = {side: sign_interval([math.log(t / p) for t, p in zip(ts, times["parent"], strict=True)])
             for side, ts in times.items() if side != "parent"}
     parts = [f"{cell:<16} parent {statistics.median(times['parent']) / steps * 1e6:8.3f} us"]
@@ -126,7 +119,8 @@ def summary_line(cell, times, steps):
               for side, (low, mid, high) in legs.items()]
     if CONTROL in legs:
         (low, _, high), (c_low, _, c_high) = legs["change"], legs[CONTROL]
-        parts.append("better" if high < c_low else "worse" if low > c_high else "inside")
+        parts.append("no verdict" if math.inf in (high, c_high) else "better" if high < c_low
+                     else "worse" if low > c_high else "inside")
     return "  ".join(parts)
 
 
